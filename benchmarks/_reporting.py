@@ -5,14 +5,21 @@ be lost in ``--benchmark-only`` runs.  Experiments instead call
 :func:`report_table`; the conftest's ``pytest_terminal_summary`` hook prints
 everything after the run (that channel is never captured), and every table
 is also written to ``benchmarks/results/<experiment>.txt`` for EXPERIMENTS.md.
+
+A run with any ``REPRO_E*_SCALE=smoke`` variable set writes under the
+git-ignored ``benchmarks/results/smoke/`` instead, so a shrunken table can
+never be committed in place of the documented-scale one (it happened to
+E12, E17 and E19).
 """
 
 from __future__ import annotations
 
 import os
+import re
 from typing import Dict, List, Sequence
 
 _RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+_SCALE_VAR = re.compile(r"REPRO_E\w+_SCALE")
 
 #: experiment id -> rendered table text, in report order
 TABLES: "Dict[str, str]" = {}
@@ -47,16 +54,27 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
+def results_dir() -> str:
+    """Where this run's result files go (created on demand)."""
+    smoke = any(_SCALE_VAR.fullmatch(name) and value.lower() == "smoke"
+                for name, value in os.environ.items())
+    path = os.path.join(_RESULTS_DIR, "smoke") if smoke else _RESULTS_DIR
+    os.makedirs(path, exist_ok=True)
+    return path
+
+
+def _record(experiment: str, text: str) -> str:
+    TABLES[experiment] = text
+    with open(os.path.join(results_dir(), f"{experiment}.txt"),
+              "w") as handle:
+        handle.write(text + "\n")
+    return text
+
+
 def report_table(experiment: str, title: str, headers: Sequence[str],
                  rows: Sequence[Sequence[object]], note: str = "") -> str:
     """Record one experiment table; returns the rendered text."""
-    text = _render(title, headers, rows, note)
-    TABLES[experiment] = text
-    os.makedirs(_RESULTS_DIR, exist_ok=True)
-    path = os.path.join(_RESULTS_DIR, f"{experiment}.txt")
-    with open(path, "w") as handle:
-        handle.write(text + "\n")
-    return text
+    return _record(experiment, _render(title, headers, rows, note))
 
 
 def report_observability(experiment: str, title: str, tracer,
@@ -77,10 +95,4 @@ def report_observability(experiment: str, title: str, tracer,
         appendix += "\n\n" + _render(f"{experiment} metrics",
                                      m_headers, m_rows)
     text = _render(title, headers, rows, note)
-    text += "\n\n" + appendix
-    TABLES[experiment] = text
-    os.makedirs(_RESULTS_DIR, exist_ok=True)
-    path = os.path.join(_RESULTS_DIR, f"{experiment}.txt")
-    with open(path, "w") as handle:
-        handle.write(text + "\n")
-    return text
+    return _record(experiment, text + "\n\n" + appendix)

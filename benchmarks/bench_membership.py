@@ -24,8 +24,9 @@ phi-accrual suspicion (:mod:`repro.membership`) — on three axes:
   are never returned, flagged or not.
 
 Every confirmation observed during E15a is also appended to
-``benchmarks/results/E15_confirms.jsonl`` — the CI determinism gate runs
-the smoke sweep twice and requires byte-identical files.
+``E15_confirms.jsonl`` beside the tables (``benchmarks/results/``, or its
+``smoke/`` subdirectory on a smoke run) — the CI determinism gate runs the
+smoke sweep twice and requires byte-identical files.
 
 The experiment is deterministic from its seed; ``REPRO_E15_SCALE=smoke``
 shrinks it for CI.
@@ -37,7 +38,7 @@ import json
 import os
 import statistics
 
-from _reporting import report_table
+from _reporting import report_table, results_dir
 from repro.exceptions import (LookupError_, ReplicaIntegrityError,
                               StorageError)
 from repro.fabric import Fabric
@@ -73,10 +74,6 @@ RT_NAMES = [f"q{i}" for i in range(RT_N)]
 _RING_ORDER = sorted(RT_NAMES, key=chord_id)
 RT_FAR = frozenset(_RING_ORDER[:RT_N // 2])
 RT_NEAR = [name for name in _RING_ORDER if name not in RT_FAR]
-
-_CONFIRMS_PATH = os.path.join(os.path.dirname(__file__), "results",
-                              "E15_confirms.jsonl")
-
 
 # -- E15a: detection latency and false positives vs. packet loss ---------------
 
@@ -143,8 +140,8 @@ def test_detection_vs_packet_loss(benchmark):
                  "phi": round(event.phi, 4),
                  "false_positive": event.actually_online},
                 sort_keys=True))
-    os.makedirs(os.path.dirname(_CONFIRMS_PATH), exist_ok=True)
-    with open(_CONFIRMS_PATH, "w") as handle:
+    with open(os.path.join(results_dir(), "E15_confirms.jsonl"),
+              "w") as handle:
         handle.write("\n".join(lines) + "\n")
 
     for loss, cell in cells.items():
