@@ -82,7 +82,9 @@ class ResharingSimulation:
         first_seen: Dict[str, int] = {user: 0 for user in holders}
         for round_number in range(1, rounds + 1):
             new_holders: Set[str] = set()
-            for holder in holders:
+            # sorted: set order follows PYTHONHASHSEED, and the order the
+            # holders draw in decides who reshares to whom
+            for holder in sorted(holders):
                 for friend in self.graph.neighbors(holder):
                     friend = str(friend)
                     if friend in holders or friend in new_holders:

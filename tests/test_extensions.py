@@ -1,6 +1,9 @@
 """Tests for the open-problem demonstrators (Section VI extensions)."""
 
+import os
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
@@ -240,6 +243,25 @@ class TestResharing:
                                          b"content", b"k" * 32)
         assert result["unintended"]
         assert result["traceable"]
+
+    def test_spread_does_not_depend_on_the_hash_seed(self):
+        """E9b regression: the holder *set* used to be iterated while
+        drawing from the RNG, so PYTHONHASHSEED picked the reshare order."""
+        script = (
+            "from repro.extensions import ResharingSimulation\n"
+            "from repro.workloads import social_graph\n"
+            "sim = ResharingSimulation("
+            "social_graph(100, kind='ws', seed=12), 0.3, seed=15)\n"
+            "result = sim.run('user0', ['user1', 'user2'])\n"
+            "print(sorted(result['first_seen'].items()))\n")
+        runs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            runs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120).stdout)
+        assert runs[0] == runs[1] and "user" in runs[0]
 
     def test_invalid_probability(self):
         with pytest.raises(ReproError):
