@@ -24,10 +24,15 @@ Three classic defenses against routing-layer adversaries, composed:
   ordering) and the circuit-breaker path (calls to them fast-fail until
   a half-open probe) when those are wired on the fabric.
 
-The overlays delegate here from their public ``lookup`` entry points
-whenever ``fabric.adversary`` carries a :class:`~repro.adversary.config
+The overlays' public ``lookup`` entry points hand the operation to these
+drivers (via :meth:`repro.fabric.Fabric.secure_lookup`) whenever the
+fabric's adversary model carries a :class:`~repro.adversary.config
 .DefenseConfig`, so quorum writes (coordinator routing) and every other
-lookup consumer get the defended path with no call-site changes.
+lookup consumer get the defended path with no call-site changes.  Each
+disjoint path is the overlay's own single-path routine
+(``ChordRing._route`` / ``KademliaOverlay._iterate``) run under a fresh
+:class:`~repro.fabric.OpContext` that carries the path's distrust set,
+collects its responders and switches certificate checks on.
 """
 
 from __future__ import annotations
@@ -87,15 +92,45 @@ class Quarantine:
         return sorted(peers, key=lambda p: p in self.banned)
 
 
-def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64,
-                          deadline=None):
+def _disjoint_paths(fabric, start: str, wanted: int, run_path):
+    """Run single-path lookups until ``wanted`` of them succeed.
+
+    At most ``2 * wanted + 1`` attempts; each runs ``run_path(ctx)`` under
+    a fresh :class:`~repro.fabric.OpContext` that distrusts the responders
+    of every earlier path plus every quarantined peer, so a single
+    compromised region cannot answer all of them.  Returns
+    ``(results, failed_paths)``; raises when every attempt failed.
+    """
+    adv = fabric.adversary
+    banned = adv.quarantine.banned if adv.quarantine is not None \
+        else frozenset()
+    used: Set[str] = set()
+    results = []
+    attempts = 0
+    while attempts < 2 * wanted + 1 and len(results) < wanted:
+        attempts += 1
+        ctx = fabric.op(start, distrust=frozenset(used | banned),
+                        visited=set(),
+                        certified=adv.config.defense.certified_ids)
+        try:
+            results.append(run_path(ctx))
+        except LookupError_:
+            pass
+        used.update(ctx.visited)
+    if not results:
+        raise LookupError_(
+            f"defended lookup from {start!r}: all {attempts} disjoint "
+            "paths failed")
+    return results, attempts - len(results)
+
+
+def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64):
     """Redundant Chord lookup: disjoint paths + majority successor vote.
 
-    Up to ``2 * successor_redundancy + 1`` single-path lookups run until
-    ``successor_redundancy`` of them produce an owner claim; each path
-    distrusts the intermediate responders of earlier paths (plus every
-    quarantined peer), so a single compromised region cannot answer all
-    of them.  With certified ids the vote is *successor-verified* first:
+    ``successor_redundancy`` disjoint single-path lookups (each scanning
+    whole successor lists, so any of the owner's recent predecessors can
+    name it) produce one owner claim each; see :func:`_disjoint_paths`.
+    With certified ids the vote is *successor-verified* first:
     a node's ring position is ``H(pubkey)`` and unforgeable, so no
     certified node can sit between the key and its true owner — any vote
     naming a certifiably looser owner than the tightest claim on the
@@ -113,35 +148,13 @@ def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64,
     defense = adv.config.defense
     metrics = ring.network.metrics
     sim = ring.network.sim
-    votes_needed = defense.successor_redundancy
-    banned = adv.quarantine.banned if adv.quarantine is not None \
-        else frozenset()
-    used: Set[str] = set()
-    votes = []
-    futures = []
-    failed_paths = 0
-    attempts = 0
     with ring.network.tracer.span("chord.lookup.defended", key=key,
                                   start=start,
                                   parallel=sim.concurrent) as span:
-        while attempts < 2 * votes_needed + 1 and len(votes) < votes_needed:
-            attempts += 1
-            visited: Set[str] = set()
-            try:
-                result = ring.lookup(
-                    start, key, max_hops=max_hops, deadline=deadline,
-                    distrust=frozenset(used | banned), visited=visited,
-                    _single_path=True)
-                votes.append(result)
-                futures.append(sim.future(result.rtt))
-            except LookupError_:
-                failed_paths += 1
-            used.update(visited)
-        if not votes:
-            raise LookupError_(
-                f"defended lookup for {key!r}: all {attempts} disjoint "
-                "paths failed")
-        fanout = gather(futures)
+        votes, failed_paths = _disjoint_paths(
+            ring.fabric, start, defense.successor_redundancy,
+            lambda ctx: ring._route(ctx, key, max_hops, whole_list=True))
+        fanout = gather([sim.future(vote.rtt) for vote in votes])
         eligible = votes
         if defense.certified_ids:
             # Successor verification: certified positions are
@@ -178,7 +191,7 @@ def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64,
 
 
 def defended_kad_lookup(overlay, start: str, key: str,
-                        find_value: bool = False, deadline=None):
+                        find_value: bool = False):
     """``d`` disjoint Kademlia lookups, closest-set membership vote.
 
     With certified ids the paths' closest sets are *unioned*: a learned
@@ -196,36 +209,17 @@ def defended_kad_lookup(overlay, start: str, key: str,
     """
     from repro.overlay.kademlia import KadLookupResult, kad_id, xor_distance
 
-    adv = overlay.fabric.adversary
+    fabric = overlay.fabric
+    adv = fabric.adversary
     defense = adv.config.defense
     metrics = overlay.network.metrics
     target_id = kad_id(key)
-    paths_wanted = defense.disjoint_paths
-    banned = adv.quarantine.banned if adv.quarantine is not None \
-        else frozenset()
-    used: Set[str] = set()
-    paths = []
-    failed_paths = 0
-    attempts = 0
     with overlay.network.tracer.span(
             "kad.lookup.defended", key=key, start=start,
             parallel=overlay.network.sim.concurrent) as span:
-        while attempts < 2 * paths_wanted + 1 and len(paths) < paths_wanted:
-            attempts += 1
-            visited: Set[str] = set()
-            try:
-                result = overlay.lookup(
-                    start, key, find_value=False, deadline=deadline,
-                    distrust=frozenset(used | banned), visited=visited,
-                    _single_path=True)
-                paths.append(result)
-            except LookupError_:
-                failed_paths += 1
-            used.update(visited)
-        if not paths:
-            raise LookupError_(
-                f"defended kad lookup for {key!r}: all {attempts} "
-                "disjoint paths failed")
+        paths, failed_paths = _disjoint_paths(
+            fabric, start, defense.disjoint_paths,
+            lambda ctx: overlay._iterate(ctx, key))
         if defense.certified_ids:
             agreed = sorted(
                 set().union(*(set(path.closest) for path in paths)),
@@ -253,7 +247,7 @@ def defended_kad_lookup(overlay, start: str, key: str,
                 node = overlay.nodes.get(name)
                 if node is None or not node.online:
                     continue
-                ok, _ = overlay._rpc(start, name, kind="kad_fetch")
+                ok, _ = fabric.call(start, name, "kad_fetch")
                 rpcs += 1
                 if not ok or adv.withholds(name, key):
                     continue

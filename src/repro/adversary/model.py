@@ -61,6 +61,12 @@ class ChordAnswer:
     final: Optional[Claim] = None      # "this node owns the key"
     next_hop: Optional[Claim] = None   # "route through this node"
 
+    @property
+    def claims(self) -> Tuple[Claim, ...]:
+        """The node-id claims the answer carries (as on ``KadAnswer``)."""
+        claim = self.final or self.next_hop
+        return () if claim is None else (claim,)
+
 
 @dataclass(frozen=True)
 class KadAnswer:

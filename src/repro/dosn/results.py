@@ -16,27 +16,18 @@ part of the API:
 * ``source`` — ``"cache"`` (served from the reader's verified-content
   cache after a chain-head re-check), ``"quorum"`` (a verified R-of-N
   quorum read) or ``"bare"`` (first-responder / provider fetch).
-
-For one release, attribute access that used to land on the
-:class:`VerifiedPost` (``result.text``, ``result.author``, ...) keeps
-working through a deprecation proxy; new code reads ``result.post.text``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.dosn.user import VerifiedPost
-from repro.exceptions import ReproDeprecationWarning
 
 __all__ = ["READ_SOURCES", "ReadResult"]
 
 #: Legal values of :attr:`ReadResult.source`.
 READ_SOURCES = ("cache", "quorum", "bare")
-
-#: VerifiedPost fields the deprecation proxy forwards for one release.
-_PROXIED = ("author", "sequence", "text", "tags", "content_id")
 
 
 @dataclass
@@ -53,17 +44,3 @@ class ReadResult:
             raise ValueError(
                 f"ReadResult.source must be one of {READ_SOURCES}, "
                 f"got {self.source!r}")
-
-    def __getattr__(self, name: str):
-        # Only reached for attributes not on ReadResult itself: the
-        # pre-typed API handed the VerifiedPost straight to callers, so
-        # forward its fields for one release with a warning.
-        if name in _PROXIED:
-            warnings.warn(
-                f"ReadResult.{name} is deprecated; read "
-                f"ReadResult.post.{name} instead (the typed result "
-                "carries the post under .post)",
-                ReproDeprecationWarning, stacklevel=2)
-            return getattr(self.post, name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")

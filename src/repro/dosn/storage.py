@@ -116,8 +116,7 @@ class DHTBackend(StorageBackend):
     it with ``Fabric.create(resilient=True, ...)`` and every fetch and
     replication RPC routes through the :class:`ReliableChannel` (retries,
     breakers, hedged replica reads) — required for the backend to stay
-    available under the E12 fault plans.  The ``channel=`` kwarg is the
-    deprecated way of wiring the same thing.
+    available under the E12 fault plans.
 
     Passing ``quorum=`` (a :class:`repro.storage2.ReplicatedStore` over
     the same ring) upgrades the backend to verified quorum semantics:
@@ -127,23 +126,15 @@ class DHTBackend(StorageBackend):
 
     Overload protection needs no backend plumbing: when the fabric
     carries a ``DosnConfig(overload=...)`` config, the ring's lookups
-    and the quorum store's reads mint their own per-operation deadlines
-    from ``fabric.overload``, the channel enforces the retry budget, and
+    and the quorum store's reads mint their own per-operation budgets
+    (:meth:`Fabric.op <repro.fabric.Fabric.op>`), the channel enforces
+    the retry budget, and
     the network sheds at saturated peers — a shed surfaces here as
     :class:`repro.exceptions.OverloadedError` from fetch paths.
     """
 
-    def __init__(self, ring: ChordRing, channel=None, quorum=None) -> None:
+    def __init__(self, ring: ChordRing, quorum=None) -> None:
         self.ring = ring
-        if channel is not None:
-            import warnings
-
-            from repro.exceptions import ReproDeprecationWarning
-            warnings.warn(
-                "DHTBackend(channel=...) is deprecated; build the channel "
-                "into the ring's Fabric (Fabric.create(resilient=True))",
-                ReproDeprecationWarning, stacklevel=2)
-            self.ring.channel = channel
         self.quorum = quorum
         #: cid -> the replica set chosen at put time; with a quorum store
         #: this aliases its placement map, so repair re-placements show up

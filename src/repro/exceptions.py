@@ -99,13 +99,3 @@ class OverloadedError(StorageError):
 
 class SimulationError(ReproError):
     """The discrete-event simulator was driven into an invalid state."""
-
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """Warning category for deprecated ``repro`` APIs.
-
-    Kept distinct from the builtin :class:`DeprecationWarning` so CI can run
-    with ``-W error::repro.exceptions.ReproDeprecationWarning`` and fail on
-    in-repo use of deprecated constructor paths without tripping over
-    third-party deprecations.
-    """

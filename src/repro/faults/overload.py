@@ -47,7 +47,7 @@ from repro.exceptions import SimulationError
 
 __all__ = ["AdaptiveTimeout", "AdaptiveTimeoutConfig", "Deadline",
            "OverloadConfig", "RetryBudget", "RetryBudgetConfig",
-           "ServiceConfig"]
+           "ServiceConfig", "deadline_expired"]
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,24 @@ class Deadline:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Deadline(expires_at={self.expires_at:.4f})"
+
+
+def deadline_expired(network, deadline: Optional[Deadline], spent: float,
+                     kind: str) -> bool:
+    """The one deadline check: has ``spent`` exhausted ``deadline``?
+
+    Every layer that propagates a budget (channel attempts and hedges,
+    lookup hops, replica and quorum probes) asks here before paying for
+    the next RPC, so an expiry is counted the same way wherever it is
+    noticed: ``NetworkStats.deadline_expired`` plus the
+    ``overload.deadline_expired{kind=...}`` counter.  ``None`` never
+    expires.
+    """
+    if deadline is None or not deadline.expired(network.sim.now, spent):
+        return False
+    network.stats.deadline_expired += 1
+    network.metrics.inc("overload.deadline_expired", kind=kind)
+    return True
 
 
 class RetryBudget:

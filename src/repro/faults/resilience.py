@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import SimulationError
-from repro.faults.overload import Deadline, RetryBudget
+from repro.faults.overload import (Deadline, RetryBudget,
+                                   deadline_expired)
 from repro.overlay.simulator import SimFuture
 
 
@@ -206,6 +207,37 @@ class ReliableChannel:
         self.network.metrics.gauge("channel.breaker_state", dst=dst).set(
             BREAKER_STATE_VALUES[state])
 
+    def _admit(self, view, dst: str, now: float) -> bool:
+        """Whether the breaker lets an attempt through (a membership view
+        replaces it and is consulted by the caller instead)."""
+        if view is None and self.breaker is not None \
+                and not self.breaker.allow(dst, now):
+            self.network.stats.breaker_fastfails += 1
+            self._export_breaker_state(dst)
+            return False
+        return True
+
+    def _attempt(self, view, src: str, dst: str, kind: str,
+                 payload_size: int, now: float) -> SimFuture:
+        """One wire attempt, its outcome fed to the view or the breaker.
+
+        A shed attempt never feeds the breaker: the peer is alive and
+        saying so, and opening the breaker on honesty would punish
+        exactly the peers that shed instead of timing out.
+        """
+        future = self.network.rpc_issue(src, dst, kind=kind,
+                                        payload_size=payload_size)
+        if view is not None:
+            if future.ok:
+                view.observe_contact(dst, now)
+        elif self.breaker is not None and future.cause != "overloaded":
+            if future.ok:
+                self.breaker.record_success(dst)
+            elif self.breaker.record_failure(dst, now):
+                self.network.stats.breaker_trips += 1
+            self._export_breaker_state(dst)
+        return future
+
     def call(self, src: str, dst: str, kind: str = "rpc",
              payload_size: int = 64,
              deadline: Optional[Deadline] = None) -> Tuple[bool, float]:
@@ -229,9 +261,7 @@ class ReliableChannel:
         first attempt draw from the channel's shared
         :attr:`retry_budget` when one is set (an empty bucket means no
         retry); a shed attempt (the destination rejected for overload)
-        does **not** feed the circuit breaker — the peer is alive and
-        telling us so, and opening the breaker on honesty would punish
-        exactly the peers that shed instead of timing out.
+        does **not** feed the circuit breaker.
         """
         ok, elapsed, _cause = self._call(src, dst, kind, payload_size,
                                          deadline)
@@ -262,43 +292,26 @@ class ReliableChannel:
                     max_attempts = 1
             for attempt in range(max_attempts):
                 now = self.network.sim.now
-                if deadline is not None and deadline.expired(now, elapsed):
+                if deadline_expired(self.network, deadline, elapsed, kind):
                     # nobody is waiting for this answer any more: fail
                     # fast instead of issuing a doomed attempt
-                    stats.deadline_expired += 1
-                    self.network.metrics.inc("overload.deadline_expired",
-                                             kind=kind)
                     outcome = cause = "deadline_expired"
                     break
-                if view is None and self.breaker is not None \
-                        and not self.breaker.allow(dst, now):
-                    stats.breaker_fastfails += 1
-                    self._export_breaker_state(dst)
+                if not self._admit(view, dst, now):
                     outcome = "breaker_fastfail"
                     cause = cause or "breaker_fastfail"
                     break
                 attempts += 1
-                future = self.network.rpc_issue(src, dst, kind=kind,
-                                                payload_size=payload_size)
-                ok, rtt = future.value
+                future = self._attempt(view, src, dst, kind, payload_size,
+                                       now)
                 cause = future.cause
-                elapsed += rtt
-                if ok:
-                    if view is not None:
-                        view.observe_contact(dst, now)
-                    elif self.breaker is not None:
-                        self.breaker.record_success(dst)
-                        self._export_breaker_state(dst)
+                elapsed += future.latency
+                if future.ok:
                     if self.retry_budget is not None:
                         self.retry_budget.on_success()
                     span.set_attr("attempts", attempts)
                     span.set_attr("outcome", "ok")
                     return (True, elapsed, None)
-                if view is None and self.breaker is not None \
-                        and cause != "overloaded":
-                    if self.breaker.record_failure(dst, now):
-                        stats.breaker_trips += 1
-                    self._export_breaker_state(dst)
                 if attempt + 1 < max_attempts:
                     if self.retry_budget is not None \
                             and not self.retry_budget.try_spend():
@@ -369,35 +382,18 @@ class ReliableChannel:
             elapsed = 0.0
             for i, dst in enumerate(dsts):
                 now = self.network.sim.now
-                if deadline is not None and deadline.expired(now, elapsed):
-                    stats.deadline_expired += 1
-                    self.network.metrics.inc("overload.deadline_expired",
-                                             kind=kind)
+                if deadline_expired(self.network, deadline, elapsed, kind):
                     break
                 if i > 0:
                     stats.hedges += 1
-                if view is None and self.breaker is not None \
-                        and not self.breaker.allow(dst, now):
-                    stats.breaker_fastfails += 1
-                    self._export_breaker_state(dst)
+                if not self._admit(view, dst, now):
                     continue
-                future = self.network.rpc_issue(src, dst, kind=kind,
-                                                payload_size=payload_size)
-                ok, rtt = future.value
-                elapsed += rtt
-                if ok:
-                    if view is not None:
-                        view.observe_contact(dst, now)
-                    elif self.breaker is not None:
-                        self.breaker.record_success(dst)
-                        self._export_breaker_state(dst)
+                future = self._attempt(view, src, dst, kind, payload_size,
+                                       now)
+                elapsed += future.latency
+                if future.ok:
                     span.set_attr("winner", dst)
                     return (True, dst, elapsed)
-                if view is None and self.breaker is not None \
-                        and future.cause != "overloaded":
-                    if self.breaker.record_failure(dst, now):
-                        stats.breaker_trips += 1
-                    self._export_breaker_state(dst)
             span.set_attr("winner", None)
             return (False, None, elapsed)
 
@@ -416,32 +412,13 @@ class ReliableChannel:
             if first_win is not None and first_win <= launch_at:
                 break  # an earlier request won before this hedge fires
             now = self.network.sim.now
-            if deadline is not None and deadline.expired(now, launch_at):
-                stats.deadline_expired += 1
-                self.network.metrics.inc("overload.deadline_expired",
-                                         kind=kind)
+            if deadline_expired(self.network, deadline, launch_at, kind):
                 break
             if i > 0:
                 stats.hedges += 1
-            if view is None and self.breaker is not None \
-                    and not self.breaker.allow(dst, now):
-                stats.breaker_fastfails += 1
-                self._export_breaker_state(dst)
-                continue
-            future = self.network.rpc_issue(src, dst, kind=kind,
-                                            payload_size=payload_size)
-            launched.append((launch_at, dst, future))
-            if future.ok:
-                if view is not None:
-                    view.observe_contact(dst, now)
-                elif self.breaker is not None:
-                    self.breaker.record_success(dst)
-                    self._export_breaker_state(dst)
-            elif view is None and self.breaker is not None \
-                    and future.cause != "overloaded":
-                if self.breaker.record_failure(dst, now):
-                    stats.breaker_trips += 1
-                self._export_breaker_state(dst)
+            if self._admit(view, dst, now):
+                launched.append((launch_at, dst, self._attempt(
+                    view, src, dst, kind, payload_size, now)))
         successes = sorted(
             (offset + future.latency, future.seq, dst, future)
             for offset, dst, future in launched if future.ok)

@@ -23,14 +23,12 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import warnings
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (AbstractSet, Any, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.exceptions import (DeadlineExceededError, LookupError_,
-                              OverlayError, OverloadedError,
-                              ReproDeprecationWarning, StorageError)
-from repro.faults.overload import Deadline
+                              OverlayError, OverloadedError, StorageError)
 from repro.overlay.network import SimNode
 
 #: Identifier-space size in bits.
@@ -85,52 +83,74 @@ class ChordNode(SimNode):
     # -- routing-table reads (executed at the *queried* node) -----------------
 
     def closest_preceding(self, key_id: int, ring: "ChordRing",
-                          avoid: Optional[Set[str]] = None) -> Optional[str]:
+                          avoid: AbstractSet[str] = frozenset()
+                          ) -> Optional[str]:
         """The best next hop: the closest live finger preceding ``key_id``.
 
-        ``avoid`` lists peers a resilient lookup has already written off
-        (unresponsive after retries), so routing detours around them.
+        ``avoid`` lists peers the lookup routes around: written off as
+        unresponsive, or distrusted by a secure-lookup driver.
         """
-        for finger in reversed(self.fingers):
-            if finger is None or (avoid is not None and finger in avoid):
-                continue
-            node = ring.nodes.get(finger)
-            if node is None or not node.online:
-                continue
-            if in_interval(node.chord_id, self.chord_id, key_id):
-                return finger
-        for succ in self.successors:
-            if avoid is not None and succ in avoid:
-                continue
-            node = ring.nodes.get(succ)
-            if node is not None and node.online \
-                    and in_interval(node.chord_id, self.chord_id, key_id):
-                return succ
+        nodes = ring.nodes
+        own_id = self.chord_id
+        for table in (reversed(self.fingers), self.successors):
+            for peer in table:
+                node = nodes.get(peer)
+                if node is not None and node.online \
+                        and in_interval(node.chord_id, own_id, key_id) \
+                        and peer not in avoid:
+                    return peer
         return None
 
-    def first_live_successor(self, ring: "ChordRing",
-                             avoid: Optional[Set[str]] = None
-                             ) -> Optional[str]:
+    def first_live_successor(self, ring: "ChordRing") -> Optional[str]:
         """The nearest online entry of the successor list."""
         for succ in self.successors:
-            if avoid is not None and succ in avoid:
-                continue
             if ring.network.is_online(succ):
                 return succ
         return None
 
+    def next_step(self, key_id: int, ring: "ChordRing",
+                  avoid: AbstractSet[str],
+                  distrust: AbstractSet[str] = frozenset(),
+                  whole_list: bool = False) -> Tuple[str, bool]:
+        """This node's routing answer for ``key_id``: ``(peer, is_owner)``.
+
+        If the nearest live successor (skipping ``avoid``) covers the key
+        it is the owner; otherwise the lookup moves to the closest
+        preceding finger neither avoided nor ``distrust``-ed, falling
+        back to that successor.  ``whole_list`` lets *any* live entry of
+        the successor list covering the key name the owner (redundant
+        successor verification: one compromised immediate predecessor is
+        then not a routing choke point).
+        """
+        successor = None
+        for succ in self.successors:
+            node = ring.nodes.get(succ)
+            if node is None or not node.online or succ in avoid:
+                continue
+            if successor is None:
+                successor = succ
+            if in_interval(key_id, self.chord_id, node.chord_id,
+                           inclusive_right=True):
+                return succ, True
+            if not whole_list:
+                break
+        if successor is None:
+            raise LookupError_(
+                f"{self.node_id!r} has no live successor (ring partitioned)")
+        route_avoid = avoid | distrust if distrust else avoid
+        next_hop = self.closest_preceding(key_id, ring, route_avoid)
+        return next_hop or successor, False
+
 
 class ChordRing:
-    """A Chord overlay over a :class:`repro.fabric.Fabric`.
-
-    Pass the fabric; the ring reads its network, resilient channel, and
-    tracer from it.  Passing a bare :class:`SimNetwork` (and threading a
-    ``channel=`` by hand) still works for one release but emits
-    :class:`~repro.exceptions.ReproDeprecationWarning`.
+    """A Chord overlay over a :class:`repro.fabric.Fabric`: routing
+    geometry and storage placement.  RPCs go through the fabric, budget /
+    liveness / adversary decisions through each operation's
+    :class:`~repro.fabric.OpContext`.
     """
 
     def __init__(self, fabric: Any, successor_list_size: int = 4,
-                 replication: int = 1, channel: Optional[Any] = None) -> None:
+                 replication: int = 1) -> None:
         from repro.fabric import coerce_fabric  # avoids an import cycle
         if replication < 1:
             raise OverlayError("replication factor must be >= 1")
@@ -138,30 +158,7 @@ class ChordRing:
         self.network = self.fabric.network
         self.successor_list_size = successor_list_size
         self.replication = replication
-        #: the :class:`repro.faults.ReliableChannel` (from the fabric);
-        #: when set, every routing RPC gets retries/breakers and lookups
-        #: route around peers that stay unresponsive after retries.
-        self.channel = self.fabric.channel
-        if channel is not None:
-            warnings.warn(
-                "ChordRing(channel=...) is deprecated; build the channel "
-                "into the Fabric (Fabric.create(resilient=True) or "
-                "Fabric(sim, network, channel=...))",
-                ReproDeprecationWarning, stacklevel=2)
-            self.channel = channel
         self.nodes: Dict[str, ChordNode] = {}
-
-    def _rpc(self, src: str, dst: str, kind: str,
-             deadline: Optional[Deadline] = None) -> Tuple[bool, float]:
-        """One accounted RPC, through the resilient channel when wired.
-
-        ``deadline`` is the caller's *remaining* budget (already
-        decremented by time spent on earlier hops); the bare network
-        path ignores it — deadline enforcement is channel machinery.
-        """
-        if self.channel is not None:
-            return self.channel.call(src, dst, kind=kind, deadline=deadline)
-        return self.network.rpc(src, dst, kind=kind)
 
     # -- construction -----------------------------------------------------------
 
@@ -215,206 +212,88 @@ class ChordRing:
         ids = [node.chord_id for node in ordered]
         return ordered[self._successor_index(ids, chord_id(key))].node_id
 
-    def lookup(self, start: str, key: str, max_hops: int = 64,
-               deadline: Optional[Deadline] = None,
-               distrust: Optional[frozenset] = None,
-               visited: Optional[Set[str]] = None,
-               _single_path: bool = False) -> LookupResult:
+    def lookup(self, start: str, key: str,
+               max_hops: int = 64) -> LookupResult:
         """Iterative Chord lookup from ``start`` for ``key``.
 
         Each routing step is one accounted RPC; offline peers cost a
         timeout and a fallback probe, mirroring real retry behaviour.
-
-        With a :class:`~repro.faults.ReliableChannel` wired in, each step
-        additionally gets retries/backoff, and a peer that stays
-        unresponsive *after* retries is treated as dead for the rest of
-        the lookup (routing detours around it instead of re-probing the
-        same blocked hop until the hop budget runs out).
-
-        With a membership service attached to the fabric, the ``avoid``
-        set is pre-seeded with every peer the *start* node's view has
-        confirmed dead — the lookup detours before paying for the first
-        failed probe, which is the health-aware-routing half of E15.
-
-        Deadline propagation: when the fabric carries an
-        :class:`~repro.faults.OverloadConfig` with an op budget (or the
-        caller passes ``deadline=``), every hop first checks the time
-        already spent against the budget — an exhausted one raises
-        :class:`~repro.exceptions.DeadlineExceededError` *before* the
-        next RPC is issued — and each hop's channel call sees only the
-        remaining budget (``deadline.minus(rtt)``).
-
-        Adversary semantics (only with ``fabric.adversary`` installed):
-        answers consumed from a compromised responder may be forged —
-        a bare client *trusts* routing responses, so a forged owner
-        claim is accepted as final (the vulnerability E19 measures).
-        With a :class:`~repro.adversary.config.DefenseConfig` the public
-        entry point delegates to :func:`~repro.adversary.defense
-        .defended_chord_lookup`, which re-enters here per disjoint path
-        (``_single_path=True``); ``distrust`` then excludes earlier
-        paths' responders (and quarantined peers) from *route
-        selection* — never from being resolved to as the owner — and
-        ``visited`` collects this path's responders for the caller's
-        disjointness bookkeeping.
+        What the fabric has attached acts through the lookup's
+        :class:`~repro.fabric.OpContext`: on a resilient fabric a peer
+        still unresponsive *after* retries is written off and detoured
+        for the rest of the lookup (a membership view pre-seeds the
+        write-offs with its confirmed-dead peers — the health-aware
+        routing half of E15); the overload config's time budget is
+        checked before every hop and raises
+        :class:`~repro.exceptions.DeadlineExceededError` instead of
+        issuing an RPC nobody will wait for; an adversary
+        model may forge compromised responders' answers.  A bare client
+        *trusts* routing responses, so a forged owner claim is accepted
+        as final (the vulnerability E19 measures); with a
+        :class:`~repro.adversary.config.DefenseConfig` the whole lookup
+        is handed to :func:`~repro.adversary.defense
+        .defended_chord_lookup`, which votes over disjoint
+        :meth:`_route` paths.
         """
-        adv = self.fabric.adversary
-        if adv is not None and adv.config.defense is not None \
-                and not _single_path:
-            from repro.adversary.defense import defended_chord_lookup
-            return defended_chord_lookup(self, start, key,
-                                         max_hops=max_hops,
-                                         deadline=deadline)
-        defense = adv.config.defense if adv is not None else None
-        key_id = chord_id(key)
+        defended = self.fabric.secure_lookup("chord")
+        if defended is not None:
+            return defended(self, start, key, max_hops=max_hops)
+        return self._route(self.fabric.op(start), key, max_hops)
+
+    def _route(self, ctx: Any, key: str, max_hops: int = 64,
+               whole_list: bool = False) -> LookupResult:
+        """One iterative path from ``ctx.origin``: per hop the current
+        node's answer (forged if an adversary interposed,
+        :meth:`ChordNode.next_step` otherwise), then one RPC to the peer
+        it names."""
+        start = ctx.origin
         current = self.nodes.get(start)
         if current is None or not current.online:
             raise LookupError_(f"start node {start!r} is not online")
-        if deadline is None and self.fabric.overload is not None:
-            deadline = self.fabric.overload.mint_deadline(self.network.sim.now)
-        view = None
-        if self.fabric.membership is not None:
-            view = self.fabric.membership.view_of(start)
+        key_id = chord_id(key)
+        avoid = ctx.avoid
+        hops = failed = 0
         with self.network.tracer.span("chord.lookup", key=key,
                                       start=start) as span:
-            hops = 0
-            rtt = 0.0
-            failed = 0
-            avoid: Optional[Set[str]] = set() \
-                if (self.channel is not None or view is not None) else None
-            if view is not None:
-                avoid.update(view.dead_peers())
             while hops < max_hops:
-                if deadline is not None \
-                        and deadline.expired(self.network.sim.now, rtt):
-                    self.network.stats.deadline_expired += 1
-                    self.network.metrics.inc("overload.deadline_expired",
-                                             kind="chord_lookup")
+                if ctx.expired("chord_lookup"):
                     raise DeadlineExceededError(
                         f"lookup for {key!r} ran out of budget after "
-                        f"{hops} hops ({rtt:.3f}s spent)")
-                hop_deadline = None if deadline is None \
-                    else deadline.minus(rtt)
-                if visited is not None and current.node_id != start:
-                    visited.add(current.node_id)
-                answer = None
-                if adv is not None and current.node_id != start:
-                    answer = adv.chord_answer(current.node_id, key)
-                if answer is not None:
-                    if answer.drop:
-                        raise LookupError_(
-                            f"{current.node_id!r} swallowed the lookup "
-                            f"for {key!r} (adversarial drop)")
-                    claimed_name, claimed_id = \
-                        answer.final if answer.final is not None \
-                        else answer.next_hop
-                    if defense is not None and defense.certified_ids \
-                            and not adv.check_claim("chord", claimed_name,
-                                                    claimed_id):
-                        adv.flag_cert_liar(current.node_id,
-                                           overlay="chord")
-                        raise LookupError_(
-                            f"{current.node_id!r} presented a provably "
-                            f"forged node-id claim for {claimed_name!r}")
-                    kind = "chord_final" if answer.final is not None \
-                        else "chord_step"
-                    ok, t = self._rpc(current.node_id, claimed_name,
-                                      kind=kind, deadline=hop_deadline)
-                    rtt += t
-                    hops += 1
-                    if not ok:
-                        failed += 1
-                        if avoid is not None:
-                            avoid.add(claimed_name)
-                        raise LookupError_(
-                            f"forged route target {claimed_name!r} for "
-                            f"{key!r} is unreachable")
-                    if answer.final is not None:
-                        # a bare client trusts the final claim as-is
-                        span.set_attr("hops", hops)
-                        span.set_attr("failed_probes", failed)
-                        span.set_attr("owner", claimed_name)
-                        return LookupResult(owner=claimed_name, hops=hops,
-                                            rtt=rtt, failed_probes=failed,
-                                            resolver=current.node_id)
-                    current = self.nodes[claimed_name]
-                    continue
-                successor = current.first_live_successor(self, avoid)
-                if successor is None:
-                    raise LookupError_(
-                        f"{current.node_id!r} has no live successor "
-                        "(ring partitioned)")
-                final_name: Optional[str] = None
-                if defense is None:
-                    succ_node = self.nodes[successor]
-                    if in_interval(key_id, current.chord_id,
-                                   succ_node.chord_id,
-                                   inclusive_right=True):
-                        final_name = successor
+                        f"{hops} hops ({ctx.spent:.3f}s spent)")
+                name = current.node_id
+                forged = None
+                if name != start:
+                    ctx.visit(name)
+                    forged = ctx.answer("chord", name, key)
+                if forged is not None:
+                    # a bare client trusts the claim as-is
+                    target, final = forged.claims[0][0], \
+                        forged.final is not None
                 else:
-                    # Redundant successor verification: scan the whole
-                    # successor list, so any of the last
-                    # ``successor_list_size`` predecessors can name the
-                    # owner — a single compromised immediate predecessor
-                    # is then not a routing choke point for the
-                    # disjoint-path retries.
-                    for succ in current.successors:
-                        if avoid is not None and succ in avoid:
-                            continue
-                        snode = self.nodes.get(succ)
-                        if snode is None or not snode.online:
-                            continue
-                        if in_interval(key_id, current.chord_id,
-                                       snode.chord_id,
-                                       inclusive_right=True):
-                            final_name = succ
-                            break
-                if final_name is not None:
-                    successor = final_name
-                    if defense is not None and defense.certified_ids \
-                            and not adv.check_claim(
-                                "chord", successor,
-                                adv.certified_id("chord", successor)):
-                        # cannot happen for an honest successor; the
-                        # check still runs real certificate verification
-                        # on every routing response (cached per name)
-                        adv.flag_cert_liar(current.node_id,
-                                           overlay="chord")
-                        raise LookupError_(
-                            f"uncertifiable owner claim {successor!r}")
-                    ok, t = self._rpc(current.node_id, successor,
-                                      kind="chord_final",
-                                      deadline=hop_deadline)
-                    rtt += t
-                    hops += 1
-                    if ok:
-                        span.set_attr("hops", hops)
-                        span.set_attr("failed_probes", failed)
-                        span.set_attr("owner", successor)
-                        return LookupResult(owner=successor, hops=hops,
-                                            rtt=rtt, failed_probes=failed,
-                                            resolver=current.node_id)
-                    failed += 1
-                    if avoid is not None:
-                        avoid.add(successor)
-                    continue  # successor died mid-lookup; list advances
-                route_avoid = avoid
-                if distrust:
-                    route_avoid = set(distrust) if avoid is None \
-                        else (avoid | distrust)
-                next_hop = current.closest_preceding(key_id, self,
-                                                     route_avoid)
-                if next_hop is None:
-                    next_hop = successor
-                ok, t = self._rpc(current.node_id, next_hop,
-                                  kind="chord_step", deadline=hop_deadline)
-                rtt += t
+                    target, final = current.next_step(
+                        key_id, self, avoid, ctx.distrust, whole_list)
+                    if final:
+                        ctx.check_claim("chord", name, target)
+                ok, _ = ctx.call(name, target,
+                                 "chord_final" if final else "chord_step")
                 hops += 1
-                if ok:
-                    current = self.nodes[next_hop]
-                else:
+                if not ok:
+                    # the target died mid-lookup; the next answer moves on
                     failed += 1
-                    if avoid is not None:
-                        avoid.add(next_hop)
+                    ctx.write_off(target)
+                    if forged is not None:
+                        raise LookupError_(
+                            f"forged route target {target!r} for "
+                            f"{key!r} is unreachable")
+                elif final:
+                    span.set_attr("hops", hops)
+                    span.set_attr("failed_probes", failed)
+                    span.set_attr("owner", target)
+                    return LookupResult(owner=target, hops=hops,
+                                        rtt=ctx.spent, failed_probes=failed,
+                                        resolver=name)
+                else:
+                    current = self.nodes[target]
             raise LookupError_(
                 f"lookup for {key!r} exceeded {max_hops} hops")
 
@@ -439,16 +318,16 @@ class ChordRing:
             for replica in self.replica_set(key):
                 self.nodes[replica].store[key] = value
                 if replica != result.owner:
-                    self._rpc(result.owner, replica, kind="chord_replicate")
+                    self.fabric.call(result.owner, replica, "chord_replicate")
             return result
 
     def get(self, start: str, key: str) -> Tuple[bytes, LookupResult]:
         """Route to the owner (or a live replica) and fetch.
 
-        With a resilient channel, the read degrades gracefully: if routing
+        On a resilient fabric the read degrades gracefully: if routing
         cannot reach the owner (partition, crash), the replica set is
-        probed directly with hedged reads from the querying peer, so any
-        reachable holder serves the content.
+        probed directly from the querying peer, so any reachable holder
+        serves the content.
 
         Latency note: the replica probing here is sequential *failover*
         (try the next holder only after the previous one fails), not true
@@ -458,67 +337,52 @@ class ChordRing:
         of :func:`repro.overlay.replication.fetch_from_holders`.
         """
         with self.network.tracer.span("chord.get", key=key, start=start):
-            deadline = None
-            if self.fabric.overload is not None:
-                deadline = self.fabric.overload.mint_deadline(
-                    self.network.sim.now)
-            return self._get_inner(start, key, deadline)
-
-    def _get_inner(self, start: str, key: str,
-                   deadline: Optional[Deadline] = None
-                   ) -> Tuple[bytes, LookupResult]:
-        if self.channel is None:
-            result = self.lookup(start, key, deadline=deadline)
+            ctx = self.fabric.op(start)
+            if self.fabric.resilient:
+                return self._get_failover(ctx, key)
+            # the bare read: the routed owner serves, or asks its replicas
+            result = self.lookup(start, key)
             for replica in [result.owner] + self.replica_set(key):
                 node = self.nodes.get(replica)
                 if node is not None and node.online and key in node.store:
                     if replica != result.owner:
-                        ok, _ = self.network.rpc(result.owner, replica,
-                                                 kind="chord_replica_read")
+                        ok, _ = self.fabric.call(result.owner, replica,
+                                                 "chord_replica_read")
                         if not ok:
                             continue
                     return node.store[key], result
             raise StorageError(
                 f"key {key!r} unavailable: no live replica holds it")
-        spent = 0.0
+
+    def _get_failover(self, ctx: Any, key: str
+                      ) -> Tuple[bytes, LookupResult]:
+        """The resilient read: route, then probe holders from the reader."""
+        start = ctx.origin
         try:
-            result: Optional[LookupResult] = self.lookup(start, key,
-                                                         deadline=deadline)
-            spent = result.rtt
+            result: Optional[LookupResult] = self.lookup(start, key)
+            ctx.spent = result.rtt
         except LookupError_:
             result = None  # routing failed; fall back to direct replica reads
             # (a DeadlineExceededError deliberately propagates instead:
-            # an exhausted budget must not trigger the hedged fallback)
+            # an exhausted budget must not trigger the fallback)
         owner = result.owner if result is not None else self.owner_of(key)
-        candidates = [owner] + [r for r in self.replica_set(key)
-                                if r != owner]
-        if self.fabric.membership is not None:
-            # Health-aware replica reads: probe the holders the reader
-            # believes healthy first; confirmed-dead ones sort last.
-            candidates = self.fabric.membership.order_by_health(
-                start, candidates)
+        candidates = ctx.order(
+            [owner] + [r for r in self.replica_set(key) if r != owner])
         probed = 0
         sheds = 0
         for replica in candidates:
             node = self.nodes.get(replica)
             if node is None or key not in node.store:
                 continue  # crashed holders lost the key with their state
-            if deadline is not None \
-                    and deadline.expired(self.network.sim.now, spent):
-                self.network.stats.deadline_expired += 1
-                self.network.metrics.inc("overload.deadline_expired",
-                                         kind="chord_replica_read")
+            if ctx.expired("chord_replica_read"):
                 raise DeadlineExceededError(
                     f"read of {key!r} ran out of budget after "
                     f"{probed} replica probes")
             if probed > 0:
                 self.network.stats.hedges += 1
             probed += 1
-            future = self.channel.call_issue(
-                start, replica, kind="chord_replica_read",
-                deadline=None if deadline is None else deadline.minus(spent))
+            future = ctx.call_issue(start, replica, "chord_replica_read")
             ok, rtt = future.value
-            spent += rtt
             if ok:
                 if result is None:
                     result = LookupResult(owner=replica, hops=0, rtt=rtt,
@@ -588,39 +452,34 @@ class ChordRing:
                    results: Dict[str, object]) -> None:
         """Serve one owner-group of keys over a single route.
 
-        Deadline semantics match the batch contract: an exhausted budget
-        becomes a :class:`DeadlineExceededError` *value* for the group's
-        unserved keys (one starved group never fails the whole feed
-        fan-out).
+        An exhausted budget becomes a :class:`DeadlineExceededError`
+        *value* for the group's unserved keys (one starved group never
+        fails the whole feed fan-out).  On a resilient fabric a failed
+        route degrades to probing the replica set from the reader, as in
+        :meth:`get`; on a bare one the routed node serves its keys for
+        free and asks the other holders itself.
         """
-        deadline = None
-        if self.fabric.overload is not None:
-            deadline = self.fabric.overload.mint_deadline(self.network.sim.now)
+        ctx = self.fabric.op(start)
+        resilient = self.fabric.resilient
         routed: Optional[str] = None
-        spent = 0.0
         try:
-            route_result = self.lookup(start, group[0], deadline=deadline)
+            route_result = self.lookup(start, group[0])
             routed = route_result.owner
-            spent = route_result.rtt
+            ctx.spent = route_result.rtt
         except DeadlineExceededError as exc:
-            for key in group:
-                results[key] = exc
+            results.update((key, exc) for key in group)
             return
         except LookupError_ as exc:
-            if self.channel is None:
-                for key in group:
-                    results[key] = exc
+            if not resilient:
+                results.update((key, exc) for key in group)
                 return
-            # Resilient mode: routing failed, probe the replica set
-            # directly (the same graceful degradation as single get).
         anchor = routed if routed is not None else owner
         candidates = [anchor] + [r for r in self.replica_set(group[0])
                                  if r != anchor]
-        if self.channel is not None and self.fabric.membership is not None:
-            candidates = self.fabric.membership.order_by_health(
-                start, candidates)
+        if resilient:
+            candidates = ctx.order(candidates)
         pending: Set[str] = set(group)
-        expired = None
+        failure: Optional[Exception] = None
         for replica in candidates:
             if not pending:
                 break
@@ -630,35 +489,23 @@ class ChordRing:
             served = [k for k in group if k in pending and k in node.store]
             if not served:
                 continue
-            if deadline is not None \
-                    and deadline.expired(self.network.sim.now, spent):
-                self.network.stats.deadline_expired += 1
-                self.network.metrics.inc("overload.deadline_expired",
-                                         kind="chord_batch_fetch")
-                expired = DeadlineExceededError(
+            if ctx.expired("chord_batch_fetch"):
+                failure = DeadlineExceededError(
                     f"batch fetch ran out of budget with "
                     f"{len(pending)} keys unserved")
                 break
-            if self.channel is not None:
-                ok, t = self.channel.call(
-                    start, replica, kind="chord_batch_fetch",
-                    deadline=None if deadline is None
-                    else deadline.minus(spent))
-                spent += t
-            elif replica != routed:
-                ok, t = self.network.rpc(routed, replica,
-                                         kind="chord_batch_fetch")
-                spent += t
-            else:
-                ok = True  # the route already landed here; its keys ride free
-            if not ok:
-                continue
+            # the route already landed on ``routed``: its keys ride free
+            if resilient or replica != routed:
+                ok, _ = ctx.call(start if resilient else routed, replica,
+                                 "chord_batch_fetch")
+                if not ok:
+                    continue
             for key in served:
                 results[key] = node.store[key]
                 pending.discard(key)
         for key in group:
             if key in pending:
-                results[key] = expired if expired is not None \
+                results[key] = failure if failure is not None \
                     else StorageError(
                         f"key {key!r} unavailable: no reachable replica "
                         "holds it")
@@ -707,7 +554,7 @@ class ChordRing:
         merged = [successor] + [
             s for s in succ_node.successors if s != node.node_id]
         node.successors = merged[:self.successor_list_size]
-        self._rpc(node.node_id, successor, kind="chord_stabilize")
+        self.fabric.call(node.node_id, successor, "chord_stabilize")
 
     def _fix_fingers(self, node: ChordNode) -> None:
         ordered = sorted((n for n in self.nodes.values() if n.online),

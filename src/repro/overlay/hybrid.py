@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from repro.exceptions import LookupError_, OverlayError, StorageError
+from repro.exceptions import OverlayError
 from repro.overlay.chord import ChordRing, LookupResult
 
 
@@ -103,16 +103,12 @@ class HybridOverlay:
                                      rtt=0.0)
         rpcs = 0
         rtt = 0.0
-        neighbors = self.neighbors(reader)
-        membership = self.fabric.membership
-        if membership is not None:
-            view = membership.view_of(reader)
-            if view is not None:
-                # Probe the healthiest neighbours' caches first and do
-                # not waste probes on confirmed-dead ones — the DHT
-                # fallback covers a false confirmation.
-                neighbors = [n for n in membership.order_by_health(
-                    reader, neighbors) if not view.is_dead(n)]
+        # Probe the healthiest neighbours' caches first and do not waste
+        # probes on confirmed-dead ones — the DHT fallback covers a false
+        # confirmation.
+        ctx = self.fabric.op(reader)
+        neighbors = [n for n in ctx.order(self.neighbors(reader))
+                     if n not in ctx.avoid]
         for neighbor in neighbors[:self.probe_limit]:
             ok, t = self.network.rpc(reader, neighbor, kind="hybrid_probe")
             rpcs += 1
@@ -125,10 +121,7 @@ class HybridOverlay:
                 self.cache_hits += 1
                 return HybridFetchResult(value=cached, source="cache",
                                          rpcs=rpcs, rtt=rtt)
-        try:
-            value, lookup = self.ring.get(reader, key)
-        except (LookupError_, StorageError):
-            raise
+        value, lookup = self.ring.get(reader, key)
         self.caches[reader].put(key, value)
         self.dht_fetches += 1
         return HybridFetchResult(value=value, source="dht",

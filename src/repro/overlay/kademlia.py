@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import (DeadlineExceededError, LookupError_,
-                              OverlayError, ReproDeprecationWarning,
-                              StorageError)
-from repro.faults.overload import Deadline
+                              OverlayError, StorageError)
 from repro.overlay.network import SimNode
 
 ID_BITS = 64
@@ -89,39 +86,20 @@ class KademliaNode(SimNode):
 
 
 class KademliaOverlay:
-    """A Kademlia overlay over a :class:`repro.fabric.Fabric`.
-
-    As with :class:`~repro.overlay.chord.ChordRing`, pass the fabric;
-    bare-``SimNetwork`` and hand-threaded ``channel=`` callers get a
-    :class:`~repro.exceptions.ReproDeprecationWarning` for one release.
+    """A Kademlia overlay over a :class:`repro.fabric.Fabric` (as
+    :class:`~repro.overlay.chord.ChordRing`: geometry here, RPCs and
+    per-operation decisions through the fabric).  The shortlist already
+    routes around unresponsive peers, so a resilient fabric's retries
+    alone recover most transient-loss failures.
     """
 
-    def __init__(self, fabric: Any, k: int = 8,
-                 alpha: int = 3, channel: Optional[Any] = None) -> None:
+    def __init__(self, fabric: Any, k: int = 8, alpha: int = 3) -> None:
         from repro.fabric import coerce_fabric  # avoids an import cycle
         self.fabric = coerce_fabric(fabric, "KademliaOverlay")
         self.network = self.fabric.network
         self.k = k
         self.alpha = alpha
-        #: the :class:`repro.faults.ReliableChannel` for FIND/STORE RPCs
-        #: (from the fabric) — Kademlia's shortlist already routes around
-        #: unresponsive peers, so retries alone recover most transient-
-        #: loss failures.
-        self.channel = self.fabric.channel
-        if channel is not None:
-            warnings.warn(
-                "KademliaOverlay(channel=...) is deprecated; build the "
-                "channel into the Fabric (Fabric.create(resilient=True))",
-                ReproDeprecationWarning, stacklevel=2)
-            self.channel = channel
         self.nodes: Dict[str, KademliaNode] = {}
-
-    def _rpc(self, src: str, dst: str, kind: str,
-             deadline: Optional[Deadline] = None) -> Tuple[bool, float]:
-        """One accounted RPC, through the resilient channel when wired."""
-        if self.channel is not None:
-            return self.channel.call(src, dst, kind=kind, deadline=deadline)
-        return self.network.rpc(src, dst, kind=kind)
 
     def add_node(self, name: str) -> KademliaNode:
         """Register a peer."""
@@ -145,11 +123,8 @@ class KademliaOverlay:
 
     # -- iterative lookup ---------------------------------------------------------
 
-    def lookup(self, start: str, key: str, find_value: bool = False,
-               deadline: Optional[Deadline] = None,
-               distrust: Optional[frozenset] = None,
-               visited: Optional[Set[str]] = None,
-               _single_path: bool = False) -> KadLookupResult:
+    def lookup(self, start: str, key: str,
+               find_value: bool = False) -> KadLookupResult:
         """Iterative FIND_NODE / FIND_VALUE from ``start`` toward ``key``.
 
         ``alpha`` concurrent queries per round (charged as RPCs); terminates
@@ -163,38 +138,29 @@ class KademliaOverlay:
         its queries roll up as max.
 
         As in :meth:`ChordRing.lookup <repro.overlay.chord.ChordRing
-        .lookup>`, a ``deadline`` (minted from the fabric's overload
-        config when not supplied) is checked before every FIND RPC and
-        decremented by the time already spent; exhaustion raises
-        :class:`~repro.exceptions.DeadlineExceededError`.
-
-        Adversary semantics mirror the Chord lookup's: compromised
-        responders may withhold answers or return forged closest-node
-        sets, and with a defense configured the public entry point
-        delegates to :func:`~repro.adversary.defense
-        .defended_kad_lookup` (``distrust`` / ``visited`` /
-        ``_single_path`` are its per-path re-entry surface).
+        .lookup>`, the :class:`~repro.fabric.OpContext` checks the time
+        budget before every FIND RPC, skips peers the start's membership
+        view has confirmed dead, and lets an adversary forge or withhold
+        compromised responders' answers; with a defense configured
+        :func:`~repro.adversary.defense.defended_kad_lookup` votes over
+        disjoint :meth:`_iterate` paths instead.
         """
-        adv = self.fabric.adversary
-        if adv is not None and adv.config.defense is not None \
-                and not _single_path:
-            from repro.adversary.defense import defended_kad_lookup
-            return defended_kad_lookup(self, start, key,
-                                       find_value=find_value,
-                                       deadline=deadline)
-        defense = adv.config.defense if adv is not None else None
+        defended = self.fabric.secure_lookup("kad")
+        if defended is not None:
+            return defended(self, start, key, find_value=find_value)
+        return self._iterate(self.fabric.op(start), key, find_value)
+
+    def _iterate(self, ctx: Any, key: str,
+                 find_value: bool = False) -> KadLookupResult:
+        """One iterative lookup path from ``ctx.origin`` toward ``key``."""
+        start = ctx.origin
         target_id = kad_id(key)
         origin = self.nodes.get(start)
         if origin is None or not origin.online:
             raise LookupError_(f"start node {start!r} is not online")
-        if deadline is None and self.fabric.overload is not None:
-            deadline = self.fabric.overload.mint_deadline(self.network.sim.now)
         shortlist = origin.closest_known(target_id, self.k)
         if not shortlist:
             raise LookupError_("empty routing table; bootstrap first")
-        view = None
-        if self.fabric.membership is not None:
-            view = self.fabric.membership.view_of(start)
         #: self-reported ids a bare client has no way to verify — real
         #: Kademlia nodes learn peer ids from routing responses, so a
         #: forged (chosen) id ranks wherever the forger placed it.  With
@@ -204,26 +170,24 @@ class KademliaOverlay:
         #: ``eff_id`` then reduces to ``kad_id``, byte-identical).
         claimed_ids: Dict[str, int] = {}
 
-        def eff_id(name: str) -> int:
-            return claimed_ids.get(name) if name in claimed_ids \
-                else kad_id(name)
+        def distance(name: str) -> int:
+            return xor_distance(claimed_ids.get(name) if name in claimed_ids
+                                else kad_id(name), target_id)
 
+        # Peers the start's membership view has confirmed dead are
+        # skipped without paying for the probe (as are a defended path's
+        # distrusted ones); XOR distance still orders the rest.
+        skip = ctx.avoid | ctx.distrust if ctx.distrust else ctx.avoid
         with self.network.tracer.span("kad.lookup", key=key,
                                       start=start) as span:
             queried: Set[str] = set()
             hops = 0
             rpcs = 0
-            spent = 0.0
-            best = min(xor_distance(eff_id(n), target_id) for n in shortlist)
+            best = min(distance(n) for n in shortlist)
             while True:
-                # Peers the start's membership view has confirmed dead
-                # are skipped without paying for the probe; XOR distance
-                # still decides the order among the believed-alive.
-                candidates = [n for n in shortlist if n not in queried
-                              and (view is None or not view.is_dead(n))
-                              and (not distrust or n not in distrust)]
-                candidates.sort(
-                    key=lambda n: xor_distance(eff_id(n), target_id))
+                candidates = [n for n in shortlist
+                              if n not in queried and n not in skip]
+                candidates.sort(key=distance)
                 batch = candidates[:self.alpha]
                 if not batch:
                     break
@@ -235,70 +199,48 @@ class KademliaOverlay:
                               else contextlib.nullcontext(None))
                 with round_span:
                     for peer_name in batch:
-                        if deadline is not None and deadline.expired(
-                                self.network.sim.now, spent):
-                            self.network.stats.deadline_expired += 1
-                            self.network.metrics.inc(
-                                "overload.deadline_expired", kind="kad_find")
+                        if ctx.expired("kad_find"):
                             raise DeadlineExceededError(
                                 f"kad lookup for {key!r} ran out of budget "
-                                f"after {rpcs} RPCs ({spent:.3f}s spent)")
+                                f"after {rpcs} RPCs ({ctx.spent:.3f}s spent)")
                         queried.add(peer_name)
-                        if visited is not None:
-                            visited.add(peer_name)
-                        ok, t = self._rpc(
-                            start, peer_name, kind="kad_find",
-                            deadline=None if deadline is None
-                            else deadline.minus(spent))
-                        spent += t
+                        ctx.visit(peer_name)
+                        ok, _ = ctx.call(start, peer_name, "kad_find")
                         rpcs += 1
                         if not ok:
                             continue
-                        answer = None
-                        if adv is not None and peer_name != start:
-                            answer = adv.kad_answer(peer_name, key)
-                        if answer is not None and answer.drop:
-                            continue  # response withheld (transport paid)
+                        try:
+                            forged = None if peer_name == start \
+                                else ctx.answer("kad", peer_name, key)
+                        except LookupError_:
+                            continue  # withheld or provably forged
                         peer = self.nodes[peer_name]
-                        if find_value and key in peer.store \
-                                and answer is None:
+                        if forged is not None:
+                            learned_names = []
+                            for n, cid in forged.claims:
+                                learned_names.append(n)
+                                if cid != kad_id(n):
+                                    claimed_ids[n] = cid
+                        elif find_value and key in peer.store:
                             span.set_attr("rounds", hops)
                             span.set_attr("rpcs", rpcs)
                             span.set_attr("hit", True)
                             return KadLookupResult(
-                                closest=sorted(
-                                    shortlist,
-                                    key=lambda n: xor_distance(
-                                        eff_id(n), target_id))[:self.k],
+                                closest=sorted(shortlist,
+                                               key=distance)[:self.k],
                                 hops=hops, rpcs=rpcs,
                                 value=peer.store[key])
-                        if answer is not None:
-                            if defense is not None \
-                                    and defense.certified_ids \
-                                    and any(not adv.check_claim("kad", n,
-                                                                cid)
-                                            for n, cid in answer.claims):
-                                adv.flag_cert_liar(peer_name,
-                                                   overlay="kad")
-                                continue  # discard the forged answer
-                            learned_names = []
-                            for n, cid in answer.claims:
-                                learned_names.append(n)
-                                if cid != kad_id(n):
-                                    claimed_ids[n] = cid
                         else:
                             learned_names = peer.closest_known(target_id,
                                                                self.k)
                         for learned in learned_names:
                             if learned not in shortlist:
                                 shortlist.append(learned)
-                                d = xor_distance(eff_id(learned),
-                                                 target_id)
+                                d = distance(learned)
                                 if d < best:
                                     best = d
                                     improved = True
-                shortlist.sort(
-                    key=lambda n: xor_distance(eff_id(n), target_id))
+                shortlist.sort(key=distance)
                 shortlist = shortlist[:self.k * 2]
                 if not improved and all(n in queried
                                         for n in shortlist[:self.k]):
@@ -313,24 +255,20 @@ class KademliaOverlay:
     def put(self, start: str, key: str, value: bytes) -> KadLookupResult:
         """Store on the k closest live nodes to the key."""
         with self.network.tracer.span("kad.put", key=key, start=start):
-            return self._put_inner(start, key, value)
-
-    def _put_inner(self, start: str, key: str,
-                   value: bytes) -> KadLookupResult:
-        result = self.lookup(start, key)
-        stored = 0
-        for name in result.closest:
-            node = self.nodes[name]
-            if not node.online:
-                continue
-            ok, _ = self._rpc(start, name, kind="kad_store")
-            if self.channel is not None and not ok:
-                continue  # the resilient path only counts confirmed stores
-            node.store[key] = value
-            stored += 1
-        if stored == 0:
-            raise StorageError(f"no live node accepted key {key!r}")
-        return result
+            result = self.lookup(start, key)
+            stored = 0
+            for name in result.closest:
+                node = self.nodes[name]
+                if not node.online:
+                    continue
+                ok, _ = self.fabric.call(start, name, "kad_store")
+                if self.fabric.resilient and not ok:
+                    continue  # a resilient put only counts confirmed stores
+                node.store[key] = value
+                stored += 1
+            if stored == 0:
+                raise StorageError(f"no live node accepted key {key!r}")
+            return result
 
     def get(self, start: str, key: str) -> Tuple[bytes, KadLookupResult]:
         """FIND_VALUE; raises :class:`StorageError` when nothing holds it."""

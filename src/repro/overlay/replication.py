@@ -80,14 +80,14 @@ def place_by_uptime(owner: str, peers: Sequence[str], count: int,
     return Placement(owner=owner, replicas=candidates[:count])
 
 
-def fetch_from_holders(channel, reader: str, placement: Placement,
+def fetch_from_holders(fabric, reader: str, placement: Placement,
                        kind: str = "replica_fetch",
                        blob_of: Optional[Callable[[str],
                                                   Optional[bytes]]] = None,
                        verify: Optional[Callable[[str, bytes],
                                                  bool]] = None
                        ) -> Tuple[Optional[str], float]:
-    """Hedged fetch against a placement's holders via a ReliableChannel.
+    """Hedged fetch against a placement's holders on a resilient fabric.
 
     Holders are probed owner first, then replicas; returns
     ``(holder, elapsed)`` with ``holder=None`` when every holder is
@@ -107,30 +107,27 @@ def fetch_from_holders(channel, reader: str, placement: Placement,
     back tampered content.  Without ``blob_of`` the legacy first-responder
     hedge is used unchanged.
 
-    When the channel carries a membership service, holders are reordered
-    by the reader's health scores before probing (owner-first otherwise):
-    the holders most likely to answer are paid for first, confirmed-dead
-    ones last.
+    Holders are first put in :meth:`OpContext.order
+    <repro.fabric.OpContext.order>` (owner-first when the fabric has no
+    membership service or quarantine): the holders most likely to answer
+    honestly are paid for first, confirmed-dead ones last.
 
     Latency model: with :attr:`Simulator.concurrent` unset the verified
     path probes sequentially and ``elapsed`` sums every attempt (the
     legacy accounting, byte-identical).  With it set the probes are
-    staggered hedges (one launch per ``channel.hedge_delay``, launching
+    staggered hedges (one launch per channel ``hedge_delay``, launching
     stops once an earlier *verified* response has completed) and
     ``elapsed`` is the winner's completion offset — the failure and
     verification semantics are unchanged.
     """
-    holders = placement.holders
-    membership = getattr(channel, "membership", None)
-    if membership is not None:
-        holders = membership.order_by_health(reader, holders)
+    holders = fabric.op(reader).order(placement.holders)
     if blob_of is None:
-        ok, winner, elapsed = channel.hedged(reader, holders, kind=kind)
+        ok, winner, elapsed = fabric.hedged(reader, holders, kind)
         return (winner if ok else None), elapsed
-    if channel.network.sim.concurrent:
-        return _fetch_verified_concurrent(channel, reader, holders, kind,
+    if fabric.sim.concurrent:
+        return _fetch_verified_concurrent(fabric, reader, holders, kind,
                                           blob_of, verify)
-    stats = channel.network.stats
+    stats = fabric.network.stats
     elapsed = 0.0
     probed = 0
     served = 0
@@ -141,7 +138,7 @@ def fetch_from_holders(channel, reader: str, placement: Placement,
         if probed > 0:
             stats.hedges += 1
         probed += 1
-        ok, rtt = channel.call(reader, holder, kind=kind)
+        ok, rtt = fabric.call(reader, holder, kind)
         elapsed += rtt
         if not ok:
             continue
@@ -155,7 +152,7 @@ def fetch_from_holders(channel, reader: str, placement: Placement,
     return None, elapsed
 
 
-def _fetch_verified_concurrent(channel, reader: str,
+def _fetch_verified_concurrent(fabric, reader: str,
                                holders: Sequence[str], kind: str,
                                blob_of, verify
                                ) -> Tuple[Optional[str], float]:
@@ -166,7 +163,8 @@ def _fetch_verified_concurrent(channel, reader: str,
     can only force the next hedge to launch (exactly the sequential
     semantics, minus the serial latency bill).
     """
-    stats = channel.network.stats
+    stats = fabric.network.stats
+    hedge_delay = fabric.hedge_delay
     launched = []  # (launch offset, holder, future, satisfied)
     index = 0
     served = 0
@@ -174,7 +172,7 @@ def _fetch_verified_concurrent(channel, reader: str,
         blob = blob_of(holder)
         if blob is None:
             continue  # holds nothing — not worth a probe
-        launch_at = index * channel.hedge_delay
+        launch_at = index * hedge_delay
         first_win = min((offset + future.latency
                          for offset, _h, future, satisfied in launched
                          if satisfied), default=None)
@@ -183,7 +181,7 @@ def _fetch_verified_concurrent(channel, reader: str,
         if index > 0:
             stats.hedges += 1
         index += 1
-        future = channel.call_issue(reader, holder, kind=kind)
+        future = fabric.call_issue(reader, holder, kind)
         if future.ok:
             served += 1
         satisfied = bool(future.ok

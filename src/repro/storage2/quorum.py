@@ -28,7 +28,6 @@ from repro.exceptions import (CryptoError, DeadlineExceededError,
                               QuorumWriteError, ReplicaIntegrityError,
                               StorageError)
 from repro.faults.byzantine import CorruptBlob, Equivocate, StaleServe
-from repro.faults.overload import Deadline
 from repro.overlay.simulator import SimFuture, gather, quorum_of
 from repro.storage2.config import ReplicationConfig
 from repro.storage2.record import GENESIS, StoredVersion, seal_version
@@ -115,28 +114,6 @@ class ReplicatedStore:
             self._local_identities[author] = identity
             self.registry.register(identity)
         return identity.signer
-
-    def _rpc(self, src: str, dst: str, kind: str,
-             deadline: Optional[Deadline] = None) -> Tuple[bool, float]:
-        if self.ring.channel is not None:
-            return self.ring.channel.call(src, dst, kind=kind,
-                                          deadline=deadline)
-        return self.network.rpc(src, dst, kind=kind)
-
-    def _rpc_issue(self, src: str, dst: str, kind: str,
-                   deadline: Optional[Deadline] = None) -> SimFuture:
-        """Issue one store RPC as a future (draws identical to _rpc)."""
-        if self.ring.channel is not None:
-            return self.ring.channel.call_issue(src, dst, kind=kind,
-                                                deadline=deadline)
-        return self.network.rpc_issue(src, dst, kind=kind)
-
-    def _mint_deadline(self) -> Optional[Deadline]:
-        """A per-operation deadline from the fabric's overload config."""
-        overload = getattr(self.fabric, "overload", None)
-        if overload is None:
-            return None
-        return overload.mint_deadline(self.sim.now)
 
     def _fanout_span(self, name: str, **attrs):
         """A parallel sub-span for a probe fan-out — concurrent mode only.
@@ -250,8 +227,8 @@ class ReplicatedStore:
                             acks += 1
                             local_acks += 1
                         continue
-                    future = self._rpc_issue(coordinator, holder,
-                                             "quorum_store")
+                    future = self.fabric.call_issue(coordinator, holder,
+                                                    "quorum_store")
                     pushes.append(future)
                     if future.ok:
                         self.store_at(holder, key, encoded)
@@ -297,49 +274,29 @@ class ReplicatedStore:
         """
         with self.network.tracer.span("storage2.get", key=key,
                                       reader=reader) as span:
-            deadline = self._mint_deadline()
+            ctx = self.fabric.op(reader)
             responses: List[Tuple[str, Optional[StoredVersion]]] = []
             rejected = 0
             probed = 0
             sheds = 0
-            spent = 0.0
             deadline_hit = False
-            concurrent = self.sim.concurrent
             probes: List[SimFuture] = []
-            holders = self.holders_of(key)
-            membership = getattr(self.fabric, "membership", None)
-            if membership is not None:
-                holders = membership.order_by_health(reader, holders)
-            adversary = getattr(self.fabric, "adversary", None)
-            if adversary is not None and adversary.quarantine is not None:
-                # Quarantined holders are probed last: an honest replica
-                # set satisfies R before a known liar is ever consulted.
-                holders = adversary.quarantine.order_last(holders)
             with self._fanout_span("storage2.get.fanout", key=key) as fanout:
-                for holder in holders:
+                for holder in ctx.order(self.holders_of(key)):
                     node = self.ring.nodes.get(holder)
                     if node is None or key not in node.store:
                         continue  # crashed holders lost key with their state
-                    if deadline is not None \
-                            and deadline.expired(self.sim.now, spent):
-                        self.network.stats.deadline_expired += 1
-                        self.metrics.inc("overload.deadline_expired",
-                                         kind="quorum_read")
+                    if ctx.expired("quorum_read"):
                         deadline_hit = True
                         break  # stop issuing probes nobody will wait for
                     if probed > 0:
                         self.network.stats.hedges += 1
                     probed += 1
-                    future = self._rpc_issue(
-                        reader, holder, "quorum_read",
-                        deadline=None if deadline is None
-                        else deadline.minus(spent))
+                    # fanout: the serial clock pays probes back to back,
+                    # the concurrent clock overlaps them
+                    future = ctx.call_issue(reader, holder, "quorum_read",
+                                            fanout=True)
                     probes.append(future)
-                    # Deadline accounting matches the latency model: the
-                    # serial clock pays probes back to back, the
-                    # concurrent clock overlaps them.
-                    spent = max(spent, future.latency) if concurrent \
-                        else spent + future.latency
                     if future.cause == "overloaded":
                         sheds += 1
                     if not future.ok:
@@ -428,7 +385,7 @@ class ReplicatedStore:
             for holder, record in responses:
                 if record is not None and record.version >= best.version:
                     continue
-                ok, _ = self._rpc(reader, holder, "read_repair")
+                ok, _ = self.fabric.call(reader, holder, "read_repair")
                 if ok and self.store_at(holder, key, encoded):
                     repaired += 1
                     self.metrics.inc("storage.read_repairs")
@@ -459,16 +416,10 @@ class ReplicatedStore:
             if key not in results:
                 results[key] = None  # placeholder; settled below
                 ordered.append(key)
-        membership = getattr(self.fabric, "membership", None)
-        adversary = getattr(self.fabric, "adversary", None)
+        ctx = self.fabric.op(reader)
         want: Dict[str, List[str]] = {}   # holder -> keys it should serve
         for key in ordered:
-            holders = self.holders_of(key)
-            if membership is not None:
-                holders = membership.order_by_health(reader, holders)
-            if adversary is not None and adversary.quarantine is not None:
-                holders = adversary.quarantine.order_last(holders)
-            for holder in holders:
+            for holder in ctx.order(self.holders_of(key)):
                 node = self.ring.nodes.get(holder)
                 if node is None or key not in node.store:
                     continue  # crashed holders lost the key with their state
@@ -484,27 +435,16 @@ class ReplicatedStore:
             key_probes: Dict[str, List[SimFuture]] = {k: [] for k in ordered}
             key_verified: Dict[str, set] = {k: set() for k in ordered}
             reachable = 0
-            deadline = self._mint_deadline()
-            spent = 0.0
             deadline_hit = False
-            concurrent = self.sim.concurrent
             batch_probes: List[SimFuture] = []
             with self._fanout_span("storage2.get_many.fanout",
                                    holders=len(want)) as fanout:
                 for holder, holder_keys in want.items():
-                    if deadline is not None \
-                            and deadline.expired(self.sim.now, spent):
-                        self.network.stats.deadline_expired += 1
-                        self.metrics.inc("overload.deadline_expired",
-                                         kind="quorum_read_batch")
+                    if ctx.expired("quorum_read_batch"):
                         deadline_hit = True
                         break  # unprobed holders' keys settle short
-                    future = self._rpc_issue(
-                        reader, holder, "quorum_read_batch",
-                        deadline=None if deadline is None
-                        else deadline.minus(spent))
-                    spent = max(spent, future.latency) if concurrent \
-                        else spent + future.latency
+                    future = ctx.call_issue(reader, holder,
+                                            "quorum_read_batch", fanout=True)
                     batch_probes.append(future)
                     for key in holder_keys:
                         key_probes[key].append(future)
@@ -570,7 +510,7 @@ class ReplicatedStore:
             if probed > 0:
                 self.network.stats.hedges += 1
             probed += 1
-            ok, _ = self._rpc(reader, holder, "replica_fetch")
+            ok, _ = self.fabric.call(reader, holder, "replica_fetch")
             if ok:
                 return self.serve(holder, reader, key)
         raise StorageError(

@@ -57,7 +57,7 @@ class AntiEntropyDaemon:
         #: the failure detector replacing the churn oracle (see module
         #: docstring); auto-discovered from the fabric when attached
         self.membership = membership if membership is not None \
-            else getattr(store.fabric, "membership", None)
+            else store.fabric.membership
         if self.membership is not None:
             self.membership.on_confirm(self._on_confirmed_death)
 
@@ -130,8 +130,8 @@ class AntiEntropyDaemon:
                         # One peer's chain (root check, then its pulls)
                         # is serial; the chains across peers overlap.
                         with self._span("storage2.repair.peer", peer=peer):
-                            ok, _ = store._rpc(coordinator, peer,
-                                               "antientropy_root")
+                            ok, _ = store.fabric.call(coordinator, peer,
+                                                      "antientropy_root")
                             if not ok:
                                 continue
                             if self._summary_root(peer, keys) == local_root:
@@ -206,9 +206,11 @@ class AntiEntropyDaemon:
                     # RPC instead of teleporting data.
                     if not self._can_initiate(target):
                         continue
-                    ok, _ = store._rpc(target, source, "antientropy_pull")
+                    ok, _ = store.fabric.call(target, source,
+                                              "antientropy_pull")
                 else:
-                    ok, _ = store._rpc(source, target, "antientropy_pull")
+                    ok, _ = store.fabric.call(source, target,
+                                              "antientropy_pull")
                 if ok and store.store_at(target, key, encoded):
                     store.metrics.inc("storage.repair_pulls")
 
@@ -239,9 +241,11 @@ class AntiEntropyDaemon:
                 # fails honestly.
                 if not self._can_initiate(candidate):
                     continue
-                ok, _ = store._rpc(candidate, source, "re_replicate")
+                ok, _ = store.fabric.call(candidate, source,
+                                          "re_replicate")
             else:
-                ok, _ = store._rpc(source, candidate, "re_replicate")
+                ok, _ = store.fabric.call(source, candidate,
+                                          "re_replicate")
             if ok and store.store_at(candidate, key, encoded):
                 new_placement.append(candidate)
                 store.metrics.inc("storage.re_replications")

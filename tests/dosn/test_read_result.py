@@ -1,4 +1,4 @@
-"""ReadResult: the typed read API and its one-release deprecation shim."""
+"""ReadResult: the typed read API."""
 
 import warnings
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.dosn import READ_SOURCES, DosnConfig, DosnNetwork, ReadResult
 from repro.dosn.user import VerifiedPost
-from repro.exceptions import ReproDeprecationWarning
 
 
 def _post(**overrides):
@@ -34,15 +33,8 @@ class TestTypedFields:
 
 
 class TestDeprecationShim:
-    """Old call sites wrote `net.read(...).text`; that works one more
-    release, loudly."""
-
-    @pytest.mark.parametrize("name", ["author", "sequence", "text", "tags",
-                                      "content_id"])
-    def test_proxied_attributes_warn_and_forward(self, name):
-        result = ReadResult(_post())
-        with pytest.warns(ReproDeprecationWarning, match=name):
-            assert getattr(result, name) == getattr(result.post, name)
+    """Old call sites wrote `net.read(...).text`; the one-release proxy
+    for that is gone — the post's fields live under ``.post`` only."""
 
     def test_typed_access_does_not_warn(self):
         result = ReadResult(_post())
@@ -55,10 +47,12 @@ class TestDeprecationShim:
     def test_unproxied_attribute_is_a_plain_error(self):
         with pytest.raises(AttributeError):
             ReadResult(_post()).no_such_field
+        with pytest.raises(AttributeError):
+            ReadResult(_post()).text
 
 
 class TestNetworkReturnsReadResult:
-    def test_read_returns_typed_result_with_legacy_shim(self):
+    def test_read_returns_typed_result(self):
         net = DosnNetwork(config=DosnConfig(architecture="local", seed=3))
         net.add_users(["alice", "bob"])
         net.befriend("alice", "bob")
@@ -66,8 +60,6 @@ class TestNetworkReturnsReadResult:
         result = net.read("bob", "alice", cid)
         assert isinstance(result, ReadResult)
         assert result.post.text == "typed now"
-        with pytest.warns(ReproDeprecationWarning):
-            assert result.text == "typed now"
 
     def test_feed_items_carry_results(self):
         net = DosnNetwork(config=DosnConfig(architecture="local", seed=3))

@@ -1,13 +1,16 @@
-"""Fabric/DosnConfig surface: wiring, deprecations, failure-cause metrics."""
+"""Fabric/DosnConfig surface: wiring, removed shims, failure-cause metrics."""
 
 import pytest
 
+from repro.adversary import AdversaryConfig, DefenseConfig
 from repro.dosn import DosnConfig, DosnNetwork
 from repro.dosn.storage import DHTBackend
-from repro.exceptions import OverlayError, ReproDeprecationWarning
+from repro.exceptions import LookupError_, OverlayError
 from repro.fabric import Fabric
-from repro.faults import (Crash, FaultPlan, Partition, ReliableChannel,
-                          RetryPolicy)
+from repro.faults import (Crash, FaultPlan, OverloadConfig, Partition,
+                          ReliableChannel, RetryPolicy)
+from repro.membership import MembershipConfig, SwimMembership
+from repro.membership.swim import DEAD
 from repro.obs.trace import NOOP_TRACER, Tracer
 from repro.overlay.chord import ChordRing
 from repro.overlay.kademlia import KademliaOverlay
@@ -58,24 +61,24 @@ class TestFabric:
 
 
 class TestDeprecations:
-    def test_bare_network_warns_but_works(self):
+    def test_bare_network_rejected(self):
+        # The one-release window for passing a SimNetwork is over: a ring
+        # must not exist without the fabric its RPCs go through.
         net = SimNetwork(Simulator(5))
-        with pytest.warns(ReproDeprecationWarning):
-            ring = ChordRing(net)
-        assert ring.network is net
-        with pytest.warns(ReproDeprecationWarning):
-            overlay = KademliaOverlay(net)
-        assert overlay.network is net
+        with pytest.raises(TypeError, match="ChordRing"):
+            ChordRing(net)
+        with pytest.raises(TypeError, match="KademliaOverlay"):
+            KademliaOverlay(net)
 
-    def test_explicit_channel_kwarg_warns_but_is_honored(self):
+    def test_channel_kwarg_removed(self):
+        # A hand-threaded channel was one the fabric did not know about.
         fab = Fabric.create(seed=5)
         channel = ReliableChannel(fab.network, RetryPolicy(max_attempts=2))
-        with pytest.warns(ReproDeprecationWarning):
-            ring = ChordRing(fab, channel=channel)
-        assert ring.channel is channel
-        with pytest.warns(ReproDeprecationWarning):
-            backend = DHTBackend(ring, channel=channel)
-        assert backend.ring.channel is channel
+        for build in (lambda: ChordRing(fab, channel=channel),
+                      lambda: KademliaOverlay(fab, channel=channel),
+                      lambda: DHTBackend(ChordRing(fab), channel=channel)):
+            with pytest.raises(TypeError, match="channel"):
+                build()
 
     def test_dosn_loose_kwargs_removed(self):
         # The one-release deprecation window for the loose constructor
@@ -123,6 +126,139 @@ class TestDosnConfig:
         import repro.dosn.api as api
         assert api.__all__ == ["ARCHITECTURES", "DOSN_SPEC", "DosnConfig",
                                "DosnNetwork"]
+
+PEERS = [f"p{i}" for i in range(6)]
+
+
+def _ring(fab):
+    ring = ChordRing(fab, replication=3)
+    for name in PEERS:
+        ring.add_node(name)
+    ring.build()
+    return ring
+
+
+class TestOpContextBareFabric:
+    """Nothing attached: every decision is the empty path."""
+
+    def test_no_deadline_identity_order_no_answer(self):
+        fab = Fabric.create(seed=4)
+        _ring(fab)
+        ctx = fab.op("p0")
+        assert ctx.deadline is None
+        ctx.spent = 1e9
+        assert not ctx.expired("chord_lookup")
+        assert fab.network.stats.deadline_expired == 0
+        holders = ["p3", "p1", "p2"]
+        assert ctx.order(holders) is holders
+        assert ctx.answer("chord", "p1", "some-key") is None
+        ctx.check_claim("chord", "p1", "p2")        # nothing to check
+        ctx.visit("p1")                              # nobody is counting
+        assert ctx.visited is None
+
+    def test_calls_are_plain_rpcs_and_failures_are_not_remembered(self):
+        fab = Fabric.create(seed=4)
+        _ring(fab)
+        ctx = fab.op("p0")
+        ok, rtt = ctx.call("p0", "p1", "chord_step")
+        assert ok and ctx.spent == rtt
+        assert fab.network.stats.summary()["messages"] == 2
+        ctx.write_off("p1")      # a bare client keeps re-probing
+        assert ctx.avoid == set()
+        with pytest.raises(Exception, match="resilient"):
+            fab.hedged("p0", ["p1"], "replica_fetch")
+
+
+class TestOpContextAllOn:
+    """Channel + overload + membership + adversary/defense attached."""
+
+    def _fabric(self, **adversary):
+        fab = Fabric.create(
+            seed=4, resilient=True, overload=OverloadConfig(op_budget=1.0),
+            adversary=AdversaryConfig(
+                compromised=frozenset({"p1", "p2"}),
+                defense=DefenseConfig(), **adversary))
+        membership = SwimMembership(fab, MembershipConfig())
+        _ring(fab)
+        for name in PEERS:
+            membership.register(name)
+        return fab
+
+    def test_deadline_is_minted_checked_and_propagated(self):
+        fab = self._fabric()
+        ctx = fab.op("p0")
+        assert ctx.deadline.remaining(fab.sim.now) == 1.0
+        assert not ctx.expired("chord_lookup")
+        ok, rtt = ctx.call("p0", "p3", "chord_step")
+        assert ok and ctx.spent == rtt
+        ctx.spent = 1.0
+        assert ctx.expired("chord_lookup")
+        assert fab.network.stats.deadline_expired == 1
+        assert fab.metrics.get_counter_value(
+            "overload.deadline_expired", kind="chord_lookup") == 1
+        # the callee sees only what is left: nothing, so no RPC is issued
+        before = fab.network.stats.messages
+        ok, _ = ctx.call("p0", "p3", "chord_step")
+        assert not ok and fab.network.stats.messages == before
+        # the clock is frozen during an operation: a nested operation's
+        # fresh budget ends when its caller's does
+        assert fab.op("p0").deadline.expires_at == ctx.deadline.expires_at
+
+    def test_fanout_branches_overlap_only_on_the_concurrent_clock(self):
+        for concurrent, combine in ((False, sum), (True, max)):
+            fab = Fabric.create(seed=4, concurrent=concurrent)
+            _ring(fab)
+            ctx = fab.op("p0")
+            latencies = [ctx.call_issue("p0", dst, "quorum_read",
+                                        fanout=True).latency
+                         for dst in ("p1", "p2", "p3")]
+            assert ctx.spent == pytest.approx(combine(latencies))
+
+    def test_order_puts_dead_then_quarantined_holders_last(self):
+        fab = self._fabric()
+        ctx = fab.op("p0")
+        assert list(ctx.order(["p3", "p4", "p5"])) == ["p3", "p4", "p5"]
+        fab.membership.view_of("p0").records["p3"].state = DEAD
+        assert list(ctx.order(["p3", "p4", "p5"])) == ["p4", "p5", "p3"]
+        fab.adversary.quarantine.flag_provable("p4", reason="cert")
+        assert list(ctx.order(["p3", "p4", "p5"])) == ["p5", "p3", "p4"]
+
+    def test_avoid_is_seeded_from_the_view_and_grows_by_write_off(self):
+        fab = self._fabric()
+        fab.membership.view_of("p0").records["p3"].state = DEAD
+        ctx = fab.op("p0")
+        assert ctx.avoid == {"p3"}
+        ctx.write_off("p4")
+        assert ctx.avoid == {"p3", "p4"}
+        assert fab.op("p5").avoid == set()   # p5's view buried nobody
+
+    def test_forged_answer_reaches_a_bare_client(self):
+        fab = self._fabric(behaviors=("eclipse",))
+        visited = set()
+        ctx = fab.op("p0", visited=visited)
+        ctx.visit("p1")
+        assert visited == {"p1"}
+        assert ctx.answer("chord", "p3", "k") is None    # honest responder
+        forged = ctx.answer("chord", "p1", "k")
+        assert forged.final[0] == "p2"                   # the accomplice
+
+    def test_certified_context_catches_a_chosen_id(self):
+        fab = self._fabric(behaviors=("eclipse", "chosen_id"))
+        ctx = fab.op("p0", certified=True)
+        ctx.check_claim("chord", "p3", "p4")      # honest claims pass
+        caught = 0
+        for i in range(16):         # about half the keys get a chosen id
+            try:
+                ctx.answer("chord", "p1", f"key{i}")
+            except LookupError_:
+                caught += 1
+        assert 0 < caught < 16
+        assert "p1" in fab.adversary.quarantine.banned
+
+    def test_dropped_answer_raises(self):
+        fab = self._fabric(behaviors=("drop",))
+        with pytest.raises(LookupError_, match="swallowed"):
+            fab.op("p0").answer("kad", "p1", "k")
 
 
 class TestRpcFailureCauseMetrics:

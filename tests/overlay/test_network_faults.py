@@ -4,6 +4,7 @@ the resilient RPC layer (ReliableChannel / CircuitBreaker)."""
 import pytest
 
 from repro.exceptions import SimulationError
+from repro.fabric import Fabric
 from repro.faults import (CircuitBreaker, Corruption, Crash, FaultPlan,
                           LossBurst, Partition, ReliableChannel, RetryPolicy,
                           SlowLink)
@@ -296,13 +297,14 @@ class TestReliableChannel:
     def test_fetch_from_holders(self):
         sim, net, *_ = _net(peers=("owner", "r1", "r2", "reader"))
         net.node("owner").go_offline()
-        channel = ReliableChannel(net, RetryPolicy(max_attempts=1))
+        fabric = Fabric(sim, net, channel=ReliableChannel(
+            net, RetryPolicy(max_attempts=1)))
         placement = Placement(owner="owner", replicas=["r1", "r2"])
-        holder, _ = fetch_from_holders(channel, "reader", placement)
+        holder, _ = fetch_from_holders(fabric, "reader", placement)
         assert holder == "r1"
         net.node("r1").go_offline()
         net.node("r2").go_offline()
-        holder, _ = fetch_from_holders(channel, "reader", placement)
+        holder, _ = fetch_from_holders(fabric, "reader", placement)
         assert holder is None
 
 
@@ -311,51 +313,52 @@ class TestVerifiedFetchFromHolders:
 
     def _setup(self, blobs):
         sim, net, *_ = _net(peers=("owner", "r1", "r2", "reader"))
-        channel = ReliableChannel(net, RetryPolicy(max_attempts=1))
+        fabric = Fabric(sim, net, channel=ReliableChannel(
+            net, RetryPolicy(max_attempts=1)))
         placement = Placement(owner="owner", replicas=["r1", "r2"])
-        return net, channel, placement, blobs.get
+        return net, fabric, placement, blobs.get
 
     def test_invalid_first_response_is_skipped(self):
-        net, channel, placement, blob_of = self._setup(
+        net, fabric, placement, blob_of = self._setup(
             {"owner": b"garbled", "r1": b"good", "r2": b"good"})
         holder, _ = fetch_from_holders(
-            channel, "reader", placement, blob_of=blob_of,
+            fabric, "reader", placement, blob_of=blob_of,
             verify=lambda h, blob: blob == b"good")
         assert holder == "r1"  # the owner answered, but did not verify
 
     def test_holders_without_the_blob_cost_no_probe(self):
-        net, channel, placement, blob_of = self._setup(
+        net, fabric, placement, blob_of = self._setup(
             {"r2": b"good"})
         before = net.stats.messages
         holder, _ = fetch_from_holders(
-            channel, "reader", placement, blob_of=blob_of,
+            fabric, "reader", placement, blob_of=blob_of,
             verify=lambda h, blob: True)
         assert holder == "r2"
         assert net.stats.messages == before + 2  # one RPC round trip
 
     def test_all_served_copies_invalid_raises(self):
         from repro.exceptions import ReplicaIntegrityError
-        net, channel, placement, blob_of = self._setup(
+        net, fabric, placement, blob_of = self._setup(
             {"owner": b"bad", "r1": b"bad", "r2": b"bad"})
         with pytest.raises(ReplicaIntegrityError):
             fetch_from_holders(
-                channel, "reader", placement, blob_of=blob_of,
+                fabric, "reader", placement, blob_of=blob_of,
                 verify=lambda h, blob: False)
 
     def test_unreachable_holders_still_return_none(self):
-        net, channel, placement, blob_of = self._setup(
+        net, fabric, placement, blob_of = self._setup(
             {"owner": b"good", "r1": b"good", "r2": b"good"})
         for peer in ("owner", "r1", "r2"):
             net.node(peer).go_offline()
         holder, _ = fetch_from_holders(
-            channel, "reader", placement, blob_of=blob_of,
+            fabric, "reader", placement, blob_of=blob_of,
             verify=lambda h, blob: True)
         assert holder is None  # unreachable != tampered: no raise
 
     def test_without_blob_of_the_legacy_hedge_is_used(self):
-        net, channel, placement, _ = self._setup({})
+        net, fabric, placement, _ = self._setup({})
         net.node("owner").go_offline()
-        holder, _ = fetch_from_holders(channel, "reader", placement)
+        holder, _ = fetch_from_holders(fabric, "reader", placement)
         assert holder == "r1"
 
 

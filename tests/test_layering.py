@@ -1,0 +1,99 @@
+"""Layering gate: overlays and stores stay ignorant of the RPC path's
+cross-cutting subsystems.
+
+The resilient channel, overload protection, membership and the adversary
+model reach Chord, Kademlia, the replica fetch, the quorum store and the
+repair daemon only through :meth:`repro.fabric.Fabric.call` and the
+:class:`repro.fabric.OpContext` — never as ``fabric.<subsystem>``
+attribute access spliced into a routing or storage loop.  Constructors
+may capture collaborators and ``add_node`` may enroll a peer; nothing
+else may look.
+"""
+
+import ast
+import inspect
+import pathlib
+
+import pytest
+
+import repro
+from repro.dosn.storage import DHTBackend
+from repro.overlay.chord import ChordRing
+from repro.overlay.hybrid import HybridOverlay
+from repro.overlay.kademlia import KademliaOverlay
+
+SRC = pathlib.Path(repro.__file__).parent
+LAYERED = ["overlay/chord.py", "overlay/kademlia.py",
+           "overlay/replication.py", "storage2/quorum.py",
+           "storage2/repair.py"]
+CONCERNS = {"adversary", "overload", "membership", "channel"}
+#: functions allowed to touch a concern: collaborator capture, enrollment
+EXEMPT = {"__init__", "add_node"}
+
+
+def _name(node: ast.AST) -> str:
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return ""
+
+
+def _violations(source: str):
+    tree = ast.parse(source)
+
+    def walk(node: ast.AST, function: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if function not in EXEMPT:
+            if isinstance(node, ast.Attribute):
+                base = _name(node.value)
+                if node.attr in CONCERNS and base == "fabric":
+                    yield node.lineno, f"fabric.{node.attr}"
+                elif base == "channel" and isinstance(node.value,
+                                                      ast.Attribute):
+                    yield node.lineno, f".channel.{node.attr}"
+            elif (isinstance(node, ast.Call) and _name(node.func) == "getattr"
+                  and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)
+                  and node.args[1].value in CONCERNS):
+                yield node.lineno, f"getattr(..., {node.args[1].value!r})"
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, function)
+
+    return list(walk(tree, "<module>"))
+
+
+@pytest.mark.parametrize("relative", LAYERED)
+def test_no_cross_cutting_access_outside_constructors(relative):
+    found = _violations((SRC / relative).read_text())
+    assert not found, (
+        f"{relative} reaches around the fabric seam: "
+        + ", ".join(f"line {line}: {what}" for line, what in found))
+
+
+def test_the_gate_sees_a_splice():
+    """The checker itself: a per-hop ``fabric.adversary`` read is caught,
+    the same read in ``add_node`` is not."""
+    source = (
+        "class Ring:\n"
+        "    def add_node(self, name):\n"
+        "        if self.fabric.adversary is not None:\n"
+        "            self.fabric.adversary.enroll(name)\n"
+        "    def lookup(self, key):\n"
+        "        adv = self.fabric.adversary\n"
+        "        self.ring.channel.call(key)\n"
+        "        return getattr(self.fabric, 'membership', None)\n")
+    assert [what for _line, what in _violations(source)] == [
+        "fabric.adversary", ".channel.call", "getattr(..., 'membership')"]
+
+
+@pytest.mark.parametrize("cls", [ChordRing, KademliaOverlay, HybridOverlay,
+                                 DHTBackend])
+def test_no_private_reentry_surface_in_public_signatures(cls):
+    banned = {"distrust", "visited", "_single_path", "channel"}
+    for name, member in inspect.getmembers(cls, inspect.isfunction):
+        if name.startswith("_") and name != "__init__":
+            continue
+        leaked = banned & set(inspect.signature(member).parameters)
+        assert not leaked, f"{cls.__name__}.{name} still takes {leaked}"
