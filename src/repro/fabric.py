@@ -152,10 +152,9 @@ class Fabric:
                                            deadline=deadline)
         return self.network.rpc_issue(src, dst, kind=kind)
 
-    def call(self, src: str, dst: str, kind: str,
-             deadline: Optional[Deadline] = None) -> Tuple[bool, float]:
+    def call(self, src: str, dst: str, kind: str) -> Tuple[bool, float]:
         """One accounted RPC: ``(ok, elapsed)`` of :meth:`call_issue`."""
-        return self.call_issue(src, dst, kind, deadline).value
+        return self.call_issue(src, dst, kind).value
 
     def _channel(self) -> ReliableChannel:
         if self.channel is None:
@@ -200,9 +199,8 @@ class Fabric:
     def attach_membership(self, membership: Any) -> None:
         """Install a membership service as the fabric's liveness source.
 
-        Called by ``SwimMembership.__init__``; the channel (and, through
-        ``fabric.membership``, the overlays and the repair daemon) pick
-        it up from here.
+        Called by ``SwimMembership.__init__``; the channel, every
+        :class:`OpContext` and the repair daemon pick it up from here.
         """
         if self.membership is not None:
             raise SimulationError(
@@ -253,13 +251,11 @@ class OpContext:
     """
 
     __slots__ = ("fabric", "origin", "deadline", "distrust", "visited",
-                 "certified", "spent", "_view", "_avoid")
+                 "certified", "spent", "_avoid")
 
     def __init__(self, fabric: Fabric, origin: str,
-                 deadline: Optional[Deadline],
-                 distrust: FrozenSet[str] = frozenset(),
-                 visited: Optional[Set[str]] = None,
-                 certified: bool = False) -> None:
+                 deadline: Optional[Deadline], distrust: FrozenSet[str],
+                 visited: Optional[Set[str]], certified: bool) -> None:
         self.fabric = fabric
         self.origin = origin
         self.deadline = deadline
@@ -267,9 +263,6 @@ class OpContext:
         self.visited = visited
         self.certified = certified
         self.spent = 0.0
-        membership = fabric.membership
-        self._view = None if membership is None \
-            else membership.view_of(origin)
         self._avoid: Optional[Set[str]] = None
 
     # -- the deadline ------------------------------------------------------------
@@ -280,9 +273,19 @@ class OpContext:
         return self.deadline is not None and deadline_expired(
             self.fabric.network, self.deadline, self.spent, kind)
 
+    def call(self, src: str, dst: str, kind: str) -> Tuple[bool, float]:
+        """One RPC charged to this operation: ``(ok, elapsed)``.  The
+        callee sees only the budget that is left."""
+        deadline = self.deadline
+        future = self.fabric.call_issue(
+            src, dst, kind,
+            None if deadline is None else deadline.minus(self.spent))
+        self.spent += future.latency
+        return future.value
+
     def call_issue(self, src: str, dst: str, kind: str,
                    fanout: bool = False) -> SimFuture:
-        """:meth:`Fabric.call_issue` charged to this operation.
+        """:meth:`call` as a completion token (for its failure ``cause``).
 
         ``fanout`` marks one branch of a fan-out: under the concurrent
         latency model branches overlap, so the operation has spent the
@@ -297,10 +300,6 @@ class OpContext:
         else:
             self.spent += future.latency
         return future
-
-    def call(self, src: str, dst: str, kind: str) -> Tuple[bool, float]:
-        """One serial RPC charged to this operation: ``(ok, elapsed)``."""
-        return self.call_issue(src, dst, kind).value
 
     # -- whom to ask, whom to route around ----------------------------------------
 
@@ -321,13 +320,18 @@ class OpContext:
             holders = adversary.quarantine.order_last(holders)
         return holders
 
+    def _view(self) -> Optional[Any]:
+        membership = self.fabric.membership
+        return None if membership is None \
+            else membership.view_of(self.origin)
+
     @property
     def avoid(self) -> Set[str]:
         """Peers routing detours: pre-seeded with those the origin's view
         has confirmed dead, grown by :meth:`write_off`."""
         if self._avoid is None:
-            self._avoid = set() if self._view is None \
-                else set(self._view.dead_peers())
+            view = self._view()
+            self._avoid = set() if view is None else set(view.dead_peers())
         return self._avoid
 
     def write_off(self, peer: str) -> None:
@@ -335,13 +339,14 @@ class OpContext:
         that verdict is trustworthy (it survived the channel's retries,
         or a membership view vouches for liveness).  A bare client has
         no failure memory and keeps re-probing."""
-        if self.fabric.resilient or self._view is not None:
+        if self.fabric.resilient or self._view() is not None:
             self.avoid.add(peer)
 
     # -- what a responder answered --------------------------------------------------
 
     def visit(self, responder: str) -> None:
-        """Note a consulted responder for the disjoint-path bookkeeping."""
+        """Note a peer this path asked, for the disjoint-path bookkeeping
+        (:meth:`answer` does it for every responder it is asked about)."""
         if self.visited is not None:
             self.visited.add(responder)
 
@@ -355,6 +360,8 @@ class OpContext:
         the responder swallowed the query or presented a provably forged
         id.
         """
+        if self.visited is not None:
+            self.visited.add(responder)
         adversary = self.fabric.adversary
         if adversary is None:
             return None

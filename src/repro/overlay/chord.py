@@ -92,13 +92,18 @@ class ChordNode(SimNode):
         """
         nodes = ring.nodes
         own_id = self.chord_id
-        for table in (reversed(self.fingers), self.successors):
-            for peer in table:
-                node = nodes.get(peer)
-                if node is not None and node.online \
-                        and in_interval(node.chord_id, own_id, key_id) \
-                        and peer not in avoid:
-                    return peer
+        for finger in reversed(self.fingers):
+            node = nodes.get(finger)
+            if node is not None and node.online \
+                    and in_interval(node.chord_id, own_id, key_id) \
+                    and finger not in avoid:
+                return finger
+        for succ in self.successors:
+            node = nodes.get(succ)
+            if node is not None and node.online \
+                    and in_interval(node.chord_id, own_id, key_id) \
+                    and succ not in avoid:
+                return succ
         return None
 
     def first_live_successor(self, ring: "ChordRing") -> Optional[str]:
@@ -122,24 +127,24 @@ class ChordNode(SimNode):
         successor verification: one compromised immediate predecessor is
         then not a routing choke point).
         """
+        nodes = ring.nodes
         successor = None
         for succ in self.successors:
-            node = ring.nodes.get(succ)
+            node = nodes.get(succ)
             if node is None or not node.online or succ in avoid:
                 continue
+            if in_interval(key_id, self.chord_id, node.chord_id, True):
+                return succ, True
             if successor is None:
                 successor = succ
-            if in_interval(key_id, self.chord_id, node.chord_id,
-                           inclusive_right=True):
-                return succ, True
-            if not whole_list:
-                break
+                if not whole_list:
+                    break
         if successor is None:
             raise LookupError_(
                 f"{self.node_id!r} has no live successor (ring partitioned)")
-        route_avoid = avoid | distrust if distrust else avoid
-        next_hop = self.closest_preceding(key_id, ring, route_avoid)
-        return next_hop or successor, False
+        if distrust:
+            avoid = avoid | distrust
+        return self.closest_preceding(key_id, ring, avoid) or successor, False
 
 
 class ChordRing:
@@ -261,10 +266,8 @@ class ChordRing:
                         f"lookup for {key!r} ran out of budget after "
                         f"{hops} hops ({ctx.spent:.3f}s spent)")
                 name = current.node_id
-                forged = None
-                if name != start:
-                    ctx.visit(name)
-                    forged = ctx.answer("chord", name, key)
+                forged = None if name == start \
+                    else ctx.answer("chord", name, key)
                 if forged is not None:
                     # a bare client trusts the claim as-is
                     target, final = forged.claims[0][0], \
@@ -272,7 +275,7 @@ class ChordRing:
                 else:
                     target, final = current.next_step(
                         key_id, self, avoid, ctx.distrust, whole_list)
-                    if final:
+                    if final and ctx.certified:
                         ctx.check_claim("chord", name, target)
                 ok, _ = ctx.call(name, target,
                                  "chord_final" if final else "chord_step")
@@ -337,9 +340,8 @@ class ChordRing:
         of :func:`repro.overlay.replication.fetch_from_holders`.
         """
         with self.network.tracer.span("chord.get", key=key, start=start):
-            ctx = self.fabric.op(start)
             if self.fabric.resilient:
-                return self._get_failover(ctx, key)
+                return self._get_failover(start, key)
             # the bare read: the routed owner serves, or asks its replicas
             result = self.lookup(start, key)
             for replica in [result.owner] + self.replica_set(key):
@@ -354,10 +356,10 @@ class ChordRing:
             raise StorageError(
                 f"key {key!r} unavailable: no live replica holds it")
 
-    def _get_failover(self, ctx: Any, key: str
+    def _get_failover(self, start: str, key: str
                       ) -> Tuple[bytes, LookupResult]:
         """The resilient read: route, then probe holders from the reader."""
-        start = ctx.origin
+        ctx = self.fabric.op(start)
         try:
             result: Optional[LookupResult] = self.lookup(start, key)
             ctx.spent = result.rtt

@@ -46,8 +46,7 @@ from repro.storage2.record import StoredVersion
 class AntiEntropyDaemon:
     """Periodic repair over a :class:`ReplicatedStore`'s placements."""
 
-    def __init__(self, store: ReplicatedStore, interval: float,
-                 membership=None) -> None:
+    def __init__(self, store: ReplicatedStore, interval: float) -> None:
         if interval <= 0:
             raise SimulationError("repair interval must be positive")
         self.store = store
@@ -55,9 +54,8 @@ class AntiEntropyDaemon:
         self.rounds = 0
         self._started = False
         #: the failure detector replacing the churn oracle (see module
-        #: docstring); auto-discovered from the fabric when attached
-        self.membership = membership if membership is not None \
-            else store.fabric.membership
+        #: docstring), when one is attached to the store's fabric
+        self.membership = store.fabric.membership
         if self.membership is not None:
             self.membership.on_confirm(self._on_confirmed_death)
 
