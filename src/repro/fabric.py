@@ -276,6 +276,8 @@ class OpContext:
     def call(self, src: str, dst: str, kind: str) -> Tuple[bool, float]:
         """One RPC charged to this operation: ``(ok, elapsed)``.  The
         callee sees only the budget that is left."""
+        # spelled out rather than call_issue(...).value: every lookup hop
+        # comes through here
         deadline = self.deadline
         future = self.fabric.call_issue(
             src, dst, kind,
