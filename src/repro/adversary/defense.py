@@ -13,9 +13,8 @@ Three classic defenses against routing-layer adversaries, composed:
   :func:`defended_kad_lookup` does the same with ``disjoint_paths``
   Kademlia lookups, voting on closest-set membership.  Path latencies
   settle through the concurrent kernel (:func:`~repro.overlay.simulator
-  .gather`): the redundancy costs the *max* path latency under
-  ``Simulator(concurrent=True)`` and the serial sum otherwise, exactly
-  like every other fan-out in the codebase;
+  .gather`): the redundancy costs the *max* path latency, exactly like
+  every other fan-out in the codebase;
 * **quarantine** (:class:`Quarantine`) — provably-lying peers are banned
   from route selection immediately; certified-but-lying peers (true id,
   wrong answer — certification cannot catch them) are banned after
@@ -149,8 +148,7 @@ def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64):
     metrics = ring.network.metrics
     sim = ring.network.sim
     with ring.network.tracer.span("chord.lookup.defended", key=key,
-                                  start=start,
-                                  parallel=sim.concurrent) as span:
+                                  start=start, parallel=True) as span:
         votes, failed_paths = _disjoint_paths(
             ring.fabric, start, defense.successor_redundancy,
             lambda ctx: ring._route(ctx, key, max_hops, whole_list=True))
@@ -216,7 +214,7 @@ def defended_kad_lookup(overlay, start: str, key: str,
     target_id = kad_id(key)
     with overlay.network.tracer.span(
             "kad.lookup.defended", key=key, start=start,
-            parallel=overlay.network.sim.concurrent) as span:
+            parallel=True) as span:
         paths, failed_paths = _disjoint_paths(
             fabric, start, defense.disjoint_paths,
             lambda ctx: overlay._iterate(ctx, key))

@@ -144,11 +144,10 @@ class DosnConfig:
     #: (the default) keeps every read cold and every legacy code path —
     #: including RNG draws and span order — untouched.
     cache: Optional[CacheConfig] = None
-    #: account fan-out latency as the concurrent critical path (quorum
-    #: probes, hedged fetches, ping-req chains overlap) instead of the
-    #: legacy serial sum.  Message/byte counts are unchanged; ``False``
-    #: keeps every committed table byte-identical.
-    concurrent: bool = False
+    #: accepted constant: fan-out latency is always the critical path.
+    #: Kept only because the frozen perf workload still passes it;
+    #: nothing reads it (ROADMAP 4c follow-up).
+    concurrent: bool = True
     #: overload protection (:mod:`repro.faults.overload`): per-peer
     #: service queues with load shedding, per-operation deadlines through
     #: lookups / quorum reads / feed fan-out, a shared retry budget, and
@@ -178,6 +177,10 @@ class DosnConfig:
             raise OverlayError(
                 "adversary requires the dht architecture (the attacks "
                 "target overlay routing)")
+        if not self.concurrent:
+            raise OverlayError(
+                "the serial-sum latency model is gone: fan-outs always pay "
+                "their critical path (concurrent must stay True)")
 
     def with_overrides(self, **changes) -> "DosnConfig":
         """A copy with some fields replaced (sweep helper)."""
@@ -214,7 +217,6 @@ class DosnNetwork:
                 tracing=config.tracing or config.wall_clock,
                 wall_clock=config.wall_clock,
                 resilient=config.resilient,
-                concurrent=config.concurrent,
                 overload=config.overload,
                 adversary=config.adversary)
         self.fabric = fabric

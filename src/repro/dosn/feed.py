@@ -107,12 +107,12 @@ def assemble_feed(reader: DosnUser, friends: Dict[str, DosnUser],
     this assembly verifies (degraded reads are never cached).
 
     Latency model: the feed inherits whatever the storage backend pays.
-    Under :attr:`Simulator.concurrent` the batched strategy's single
-    ``fetch_many`` rides the backend's parallel fan-out (one overlapped
-    probe per holder — see :meth:`ReplicatedStore.get_many` and
-    :meth:`ChordRing.get_many`), so a warm batched feed costs roughly the
-    slowest holder instead of the sum of all of them; the sequential
-    strategy's per-cid fetches remain dependent and still sum.
+    The batched strategy's single ``fetch_many`` rides the backend's
+    parallel fan-out (one overlapped probe per holder — see
+    :meth:`ReplicatedStore.get_many` and :meth:`ChordRing.get_many`), so
+    a warm batched feed costs roughly the slowest holder instead of the
+    sum of all of them; the sequential strategy's per-cid fetches remain
+    dependent and still sum.
     """
     if open_post is None:
         open_post = (lambda author, blob, cid:

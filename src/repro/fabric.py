@@ -89,7 +89,6 @@ class Fabric:
                resilient: bool = False,
                retry: Optional[RetryPolicy] = None,
                breaker: Optional[CircuitBreaker] = None,
-               concurrent: bool = False,
                overload: Optional[OverloadConfig] = None,
                adversary: Optional[Any] = None) -> "Fabric":
         """Build a full fabric from a seed.
@@ -98,10 +97,7 @@ class Fabric:
         (``wall_clock=True`` additionally records segregated wall-clock
         span durations).  ``resilient=True`` — or passing ``retry`` /
         ``breaker`` — wires a :class:`ReliableChannel` that the overlays
-        and backends pick up automatically.  ``concurrent=True`` switches
-        the fan-out layers to critical-path latency accounting (see
-        :mod:`repro.overlay.simulator`); off, every combinator reports
-        the legacy serial sum, byte-identical to committed tables.
+        and backends pick up automatically.
         ``overload=OverloadConfig(...)`` installs the overload-protection
         stack (per-peer service queues + shedding on the network,
         deadline minting for lookups and quorum reads, a shared retry
@@ -113,7 +109,7 @@ class Fabric:
         even an attached adversary, which draws nothing — leaves every
         RNG stream untouched.
         """
-        sim = Simulator(seed, concurrent=concurrent)
+        sim = Simulator(seed)
         tracer = Tracer(lambda: sim.now, wall_clock=wall_clock) if tracing \
             else NOOP_TRACER
         metrics = MetricsRegistry()
@@ -289,15 +285,15 @@ class OpContext:
                    fanout: bool = False) -> SimFuture:
         """:meth:`call` as a completion token (for its failure ``cause``).
 
-        ``fanout`` marks one branch of a fan-out: under the concurrent
-        latency model branches overlap, so the operation has spent the
-        slowest of them rather than their sum.
+        ``fanout`` marks one branch of a fan-out: branches overlap, so
+        the operation has spent the slowest of them rather than their
+        sum.
         """
         deadline = self.deadline
         future = self.fabric.call_issue(
             src, dst, kind,
             None if deadline is None else deadline.minus(self.spent))
-        if fanout and self.fabric.sim.concurrent:
+        if fanout:
             self.spent = max(self.spent, future.latency)
         else:
             self.spent += future.latency

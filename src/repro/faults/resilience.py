@@ -37,7 +37,7 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 from repro.exceptions import SimulationError
 from repro.faults.overload import (Deadline, RetryBudget,
                                    deadline_expired)
-from repro.overlay.simulator import SimFuture
+from repro.overlay.simulator import SimFuture, hedge_of
 
 
 @dataclass
@@ -177,10 +177,7 @@ class ReliableChannel:
         self.network = network
         self.policy = policy or RetryPolicy()
         self.breaker = breaker
-        #: stagger between hedge launches under the concurrent latency
-        #: model (:attr:`Simulator.concurrent`): candidate ``i`` launches
-        #: at virtual offset ``i * hedge_delay``, and launching stops as
-        #: soon as an earlier request has already succeeded.
+        #: stagger between the launches of a :meth:`hedged` race
         self.hedge_delay = hedge_delay
         #: the fabric's :class:`repro.membership.SwimMembership`, set by
         #: :meth:`repro.fabric.Fabric.attach_membership`.  When the
@@ -361,77 +358,28 @@ class ReliableChannel:
         suspects, confirmed-dead ones last (still probed: on this
         last-resort path a false confirmation must not lose the read).
 
-        Latency model: with :attr:`Simulator.concurrent` unset the legacy
-        sequential semantics apply byte-for-byte — candidates are probed
-        one after another and ``elapsed`` sums every attempt.  With it
-        set this is *true hedging*: candidate ``i`` launches at offset
-        ``i * hedge_delay``, launching stops once an earlier request has
-        already succeeded, the earliest success wins and cancels the
-        losers, and ``elapsed`` is the winner's completion offset.
+        The race is :func:`repro.overlay.simulator.hedge_of` with
+        :attr:`hedge_delay` between launches (a spent ``deadline`` stops
+        launching); ``elapsed`` is the winner's completion offset.
         """
-        stats = self.network.stats
         with self.network.tracer.span("channel.hedged", kind=kind,
                                       src=src) as span:
             view = self._view_of(src)
             if view is not None:
                 dsts = self.membership.order_by_health(src, dsts)
-            if self.network.sim.concurrent:
-                return self._hedged_concurrent(src, dsts, kind,
-                                               payload_size, span, view,
-                                               deadline)
-            elapsed = 0.0
-            for i, dst in enumerate(dsts):
+
+            def issue(dst: str, launch_at: float):
                 now = self.network.sim.now
-                if deadline_expired(self.network, deadline, elapsed, kind):
-                    break
-                if i > 0:
-                    stats.hedges += 1
+                if deadline_expired(self.network, deadline, launch_at, kind):
+                    return None
                 if not self._admit(view, dst, now):
-                    continue
+                    return (None, False)
                 future = self._attempt(view, src, dst, kind, payload_size,
                                        now)
-                elapsed += future.latency
-                if future.ok:
-                    span.set_attr("winner", dst)
-                    return (True, dst, elapsed)
-            span.set_attr("winner", None)
-            return (False, None, elapsed)
+                return (future, future.ok)
 
-    def _hedged_concurrent(self, src: str, dsts: Sequence[str], kind: str,
-                           payload_size: int, span, view,
-                           deadline: Optional[Deadline] = None
-                           ) -> Tuple[bool, Optional[str], float]:
-        """True hedging on the concurrent clock (see :meth:`hedged`)."""
-        stats = self.network.stats
-        launched = []  # (launch offset, dst, future), launch order
-        for i, dst in enumerate(dsts):
-            launch_at = i * self.hedge_delay
-            first_win = min((offset + future.latency
-                             for offset, _dst, future in launched
-                             if future.ok), default=None)
-            if first_win is not None and first_win <= launch_at:
-                break  # an earlier request won before this hedge fires
-            now = self.network.sim.now
-            if deadline_expired(self.network, deadline, launch_at, kind):
-                break
-            if i > 0:
-                stats.hedges += 1
-            if self._admit(view, dst, now):
-                launched.append((launch_at, dst, self._attempt(
-                    view, src, dst, kind, payload_size, now)))
-        successes = sorted(
-            (offset + future.latency, future.seq, dst, future)
-            for offset, dst, future in launched if future.ok)
-        if successes:
-            elapsed, _seq, winner, winning = successes[0]
-            for _offset, _dst, future in launched:
-                if future is not winning:
-                    future.cancel()
+            winner, elapsed, hedges = hedge_of(dsts, self.hedge_delay, issue)
+            self.network.stats.hedges += hedges
             span.set_attr("winner", winner)
             span.settle_cost(elapsed)
-            return (True, winner, elapsed)
-        elapsed = max((offset + future.latency
-                       for offset, _dst, future in launched), default=0.0)
-        span.set_attr("winner", None)
-        span.settle_cost(elapsed)
-        return (False, None, elapsed)
+            return (winner is not None, winner, elapsed)

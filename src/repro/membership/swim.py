@@ -27,7 +27,6 @@ confirmations gossip cluster-wide within a few periods, and flagged in
 
 from __future__ import annotations
 
-import contextlib
 import math
 import random as _random
 from dataclasses import dataclass
@@ -481,22 +480,14 @@ class SwimMembership:
             return False
         proxies = self._rng.sample(candidates, k)
         reached = False
-        # The k chains run concurrently in real SWIM: under the
-        # concurrent latency model each chain is a serial sub-span (its
-        # two RPCs are dependent) and the chains roll up as max.  Spans
-        # are only opened in that mode so off-mode traces stay
-        # byte-identical; the RPCs themselves are issued identically
-        # either way.
-        concurrent = self.network.sim.concurrent
-        fanout = (self.network.tracer.span("swim.indirect", parallel=True,
-                                           target=target)
-                  if concurrent else contextlib.nullcontext(None))
-        with fanout:
+        # The k chains run concurrently in real SWIM: each chain is a
+        # serial sub-span (its two RPCs are dependent) and the chains
+        # roll up as max.
+        with self.network.tracer.span("swim.indirect", parallel=True,
+                                      target=target):
             for proxy in proxies:
-                chain = (self.network.tracer.span("swim.pingreq.chain",
-                                                  proxy=proxy)
-                         if concurrent else contextlib.nullcontext(None))
-                with chain:
+                with self.network.tracer.span("swim.pingreq.chain",
+                                              proxy=proxy):
                     self.metrics.inc("membership.indirect_chains")
                     ok, _ = self.network.rpc(member, proxy,
                                              kind="swim_pingreq")

@@ -21,7 +21,6 @@ ring converges).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 from dataclasses import dataclass
 from typing import (AbstractSet, Any, Dict, List, Optional, Sequence, Set,
@@ -334,8 +333,8 @@ class ChordRing:
 
         Latency note: the replica probing here is sequential *failover*
         (try the next holder only after the previous one fails), not true
-        hedging, so its cost stays a serial sum under both latency
-        models; staggered concurrent hedging lives in
+        hedging, so its cost is the serial sum of the probes it needed;
+        staggered hedging lives in
         :meth:`repro.faults.ReliableChannel.hedged` and the verified path
         of :func:`repro.overlay.replication.fetch_from_holders`.
         """
@@ -428,22 +427,14 @@ class ChordRing:
                                       keys=len(seen),
                                       owners=len(groups)) as span:
             # Owner groups are independent fetch chains (route + holder
-            # probes); a real client runs them concurrently, so under the
-            # concurrent model each group is a serial sub-span and the
-            # groups roll up as max.  Spans are conditional to keep
-            # off-mode traces byte-identical.
-            concurrent = self.network.sim.concurrent
-            fanout = (self.network.tracer.span("chord.get_many.fanout",
-                                               parallel=True,
-                                               owners=len(groups))
-                      if concurrent else contextlib.nullcontext(None))
-            with fanout:
+            # probes); a real client runs them concurrently, so each group
+            # is a serial sub-span and the groups roll up as max.
+            with self.network.tracer.span("chord.get_many.fanout",
+                                          parallel=True,
+                                          owners=len(groups)):
                 for owner, group in groups.items():
-                    group_span = (self.network.tracer.span(
-                                      "chord.get_group", owner=owner)
-                                  if concurrent
-                                  else contextlib.nullcontext(None))
-                    with group_span:
+                    with self.network.tracer.span("chord.get_group",
+                                                  owner=owner):
                         self._get_group(start, owner, group, results)
             span.set_attr("served",
                           sum(1 for v in results.values()

@@ -13,7 +13,6 @@ the ``k`` closest nodes.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -133,9 +132,8 @@ class KademliaOverlay:
 
         Latency model: rounds are dependent (each consumes the previous
         round's answers) and always sum; *within* a round the alpha
-        queries are the protocol's namesake concurrency, so under
-        :attr:`Simulator.concurrent` each round is a parallel span and
-        its queries roll up as max.
+        queries are the protocol's namesake concurrency, so each round
+        is a parallel span and its queries roll up as max.
 
         As in :meth:`ChordRing.lookup <repro.overlay.chord.ChordRing
         .lookup>`, the :class:`~repro.fabric.OpContext` checks the time
@@ -193,11 +191,8 @@ class KademliaOverlay:
                     break
                 hops += 1
                 improved = False
-                round_span = (self.network.tracer.span(
-                                  "kad.round", parallel=True, round=hops)
-                              if self.network.sim.concurrent
-                              else contextlib.nullcontext(None))
-                with round_span:
+                with self.network.tracer.span("kad.round", parallel=True,
+                                              round=hops):
                     for peer_name in batch:
                         if ctx.expired("kad_find"):
                             raise DeadlineExceededError(

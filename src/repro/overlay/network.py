@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random as _random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.exceptions import OverlayError, SimulationError
@@ -104,22 +104,12 @@ class NetworkStats:
 
     def reset(self) -> None:
         """Zero everything (benchmarks call between phases)."""
-        self.messages = 0
-        self.bytes = 0
-        self.drops = 0
-        self.timeouts = 0
-        self.retries = 0
-        self.breaker_trips = 0
-        self.breaker_fastfails = 0
-        self.hedges = 0
-        self.fault_drops = 0
-        self.corrupted = 0
-        self.shed = 0
-        self.deadline_expired = 0
-        self.budget_exhausted = 0
-        self.misrouted = 0
-        self.forged_routes = 0
-        self.by_kind.clear()
+        for spec in fields(self):
+            if spec.default is MISSING:
+                # ``by_kind``: emptied in place, references stay valid
+                getattr(self, spec.name).clear()
+            else:
+                setattr(self, spec.name, spec.default)
 
     def summary(self) -> Dict[str, int]:
         """Flat roll-up with *every* RPC failure cause accounted.

@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from repro.exceptions import OverlayError, ReplicaIntegrityError
+from repro.overlay.simulator import hedge_of
 
 
 @dataclass
@@ -112,92 +113,34 @@ def fetch_from_holders(fabric, reader: str, placement: Placement,
     membership service or quarantine): the holders most likely to answer
     honestly are paid for first, confirmed-dead ones last.
 
-    Latency model: with :attr:`Simulator.concurrent` unset the verified
-    path probes sequentially and ``elapsed`` sums every attempt (the
-    legacy accounting, byte-identical).  With it set the probes are
-    staggered hedges (one launch per channel ``hedge_delay``, launching
-    stops once an earlier *verified* response has completed) and
-    ``elapsed`` is the winner's completion offset — the failure and
-    verification semantics are unchanged.
+    The verified probes race as staggered hedges
+    (:func:`repro.overlay.simulator.hedge_of`, one launch per channel
+    ``hedge_delay``).  A branch only wins when its RPC landed and its
+    bytes verified — reachable-but-lying holders cannot shorten the
+    critical path, they can only force the next hedge to launch.
     """
     holders = fabric.op(reader).order(placement.holders)
     if blob_of is None:
         ok, winner, elapsed = fabric.hedged(reader, holders, kind)
         return (winner if ok else None), elapsed
-    if fabric.sim.concurrent:
-        return _fetch_verified_concurrent(fabric, reader, holders, kind,
-                                          blob_of, verify)
-    stats = fabric.network.stats
-    elapsed = 0.0
-    probed = 0
     served = 0
-    for holder in holders:
-        blob = blob_of(holder)
-        if blob is None:
-            continue  # holds nothing — not worth a probe
-        if probed > 0:
-            stats.hedges += 1
-        probed += 1
-        ok, rtt = fabric.call(reader, holder, kind)
-        elapsed += rtt
-        if not ok:
-            continue
-        served += 1
-        if verify is None or verify(holder, blob):
-            return holder, elapsed
-    if served > 0:
-        raise ReplicaIntegrityError(
-            f"{served} holder(s) answered {reader!r} but no response "
-            "passed verification")
-    return None, elapsed
 
-
-def _fetch_verified_concurrent(fabric, reader: str,
-                               holders: Sequence[str], kind: str,
-                               blob_of, verify
-                               ) -> Tuple[Optional[str], float]:
-    """The verified fetch as staggered hedges on the concurrent clock.
-
-    A branch only *wins* when its RPC landed and its bytes verified —
-    reachable-but-lying holders cannot shorten the critical path, they
-    can only force the next hedge to launch (exactly the sequential
-    semantics, minus the serial latency bill).
-    """
-    stats = fabric.network.stats
-    hedge_delay = fabric.hedge_delay
-    launched = []  # (launch offset, holder, future, satisfied)
-    index = 0
-    served = 0
-    for holder in holders:
-        blob = blob_of(holder)
-        if blob is None:
-            continue  # holds nothing — not worth a probe
-        launch_at = index * hedge_delay
-        first_win = min((offset + future.latency
-                         for offset, _h, future, satisfied in launched
-                         if satisfied), default=None)
-        if first_win is not None and first_win <= launch_at:
-            break  # a verified response beat this hedge's launch time
-        if index > 0:
-            stats.hedges += 1
-        index += 1
+    def issue(stocked: Tuple[str, bytes], _launch_at: float):
+        nonlocal served
+        holder, blob = stocked
         future = fabric.call_issue(reader, holder, kind)
         if future.ok:
             served += 1
-        satisfied = bool(future.ok
-                         and (verify is None or verify(holder, blob)))
-        launched.append((launch_at, holder, future, satisfied))
-    wins = sorted((offset + future.latency, future.seq, holder, future)
-                  for offset, holder, future, satisfied in launched
-                  if satisfied)
-    if wins:
-        elapsed, _seq, winner, winning = wins[0]
-        for _offset, _holder, future, _satisfied in launched:
-            if future is not winning:
-                future.cancel()
-        return winner, elapsed
-    elapsed = max((offset + future.latency
-                   for offset, _h, future, _s in launched), default=0.0)
+        return future, bool(future.ok
+                            and (verify is None or verify(holder, blob)))
+
+    # a holder with nothing to serve is not worth a probe (or a slot)
+    stocked = [(holder, blob) for holder in holders
+               if (blob := blob_of(holder)) is not None]
+    winner, elapsed, hedges = hedge_of(stocked, fabric.hedge_delay, issue)
+    fabric.network.stats.hedges += hedges
+    if winner is not None:
+        return winner[0], elapsed
     if served > 0:
         raise ReplicaIntegrityError(
             f"{served} holder(s) answered {reader!r} but no response "

@@ -17,21 +17,19 @@ Design points:
 
 **The concurrent virtual-time kernel.**  The accounted-RPC shortcut
 (:meth:`repro.overlay.network.SimNetwork.rpc`) returns an RTT without
-advancing the clock, which historically forced every fan-out path —
-quorum probes, hedged replica fetches, SWIM ping-req chains, batched
-feed fetches — to *sum* round trips a real client would overlap.
-:class:`SimFuture` fixes the accounting: an issued operation settles
-immediately (all RNG draws happen at issue time, in issue order, so the
-synchronous wrappers keep byte-identical random streams), but carries a
-virtual *completion time*.  The combinators :func:`gather`,
+advancing the clock, so a fan-out — quorum probes, hedged replica
+fetches, SWIM ping-req chains, batched feed fetches — needs its own
+account of the overlap a real client gets.  An issued operation is a
+:class:`SimFuture`: it settles immediately (all RNG draws happen at
+issue time, in issue order, so the synchronous wrappers keep
+byte-identical random streams) but carries a virtual *completion
+time*.  The combinators :func:`gather`,
 :func:`quorum_of` and :func:`first_of` then reduce a fan-out to its
-critical path: with :attr:`Simulator.concurrent` set, overlapped
-operations cost the **max** (or the ``n``-th completion, for quorums) of
-their latencies instead of the sum.  Settle order is fixed by
-``(completion time, issue sequence)``, so two runs at one seed settle
-identically.  With ``concurrent=False`` (the default) every combinator
-reports the legacy serial sum, keeping committed experiment tables
-byte-identical.
+critical path: overlapped operations cost the **max** (or the ``n``-th
+completion, for quorums) of their latencies instead of the sum, and
+:func:`hedge_of` prices a staggered hedge race at its winner's
+completion.  Settle order is fixed by ``(completion time, issue
+sequence)``, so two runs at one seed settle identically.
 """
 
 from __future__ import annotations
@@ -40,7 +38,8 @@ import heapq
 import math
 import random as _random
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.exceptions import SimulationError
 
@@ -60,19 +59,11 @@ class Event:
 
 
 class Simulator:
-    """A virtual clock plus an event queue.
+    """A virtual clock plus an event queue."""
 
-    ``concurrent`` selects the latency model the fan-out combinators
-    apply (see the module docstring): ``False`` (default) preserves the
-    legacy sum-of-round-trips accounting byte-for-byte; ``True`` makes
-    overlapped operations pay their critical path.
-    """
-
-    def __init__(self, seed: int = 0, concurrent: bool = False) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.rng = _random.Random(seed)
-        #: latency model for fan-out: critical path (True) vs serial sum
-        self.concurrent = concurrent
         self._queue: List[Event] = []
         self._sequence = 0
         self._future_sequence = 0
@@ -201,18 +192,14 @@ class SimFuture:
 class FanoutResult:
     """What a combinator settled: winners, order, and the elapsed cost.
 
-    ``elapsed`` follows the simulator's latency model — critical path
-    when :attr:`Simulator.concurrent`, serial sum otherwise — while
-    ``sum_latency`` / ``max_latency`` always carry both views so
-    benchmarks can report the sequential/concurrent gap from one run.
+    ``elapsed`` is the critical path to the settle point;
+    ``max_latency`` is what waiting for every branch would have cost.
     """
 
-    futures: List[SimFuture]        #: issue order, as passed in
     settled: List[SimFuture]        #: (completion, seq) order
     winners: List[SimFuture]        #: first ``n`` satisfying, settle order
     met: bool                       #: whether the quorum was reached
-    elapsed: float                  #: cost under the simulator's model
-    sum_latency: float              #: serial accounting (sum of latencies)
+    elapsed: float                  #: critical path to the settle point
     max_latency: float              #: waiting for *every* branch
 
 
@@ -223,22 +210,18 @@ def quorum_of(n: int, futures: Sequence[SimFuture],
 
     ``predicate`` marks the satisfying branches (default:
     :attr:`SimFuture.ok`).  Settle order is ``(completion, seq)`` —
-    deterministic across runs at one seed.  Under the concurrent model
-    ``elapsed`` is the ``n``-th satisfying completion relative to the
-    earliest issue (the client returns as soon as the quorum is in); an
-    unmet quorum waits for every branch (``max_latency``).  Under the
-    serial model ``elapsed`` is the sum of every branch's latency —
-    exactly what the pre-kernel sequential loops paid.  Branches that
-    complete after the settle point are flagged ``cancelled``.
+    deterministic across runs at one seed.  ``elapsed`` is the ``n``-th
+    satisfying completion relative to the earliest issue (the client
+    returns as soon as the quorum is in); an unmet quorum waits for
+    every branch (``max_latency``).  Branches that complete after the
+    settle point are flagged ``cancelled``.
     """
     futures = list(futures)
     if predicate is None:
         predicate = lambda future: future.ok  # noqa: E731
-    sum_latency = sum(future.latency for future in futures)
     if not futures:
-        return FanoutResult(futures=[], settled=[], winners=[],
-                            met=n <= 0, elapsed=0.0, sum_latency=0.0,
-                            max_latency=0.0)
+        return FanoutResult(settled=[], winners=[], met=n <= 0,
+                            elapsed=0.0, max_latency=0.0)
     epoch = min(future.issued_at for future in futures)
     settled = sorted(futures, key=lambda f: (f.completion, f.seq))
     max_latency = settled[-1].completion - epoch
@@ -250,7 +233,7 @@ def quorum_of(n: int, futures: Sequence[SimFuture],
     if n <= 0:
         # Nothing to wait for: the quorum was satisfied before any of
         # these branches was needed (e.g. local write acks covered W).
-        critical = 0.0
+        elapsed = 0.0
     elif met:
         settle_at = winners[-1].completion
         for future in settled:
@@ -258,18 +241,15 @@ def quorum_of(n: int, futures: Sequence[SimFuture],
                     future.completion == settle_at
                     and future.seq > winners[-1].seq):
                 future.cancel()
-        critical = settle_at - epoch
+        elapsed = settle_at - epoch
     else:
-        critical = max_latency
-    concurrent = futures[0].sim.concurrent
-    return FanoutResult(
-        futures=futures, settled=settled, winners=winners, met=met,
-        elapsed=(critical if concurrent else sum_latency),
-        sum_latency=sum_latency, max_latency=max_latency)
+        elapsed = max_latency
+    return FanoutResult(settled=settled, winners=winners, met=met,
+                        elapsed=elapsed, max_latency=max_latency)
 
 
 def gather(futures: Sequence[SimFuture]) -> FanoutResult:
-    """Wait for *every* branch: elapsed is the max (or serial sum)."""
+    """Wait for *every* branch: elapsed is the slowest one."""
     futures = list(futures)
     return quorum_of(len(futures), futures, predicate=lambda f: True)
 
@@ -279,6 +259,53 @@ def first_of(futures: Sequence[SimFuture],
              ) -> FanoutResult:
     """Settle on the first satisfying branch (a 1-quorum)."""
     return quorum_of(1, futures, predicate=predicate)
+
+
+def hedge_of(candidates: Iterable[Any], hedge_delay: float,
+             issue: Callable[[Any, float],
+                             Optional[Tuple[Optional[SimFuture], bool]]]
+             ) -> Tuple[Optional[Any], float, int]:
+    """Race staggered hedges; the earliest accepted response wins.
+
+    Candidate ``i`` takes launch slot ``i`` at offset ``i * hedge_delay``,
+    and launching stops once an accepted response has completed by the
+    next launch.  ``issue(candidate, offset)`` puts the request on the
+    wire and returns ``(future, accepted)`` — ``accepted`` is the
+    caller's win condition (the RPC landed; its bytes verified) —
+    ``(None, False)`` when the slot passes with nothing launched, or
+    ``None`` to stop launching (a spent deadline).  The winner is the
+    accepted branch with the earliest ``(completion offset, seq)``; every
+    other launched branch is cancelled.  Returns ``(winner, elapsed,
+    hedges)``: the winning candidate and its completion offset — or
+    ``None`` and the last completion offset when no response was
+    accepted — and the number of slots taken after the first.
+    """
+    launched = []  # (completion offset, seq, candidate, future, accepted)
+    slots = 0
+    for candidate in candidates:
+        offset = slots * hedge_delay
+        if any(accepted and done <= offset
+               for done, _seq, _candidate, _future, accepted in launched):
+            break  # an earlier request won before this hedge fires
+        issued = issue(candidate, offset)
+        if issued is None:
+            break
+        slots += 1
+        future, accepted = issued
+        if future is not None:
+            launched.append((offset + future.latency, future.seq, candidate,
+                             future, accepted))
+    hedges = max(0, slots - 1)
+    wins = [branch for branch in launched if branch[4]]
+    if not wins:
+        return None, max((branch[0] for branch in launched),
+                         default=0.0), hedges
+    elapsed, _seq, winner, winning, _accepted = min(
+        wins, key=lambda branch: branch[:2])
+    for branch in launched:
+        if branch[3] is not winning:
+            branch[3].cancel()
+    return winner, elapsed, hedges
 
 
 @dataclass

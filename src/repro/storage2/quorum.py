@@ -18,7 +18,6 @@ Detection counters (via ``fabric.metrics`` / :mod:`repro.obs`):
 
 from __future__ import annotations
 
-import contextlib
 import random as _random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -42,11 +41,9 @@ class ReadResult:
     checked — never tampered bytes) but fewer than ``R`` holders
     answered, so the usual freshness guarantee does not apply.
 
-    ``elapsed`` is the read's client-visible latency under the fabric's
-    model: the serial sum of every probe with
-    :attr:`Simulator.concurrent` unset, the critical path to the R-th
-    *verified* response with it set.  Read-repair pushes are background
-    traffic and excluded either way.
+    ``elapsed`` is the read's client-visible latency: the critical path
+    to the R-th *verified* response.  Read-repair pushes are background
+    traffic and excluded.
     """
 
     payload: bytes
@@ -114,17 +111,6 @@ class ReplicatedStore:
             self._local_identities[author] = identity
             self.registry.register(identity)
         return identity.signer
-
-    def _fanout_span(self, name: str, **attrs):
-        """A parallel sub-span for a probe fan-out — concurrent mode only.
-
-        Off-mode traces must stay byte-identical to committed tables, so
-        the extra span exists only when the simulator accounts critical
-        paths (its cost is then settled to the quorum's settle point).
-        """
-        if self.sim.concurrent:
-            return self.network.tracer.span(name, parallel=True, **attrs)
-        return contextlib.nullcontext(None)
 
     def holders_of(self, key: str) -> List[str]:
         """The current replica holders (placement, else the ring's set)."""
@@ -217,8 +203,9 @@ class ReplicatedStore:
             acks = 0
             local_acks = 0
             pushes: List[SimFuture] = []
-            with self._fanout_span("storage2.put.fanout", key=key,
-                                   holders=len(holders)) as fanout:
+            with self.network.tracer.span(
+                    "storage2.put.fanout", parallel=True, key=key,
+                    holders=len(holders)) as fanout:
                 for holder in holders:
                     if holder == coordinator:
                         node = self.ring.nodes.get(holder)
@@ -233,12 +220,11 @@ class ReplicatedStore:
                     if future.ok:
                         self.store_at(holder, key, encoded)
                         acks += 1
-                if fanout is not None:
-                    # The writer returns at the W-th ack; pushes past it
-                    # (and an already-satisfied local quorum) complete in
-                    # the background.
-                    need = max(0, self.config.w - local_acks)
-                    fanout.settle_cost(quorum_of(need, pushes).elapsed)
+                # The writer returns at the W-th ack; pushes past it (and
+                # an already-satisfied local quorum) complete in the
+                # background.
+                need = max(0, self.config.w - local_acks)
+                fanout.settle_cost(quorum_of(need, pushes).elapsed)
             span.set_attr("version", version)
             span.set_attr("acks", acks)
             self.metrics.inc("storage.quorum_writes")
@@ -281,7 +267,8 @@ class ReplicatedStore:
             sheds = 0
             deadline_hit = False
             probes: List[SimFuture] = []
-            with self._fanout_span("storage2.get.fanout", key=key) as fanout:
+            with self.network.tracer.span("storage2.get.fanout",
+                                          parallel=True, key=key) as fanout:
                 for holder in ctx.order(self.holders_of(key)):
                     node = self.ring.nodes.get(holder)
                     if node is None or key not in node.store:
@@ -292,8 +279,6 @@ class ReplicatedStore:
                     if probed > 0:
                         self.network.stats.hedges += 1
                     probed += 1
-                    # fanout: the serial clock pays probes back to back,
-                    # the concurrent clock overlaps them
                     future = ctx.call_issue(reader, holder, "quorum_read",
                                             fanout=True)
                     probes.append(future)
@@ -315,8 +300,7 @@ class ReplicatedStore:
                 # The client returns at the R-th *verified* response; an
                 # unmet quorum waits out every probe.
                 fanout_result = quorum_of(self.config.r, probes)
-                if fanout is not None:
-                    fanout.settle_cost(fanout_result.elapsed)
+                fanout.settle_cost(fanout_result.elapsed)
             try:
                 return self._settle(reader, key, responses, rejected, span,
                                     elapsed=fanout_result.elapsed)
@@ -437,8 +421,9 @@ class ReplicatedStore:
             reachable = 0
             deadline_hit = False
             batch_probes: List[SimFuture] = []
-            with self._fanout_span("storage2.get_many.fanout",
-                                   holders=len(want)) as fanout:
+            with self.network.tracer.span(
+                    "storage2.get_many.fanout", parallel=True,
+                    holders=len(want)) as fanout:
                 for holder, holder_keys in want.items():
                     if ctx.expired("quorum_read_batch"):
                         deadline_hit = True
@@ -462,10 +447,9 @@ class ReplicatedStore:
                             continue
                         responses[key].append((holder, record))
                         key_verified[key].add(future.seq)
-                if fanout is not None:
-                    # The batch's wire cost: every holder answers once;
-                    # the slowest probe bounds the batch.
-                    fanout.settle_cost(gather(batch_probes).elapsed)
+                # The batch's wire cost: every holder answers once; the
+                # slowest probe bounds the batch.
+                fanout.settle_cost(gather(batch_probes).elapsed)
             span.set_attr("reachable", reachable)
             settled = 0
             for key in ordered:

@@ -33,7 +33,6 @@ simply does not run on a machine that is down.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.hashing import digest, digest_many
@@ -72,19 +71,6 @@ class AntiEntropyDaemon:
         node = self.store.ring.nodes.get(peer)
         return node is not None and node.online
 
-    def _span(self, name: str, parallel: bool = False, **attrs):
-        """A latency-attribution span, opened only in concurrent mode.
-
-        The daemon's root checks (per peer) and reconciliation pulls
-        (per key) are independent, so a real deployment overlaps them;
-        spans are conditional so the serial mode's traces stay
-        byte-identical to committed tables.
-        """
-        if self.store.sim.concurrent:
-            return self.store.network.tracer.span(name, parallel=parallel,
-                                                  **attrs)
-        return contextlib.nullcontext(None)
-
     def start(self) -> None:
         """Schedule the recurring repair tick on the simulator clock."""
         if self._started:
@@ -122,12 +108,14 @@ class AntiEntropyDaemon:
                         continue
                     coordinator = initiators[0]
                 local_root = self._summary_root(coordinator, keys)
-                with self._span("storage2.repair.group", parallel=True,
-                                keys=len(keys)):
+                with store.network.tracer.span("storage2.repair.group",
+                                               parallel=True,
+                                               keys=len(keys)):
                     for peer in live[1:]:
                         # One peer's chain (root check, then its pulls)
                         # is serial; the chains across peers overlap.
-                        with self._span("storage2.repair.peer", peer=peer):
+                        with store.network.tracer.span(
+                                "storage2.repair.peer", peer=peer):
                             ok, _ = store.fabric.call(coordinator, peer,
                                                       "antientropy_root")
                             if not ok:
@@ -176,41 +164,38 @@ class AntiEntropyDaemon:
         """Reconcile two live holders whose summaries disagree.
 
         Per-key pulls are independent (each moves one record between the
-        same two holders), so they overlap under the concurrent model.
+        same two holders), so they overlap.
         """
-        with self._span("storage2.repair.pulls", parallel=True,
-                        keys=len(keys)):
-            self._sync_pair_keys(a, b, keys)
-
-    def _sync_pair_keys(self, a: str, b: str, keys: List[str]) -> None:
         store = self.store
-        for key in keys:
-            blob_a = self._stored(a, key)
-            blob_b = self._stored(b, key)
-            if blob_a == blob_b:
-                continue
-            best = self._best_record([a, b], key)
-            if best is None:
-                continue
-            source, record = best
-            encoded = record.encode()
-            for target in (a, b):
-                if target == source \
-                        or self._stored(target, key) == encoded:
+        with store.network.tracer.span("storage2.repair.pulls",
+                                       parallel=True, keys=len(keys)):
+            for key in keys:
+                blob_a = self._stored(a, key)
+                blob_b = self._stored(b, key)
+                if blob_a == blob_b:
                     continue
-                if self.membership is not None:
-                    # Non-oracle path: the target *pulls*, so a source
-                    # that is believed alive but actually gone fails the
-                    # RPC instead of teleporting data.
-                    if not self._can_initiate(target):
+                best = self._best_record([a, b], key)
+                if best is None:
+                    continue
+                source, record = best
+                encoded = record.encode()
+                for target in (a, b):
+                    if target == source \
+                            or self._stored(target, key) == encoded:
                         continue
-                    ok, _ = store.fabric.call(target, source,
-                                              "antientropy_pull")
-                else:
-                    ok, _ = store.fabric.call(source, target,
-                                              "antientropy_pull")
-                if ok and store.store_at(target, key, encoded):
-                    store.metrics.inc("storage.repair_pulls")
+                    if self.membership is not None:
+                        # Non-oracle path: the target *pulls*, so a
+                        # source that is believed alive but actually gone
+                        # fails the RPC instead of teleporting data.
+                        if not self._can_initiate(target):
+                            continue
+                        ok, _ = store.fabric.call(target, source,
+                                                  "antientropy_pull")
+                    else:
+                        ok, _ = store.fabric.call(source, target,
+                                                  "antientropy_pull")
+                    if ok and store.store_at(target, key, encoded):
+                        store.metrics.inc("storage.repair_pulls")
 
     def _re_replicate(self, key: str) -> None:
         """Restore ``n`` live verified holders after churn departures."""

@@ -104,6 +104,12 @@ class TestDosnConfig:
         with pytest.raises(OverlayError):
             DosnConfig(architecture="blockchain")
 
+    def test_concurrent_is_an_accepted_constant(self):
+        assert DosnConfig().concurrent is True
+        assert DosnConfig(concurrent=True) == DosnConfig()
+        with pytest.raises(OverlayError, match="serial-sum"):
+            DosnConfig(concurrent=False)
+
     def test_with_overrides(self):
         base = DosnConfig(architecture="dht", replication=2)
         swept = base.with_overrides(replication=4)
@@ -204,15 +210,23 @@ class TestOpContextAllOn:
         # fresh budget ends when its caller's does
         assert fab.op("p0").deadline.expires_at == ctx.deadline.expires_at
 
-    def test_fanout_branches_overlap_only_on_the_concurrent_clock(self):
-        for concurrent, combine in ((False, sum), (True, max)):
-            fab = Fabric.create(seed=4, concurrent=concurrent)
-            _ring(fab)
-            ctx = fab.op("p0")
-            latencies = [ctx.call_issue("p0", dst, "quorum_read",
-                                        fanout=True).latency
-                         for dst in ("p1", "p2", "p3")]
-            assert ctx.spent == pytest.approx(combine(latencies))
+    def test_fanout_branches_overlap_and_dependent_calls_sum(self):
+        fab = Fabric.create(seed=4)
+        _ring(fab)
+        ctx = fab.op("p0")
+        latencies = [ctx.call_issue("p0", dst, "quorum_read",
+                                    fanout=True).latency
+                     for dst in ("p1", "p2", "p3")]
+        assert ctx.spent == max(latencies) < sum(latencies)
+        # a call that is not a fan-out branch waits for what came before
+        chained = ctx.call_issue("p0", "p4", "chord_replica_read").latency
+        assert ctx.spent == pytest.approx(max(latencies) + chained)
+
+    def test_the_serial_model_cannot_be_selected(self):
+        with pytest.raises(TypeError):
+            Fabric.create(seed=4, concurrent=False)
+        with pytest.raises(TypeError):
+            Fabric.create(seed=4, concurrent=True)
 
     def test_order_puts_dead_then_quarantined_holders_last(self):
         fab = self._fabric()

@@ -1,14 +1,14 @@
-"""End-to-end latency-model tests for the migrated fan-out consumers.
+"""End-to-end latency tests for the fan-out consumers.
 
-Each consumer must (a) keep its wire cost and failure/verification
-semantics identical in both modes, (b) report a strictly lower elapsed
-under ``concurrent=True``, and (c) stay byte-identical to the legacy
-accounting when the mode is off — the committed-table contract.
+Every fan-out pays its critical path — there is no other latency model.
+Each consumer must (a) report an elapsed equal to its settle point (the
+R-th verified completion, the winning hedge) and strictly below the
+serial sum of the same run's probe RTTs, read off the trace, (b) never
+let unverifiable bytes win, and (c) be a pure function of its seed.
 """
 
-import pytest
-
 from repro.fabric import Fabric
+from repro.faults import CorruptBlob, FaultPlan
 from repro.overlay.chord import ChordRing
 from repro.overlay.network import SimNode
 from repro.storage2 import ReplicatedStore, ReplicationConfig
@@ -16,9 +16,8 @@ from repro.storage2 import ReplicatedStore, ReplicationConfig
 PEERS = [f"p{i}" for i in range(12)]
 
 
-def make_store(concurrent, seed=7, tracing=False):
-    fabric = Fabric.create(seed=seed, concurrent=concurrent,
-                           tracing=tracing)
+def make_store(seed=7):
+    fabric = Fabric.create(seed=seed, tracing=True)
     ring = ChordRing(fabric, replication=3)
     for name in PEERS:
         ring.add_node(name)
@@ -27,64 +26,75 @@ def make_store(concurrent, seed=7, tracing=False):
     return fabric, ring, store
 
 
-def quorum_read_cell(concurrent):
-    fabric, ring, store = make_store(concurrent)
+def children_of(fabric, name):
+    """Costs of the direct children of the last ``name`` span."""
+    spans = fabric.tracer.spans
+    parent = [s for s in spans if s.name == name][-1]
+    return parent, [s.cost for s in spans if s.parent_id == parent.span_id]
+
+
+def quorum_read_cell(corrupt_first_holder=False):
+    fabric, ring, store = make_store()
     store.put("p0", "k", b"payload")
     holders = store.placements["k"]
+    if corrupt_first_holder:
+        fabric.network.install_faults(
+            FaultPlan(seed=7).add(CorruptBlob(holders={holders[0]})))
     reader = next(n for n in PEERS if n not in holders)
     fabric.network.stats.reset()
     result = store.get(reader, "k")
-    return fabric.network.stats.summary(), result
+    return fabric, result
 
 
 class TestQuorumReadLatency:
     def test_concurrent_strictly_below_serial_at_equal_messages(self):
-        serial_stats, serial = quorum_read_cell(concurrent=False)
-        conc_stats, conc = quorum_read_cell(concurrent=True)
-        assert serial_stats == conc_stats  # identical wire cost
-        assert serial.payload == conc.payload == b"payload"
-        assert serial.verified == conc.verified
-        assert 0.0 < conc.elapsed < serial.elapsed
-
-    def test_serial_elapsed_is_the_probe_sum(self):
-        fabric, ring, store = make_store(concurrent=False)
-        store.put("p0", "k", b"payload")
-        reader = next(n for n in PEERS if n not in store.placements["k"])
-        result = store.get(reader, "k")
-        # 3 probes, every RTT drawn from [0.01, 0.1]*2 (round trip is
-        # sampled as one uniform draw per direction pair in _rpc_inner);
-        # the serial bill is bounded below by 3 one-way minimums.
-        assert result.elapsed >= 3 * 0.010
+        fabric, result = quorum_read_cell()
+        fanout, probe_rtts = children_of(fabric, "storage2.get.fanout")
+        assert fanout.parallel
+        assert len(probe_rtts) == 3  # every holder probed, once
+        assert fabric.network.stats.summary()["messages"] == 6
+        assert result.payload == b"payload"
+        # one run carries both bills: the read pays its critical path,
+        # strictly below the same probes laid end to end
+        assert result.elapsed == fanout.cost
+        assert 0.0 < result.elapsed < sum(probe_rtts)
 
     def test_concurrent_settles_at_rth_verified(self):
-        fabric, ring, store = make_store(concurrent=True)
-        store.put("p0", "k", b"payload")
-        reader = next(n for n in PEERS if n not in store.placements["k"])
-        result = store.get(reader, "k")
-        # R=2 of 3: the slowest probe is never on the critical path, so
-        # the read is cheaper than waiting for all holders.
+        fabric, result = quorum_read_cell()
+        _, probe_rtts = children_of(fabric, "storage2.get.fanout")
+        # R=2 of 3, all verified: the read returns at the 2nd completion
+        # and the slowest probe is never on the critical path
         assert result.verified >= 2
+        assert result.elapsed == sorted(probe_rtts)[1]
+        assert result.elapsed < max(probe_rtts)
+
+    def test_byzantine_bytes_never_win(self):
+        fabric, result = quorum_read_cell(corrupt_first_holder=True)
+        _, probe_rtts = children_of(fabric, "storage2.get.fanout")
+        # the liar's response cannot count toward R, so with one of
+        # three holders lying the read waits for both honest ones
+        assert result.payload == b"payload"
+        assert result.rejected == 1
+        assert result.elapsed >= sorted(probe_rtts)[1]
+        assert result.elapsed < sum(probe_rtts)
 
     def test_batched_get_many_settles_per_key(self):
-        for concurrent in (False, True):
-            fabric, ring, store = make_store(concurrent)
-            for i in range(4):
-                store.put("p0", f"k{i}", b"v%d" % i)
-            reader = "p7"
-            results = store.get_many(reader,
-                                     [f"k{i}" for i in range(4)])
-            assert all(results[f"k{i}"].payload == b"v%d" % i
-                       for i in range(4))
-            if concurrent:
-                conc_elapsed = [results[k].elapsed for k in results]
-            else:
-                serial_elapsed = [results[k].elapsed for k in results]
-        assert sum(conc_elapsed) < sum(serial_elapsed)
+        fabric, ring, store = make_store()
+        for i in range(4):
+            store.put("p0", f"k{i}", b"v%d" % i)
+        results = store.get_many("p7", [f"k{i}" for i in range(4)])
+        assert all(results[f"k{i}"].payload == b"v%d" % i
+                   for i in range(4))
+        fanout, probe_rtts = children_of(fabric, "storage2.get_many.fanout")
+        # the batch waits for its slowest holder; each key only for the
+        # R-th holder that verified *that key*
+        assert fanout.cost == max(probe_rtts) < sum(probe_rtts)
+        assert all(0.0 < results[k].elapsed <= fanout.cost for k in results)
 
 
-def hedged_cell(concurrent, offline=()):
+def hedged_cell(offline=()):
     fabric = Fabric.create(seed=11, loss_rate=0.15, resilient=True,
-                           concurrent=concurrent)
+                           tracing=True)
     for name in PEERS:
         fabric.network.register(SimNode(name))
     for name in offline:
@@ -94,7 +104,7 @@ def hedged_cell(concurrent, offline=()):
 
 class TestHedgedFanout:
     def test_winner_and_cancellation_semantics(self):
-        fabric = hedged_cell(concurrent=True, offline=("p1",))
+        fabric = hedged_cell(offline=("p1",))
         ok, winner, elapsed = fabric.channel.hedged(
             "p0", ["p1", "p2", "p3"], kind="fetch")
         assert ok
@@ -102,35 +112,33 @@ class TestHedgedFanout:
         assert elapsed > 0.0
 
     def test_concurrent_cheaper_than_serial_on_failover(self):
-        # p1 and p2 offline: the serial path pays both timeouts in full,
-        # the hedged path overlaps them with the p3 probe.
-        serial = hedged_cell(concurrent=False, offline=("p1", "p2"))
-        s_ok, s_winner, s_elapsed = serial.channel.hedged(
+        # p1 and p2 offline: a sequential walk would pay both timeouts in
+        # full, the hedged race overlaps them with the p3 probe.
+        fabric = hedged_cell(offline=("p1", "p2"))
+        ok, winner, elapsed = fabric.channel.hedged(
             "p0", ["p1", "p2", "p3"], kind="fetch")
-        conc = hedged_cell(concurrent=True, offline=("p1", "p2"))
-        c_ok, c_winner, c_elapsed = conc.channel.hedged(
+        span, attempt_rtts = children_of(fabric, "channel.hedged")
+        assert ok and winner == "p3"
+        assert len(attempt_rtts) == 3
+        hedge_delay = fabric.channel.hedge_delay
+        # p3 launched in slot 2 and won: its RTT after two stagger steps
+        assert elapsed == span.cost == 2 * hedge_delay + attempt_rtts[2]
+        assert elapsed < sum(attempt_rtts)
+
+    def test_all_dead_fails(self):
+        fabric = hedged_cell(offline=("p1", "p2", "p3"))
+        ok, winner, elapsed = fabric.channel.hedged(
             "p0", ["p1", "p2", "p3"], kind="fetch")
-        assert s_ok and c_ok
-        assert s_winner == c_winner == "p3"
-        assert c_elapsed < s_elapsed
-
-    def test_all_dead_fails_in_both_modes(self):
-        for concurrent in (False, True):
-            fabric = hedged_cell(concurrent=concurrent,
-                                 offline=("p1", "p2", "p3"))
-            ok, winner, elapsed = fabric.channel.hedged(
-                "p0", ["p1", "p2", "p3"], kind="fetch")
-            assert not ok
-            assert winner is None
-            assert elapsed > 0.0
+        assert not ok
+        assert winner is None
+        assert elapsed > 0.0
 
 
-class TestOffModeByteIdentity:
-    """concurrent=False must reproduce the legacy run exactly."""
+class TestSingleModelTrace:
+    """One seed, one trace: fan-out spans are always there."""
 
-    def _legacy_trace(self, concurrent):
-        fabric, ring, store = make_store(concurrent=concurrent, seed=2015,
-                                         tracing=True)
+    def _trace(self):
+        fabric, ring, store = make_store(seed=2015)
         for i in range(5):
             store.put(f"p{i}", f"k{i}", b"blob-%d" % i)
         reads = [store.get(f"p{(i + 6) % 12}", f"k{i}") for i in range(5)]
@@ -143,27 +151,11 @@ class TestOffModeByteIdentity:
                     [batch[k].payload for k in sorted(batch)])
         return spans, stats, payloads
 
-    def test_off_mode_matches_itself_and_draws_match_on_mode(self):
-        first_spans, first_stats, first_payloads = \
-            self._legacy_trace(concurrent=False)
-        second_spans, second_stats, second_payloads = \
-            self._legacy_trace(concurrent=False)
-        assert first_spans == second_spans
-        assert first_stats == second_stats
-        # Turning the mode ON must not perturb the RNG stream: identical
-        # messages/bytes/timeouts, identical payloads — only span shape
-        # and cost attribution may differ.
-        conc_spans, conc_stats, conc_payloads = \
-            self._legacy_trace(concurrent=True)
-        assert conc_stats == first_stats
-        assert conc_payloads == first_payloads
+    def test_same_seed_same_spans_stats_and_payloads(self):
+        assert self._trace() == self._trace()
 
-    def test_no_fanout_spans_in_off_mode(self):
-        spans, _, _ = self._legacy_trace(concurrent=False)
-        names = {name for name, *_ in spans}
-        assert "storage2.get.fanout" not in names
-        assert "storage2.get_many.fanout" not in names
-        conc_names = {name for name, *_ in
-                      self._legacy_trace(concurrent=True)[0]}
-        assert "storage2.get.fanout" in conc_names
-        assert "storage2.get_many.fanout" in conc_names
+    def test_fanout_spans_are_always_emitted(self):
+        names = {name for name, *_ in self._trace()[0]}
+        assert "storage2.put.fanout" in names
+        assert "storage2.get.fanout" in names
+        assert "storage2.get_many.fanout" in names

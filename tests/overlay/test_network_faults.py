@@ -120,6 +120,21 @@ class TestFailurePaths:
         assert net.stats.corrupted == 0
         assert not net.stats.by_kind
 
+    def test_stats_reset_covers_every_field(self):
+        import dataclasses
+        from repro.overlay.network import NetworkStats
+        stats = NetworkStats()
+        by_kind = stats.by_kind
+        for spec in dataclasses.fields(stats):
+            if spec.name == "by_kind":
+                by_kind["rpc"] = 7
+            else:
+                setattr(stats, spec.name, 7)
+        assert stats != NetworkStats()
+        stats.reset()
+        assert stats == NetworkStats()
+        assert stats.by_kind is by_kind  # emptied in place
+
 
 class TestFaultPlan:
     def test_partition_blocks_cross_group_traffic(self):
@@ -488,11 +503,11 @@ class TestBreakerStateGauge:
 class TestMembershipChannel:
     """The adaptive liveness policy replacing fixed breaker thresholds."""
 
-    def _channel(self, n=4):
+    def _channel(self, n=4, one_way=0.05):
         from repro.fabric import Fabric
         from repro.membership import MembershipConfig, SwimMembership
         from repro.overlay.simulator import FixedLatency
-        fab = Fabric.create(seed=5, latency=FixedLatency(0.05),
+        fab = Fabric.create(seed=5, latency=FixedLatency(one_way),
                             retry=RetryPolicy(max_attempts=3, jitter=0.0),
                             breaker=CircuitBreaker(failure_threshold=1))
         membership = SwimMembership(fab, MembershipConfig())
@@ -554,12 +569,29 @@ class TestMembershipChannel:
         assert fab.network.stats.breaker_trips == 1
 
     def test_hedged_probes_healthy_holders_first(self):
-        fab, channel, membership = self._channel()
+        # RTT 0.04 < hedge_delay: the healthy holder has answered before
+        # the hedge to the dead one would launch
+        fab, channel, membership = self._channel(one_way=0.02)
+        assert 0.04 < channel.hedge_delay
         view = membership.view_of("p0")
         view.records["p1"].state = "dead"
-        ok, winner, _ = channel.hedged("p0", ["p1", "p2"])
+        ok, winner, elapsed = channel.hedged("p0", ["p1", "p2"])
         assert ok and winner == "p2"
+        assert elapsed == pytest.approx(0.04)
         assert fab.network.stats.hedges == 0  # the dead one was never paid
+
+    def test_hedged_launches_the_dead_holder_last_and_it_never_wins(self):
+        # RTT 0.10 > hedge_delay: the hedge fires while the healthy
+        # holder is still in flight, and goes to the dead one — which,
+        # launched a stagger step late, cannot beat it
+        fab, channel, membership = self._channel(one_way=0.05)
+        assert 0.10 > channel.hedge_delay
+        view = membership.view_of("p0")
+        view.records["p1"].state = "dead"
+        ok, winner, elapsed = channel.hedged("p0", ["p1", "p2"])
+        assert ok and winner == "p2"
+        assert elapsed == pytest.approx(0.10)
+        assert fab.network.stats.hedges == 1
 
     def test_hedged_still_probes_the_dead_as_last_resort(self):
         fab, channel, membership = self._channel()

@@ -4,12 +4,13 @@ Three contracts are pinned here:
 
 * **settle determinism** — two runs at one seed settle every fan-out in
   the identical ``(completion, seq)`` order;
-* **latency models** — concurrent ``elapsed`` is the critical path
-  (n-th satisfying completion), serial ``elapsed`` is the legacy sum;
+* **the latency model** — ``elapsed`` is the critical path (n-th
+  satisfying completion), strictly below the sum of the branches; a
+  staggered hedge race settles on its earliest accepted response;
 * **draw compatibility** — the synchronous ``rpc`` wrapper over
   ``rpc_issue`` consumes the RNG identically to the pre-kernel code: a
   golden trace recorded against the blocking implementation must
-  reproduce byte-for-byte, in both modes.
+  reproduce byte-for-byte.
 """
 
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.overlay.network import SimNetwork, SimNode
 from repro.overlay.simulator import (FanoutResult, SimFuture, Simulator,
-                                     first_of, gather, quorum_of)
+                                     first_of, gather, hedge_of, quorum_of)
 
 
 class TestScheduleValidation:
@@ -49,7 +50,7 @@ class TestScheduleValidation:
 
 class TestSimFuture:
     def test_settles_at_issue_with_completion_time(self):
-        sim = Simulator(concurrent=True)
+        sim = Simulator()
         sim.schedule(5.0, lambda: None)
         sim.run()
         future = sim.future(0.25, value=("ok", 0.25))
@@ -79,7 +80,7 @@ def _futures(sim, latencies, ok=None):
 
 class TestCombinators:
     def test_quorum_concurrent_elapsed_is_nth_completion(self):
-        sim = Simulator(concurrent=True)
+        sim = Simulator()
         futures = _futures(sim, [0.3, 0.1, 0.2])
         result = quorum_of(2, futures)
         assert result.met
@@ -87,27 +88,34 @@ class TestCombinators:
         assert [f.value for f in result.settled] == [1, 2, 0]
         assert [f.value for f in result.winners] == [1, 2]
         assert result.elapsed == pytest.approx(0.2)
-        assert result.sum_latency == pytest.approx(0.6)
         assert result.max_latency == pytest.approx(0.3)
         # the branch past the settle point is cancelled, not un-issued
         assert futures[0].cancelled
         assert not futures[1].cancelled
 
-    def test_quorum_serial_elapsed_is_sum(self):
-        sim = Simulator(concurrent=False)
-        result = quorum_of(2, _futures(sim, [0.3, 0.1, 0.2]))
+    def test_quorum_elapsed_is_below_the_latency_sum(self):
+        sim = Simulator()
+        futures = _futures(sim, [0.3, 0.1, 0.2])
+        result = quorum_of(2, futures)
         assert result.met
-        assert result.elapsed == pytest.approx(0.6)
+        assert result.elapsed < sum(f.latency for f in futures)
+        assert not hasattr(result, "sum_latency")  # no serial bill
+
+    def test_the_serial_model_cannot_be_selected(self):
+        with pytest.raises(TypeError):
+            Simulator(concurrent=False)
+        with pytest.raises(TypeError):
+            Simulator(seed=1, concurrent=True)
 
     def test_unmet_quorum_pays_max(self):
-        sim = Simulator(concurrent=True)
+        sim = Simulator()
         result = quorum_of(2, _futures(sim, [0.3, 0.1, 0.2],
                                        ok=[False, True, False]))
         assert not result.met
         assert result.elapsed == pytest.approx(0.3)
 
     def test_zero_quorum_is_free(self):
-        sim = Simulator(concurrent=True)
+        sim = Simulator()
         result = quorum_of(0, _futures(sim, [0.3, 0.1]))
         assert result.met
         assert result.elapsed == 0.0
@@ -118,7 +126,7 @@ class TestCombinators:
         assert quorum_of(1, []).elapsed == 0.0
 
     def test_predicate_filters_winners(self):
-        sim = Simulator(concurrent=True)
+        sim = Simulator()
         futures = _futures(sim, [0.1, 0.2, 0.3])
         result = quorum_of(1, futures,
                            predicate=lambda f: f.value == 2)
@@ -126,21 +134,21 @@ class TestCombinators:
         assert result.elapsed == pytest.approx(0.3)
 
     def test_gather_waits_for_everything(self):
-        sim = Simulator(concurrent=True)
+        sim = Simulator()
         # gather counts even failed branches: it models "wait for all"
         result = gather(_futures(sim, [0.3, 0.1], ok=[False, True]))
         assert result.met
         assert result.elapsed == pytest.approx(0.3)
 
     def test_first_of_is_a_one_quorum(self):
-        sim = Simulator(concurrent=True)
+        sim = Simulator()
         result = first_of(_futures(sim, [0.3, 0.1, 0.2],
                                    ok=[True, False, True]))
         assert [f.value for f in result.winners] == [2]
         assert result.elapsed == pytest.approx(0.2)
 
     def test_equal_completions_break_on_issue_sequence(self):
-        sim = Simulator(concurrent=True)
+        sim = Simulator()
         futures = _futures(sim, [0.2, 0.2, 0.2])
         result = quorum_of(1, futures)
         assert result.winners[0] is futures[0]
@@ -150,7 +158,7 @@ class TestCombinators:
 
     def test_settle_order_deterministic_across_runs(self):
         def run():
-            sim = Simulator(seed=7, concurrent=True)
+            sim = Simulator(seed=7)
             net = SimNetwork(sim, loss_rate=0.05)
             for i in range(8):
                 net.register(SimNode(f"n{i}"))
@@ -166,6 +174,76 @@ class TestCombinators:
             return orders
 
         assert run() == run()
+
+
+class TestHedgeOf:
+    """The stagger/settle routine the channel and the verified replica
+    fetch share."""
+
+    @staticmethod
+    def race(sim, branches, hedge_delay=0.05):
+        """``branches``: ``(latency, accepted)`` per candidate, or
+        ``None`` for a slot that launches nothing."""
+        launched = {}
+
+        def issue(candidate, offset):
+            if branches[candidate] is None:
+                return (None, False)
+            latency, accepted = branches[candidate]
+            launched[candidate] = (offset, sim.future(latency))
+            return (launched[candidate][1], accepted)
+
+        winner, elapsed, hedges = hedge_of(range(len(branches)),
+                                           hedge_delay, issue)
+        assert hedges == max(0, max(launched, default=0))
+        return winner, elapsed, launched
+
+    def test_early_win_stops_launching(self):
+        winner, elapsed, launched = self.race(
+            Simulator(), [(0.04, True), (0.01, True)])
+        assert (winner, elapsed) == (0, 0.04)
+        assert list(launched) == [0]  # 0.04 <= 0.05: no hedge ever fires
+
+    def test_earliest_accepted_completion_wins_and_cancels_losers(self):
+        winner, elapsed, launched = self.race(
+            Simulator(), [(0.30, True), (0.02, True), (0.5, True)])
+        # slot 1 launches at 0.05 and completes at 0.07 < 0.10: slot 2
+        # never launches, slot 0 is still in flight and is cancelled
+        assert winner == 1
+        assert elapsed == pytest.approx(0.07)
+        assert list(launched) == [0, 1]
+        assert launched[0][1].cancelled and not launched[1][1].cancelled
+
+    def test_unaccepted_responses_never_win(self):
+        winner, elapsed, launched = self.race(
+            Simulator(), [(0.01, False), (0.2, True)])
+        assert winner == 1  # the fast-but-rejected branch only forces a hedge
+        assert elapsed == pytest.approx(0.25)
+
+    def test_no_accepted_response_waits_out_the_last_completion(self):
+        winner, elapsed, launched = self.race(
+            Simulator(), [(0.3, False), None, (0.1, False)])
+        assert winner is None
+        # the empty slot still advanced the stagger (and counts as a
+        # hedge): the third candidate launches at 0.10
+        assert launched[2][0] == pytest.approx(0.10)
+        assert elapsed == pytest.approx(0.3)
+        assert not any(f.cancelled for _, f in launched.values())
+
+    def test_issue_returning_none_stops_the_race(self):
+        seen = []
+
+        def issue(candidate, offset):
+            seen.append(candidate)
+            return None
+
+        assert hedge_of("abc", 0.05, issue) == (None, 0.0, 0)
+        assert seen == ["a"]
+
+    def test_equal_completions_break_on_issue_sequence(self):
+        winner, elapsed, _ = self.race(
+            Simulator(), [(0.2, True), (0.2, True)], hedge_delay=0.0)
+        assert winner == 0
 
 
 # Recorded against the pre-kernel blocking ``rpc`` implementation:
@@ -217,8 +295,8 @@ class TestGoldenDrawTrace:
         assert net.stats.summary()["failures"] == 10
 
     def test_rpc_issue_draws_identically(self):
-        """Issuing futures (even under concurrent=True) keeps the stream."""
-        sim = Simulator(seed=42, concurrent=True)
+        """Issuing futures keeps the stream."""
+        sim = Simulator(seed=42)
         net = SimNetwork(sim, loss_rate=0.1)
         for i in range(6):
             net.register(SimNode(f"n{i}"))

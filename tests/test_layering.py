@@ -88,6 +88,53 @@ def test_the_gate_sees_a_splice():
         "fabric.adversary", ".channel.call", "getattr(..., 'membership')"]
 
 
+def _latency_model_forks(source: str):
+    """Every way code could select or fork on a latency model: reading a
+    ``.concurrent`` attribute, passing ``concurrent=``, or opening a span
+    conditionally (``nullcontext`` was the off-mode stand-in)."""
+    tree = ast.parse(source)
+
+    def walk(node: ast.AST, scope: str):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}"
+        if scope != ".DosnConfig.__post_init__":  # the field's validation
+            if isinstance(node, ast.Attribute) and node.attr == "concurrent":
+                yield node.lineno, ".concurrent"
+            elif isinstance(node, ast.keyword) and node.arg == "concurrent":
+                yield node.value.lineno, "concurrent="
+        if _name(node) == "nullcontext":
+            yield node.lineno, "nullcontext"
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+
+    return list(walk(tree, ""))
+
+
+def test_one_latency_model_everywhere():
+    found = [(str(path.relative_to(SRC)), line, what)
+             for path in sorted(SRC.rglob("*.py"))
+             for line, what in _latency_model_forks(path.read_text())]
+    assert not found, (
+        "critical path is the only latency model; found: "
+        + ", ".join(f"{path}:{line} {what}" for path, line, what in found))
+
+
+def test_the_latency_gate_sees_a_fork():
+    source = (
+        "import contextlib\n"
+        "class DosnConfig:\n"
+        "    concurrent: bool = True\n"
+        "    def __post_init__(self):\n"
+        "        if not self.concurrent:\n"
+        "            raise ValueError\n"
+        "def fetch(sim, tracer):\n"
+        "    span = tracer.span('x') if sim.concurrent \\\n"
+        "        else contextlib.nullcontext(None)\n"
+        "    return make(concurrent=True)\n")
+    assert [what for _line, what in _latency_model_forks(source)] == [
+        ".concurrent", "nullcontext", "concurrent="]
+
+
 @pytest.mark.parametrize("cls", [ChordRing, KademliaOverlay, HybridOverlay,
                                  DHTBackend])
 def test_no_private_reentry_surface_in_public_signatures(cls):
