@@ -151,7 +151,7 @@ class TestSingleModelTrace:
                     [batch[k].payload for k in sorted(batch)])
         return spans, stats, payloads
 
-    def test_same_seed_same_spans_stats_and_payloads(self):
+    def test_same_seed_same_trace(self):
         assert self._trace() == self._trace()
 
     def test_fanout_spans_are_always_emitted(self):
