@@ -22,14 +22,13 @@ fetches, SWIM ping-req chains, batched feed fetches — needs its own
 account of the overlap a real client gets.  An issued operation is a
 :class:`SimFuture`: it settles immediately (all RNG draws happen at
 issue time, in issue order, so the synchronous wrappers keep
-byte-identical random streams) but carries a virtual *completion
-time*.  The combinators :func:`gather`,
-:func:`quorum_of` and :func:`first_of` then reduce a fan-out to its
-critical path: overlapped operations cost the **max** (or the ``n``-th
-completion, for quorums) of their latencies instead of the sum, and
-:func:`hedge_of` prices a staggered hedge race at its winner's
-completion.  Settle order is fixed by ``(completion time, issue
-sequence)``, so two runs at one seed settle identically.
+byte-identical random streams) but carries a virtual *completion time*.
+The combinators :func:`gather`, :func:`quorum_of` and :func:`first_of`
+then reduce a fan-out to its critical path: overlapped operations cost
+the **max** (or the ``n``-th completion, for quorums) of their latencies
+instead of the sum, and :func:`hedge_of` prices a staggered hedge race
+at its winner's completion.  Settle order is fixed by ``(completion
+time, issue sequence)``, so two runs at one seed settle identically.
 """
 
 from __future__ import annotations
@@ -280,31 +279,32 @@ def hedge_of(candidates: Iterable[Any], hedge_delay: float,
     ``None`` and the last completion offset when no response was
     accepted — and the number of slots taken after the first.
     """
-    launched = []  # (completion offset, seq, candidate, future, accepted)
+    launched = []  # (completion offset, future), launch order
+    best = None  # (completion offset, candidate, future) of the leader
     slots = 0
     for candidate in candidates:
         offset = slots * hedge_delay
-        if any(accepted and done <= offset
-               for done, _seq, _candidate, _future, accepted in launched):
+        if best is not None and best[0] <= offset:
             break  # an earlier request won before this hedge fires
         issued = issue(candidate, offset)
         if issued is None:
             break
         slots += 1
         future, accepted = issued
-        if future is not None:
-            launched.append((offset + future.latency, future.seq, candidate,
-                             future, accepted))
+        if future is None:
+            continue
+        done = offset + future.latency
+        launched.append((done, future))
+        # seq grows with launch order, so a tie keeps the earlier launch
+        if accepted and (best is None or done < best[0]):
+            best = (done, candidate, future)
     hedges = max(0, slots - 1)
-    wins = [branch for branch in launched if branch[4]]
-    if not wins:
-        return None, max((branch[0] for branch in launched),
-                         default=0.0), hedges
-    elapsed, _seq, winner, winning, _accepted = min(
-        wins, key=lambda branch: branch[:2])
-    for branch in launched:
-        if branch[3] is not winning:
-            branch[3].cancel()
+    if best is None:
+        return None, max((done for done, _ in launched), default=0.0), hedges
+    elapsed, winner, winning = best
+    for _done, future in launched:
+        if future is not winning:
+            future.cancel()
     return winner, elapsed, hedges
 
 
