@@ -1,0 +1,62 @@
+"""Fail unless every perf workload still behaves as the committed baseline.
+
+Usage::
+
+    python scripts/check_perf_digests.py
+
+Runs each workload of ``BENCHMARK.json`` once over its pinned prefix
+(``benchmarks/perf/run.py --seconds 0 --trace 0``, the baseline's seed)
+and compares what is exact for a seed — ``outcome_digest`` and the
+simulated ``msgs_per_op`` / ``bytes_per_op`` / ``failed_op_ratio`` /
+``unverified_served`` — with ``benchmarks/perf/results/baseline.json``,
+which it only reads.  A speed-up that moved any of them changed
+behaviour; exits non-zero naming the workload and the metric.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN = ROOT / "benchmarks" / "perf" / "run.py"
+BASELINE = ROOT / "benchmarks" / "perf" / "results" / "baseline.json"
+
+
+def main() -> int:
+    baseline = json.loads(BASELINE.read_text())
+    workloads = [w["name"] for w in
+                 json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    drift = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in workloads:
+            out = Path(tmp) / f"{name}.json"
+            done = subprocess.run(
+                [sys.executable, str(RUN), "--workload", name,
+                 "--seed", str(baseline["seed"]), "--seconds", "0",
+                 "--trace", "0", "--out", str(out)],
+                cwd=ROOT, capture_output=True, text=True)
+            if done.returncode != 0:
+                drift.append(f"{name}: run.py exited {done.returncode}\n"
+                             + done.stdout[-2000:] + done.stderr[-2000:])
+                continue
+            record = json.loads(out.read_text())
+            want = baseline["workloads"][name]
+            pairs = [("outcome_digest", want["digest"], record["digest"])]
+            pairs += [(metric, value, record["simulated"].get(metric))
+                      for metric, value in want["simulated"].items()]
+            moved = [f"{name}: {metric} {got!r} != baseline {value!r}"
+                     for metric, value, got in pairs if got != value]
+            drift += moved
+            print(f"{name:<20} {'DRIFT' if moved else 'ok'}  "
+                  f"{record['digest'][:16]}  ops {record['pinned_ops']}")
+    for line in drift:
+        sys.stderr.write(line + "\n")
+    return 1 if drift else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

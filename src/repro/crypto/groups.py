@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 from repro.crypto import params as _params
 from repro.crypto.hashing import hash_to_int
@@ -31,6 +31,10 @@ class SchnorrGroup:
     p: int
     q: int = field(init=False)
     g: int = field(init=False)
+    #: fixed-base table for :meth:`exp`, filled on first use; a cache, so
+    #: not part of the group's identity (eq/hash/repr ignore it)
+    _g_windows: List[int] = field(default_factory=list, init=False,
+                                  repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.p % 2 == 0 or self.p < 7:
@@ -49,16 +53,50 @@ class SchnorrGroup:
         return pow(base, exponent % self.q, self.p)
 
     def exp(self, exponent: int) -> int:
-        """``g^exponent mod p``."""
-        return self.power(self.g, exponent)
+        """``g^exponent mod p``, one multiplication per nonzero 4-bit digit.
+
+        ``g`` is the base of every keygen, signature and proof, so its
+        powers ``g^(d * 16^i)`` are tabulated once per group (16 entries
+        per digit of ``q``: ~1k integers, ~60 KB at 256 bits) and an
+        exponentiation is the product of one entry per digit — the same
+        value as ``pow(g, exponent % q, p)`` at a quarter of the cost.
+        Only ``g`` gets a table: one per public key would cost that
+        memory per user.
+        """
+        e = exponent % self.q
+        windows = self._g_windows or self._fill_g_windows()
+        p = self.p
+        result = 1
+        base = 0
+        while e:
+            digit = e & 15
+            if digit:
+                result = result * windows[base + digit] % p
+            e >>= 4
+            base += 16
+        return result
+
+    def _fill_g_windows(self) -> List[int]:
+        """``windows[16 * i + d] = g^(d * 16^i)`` for every digit of ``q``."""
+        p = self.p
+        windows: List[int] = []
+        step = self.g
+        for _ in range((self.q.bit_length() + 3) // 4):
+            row = [1]
+            for _ in range(15):
+                row.append(row[-1] * step % p)
+            windows += row
+            step = row[15] * step % p
+        self._g_windows[:] = windows
+        return self._g_windows
 
     def mul(self, a: int, b: int) -> int:
         """Group multiplication."""
         return a * b % self.p
 
     def inverse(self, a: int) -> int:
-        """Group inverse via Fermat."""
-        return pow(a, self.p - 2, self.p)
+        """Inverse mod ``p`` (``0`` for ``a = 0 mod p``, which has none)."""
+        return pow(a, -1, self.p) if a % self.p else 0
 
     def element_from_int(self, value: int) -> int:
         """Map an arbitrary integer into the subgroup by squaring."""

@@ -19,7 +19,7 @@ layer.
 from __future__ import annotations
 
 import random as _random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.crypto.groups import SchnorrGroup, group_for_level
@@ -80,11 +80,16 @@ class SchnorrSigner:
 
     group: SchnorrGroup
     x: int
+    _public: Optional[SchnorrPublicKey] = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     @property
     def public_key(self) -> SchnorrPublicKey:
-        """Derive the verification key."""
-        return SchnorrPublicKey(self.group, self.group.exp(self.x))
+        """The verification key ``g^x`` (derived once)."""
+        if self._public is None:
+            object.__setattr__(self, "_public", SchnorrPublicKey(
+                self.group, self.group.exp(self.x)))
+        return self._public
 
     def sign(self, message: bytes,
              rng: Optional[_random.Random] = None) -> SchnorrSignature:
@@ -93,8 +98,8 @@ class SchnorrSigner:
         with hooks.crypto_op("schnorr.sign", len(message)):
             k = self.group.random_scalar(rng)
             commitment = self.group.exp(k)
-            e = _challenge(self.group, commitment,
-                           self.group.exp(self.x), message)
+            e = _challenge(self.group, commitment, self.public_key.y,
+                           message)
             s = (k + e * self.x) % self.group.q
             return (e, s)
 
@@ -136,11 +141,16 @@ class DSASigner:
 
     group: SchnorrGroup
     x: int
+    _public: Optional[DSAPublicKey] = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     @property
     def public_key(self) -> DSAPublicKey:
-        """Derive the verification key."""
-        return DSAPublicKey(self.group, self.group.exp(self.x))
+        """The verification key ``g^x`` (derived once)."""
+        if self._public is None:
+            object.__setattr__(self, "_public", DSAPublicKey(
+                self.group, self.group.exp(self.x)))
+        return self._public
 
     def sign(self, message: bytes,
              rng: Optional[_random.Random] = None) -> DSASignature:

@@ -56,7 +56,10 @@ def pkcs7_unpad(data: bytes, block_size: int = 16) -> bytes:
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    """Byte-wise XOR over the shorter length, as one big-integer XOR."""
+    n = min(len(a), len(b))
+    return (int.from_bytes(a[:n], "big")
+            ^ int.from_bytes(b[:n], "big")).to_bytes(n, "big")
 
 
 def aes_cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:

@@ -22,6 +22,7 @@ ring converges).
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (AbstractSet, Any, Dict, List, Optional, Sequence, Set,
                     Tuple)
@@ -163,16 +164,24 @@ class ChordRing:
         self.successor_list_size = successor_list_size
         self.replication = replication
         self.nodes: Dict[str, ChordNode] = {}
+        #: the ring in id order: ``_ids[i]`` is the chord id of node
+        #: ``_names[i]``, ascending.  :meth:`add_node` is the only writer
+        #: of ``nodes`` and keeps both in step, so no reader ever sorts.
+        self._ids: List[int] = []
+        self._names: List[str] = []
 
     # -- construction -----------------------------------------------------------
 
     def add_node(self, name: str) -> ChordNode:
         """Register a peer (routing state filled by build/join)."""
         node = ChordNode(name)
-        if node.chord_id in {n.chord_id for n in self.nodes.values()}:
+        slot = bisect_left(self._ids, node.chord_id)
+        if slot < len(self._ids) and self._ids[slot] == node.chord_id:
             raise OverlayError(
                 f"chord id collision for {name!r}; rename the node")
         self.nodes[name] = node
+        self._ids.insert(slot, node.chord_id)
+        self._names.insert(slot, name)
         self.network.register(node)
         if self.fabric.adversary is not None:
             self.fabric.adversary.enroll(name, "chord")
@@ -180,41 +189,34 @@ class ChordRing:
 
     def build(self) -> None:
         """Compute exact fingers/successors for the current static peer set."""
-        ordered = sorted(self.nodes.values(), key=lambda n: n.chord_id)
-        n = len(ordered)
-        if n == 0:
-            return
-        ids = [node.chord_id for node in ordered]
-        for index, node in enumerate(ordered):
+        ids, names = self._ids, self._names
+        n = len(names)
+        for index, name in enumerate(names):
+            node = self.nodes[name]
             node.successors = [
-                ordered[(index + k + 1) % n].node_id
+                names[(index + k + 1) % n]
                 for k in range(min(self.successor_list_size, n - 1))
-            ] or [node.node_id]
-            node.predecessor = ordered[(index - 1) % n].node_id
+            ] or [name]
+            node.predecessor = names[(index - 1) % n]
             for bit in range(M_BITS):
                 target = (node.chord_id + (1 << bit)) % _SPACE
-                node.fingers[bit] = ordered[self._successor_index(
-                    ids, target)].node_id
+                node.fingers[bit] = names[self._successor_index(ids, target)]
 
     @staticmethod
     def _successor_index(sorted_ids: Sequence[int], target: int) -> int:
         """Index of the first id >= target (wrapping)."""
-        lo, hi = 0, len(sorted_ids)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sorted_ids[mid] < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo % len(sorted_ids)
+        return bisect_left(sorted_ids, target) % len(sorted_ids)
 
     # -- the iterative lookup (experiment E5's workhorse) -----------------------
 
     def owner_of(self, key: str) -> str:
         """Ground truth: the online-agnostic responsible node for ``key``."""
-        ordered = sorted(self.nodes.values(), key=lambda n: n.chord_id)
-        ids = [node.chord_id for node in ordered]
-        return ordered[self._successor_index(ids, chord_id(key))].node_id
+        return self._names[self._successor_index(self._ids, chord_id(key))]
+
+    def ring_order(self, key: str) -> List[str]:
+        """Every node name in id order, starting at ``key``'s owner."""
+        start = self._successor_index(self._ids, chord_id(key))
+        return self._names[start:] + self._names[:start]
 
     def lookup(self, start: str, key: str,
                max_hops: int = 64) -> LookupResult:
@@ -550,12 +552,12 @@ class ChordRing:
         self.fabric.call(node.node_id, successor, "chord_stabilize")
 
     def _fix_fingers(self, node: ChordNode) -> None:
-        ordered = sorted((n for n in self.nodes.values() if n.online),
-                         key=lambda n: n.chord_id)
-        ids = [n.chord_id for n in ordered]
-        if not ordered:
+        online = [slot for slot, name in enumerate(self._names)
+                  if self.nodes[name].online]
+        if not online:
             return
+        ids = [self._ids[slot] for slot in online]
         for bit in range(M_BITS):
             target = (node.chord_id + (1 << bit)) % _SPACE
-            node.fingers[bit] = ordered[
-                self._successor_index(ids, target)].node_id
+            node.fingers[bit] = self._names[
+                online[self._successor_index(ids, target)]]

@@ -52,8 +52,10 @@ class KademliaNode(SimNode):
         super().__init__(name)
         self.kad_id = kad_id(name)
         self.k = k
-        #: bucket index -> node names, least-recently-seen first
-        self.buckets: List[List[str]] = [[] for _ in range(ID_BITS)]
+        #: bucket index -> node names, least-recently-seen first; a
+        #: bucket exists once a peer has landed in it (most of the
+        #: ``ID_BITS`` never do)
+        self.buckets: Dict[int, List[str]] = {}
         self.store: Dict[str, bytes] = {}
 
     def bucket_index(self, other_id: int) -> int:
@@ -68,7 +70,7 @@ class KademliaNode(SimNode):
         other_id = kad_id(other)
         if other_id == self.kad_id:
             return
-        bucket = self.buckets[self.bucket_index(other_id)]
+        bucket = self.buckets.setdefault(self.bucket_index(other_id), [])
         if other in bucket:
             bucket.remove(other)
             bucket.append(other)
@@ -79,7 +81,8 @@ class KademliaNode(SimNode):
 
     def closest_known(self, target_id: int, count: int) -> List[str]:
         """The ``count`` known peers closest to ``target_id``."""
-        known = [name for bucket in self.buckets for name in bucket]
+        known = [name for index in sorted(self.buckets)
+                 for name in self.buckets[index]]
         known.sort(key=lambda name: xor_distance(kad_id(name), target_id))
         return known[:count]
 

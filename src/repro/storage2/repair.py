@@ -238,15 +238,9 @@ class AntiEntropyDaemon:
             store.placements[key] = new_placement
 
     def _candidates(self, key: str) -> List[str]:
-        """Online peers in ring order starting after the key's owner."""
-        from repro.overlay.chord import chord_id
-        ring = self.store.ring
-        ordered = sorted(ring.nodes.values(), key=lambda n: n.chord_id)
-        ids = [node.chord_id for node in ordered]
-        start = ring._successor_index(ids, chord_id(key))
-        rotated = ordered[start:] + ordered[:start]
-        return [node.node_id for node in rotated
-                if self._believes_alive(node.node_id)]
+        """Online peers in ring order starting at the key's owner."""
+        return [name for name in self.store.ring.ring_order(key)
+                if self._believes_alive(name)]
 
     # -- confirm-triggered repair (non-oracle path only) ---------------------------
 

@@ -77,6 +77,20 @@ class TestPadding:
             sym.pkcs7_unpad(b"")
 
 
+class TestXor:
+    @given(st.binary(max_size=300), st.binary(max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_bytewise_reference(self, a, b):
+        assert sym._xor(a, b) == bytes(x ^ y for x, y in zip(a, b))
+
+    def test_truncates_to_the_shorter_and_handles_empty(self):
+        assert sym._xor(b"", b"") == b""
+        assert sym._xor(b"abc", b"") == b"" == sym._xor(b"", b"abc")
+        assert sym._xor(b"\x00\x00\xff", b"\x00\x01") == b"\x00\x01"
+        assert sym._xor(bytearray(b"\x0f\xf0"), b"\xff\xff\xff") \
+            == b"\xf0\x0f"
+
+
 class TestModes:
     KEY = bytes(range(16))
     IV = bytes(range(16, 32))

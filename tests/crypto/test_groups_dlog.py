@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from repro.crypto import dh, elgamal, prf, zkp
 from repro.crypto import signatures as sigs
-from repro.crypto.groups import group_for_level, schnorr_group
+from repro.crypto.groups import (SchnorrGroup, group_for_level,
+                                 schnorr_group)
 from repro.crypto.numbertheory import is_probable_prime
 from repro.exceptions import CryptoError, DecryptionError, InvalidKeyError
 
@@ -59,6 +60,43 @@ class TestSchnorrGroup:
 
     def test_group_cache(self):
         assert schnorr_group(256) is schnorr_group(256)
+
+    @pytest.mark.parametrize("level", ["TOY", "TEST"])
+    def test_exp_is_the_plain_modexp(self, level):
+        group = group_for_level(level)
+        q = group.q
+        rng = random.Random(14)
+        exponents = [0, 1, q - 1, q, q + 1, -1, -q - 7, 2 ** 300, 15, 16,
+                     16 ** 5] + [rng.randrange(q) for _ in range(50)]
+        for e in exponents:
+            assert group.exp(e) == pow(group.g, e % q, group.p) \
+                == group.power(group.g, e)
+
+    def test_exp_on_a_one_digit_group(self):
+        tiny = SchnorrGroup(p=23)  # q = 11: every exponent is one window
+        assert [tiny.exp(e) for e in range(-3, 25)] == [
+            pow(tiny.g, e % 11, 23) for e in range(-3, 25)]
+
+    def test_generator_tables_are_per_group_and_not_identity(self):
+        toy, test = group_for_level("TOY"), group_for_level("TEST")
+        fresh = SchnorrGroup(p=toy.p)
+        assert fresh == toy and hash(fresh) == hash(toy)
+        assert "windows" not in repr(fresh)
+        toy.exp(5), test.exp(5), fresh.exp(5)
+        assert toy._g_windows is not test._g_windows
+        assert toy._g_windows is not fresh._g_windows
+        assert toy._g_windows == fresh._g_windows != test._g_windows
+        assert len(toy._g_windows) == 16 * ((toy.q.bit_length() + 3) // 4)
+        assert fresh == toy and hash(fresh) == hash(toy)
+
+    @pytest.mark.parametrize("level", ["TOY", "TEST"])
+    def test_inverse_agrees_with_fermat(self, level):
+        group = group_for_level(level)
+        rng = random.Random(15)
+        values = [0, 1, group.p - 1, group.p, group.p + 5, -3] + [
+            rng.randrange(group.p) for _ in range(50)]
+        for a in values:
+            assert group.inverse(a) == pow(a, group.p - 2, group.p)
 
 
 class TestElGamal:
@@ -158,6 +196,36 @@ class TestSchnorrAndDSASignatures:
     def test_schnorr_rejects_out_of_range(self, rng):
         key = sigs.generate_schnorr_keypair("TOY", rng)
         assert not key.public_key.verify(b"m", (key.group.q, 0))
+
+    def test_schnorr_rejects_tampered_challenge_or_response(self, rng):
+        key = sigs.generate_schnorr_keypair("TOY", rng)
+        q = key.group.q
+        e, s = key.sign(b"m", rng)
+        assert key.public_key.verify(b"m", (e, s))
+        for forged in (((e + 1) % q, s), (e, (s + 1) % q), (s, e),
+                       (e, s + q), (e - q, s), (0, 0)):
+            assert not key.public_key.verify(b"m", forged)
+
+    def test_schnorr_signature_is_the_textbook_one(self, rng):
+        """``sign`` binds the memoised ``g^x``: same ``(e, s)`` as the
+        definition computed from scratch with the same nonce."""
+        key = sigs.generate_schnorr_keypair("TOY", rng)
+        group = key.group
+        e, s = key.sign(b"m", random.Random(3))
+        k = group.random_scalar(random.Random(3))
+        y = pow(group.g, key.x, group.p)
+        assert key.public_key.y == y
+        assert e == sigs._challenge(group, pow(group.g, k, group.p), y, b"m")
+        assert s == (k + e * key.x) % group.q
+
+    @pytest.mark.parametrize("generate", [sigs.generate_schnorr_keypair,
+                                          sigs.generate_dsa_keypair])
+    def test_public_key_is_derived_once(self, rng, generate):
+        key = generate("TOY", rng)
+        assert key.public_key is key.public_key
+        assert key.public_key.y == pow(key.group.g, key.x, key.group.p)
+        assert key == type(key)(group=key.group, x=key.x)
+        assert isinstance(vars(type(key))["public_key"], property)
 
     def test_schnorr_verify_or_raise(self, rng):
         key = sigs.generate_schnorr_keypair("TOY", rng)

@@ -3,11 +3,15 @@
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import LookupError_, OverlayError, StorageError
 from repro.fabric import Fabric
-from repro.overlay.chord import (ChordRing, chord_id, in_interval)
-from repro.overlay.kademlia import (KademliaOverlay, kad_id, xor_distance)
+from repro.overlay import chord as chord_module
+from repro.overlay.chord import (M_BITS, ChordRing, chord_id, in_interval)
+from repro.overlay.kademlia import (KademliaNode, KademliaOverlay, kad_id,
+                                    xor_distance)
 from repro.overlay.network import SimNetwork
 from repro.overlay.simulator import Simulator
 
@@ -129,6 +133,112 @@ class TestChordCorrectness:
         assert chord_id("alice") != chord_id("bob")
 
 
+def ring_by_sorting(ring, key):
+    """The definition the ring index replaces: sort every node by id, the
+    owner is the first id >= the key's (wrapping); names from there on."""
+    ordered = sorted(ring.nodes.values(), key=lambda n: n.chord_id)
+    key_id = chord_id(key)
+    start = next((i for i, n in enumerate(ordered) if n.chord_id >= key_id),
+                 0)
+    return [n.node_id for n in ordered[start:] + ordered[:start]]
+
+
+def fingers_by_scanning(node, candidates):
+    """Finger ``bit`` is the candidate nearest clockwise of id + 2^bit."""
+    space = 1 << M_BITS
+    return [min(candidates,
+                key=lambda n: (n.chord_id - node.chord_id - (1 << bit))
+                % space).node_id
+            for bit in range(M_BITS)]
+
+
+RING_OPS = st.lists(
+    st.one_of(st.tuples(st.just("add"), st.integers(0, 40)),
+              st.tuples(st.just("join"), st.integers(0, 40)),
+              st.tuples(st.just("build"), st.just(0))),
+    min_size=1, max_size=30)
+PROBE_KEYS = [f"key{i}" for i in range(25)] + ["n0", "n7"]
+
+
+class TestRingIndex:
+    """``owner_of`` / ``replica_set`` / ``ring_order`` read one sorted index
+    kept by ``add_node``; they must equal the sort-everything definition
+    whatever order the ring was grown in."""
+
+    @given(RING_OPS)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_sorting_after_any_interleaving(self, ops):
+        ring = ChordRing(Fabric.create(seed=1), replication=3)
+        built = False
+        for op, i in ops:
+            name = f"n{i}"
+            if op == "build":
+                ring.build()
+                built = True
+                continue
+            if name in ring.nodes:
+                with pytest.raises(OverlayError):
+                    ring.add_node(name)
+            elif op == "add" or not ring.nodes:
+                ring.add_node(name)
+                built = False
+            else:
+                try:
+                    ring.join(name, via=next(iter(ring.nodes)))
+                except LookupError_:
+                    pass  # unbuilt ring: no route, but the peer is enrolled
+                assert name in ring.nodes
+                built = False
+            assert len(ring._ids) == len(ring._names) == len(ring.nodes)
+            for key in PROBE_KEYS:
+                expected = ring_by_sorting(ring, key)
+                assert ring.ring_order(key) == expected
+                assert ring.owner_of(key) == expected[0]
+                if built:
+                    assert ring.replica_set(key) == expected[:3]
+                elif ring.nodes[expected[0]].successors:
+                    assert ring.replica_set(key)[0] == expected[0]
+
+    def test_build_matches_the_sorted_definition(self):
+        net, ring = build_ring(37, replication=2)
+        ordered = ring_by_sorting(ring, "anything")
+        for slot, name in enumerate(ordered):
+            node = ring.nodes[name]
+            assert node.successors == [
+                ordered[(slot + k + 1) % 37] for k in range(4)]
+            assert node.predecessor == ordered[slot - 1]
+            assert node.fingers == fingers_by_scanning(
+                node, ring.nodes.values())
+
+    def test_fix_fingers_skips_offline_peers(self):
+        net, ring = build_ring(24)
+        for name in ("peer3", "peer11", "peer17"):
+            ring.nodes[name].online = False
+        online = [n for n in ring.nodes.values() if n.online]
+        node = ring.nodes["peer0"]
+        ring._fix_fingers(node)
+        assert node.fingers == fingers_by_scanning(node, online)
+
+    def test_distinct_names_with_one_id_collide(self, monkeypatch):
+        monkeypatch.setattr(chord_module, "chord_id", len)
+        ring = ChordRing(Fabric.create(seed=1))
+        ring.add_node("aa")
+        ring.add_node("b")
+        with pytest.raises(OverlayError):
+            ring.add_node("cc")
+        assert list(ring.nodes) == ["aa", "b"]
+        assert (ring._ids, ring._names) == ([1, 2], ["b", "aa"])
+        assert "cc" not in ring.network.nodes
+
+    def test_single_node_ring(self):
+        ring = ChordRing(Fabric.create(seed=1), replication=2)
+        ring.add_node("solo")
+        ring.build()
+        assert ring.owner_of("k") == "solo"
+        assert ring.replica_set("k") == ["solo"]
+        assert ring.ring_order("k") == ["solo"]
+
+
 class TestKademlia:
     def build(self, n=64, seed=1):
         fab = Fabric.create(seed=seed)
@@ -150,7 +260,7 @@ class TestKademlia:
     def test_buckets_bounded_by_k(self):
         net, overlay = self.build(128)
         for node in overlay.nodes.values():
-            for bucket in node.buckets:
+            for bucket in node.buckets.values():
                 assert len(bucket) <= overlay.k
 
     def test_lookup_converges_to_closest(self):
@@ -199,11 +309,26 @@ class TestKademlia:
     def test_observe_moves_to_tail(self):
         net, overlay = self.build(8)
         node = overlay.nodes["p0"]
-        peers = [n for bucket in node.buckets for n in bucket]
+        peers = [n for bucket in node.buckets.values() for n in bucket]
         first = peers[0]
         bucket = node.buckets[node.bucket_index(kad_id(first))]
         node.observe(first)
         assert bucket[-1] == first
+
+    def test_buckets_appear_on_first_contact(self):
+        node = KademliaNode("origin")
+        assert node.buckets == {}
+        peers = sorted((f"p{i}" for i in range(40)),
+                       key=lambda n: -node.bucket_index(kad_id(n)))
+        for peer in peers:  # farthest first: buckets are created descending
+            node.observe(peer)
+        node.observe("origin")  # self-contact never makes a bucket
+        assert all(node.buckets.values())
+        assert list(node.buckets) == sorted(node.buckets, reverse=True)
+        known = [n for bucket in node.buckets.values() for n in bucket]
+        target = kad_id("somewhere")
+        assert node.closest_known(target, 5) == sorted(
+            known, key=lambda n: xor_distance(kad_id(n), target))[:5]
 
     def test_rpc_cost_grows_slowly(self):
         small = self.build(16, seed=2)[1]

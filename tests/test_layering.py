@@ -144,3 +144,16 @@ def test_no_private_reentry_surface_in_public_signatures(cls):
             continue
         leaked = banned & set(inspect.signature(member).parameters)
         assert not leaked, f"{cls.__name__}.{name} still takes {leaked}"
+
+
+def test_ring_order_is_read_through_the_public_accessor():
+    """``ChordRing`` keeps its sorted index private: other modules ask
+    ``owner_of`` / ``replica_set`` / ``ring_order``, none bisects the
+    ring itself."""
+    found = [(str(path.relative_to(SRC)), node.lineno)
+             for path in sorted(SRC.rglob("*.py"))
+             if path != SRC / "overlay" / "chord.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and node.attr == "_successor_index"]
+    assert not found, f"_successor_index used outside chord.py: {found}"
