@@ -7,8 +7,8 @@ measure: a *reachable* replica is not necessarily an *honest* or
 crashes, and holder-level Byzantine faults (StaleServe / Equivocate /
 CorruptBlob), and compares three read paths over the same write history:
 
-* ``bare``           — trust the first holder that answers (the legacy
-  ``fetch_from_holders`` semantics);
+* ``bare``           — trust the first holder that answers
+  (``ReplicatedStore.read_any``);
 * ``quorum``         — verified R-of-N reads, newest verified version
   wins, read-repair of lagging holders;
 * ``quorum+repair``  — the same plus the anti-entropy daemon (Merkle

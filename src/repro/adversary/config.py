@@ -26,33 +26,26 @@ from repro.exceptions import ReproError
 BEHAVIORS: Tuple[str, ...] = ("misroute", "eclipse", "drop", "chosen_id")
 
 
+#: Independent lookup paths a defended Kademlia / Chord lookup votes over.
+DISJOINT_PATHS = 3
+SUCCESSOR_REDUNDANCY = 3
+#: Lost votes after which a certified-but-lying peer is quarantined.
+SUSPECT_THRESHOLD = 2
+
+
 @dataclass(frozen=True)
 class DefenseConfig:
-    """The secure-lookup defense stack (all on by default).
+    """Switches the secure-lookup defense stack on; it has no knobs.
 
-    ``certified_ids`` checks every routing response's node-ID claim
-    against a verified certificate binding ``id = H(pubkey)``;
-    ``disjoint_paths`` / ``successor_redundancy`` run that many
-    independent lookup paths (Kademlia / Chord respectively) and settle
-    the answer by majority vote on the concurrent kernel; ``quarantine``
-    bans provably-lying peers (and repeatedly-outvoted ones, after
-    ``suspect_threshold`` strikes) from routing, feeding the ban into
-    SWIM membership and the circuit breaker when those are wired.
+    Every routing response's node-ID claim is checked against a verified
+    certificate binding ``id = H(pubkey)``; :data:`DISJOINT_PATHS` /
+    :data:`SUCCESSOR_REDUNDANCY` independent lookup paths (Kademlia /
+    Chord respectively) settle the answer by vote on the concurrent
+    kernel; provably-lying peers (and repeatedly-outvoted ones, after
+    :data:`SUSPECT_THRESHOLD` strikes) are quarantined from routing,
+    feeding the ban into SWIM membership and the circuit breaker when
+    those are wired.
     """
-
-    certified_ids: bool = True
-    disjoint_paths: int = 3
-    successor_redundancy: int = 3
-    quarantine: bool = True
-    suspect_threshold: int = 2
-
-    def __post_init__(self) -> None:
-        if self.disjoint_paths < 1:
-            raise ReproError("disjoint_paths must be >= 1")
-        if self.successor_redundancy < 1:
-            raise ReproError("successor_redundancy must be >= 1")
-        if self.suspect_threshold < 1:
-            raise ReproError("suspect_threshold must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -62,16 +55,14 @@ class AdversaryConfig:
     Which peers are compromised is a deterministic hash threshold over
     ``(seed_salt, name)`` — stable under roster order and independent of
     every RNG stream.  ``compromised`` overrides the threshold with an
-    explicit set (contract tests pick their attackers).  ``attack_rate``
-    is the per-(responder, key) probability (hash-derived, not drawn)
-    that a compromised responder misbehaves on that query.  ``defense``
-    is the :class:`DefenseConfig` to fight back with; ``None`` leaves
-    lookups bare — the E19 baseline.
+    explicit set (contract tests pick their attackers).  A compromised
+    responder misbehaves on every query it is asked.  ``defense`` is the
+    :class:`DefenseConfig` to fight back with; ``None`` leaves lookups
+    bare — the E19 baseline.
     """
 
     fraction: float = 0.2
     behaviors: Tuple[str, ...] = BEHAVIORS
-    attack_rate: float = 1.0
     defense: Optional[DefenseConfig] = None
     seed_salt: int = 0
     compromised: Optional[FrozenSet[str]] = None
@@ -79,8 +70,6 @@ class AdversaryConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction < 1.0:
             raise ReproError("fraction must be in [0, 1)")
-        if not 0.0 < self.attack_rate <= 1.0:
-            raise ReproError("attack_rate must be in (0, 1]")
         unknown = set(self.behaviors) - set(BEHAVIORS)
         if unknown:
             raise ReproError(

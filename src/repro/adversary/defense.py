@@ -7,18 +7,18 @@ Three classic defenses against routing-layer adversaries, composed:
   binding ``id = H(pubkey)``; chosen IDs and unverifiable pubkeys are
   *provable* lies and the responder is quarantined on the spot;
 * **redundant disjoint-path lookups** — :func:`defended_chord_lookup`
-  runs ``successor_redundancy`` independent Chord paths (each path
+  runs :data:`SUCCESSOR_REDUNDANCY` independent Chord paths (each path
   distrusts the peers earlier paths routed through, forcing route
   diversity) and settles the owner by majority vote;
-  :func:`defended_kad_lookup` does the same with ``disjoint_paths``
-  Kademlia lookups, voting on closest-set membership.  Path latencies
+  :func:`defended_kad_lookup` does the same with :data:`DISJOINT_PATHS`
+  Kademlia lookups, merging their closest sets.  Path latencies
   settle through the concurrent kernel (:func:`~repro.overlay.simulator
   .gather`): the redundancy costs the *max* path latency, exactly like
   every other fan-out in the codebase;
 * **quarantine** (:class:`Quarantine`) — provably-lying peers are banned
   from route selection immediately; certified-but-lying peers (true id,
   wrong answer — certification cannot catch them) are banned after
-  ``suspect_threshold`` lost votes.  Bans feed the SWIM membership
+  :data:`SUSPECT_THRESHOLD` lost votes.  Bans feed the SWIM membership
   service (quarantined peers sort last in health-aware candidate
   ordering) and the circuit-breaker path (calls to them fast-fail until
   a half-open probe) when those are wired on the fabric.
@@ -37,8 +37,10 @@ collects its responders and switches certificate checks on.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
+from repro.adversary.config import (DISJOINT_PATHS, SUCCESSOR_REDUNDANCY,
+                                    SUSPECT_THRESHOLD)
 from repro.exceptions import LookupError_
 from repro.overlay.simulator import gather
 
@@ -48,8 +50,7 @@ __all__ = ["Quarantine", "defended_chord_lookup", "defended_kad_lookup"]
 class Quarantine:
     """Bans for lying peers, fed into membership and the breaker."""
 
-    def __init__(self, defense, fabric) -> None:
-        self.defense = defense
+    def __init__(self, fabric) -> None:
         self.fabric = fabric
         #: peers banned from route selection (never from being resolved
         #: *to* — a quarantined peer can still be a key's true owner)
@@ -65,12 +66,13 @@ class Quarantine:
             self._ban(peer, reason)
 
     def flag_suspect(self, peer: str) -> None:
-        """A lost majority vote; ban after ``suspect_threshold`` strikes."""
+        """A lost majority vote; ban after :data:`SUSPECT_THRESHOLD`
+        strikes."""
         if peer in self.banned:
             return
         strikes = self.suspicion.get(peer, 0) + 1
         self.suspicion[peer] = strikes
-        if strikes >= self.defense.suspect_threshold:
+        if strikes >= SUSPECT_THRESHOLD:
             self._ban(peer, "outvoted")
 
     def _ban(self, peer: str, reason: str) -> None:
@@ -100,17 +102,14 @@ def _disjoint_paths(fabric, start: str, wanted: int, run_path):
     compromised region cannot answer all of them.  Returns
     ``(results, failed_paths)``; raises when every attempt failed.
     """
-    adv = fabric.adversary
-    banned = adv.quarantine.banned if adv.quarantine is not None \
-        else frozenset()
+    banned = fabric.adversary.quarantine.banned
     used: Set[str] = set()
     results = []
     attempts = 0
     while attempts < 2 * wanted + 1 and len(results) < wanted:
         attempts += 1
         ctx = fabric.op(start, distrust=frozenset(used | banned),
-                        visited=set(),
-                        certified=adv.config.defense.certified_ids)
+                        visited=set(), certified=True)
         try:
             results.append(run_path(ctx))
         except LookupError_:
@@ -126,16 +125,16 @@ def _disjoint_paths(fabric, start: str, wanted: int, run_path):
 def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64):
     """Redundant Chord lookup: disjoint paths + majority successor vote.
 
-    ``successor_redundancy`` disjoint single-path lookups (each scanning
-    whole successor lists, so any of the owner's recent predecessors can
-    name it) produce one owner claim each; see :func:`_disjoint_paths`.
-    With certified ids the vote is *successor-verified* first:
-    a node's ring position is ``H(pubkey)`` and unforgeable, so no
+    :data:`SUCCESSOR_REDUNDANCY` disjoint single-path lookups (each
+    scanning whole successor lists, so any of the owner's recent
+    predecessors can name it) produce one owner claim each; see
+    :func:`_disjoint_paths`.  The vote is *successor-verified* first: a
+    node's ring position is ``H(pubkey)`` and unforgeable, so no
     certified node can sit between the key and its true owner — any vote
     naming a certifiably looser owner than the tightest claim on the
     table is a lie and is discarded before the majority settles (the
     surviving votes necessarily agree; ties among equal claims break to
-    the smallest name).  Without certification the raw majority decides.
+    the smallest name).
     Losing resolvers are flagged as suspects (once per lookup each).
     The returned :class:`~repro.overlay.chord.LookupResult` carries the
     winning path's hop count and the :func:`gather`-settled latency of
@@ -144,28 +143,24 @@ def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64):
     from repro.overlay.chord import _SPACE, LookupResult, chord_id
 
     adv = ring.fabric.adversary
-    defense = adv.config.defense
     metrics = ring.network.metrics
     sim = ring.network.sim
     with ring.network.tracer.span("chord.lookup.defended", key=key,
                                   start=start, parallel=True) as span:
         votes, failed_paths = _disjoint_paths(
-            ring.fabric, start, defense.successor_redundancy,
+            ring.fabric, start, SUCCESSOR_REDUNDANCY,
             lambda ctx: ring._route(ctx, key, max_hops, whole_list=True))
         fanout = gather([sim.future(vote.rtt) for vote in votes])
-        eligible = votes
-        if defense.certified_ids:
-            # Successor verification: certified positions are
-            # unforgeable, so the owner claim with the smallest
-            # clockwise distance from the key is the only one that can
-            # be the key's successor — every looser claim is discarded
-            # as a lie before the majority settles.
-            key_id = chord_id(key)
-            tight = min((chord_id(v.owner) - key_id) % _SPACE
-                        for v in votes)
-            eligible = [v for v in votes
-                        if (chord_id(v.owner) - key_id) % _SPACE == tight]
-        tally = Counter(vote.owner for vote in eligible)
+        # Successor verification: certified positions are unforgeable,
+        # so the owner claim with the smallest clockwise distance from
+        # the key is the only one that can be the key's successor —
+        # every looser claim is discarded as a lie before the majority
+        # settles.
+        key_id = chord_id(key)
+        tight = min((chord_id(v.owner) - key_id) % _SPACE for v in votes)
+        tally = Counter(
+            v.owner for v in votes
+            if (chord_id(v.owner) - key_id) % _SPACE == tight)
         top = max(tally.values())
         winner = min(name for name, count in tally.items() if count == top)
         if all(vote.owner == winner for vote in votes):
@@ -190,18 +185,16 @@ def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64):
 
 def defended_kad_lookup(overlay, start: str, key: str,
                         find_value: bool = False):
-    """``d`` disjoint Kademlia lookups, closest-set membership vote.
+    """:data:`DISJOINT_PATHS` disjoint Kademlia lookups, closest sets merged.
 
-    With certified ids the paths' closest sets are *unioned*: a learned
-    name is a certified-real node at an unforgeable position the client
-    re-sorts by true XOR distance, so knowledge only one path surfaced
-    (bounded k-buckets make closeness knowledge scarce) is kept, and a
-    forged set can only add far-away accomplices that sort last.
-    Without certification a candidate makes the defended set only when
-    a majority of the successful paths report it — a forged set from
-    one captured path is outvoted.  Top-candidate disagreement between
-    paths is counted either way (``lookup.disjoint_agreement`` /
-    ``lookup.poisoned``).  With ``find_value`` the settled set is then
+    The paths' closest sets are *unioned*: a learned name is a
+    certified-real node at an unforgeable position the client re-sorts
+    by true XOR distance, so knowledge only one path surfaced (bounded
+    k-buckets make closeness knowledge scarce) is kept, and a forged set
+    can only add far-away accomplices that sort last.  Top-candidate
+    disagreement between paths is counted
+    (``lookup.disjoint_agreement`` / ``lookup.poisoned``).  With
+    ``find_value`` the settled set is then
     probed in XOR order for the value (compromised holders withhold it;
     honest ones serve it), so a single honest live holder suffices.
     """
@@ -209,29 +202,17 @@ def defended_kad_lookup(overlay, start: str, key: str,
 
     fabric = overlay.fabric
     adv = fabric.adversary
-    defense = adv.config.defense
     metrics = overlay.network.metrics
     target_id = kad_id(key)
     with overlay.network.tracer.span(
             "kad.lookup.defended", key=key, start=start,
             parallel=True) as span:
         paths, failed_paths = _disjoint_paths(
-            fabric, start, defense.disjoint_paths,
+            fabric, start, DISJOINT_PATHS,
             lambda ctx: overlay._iterate(ctx, key))
-        if defense.certified_ids:
-            agreed = sorted(
-                set().union(*(set(path.closest) for path in paths)),
-                key=lambda n: xor_distance(kad_id(n), target_id))
-        else:
-            majority = len(paths) // 2 + 1
-            tally: Counter = Counter()
-            for path in paths:
-                for name in set(path.closest):
-                    tally[name] += 1
-            agreed = sorted(
-                (name for name, count in tally.items()
-                 if count >= majority),
-                key=lambda n: xor_distance(kad_id(n), target_id))
+        agreed = sorted(
+            set().union(*(set(path.closest) for path in paths)),
+            key=lambda n: xor_distance(kad_id(n), target_id))
         closest = agreed[:overlay.k]
         tops = {path.closest[0] for path in paths if path.closest}
         if len(tops) <= 1:

@@ -34,9 +34,6 @@ class CacheConfig:
     prefetch: bool = True
     #: how many of a friend's newest posts a prefetch pulls
     prefetch_depth: int = 2
-    #: route ``feed`` fetches through :meth:`StorageBackend.get_many`
-    #: (per-holder coalesced lookups) instead of one fetch per cid
-    batch_reads: bool = True
 
     def __post_init__(self) -> None:
         if self.capacity_per_reader < 0:

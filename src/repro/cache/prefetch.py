@@ -36,7 +36,7 @@ class SocialPrefetcher:
     * ``view_of(reader, author)`` — sync and return the reader's
       chain-verified view of the author (or ``None``);
     * ``fetch_many(reader, cids)`` — the batched storage read; returns
-      ``cid -> blob-like | exception``;
+      ``cid -> FetchedBlob | exception``;
     * ``open_post(reader, author, blob, cid)`` — decrypt + verify one
       fetched blob (raises on violation).
     """
@@ -93,16 +93,14 @@ class SocialPrefetcher:
                 got = blobs.get(cid)
                 if got is None or isinstance(got, Exception):
                     continue
-                blob = getattr(got, "blob", got)
-                if getattr(got, "degraded", False):
+                if got.degraded:
                     continue  # possibly-stale copies never enter the cache
                 try:
-                    post = self._open_post(reader, author, blob, cid)
+                    post = self._open_post(reader, author, got.blob, cid)
                 except ReproError:
                     continue
                 self.cache.insert(reader, author, cid, post,
-                                  views[author],
-                                  version=getattr(got, "version", None))
+                                  views[author], version=got.version)
                 warmed += 1
             span.set_attr("warmed", warmed)
         self.prefetched += warmed

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass, replace as _dc_replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -54,7 +55,7 @@ from repro.dosn.provider import CentralProvider, ExposureReport
 from repro.dosn.results import ReadResult
 from repro.dosn.storage import (CentralBackend, DHTBackend,
                                 FederationBackend, LocalBackend,
-                                StorageBackend)
+                                StorageBackend, fetch_each)
 from repro.dosn.user import DosnUser
 from repro.dosn.identity import KeyRegistry
 from repro.exceptions import IntegrityError, OverlayError
@@ -363,16 +364,9 @@ class DosnNetwork:
         return user.views.get(author)
 
     def _fetch_many(self, reader: str, cids: List[str]) -> Dict[str, object]:
-        """The batched storage read, under one span (the E16 hot path).
-
-        ``CacheConfig(batch_reads=False)`` pins the sequential default
-        (one :meth:`fetch_blob` per cid) for apples-to-apples benchmarks.
-        """
+        """The batched storage read, under one span (the E16 hot path)."""
         with self.tracer.span("storage.get_many", reader=reader,
                               requested=len(cids)):
-            if self.config.cache is not None \
-                    and not self.config.cache.batch_reads:
-                return StorageBackend.get_many(self.storage, reader, cids)
             return self.storage.get_many(reader, cids)
 
     def _open_for(self, reader: str, author: str, blob: bytes, cid: str):
@@ -502,14 +496,14 @@ class DosnNetwork:
                                       degraded=False, source="cache")
             item = ContentItem(author=author, reader=reader, cid=cid)
             self.stack.read(item)
-            fetched = item.meta.get("fetched")
+            fetched = item.meta["fetched"]
             result = ReadResult(item.result, verified=True,
-                                degraded=getattr(fetched, "degraded", False),
-                                source=getattr(fetched, "source", "bare"))
+                                degraded=fetched.degraded,
+                                source=fetched.source)
             if self.cache is not None and view is not None \
                     and not result.degraded:
                 self.cache.insert(reader, author, cid, item.result, view,
-                                  version=getattr(fetched, "version", None))
+                                  version=fetched.version)
             return result
 
     def prefetch(self, reader: str) -> int:
@@ -528,36 +522,30 @@ class DosnNetwork:
              limit_per_friend: Optional[int] = None) -> FeedReport:
         """Assemble the reader's verified news feed.
 
-        The fetch pass runs only the stack's placement layer; each
-        fetched blob is then opened through the ACL + integrity layers.
-        With ``DosnConfig.cache`` set the feed switches to the batched
-        strategy: the prefetcher warms the reader's cache, chain-
-        validated hits skip fetch + decrypt + verify, and the remaining
-        cids ride one :meth:`StorageBackend.get_many` call (one route /
-        RPC per holder instead of one per post).
+        Each fetched blob is opened through the stack's ACL + integrity
+        layers.  Without ``DosnConfig.cache`` the fetch pass runs the
+        stack's placement layer once per cid; with it the prefetcher
+        warms the reader's cache, chain-validated hits skip fetch +
+        decrypt + verify, and the remaining cids ride one
+        :meth:`StorageBackend.get_many` call (one route / RPC per holder
+        instead of one per post).
         """
         self._ensure_routing()
 
         def fetch(r: str, cid: str):
             item = ContentItem(author="", reader=r, cid=cid)
             self.stack.read(item, only=("placement",))
-            return item.meta.get("fetched", item.payload)
-
-        def open_post(author: str, blob: bytes, cid: str):
-            item = ContentItem(author=author, reader=reader, cid=cid,
-                               payload=blob)
-            self.stack.read(item, only=("acl", "integrity"))
-            return item.result
+            return item.meta["fetched"]
 
         fetch_many = (self._fetch_many if self.config.cache is not None
-                      else None)
+                      else partial(fetch_each, fetch))
         with self.tracer.span("dosn.feed", reader=reader):
             if self.prefetcher is not None:
                 self.prefetcher.warm(reader, self.users[reader].friends)
             return assemble_feed(
-                self.users[reader], self.users, fetch=fetch,
-                limit_per_friend=limit_per_friend, open_post=open_post,
-                fetch_many=fetch_many, cache=self.cache)
+                self.users[reader], self.users, fetch_many,
+                partial(self._open_for, reader),
+                limit_per_friend=limit_per_friend, cache=self.cache)
 
     def search(self, query: str) -> List[str]:
         """Content ids matching ``query`` via the stack's index layer.

@@ -8,24 +8,25 @@ exposure reports.
 
 The read side of the protocol has three entry points:
 
-* :meth:`StorageBackend.get` — one blob, raising on failure (the
-  original surface, unchanged);
 * :meth:`StorageBackend.fetch_blob` — one blob *with provenance*
-  (:class:`FetchedBlob`: source, quorum version, degraded flag), which
-  is what the typed :class:`~repro.dosn.results.ReadResult` API reads;
+  (:class:`FetchedBlob`: source, quorum version, degraded flag), raising
+  on failure; what every backend implements and what the typed
+  :class:`~repro.dosn.results.ReadResult` API reads;
+* :meth:`StorageBackend.get` — the same read's bare bytes
+  (``fetch_blob(...).blob``);
 * :meth:`StorageBackend.get_many` — the batched path: one call for a
   whole feed's worth of cids, returning exceptions as values so one
-  unreachable replica cannot fail the batch.  The default implementation
-  is a sequential fallback over :meth:`fetch_blob`; the DHT and
-  federation backends override it to coalesce routing per holder
-  (one route / one batch RPC per holder instead of one per cid).
+  unreachable replica cannot fail the batch.  The default is
+  :func:`fetch_each` over :meth:`fetch_blob`; the DHT and federation
+  backends override it to coalesce routing per holder (one route / one
+  batch RPC per holder instead of one per cid).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.dosn.provider import CentralProvider, ExposureReport
 from repro.exceptions import ReproError, StorageError
@@ -51,6 +52,36 @@ class FetchedBlob:
     version: Optional[int] = None
 
 
+def fetch_each(fetch_blob: Callable[[str, str], FetchedBlob], reader: str,
+               cids: Sequence[str]) -> Dict[str, object]:
+    """The :meth:`StorageBackend.get_many` contract, one cid at a time:
+    ``cid -> FetchedBlob | ReproError``, each distinct cid fetched once,
+    failures returned as values."""
+    results: Dict[str, object] = {}
+    for cid in cids:
+        if cid in results:
+            continue
+        try:
+            results[cid] = fetch_blob(reader, cid)
+        except ReproError as exc:
+            results[cid] = exc
+    return results
+
+
+def _blobs(fetched: Dict[str, object],
+           wrap: Callable[[object], FetchedBlob]) -> Dict[str, object]:
+    """A store's batch answer as the ``get_many`` contract: values
+    wrapped into :class:`FetchedBlob`, exception values passed through."""
+    return {cid: got if isinstance(got, Exception) else wrap(got)
+            for cid, got in fetched.items()}
+
+
+def _quorum_blob(result) -> FetchedBlob:
+    """A verified :class:`~repro.storage2.ReplicatedStore` read."""
+    return FetchedBlob(result.payload, source="quorum",
+                       degraded=result.degraded, version=result.version)
+
+
 class StorageBackend(abc.ABC):
     """Where content blobs live, and who can observe them there."""
 
@@ -60,16 +91,16 @@ class StorageBackend(abc.ABC):
         """Store a blob (recipients are used by delivery-based backends)."""
 
     @abc.abstractmethod
-    def get(self, reader: str, cid: str) -> bytes:
-        """Retrieve a blob on behalf of ``reader``."""
+    def fetch_blob(self, reader: str, cid: str) -> FetchedBlob:
+        """Retrieve one blob, with provenance, on behalf of ``reader``."""
 
     @abc.abstractmethod
     def observer_views(self) -> Dict[str, Set[str]]:
         """observer name -> set of content ids it physically stores."""
 
-    def fetch_blob(self, reader: str, cid: str) -> FetchedBlob:
-        """Retrieve one blob with provenance (default: a bare ``get``)."""
-        return FetchedBlob(self.get(reader, cid))
+    def get(self, reader: str, cid: str) -> bytes:
+        """Retrieve a blob's bytes on behalf of ``reader``."""
+        return self.fetch_blob(reader, cid).blob
 
     def get_many(self, reader: str,
                  cids: Sequence[str]) -> Dict[str, object]:
@@ -81,15 +112,7 @@ class StorageBackend(abc.ABC):
         contract with; overlay-backed backends override it to coalesce
         lookups per holder.
         """
-        results: Dict[str, object] = {}
-        for cid in cids:
-            if cid in results:
-                continue
-            try:
-                results[cid] = self.fetch_blob(reader, cid)
-            except ReproError as exc:
-                results[cid] = exc
-        return results
+        return fetch_each(self.fetch_blob, reader, cids)
 
 
 class CentralBackend(StorageBackend):
@@ -102,8 +125,8 @@ class CentralBackend(StorageBackend):
             recipients: Sequence[str] = ()) -> None:
         self.provider.store(author, cid, blob)
 
-    def get(self, reader: str, cid: str) -> bytes:
-        return self.provider.fetch(reader, cid)
+    def fetch_blob(self, reader: str, cid: str) -> FetchedBlob:
+        return FetchedBlob(self.provider.fetch(reader, cid))
 
     def observer_views(self) -> Dict[str, Set[str]]:
         return {self.provider.name: self.provider.stored_ids()}
@@ -136,35 +159,35 @@ class DHTBackend(StorageBackend):
     def __init__(self, ring: ChordRing, quorum=None) -> None:
         self.ring = ring
         self.quorum = quorum
-        #: cid -> the replica set chosen at put time; with a quorum store
-        #: this aliases its placement map, so repair re-placements show up
-        self.placements: Dict[str, List[str]] = (
-            quorum.placements if quorum is not None else {})
+        # the one bare-or-quorum decision: which store serves, and how
+        # its answers become FetchedBlobs
+        if quorum is not None:
+            #: cid -> the replica set chosen at put time; aliases the
+            #: quorum store's placement map, so repair re-placements
+            #: show up
+            self.placements: Dict[str, List[str]] = quorum.placements
+            self._put, self._get = quorum.put, quorum.get
+            self._get_many, self._blob = quorum.get_many, _quorum_blob
+        else:
+            self.placements = {}
+            self._put, self._get = self._ring_put, self._ring_get
+            self._get_many, self._blob = ring.get_many, FetchedBlob
+
+    def _ring_put(self, author: str, cid: str, blob: bytes) -> None:
+        self.ring.put(author, cid, blob)
+        self.placements[cid] = self.ring.replica_set(cid)
+
+    def _ring_get(self, reader: str, cid: str) -> bytes:
+        return self.ring.get(reader, cid)[0]
 
     def put(self, author: str, cid: str, blob: bytes,
             recipients: Sequence[str] = ()) -> None:
         if author not in self.ring.nodes:
             raise StorageError(f"author {author!r} is not a ring member")
-        if self.quorum is not None:
-            self.quorum.put(author, cid, blob)
-            return
-        self.ring.put(author, cid, blob)
-        self.placements[cid] = self.ring.replica_set(cid)
-
-    def get(self, reader: str, cid: str) -> bytes:
-        if self.quorum is not None:
-            return self.quorum.get(reader, cid).payload
-        value, _ = self.ring.get(reader, cid)
-        return value
+        self._put(author, cid, blob)
 
     def fetch_blob(self, reader: str, cid: str) -> FetchedBlob:
-        if self.quorum is not None:
-            result = self.quorum.get(reader, cid)
-            return FetchedBlob(result.payload, source="quorum",
-                               degraded=result.degraded,
-                               version=result.version)
-        value, _ = self.ring.get(reader, cid)
-        return FetchedBlob(value)
+        return self._blob(self._get(reader, cid))
 
     def get_many(self, reader: str,
                  cids: Sequence[str]) -> Dict[str, object]:
@@ -176,22 +199,7 @@ class DHTBackend(StorageBackend):
         distinct owner.  Verification semantics per cid are identical to
         the sequential path.
         """
-        results: Dict[str, object] = {}
-        if self.quorum is not None:
-            for cid, got in self.quorum.get_many(reader, cids).items():
-                if isinstance(got, Exception):
-                    results[cid] = got
-                else:
-                    results[cid] = FetchedBlob(got.payload, source="quorum",
-                                               degraded=got.degraded,
-                                               version=got.version)
-            return results
-        for cid, got in self.ring.get_many(reader, cids).items():
-            if isinstance(got, Exception):
-                results[cid] = got
-            else:
-                results[cid] = FetchedBlob(got)
-        return results
+        return _blobs(self._get_many(reader, cids), self._blob)
 
     def observer_views(self) -> Dict[str, Set[str]]:
         views: Dict[str, Set[str]] = {}
@@ -210,19 +218,13 @@ class FederationBackend(StorageBackend):
             recipients: Sequence[str] = ()) -> None:
         self.federation.post(author, cid, blob, recipients)
 
-    def get(self, reader: str, cid: str) -> bytes:
-        return self.federation.fetch(reader, cid)
+    def fetch_blob(self, reader: str, cid: str) -> FetchedBlob:
+        return FetchedBlob(self.federation.fetch(reader, cid))
 
     def get_many(self, reader: str,
                  cids: Sequence[str]) -> Dict[str, object]:
         """One batched fetch RPC to the reader's home pod for all cids."""
-        results: Dict[str, object] = {}
-        for cid, got in self.federation.fetch_many(reader, cids).items():
-            if isinstance(got, Exception):
-                results[cid] = got
-            else:
-                results[cid] = FetchedBlob(got)
-        return results
+        return _blobs(self.federation.fetch_many(reader, cids), FetchedBlob)
 
     def observer_views(self) -> Dict[str, Set[str]]:
         return {name: set(server.content.keys())
@@ -246,13 +248,13 @@ class LocalBackend(StorageBackend):
         self._stores.setdefault(author, {})[cid] = blob
         self.online.setdefault(author, True)
 
-    def get(self, reader: str, cid: str) -> bytes:
+    def fetch_blob(self, reader: str, cid: str) -> FetchedBlob:
         for author, store in self._stores.items():
             if cid in store:
                 if not self.online.get(author, True):
                     raise StorageError(
                         f"owner {author!r} is offline; {cid!r} unavailable")
-                return store[cid]
+                return FetchedBlob(store[cid])
         raise StorageError(f"{cid!r} not stored anywhere")
 
     def observer_views(self) -> Dict[str, Set[str]]:

@@ -152,21 +152,6 @@ class Fabric:
         """One accounted RPC: ``(ok, elapsed)`` of :meth:`call_issue`."""
         return self.call_issue(src, dst, kind).value
 
-    def _channel(self) -> ReliableChannel:
-        if self.channel is None:
-            raise SimulationError("hedged reads need a resilient fabric")
-        return self.channel
-
-    def hedged(self, src: str, dsts: Sequence[str], kind: str
-               ) -> Tuple[bool, Optional[str], float]:
-        """Race one request across ``dsts`` (:meth:`ReliableChannel.hedged`)."""
-        return self._channel().hedged(src, dsts, kind=kind)
-
-    @property
-    def hedge_delay(self) -> float:
-        """The stagger between hedge launches."""
-        return self._channel().hedge_delay
-
     def op(self, origin: str, distrust: FrozenSet[str] = frozenset(),
            visited: Optional[Set[str]] = None,
            certified: bool = False) -> "OpContext":

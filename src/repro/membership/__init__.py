@@ -25,8 +25,8 @@ or through the facade::
 
 Once attached, the :class:`~repro.faults.ReliableChannel` fast-fails
 confirmed-dead destinations and strips retries from suspects, the
-Chord/Kademlia/Hybrid overlays and ``fetch_from_holders`` order
-candidates by health score, and the anti-entropy daemon re-replicates
+Chord/Kademlia/Hybrid overlays and the quorum store order candidates
+by health score, and the anti-entropy daemon re-replicates
 on *confirmed* deaths instead of polling the oracle.  Experiment E15
 (``benchmarks/bench_membership.py``) prices detection latency and false
 positives against packet loss, and the availability delta of

@@ -328,77 +328,26 @@ class ChordRing:
     def get(self, start: str, key: str) -> Tuple[bytes, LookupResult]:
         """Route to the owner (or a live replica) and fetch.
 
-        On a resilient fabric the read degrades gracefully: if routing
-        cannot reach the owner (partition, crash), the replica set is
-        probed directly from the querying peer, so any reachable holder
-        serves the content.
+        The one-key case of :meth:`get_many`'s per-owner routine
+        (:meth:`_get_group`), with the failure raised instead of
+        returned.  On a resilient fabric the read degrades gracefully: if
+        routing cannot reach the owner (partition, crash), the replica
+        set is probed directly from the querying peer, so any reachable
+        holder serves the content.
 
-        Latency note: the replica probing here is sequential *failover*
-        (try the next holder only after the previous one fails), not true
+        Latency note: the replica probing is sequential *failover* (try
+        the next holder only after the previous one fails), not true
         hedging, so its cost is the serial sum of the probes it needed;
         staggered hedging lives in
-        :meth:`repro.faults.ReliableChannel.hedged` and the verified path
-        of :func:`repro.overlay.replication.fetch_from_holders`.
+        :meth:`repro.faults.ReliableChannel.hedged`.
         """
         with self.network.tracer.span("chord.get", key=key, start=start):
-            if self.fabric.resilient:
-                return self._get_failover(start, key)
-            # the bare read: the routed owner serves, or asks its replicas
-            result = self.lookup(start, key)
-            for replica in [result.owner] + self.replica_set(key):
-                node = self.nodes.get(replica)
-                if node is not None and node.online and key in node.store:
-                    if replica != result.owner:
-                        ok, _ = self.fabric.call(result.owner, replica,
-                                                 "chord_replica_read")
-                        if not ok:
-                            continue
-                    return node.store[key], result
-            raise StorageError(
-                f"key {key!r} unavailable: no live replica holds it")
-
-    def _get_failover(self, start: str, key: str
-                      ) -> Tuple[bytes, LookupResult]:
-        """The resilient read: route, then probe holders from the reader."""
-        ctx = self.fabric.op(start)
-        try:
-            result: Optional[LookupResult] = self.lookup(start, key)
-            ctx.spent = result.rtt
-        except LookupError_:
-            result = None  # routing failed; fall back to direct replica reads
-            # (a DeadlineExceededError deliberately propagates instead:
-            # an exhausted budget must not trigger the fallback)
-        owner = result.owner if result is not None else self.owner_of(key)
-        candidates = ctx.order(
-            [owner] + [r for r in self.replica_set(key) if r != owner])
-        probed = 0
-        sheds = 0
-        for replica in candidates:
-            node = self.nodes.get(replica)
-            if node is None or key not in node.store:
-                continue  # crashed holders lost the key with their state
-            if ctx.expired("chord_replica_read"):
-                raise DeadlineExceededError(
-                    f"read of {key!r} ran out of budget after "
-                    f"{probed} replica probes")
-            if probed > 0:
-                self.network.stats.hedges += 1
-            probed += 1
-            future = ctx.call_issue(start, replica, "chord_replica_read")
-            ok, rtt = future.value
-            if ok:
-                if result is None:
-                    result = LookupResult(owner=replica, hops=0, rtt=rtt,
-                                          failed_probes=0)
-                return node.store[key], result
-            if future.cause == "overloaded":
-                sheds += 1
-        if sheds:
-            raise OverloadedError(
-                f"key {key!r} unavailable: {sheds} of {probed} replica "
-                "probes were shed by overloaded holders")
-        raise StorageError(
-            f"key {key!r} unavailable: no reachable replica holds it")
+            served, result = self._get_group(start, [key],
+                                             "chord_replica_read")
+            value = served[key]
+            if isinstance(value, Exception):
+                raise value
+            return value, result
 
     # -- batched reads (the feed fan-out / cache-warming path) -------------------
 
@@ -412,10 +361,10 @@ class ChordRing:
         beyond the routed node is asked for *all* of its keys in one
         ``chord_batch_fetch`` RPC instead of one RPC per key.  Failures
         come back as exception **values** keyed by cid (a
-        :class:`StorageError` or the routing :class:`LookupError_`), so
-        one unreachable key never fails the batch.  Per-key serving
-        semantics match :meth:`get`: the first live holder in
-        routed-owner-then-replica-set order wins.
+        :class:`StorageError`, a :class:`DeadlineExceededError` or the
+        routing :class:`LookupError_`), so one unreachable key never
+        fails the batch.  Per-key serving semantics are :meth:`get`'s by
+        construction: both run :meth:`_get_group`.
         """
         results: Dict[str, object] = {}
         seen: Set[str] = set()
@@ -437,73 +386,99 @@ class ChordRing:
                 for owner, group in groups.items():
                     with self.network.tracer.span("chord.get_group",
                                                   owner=owner):
-                        self._get_group(start, owner, group, results)
+                        served, _ = self._get_group(start, group,
+                                                    "chord_batch_fetch")
+                        results.update(served)
             span.set_attr("served",
                           sum(1 for v in results.values()
                               if not isinstance(v, Exception)))
         return results
 
-    def _get_group(self, start: str, owner: str, group: List[str],
-                   results: Dict[str, object]) -> None:
-        """Serve one owner-group of keys over a single route.
+    def _get_group(self, start: str, group: List[str], kind: str
+                   ) -> Tuple[Dict[str, object], Optional[LookupResult]]:
+        """The one replica read: serve keys sharing an owner over one route.
 
-        An exhausted budget becomes a :class:`DeadlineExceededError`
-        *value* for the group's unserved keys (one starved group never
-        fails the whole feed fan-out).  On a resilient fabric a failed
-        route degrades to probing the replica set from the reader, as in
-        :meth:`get`; on a bare one the routed node serves its keys for
-        free and asks the other holders itself.
+        Returns ``({key: value | exception}, route)``.  An exhausted
+        budget becomes a :class:`DeadlineExceededError` *value* for the
+        unserved keys (one starved group never fails a whole fan-out),
+        shed probes an :class:`OverloadedError`.  On a bare fabric the
+        routed node serves its keys for free and asks the other live
+        holders itself (``kind`` RPCs); a failed route fails the group.
+        On a resilient fabric the reader probes the holders — the
+        channel, not an oracle peek, finds out who is down; every probe
+        after the first counts as a hedge — and a failed route degrades
+        to probing the replica set directly, ``route`` then naming the
+        holder that served.
         """
         ctx = self.fabric.op(start)
         resilient = self.fabric.resilient
-        routed: Optional[str] = None
+        route: Optional[LookupResult] = None
         try:
-            route_result = self.lookup(start, group[0])
-            routed = route_result.owner
-            ctx.spent = route_result.rtt
+            route = self.lookup(start, group[0])
+            ctx.spent = route.rtt
         except DeadlineExceededError as exc:
-            results.update((key, exc) for key in group)
-            return
+            # an exhausted budget must not trigger the direct-probe fallback
+            return dict.fromkeys(group, exc), None
         except LookupError_ as exc:
             if not resilient:
-                results.update((key, exc) for key in group)
-                return
-        anchor = routed if routed is not None else owner
-        candidates = [anchor] + [r for r in self.replica_set(group[0])
-                                 if r != anchor]
+                return dict.fromkeys(group, exc), None
+        routed = route.owner if route is not None else None
+        anchor = routed or self.owner_of(group[0])
+        candidates: Sequence[str] = [anchor] + [
+            r for r in self.replica_set(group[0]) if r != anchor]
         if resilient:
             candidates = ctx.order(candidates)
+        served: Dict[str, object] = {}
         pending: Set[str] = set(group)
         failure: Optional[Exception] = None
+        probed = sheds = 0
         for replica in candidates:
             if not pending:
                 break
             node = self.nodes.get(replica)
-            if node is None or not node.online:
+            if node is None or not (resilient or node.online):
                 continue
-            served = [k for k in group if k in pending and k in node.store]
-            if not served:
+            # crashed holders lost their keys with their state
+            stocked = [k for k in group if k in pending and k in node.store]
+            if not stocked:
                 continue
-            if ctx.expired("chord_batch_fetch"):
+            if ctx.expired(kind):
                 failure = DeadlineExceededError(
-                    f"batch fetch ran out of budget with "
-                    f"{len(pending)} keys unserved")
+                    f"read ran out of budget after {probed} replica "
+                    f"probes with {len(pending)} keys unserved")
                 break
             # the route already landed on ``routed``: its keys ride free
             if resilient or replica != routed:
-                ok, _ = ctx.call(start if resilient else routed, replica,
-                                 "chord_batch_fetch")
+                if resilient and probed:
+                    self.network.stats.hedges += 1
+                probed += 1
+                future = ctx.call_issue(start if resilient else routed,
+                                        replica, kind)
+                ok, rtt = future.value
                 if not ok:
+                    if future.cause == "overloaded":
+                        sheds += 1
                     continue
-            for key in served:
-                results[key] = node.store[key]
+                if route is None:
+                    route = LookupResult(owner=replica, hops=0, rtt=rtt,
+                                         failed_probes=0)
+            for key in stocked:
+                served[key] = node.store[key]
                 pending.discard(key)
         for key in group:
-            if key in pending:
-                results[key] = failure if failure is not None \
-                    else StorageError(
-                        f"key {key!r} unavailable: no reachable replica "
-                        "holds it")
+            if key not in pending:
+                continue
+            if failure is not None:
+                served[key] = failure
+            elif sheds:
+                served[key] = OverloadedError(
+                    f"key {key!r} unavailable: {sheds} of {probed} replica "
+                    "probes were shed by overloaded holders")
+            else:
+                served[key] = StorageError(
+                    f"key {key!r} unavailable: no reachable replica "
+                    "holds it")
+        return served, route
 
     # -- incremental protocol (join / stabilize), used by the tests --------------
 

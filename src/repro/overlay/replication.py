@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set
 
 import networkx as nx
 
-from repro.exceptions import OverlayError, ReplicaIntegrityError
-from repro.overlay.simulator import hedge_of
+from repro.exceptions import OverlayError
 
 
 @dataclass
@@ -79,73 +78,6 @@ def place_by_uptime(owner: str, peers: Sequence[str], count: int,
     if count > len(candidates):
         raise OverlayError("not enough peers for the requested replication")
     return Placement(owner=owner, replicas=candidates[:count])
-
-
-def fetch_from_holders(fabric, reader: str, placement: Placement,
-                       kind: str = "replica_fetch",
-                       blob_of: Optional[Callable[[str],
-                                                  Optional[bytes]]] = None,
-                       verify: Optional[Callable[[str, bytes],
-                                                 bool]] = None
-                       ) -> Tuple[Optional[str], float]:
-    """Hedged fetch against a placement's holders on a resilient fabric.
-
-    Holders are probed owner first, then replicas; returns
-    ``(holder, elapsed)`` with ``holder=None`` when every holder is
-    unreachable.  This is the availability claim made operational:
-    replication only helps if the *fetch path* fails over — E12 drives
-    storage reads through this instead of assuming any online replica is
-    reachable.
-
-    Replica holders are "another kind of service provider" (the paper's
-    phrase), so a reachable holder is not necessarily an *honest* one.
-    Pass ``blob_of`` (holder -> the bytes it would serve, ``None`` if it
-    holds nothing) and ``verify`` (holder, blob -> bool, e.g. an envelope
-    or hash-chain check) and each response is verified before it wins:
-    holders serving invalid bytes are skipped, and when at least one
-    holder answered but *no* response verified the fetch raises
-    :class:`~repro.exceptions.ReplicaIntegrityError` instead of handing
-    back tampered content.  Without ``blob_of`` the legacy first-responder
-    hedge is used unchanged.
-
-    Holders are first put in :meth:`OpContext.order
-    <repro.fabric.OpContext.order>` (owner-first when the fabric has no
-    membership service or quarantine): the holders most likely to answer
-    honestly are paid for first, confirmed-dead ones last.
-
-    The verified probes race as staggered hedges
-    (:func:`repro.overlay.simulator.hedge_of`, one launch per channel
-    ``hedge_delay``).  A branch only wins when its RPC landed and its
-    bytes verified — reachable-but-lying holders cannot shorten the
-    critical path, they can only force the next hedge to launch.
-    """
-    holders = fabric.op(reader).order(placement.holders)
-    if blob_of is None:
-        ok, winner, elapsed = fabric.hedged(reader, holders, kind)
-        return (winner if ok else None), elapsed
-    served = 0
-
-    def issue(stocked: Tuple[str, bytes], _launch_at: float):
-        nonlocal served
-        holder, blob = stocked
-        future = fabric.call_issue(reader, holder, kind)
-        if future.ok:
-            served += 1
-        return future, bool(future.ok
-                            and (verify is None or verify(holder, blob)))
-
-    # a holder with nothing to serve is not worth a probe (or a slot)
-    stocked = [(holder, blob) for holder in holders
-               if (blob := blob_of(holder)) is not None]
-    winner, elapsed, hedges = hedge_of(stocked, fabric.hedge_delay, issue)
-    fabric.network.stats.hedges += hedges
-    if winner is not None:
-        return winner[0], elapsed
-    if served > 0:
-        raise ReplicaIntegrityError(
-            f"{served} holder(s) answered {reader!r} but no response "
-            "passed verification")
-    return None, elapsed
 
 
 def measure_availability(placement: Placement, churn_model,

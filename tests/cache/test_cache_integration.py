@@ -2,8 +2,8 @@
 
 These tests pin the headline E16 claims at unit scale: a warm feed is
 served entirely from the verified cache with zero network messages, the
-prefetcher warms on befriend, batching works without caching (capacity
-0), and `batch_reads=False` degrades gracefully to sequential fetches.
+prefetcher warms on befriend, and batching works without caching
+(capacity 0).
 """
 
 import pytest
@@ -100,15 +100,6 @@ class TestConfigSurface:
         # no cache: every item still comes off the network, typed
         assert all(item.result.source in ("quorum", "bare")
                    for item in feed.items)
-
-    def test_batch_reads_false_stays_sequential_but_cached(self):
-        net = cached_net(cache=CacheConfig(batch_reads=False))
-        net.post("bob", "b1")
-        net.post("carol", "c1")
-        cold = net.feed("alice")
-        assert cold.clean and len(cold.items) == 2
-        warm = net.feed("alice")
-        assert all(item.result.source == "cache" for item in warm.items)
 
     def test_no_cache_config_means_no_cache_attributes(self):
         net = DosnNetwork(config=DosnConfig(architecture="dht", seed=5))

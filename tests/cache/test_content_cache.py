@@ -142,10 +142,9 @@ class TestCacheConfig:
     def test_defaults(self):
         config = CacheConfig()
         assert config.capacity_per_reader == 256
-        assert config.prefetch and config.batch_reads
+        assert config.prefetch
         assert config.caching
 
     def test_capacity_zero_disables_caching_not_batching(self):
         config = CacheConfig(capacity_per_reader=0)
         assert not config.caching
-        assert config.batch_reads

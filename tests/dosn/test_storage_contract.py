@@ -6,8 +6,9 @@ with the repo's storage exception family, and reporting observer views
 consistent with what was actually stored — or the E8 exposure comparison
 stops being apples-to-apples.
 
-The contract suite runs every read assertion through **both** read
-paths — the original single :meth:`StorageBackend.get` and the batched
+The contract suite runs every read assertion through **all three** read
+entry points — the single :meth:`StorageBackend.get`, the same read with
+provenance (:meth:`StorageBackend.fetch_blob`) and the batched
 :meth:`StorageBackend.get_many` — so the per-holder coalescing overrides
 cannot drift from the sequential semantics.
 """
@@ -74,6 +75,12 @@ def _read_single(backend, reader, cid):
     return backend.get(reader, cid)
 
 
+def _read_blob(backend, reader, cid):
+    fetched = backend.fetch_blob(reader, cid)
+    assert isinstance(fetched, FetchedBlob)
+    return fetched.blob
+
+
 def _read_batched(backend, reader, cid):
     got = backend.get_many(reader, [cid])[cid]
     if isinstance(got, Exception):
@@ -82,8 +89,9 @@ def _read_batched(backend, reader, cid):
     return got.blob
 
 
-#: Both read entry points must satisfy the same contract.
-READ_PATHS = {"single": _read_single, "batched": _read_batched}
+#: Every read entry point must satisfy the same contract.
+READ_PATHS = {"single": _read_single, "provenance": _read_blob,
+              "batched": _read_batched}
 
 
 @pytest.fixture(params=sorted(BACKENDS))
@@ -149,7 +157,8 @@ class TestBatchedReads:
         got = backend.get_many("bob", cids)
         assert set(got) == set(cids)
         for cid in cids:
-            assert got[cid].blob == backend.get("bob", cid)
+            assert got[cid].blob == backend.get("bob", cid) \
+                == backend.fetch_blob("bob", cid).blob
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_failures_are_values_not_raises(self, name):
@@ -159,6 +168,8 @@ class TestBatchedReads:
         got = backend.get_many("bob", ["cid-ok", "cid-ghost"])
         assert got["cid-ok"].blob == b"fine"
         assert isinstance(got["cid-ghost"], ReproError)
+        assert all(isinstance(value, (FetchedBlob, ReproError))
+                   for value in got.values())
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_duplicate_cids_collapse(self, name):

@@ -1,7 +1,10 @@
 """Tests for DosnUser, feed assembly, storage backends, and DosnNetwork."""
 
+import json
+
 import pytest
 
+from repro.cache import CacheConfig
 from repro.dosn import DosnConfig, DosnNetwork
 from repro.dosn.identity import KeyRegistry
 from repro.dosn.storage import LocalBackend
@@ -148,6 +151,48 @@ class TestFeed:
         net.post("dave", "dave post")  # dave is bob's friend, not alice's
         feed = net.feed("alice")
         assert all(i.author != "dave" for i in feed.items)
+
+    def test_mixed_failures_report_the_same_with_and_without_cache(self):
+        """One loop, three configurations: a rewritten timeline, a lost
+        blob and a forged post land in the same report fields, in the
+        same order, whether the feed fetches cid by cid, batched, or
+        batched behind the verified cache."""
+        reports = []
+        for cache in (None, CacheConfig(capacity_per_reader=0),
+                      CacheConfig()):
+            net = small_net(cache=cache)
+            net.befriend("alice", "dave")
+            net.post("bob", "b0")
+            net.users["alice"].sync_timeline(net.users["bob"])
+            # bob rewrites history alice has already verified
+            timeline = net.users["bob"].timeline
+            timeline.entries.pop()
+            timeline.publish(b"another-cid", rng=net.users["bob"].rng)
+            net.post("bob", "b1")
+            net.post("carol", "c0")
+            lost = net.post("carol", "c1")
+            for node in net.ring.nodes.values():
+                node.store.pop(lost, None)
+            forged = net.post("dave", "d0")
+            net.post("dave", "d1")
+            dave = net.users["dave"]
+            document = json.loads(
+                dave.unlock("dave", net.storage.get("dave", forged)))
+            document["text"] = "words dave never signed"
+            net.storage.put("dave", forged, dave.protect_document(
+                json.dumps(document).encode()))
+            feed = net.feed("alice")
+            reports.append((
+                [(i.author, i.post.sequence, i.post.text)
+                 for i in feed.items],
+                feed.unavailable, feed.violations))
+        items, unavailable, violations = reports[0]
+        assert items == [("carol", 0, "c0"), ("dave", 1, "d1")]
+        assert [cid for cid, _ in unavailable] == [lost]
+        assert [author for author, _ in violations] == ["bob", "dave"]
+        assert violations[0][1].startswith("timeline: ")
+        assert "signature invalid" in violations[1][1]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 class TestDosnNetwork:

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import LookupError_, OverlayError, StorageError
+from repro.exceptions import (DeadlineExceededError, LookupError_,
+                              OverlayError, OverloadedError, ReproError,
+                              StorageError)
 from repro.fabric import Fabric
+from repro.faults import OverloadConfig, RetryPolicy, ServiceConfig
 from repro.overlay import chord as chord_module
 from repro.overlay.chord import (M_BITS, ChordRing, chord_id, in_interval)
 from repro.overlay.kademlia import (KademliaNode, KademliaOverlay, kad_id,
                                     xor_distance)
 from repro.overlay.network import SimNetwork
-from repro.overlay.simulator import Simulator
+from repro.overlay.simulator import FixedLatency, Simulator
 
 
 def build_ring(n=64, replication=2, seed=0):
@@ -131,6 +134,89 @@ class TestChordCorrectness:
     def test_chord_id_stable(self):
         assert chord_id("alice") == chord_id("alice")
         assert chord_id("alice") != chord_id("bob")
+
+
+class TestOneReplicaReadPath:
+    """``get(k)`` and ``get_many([k])`` are one routine: on twin same-seed
+    resilient fabrics they cost the same and fail the same way."""
+
+    KEY = "photo"
+
+    def _twin(self, overload=None):
+        fab = Fabric.create(seed=9, latency=FixedLatency(0.02),
+                            retry=RetryPolicy(max_attempts=2),
+                            overload=overload)
+        ring = ChordRing(fab, successor_list_size=4, replication=3)
+        for i in range(16):
+            ring.add_node(f"p{i}")
+        ring.build()
+        owner, second, third = ring.replica_set(self.KEY)
+        # the routed node holds nothing: the read has to probe replicas
+        ring.nodes[second].store[self.KEY] = b"v"
+        ring.nodes[third].store[self.KEY] = b"v"
+        reader = next(n for n in ring.nodes
+                      if n not in (owner, second, third))
+        return fab, ring, reader, (owner, second, third)
+
+    def _outcomes(self, arrange, overload=None):
+        """(outcome, stats) of the same read issued as get / get_many."""
+        seen = []
+        for batched in (False, True):
+            fab, ring, reader, holders = self._twin(overload)
+            arrange(fab, ring, holders)
+            fab.network.stats.reset()
+            if batched:
+                outcome = ring.get_many(reader, [self.KEY])[self.KEY]
+            else:
+                try:
+                    outcome, _ = ring.get(reader, self.KEY)
+                except ReproError as exc:   # compared by type below
+                    outcome = exc
+            seen.append((outcome, fab.network.stats.summary()))
+        return seen
+
+    def _assert_same(self, seen):
+        (single, single_stats), (batch, batch_stats) = seen
+        assert type(single) is type(batch)
+        assert single_stats == batch_stats
+        return single, single_stats
+
+    def test_offline_stocked_holder_is_found_out_by_probing(self):
+        def arrange(fab, ring, holders):
+            ring.nodes[holders[1]].go_offline()
+
+        outcome, stats = self._assert_same(self._outcomes(arrange))
+        assert outcome == b"v"
+        # no oracle peek: the dead holder cost its timeouts, and the
+        # probe that then succeeded counts as a hedge
+        assert stats["timeouts"] == 2 and stats["hedges"] == 1
+
+    def test_shed_probes_surface_as_overloaded(self):
+        overload = OverloadConfig(
+            service=ServiceConfig(service_time=0.1, queue_limit=2),
+            op_budget=None, retry_budget=None, adaptive_timeout=None)
+
+        def arrange(fab, ring, holders):
+            for holder in holders[1:]:
+                for _ in range(2):      # fill the holder's queue
+                    assert fab.call(holders[0], holder, "warm")[0]
+
+        outcome, stats = self._assert_same(
+            self._outcomes(arrange, overload))
+        assert isinstance(outcome, OverloadedError)
+        assert stats["shed"] == 4 and stats["hedges"] == 1
+
+    def test_spent_budget_stops_the_probing(self):
+        overload = OverloadConfig(service=None, op_budget=0.2,
+                                  retry_budget=None, adaptive_timeout=None)
+
+        def arrange(fab, ring, holders):
+            ring.nodes[holders[1]].go_offline()
+
+        outcome, stats = self._assert_same(
+            self._outcomes(arrange, overload))
+        assert isinstance(outcome, DeadlineExceededError)
+        assert stats["deadline_expired"] >= 1 and stats["hedges"] == 0
 
 
 def ring_by_sorting(ring, key):

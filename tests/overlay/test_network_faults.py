@@ -11,7 +11,6 @@ from repro.faults import (CircuitBreaker, Corruption, Crash, FaultPlan,
 from repro.overlay.chord import ChordRing
 from repro.overlay.churn import ExponentialOnOff, apply_churn_to_network
 from repro.overlay.network import Message, SimNetwork, SimNode
-from repro.overlay.replication import Placement, fetch_from_holders
 from repro.overlay.simulator import FixedLatency, Simulator
 
 
@@ -308,73 +307,6 @@ class TestReliableChannel:
         ok, winner, _ = channel.hedged("a", ["b", "c", "d"])
         assert ok and winner == "d"
         assert net.stats.hedges == 2
-
-    def test_fetch_from_holders(self):
-        sim, net, *_ = _net(peers=("owner", "r1", "r2", "reader"))
-        net.node("owner").go_offline()
-        fabric = Fabric(sim, net, channel=ReliableChannel(
-            net, RetryPolicy(max_attempts=1)))
-        placement = Placement(owner="owner", replicas=["r1", "r2"])
-        holder, _ = fetch_from_holders(fabric, "reader", placement)
-        assert holder == "r1"
-        net.node("r1").go_offline()
-        net.node("r2").go_offline()
-        holder, _ = fetch_from_holders(fabric, "reader", placement)
-        assert holder is None
-
-
-class TestVerifiedFetchFromHolders:
-    """Satellite: the fetch path must stop trusting the first blob."""
-
-    def _setup(self, blobs):
-        sim, net, *_ = _net(peers=("owner", "r1", "r2", "reader"))
-        fabric = Fabric(sim, net, channel=ReliableChannel(
-            net, RetryPolicy(max_attempts=1)))
-        placement = Placement(owner="owner", replicas=["r1", "r2"])
-        return net, fabric, placement, blobs.get
-
-    def test_invalid_first_response_is_skipped(self):
-        net, fabric, placement, blob_of = self._setup(
-            {"owner": b"garbled", "r1": b"good", "r2": b"good"})
-        holder, _ = fetch_from_holders(
-            fabric, "reader", placement, blob_of=blob_of,
-            verify=lambda h, blob: blob == b"good")
-        assert holder == "r1"  # the owner answered, but did not verify
-
-    def test_holders_without_the_blob_cost_no_probe(self):
-        net, fabric, placement, blob_of = self._setup(
-            {"r2": b"good"})
-        before = net.stats.messages
-        holder, _ = fetch_from_holders(
-            fabric, "reader", placement, blob_of=blob_of,
-            verify=lambda h, blob: True)
-        assert holder == "r2"
-        assert net.stats.messages == before + 2  # one RPC round trip
-
-    def test_all_served_copies_invalid_raises(self):
-        from repro.exceptions import ReplicaIntegrityError
-        net, fabric, placement, blob_of = self._setup(
-            {"owner": b"bad", "r1": b"bad", "r2": b"bad"})
-        with pytest.raises(ReplicaIntegrityError):
-            fetch_from_holders(
-                fabric, "reader", placement, blob_of=blob_of,
-                verify=lambda h, blob: False)
-
-    def test_unreachable_holders_still_return_none(self):
-        net, fabric, placement, blob_of = self._setup(
-            {"owner": b"good", "r1": b"good", "r2": b"good"})
-        for peer in ("owner", "r1", "r2"):
-            net.node(peer).go_offline()
-        holder, _ = fetch_from_holders(
-            fabric, "reader", placement, blob_of=blob_of,
-            verify=lambda h, blob: True)
-        assert holder is None  # unreachable != tampered: no raise
-
-    def test_without_blob_of_the_legacy_hedge_is_used(self):
-        net, fabric, placement, _ = self._setup({})
-        net.node("owner").go_offline()
-        holder, _ = fetch_from_holders(fabric, "reader", placement)
-        assert holder == "r1"
 
 
 class TestByzantineHolderFaults:

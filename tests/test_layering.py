@@ -13,6 +13,7 @@ else may look.
 import ast
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -157,3 +158,78 @@ def test_ring_order_is_read_through_the_public_accessor():
              if isinstance(node, ast.Attribute)
              and node.attr == "_successor_index"]
     assert not found, f"_successor_index used outside chord.py: {found}"
+
+
+# -- one read path ------------------------------------------------------------
+
+#: names of the read paths that were folded away; nothing may bring them back
+GONE = ("fetch_from_holders", "_get_failover", "_provenance", "batch_reads")
+READ_KINDS = {"chord_replica_read", "chord_batch_fetch"}
+
+
+def test_folded_read_paths_stay_gone():
+    pattern = re.compile(r"\b(" + "|".join(GONE) + r")\b")
+    found = [(str(path.relative_to(SRC)), number, match.group(1))
+             for path in sorted(SRC.rglob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             for match in [pattern.search(line)] if match]
+    assert not found, f"deleted read-path names are back: {found}"
+
+
+def _quorum_tests(source: str):
+    """``<x>.quorum is [not] ...`` comparisons outside ``__init__``."""
+    tree = ast.parse(source)
+
+    def walk(node: ast.AST, function: str):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if (function != "__init__" and isinstance(node, ast.Compare)
+                and _name(node.left) == "quorum"
+                and any(isinstance(op, (ast.Is, ast.IsNot))
+                        for op in node.ops)):
+            yield node.lineno, function
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, function)
+
+    return list(walk(tree, "<module>"))
+
+
+def test_dht_backend_decides_bare_or_quorum_once():
+    found = _quorum_tests((SRC / "dosn" / "storage.py").read_text())
+    assert not found, (
+        f"dosn/storage.py re-tests self.quorum outside __init__: {found}")
+    assert _quorum_tests(
+        "class B:\n"
+        "    def __init__(self, quorum):\n"
+        "        self.both = quorum is not None\n"
+        "    def get(self):\n"
+        "        if self.quorum is not None:\n"
+        "            return 1\n") == [(5, "get")]
+
+
+def test_one_function_issues_the_replica_read_rpcs():
+    """``get`` and ``get_many`` name their RPC kind; only the routine
+    they share puts it on the wire."""
+    tree = ast.parse((SRC / "overlay" / "chord.py").read_text())
+    issuers = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and len(node.args) > 2 \
+                    and _name(node.func) in {"call", "call_issue"}:
+                kind = node.args[2]
+                if isinstance(kind, ast.Name) or (
+                        isinstance(kind, ast.Constant)
+                        and kind.value in READ_KINDS):
+                    issuers.add(function.name)
+    assert issuers == {"_get_group"}
+    named_at = {_name(node.func) for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and any(isinstance(arg, ast.Constant)
+                        and arg.value in READ_KINDS for arg in node.args)}
+    assert named_at == {"_get_group"}
+    literals = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and node.value in READ_KINDS]
+    assert len(literals) == len(READ_KINDS)
