@@ -18,10 +18,10 @@ Three classic defenses against routing-layer adversaries, composed:
 * **quarantine** (:class:`Quarantine`) — provably-lying peers are banned
   from route selection immediately; certified-but-lying peers (true id,
   wrong answer — certification cannot catch them) are banned after
-  :data:`SUSPECT_THRESHOLD` lost votes.  Bans feed the SWIM membership
-  service (quarantined peers sort last in health-aware candidate
-  ordering) and the circuit-breaker path (calls to them fast-fail until
-  a half-open probe) when those are wired on the fabric.
+  :data:`SUSPECT_THRESHOLD` lost votes.  Banned peers sort last in the
+  one holder ordering (:meth:`repro.fabric.OpContext.order`), and a ban
+  feeds the circuit-breaker path (calls to them fast-fail until a
+  half-open probe) when a breaker is wired on the fabric.
 
 The overlays' public ``lookup`` entry points hand the operation to these
 drivers (via :meth:`repro.fabric.Fabric.secure_lookup`) whenever the
@@ -48,7 +48,7 @@ __all__ = ["Quarantine", "defended_chord_lookup", "defended_kad_lookup"]
 
 
 class Quarantine:
-    """Bans for lying peers, fed into membership and the breaker."""
+    """Bans for lying peers, fed into holder ordering and the breaker."""
 
     def __init__(self, fabric) -> None:
         self.fabric = fabric
@@ -79,9 +79,6 @@ class Quarantine:
         self.banned.add(peer)
         self.reasons[peer] = reason
         self.fabric.metrics.inc("adversary.quarantined", reason=reason)
-        membership = self.fabric.membership
-        if membership is not None:
-            membership.quarantine(peer)
         channel = self.fabric.channel
         if channel is not None and channel.breaker is not None:
             channel.breaker.quarantine(peer, self.fabric.sim.now)

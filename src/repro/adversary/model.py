@@ -89,7 +89,6 @@ class AdversaryModel:
     def __init__(self, fabric, config: AdversaryConfig) -> None:
         self.fabric = fabric
         self.config = config
-        self.network = fabric.network
         self.metrics = fabric.metrics
         #: per-overlay certificate registries (independent id spaces)
         self.certifiers: Dict[str, IdCertifier] = {}
@@ -221,10 +220,8 @@ class AdversaryModel:
         else:
             claimed = self.certified_id("chord", target)
         if behavior == "misroute":
-            self.network.stats.misrouted += 1
             self.metrics.inc("adversary.misroutes", overlay="chord")
             return ChordAnswer(next_hop=(target, claimed))
-        self.network.stats.forged_routes += 1
         self.metrics.inc("adversary.forged_routes", overlay="chord")
         return ChordAnswer(final=(target, claimed))
 
@@ -251,7 +248,6 @@ class AdversaryModel:
             claimed = self._forged_id("kad", key, rank) if chosen \
                 else self.certified_id("kad", name)
             claims.append((name, claimed))
-        self.network.stats.forged_routes += 1
         self.metrics.inc("adversary.forged_routes", overlay="kad")
         return KadAnswer(claims=tuple(claims))
 

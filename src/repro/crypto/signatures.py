@@ -26,7 +26,6 @@ from repro.crypto.groups import SchnorrGroup, group_for_level
 from repro.crypto.hashing import hash_to_int
 from repro.crypto.numbertheory import modinv
 from repro.exceptions import SignatureError
-from repro.obs import hooks
 
 _DEFAULT_RNG = _random.Random(0x516)
 
@@ -56,11 +55,10 @@ class SchnorrPublicKey:
         e, s = signature
         if not 0 <= e < self.group.q or not 0 <= s < self.group.q:
             return False
-        with hooks.crypto_op("schnorr.verify", len(message)):
-            commitment = self.group.mul(
-                self.group.exp(s),
-                self.group.inverse(self.group.power(self.y, e)))
-            return _challenge(self.group, commitment, self.y, message) == e
+        commitment = self.group.mul(
+            self.group.exp(s),
+            self.group.inverse(self.group.power(self.y, e)))
+        return _challenge(self.group, commitment, self.y, message) == e
 
     def verify_or_raise(self, message: bytes,
                         signature: SchnorrSignature) -> None:
@@ -95,13 +93,11 @@ class SchnorrSigner:
              rng: Optional[_random.Random] = None) -> SchnorrSignature:
         """Produce ``(e, s)`` with ``s = k + e*x`` for random nonce ``k``."""
         rng = rng or _DEFAULT_RNG
-        with hooks.crypto_op("schnorr.sign", len(message)):
-            k = self.group.random_scalar(rng)
-            commitment = self.group.exp(k)
-            e = _challenge(self.group, commitment, self.public_key.y,
-                           message)
-            s = (k + e * self.x) % self.group.q
-            return (e, s)
+        k = self.group.random_scalar(rng)
+        commitment = self.group.exp(k)
+        e = _challenge(self.group, commitment, self.public_key.y, message)
+        s = (k + e * self.x) % self.group.q
+        return (e, s)
 
 
 def generate_schnorr_keypair(level: str = "TOY",

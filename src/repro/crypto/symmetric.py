@@ -24,7 +24,6 @@ from typing import Optional
 from repro.crypto.aes import AES
 from repro.crypto.hashing import hkdf, hmac_sha256, hmac_verify
 from repro.exceptions import CryptoError, DecryptionError, InvalidKeyError
-from repro.obs import hooks
 
 _DEFAULT_RNG = _random.Random(0xC1F3)
 
@@ -136,21 +135,19 @@ class StreamCipher:
                 rng: Optional[_random.Random] = None) -> bytes:
         """Encrypt-then-MAC; output is ``nonce || ciphertext || tag``."""
         rng = rng or _DEFAULT_RNG
-        with hooks.crypto_op("stream.encrypt", len(plaintext)):
-            nonce = bytes(rng.getrandbits(8) for _ in range(16))
-            body = _xor(plaintext, self._keystream(nonce, len(plaintext)))
-            tag = hmac_sha256(self._mac_key, nonce + body)
-            return nonce + body + tag
+        nonce = bytes(rng.getrandbits(8) for _ in range(16))
+        body = _xor(plaintext, self._keystream(nonce, len(plaintext)))
+        tag = hmac_sha256(self._mac_key, nonce + body)
+        return nonce + body + tag
 
     def decrypt(self, blob: bytes) -> bytes:
         """Verify the MAC then strip nonce/tag and decrypt."""
         if len(blob) < 48:
             raise DecryptionError("ciphertext too short")
-        with hooks.crypto_op("stream.decrypt", len(blob)):
-            nonce, body, tag = blob[:16], blob[16:-32], blob[-32:]
-            if not hmac_verify(self._mac_key, nonce + body, tag):
-                raise DecryptionError("authentication tag mismatch")
-            return _xor(body, self._keystream(nonce, len(body)))
+        nonce, body, tag = blob[:16], blob[16:-32], blob[-32:]
+        if not hmac_verify(self._mac_key, nonce + body, tag):
+            raise DecryptionError("authentication tag mismatch")
+        return _xor(body, self._keystream(nonce, len(body)))
 
 
 class AuthenticatedCipher:
@@ -170,19 +167,17 @@ class AuthenticatedCipher:
                 rng: Optional[_random.Random] = None) -> bytes:
         """Encrypt and authenticate ``plaintext`` (and bind ``associated_data``)."""
         rng = rng or _DEFAULT_RNG
-        with hooks.crypto_op("aead.encrypt", len(plaintext)):
-            nonce = bytes(rng.getrandbits(8) for _ in range(8))
-            body = aes_ctr(self._enc_key, nonce, plaintext)
-            tag = hmac_sha256(self._mac_key, associated_data + nonce + body)
-            return nonce + body + tag
+        nonce = bytes(rng.getrandbits(8) for _ in range(8))
+        body = aes_ctr(self._enc_key, nonce, plaintext)
+        tag = hmac_sha256(self._mac_key, associated_data + nonce + body)
+        return nonce + body + tag
 
     def decrypt(self, blob: bytes, associated_data: bytes = b"") -> bytes:
         """Verify then decrypt; raises :class:`DecryptionError` on any tamper."""
         if len(blob) < 40:
             raise DecryptionError("ciphertext too short")
-        with hooks.crypto_op("aead.decrypt", len(blob)):
-            nonce, body, tag = blob[:8], blob[8:-32], blob[-32:]
-            if not hmac_verify(self._mac_key,
-                               associated_data + nonce + body, tag):
-                raise DecryptionError("authentication tag mismatch")
-            return aes_ctr(self._enc_key, nonce, body)
+        nonce, body, tag = blob[:8], blob[8:-32], blob[-32:]
+        if not hmac_verify(self._mac_key,
+                           associated_data + nonce + body, tag):
+            raise DecryptionError("authentication tag mismatch")
+        return aes_ctr(self._enc_key, nonce, body)

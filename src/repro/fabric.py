@@ -37,7 +37,6 @@ from repro.faults.overload import (Deadline, OverloadConfig, RetryBudget,
                                    deadline_expired)
 from repro.faults.resilience import (CircuitBreaker, ReliableChannel,
                                      RetryPolicy)
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NOOP_TRACER, Tracer
 from repro.overlay.network import SimNetwork
 from repro.overlay.simulator import SimFuture, Simulator
@@ -50,8 +49,6 @@ class Fabric:
 
     def __init__(self, sim: Simulator, network: SimNetwork,
                  channel: Optional[ReliableChannel] = None,
-                 tracer: Optional[Any] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  rng: Optional[_random.Random] = None,
                  overload: Optional[OverloadConfig] = None) -> None:
         if network.sim is not sim:
@@ -60,11 +57,9 @@ class Fabric:
         self.sim = sim
         self.network = network
         self.channel = channel
-        self.tracer = tracer if tracer is not None else network.tracer
-        self.metrics = metrics if metrics is not None else network.metrics
-        # Keep the network's view consistent with the fabric's.
-        network.tracer = self.tracer
-        network.metrics = self.metrics
+        # the network's own: its stats view derives from this registry
+        self.tracer = network.tracer
+        self.metrics = network.metrics
         #: the attached :class:`repro.membership.SwimMembership` (None
         #: keeps every layer on the legacy oracle path, byte-identical)
         self.membership: Optional[Any] = None
@@ -112,14 +107,12 @@ class Fabric:
         sim = Simulator(seed)
         tracer = Tracer(lambda: sim.now, wall_clock=wall_clock) if tracing \
             else NOOP_TRACER
-        metrics = MetricsRegistry()
         network = SimNetwork(sim, latency=latency, loss_rate=loss_rate,
-                             faults=faults, tracer=tracer, metrics=metrics)
+                             faults=faults, tracer=tracer)
         channel = None
         if resilient or retry is not None or breaker is not None:
             channel = ReliableChannel(network, retry, breaker)
-        fabric = cls(sim, network, channel=channel, tracer=tracer,
-                     metrics=metrics, overload=overload)
+        fabric = cls(sim, network, channel=channel, overload=overload)
         if adversary is not None:
             from repro.adversary import AdversaryModel
             AdversaryModel(fabric, adversary)  # attaches itself

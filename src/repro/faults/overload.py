@@ -205,13 +205,11 @@ def deadline_expired(network, deadline: Optional[Deadline], spent: float,
     Every layer that propagates a budget (channel attempts and hedges,
     lookup hops, replica and quorum probes) asks here before paying for
     the next RPC, so an expiry is counted the same way wherever it is
-    noticed: ``NetworkStats.deadline_expired`` plus the
-    ``overload.deadline_expired{kind=...}`` counter.  ``None`` never
-    expires.
+    noticed: once, as ``overload.deadline_expired{kind=...}`` (which
+    ``NetworkStats.deadline_expired`` sums).  ``None`` never expires.
     """
     if deadline is None or not deadline.expired(network.sim.now, spent):
         return False
-    network.stats.deadline_expired += 1
     network.metrics.inc("overload.deadline_expired", kind=kind)
     return True
 

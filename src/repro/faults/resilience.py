@@ -19,9 +19,10 @@ injects:
   :class:`~repro.faults.overload.RetryBudget` token bucket, and a shed
   (``overloaded``) response never feeds the circuit breaker.
 
-Every retry, breaker trip, fast-fail, and hedge is counted in the
-network's :class:`NetworkStats`, so experiment E12 can price the
-resilience (extra messages) against what it buys (success rate).
+Every retry, breaker trip, fast-fail, and hedge is counted once, in the
+network's metrics registry (``NetworkStats`` sums them back up), so
+experiment E12 can price the resilience (extra messages) against what it
+buys (success rate).
 
 Backoff delays are virtual-time bookkeeping: they are added to the
 reported elapsed time of a call rather than scheduled as events —
@@ -209,7 +210,7 @@ class ReliableChannel:
         replaces it and is consulted by the caller instead)."""
         if view is None and self.breaker is not None \
                 and not self.breaker.allow(dst, now):
-            self.network.stats.breaker_fastfails += 1
+            self.network.metrics.inc("channel.breaker_fastfails")
             self._export_breaker_state(dst)
             return False
         return True
@@ -231,7 +232,7 @@ class ReliableChannel:
             if future.ok:
                 self.breaker.record_success(dst)
             elif self.breaker.record_failure(dst, now):
-                self.network.stats.breaker_trips += 1
+                self.network.metrics.inc("channel.breaker_trips")
             self._export_breaker_state(dst)
         return future
 
@@ -268,7 +269,6 @@ class ReliableChannel:
               deadline: Optional[Deadline]
               ) -> Tuple[bool, float, Optional[str]]:
         """The :meth:`call` engine; also reports the last failure cause."""
-        stats = self.network.stats
         with self.network.tracer.span("channel.call", kind=kind, src=src,
                                       dst=dst) as span:
             elapsed = 0.0
@@ -279,7 +279,6 @@ class ReliableChannel:
             view = self._view_of(src)
             if view is not None:
                 if view.is_dead(dst):
-                    stats.breaker_fastfails += 1
                     self.network.metrics.inc("channel.membership_fastfails",
                                              kind=kind)
                     span.set_attr("attempts", 0)
@@ -312,12 +311,11 @@ class ReliableChannel:
                 if attempt + 1 < max_attempts:
                     if self.retry_budget is not None \
                             and not self.retry_budget.try_spend():
-                        stats.budget_exhausted += 1
                         self.network.metrics.inc("overload.budget_exhausted",
                                                  kind=kind)
                         outcome = "budget_exhausted"
                         break
-                    stats.retries += 1
+                    self.network.metrics.inc("channel.retries", kind=kind)
                     backoff = self.policy.backoff(attempt, self._rng)
                     elapsed += backoff
                     span.add_cost(backoff)
@@ -379,7 +377,8 @@ class ReliableChannel:
                 return (future, future.ok)
 
             winner, elapsed, hedges = hedge_of(dsts, self.hedge_delay, issue)
-            self.network.stats.hedges += hedges
+            if hedges:
+                self.network.metrics.inc("net.hedges", hedges, kind=kind)
             span.set_attr("winner", winner)
             span.settle_cost(elapsed)
             return (winner is not None, winner, elapsed)

@@ -305,11 +305,6 @@ class SwimMembership:
         self._rotation_index: Dict[str, int] = {}
         #: administrative union of confirmations (see module docstring)
         self._dead: Set[str] = set()
-        #: peers administratively quarantined by the adversary defense
-        #: (provably-lying routers); they sort last in health-aware
-        #: ordering but are *not* counted dead — lying is orthogonal to
-        #: liveness, and a false ban must stay reachable as last resort
-        self.quarantined: Set[str] = set()
         self.confirm_log: List[ConfirmEvent] = []
         self._confirm_callbacks: List[Callable[[str, float], None]] = []
         self._started = False
@@ -350,18 +345,6 @@ class SwimMembership:
     def alive_members(self) -> List[str]:
         """Members not administratively confirmed dead."""
         return [m for m in self._members if m not in self._dead]
-
-    def quarantine(self, peer: str) -> None:
-        """Administratively mark ``peer`` as a proven routing liar.
-
-        Fed by :class:`repro.adversary.Quarantine`: the peer keeps its
-        liveness state (it *is* alive — that is the problem) but sorts
-        last in :meth:`order_by_health`, so reads and cache probes
-        prefer any honest holder over it.
-        """
-        if peer not in self.quarantined:
-            self.quarantined.add(peer)
-            self.metrics.inc("membership.quarantines")
 
     def on_confirm(self, callback: Callable[[str, float], None]) -> None:
         """Subscribe to cluster-first death confirmations.
@@ -600,9 +583,6 @@ class SwimMembership:
         if view is None:
             return list(peers)
         now = self.sim.now
-        if self.quarantined:
-            return sorted(peers, key=lambda p: (p in self.quarantined,
-                                                -view.health(p, now)))
         return sorted(peers, key=lambda p: -view.health(p, now))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -6,10 +6,9 @@ messages go*; this package is the layer that answers them:
 
 * :mod:`repro.obs.trace`   — hierarchical spans keyed to virtual sim time
   (:class:`Tracer`), with a near-zero-cost :class:`NoopTracer` default;
-* :mod:`repro.obs.metrics` — dimensional counters/gauges/histograms
-  (:class:`MetricsRegistry`), superseding the flat ``NetworkStats``;
-* :mod:`repro.obs.hooks`   — wall-clock profiling hooks around the crypto
-  primitives (:func:`profile_crypto`);
+* :mod:`repro.obs.metrics` — labelled counters/gauges/histograms
+  (:class:`MetricsRegistry`): the one store of event counts, which the
+  flat ``NetworkStats`` aggregates are a read-only view of;
 * :mod:`repro.obs.export`  — JSONL trace dumps, flamegraph-style text
   summaries, and ``report_table``-compatible metric/breakdown tables.
 
@@ -24,14 +23,12 @@ every subsystem — see docs/observability.md for the migration guide.
 
 from repro.obs.export import (DOSN_PHASES, cost_breakdown, flame_summary,
                               metrics_rows, trace_to_jsonl)
-from repro.obs.hooks import CryptoProfiler, crypto_op, profile_crypto
-from repro.obs.metrics import (DEFAULT_BUCKETS, WALL_NS_BUCKETS, Counter,
-                               Gauge, Histogram, MetricsRegistry)
+from repro.obs.metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
+                               MetricsRegistry)
 from repro.obs.trace import NOOP_TRACER, NoopTracer, Span, Tracer
 
 __all__ = [
-    "Counter", "CryptoProfiler", "DEFAULT_BUCKETS", "DOSN_PHASES", "Gauge",
-    "Histogram", "MetricsRegistry", "NOOP_TRACER", "NoopTracer", "Span",
-    "Tracer", "WALL_NS_BUCKETS", "cost_breakdown", "crypto_op",
-    "flame_summary", "metrics_rows", "profile_crypto", "trace_to_jsonl",
+    "Counter", "DEFAULT_BUCKETS", "DOSN_PHASES", "Gauge", "Histogram",
+    "MetricsRegistry", "NOOP_TRACER", "NoopTracer", "Span", "Tracer",
+    "cost_breakdown", "flame_summary", "metrics_rows", "trace_to_jsonl",
 ]

@@ -1,33 +1,29 @@
 """Dimensional metrics: counters, gauges, and fixed-bucket histograms.
 
-:class:`MetricsRegistry` is the successor of the flat
-:class:`repro.overlay.network.NetworkStats` counters: every instrument
-carries a name plus sorted ``(label, value)`` dimensions, so the fabric can
-attribute a drop to *which* message kind, *which* fault cause, and *which*
-direction instead of bumping one aggregate integer.  ``NetworkStats``
-remains as the cheap legacy view (benchmarks read it everywhere);
-:meth:`MetricsRegistry.absorb_network` imports its aggregates into the
-registry so one exporter sees both worlds.
+:class:`MetricsRegistry` is where every countable event of a run lands,
+once, at the site where it happens: each instrument carries a name plus
+sorted ``(label, value)`` dimensions, so the fabric attributes a drop to
+*which* message kind, *which* fault cause and *which* direction.  The
+flat aggregates every experiment reads
+(:class:`repro.overlay.network.NetworkStats`) are a read-only view
+derived from these counters, not a second set of books.
 
 Histograms use fixed bucket bounds, so merging and percentile estimation
 are deterministic and O(buckets); :meth:`Histogram.percentile` linearly
 interpolates inside the winning bucket (the classic Prometheus
 ``histogram_quantile`` estimator).
 
-Everything here is pure bookkeeping — no randomness, no wall-clock reads —
-except :meth:`MetricsRegistry.timer`, which is the explicitly wall-clock
-profiling hook (used around crypto primitives) and records nanoseconds
-into a histogram kept apart from the virtual-time instruments by the
-``.wall_ns`` name suffix convention.
+Everything here is pure bookkeeping — no randomness, no wall-clock reads;
+wall-clock profiling is ``Tracer(wall_clock=True)``'s job
+(:mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "DEFAULT_BUCKETS", "WALL_NS_BUCKETS"]
+           "DEFAULT_BUCKETS"]
 
 LabelItems = Tuple[Tuple[str, Any], ...]
 
@@ -35,10 +31,6 @@ LabelItems = Tuple[Tuple[str, Any], ...]
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 25.0, 60.0)
-
-#: Default bounds for wall-clock nanosecond histograms (crypto profiling).
-WALL_NS_BUCKETS: Tuple[float, ...] = (
-    1e3, 5e3, 1e4, 5e4, 1e5, 5e5, 1e6, 5e6, 1e7, 5e7, 1e8, 1e9)
 
 
 class Counter:
@@ -146,10 +138,15 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create registry of labelled instruments."""
+    """Get-or-create registry of labelled instruments.
+
+    Instruments are never removed: hot paths resolve a handle once and
+    bump its ``value`` directly.
+    """
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, str, LabelItems], Any] = {}
+        self._families: Dict[str, List[Any]] = {}
 
     # -- instrument accessors -------------------------------------------------
 
@@ -160,6 +157,7 @@ class MetricsRegistry:
         if instrument is None:
             instrument = factory(name, key[2], **kwargs)
             self._instruments[key] = instrument
+            self._families.setdefault(name, []).append(instrument)
         return instrument
 
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -182,35 +180,11 @@ class MetricsRegistry:
         """Shorthand: record one histogram observation."""
         self.histogram(name, bounds=bounds, **labels).observe(value)
 
-    def timer(self, name: str, **labels: Any) -> "_Timer":
-        """Wall-clock context manager recording ns into ``<name>.wall_ns``.
-
-        This is the one deliberately nondeterministic instrument; keep its
-        output out of byte-compared artifacts.
-        """
-        return _Timer(self.histogram(f"{name}.wall_ns",
-                                     bounds=WALL_NS_BUCKETS, **labels))
-
-    # -- legacy absorption ----------------------------------------------------
-
-    def absorb_network(self, network: Any, prefix: str = "net.") -> None:
-        """Import a :class:`NetworkStats` snapshot into the registry.
-
-        Called at export time so the flat legacy counters and the
-        dimensional ones land in one table; per-kind message counts become
-        ``net.messages_by_kind{kind=...}``.
-        """
-        stats = network.stats if hasattr(network, "stats") else network
-        for field_name in ("messages", "bytes", "drops", "timeouts",
-                          "retries", "breaker_trips", "breaker_fastfails",
-                          "hedges", "fault_drops", "corrupted"):
-            counter = self.counter(prefix + field_name)
-            counter.value = getattr(stats, field_name)
-        for kind, count in stats.by_kind.items():
-            counter = self.counter(prefix + "messages_by_kind", kind=kind)
-            counter.value = count
-
     # -- introspection --------------------------------------------------------
+
+    def family(self, name: str) -> Sequence[Any]:
+        """Every labelled instrument called ``name``, in creation order."""
+        return self._families.get(name, ())
 
     def __iter__(self) -> Iterator[Any]:
         """Instruments in deterministic (kind, name, labels) order."""
@@ -223,22 +197,3 @@ class MetricsRegistry:
         key = ("counter", name, tuple(sorted(labels.items())))
         instrument = self._instruments.get(key)
         return instrument.value if instrument is not None else 0
-
-    def clear(self) -> None:
-        self._instruments.clear()
-
-
-class _Timer:
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self._histogram = histogram
-        self._start = 0
-
-    def __enter__(self) -> "_Timer":
-        self._start = time.perf_counter_ns()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._histogram.observe(time.perf_counter_ns() - self._start)
-        return False

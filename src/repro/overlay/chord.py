@@ -450,7 +450,7 @@ class ChordRing:
             # the route already landed on ``routed``: its keys ride free
             if resilient or replica != routed:
                 if resilient and probed:
-                    self.network.stats.hedges += 1
+                    self.network.metrics.inc("net.hedges", kind=kind)
                 probed += 1
                 future = ctx.call_issue(start if resilient else routed,
                                         replica, kind)

@@ -11,11 +11,12 @@ Two communication styles, matching how the overlay protocols are written:
   lookups use this — the classic simulation shortcut that preserves hop and
   message counts without continuation-passing every protocol step).
 
-Every message is counted in :class:`NetworkStats`, which experiments E5-E7
-read for their message-cost series.  Failures are additionally recorded
-dimensionally (kind × cause × direction) in the attached
-:class:`repro.obs.MetricsRegistry`, and every send/RPC opens a span on the
-attached tracer (a no-op by default) — see :mod:`repro.obs` and
+Every message and every failure is counted once, in the attached
+:class:`repro.obs.MetricsRegistry` — failures dimensionally (kind × cause
+× direction) — and :class:`NetworkStats`, which the experiments read for
+their cost series, is a read-only view derived from those counters
+(:data:`STATS_FIELDS`).  Every send/RPC also opens a span on the attached
+tracer (a no-op by default) — see :mod:`repro.obs` and
 :class:`repro.fabric.Fabric`.
 
 Beyond the benign i.i.d. loss process, the fabric can carry an installed
@@ -28,9 +29,8 @@ stresses the overlay protocols through this hook.
 from __future__ import annotations
 
 import random as _random
-from collections import Counter
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import OverlayError, SimulationError
 from repro.obs.metrics import MetricsRegistry
@@ -58,87 +58,109 @@ class Message:
                         for k, v in self.payload.items())
 
 
-@dataclass
+#: The one derivation of the flat aggregates: field -> the counter
+#: families it sums, each as ``(family, label, values)`` — every member of
+#: ``family`` whose ``label`` is one of ``values`` (``label=None``: the
+#: whole family).  docs/observability.md renders this table.
+STATS_FIELDS: Dict[str, Tuple[
+    Tuple[str, Optional[str], Tuple[str, ...]], ...]] = {
+    "messages": (("net.messages", None, ()),),
+    "bytes": (("net.bytes", None, ()),),
+    "drops": (("net.send_drops", None, ()),),
+    # every abandoned attempt the caller waited out; a corrupted response
+    # and a ``reject`` shed come back at once, so neither is a timeout
+    "timeouts": (("net.rpc_failures", "cause",
+                  ("partition", "offline", "loss", "fault", "slow")),
+                 ("overload.sheds", "policy", ("drop",))),
+    "corrupted": (("net.corrupted", None, ()),
+                  ("net.rpc_failures", "cause", ("corruption",))),
+    "retries": (("channel.retries", None, ()),),
+    "breaker_trips": (("channel.breaker_trips", None, ()),),
+    "breaker_fastfails": (("channel.breaker_fastfails", None, ()),
+                          ("channel.membership_fastfails", None, ())),
+    "hedges": (("net.hedges", None, ()),),
+    # losses an installed fault plan caused, one-way and RPC alike
+    "fault_drops": (("net.send_drops", "cause", ("partition", "fault")),
+                    ("net.rpc_failures", "cause", ("partition", "fault"))),
+    "shed": (("overload.sheds", None, ()),),
+    "deadline_expired": (("overload.deadline_expired", None, ()),),
+    "budget_exhausted": (("overload.budget_exhausted", None, ()),),
+    "misrouted": (("adversary.misroutes", None, ()),),
+    "forged_routes": (("adversary.forged_routes", None, ()),),
+}
+
+
 class NetworkStats:
-    """Aggregate traffic counters (the legacy, flat view).
+    """Aggregate traffic counters: a read-only view over the registry.
 
-    The base counters feed E5-E7; the resilience counters (``retries``,
-    ``breaker_trips``, ``breaker_fastfails``, ``hedges``) are incremented
-    by :class:`repro.faults.ReliableChannel`, and ``fault_drops`` /
-    ``corrupted`` attribute losses to an installed fault plan — E12 reads
-    all of them.  The overload counters (``shed``: requests rejected or
-    dropped by a full service queue, ``deadline_expired``: operations
-    abandoned because their propagated deadline ran out,
-    ``budget_exhausted``: retries denied by the channel's token bucket)
-    stay zero unless an :class:`repro.faults.OverloadConfig` is
-    installed — E18 reads them.  The adversary counters (``misrouted``:
-    lookups handed to an accomplice next hop, ``forged_routes``: forged
-    owner claims / closest-node sets) stay zero unless an
-    :class:`repro.adversary.AdversaryConfig` is installed — E19 reads
-    them, and E12b's table proves they stay zero on the legacy path.
+    Each field of :data:`STATS_FIELDS` reads as an attribute
+    (``stats.timeouts``) and sums the labelled counters the table names,
+    so the view can never disagree with the registry it derives from;
+    nothing is stored here and assigning a field raises
+    :class:`AttributeError`.  The base fields feed E5-E7, the resilience
+    fields (``retries``, ``breaker_trips``, ``breaker_fastfails``,
+    ``hedges``, ``fault_drops``, ``corrupted``) E12; the overload fields
+    (``shed``, ``deadline_expired``, ``budget_exhausted``) stay zero
+    unless an :class:`repro.faults.OverloadConfig` is installed (E18), the
+    adversary fields (``misrouted``, ``forged_routes``) unless an
+    :class:`repro.adversary.AdversaryConfig` is (E19; E12b's table proves
+    they stay zero on the legacy path).
 
-    Superseded by the dimensional :class:`repro.obs.MetricsRegistry` on
-    :attr:`SimNetwork.metrics` (per-kind, per-cause, per-direction
-    counters; histograms); these aggregates remain because they are cheap
-    and every existing experiment reads them.  Use
-    :meth:`repro.obs.MetricsRegistry.absorb_network` to fold a snapshot of
-    them into the registry at export time.
+    A bare ``NetworkStats()`` views a registry of its own: all zeros.
     """
 
-    messages: int = 0
-    bytes: int = 0
-    drops: int = 0
-    timeouts: int = 0
-    retries: int = 0
-    breaker_trips: int = 0
-    breaker_fastfails: int = 0
-    hedges: int = 0
-    fault_drops: int = 0
-    corrupted: int = 0
-    shed: int = 0
-    deadline_expired: int = 0
-    budget_exhausted: int = 0
-    misrouted: int = 0
-    forged_routes: int = 0
-    by_kind: Counter = field(default_factory=Counter)
+    __slots__ = ("_metrics", "_messages", "_bytes")
+
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
+        # the per-message pair is read per operation by the harnesses:
+        # the same two handles SimNetwork bumps, no family walk
+        self._messages = self._metrics.counter("net.messages")
+        self._bytes = self._metrics.counter("net.bytes")
+
+    @property
+    def messages(self) -> int:
+        return self._messages.value
+
+    @property
+    def bytes(self) -> int:
+        return self._bytes.value
+
+    def __getattr__(self, name: str) -> int:
+        try:
+            sources = STATS_FIELDS[name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute "
+                f"{name!r}") from None
+        return sum(
+            counter.value
+            for family, label, values in sources
+            for counter in self._metrics.family(family)
+            if label is None or dict(counter.labels).get(label) in values)
 
     def reset(self) -> None:
-        """Zero everything (benchmarks call between phases)."""
-        for spec in fields(self):
-            if spec.default is MISSING:
-                # ``by_kind``: emptied in place, references stay valid
-                getattr(self, spec.name).clear()
-            else:
-                setattr(self, spec.name, spec.default)
+        """Zero every member of every family the view reads, and nothing
+        else (benchmarks call between phases; ``storage.*`` and the rest
+        keep counting across them)."""
+        for sources in STATS_FIELDS.values():
+            for family, _label, _values in sources:
+                for counter in self._metrics.family(family):
+                    counter.value = 0
 
     def summary(self) -> Dict[str, int]:
         """Flat roll-up with *every* RPC failure cause accounted.
 
         ``failures`` covers both failure modes an RPC caller observes:
         timeouts (lost request/response, offline or partitioned peer)
-        **and** corrupted responses — the corruption branch of
-        :meth:`SimNetwork._rpc_inner` returns a failure without touching
-        ``timeouts``, so summing only timeouts under-counts.  E12 reads
-        this so its resilience tables balance against injected faults.
+        **and** corrupted responses — a corrupted response is a failure
+        that is no timeout, so summing only timeouts under-counts.  E12
+        reads this so its resilience tables balance against injected
+        faults.
         """
-        return {
-            "messages": self.messages,
-            "bytes": self.bytes,
-            "drops": self.drops,
-            "timeouts": self.timeouts,
-            "corrupted": self.corrupted,
-            "failures": self.timeouts + self.corrupted,
-            "retries": self.retries,
-            "breaker_trips": self.breaker_trips,
-            "breaker_fastfails": self.breaker_fastfails,
-            "hedges": self.hedges,
-            "fault_drops": self.fault_drops,
-            "shed": self.shed,
-            "deadline_expired": self.deadline_expired,
-            "budget_exhausted": self.budget_exhausted,
-            "misrouted": self.misrouted,
-            "forged_routes": self.forged_routes,
-        }
+        out = {name: getattr(self, name) for name in STATS_FIELDS}
+        out["failures"] = out["timeouts"] + out["corrupted"]
+        return out
 
 
 class SimNode:
@@ -202,19 +224,22 @@ class SimNetwork:
 
     def __init__(self, sim: Simulator, latency: Optional[Any] = None,
                  loss_rate: float = 0.0, faults: Optional[Any] = None,
-                 tracer: Optional[Any] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 tracer: Optional[Any] = None) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise SimulationError("loss_rate must be in [0, 1)")
         self.sim = sim
         self.latency = latency or UniformLatency()
         self.loss_rate = loss_rate
         self.nodes: Dict[str, SimNode] = {}
-        self.stats = NetworkStats()
-        #: observability: a no-op tracer and a fresh registry by default;
-        #: :class:`repro.fabric.Fabric` injects shared instances.
+        #: observability: a no-op tracer by default, and the registry
+        #: every subsystem of the :class:`repro.fabric.Fabric` counts into
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
+        self.stats = NetworkStats(self.metrics)
+        # per-message hot path: the two handles resolved once, so an RPC
+        # hashes no labels
+        self._messages = self.metrics.counter("net.messages")
+        self._bytes = self.metrics.counter("net.bytes")
         self._rng = sim.split_rng("network")
         self.faults = None
         #: per-peer service model (None = fair-weather: RPCs are free for
@@ -318,40 +343,32 @@ class SimNetwork:
         """Queue delivery of ``message`` after a latency sample.
 
         Messages to offline/unknown peers or lost to the loss process are
-        counted as drops; the sender is not notified (UDP semantics — the
-        protocols on top implement their own retries where they need them).
-        Partition-blocked and burst-lost messages additionally count as
-        ``fault_drops``; corrupted ones are delivered flagged.
-
-        Each drop is also recorded dimensionally in :attr:`metrics` as
-        ``net.send_drops{kind=..., cause=...}``.
+        dropped; the sender is not notified (UDP semantics — the protocols
+        on top implement their own retries where they need them).  Each
+        drop is recorded in :attr:`metrics` as
+        ``net.send_drops{kind=..., cause=...}`` (partition-blocked and
+        burst-lost ones are the ``fault_drops``); corrupted messages are
+        delivered flagged and counted as ``net.corrupted{kind=...}``.
         """
-        self.stats.messages += 1
-        self.stats.bytes += message.size_estimate()
-        self.stats.by_kind[message.kind] += 1
+        self._messages.value += 1
+        self._bytes.value += message.size_estimate()
         now = self.sim.now
         with self.tracer.span("net.send", kind=message.kind,
                               src=message.src, dst=message.dst) as span:
             if self.faults is not None \
                     and self.faults.blocks(message.src, message.dst, now):
-                self.stats.drops += 1
-                self.stats.fault_drops += 1
                 self.metrics.inc("net.send_drops", kind=message.kind,
                                  cause="partition")
                 span.set_attr("dropped", "partition")
                 return
             cause = self._loss_cause(message.src, message.dst, now)
             if cause is not None:
-                self.stats.drops += 1
-                if cause == "fault":
-                    self.stats.fault_drops += 1
                 self.metrics.inc("net.send_drops", kind=message.kind,
                                  cause=cause)
                 span.set_attr("dropped", cause)
                 return
             if self._corrupts(message.src, message.dst, now):
                 message.corrupted = True
-                self.stats.corrupted += 1
                 self.metrics.inc("net.corrupted", kind=message.kind)
             delay = self.latency.sample(self._rng, message.src, message.dst) \
                 * self._latency_factor(message.src, message.dst, now)
@@ -364,7 +381,6 @@ class SimNetwork:
                                       dst=message.dst) as dspan:
                     node = self.nodes.get(message.dst)
                     if node is None or not node.online:
-                        self.stats.drops += 1
                         self.metrics.inc("net.send_drops", kind=message.kind,
                                          cause="offline")
                         dspan.set_attr("dropped", "offline")
@@ -394,7 +410,6 @@ class SimNetwork:
         parallel parent span turns the sum into a max — see
         :class:`repro.obs.trace.Span`).
         """
-        self.stats.by_kind[kind] += 1
         with self.tracer.span("net.rpc", kind=kind, src=src,
                               dst=dst) as span:
             ok, rtt, cause = self._rpc_inner(src, dst, kind, payload_size,
@@ -419,10 +434,10 @@ class SimNetwork:
         A corrupted response is delivered but useless, so it also reads as
         a failure.
 
-        Every failure is recorded dimensionally in :attr:`metrics` as
+        Every failure is recorded in :attr:`metrics` as
         ``net.rpc_failures{kind=..., cause=..., direction=...}`` — the
-        aggregate ``fault_drops`` counter cannot tell a lost request from
-        a lost response, the labelled counters can.
+        aggregate ``fault_drops`` cannot tell a lost request from a lost
+        response, the labelled counters it sums can.
         """
         return self.rpc_issue(src, dst, kind, payload_size).value
 
@@ -475,11 +490,8 @@ class SimNetwork:
         reachable = not blocked and self.is_online(dst)
         request_lost = self._loss_cause(src, dst, now) if reachable else None
         if not reachable or request_lost is not None:
-            self.stats.messages += 1
-            self.stats.bytes += payload_size
-            self.stats.timeouts += 1
-            if blocked or request_lost == "fault":
-                self.stats.fault_drops += 1
+            self._messages.value += 1
+            self._bytes.value += payload_size
             cause = "partition" if blocked else (
                 "offline" if not reachable else request_lost)
             self.metrics.inc("net.rpc_failures", kind=kind, cause=cause,
@@ -492,35 +504,29 @@ class SimNetwork:
             # the request reached dst: admission to its service queue
             accepted, queue_wait = self._enqueue(dst, now + out)
             if not accepted:
-                self.stats.shed += 1
                 self.metrics.inc("overload.sheds", kind=kind, dst=dst,
                                  policy=self.service.shed_policy)
                 span.set_attr("failed", "overloaded")
                 if self.service.shed_policy == "reject":
                     # a typed rejection rides back: two messages, one
                     # round trip — the cheap failure shedding buys
-                    self.stats.messages += 2
-                    self.stats.bytes += payload_size + 64
+                    self._messages.value += 2
+                    self._bytes.value += payload_size + 64
                     return (False, out + back, "overloaded")
                 # "drop": silently discarded; the caller waits out the
                 # attempt timeout, exactly like an unprotected peer
-                self.stats.messages += 1
-                self.stats.bytes += payload_size
-                self.stats.timeouts += 1
+                self._messages.value += 1
+                self._bytes.value += payload_size
                 return (False, self._timeout_cost(dst, out), "overloaded")
-        self.stats.messages += 2
-        self.stats.bytes += 2 * payload_size
+        self._messages.value += 2
+        self._bytes.value += 2 * payload_size
         response_lost = self._loss_cause(dst, src, now)
         if response_lost is not None:
-            self.stats.timeouts += 1
-            if response_lost == "fault":
-                self.stats.fault_drops += 1
             self.metrics.inc("net.rpc_failures", kind=kind,
                              cause=response_lost, direction="response")
             span.set_attr("failed", f"response/{response_lost}")
             return (False, self._timeout_cost(dst, out), response_lost)
         if self._corrupts(dst, src, now):
-            self.stats.corrupted += 1
             self.metrics.inc("net.rpc_failures", kind=kind,
                              cause="corruption", direction="response")
             span.set_attr("failed", "response/corruption")
@@ -533,7 +539,6 @@ class SimNetwork:
                 # it reads as a timeout while dst's service time is
                 # already spent — the wasted work that feeds metastable
                 # collapse.
-                self.stats.timeouts += 1
                 self.metrics.inc("net.rpc_failures", kind=kind,
                                  cause="slow", direction="response")
                 span.set_attr("failed", "response/slow")

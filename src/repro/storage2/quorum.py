@@ -277,7 +277,7 @@ class ReplicatedStore:
                         deadline_hit = True
                         break  # stop issuing probes nobody will wait for
                     if probed > 0:
-                        self.network.stats.hedges += 1
+                        self.metrics.inc("net.hedges", kind="quorum_read")
                     probed += 1
                     future = ctx.call_issue(reader, holder, "quorum_read",
                                             fanout=True)
@@ -492,7 +492,7 @@ class ReplicatedStore:
             if node is None or key not in node.store:
                 continue
             if probed > 0:
-                self.network.stats.hedges += 1
+                self.metrics.inc("net.hedges", kind="replica_fetch")
             probed += 1
             ok, _ = self.fabric.call(reader, holder, "replica_fetch")
             if ok:

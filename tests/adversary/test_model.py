@@ -98,16 +98,6 @@ class TestQuarantineFeeds:
             swim.register(name)
         return fab, swim
 
-    def test_ban_reaches_membership(self):
-        fab, swim = self._world()
-        fab.adversary.quarantine.flag_provable("p3", "cert")
-        assert "p3" in swim.quarantined
-        ordered = swim.order_by_health("p0", ["p3", "p1", "p2"])
-        assert ordered[-1] == "p3"
-        # Quarantine is not a death sentence: the peer is still alive.
-        assert not swim.confirmed_dead("p3")
-        assert fab.metrics.counter("membership.quarantines").value == 1
-
     def test_ban_reaches_breaker_and_recovers(self):
         fab, swim = self._world()
         breaker = fab.channel.breaker

@@ -323,26 +323,26 @@ class TestRpcFailureCauseMetrics:
 
 
 class TestCryptoProfiling:
-    def test_profile_crypto_records_ops_and_bytes(self):
-        from repro.crypto.symmetric import StreamCipher, random_key
-        from repro.obs import MetricsRegistry, profile_crypto
-        reg = MetricsRegistry()
-        cipher = StreamCipher(random_key(32))
-        with profile_crypto(reg):
-            blob = cipher.encrypt(b"x" * 100)
-            cipher.decrypt(blob)
-        assert reg.get_counter_value("crypto.ops", op="stream.encrypt") == 1
-        assert reg.get_counter_value("crypto.ops", op="stream.decrypt") == 1
-        assert reg.get_counter_value("crypto.bytes",
-                                     op="stream.encrypt") == 100
-        from repro.obs.metrics import WALL_NS_BUCKETS
-        wall = reg.histogram("crypto.stream.encrypt.wall_ns",
-                             bounds=WALL_NS_BUCKETS)
-        assert wall.count == 1  # the profiler timed exactly one encrypt
+    """``Tracer(wall_clock=True)`` is the one wall-clock profiler: the
+    ``crypto.*`` spans time the primitives and carry their volume."""
 
-    def test_profiling_off_by_default(self):
-        from repro.crypto.symmetric import StreamCipher, random_key
-        from repro.obs import hooks
-        assert hooks.ACTIVE is None
-        cipher = StreamCipher(random_key(32))
-        cipher.decrypt(cipher.encrypt(b"quiet"))  # no profiler, no error
+    def _post_and_read(self, **tracing):
+        net = DosnNetwork(config=DosnConfig(architecture="local", seed=5,
+                                            **tracing))
+        net.add_users(["alice", "bob"])
+        net.befriend("alice", "bob")
+        net.read("bob", "alice", net.post("alice", "x" * 100))
+        return {s.name: s for s in net.tracer.spans
+                if s.name.startswith("crypto.")}
+
+    def test_wall_clock_tracer_times_the_crypto_spans(self):
+        spans = self._post_and_read(wall_clock=True)
+        assert set(spans) == {"crypto.sign", "crypto.encrypt",
+                              "crypto.decrypt", "crypto.verify"}
+        assert all(span.wall_ns > 0 for span in spans.values())
+        assert spans["crypto.encrypt"].attrs["nbytes"] > 100
+        assert spans["crypto.decrypt"].attrs["nbytes"] > 100
+
+    def test_wall_time_is_off_unless_asked_for(self):
+        spans = self._post_and_read(tracing=True)
+        assert spans and all(s.wall_ns is None for s in spans.values())

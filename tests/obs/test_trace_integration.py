@@ -137,7 +137,6 @@ class TestDeterminism:
 
     def test_metrics_rows_cover_failures(self):
         fab = self._run(wall_clock=False)
-        fab.metrics.absorb_network(fab.network)
         headers, rows = metrics_rows(fab.metrics)
         names = [r[0] for r in rows]
         assert "net.messages" in names

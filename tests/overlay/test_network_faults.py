@@ -101,14 +101,28 @@ class TestFailurePaths:
         assert net.stats.timeouts == 0
 
     def test_stats_reset_zeroes_resilience_counters(self):
-        sim, net, a, b = _net()
-        net.stats.retries = 3
-        net.stats.breaker_trips = 2
-        net.stats.breaker_fastfails = 1
-        net.stats.hedges = 4
-        net.stats.fault_drops = 5
-        net.stats.corrupted = 6
-        net.rpc("a", "b")
+        plan = (FaultPlan(seed=3)
+                .add(Partition(groups=[{"b"}]))
+                .add(Corruption(rate=1.0, peers={"c"})))
+        sim, net, a, b, c = _net(faults=plan, peers=("a", "b", "c"))
+        channel = ReliableChannel(
+            net, RetryPolicy(max_attempts=2, jitter=0.0),
+            CircuitBreaker(failure_threshold=2))
+        # two partitioned attempts: one retry, then the breaker trips
+        assert not channel.call("a", "b")[0]
+        # the open breaker fails the next call fast
+        assert not channel.call("a", "b")[0]
+        # every response from c arrives garbled
+        assert not channel.call("a", "c")[0]
+        # both breakers are open by now: a two-slot race, one hedge
+        assert not channel.hedged("a", ["b", "c"])[0]
+        assert net.stats.messages > 0
+        assert net.stats.retries == 2
+        assert net.stats.breaker_trips == 2
+        assert net.stats.breaker_fastfails == 3
+        assert net.stats.hedges == 1
+        assert net.stats.fault_drops == 2
+        assert net.stats.corrupted == 2
         net.stats.reset()
         assert net.stats.messages == 0
         assert net.stats.retries == 0
@@ -117,22 +131,27 @@ class TestFailurePaths:
         assert net.stats.hedges == 0
         assert net.stats.fault_drops == 0
         assert net.stats.corrupted == 0
-        assert not net.stats.by_kind
 
     def test_stats_reset_covers_every_field(self):
-        import dataclasses
-        from repro.overlay.network import NetworkStats
-        stats = NetworkStats()
-        by_kind = stats.by_kind
-        for spec in dataclasses.fields(stats):
-            if spec.name == "by_kind":
-                by_kind["rpc"] = 7
-            else:
-                setattr(stats, spec.name, 7)
-        assert stats != NetworkStats()
-        stats.reset()
-        assert stats == NetworkStats()
-        assert stats.by_kind is by_kind  # emptied in place
+        from repro.overlay.network import STATS_FIELDS, NetworkStats
+        sim, net, a, b = _net()
+        # one event in every labelled member of every family the view reads
+        families = set()
+        for sources in STATS_FIELDS.values():
+            for family, label, values in sources:
+                families.add(family)
+                for value in values or (None,):
+                    net.metrics.inc(
+                        family, **({} if label is None else {label: value}))
+        net.metrics.inc("storage.quorum_writes")
+        assert all(net.stats.summary().values())  # every field moved
+        net.stats.reset()
+        assert net.stats.summary() == NetworkStats().summary()
+        for family in families:
+            members = net.metrics.family(family)
+            assert members and not any(m.value for m in members)
+        # nothing but what the view reads: E14 counts across resets
+        assert net.metrics.get_counter_value("storage.quorum_writes") == 1
 
 
 class TestFaultPlan:

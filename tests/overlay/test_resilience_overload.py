@@ -213,14 +213,30 @@ class TestServiceQueue:
         assert net.stats.shed == 2
 
     def test_summary_reports_overload_counters(self):
-        fab = _fab(service=ServiceConfig())
-        summary = fab.network.stats.summary()
+        fab = _fab(service=ServiceConfig(service_time=1.0, queue_limit=1,
+                                         timeout=10.0),
+                   retry=RetryPolicy(max_attempts=3, jitter=0.0),
+                   retry_budget=RetryBudgetConfig(capacity=1.0))
+        stats = fab.network.stats
+        summary = stats.summary()
         assert summary["shed"] == 0
         assert summary["deadline_expired"] == 0
         assert summary["budget_exhausted"] == 0
-        fab.network.stats.shed = 3
-        fab.network.stats.reset()
-        assert fab.network.stats.shed == 0
+        assert fab.network.rpc("a", "b")[0]
+        # b's one-slot queue is full: both attempts are shed, and the
+        # bucket's single token buys only the first retry
+        assert not fab.channel.call("a", "b")[0]
+        assert not fab.channel.call(
+            "a", "c", deadline=Deadline(fab.sim.now))[0]
+        summary = stats.summary()
+        assert summary["shed"] == stats.shed == 2
+        assert summary["deadline_expired"] == stats.deadline_expired == 1
+        assert summary["budget_exhausted"] == stats.budget_exhausted == 1
+        stats.reset()
+        summary = stats.summary()
+        assert summary["shed"] == stats.shed == 0
+        assert summary["deadline_expired"] == 0
+        assert summary["budget_exhausted"] == 0
 
 
 class TestChannelOverload:

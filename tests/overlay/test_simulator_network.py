@@ -165,17 +165,11 @@ class TestSimNetwork:
     def test_stats_reset(self):
         sim, net, a, b = self._net()
         net.rpc("a", "b")
+        assert net.stats.messages == 2 and net.stats.bytes > 0
         net.stats.reset()
-        assert net.stats.messages == 0 and not net.stats.by_kind
-
-    def test_by_kind_counters(self):
-        sim, net, a, b = self._net()
-        net.rpc("a", "b", kind="lookup")
-        net.rpc("a", "b", kind="lookup")
-        net.send(Message(kind="ping", src="a", dst="b", payload={"n": 0}))
-        sim.run()
-        assert net.stats.by_kind["lookup"] == 2
-        assert net.stats.by_kind["ping"] == 1
+        assert net.stats.messages == 0 and net.stats.bytes == 0
+        net.rpc("a", "b")  # the network keeps counting into the view
+        assert net.stats.messages == 2
 
     def test_latency_models(self):
         import random

@@ -162,8 +162,10 @@ def test_ring_order_is_read_through_the_public_accessor():
 
 # -- one read path ------------------------------------------------------------
 
-#: names of the read paths that were folded away; nothing may bring them back
-GONE = ("fetch_from_holders", "_get_failover", "_provenance", "batch_reads")
+#: names of the read paths that were folded away, and of the second
+#: statistics system and its profilers; nothing may bring them back
+GONE = ("fetch_from_holders", "_get_failover", "_provenance", "batch_reads",
+        "crypto_op", "profile_crypto", "absorb_network", "by_kind")
 READ_KINDS = {"chord_replica_read", "chord_batch_fetch"}
 
 
@@ -173,7 +175,7 @@ def test_folded_read_paths_stay_gone():
              for path in sorted(SRC.rglob("*.py"))
              for number, line in enumerate(path.read_text().splitlines(), 1)
              for match in [pattern.search(line)] if match]
-    assert not found, f"deleted read-path names are back: {found}"
+    assert not found, f"deleted names are back: {found}"
 
 
 def _quorum_tests(source: str):
@@ -233,3 +235,81 @@ def test_one_function_issues_the_replica_read_rpcs():
                 if isinstance(node, ast.Constant)
                 and node.value in READ_KINDS]
     assert len(literals) == len(READ_KINDS)
+
+
+# -- one statistics system ------------------------------------------------------
+
+def _assigned(node: ast.AST):
+    """The targets of a plain, augmented or annotated assignment."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return [node.target]
+    return []
+
+
+def _stats_writes(source: str):
+    """Assignments whose target is an attribute — or an item of an
+    attribute — of something called ``stats``: the registry is the only
+    store, the view has no fields."""
+    for node in ast.walk(ast.parse(source)):
+        for target in _assigned(node):
+            for part in ast.walk(target):
+                if isinstance(part, ast.Attribute) \
+                        and _name(part.value) == "stats":
+                    yield node.lineno, f"stats.{part.attr}"
+
+
+def test_nothing_writes_into_the_stats_view():
+    found = [(str(path.relative_to(SRC)), line, what)
+             for path in sorted(SRC.rglob("*.py"))
+             for line, what in _stats_writes(path.read_text())]
+    assert not found, (
+        "events are recorded once, in the metrics registry; found: "
+        + ", ".join(f"{path}:{line} {what}" for path, line, what in found))
+    assert [what for _line, what in _stats_writes(
+        "self.stats = NetworkStats(self.metrics)\n"
+        "self.network.stats.hedges += 1\n"
+        "stats.by_kind[kind] += 1\n"
+        "a, net.stats.shed = 1, 2\n")] == [
+            "stats.hedges", "stats.by_kind", "stats.shed"]
+
+
+def test_one_module_derives_the_flat_fields():
+    definers = [str(path.relative_to(SRC))
+                for path in sorted(SRC.rglob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                for target in _assigned(node)
+                if _name(target) == "STATS_FIELDS"]
+    assert definers == ["overlay/network.py"]
+
+
+# -- the ``None``-path pay-down (ROADMAP item 5) ----------------------------------
+
+#: ``is None`` / ``is not None`` comparisons per hot module.  A ceiling may
+#: only ever be lowered: when a count drops, lower its number with it.
+NONE_TEST_CEILINGS = {
+    "fabric.py": 30,
+    "overlay/network.py": 28,
+    "overlay/chord.py": 18,
+    "storage2/quorum.py": 16,
+    "membership/swim.py": 14,
+}
+
+
+def _none_tests(source: str) -> int:
+    return sum(isinstance(op, (ast.Is, ast.IsNot))
+               and isinstance(right, ast.Constant) and right.value is None
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Compare)
+               for op, right in zip(node.ops, node.comparators))
+
+
+@pytest.mark.parametrize("relative", sorted(NONE_TEST_CEILINGS))
+def test_none_tests_only_ratchet_down(relative):
+    count = _none_tests((SRC / relative).read_text())
+    assert count <= NONE_TEST_CEILINGS[relative], (
+        f"{relative} tests `is None` {count} times, ceiling "
+        f"{NONE_TEST_CEILINGS[relative]}: resolve the configuration once "
+        "instead of re-testing it")
+    assert _none_tests("a = x if x is not None else (y is None, z is 1)") == 2
