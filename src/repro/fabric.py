@@ -307,7 +307,7 @@ class OpContext:
         has confirmed dead, grown by :meth:`write_off`."""
         if self._avoid is None:
             view = self._view()
-            self._avoid = set() if view is None else set(view.dead_peers())
+            self._avoid = set() if view is None else set(view.dead)
         return self._avoid
 
     def write_off(self, peer: str) -> None:

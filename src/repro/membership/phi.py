@@ -22,8 +22,8 @@ The model is invertible, which the property tests exploit: silence of
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Deque, Optional
+from array import array
+from typing import Optional
 
 LN10 = math.log(10.0)
 
@@ -40,7 +40,10 @@ class PhiEstimator:
         self.initial_interval = initial_interval
         self.min_interval = min_interval
         self.last_evidence = now
-        self._gaps: Deque[float] = deque(maxlen=window)
+        # a sliding window of the last ``window`` gaps, oldest first, as
+        # 8 B a gap and nothing up front: the cluster holds one estimator
+        # per (observer, peer) *pair* (docs/membership.md "Cost")
+        self._gaps = array("d")
 
     def evidence(self, at: float) -> bool:
         """Record liveness evidence observed at virtual time ``at``.
@@ -50,7 +53,10 @@ class PhiEstimator:
         """
         if at <= self.last_evidence:
             return False
-        self._gaps.append(at - self.last_evidence)
+        gaps = self._gaps
+        if len(gaps) == self.window:
+            del gaps[0]
+        gaps.append(at - self.last_evidence)
         self.last_evidence = at
         return True
 

@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 import random as _random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.exceptions import OverlayError, SimulationError
 from repro.membership.config import MembershipConfig
@@ -41,7 +42,7 @@ SUSPECT = "suspect"
 DEAD = "dead"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Update:
     """One piggybacked membership rumor."""
 
@@ -73,13 +74,14 @@ class ConfirmEvent:
 class MemberRecord:
     """One peer as seen by one member."""
 
-    __slots__ = ("state", "incarnation", "estimator", "suspected_at")
+    __slots__ = ("state", "incarnation", "estimator")
 
     def __init__(self, estimator: PhiEstimator) -> None:
+        #: written only by :meth:`MemberView.set_state`, which keeps the
+        #: view's suspect / dead indexes in step
         self.state = ALIVE
         self.incarnation = 0
         self.estimator = estimator
-        self.suspected_at: Optional[float] = None
 
 
 class MemberView:
@@ -92,22 +94,22 @@ class MemberView:
         self.config = membership.config
         self.self_incarnation = 0
         self.records: Dict[str, MemberRecord] = {}
+        #: the peers whose record is SUSPECT / DEAD — what the confirm
+        #: sweep, the probe rotation and every operation's ``avoid`` set
+        #: read instead of scanning ``records``
+        self.suspects: Set[str] = set()
+        self.dead: Set[str] = set()
         self.queue: List[_Update] = []
+        self._queue_cap = max(32, 4 * self.config.piggyback_limit)
         #: last tick at which the owner was up (stale-clock detection)
         self.last_active = now
 
     # -- read API (what routing and the channel consume) ----------------------
 
-    def status(self, peer: str) -> str:
-        """ALIVE / SUSPECT / DEAD (unknown peers read as alive)."""
-        record = self.records.get(peer)
-        return record.state if record is not None else ALIVE
-
     def is_dead(self, peer: str) -> bool:
-        return self.status(peer) == DEAD
-
-    def is_suspect(self, peer: str) -> bool:
-        return self.status(peer) == SUSPECT
+        """Whether this view has confirmed ``peer`` dead (unknown peers
+        read as alive)."""
+        return peer in self.dead
 
     def phi(self, peer: str, now: float) -> float:
         """Current suspicion level for ``peer``."""
@@ -139,8 +141,7 @@ class MemberView:
 
     def dead_peers(self) -> List[str]:
         """Peers this view has confirmed dead (registration order)."""
-        return [peer for peer, record in self.records.items()
-                if record.state == DEAD]
+        return self.membership.in_rank_order(self.dead)
 
     def confirm_bound(self, peer: str) -> float:
         """Silence (seconds) at which ``peer`` would be confirmed dead."""
@@ -150,6 +151,19 @@ class MemberView:
         return record.estimator.silence_bound(self.config.confirm_phi)
 
     # -- state transitions -----------------------------------------------------
+
+    def set_state(self, peer: str, state: str) -> None:
+        """Move ``peer``'s record to ``state`` — the one writer of
+        ``record.state``, so the indexes cannot drift from the records."""
+        self.records[peer].state = state
+        if state == SUSPECT:
+            self.suspects.add(peer)
+        else:
+            self.suspects.discard(peer)
+        if state == DEAD:
+            self.dead.add(peer)
+        else:
+            self.dead.discard(peer)
 
     def add_peer(self, peer: str, now: float) -> None:
         if peer == self.owner or peer in self.records:
@@ -178,12 +192,10 @@ class MemberView:
         if incarnation > record.incarnation:
             record.incarnation = incarnation
         if record.state == DEAD:
-            record.state = ALIVE
-            record.suspected_at = None
+            self.set_state(peer, ALIVE)
             self.membership._revived(self.owner, peer, buried_as, now)
         elif record.state == SUSPECT:
-            record.state = ALIVE
-            record.suspected_at = None
+            self.set_state(peer, ALIVE)
 
     def observe_contact(self, peer: str, now: float) -> None:
         """Application-level proof of life (a successful channel call).
@@ -208,11 +220,11 @@ class MemberView:
 
     def enqueue(self, peer: str, state: str, incarnation: int,
                 heard_at: float) -> None:
-        cap = max(32, 4 * self.config.piggyback_limit)
-        self.queue.append(_Update(peer, state, incarnation, heard_at,
-                                  self.membership.gossip_budget()))
-        if len(self.queue) > cap:
-            del self.queue[:len(self.queue) - cap]
+        queue = self.queue
+        queue.append(_Update(peer, state, incarnation, heard_at,
+                             self.membership.rumor_budget))
+        if len(queue) > self._queue_cap:
+            del queue[:len(queue) - self._queue_cap]
 
     def take_piggyback(self) -> List[_Update]:
         """Up to ``piggyback_limit`` updates to send with one contact."""
@@ -247,8 +259,7 @@ class MemberView:
             if update.incarnation > record.incarnation:
                 if record.state == DEAD:
                     self.membership._revived(self.owner, update.peer)
-                record.state = ALIVE
-                record.suspected_at = None
+                self.set_state(update.peer, ALIVE)
                 record.incarnation = update.incarnation
                 news = True
             if record.state != DEAD \
@@ -261,17 +272,15 @@ class MemberView:
                     update.incarnation == record.incarnation
                     and record.state == ALIVE):
                 if record.state != SUSPECT:
-                    record.suspected_at = now
                     metrics.inc("membership.suspicions", source="gossip")
-                record.state = SUSPECT
+                    self.set_state(update.peer, SUSPECT)
                 record.incarnation = update.incarnation
                 news = True
         else:  # DEAD is final until a higher incarnation revives the peer
             if record.state != DEAD:
-                record.state = DEAD
+                self.set_state(update.peer, DEAD)
                 record.incarnation = max(record.incarnation,
                                          update.incarnation)
-                record.suspected_at = None
                 membership._confirmed(self.owner, update.peer, now,
                                       record, via_gossip=True)
                 news = True
@@ -301,6 +310,11 @@ class SwimMembership:
         self._rng: _random.Random = self.sim.split_rng("membership")
         self.views: Dict[str, MemberView] = {}
         self._members: List[str] = []
+        #: registration rank; every view's ``records`` are inserted in
+        #: ``_members`` order, so rank order *is* ``records`` order
+        self._rank: Dict[str, int] = {}
+        #: retransmissions granted to each new rumor (see :meth:`register`)
+        self.rumor_budget = self.gossip_budget()
         self._rotation: Dict[str, List[str]] = {}
         self._rotation_index: Dict[str, int] = {}
         #: administrative union of confirmations (see module docstring)
@@ -323,15 +337,22 @@ class SwimMembership:
             view.add_peer(other, now)
             self.views[other].add_peer(name, now)
         self.views[name] = view
+        self._rank[name] = len(self._members)
         self._members.append(name)
+        self.rumor_budget = self.gossip_budget()
         return view
 
     def view_of(self, name: str) -> Optional[MemberView]:
         """The member's view, or None for non-members (legacy callers)."""
         return self.views.get(name)
 
+    def in_rank_order(self, peers: Iterable[str]) -> List[str]:
+        """``peers`` sorted by registration rank (= ``records`` order)."""
+        return sorted(peers, key=self._rank.__getitem__)
+
     def gossip_budget(self) -> int:
-        """Retransmissions granted to each new rumor."""
+        """Retransmissions a rumor is granted at the current roster size
+        (a function of the roster alone: :attr:`rumor_budget` holds it)."""
         n = max(2, len(self._members))
         return max(1, math.ceil(
             self.config.gossip_budget_factor * math.log2(n + 1)))
@@ -389,8 +410,9 @@ class SwimMembership:
                 if reclaim_turn:
                     self._reclaim_probe(name, now)
             for name in self._members:
-                if self.network.is_online(name):
-                    self._sweep_confirms(self.views[name], now)
+                view = self.views[name]
+                if view.suspects and self.network.is_online(name):
+                    self._sweep_confirms(view, now)
         self.sim.schedule(period, self._tick)
 
     def _next_target(self, member: str) -> Optional[str]:
@@ -406,8 +428,7 @@ class SwimMembership:
         while index < len(order):
             target = order[index]
             index += 1
-            if target in self.views[member].records \
-                    and not view.is_dead(target):
+            if target in view.records and target not in view.dead:
                 self._rotation_index[member] = index
                 return target
         self._rotation_index[member] = index
@@ -424,7 +445,7 @@ class SwimMembership:
             return
         if self._indirect_probe(member, target, now):
             return
-        self._suspect(member, target, now)
+        self._suspect(member, target)
 
     def _reclaim_probe(self, member: str, now: float) -> None:
         """Ping one confirmed-dead peer ("gossip to the dead").
@@ -455,9 +476,9 @@ class SwimMembership:
         messages, exactly SWIM's ping-req/ping/ack/ack cost.
         """
         view = self.views[member]
+        dead = view.dead
         candidates = [m for m in self._members
-                      if m not in (member, target)
-                      and not view.is_dead(m)]
+                      if m not in (member, target) and m not in dead]
         k = min(self.config.k_indirect, len(candidates))
         if k == 0:
             return False
@@ -508,25 +529,27 @@ class SwimMembership:
         for update in view_b.take_piggyback():
             view_a.receive(update, now)
 
-    def _suspect(self, member: str, target: str, now: float) -> None:
+    def _suspect(self, member: str, target: str) -> None:
         view = self.views[member]
         record = view.records[target]
         if record.state == DEAD:
             return
         if record.state == ALIVE:
-            record.state = SUSPECT
-            record.suspected_at = now
+            view.set_state(target, SUSPECT)
             self.metrics.inc("membership.suspicions", source="probe")
         view.enqueue(target, SUSPECT, record.incarnation,
                      record.estimator.last_evidence)
 
     def _sweep_confirms(self, view: MemberView, now: float) -> None:
-        for peer, record in view.records.items():
+        confirm_phi = self.config.confirm_phi
+        for peer in self.in_rank_order(view.suspects):
+            record = view.records[peer]
+            # a confirm's callbacks (repair -> RPCs -> observe_contact)
+            # may have cleared a peer this snapshot still holds
             if record.state != SUSPECT:
                 continue
-            if record.estimator.phi(now) >= self.config.confirm_phi:
-                record.state = DEAD
-                record.suspected_at = None
+            if record.estimator.phi(now) >= confirm_phi:
+                view.set_state(peer, DEAD)
                 self._confirmed(view.owner, peer, now, record,
                                 via_gossip=False)
                 view.enqueue(peer, DEAD, record.incarnation,

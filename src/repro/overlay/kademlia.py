@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import (DeadlineExceededError, LookupError_,
@@ -24,6 +25,9 @@ from repro.overlay.network import SimNode
 ID_BITS = 64
 
 
+# Bounded: node names are hashed inside every closest-peers sort key and
+# stay hot; content keys pass through once and must not accumulate.
+@lru_cache(maxsize=1 << 13)
 def kad_id(name: str) -> int:
     """Hash a name/key onto the XOR identifier space."""
     return int.from_bytes(

@@ -1,6 +1,10 @@
 """Unit tests for the phi-accrual suspicion estimator."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.membership import LN10, PhiEstimator
 
@@ -83,3 +87,89 @@ class TestPhi:
             fast.evidence(float(i))
             slow.evidence(float(10 * i))
         assert slow.silence_bound(8.0) > fast.silence_bound(8.0)
+
+
+class DequeEstimator:
+    """The estimator as first written, on ``deque(maxlen=window)`` — kept
+    here as the reference the compact window must match bit for bit."""
+
+    def __init__(self, window, initial_interval, min_interval, now):
+        self.initial_interval = initial_interval
+        self.min_interval = min_interval
+        self.last_evidence = now
+        self._gaps = deque(maxlen=window)
+
+    def evidence(self, at):
+        if at <= self.last_evidence:
+            return False
+        self._gaps.append(at - self.last_evidence)
+        self.last_evidence = at
+        return True
+
+    def restart(self, now):
+        self.last_evidence = now
+
+    @property
+    def mean_gap(self):
+        if len(self._gaps) < 3:
+            return max(self.initial_interval, self.min_interval)
+        return max(sum(self._gaps) / len(self._gaps), self.min_interval)
+
+    def phi(self, now):
+        elapsed = now - self.last_evidence
+        if elapsed <= 0:
+            return 0.0
+        return elapsed / (self.mean_gap * LN10)
+
+    def silence_bound(self, threshold):
+        return threshold * self.mean_gap * LN10
+
+    def snapshot(self):
+        return self._gaps[-1] if self._gaps else None
+
+
+@st.composite
+def _histories(draw):
+    """A window size and a history that overfills it: mostly advancing
+    timestamps, with stale (negative step), duplicate (zero step) and
+    observer-restart events mixed in."""
+    window = draw(st.integers(min_value=2, max_value=8))
+    step = st.one_of(
+        st.floats(min_value=1e-3, max_value=50.0),
+        st.sampled_from([0.0, -1.0, 0.1, 1.0 / 3.0]))
+    events = draw(st.lists(
+        st.tuples(st.sampled_from(["evidence", "evidence", "evidence",
+                                   "restart"]), step),
+        min_size=window + 5, max_size=window + 30))
+    # ... and always at least window + 5 that do advance the clock
+    tail = draw(st.lists(st.floats(min_value=1e-3, max_value=50.0),
+                         min_size=window + 5, max_size=window + 5))
+    return window, events + [("evidence", gap) for gap in tail]
+
+
+class TestCompactWindowMatchesTheDeque:
+    @settings(max_examples=200, deadline=None)
+    @given(_histories(), st.floats(min_value=1e-3, max_value=5.0),
+           st.floats(min_value=0.0, max_value=30.0))
+    def test_bit_equal_at_every_step(self, history, floor, lookahead):
+        window, events = history
+        est = PhiEstimator(window, 5.0, floor, 10.0)
+        ref = DequeEstimator(window, 5.0, floor, 10.0)
+        at = 10.0
+        for kind, step in events:
+            if kind == "evidence":
+                # a step <= 0 lands at or before the newest evidence
+                assert est.evidence(est.last_evidence + step) \
+                    == ref.evidence(ref.last_evidence + step)
+            else:
+                at = max(at, est.last_evidence) + abs(step)
+                est.restart(at)
+                ref.restart(at)
+            now = est.last_evidence + lookahead
+            assert est.last_evidence == ref.last_evidence
+            assert est.mean_gap == ref.mean_gap          # ==, not approx
+            assert est.phi(now) == ref.phi(now)
+            assert est.silence_bound(8.0) == ref.silence_bound(8.0)
+            assert est.snapshot() == ref.snapshot()
+            assert list(est._gaps) == list(ref._gaps)
+        assert len(est._gaps) == window      # the history did overfill it

@@ -1,5 +1,7 @@
 """Unit tests for the SWIM-style membership protocol."""
 
+import math
+
 import pytest
 
 from repro.exceptions import OverlayError, SimulationError
@@ -199,8 +201,8 @@ class TestHealthOrdering:
     def test_dead_sort_last_and_suspects_in_between(self):
         _, membership, _ = cluster(n=4, start=False)
         view = membership.view_of("n0")
-        view.records["n1"].state = DEAD
-        view.records["n2"].state = SUSPECT
+        view.set_state("n1", DEAD)
+        view.set_state("n2", SUSPECT)
         ordered = membership.order_by_health("n0", ["n1", "n2", "n3"])
         assert ordered == ["n3", "n2", "n1"]
 
@@ -270,3 +272,113 @@ class TestDeterminism:
 
     def test_different_seed_different_history(self):
         assert self._trace(11) != self._trace(12)
+
+
+class TestIndexes:
+    """The per-view suspect / dead indexes against a scan of ``records``."""
+
+    def _assert_indexes_true(self, membership):
+        seen = {SUSPECT: 0, DEAD: 0}
+        for view in membership.views.values():
+            for state, index in ((SUSPECT, view.suspects), (DEAD, view.dead)):
+                scanned = [p for p, r in view.records.items()
+                           if r.state == state]
+                assert index == set(scanned)
+                seen[state] += len(scanned)
+            assert view.dead_peers() == [p for p, r in view.records.items()
+                                         if r.state == DEAD]
+        return seen
+
+    def test_indexes_equal_a_scan_through_churn_partition_and_heal(self):
+        from repro.faults import FaultPlan, Partition
+        names = [f"n{i}" for i in range(12)]
+        plan = FaultPlan(seed=3).add(
+            Partition(groups=[frozenset(names[:5])], start=150.0, end=330.0))
+        fab, membership, _ = cluster(n=12, seed=2015, loss=0.1, faults=plan)
+        churn = {60.0: ("n5", False), 90.0: ("n9", False),
+                 200.0: ("n5", True), 260.0: ("n7", False),
+                 380.0: ("n9", True)}
+        peak = {SUSPECT: 0, DEAD: 0}
+        at = 0.0
+        while at < 600.0:
+            at += 10.0
+            fab.sim.run(until=at)
+            if at in churn:
+                name, up = churn[at]
+                node = fab.network.node(name)
+                node.go_online() if up else node.go_offline()
+            seen = self._assert_indexes_true(membership)
+            peak = {state: max(peak[state], seen[state]) for state in peak}
+        # the scenario did exercise both indexes, and the heal emptied them
+        assert peak[SUSPECT] > 0 and peak[DEAD] > 5
+        assert fab.metrics.get_counter_value("membership.rejoins") > 0
+
+    def test_simultaneous_confirms_come_in_registration_order(self):
+        _, membership, names = cluster(n=9, start=False)
+        view = membership.view_of("n0")
+        for peer in reversed(names[1:]):        # n8 first, n1 last
+            membership._suspect("n0", peer)
+        membership._sweep_confirms(view, 10_000.0)
+        assert [e.peer for e in membership.confirm_log] == names[1:]
+        assert [u.peer for u in view.queue if u.state == DEAD] == names[1:]
+        assert view.dead_peers() == names[1:] and view.suspects == set()
+
+    @pytest.mark.parametrize("heard_at", [10_000.0, 0.5],
+                             ids=["fresh-contact", "stale-relayed-ack"])
+    def test_contact_from_a_confirm_callback_clears_a_later_suspect(
+            self, heard_at):
+        """``on_confirm`` callbacks run in the middle of a sweep (repair
+        -> RPCs -> ``observe_contact``): a suspect they clear is neither
+        tripped over nor confirmed, whatever its silence clock says."""
+        _, membership, _ = cluster(n=5, start=False)
+        view = membership.view_of("n0")
+        for peer in ("n3", "n1", "n2"):
+            membership._suspect("n0", peer)
+        membership.on_confirm(
+            lambda peer, now: view.direct_evidence("n3", 0, heard_at))
+        membership._sweep_confirms(view, 10_000.0)
+        assert [e.peer for e in membership.confirm_log] == ["n1", "n2"]
+        assert view.records["n3"].state == ALIVE
+        assert view.suspects == set() and view.dead == {"n1", "n2"}
+        assert not membership.confirmed_dead("n3")
+
+    def test_rumor_budget_tracks_the_roster(self):
+        fab = Fabric.create(seed=1)
+        membership = SwimMembership(fab)
+        factor = membership.config.gossip_budget_factor
+
+        def formula(members):
+            return max(1, math.ceil(factor * math.log2(max(2, members) + 1)))
+
+        for i in range(64):
+            fab.network.register(SimNode(f"n{i}"))
+            view = membership.register(f"n{i}")
+            if i + 1 in (2, 3, 64):
+                view.enqueue("n0", ALIVE, 0, 0.0)
+                assert view.queue[-1].budget \
+                    == formula(i + 1) \
+                    == membership.gossip_budget()
+        first = membership.view_of("n0")     # an old view sees the new roster
+        first.enqueue("n1", ALIVE, 0, 0.0)
+        assert first.queue[-1].budget == formula(64) == 19
+
+
+class TestMemoryRatchet:
+    def test_a_view_costs_under_400_bytes_per_peer(self):
+        """200 members, 60 protocol periods: the n^2 table must stay small
+        (it was 1 056 B per (observer, peer) pair on ``deque`` windows;
+        ~310 B on arrays).  PAPER.md's "thousands of in-process peers"
+        holds only while a peer costs kilobytes per view, not megabytes."""
+        import tracemalloc
+        n, periods = 200, 60
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fab, membership, _ = cluster(n=n)
+            fab.sim.run(
+                until=periods * membership.config.protocol_period + 0.5)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert membership._ticks == periods
+        assert grown / (n * (n - 1)) <= 400

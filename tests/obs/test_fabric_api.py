@@ -230,14 +230,14 @@ class TestOpContextAllOn:
         fab = self._fabric()
         ctx = fab.op("p0")
         assert list(ctx.order(["p3", "p4", "p5"])) == ["p3", "p4", "p5"]
-        fab.membership.view_of("p0").records["p3"].state = DEAD
+        fab.membership.view_of("p0").set_state("p3", DEAD)
         assert list(ctx.order(["p3", "p4", "p5"])) == ["p4", "p5", "p3"]
         fab.adversary.quarantine.flag_provable("p4", reason="cert")
         assert list(ctx.order(["p3", "p4", "p5"])) == ["p5", "p3", "p4"]
 
     def test_avoid_is_seeded_from_the_view_and_grows_by_write_off(self):
         fab = self._fabric()
-        fab.membership.view_of("p0").records["p3"].state = DEAD
+        fab.membership.view_of("p0").set_state("p3", DEAD)
         ctx = fab.op("p0")
         assert ctx.avoid == {"p3"}
         ctx.write_off("p4")

@@ -343,6 +343,20 @@ class TestKademlia:
             xor_distance(b, c) or True  # XOR satisfies triangle as identity
         assert xor_distance(a, c) == xor_distance(a, b) ^ xor_distance(b, c)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=40))
+    def test_memoised_kad_id_is_the_hash(self, name):
+        assert kad_id(name) == kad_id.__wrapped__(name) == kad_id(name)
+
+    def test_kad_id_cache_is_bounded(self):
+        """Content keys pass through ``kad_id`` too: unbounded, the memo
+        would grow with every key a run ever hashed."""
+        maxsize = kad_id.cache_info().maxsize
+        assert maxsize is not None
+        for i in range(maxsize + 100):
+            kad_id(f"bounded-{i}")
+        assert kad_id.cache_info().currsize == maxsize
+
     def test_buckets_bounded_by_k(self):
         net, overlay = self.build(128)
         for node in overlay.nodes.values():

@@ -469,7 +469,7 @@ class TestMembershipChannel:
 
     def test_confirmed_dead_destination_fails_fast(self):
         fab, channel, membership = self._channel()
-        membership.view_of("p0").records["p1"].state = "dead"
+        membership.view_of("p0").set_state("p1", "dead")
         before = fab.network.stats.messages
         ok, elapsed = channel.call("p0", "p1")
         assert not ok and elapsed == 0.0
@@ -480,7 +480,7 @@ class TestMembershipChannel:
 
     def test_suspect_destination_gets_a_single_attempt(self):
         fab, channel, membership = self._channel()
-        membership.view_of("p0").records["p1"].state = "suspect"
+        membership.view_of("p0").set_state("p1", "suspect")
         fab.network.node("p1").go_offline()
         ok, _ = channel.call("p0", "p1")
         assert not ok
@@ -496,8 +496,9 @@ class TestMembershipChannel:
 
     def test_success_feeds_the_view_as_evidence(self):
         fab, channel, membership = self._channel()
-        record = membership.view_of("p0").records["p1"]
-        record.state = "suspect"
+        view = membership.view_of("p0")
+        view.set_state("p1", "suspect")
+        record = view.records["p1"]
         fab.sim.run(until=5.0)
         ok, _ = channel.call("p0", "p1")
         assert ok
@@ -525,7 +526,7 @@ class TestMembershipChannel:
         fab, channel, membership = self._channel(one_way=0.02)
         assert 0.04 < channel.hedge_delay
         view = membership.view_of("p0")
-        view.records["p1"].state = "dead"
+        view.set_state("p1", "dead")
         ok, winner, elapsed = channel.hedged("p0", ["p1", "p2"])
         assert ok and winner == "p2"
         assert elapsed == pytest.approx(0.04)
@@ -538,7 +539,7 @@ class TestMembershipChannel:
         fab, channel, membership = self._channel(one_way=0.05)
         assert 0.10 > channel.hedge_delay
         view = membership.view_of("p0")
-        view.records["p1"].state = "dead"
+        view.set_state("p1", "dead")
         ok, winner, elapsed = channel.hedged("p0", ["p1", "p2"])
         assert ok and winner == "p2"
         assert elapsed == pytest.approx(0.10)
@@ -547,7 +548,7 @@ class TestMembershipChannel:
     def test_hedged_still_probes_the_dead_as_last_resort(self):
         fab, channel, membership = self._channel()
         view = membership.view_of("p0")
-        view.records["p1"].state = "dead"  # false confirmation: p1 is up
+        view.set_state("p1", "dead")  # false confirmation: p1 is up
         fab.network.node("p2").go_offline()
         ok, winner, _ = channel.hedged("p0", ["p1", "p2"])
         assert ok and winner == "p1"

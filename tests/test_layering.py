@@ -162,10 +162,12 @@ def test_ring_order_is_read_through_the_public_accessor():
 
 # -- one read path ------------------------------------------------------------
 
-#: names of the read paths that were folded away, and of the second
-#: statistics system and its profilers; nothing may bring them back
+#: names of the read paths that were folded away, of the second
+#: statistics system and its profilers, and of SWIM state nothing read;
+#: nothing may bring them back
 GONE = ("fetch_from_holders", "_get_failover", "_provenance", "batch_reads",
-        "crypto_op", "profile_crypto", "absorb_network", "by_kind")
+        "crypto_op", "profile_crypto", "absorb_network", "by_kind",
+        "suspected_at", "is_suspect")
 READ_KINDS = {"chord_replica_read", "chord_batch_fetch"}
 
 
@@ -284,6 +286,52 @@ def test_one_module_derives_the_flat_fields():
     assert definers == ["overlay/network.py"]
 
 
+# -- one writer for a member record's state ---------------------------------------
+
+def _state_writes(source: str):
+    """``(line, function)`` of every assignment to an attribute named
+    ``state`` on anything but ``self`` (a record initialising itself)."""
+    tree = ast.parse(source)
+
+    def walk(node: ast.AST, function: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for target in _assigned(node):
+            for part in ast.walk(target):
+                if isinstance(part, ast.Attribute) and part.attr == "state" \
+                        and _name(part.value) != "self":
+                    yield node.lineno, function
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, function)
+
+    return list(walk(tree, "<module>"))
+
+
+def test_one_function_writes_a_member_records_state():
+    """``MemberView`` indexes its suspects and its dead; a ``record.state``
+    assigned anywhere but in the view's transition function leaves the
+    indexes describing a view production can never reach."""
+    writers = [(str(path.relative_to(SRC)), function)
+               for path in sorted((SRC / "membership").rglob("*.py"))
+               for _line, function in _state_writes(path.read_text())]
+    assert writers == [("membership/swim.py", "set_state")]
+    tests = pathlib.Path(__file__).parent
+    found = [(str(path.relative_to(tests)), line)
+             for path in sorted(tests.rglob("*.py"))
+             for line, _function in _state_writes(path.read_text())]
+    assert not found, (
+        "tests move a record through MemberView.set_state, like the "
+        f"protocol does; found direct writes: {found}")
+    assert _state_writes(
+        "class R:\n"
+        "    def __init__(self):\n"
+        "        self.state = ALIVE\n"
+        "def sweep(view, record):\n"
+        "    record.state = DEAD\n"
+        "    view.records[p].state, n = SUSPECT, 1\n") == [
+            (5, "sweep"), (6, "sweep")]
+
+
 # -- the ``None``-path pay-down (ROADMAP item 5) ----------------------------------
 
 #: ``is None`` / ``is not None`` comparisons per hot module.  A ceiling may
@@ -293,7 +341,7 @@ NONE_TEST_CEILINGS = {
     "overlay/network.py": 28,
     "overlay/chord.py": 18,
     "storage2/quorum.py": 16,
-    "membership/swim.py": 14,
+    "membership/swim.py": 13,
 }
 
 
