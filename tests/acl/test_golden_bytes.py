@@ -1,0 +1,118 @@
+"""Golden bytes: one digest over everything the five ACL schemes store.
+
+The wall-clock harness digests *outcomes* (which slot was read, whether a
+revoked member was refused), never ciphertext bytes — so an "exact" fast
+path in ``repro.crypto`` that changed one byte of a header, a wrapped key
+or an AEAD blob would pass it.  This test pins those bytes: a seeded
+lifecycle of every ``SCHEME_REGISTRY`` scheme, then a SHA-256 over every
+stored header, blob and key in a canonical (sorted) serialisation.
+
+``GOLDEN`` was computed at the commit *before* ``pow(a, -1, m)``, the
+Jacobian G1 / Miller loop and the T-table AES landed; those must — and any
+later change to the crypto substrate must — reproduce it unchanged.
+
+Schemes re-key survivors in ``set`` iteration order while drawing from one
+RNG, so the bytes depend on ``str`` hashing: the lifecycle runs in a child
+interpreter with ``PYTHONHASHSEED=0`` (what ``benchmarks/perf/run.py``
+does for the same reason).
+"""
+
+import dataclasses
+import hashlib
+import os
+import random
+import subprocess
+import sys
+
+from repro.acl import SCHEME_REGISTRY
+from repro.acl.base import AccessControlScheme, CostMeter
+from repro.crypto.abe import CPABE
+from repro.crypto.groups import SchnorrGroup
+from repro.crypto.ibbe import IBBE
+from repro.crypto.pairing import G1Element, GTElement, PairingGroup
+
+GOLDEN = "d30fe81eea91ffc2ff830b9e76d44d3b781ca93bbf3fef328cd3a477a82f6e65"
+
+MEMBERS = ["alice", "bob", "carol", "dave", "erin"]
+
+
+def _canon(obj) -> bytes:
+    """A hash-seed-independent byte encoding of scheme state.
+
+    Raises on a type it does not know, so new state cannot be skipped
+    silently.
+    """
+    if obj is None or isinstance(obj, (bool, int, str, bytes)):
+        return repr(obj).encode() + b";"
+    if isinstance(obj, (G1Element, GTElement)):
+        return type(obj).__name__.encode() + obj.to_bytes().hex().encode() + b";"
+    if isinstance(obj, (PairingGroup, SchnorrGroup)):
+        # a context, not stored data (and it carries lazy caches)
+        return f"{type(obj).__name__}(p={obj.p});".encode()
+    if isinstance(obj, (CPABE, IBBE)):
+        return type(obj).__name__.encode() + _canon(obj.group)
+    if isinstance(obj, random.Random):
+        # the RNG's position: one extra or missing draw anywhere shows
+        return repr(obj.getstate()).encode() + b";"
+    if isinstance(obj, CostMeter):
+        return _canon(dict(obj.counts))
+    if isinstance(obj, (list, tuple)):
+        return b"[" + b"".join(_canon(x) for x in obj) + b"]"
+    if isinstance(obj, (set, frozenset)):
+        return b"{" + b"".join(sorted(_canon(x) for x in obj)) + b"}"
+    if isinstance(obj, dict):
+        items = sorted((_canon(k), _canon(v)) for k, v in obj.items())
+        return b"{" + b"".join(k + b":" + v for k, v in items) + b"}"
+    if dataclasses.is_dataclass(obj):
+        return (type(obj).__name__.encode() + b"("
+                + b"".join(_canon(getattr(obj, f.name))
+                           for f in dataclasses.fields(obj)) + b")")
+    if isinstance(obj, AccessControlScheme):
+        return type(obj).__name__.encode() + _canon(vars(obj))
+    raise TypeError(f"golden serialiser does not know {type(obj).__name__}")
+
+
+def _lifecycle(scheme: AccessControlScheme, data: random.Random) -> list:
+    """create 5, publish x3, revoke, publish, re-admit, read x3."""
+    reads = []
+    scheme.create_group("g", list(MEMBERS))
+    for i in range(3):
+        scheme.publish("g", f"item{i}", data.randbytes(100 + 450 * i))
+    scheme.revoke_member("g", "bob")
+    scheme.publish("g", "item3", data.randbytes(17))
+    scheme.add_member("g", "bob")
+    for item, reader in (("item0", "alice"), ("item3", "carol"),
+                         ("item2", "erin")):
+        reads.append(scheme.read("g", item, reader))
+    return reads
+
+
+def lifecycle_digest() -> str:
+    digest = hashlib.sha256()
+    for name, cls in sorted(SCHEME_REGISTRY.items()):
+        scheme = cls(rng=random.Random(f"golden/{name}"))
+        reads = _lifecycle(scheme, random.Random(f"golden-data/{name}"))
+        digest.update(name.encode() + _canon(reads) + _canon(scheme))
+    return digest.hexdigest()
+
+
+def test_stored_bytes_of_all_five_schemes_are_unchanged():
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from tests.acl.test_golden_bytes import lifecycle_digest;"
+         "print(lifecycle_digest())"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == GOLDEN
+
+
+def test_canonical_encoding_rejects_unknown_state():
+    class Opaque:
+        pass
+
+    try:
+        _canon({"x": Opaque()})
+    except TypeError:
+        return
+    raise AssertionError("unknown state was serialised silently")
