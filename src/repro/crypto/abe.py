@@ -265,9 +265,9 @@ class CPABE:
         rng = rng or _DEFAULT_RNG
         q = self.group.q
         r = self.group.random_scalar(rng)
-        d = (msk.g_alpha * (pk.g ** r)) ** modinv(msk.beta, q)
-        components: Dict[str, Tuple[G1Element, G1Element]] = {}
         g_r = pk.g ** r
+        d = (msk.g_alpha * g_r) ** modinv(msk.beta, q)
+        components: Dict[str, Tuple[G1Element, G1Element]] = {}
         for attribute in attributes:
             r_j = self.group.random_scalar(rng)
             components[attribute] = (

@@ -11,6 +11,7 @@ encryption live in :mod:`repro.crypto.symmetric`.
 
 from __future__ import annotations
 
+import struct
 from typing import List
 
 from repro.exceptions import CryptoError, InvalidKeyError
@@ -64,9 +65,14 @@ _SBOX, _INV_SBOX = _build_sbox()
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36,
          0x6C, 0xD8, 0xAB, 0x4D)
 
-# Precomputed GF multiplication tables for MixColumns speed.
-_MUL2 = tuple(_gf_mul(x, 2) for x in range(256))
-_MUL3 = tuple(_gf_mul(x, 3) for x in range(256))
+# Forward T-tables: SubBytes, ShiftRows and MixColumns of one state byte as
+# one 32-bit column word; table ``i`` serves the byte in row ``i``.
+_T0 = tuple(_gf_mul(s, 2) << 24 | s << 16 | s << 8 | _gf_mul(s, 3)
+            for s in _SBOX)
+_T1, _T2, _T3 = (tuple((w >> r | w << 32 - r) & 0xFFFFFFFF for w in _T0)
+                 for r in (8, 16, 24))
+
+# Precomputed GF multiplication tables for InvMixColumns speed.
 _MUL9 = tuple(_gf_mul(x, 9) for x in range(256))
 _MUL11 = tuple(_gf_mul(x, 11) for x in range(256))
 _MUL13 = tuple(_gf_mul(x, 13) for x in range(256))
@@ -84,6 +90,8 @@ class AES:
         self._nk = len(key) // 4
         self._rounds = {4: 10, 6: 12, 8: 14}[self._nk]
         self._round_keys = self._expand_key(key)
+        self._enc_words = struct.unpack(
+            f">{4 * self._rounds + 4}I", bytes(sum(self._round_keys, [])))
 
     def _expand_key(self, key: bytes) -> List[List[int]]:
         nk, rounds = self._nk, self._rounds
@@ -114,16 +122,6 @@ class AES:
             state[i] = box[state[i]]
 
     @staticmethod
-    def _shift_rows(state: List[int]) -> List[int]:
-        s = state
-        return [
-            s[0], s[5], s[10], s[15],
-            s[4], s[9], s[14], s[3],
-            s[8], s[13], s[2], s[7],
-            s[12], s[1], s[6], s[11],
-        ]
-
-    @staticmethod
     def _inv_shift_rows(state: List[int]) -> List[int]:
         s = state
         return [
@@ -132,17 +130,6 @@ class AES:
             s[8], s[5], s[2], s[15],
             s[12], s[9], s[6], s[3],
         ]
-
-    @staticmethod
-    def _mix_columns(state: List[int]) -> List[int]:
-        out = [0] * 16
-        for c in range(4):
-            a0, a1, a2, a3 = state[4 * c:4 * c + 4]
-            out[4 * c + 0] = _MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3
-            out[4 * c + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
-            out[4 * c + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
-            out[4 * c + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
-        return out
 
     @staticmethod
     def _inv_mix_columns(state: List[int]) -> List[int]:
@@ -159,17 +146,30 @@ class AES:
         """Encrypt exactly one 16-byte block."""
         if len(block) != 16:
             raise CryptoError("AES blocks are exactly 16 bytes")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[0])
-        for rnd in range(1, self._rounds):
-            self._sub_bytes(state, _SBOX)
-            state = self._shift_rows(state)
-            state = self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[rnd])
-        self._sub_bytes(state, _SBOX)
-        state = self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[self._rounds])
-        return bytes(state)
+        rk = self._enc_words
+        s0, s1, s2, s3 = (w ^ k for w, k in zip(struct.unpack(">4I", block), rk))
+        for i in range(4, 4 * self._rounds, 4):
+            s0, s1, s2, s3 = (
+                _T0[s0 >> 24] ^ _T1[s1 >> 16 & 255] ^ _T2[s2 >> 8 & 255]
+                ^ _T3[s3 & 255] ^ rk[i],
+                _T0[s1 >> 24] ^ _T1[s2 >> 16 & 255] ^ _T2[s3 >> 8 & 255]
+                ^ _T3[s0 & 255] ^ rk[i + 1],
+                _T0[s2 >> 24] ^ _T1[s3 >> 16 & 255] ^ _T2[s0 >> 8 & 255]
+                ^ _T3[s1 & 255] ^ rk[i + 2],
+                _T0[s3 >> 24] ^ _T1[s0 >> 16 & 255] ^ _T2[s1 >> 8 & 255]
+                ^ _T3[s2 & 255] ^ rk[i + 3])
+        # Last round: SubBytes and ShiftRows only.
+        S = _SBOX
+        return struct.pack(
+            ">4I",
+            (S[s0 >> 24] << 24 | S[s1 >> 16 & 255] << 16
+             | S[s2 >> 8 & 255] << 8 | S[s3 & 255]) ^ rk[-4],
+            (S[s1 >> 24] << 24 | S[s2 >> 16 & 255] << 16
+             | S[s3 >> 8 & 255] << 8 | S[s0 & 255]) ^ rk[-3],
+            (S[s2 >> 24] << 24 | S[s3 >> 16 & 255] << 16
+             | S[s0 >> 8 & 255] << 8 | S[s1 & 255]) ^ rk[-2],
+            (S[s3 >> 24] << 24 | S[s0 >> 16 & 255] << 16
+             | S[s1 >> 8 & 255] << 8 | S[s2 & 255]) ^ rk[-1])
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt exactly one 16-byte block."""

@@ -2,10 +2,10 @@
 
 Everything here is implemented from scratch on Python integers: primality
 testing (deterministic small-prime sieve + Miller–Rabin), prime generation
-(random and safe primes), modular inverses via the extended Euclidean
-algorithm, the Chinese Remainder Theorem, Jacobi symbols and modular square
-roots (Tonelli–Shanks, with the fast ``p % 4 == 3`` path used heavily by the
-pairing code).
+(random and safe primes), modular inverses (the built-in ``pow(a, -1, m)``),
+the extended Euclidean algorithm and the Chinese Remainder Theorem, Jacobi
+symbols and modular square roots (Tonelli–Shanks, with the fast
+``p % 4 == 3`` path used heavily by the pairing code).
 
 All random choices flow through an injected :class:`random.Random` so callers
 (and tests) can be fully deterministic.
@@ -52,10 +52,10 @@ def modinv(a: int, m: int) -> int:
 
     Raises :class:`CryptoError` when the inverse does not exist.
     """
-    g, x, _ = egcd(a % m, m)
-    if g != 1:
-        raise CryptoError(f"{a} has no inverse modulo {m} (gcd={g})")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise CryptoError(f"{a} has no inverse modulo {m}") from None
 
 
 def is_probable_prime(n: int, rounds: int = 40,

@@ -8,8 +8,8 @@ public-key machinery.  Provided here:
 * AES-CBC and AES-CTR modes over :class:`repro.crypto.aes.AES`,
 * encrypt-then-MAC authenticated encryption (:class:`AuthenticatedCipher`),
 * :class:`StreamCipher`, a SHA-256-in-counter-mode stream cipher used as the
-  default bulk cipher in the simulator (pure-Python AES is a correctness
-  reference, not a throughput device).
+  default bulk cipher in the simulator (the T-table AES still runs ~50x
+  slower in pure Python than ``hashlib``'s native SHA-256).
 
 All nonces/IVs are caller-supplied or drawn from an injected RNG so the
 whole library stays deterministic under a fixed seed.
@@ -112,7 +112,7 @@ class StreamCipher:
 
     The keystream block ``i`` is ``SHA256(key || nonce || i)``.  Under the
     random-oracle heuristic this is a PRF in counter mode — the same shape
-    as AES-CTR but ~100x faster in pure Python, which is what the overlay
+    as AES-CTR but ~50x faster in pure Python, which is what the overlay
     simulation needs when peers encrypt thousands of content objects.
     """
 

@@ -163,11 +163,12 @@ def test_ring_order_is_read_through_the_public_accessor():
 # -- one read path ------------------------------------------------------------
 
 #: names of the read paths that were folded away, of the second
-#: statistics system and its profilers, and of SWIM state nothing read;
+#: statistics system and its profilers, of SWIM state nothing read, and of
+#: the list-based AES forward rounds (now ``tests/crypto/reference.py``);
 #: nothing may bring them back
 GONE = ("fetch_from_holders", "_get_failover", "_provenance", "batch_reads",
         "crypto_op", "profile_crypto", "absorb_network", "by_kind",
-        "suspected_at", "is_suspect")
+        "suspected_at", "is_suspect", "_shift_rows", "_mix_columns")
 READ_KINDS = {"chord_replica_read", "chord_batch_fetch"}
 
 
