@@ -1,9 +1,9 @@
 """AES block cipher (FIPS 197) implemented from scratch.
 
-Supports 128/192/256-bit keys.  The S-box and its inverse are derived at
-import time from the finite-field definition rather than pasted as magic
-tables, so the implementation is auditable end-to-end; test vectors from
-FIPS 197 Appendix C pin the behaviour.
+Supports 128/192/256-bit keys.  The S-box, its inverse and the forward
+T-tables are derived at import time from the finite-field definition rather
+than pasted as magic tables, so the implementation is auditable end-to-end;
+test vectors from FIPS 197 Appendix C pin the behaviour.
 
 This is the raw block primitive; modes of operation and authenticated
 encryption live in :mod:`repro.crypto.symmetric`.
@@ -147,7 +147,7 @@ class AES:
         if len(block) != 16:
             raise CryptoError("AES blocks are exactly 16 bytes")
         rk = self._enc_words
-        s0, s1, s2, s3 = (w ^ k for w, k in zip(struct.unpack(">4I", block), rk))
+        s0, s1, s2, s3 = map(int.__xor__, struct.unpack(">4I", block), rk)
         for i in range(4, 4 * self._rounds, 4):
             s0, s1, s2, s3 = (
                 _T0[s0 >> 24] ^ _T1[s1 >> 16 & 255] ^ _T2[s2 >> 8 & 255]

@@ -45,7 +45,7 @@ def _canon(obj) -> bytes:
     if obj is None or isinstance(obj, (bool, int, str, bytes)):
         return repr(obj).encode() + b";"
     if isinstance(obj, (G1Element, GTElement)):
-        return type(obj).__name__.encode() + obj.to_bytes().hex().encode() + b";"
+        return f"{type(obj).__name__}{obj.to_bytes().hex()};".encode()
     if isinstance(obj, (PairingGroup, SchnorrGroup)):
         # a context, not stored data (and it carries lazy caches)
         return f"{type(obj).__name__}(p={obj.p});".encode()

@@ -114,7 +114,8 @@ class TestExhaustiveTinyCurves:
         hits = []
 
         def spy(X, Y, Z, x2, y2, p_):
-            if Z and (x2 * Z * Z - X) % p_ == 0 and (y2 * Z ** 3 - Y) % p_ == 0:
+            if (Z and (x2 * Z * Z - X) % p_ == 0
+                    and (y2 * Z ** 3 - Y) % p_ == 0):
                 hits.append((X, Y, Z))
             return add(X, Y, Z, x2, y2, p_)
 
