@@ -179,8 +179,8 @@ class TestAgainstTheReferenceAtRealSizes:
 
 class TestInversionRatchet:
     """A perf gate with no clock in it: the affine code paid one modular
-    inversion per curve operation (~96 per ``G1 ** k``, ~190 per pairing,
-    ~145 per ``hash_to_g1`` at TOY); Jacobian code pays one per result."""
+    inversion per curve operation (101, 193 and 128 for the three calls
+    below, at TOY); Jacobian code pays one per result."""
 
     @pytest.fixture
     def inversions(self, monkeypatch):
