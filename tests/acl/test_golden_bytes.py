@@ -24,6 +24,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from repro.acl import SCHEME_REGISTRY
 from repro.acl.base import AccessControlScheme, CostMeter
 from repro.crypto.abe import CPABE
@@ -111,8 +113,5 @@ def test_canonical_encoding_rejects_unknown_state():
     class Opaque:
         pass
 
-    try:
+    with pytest.raises(TypeError):
         _canon({"x": Opaque()})
-    except TypeError:
-        return
-    raise AssertionError("unknown state was serialised silently")
