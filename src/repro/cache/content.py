@@ -70,10 +70,17 @@ class VerifiedContentCache:
         self.misses = 0
         self.invalidations = 0
         self.insertions = 0
+        #: ``cache.*`` counter handles, each resolved at its first event
+        self._counters: Dict[str, object] = {}
 
     def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(f"cache.{name}")
+        counter = self._counters.get(name)
+        if counter is None:
+            if self.metrics is None:
+                return
+            counter = self.metrics.counter(f"cache.{name}")
+            self._counters[name] = counter
+        counter.value += 1
 
     def _lru(self, reader: str) -> LRUMap:
         lru = self._readers.get(reader)

@@ -35,6 +35,8 @@ class SocialPrefetcher:
 
     * ``view_of(reader, author)`` — sync and return the reader's
       chain-verified view of the author (or ``None``);
+    * ``cids_of(reader, author)`` — the cids on that verified view, in
+      order (:meth:`DosnUser.verified_cids`);
     * ``fetch_many(reader, cids)`` — the batched storage read; returns
       ``cid -> FetchedBlob | exception``;
     * ``open_post(reader, author, blob, cid)`` — decrypt + verify one
@@ -43,12 +45,14 @@ class SocialPrefetcher:
 
     def __init__(self, cache: VerifiedContentCache, depth: int,
                  view_of: Callable[[str, str], object],
+                 cids_of: Callable[[str, str], List[str]],
                  fetch_many: Callable[[str, List[str]], Dict[str, object]],
                  open_post: Callable[[str, str, bytes, str], object],
                  metrics=None, tracer=None) -> None:
         self.cache = cache
         self.depth = depth
         self._view_of = view_of
+        self._cids_of = cids_of
         self._fetch_many = fetch_many
         self._open_post = open_post
         self.metrics = metrics
@@ -73,14 +77,7 @@ class SocialPrefetcher:
             if view is None:
                 continue
             views[author] = view
-            seen = set()
-            cids: List[str] = []
-            for entry in view.entries:
-                cid = entry.payload.decode()
-                if cid not in seen:
-                    seen.add(cid)
-                    cids.append(cid)
-            for cid in cids[-self.depth:]:
+            for cid in self._cids_of(reader, author)[-self.depth:]:
                 if not self.cache.contains(reader, cid):
                     wanted.append((author, cid))
         if not wanted:

@@ -278,8 +278,8 @@ class DosnNetwork:
             if config.cache.prefetch:
                 self.prefetcher = SocialPrefetcher(
                     self.cache, config.cache.prefetch_depth,
-                    view_of=self._view_of, fetch_many=self._fetch_many,
-                    open_post=self._open_for,
+                    view_of=self._view_of, cids_of=self._cids_of,
+                    fetch_many=self._fetch_many, open_post=self._open_for,
                     metrics=self.metrics, tracer=self.tracer)
 
     def _build_stack(self, config: DosnConfig) -> ProtectionStack:
@@ -362,6 +362,10 @@ class DosnNetwork:
             except IntegrityError:
                 return None
         return user.views.get(author)
+
+    def _cids_of(self, reader: str, author: str) -> List[str]:
+        """The cids on ``reader``'s chain-verified view of ``author``."""
+        return self.users[reader].verified_cids(author)
 
     def _fetch_many(self, reader: str, cids: List[str]) -> Dict[str, object]:
         """The batched storage read, under one span (the E16 hot path)."""

@@ -60,11 +60,6 @@ class FeedReport:
         """True when every friend's every post arrived and verified."""
         return not self.unavailable and not self.violations
 
-    def from_source(self, source: str) -> List[FeedItem]:
-        """The entries whose bytes came from ``source`` (cache/quorum/bare)."""
-        return [item for item in self.items
-                if item.result is not None and item.result.source == source]
-
 
 def assemble_feed(reader: DosnUser, friends: Dict[str, DosnUser],
                   fetch_many: Callable[[str, List[str]], Dict[str, object]],
@@ -93,6 +88,8 @@ def assemble_feed(reader: DosnUser, friends: Dict[str, DosnUser],
     slowest holder instead of the sum of all of them; cid-by-cid fetches
     remain dependent and still sum.
     """
+    if limit_per_friend is not None and limit_per_friend < 0:
+        raise ValueError("limit_per_friend must be >= 0")
     report = FeedReport()
     plan: List[Tuple[str, str]] = []   # (author, cid) still needing a fetch
     for name in sorted(reader.friends):
@@ -106,7 +103,8 @@ def assemble_feed(reader: DosnUser, friends: Dict[str, DosnUser],
             continue
         cids = reader.verified_cids(name)
         if limit_per_friend is not None:
-            cids = cids[-limit_per_friend:]
+            # not ``cids[-limit:]``: ``-0`` slices the whole list
+            cids = cids[max(len(cids) - limit_per_friend, 0):]
         for cid in cids:
             if cache is not None:
                 entry = cache.lookup(reader.name, name, cid,

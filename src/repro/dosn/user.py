@@ -277,7 +277,10 @@ class DosnUser:
         extend our verified view (history rewrite detection).
         """
         view = self._ensure_view(other.name)
-        new_entries = other.timeline.entries[len(view.entries):]
+        published = other.timeline.entries
+        if len(published) == len(view.entries):
+            return 0
+        new_entries = published[len(view.entries):]
         view.accept_all(new_entries)
         return len(new_entries)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import random as _random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import chain_hash, digest, digest_many
@@ -43,9 +43,21 @@ class ChainEntry:
     payload: bytes
     citations: Tuple[Tuple[str, int, bytes], ...]
     signature: Tuple[int, int]
+    #: :meth:`entry_hash`, remembered.  Not an ``__init__`` argument, so a
+    #: ``dataclasses.replace`` copy (a tampered one, say) starts without it.
+    _hash: Optional[bytes] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def entry_hash(self) -> bytes:
-        """The value the *next* entry chains to (covers the signature too)."""
+        """The value the *next* entry chains to (covers the signature too).
+
+        Entries are immutable, so it is computed once per entry object.
+        """
+        if self._hash is None:
+            object.__setattr__(self, "_hash", self._hash_fields())
+        return self._hash
+
+    def _hash_fields(self) -> bytes:
         return digest_many([
             self.author.encode(), self.sequence.to_bytes(8, "big"),
             self.previous, self.payload,

@@ -1,0 +1,165 @@
+"""What a warm feed costs, counted — a perf gate with no clock in it.
+
+Every cache hit is re-checked against the author's chain-verified head.
+That check reads ``TimelineView.head_hash``, which used to re-hash the
+(immutable) last entry on every access: one SHA-256 per served cid per
+feed.  The counts below repeat exactly for a seed, so they are asserted
+as equalities: a fully warm feed hashes nothing, verifies nothing and
+sends nothing; one new post costs one entry hash and two signature
+checks (chain entry + post), once.
+"""
+
+import sys
+
+import pytest
+
+from repro.cache import CacheConfig
+from repro.crypto import hashing
+from repro.crypto.signatures import SchnorrPublicKey
+from repro.dosn import DosnConfig, DosnNetwork
+from repro.integrity.hashchain import ChainEntry
+
+CACHE_FAMILIES = ("hits", "misses", "invalidations", "insertions",
+                  "evictions")
+
+
+def small_net(**cache_fields):
+    net = DosnNetwork(config=DosnConfig(architecture="dht", seed=5,
+                                        cache=CacheConfig(**cache_fields)))
+    for name in ("alice", "bob", "carol", "dave"):
+        net.add_user(name)
+    net.befriend("alice", "bob")
+    net.befriend("alice", "carol")
+    return net
+
+
+class Counts:
+    """Call counts of the three kinds of work a feed can do."""
+
+    def __init__(self, monkeypatch, net):
+        self.net = net
+        self.digests = self.entry_hashes = self.verifies = 0
+        original = hashing.digest_many
+
+        def digest_many(parts):
+            self.digests += 1
+            return original(parts)
+
+        # modules bind ``digest_many`` by name at import: patch each binding
+        for module in list(sys.modules.values()):
+            if getattr(module, "digest_many", None) is original:
+                monkeypatch.setattr(module, "digest_many", digest_many)
+
+        hash_fields, verify = ChainEntry._hash_fields, SchnorrPublicKey.verify
+
+        def counted_hash_fields(entry):
+            self.entry_hashes += 1
+            return hash_fields(entry)
+
+        def counted_verify(key, message, signature):
+            self.verifies += 1
+            return verify(key, message, signature)
+
+        monkeypatch.setattr(ChainEntry, "_hash_fields", counted_hash_fields)
+        monkeypatch.setattr(SchnorrPublicKey, "verify", counted_verify)
+        self.reset()
+
+    def reset(self):
+        self.digests = self.entry_hashes = self.verifies = 0
+        self.messages_before = self.net.network.stats.messages
+
+    def taken(self):
+        return {"digest_many": self.digests,
+                "entry_hash": self.entry_hashes,
+                "verify": self.verifies,
+                "messages": (self.net.network.stats.messages
+                             - self.messages_before)}
+
+
+NOTHING = {"digest_many": 0, "entry_hash": 0, "verify": 0, "messages": 0}
+
+
+class TestWarmFeedCountRatchet:
+    def test_a_warm_feed_hashes_verifies_and_sends_nothing(self, monkeypatch):
+        net = small_net()
+        net.post("bob", "b1")
+        net.post("bob", "b2")
+        net.post("carol", "c1")
+        cold = net.feed("alice")
+        assert cold.clean and len(cold.items) == 3
+        counts = Counts(monkeypatch, net)
+
+        warm = net.feed("alice")
+        assert warm.clean and len(warm.items) == 3
+        assert all(item.result.source == "cache" for item in warm.items)
+        assert counts.taken() == NOTHING
+
+        net.post("bob", "b3")
+        counts.reset()
+        after_post = net.feed("alice")
+        assert after_post.clean and len(after_post.items) == 4
+        taken = counts.taken()
+        # the new chain entry's hash, once; its chain signature and the
+        # post's own signature, once each
+        assert taken["entry_hash"] == 1
+        assert taken["verify"] == 2
+        assert taken["messages"] > 0
+        # signed_bytes / _post_signed_bytes / content_id hash too
+        assert taken["digest_many"] > taken["entry_hash"]
+
+        counts.reset()
+        again = net.feed("alice")
+        assert again.clean and len(again.items) == 4
+        assert counts.taken() == NOTHING
+
+    def test_a_warm_read_hashes_nothing_either(self, monkeypatch):
+        net = small_net()
+        cid = net.post("bob", "hello")
+        assert net.read("alice", "bob", cid).source != "cache"
+        counts = Counts(monkeypatch, net)
+        assert net.read("alice", "bob", cid).source == "cache"
+        assert counts.taken() == NOTHING
+
+
+class TestCacheCounterHandles:
+    def families(self, net):
+        return sorted({instrument.name for instrument in net.metrics
+                       if instrument.name.startswith("cache.")})
+
+    def test_no_family_exists_before_its_first_event(self):
+        net = small_net(prefetch=False)
+        assert self.families(net) == []
+        net.post("bob", "b1")
+        assert self.families(net) == []
+        net.feed("alice")                            # a miss, an insertion
+        assert self.families(net) == ["cache.insertions", "cache.misses"]
+        net.feed("alice")                            # the first hit
+        assert self.families(net) == ["cache.hits", "cache.insertions",
+                                      "cache.misses"]
+        net.repost("bob", net.post("bob", "b2"))
+        net.feed("alice")
+        net.repost("bob", net.users["alice"].verified_cids("bob")[0])
+        net.feed("alice")                            # evicts the stale copy
+        assert "cache.invalidations" in self.families(net)
+        assert "cache.evictions" not in self.families(net)
+
+    @pytest.mark.parametrize("capacity", [2, 256])
+    def test_registry_counters_equal_the_caches_own(self, capacity):
+        net = small_net(capacity_per_reader=capacity)
+        cids = []
+        for round_ in range(4):
+            for author in ("bob", "carol"):
+                cids.append(net.post(author, f"{author} {round_}"))
+            net.feed("alice")
+            net.repost("bob", cids[0])
+            net.feed("alice", limit_per_friend=2)
+            net.read("alice", "carol", cids[1])
+            net.feed("bob")
+        cache = net.cache
+        assert cache.hits and cache.misses and cache.invalidations
+        assert (cache.evictions > 0) == (capacity == 2)
+        for name in CACHE_FAMILIES:
+            assert (net.metrics.get_counter_value(f"cache.{name}")
+                    == getattr(cache, name)), name
+        if capacity != 2:
+            assert not net.metrics.family("cache.evictions")

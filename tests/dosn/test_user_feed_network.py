@@ -127,6 +127,25 @@ class TestFeed:
         assert len(feed.items) == 2
         assert [i.post.text for i in feed.items] == ["b3", "b4"]
 
+    @pytest.mark.parametrize("cache", [None, CacheConfig()])
+    def test_feed_limit_zero_is_empty_not_everything(self, cache):
+        """``cids[-0:]`` is the whole list: a limit of 0 used to return
+        every post."""
+        net = small_net(cache=cache)
+        for i in range(3):
+            net.post("bob", f"b{i}")
+        for limit, texts in ((1, ["b2"]), (0, []), (7, ["b0", "b1", "b2"]),
+                             (None, ["b0", "b1", "b2"])):
+            feed = net.feed("alice", limit_per_friend=limit)
+            assert feed.clean
+            assert [i.post.text for i in feed.items] == texts
+        # an empty feed still chain-syncs every friend
+        net.post("carol", "c0")
+        assert net.feed("alice", limit_per_friend=0).clean
+        assert len(net.users["alice"].views["carol"].entries) == 1
+        with pytest.raises(ValueError, match="limit_per_friend"):
+            net.feed("alice", limit_per_friend=-1)
+
     def test_feed_reports_unavailable_content(self):
         net = small_net(architecture="local")
         net.post("bob", "will vanish")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.hashing import digest_many
 from repro.crypto.signatures import generate_schnorr_keypair
 from repro.integrity import envelope as env
 from repro.integrity import hashchain as hc
@@ -192,3 +193,128 @@ class TestOrderProofs:
             timeline.publish(str(i).encode(), rng=rng)
         proof = hc.order_proof(timeline.entries, 0, 2)
         assert not hc.verify_order_proof(proof, MALLORY.public_key)
+
+
+def reference_entry_hash(entry):
+    """``ChainEntry.entry_hash`` as written before it was remembered."""
+    return digest_many([
+        entry.author.encode(), entry.sequence.to_bytes(8, "big"),
+        entry.previous, entry.payload,
+        *(f"{a}:{s}".encode() + h for a, s, h in entry.citations),
+        repr(entry.signature).encode(),
+    ])
+
+
+class TestEntryHashMemo:
+    """The remembered ``entry_hash`` never outlives the fields it covers."""
+
+    PINNED = hc.ChainEntry(author="bob", sequence=3, previous=b"prev",
+                           payload=b"post 3",
+                           citations=(("alice", 1, b"h"),),
+                           signature=(17, 42))
+
+    def _timeline(self, rng, n=4):
+        timeline = hc.Timeline("bob", BOB)
+        for i in range(n):
+            timeline.publish(f"post {i}".encode(), rng=rng)
+        return timeline
+
+    def test_memoised_hash_equals_fresh_recomputation(self, rng):
+        for entry in self._timeline(rng).entries + [self.PINNED]:
+            first = entry.entry_hash()
+            assert entry._hash is first          # remembered ...
+            assert entry.entry_hash() is first   # ... and served again
+            assert first == reference_entry_hash(entry)
+        assert self.PINNED.entry_hash().hex() == (
+            "68be397add7c1e76a16f4192dd0afbfea8699bbc35dd8153e04e246a676fa411")
+
+    @pytest.mark.parametrize("change", [
+        {"payload": b"evil edit"}, {"signature": (17, 43)},
+        {"previous": b"other"}, {"sequence": 4}, {"author": "eve"},
+        {"citations": ()},
+    ])
+    def test_replace_starts_empty_and_rehashes(self, change):
+        original = self.PINNED.entry_hash()
+        tampered = dataclasses.replace(self.PINNED, **change)
+        assert tampered._hash is None
+        assert tampered.entry_hash() != original
+        assert tampered.entry_hash() == reference_entry_hash(tampered)
+        assert self.PINNED.entry_hash() == original
+
+    def test_memo_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            hc.ChainEntry("bob", 0, hc.GENESIS, b"x", (), (0, 0), b"forged")
+        with pytest.raises(ValueError):
+            dataclasses.replace(self.PINNED, _hash=b"forged")
+
+    def test_equality_hash_and_repr_ignore_the_memo(self):
+        entry = self.PINNED
+        fresh = dataclasses.replace(entry)
+        entry.entry_hash()
+        assert fresh._hash is None and entry == fresh
+        assert hash(entry) == hash(fresh) == hash(
+            (entry.author, entry.sequence, entry.previous, entry.payload,
+             entry.citations, entry.signature))
+        assert repr(entry) == repr(fresh) == (
+            "ChainEntry(author='bob', sequence=3, previous=b'prev', "
+            "payload=b'post 3', citations=(('alice', 1, b'h'),), "
+            "signature=(17, 42))")
+
+    def test_head_hash_is_the_last_entrys_memo(self, rng):
+        timeline = self._timeline(rng)
+        assert timeline.head_hash is timeline.entries[-1].entry_hash()
+        view = hc.TimelineView("bob", BOB.public_key)
+        assert view.head_hash == hc.GENESIS
+        view.accept_all(timeline.entries)
+        assert view.head_hash is timeline.head_hash
+        for name in ("Timeline", "TimelineView"):   # tracing.py wraps these
+            assert isinstance(vars(getattr(hc, name))["head_hash"], property)
+
+    def test_accept_still_rejects_after_the_same_objects_were_hashed(
+            self, rng):
+        timeline = self._timeline(rng)
+        entries = timeline.entries
+        for entry in entries:
+            entry.entry_hash()
+
+        def view_at(n, author="bob", key=BOB.public_key):
+            view = hc.TimelineView(author, key)
+            view.accept_all(entries[:n])
+            return view
+
+        with pytest.raises(IntegrityError, match="chain break"):
+            # entry 2 re-sequenced onto a view that holds only entry 0
+            view_at(1).accept(dataclasses.replace(entries[2], sequence=1))
+        with pytest.raises(IntegrityError, match="sequence gap"):
+            view_at(3).accept(entries[1])                        # replay
+        with pytest.raises(IntegrityError, match="authored by"):
+            view_at(0, author="alice").accept(entries[0])        # foreign
+        with pytest.raises(IntegrityError, match="signature"):
+            view_at(0, key=MALLORY.public_key).accept(entries[0])
+        forged = dataclasses.replace(
+            entries[1], signature=(entries[1].signature[0],
+                                   entries[1].signature[1] + 1))
+        forged.entry_hash()
+        with pytest.raises(IntegrityError, match="signature"):
+            view_at(1).accept(forged)
+        # a tampered middle entry: the *next* link no longer matches it
+        view = view_at(1)
+        view.entries.append(dataclasses.replace(entries[1], payload=b"evil"))
+        with pytest.raises(IntegrityError, match="chain break"):
+            view.accept(entries[2])
+
+    def test_order_proof_over_hashed_entries_still_catches_tampering(
+            self, rng):
+        entries = self._timeline(rng, 5).entries
+        for entry in entries:
+            entry.entry_hash()
+        assert hc.verify_order_proof(hc.order_proof(entries, 1, 4),
+                                     BOB.public_key)
+        tampered = list(entries)
+        tampered[2] = dataclasses.replace(entries[2], payload=b"evil edit")
+        assert not hc.verify_order_proof(hc.order_proof(tampered, 1, 4),
+                                         BOB.public_key)
+        resigned = list(entries)
+        resigned[2] = hc.Timeline("bob", BOB).publish(b"x", rng=rng)
+        assert not hc.verify_order_proof(hc.order_proof(resigned, 1, 4),
+                                         BOB.public_key)

@@ -164,11 +164,12 @@ def test_ring_order_is_read_through_the_public_accessor():
 
 #: names of the read paths that were folded away, of the second
 #: statistics system and its profilers, of SWIM state nothing read, and of
-#: the list-based AES forward rounds (now ``tests/crypto/reference.py``);
-#: nothing may bring them back
+#: the list-based AES forward rounds (now ``tests/crypto/reference.py``),
+#: and of a ``FeedReport`` filter nothing called; nothing may bring them back
 GONE = ("fetch_from_holders", "_get_failover", "_provenance", "batch_reads",
         "crypto_op", "profile_crypto", "absorb_network", "by_kind",
-        "suspected_at", "is_suspect", "_shift_rows", "_mix_columns")
+        "suspected_at", "is_suspect", "_shift_rows", "_mix_columns",
+        "from_source")
 READ_KINDS = {"chord_replica_read", "chord_batch_fetch"}
 
 
@@ -179,6 +180,16 @@ def test_folded_read_paths_stay_gone():
              for number, line in enumerate(path.read_text().splitlines(), 1)
              for match in [pattern.search(line)] if match]
     assert not found, f"deleted names are back: {found}"
+
+
+def test_prefetcher_asks_for_verified_cids_instead_of_decoding_payloads():
+    """"A friend's verified cids" has one definition,
+    ``DosnUser.verified_cids``; the prefetcher takes it as a callback and
+    reads no chain entry's ``payload`` itself."""
+    found = [node.lineno for node in ast.walk(ast.parse(
+                 (SRC / "cache" / "prefetch.py").read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "payload"]
+    assert not found, f"cache/prefetch.py reads .payload at lines {found}"
 
 
 def _quorum_tests(source: str):
