@@ -183,7 +183,7 @@ def test_folded_read_paths_stay_gone():
 
 
 def test_prefetcher_asks_for_verified_cids_instead_of_decoding_payloads():
-    """"A friend's verified cids" has one definition,
+    """What a friend's verified cids are has one definition,
     ``DosnUser.verified_cids``; the prefetcher takes it as a callback and
     reads no chain entry's ``payload`` itself."""
     found = [node.lineno for node in ast.walk(ast.parse(
