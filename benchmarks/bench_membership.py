@@ -44,7 +44,7 @@ from repro.exceptions import (LookupError_, ReplicaIntegrityError,
 from repro.fabric import Fabric
 from repro.faults import (CircuitBreaker, CorruptBlob, Crash, FaultPlan,
                           Partition, RetryPolicy)
-from repro.membership import MembershipConfig, SwimMembership
+from repro.membership import PROTOCOL_PERIOD, SwimMembership
 from repro.overlay.chord import ChordRing, chord_id
 from repro.overlay.network import SimNode
 from repro.overlay.simulator import FixedLatency
@@ -80,7 +80,7 @@ RT_NEAR = [name for name in _RING_ORDER if name not in RT_FAR]
 def _detection_cell(loss: float):
     fab = Fabric.create(seed=SEED, latency=FixedLatency(0.02),
                         loss_rate=loss)
-    membership = SwimMembership(fab, MembershipConfig())
+    membership = SwimMembership(fab)
     names = [f"m{i}" for i in range(DET_N)]
     for name in names:
         fab.network.register(SimNode(name))
@@ -103,9 +103,8 @@ def _detection_cell(loss: float):
         if confirms:
             latencies.append(min(confirms) - at)
     false, total = membership.false_positive_stats()
-    period = membership.config.protocol_period
     per_node_period = fab.network.stats.messages \
-        / (DET_HORIZON / period) / DET_N
+        / (DET_HORIZON / PROTOCOL_PERIOD) / DET_N
     return {
         "detected": len(latencies),
         "victims": len(crash_times),
@@ -202,7 +201,7 @@ def _routing_cell(policy: str):
                                                cooldown=30.0))
     membership = None
     if policy == "health":
-        membership = SwimMembership(fab, MembershipConfig())
+        membership = SwimMembership(fab)
     ring = ChordRing(fab, successor_list_size=8, replication=3)
     for name in RT_NAMES:
         ring.add_node(name)
@@ -285,7 +284,7 @@ def test_health_aware_routing_vs_resilient_baseline(benchmark):
 def _degraded_cell(enabled: bool):
     peers = [f"s{i}" for i in range(10)]
     fab = Fabric.create(seed=SEED, latency=FixedLatency(0.02))
-    membership = SwimMembership(fab, MembershipConfig())
+    membership = SwimMembership(fab)
     ring = ChordRing(fab, replication=3)
     for name in peers:
         ring.add_node(name)

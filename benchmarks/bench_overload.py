@@ -52,8 +52,8 @@ import statistics
 from _reporting import report_table
 from repro.exceptions import DeadlineExceededError, StorageError
 from repro.fabric import Fabric
-from repro.faults import (AdaptiveTimeoutConfig, OverloadConfig, RetryBudget,
-                          RetryBudgetConfig, RetryPolicy, ServiceConfig)
+from repro.faults import (OverloadConfig, RetryBudget, RetryPolicy,
+                          ServiceConfig)
 from repro.overlay.chord import ChordRing
 from repro.storage2 import ReplicatedStore, ReplicationConfig
 
@@ -79,19 +79,17 @@ STACKS = {
     "bare": OverloadConfig(
         service=ServiceConfig(service_time=SERVICE_TIME, queue_limit=None,
                               timeout=ATTEMPT_TIMEOUT),
-        op_budget=None, retry_budget=None, adaptive_timeout=None),
+        op_budget=None, retry_budget=False, adaptive_timeout=False),
     "shed": OverloadConfig(
         service=ServiceConfig(service_time=SERVICE_TIME,
                               queue_limit=QUEUE_LIMIT, shed_policy="reject",
                               timeout=ATTEMPT_TIMEOUT),
-        op_budget=None, retry_budget=None, adaptive_timeout=None),
+        op_budget=None, retry_budget=False, adaptive_timeout=False),
     "full": OverloadConfig(
         service=ServiceConfig(service_time=SERVICE_TIME,
                               queue_limit=QUEUE_LIMIT, shed_policy="reject",
                               timeout=ATTEMPT_TIMEOUT),
-        op_budget=OP_BUDGET,
-        retry_budget=RetryBudgetConfig(capacity=20.0, refill_per_success=0.2),
-        adaptive_timeout=AdaptiveTimeoutConfig()),
+        op_budget=OP_BUDGET, retry_budget=True, adaptive_timeout=True),
 }
 
 _COUNTERS = ("messages", "timeouts", "retries", "shed", "deadline_expired",
@@ -144,8 +142,8 @@ def _overload_cell(stack: str):
     # the late install here prices the measured workload only.
     fab.overload = config
     fab.network.install_overload(config)
-    if config.retry_budget is not None:
-        fab.channel.retry_budget = RetryBudget(config.retry_budget)
+    if config.retry_budget:
+        fab.channel.retry_budget = RetryBudget()
     holders = store.placements[HOT_KEY]
     readers = [f"p{i}" for i in range(N) if f"p{i}" not in holders]
     fab.network.stats.reset()

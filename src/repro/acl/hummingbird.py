@@ -129,10 +129,6 @@ class HummingbirdFollower:
         evaluated = publisher.serve_subscription(request.blinded)
         self._tag_keys[(publisher.name, hashtag)] = request.finalize(evaluated)
 
-    def subscription_tags(self) -> List[bytes]:
-        """The opaque tags handed to the server for matching."""
-        return [_tag_from_key(k) for k in self._tag_keys.values()]
-
     def fetch(self, server: HummingbirdServer) -> List[Tuple[str, str, str]]:
         """Pull and decrypt matching tweets: (publisher, hashtag, message)."""
         by_tag = {_tag_from_key(key): (pub_tag, key)

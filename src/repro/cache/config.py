@@ -10,7 +10,7 @@ committed experiment table — byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 
 from repro.exceptions import SimulationError
 
@@ -19,9 +19,10 @@ __all__ = ["CacheConfig"]
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Knobs for the per-reader verified-content cache and batched reads.
+    """The per-reader verified-content cache and batched reads.
 
-    ``capacity_per_reader=0`` disables the LRU tier while keeping batched
+    ``capacity_per_reader=0`` disables the LRU tier (and with it the
+    social prefetcher, which has nothing to warm) while keeping batched
     feed fan-out on — the configuration E16 uses to price batching and
     caching separately.
     """
@@ -29,23 +30,12 @@ class CacheConfig:
     #: max verified posts cached per reader (LRU eviction beyond this;
     #: 0 disables the cache tier entirely)
     capacity_per_reader: int = 256
-    #: warm both sides' caches with the new friend's recent posts on
-    #: ``befriend`` (and via :meth:`DosnNetwork.prefetch` on demand)
-    prefetch: bool = True
-    #: how many of a friend's newest posts a prefetch pulls
-    prefetch_depth: int = 2
 
     def __post_init__(self) -> None:
         if self.capacity_per_reader < 0:
             raise SimulationError("capacity_per_reader must be >= 0")
-        if self.prefetch_depth < 0:
-            raise SimulationError("prefetch_depth must be >= 0")
 
     @property
     def caching(self) -> bool:
         """Whether the verified-content LRU tier is active."""
         return self.capacity_per_reader > 0
-
-    def with_overrides(self, **changes) -> "CacheConfig":
-        """A copy with some fields replaced (sweep helper)."""
-        return _dc_replace(self, **changes)

@@ -25,6 +25,9 @@ from repro.obs.trace import NOOP_TRACER
 
 __all__ = ["SocialPrefetcher"]
 
+#: how many of a friend's newest posts a prefetch pulls
+PREFETCH_DEPTH = 2
+
 
 class SocialPrefetcher:
     """Warms per-reader caches along social edges.
@@ -43,14 +46,13 @@ class SocialPrefetcher:
       fetched blob (raises on violation).
     """
 
-    def __init__(self, cache: VerifiedContentCache, depth: int,
+    def __init__(self, cache: VerifiedContentCache,
                  view_of: Callable[[str, str], object],
                  cids_of: Callable[[str, str], List[str]],
                  fetch_many: Callable[[str, List[str]], Dict[str, object]],
                  open_post: Callable[[str, str, bytes, str], object],
                  metrics=None, tracer=None) -> None:
         self.cache = cache
-        self.depth = depth
         self._view_of = view_of
         self._cids_of = cids_of
         self._fetch_many = fetch_many
@@ -66,8 +68,6 @@ class SocialPrefetcher:
         cids are skipped before any fetch is issued, so repeated warming
         is idempotent and (warm) free.
         """
-        if self.depth <= 0:
-            return 0
         wanted: List[Tuple[str, str]] = []   # (author, cid), fetch order
         views: Dict[str, object] = {}
         for author in sorted(set(friends)):
@@ -77,7 +77,7 @@ class SocialPrefetcher:
             if view is None:
                 continue
             views[author] = view
-            for cid in self._cids_of(reader, author)[-self.depth:]:
+            for cid in self._cids_of(reader, author)[-PREFETCH_DEPTH:]:
                 if not self.cache.contains(reader, cid):
                     wanted.append((author, cid))
         if not wanted:

@@ -21,7 +21,7 @@ Configuration beyond ``architecture``/``seed`` lives in the keyword-only
     net = DosnNetwork(config=DosnConfig(architecture="dht", seed=7,
                                         replication=3, tracing=True))
 
-(The loose ``encrypt_content=``/``level=``/``replication=``/
+(The loose ``encrypt_content=``/``replication=``/
 ``federation_pods=`` constructor kwargs, deprecated for one release, are
 gone — ``config=DosnConfig(...)`` is the only spelling.)  With
 ``tracing=True`` every ``post``/``read``/``feed``/``befriend`` opens a
@@ -117,8 +117,6 @@ class DosnConfig:
     seed: int = 0
     #: encrypt posts for the author's friend group before storage
     encrypt_content: bool = True
-    #: cryptographic parameter level (see :mod:`repro.crypto.params`)
-    level: str = "TOY"
     #: replica-set size for the DHT architecture.  An ``int`` keeps the
     #: legacy first-responder semantics; a
     #: :class:`repro.storage2.ReplicationConfig` opts into the verified
@@ -210,7 +208,6 @@ class DosnNetwork:
                 config = config.with_overrides(**overrides)
         self.config = config
         self.architecture = config.architecture
-        self.level = config.level
         self.encrypt_content = config.encrypt_content
         if fabric is None:
             fabric = Fabric.create(
@@ -240,7 +237,7 @@ class DosnNetwork:
             if config.membership is not None:
                 # Built before the store/daemon so both auto-discover it
                 # from the fabric as their liveness source.
-                self.membership = SwimMembership(fabric, config.membership)
+                self.membership = SwimMembership(fabric)
             rep = config.replication
             if isinstance(rep, ReplicationConfig):
                 self.ring = ChordRing(fabric, replication=rep.n)
@@ -270,17 +267,16 @@ class DosnNetwork:
         self.stack = self._build_stack(config)
         #: the per-reader verified-content cache (``None`` when cold)
         self.cache: Optional[VerifiedContentCache] = None
-        #: warms caches along social edges (``None`` unless enabled)
+        #: warms caches along social edges (``None`` without a cache)
         self.prefetcher: Optional[SocialPrefetcher] = None
         if config.cache is not None and config.cache.caching:
             self.cache = VerifiedContentCache(
                 config.cache.capacity_per_reader, metrics=self.metrics)
-            if config.cache.prefetch:
-                self.prefetcher = SocialPrefetcher(
-                    self.cache, config.cache.prefetch_depth,
-                    view_of=self._view_of, cids_of=self._cids_of,
-                    fetch_many=self._fetch_many, open_post=self._open_for,
-                    metrics=self.metrics, tracer=self.tracer)
+            self.prefetcher = SocialPrefetcher(
+                self.cache,
+                view_of=self._view_of, cids_of=self._cids_of,
+                fetch_many=self._fetch_many, open_post=self._open_for,
+                metrics=self.metrics, tracer=self.tracer)
 
     def _build_stack(self, config: DosnConfig) -> ProtectionStack:
         """Assemble the network's :class:`ProtectionStack`.
@@ -384,7 +380,7 @@ class DosnNetwork:
 
     def add_user(self, name: str) -> DosnUser:
         """Create a user and enroll them in the architecture."""
-        user = DosnUser(name, self.registry, level=self.level,
+        user = DosnUser(name, self.registry,
                         rng=_random.Random(f"{name}/{self.rng.random()}"),
                         encrypt_content=self.encrypt_content,
                         tracer=self.tracer)
@@ -515,7 +511,7 @@ class DosnNetwork:
 
         Returns how many posts were fetched, verified and cached; always
         0 when the network runs without a prefetcher
-        (``DosnConfig.cache`` unset, capacity 0, or ``prefetch=False``).
+        (``DosnConfig.cache`` unset, or capacity 0).
         """
         if self.prefetcher is None:
             return 0

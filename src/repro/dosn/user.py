@@ -47,6 +47,9 @@ def _post_signed_bytes(author: str, sequence: int, text: str,
 # the pure-Python primitives' rough throughput on one core.
 _SYM_SECONDS_PER_BYTE = 2e-6     # SHA-256-CTR stream cipher
 _SIG_SECONDS_PER_OP = 5e-3       # Schnorr sign/verify at TOY level
+#: the parameter level (:mod:`repro.crypto.params`) every identity is
+#: created at — the one the cost constants above are calibrated to
+_LEVEL = "TOY"
 
 
 def _crypto_cost(op: str, nbytes: int) -> float:
@@ -70,14 +73,14 @@ class VerifiedPost:
 class DosnUser:
     """One peer in the DOSN."""
 
-    def __init__(self, name: str, registry: KeyRegistry, level: str = "TOY",
+    def __init__(self, name: str, registry: KeyRegistry,
                  rng: Optional[_random.Random] = None,
                  encrypt_content: bool = True, tracer=None) -> None:
         self.name = name
         #: fabric tracer (injected by DosnNetwork); no-op by default
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.rng = rng or _random.Random(f"user/{name}")
-        self.identity: Identity = create_identity(name, level, self.rng)
+        self.identity: Identity = create_identity(name, _LEVEL, self.rng)
         self.registry = registry
         registry.register(self.identity)
         self.encrypt_content = encrypt_content

@@ -33,7 +33,7 @@ import networkx as nx
 
 from repro.adversary.walks import random_walk_landings, region_mass
 from repro.exceptions import ReproError
-from repro.search.trust import best_trust_chain, rank_results
+from repro.search.trust import best_trust_chain
 
 
 def inject_sybils(graph: nx.Graph, count: int, attack_edges: int,
@@ -80,21 +80,6 @@ class SybilAttack:
                                         max_depth)
             best = max(best, trust)
         return best
-
-    def ranking_infiltration(self, searcher: str,
-                             honest_candidates: Sequence[str],
-                             top_k: int = 10) -> float:
-        """Fraction of the search top-k occupied by sybils.
-
-        The candidate pool is honest candidates plus all sybils, ranked
-        with the *popularity-blended* scorer — the configuration the paper
-        implies is gameable, since sybils manufacture their own degree.
-        """
-        candidates = list(honest_candidates) + self.sybils
-        ranked = rank_results(self.graph, searcher, candidates,
-                              trust_weight=0.5)
-        top = [r.user for r in ranked[:top_k]]
-        return sum(1 for user in top if user in self.sybils) / top_k
 
 
 def degree_cut_detection(graph: nx.Graph, sybils: Sequence[str],

@@ -73,8 +73,8 @@ class Fabric:
         self.overload: Optional[OverloadConfig] = overload
         if overload is not None:
             network.install_overload(overload)
-            if channel is not None and overload.retry_budget is not None:
-                channel.retry_budget = RetryBudget(overload.retry_budget)
+            if channel is not None and overload.retry_budget:
+                channel.retry_budget = RetryBudget()
         self._rng = rng
 
     @classmethod

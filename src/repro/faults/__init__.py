@@ -29,18 +29,18 @@ intensity against resilience policy; E14
 
 from repro.faults.byzantine import (CorruptBlob, Equivocate, HolderFault,
                                     StaleServe)
-from repro.faults.overload import (AdaptiveTimeout, AdaptiveTimeoutConfig,
-                                   Deadline, OverloadConfig, RetryBudget,
-                                   RetryBudgetConfig, ServiceConfig)
+from repro.faults.overload import (AdaptiveTimeout, Deadline,
+                                   OverloadConfig, RetryBudget,
+                                   ServiceConfig)
 from repro.faults.plan import (Corruption, Crash, FaultPlan, LossBurst,
                                Partition, SlowLink)
 from repro.faults.resilience import (BREAKER_STATE_VALUES, CircuitBreaker,
                                      ReliableChannel, RetryPolicy)
 
 __all__ = [
-    "AdaptiveTimeout", "AdaptiveTimeoutConfig", "BREAKER_STATE_VALUES",
+    "AdaptiveTimeout", "BREAKER_STATE_VALUES",
     "CircuitBreaker", "CorruptBlob", "Corruption", "Crash", "Deadline",
     "Equivocate", "FaultPlan", "HolderFault", "LossBurst", "OverloadConfig",
-    "Partition", "ReliableChannel", "RetryBudget", "RetryBudgetConfig",
-    "RetryPolicy", "ServiceConfig", "SlowLink", "StaleServe",
+    "Partition", "ReliableChannel", "RetryBudget", "RetryPolicy",
+    "ServiceConfig", "SlowLink", "StaleServe",
 ]

@@ -40,14 +40,25 @@ once the spike ends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.exceptions import SimulationError
 
-__all__ = ["AdaptiveTimeout", "AdaptiveTimeoutConfig", "Deadline",
-           "OverloadConfig", "RetryBudget", "RetryBudgetConfig",
+__all__ = ["AdaptiveTimeout", "Deadline", "OverloadConfig", "RetryBudget",
            "ServiceConfig", "deadline_expired"]
+
+#: tokens a full :class:`RetryBudget` holds, and what one success earns back
+RETRY_BUDGET_CAPACITY = 20.0
+RETRY_REFILL_PER_SUCCESS = 0.2
+
+#: :class:`AdaptiveTimeout`: EWMA weight of the newest RTT, and the attempt
+#: timeout ``clamp(MULTIPLIER * ewma, FLOOR, CEILING)`` in virtual seconds
+EWMA_ALPHA = 0.2
+TIMEOUT_MULTIPLIER = 3.0
+TIMEOUT_FLOOR = 0.25
+TIMEOUT_CEILING = 2.0
 
 
 @dataclass(frozen=True)
@@ -68,9 +79,8 @@ class ServiceConfig:
     ``timeout`` is the fixed per-attempt client timeout that applies
     once a service model exists (a queued response slower than this
     reads as a timeout; the server still pays the wasted service time —
-    the ingredient of metastable collapse).  An
-    :class:`AdaptiveTimeoutConfig` replaces it with an RTT-tracking
-    estimate.
+    the ingredient of metastable collapse).  :class:`AdaptiveTimeout`
+    replaces it with an RTT-tracking estimate.
     """
 
     service_time: float = 0.02
@@ -79,48 +89,16 @@ class ServiceConfig:
     timeout: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.service_time <= 0:
-            raise SimulationError("service_time must be positive")
+        if not math.isfinite(self.service_time) or self.service_time <= 0:
+            raise SimulationError("service_time must be positive and finite")
         if self.queue_limit is not None and self.queue_limit < 1:
             raise SimulationError("queue_limit must be None or >= 1")
         if self.shed_policy not in ("reject", "drop"):
             raise SimulationError(
                 f"shed_policy must be 'reject' or 'drop' "
                 f"(got {self.shed_policy!r})")
-        if self.timeout <= 0:
-            raise SimulationError("timeout must be positive")
-
-
-@dataclass(frozen=True)
-class AdaptiveTimeoutConfig:
-    """EWMA attempt-timeout parameters (see :class:`AdaptiveTimeout`)."""
-
-    alpha: float = 0.2
-    multiplier: float = 3.0
-    floor: float = 0.25
-    ceiling: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise SimulationError("alpha must be in (0, 1]")
-        if self.multiplier < 1.0:
-            raise SimulationError("multiplier must be >= 1")
-        if not 0.0 < self.floor <= self.ceiling:
-            raise SimulationError("need 0 < floor <= ceiling")
-
-
-@dataclass(frozen=True)
-class RetryBudgetConfig:
-    """Token-bucket sizing for a channel's :class:`RetryBudget`."""
-
-    capacity: float = 20.0
-    refill_per_success: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise SimulationError("retry budget capacity must be positive")
-        if self.refill_per_success < 0:
-            raise SimulationError("refill_per_success must be >= 0")
+        if not math.isfinite(self.timeout) or self.timeout <= 0:
+            raise SimulationError("timeout must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -132,25 +110,26 @@ class OverloadConfig:
     ``op_budget`` (virtual seconds) mints a :class:`Deadline` per
     logical operation (lookup, quorum read) — ``None`` disables deadline
     propagation — ``retry_budget`` caps channel-wide retry
-    amplification, and ``adaptive_timeout`` replaces the fixed attempt
-    timeout with the EWMA estimator.
+    amplification with a :class:`RetryBudget`, and ``adaptive_timeout``
+    replaces the fixed attempt timeout with the :class:`AdaptiveTimeout`
+    estimator.
 
     ``OverloadConfig(service=ServiceConfig(queue_limit=None),
-    op_budget=None, retry_budget=None, adaptive_timeout=None)`` is the
+    op_budget=None, retry_budget=False, adaptive_timeout=False)`` is the
     *bare* service model: queueing is priced but nothing protects
     against it — the configuration E18 collapses.
     """
 
     service: Optional[ServiceConfig] = field(default_factory=ServiceConfig)
     op_budget: Optional[float] = 2.0
-    retry_budget: Optional[RetryBudgetConfig] = field(
-        default_factory=RetryBudgetConfig)
-    adaptive_timeout: Optional[AdaptiveTimeoutConfig] = field(
-        default_factory=AdaptiveTimeoutConfig)
+    retry_budget: bool = True
+    adaptive_timeout: bool = True
 
     def __post_init__(self) -> None:
-        if self.op_budget is not None and self.op_budget <= 0:
-            raise SimulationError("op_budget must be None or positive")
+        if self.op_budget is not None and (
+                not math.isfinite(self.op_budget) or self.op_budget <= 0):
+            raise SimulationError(
+                "op_budget must be None or positive and finite")
 
     def mint_deadline(self, now: float) -> Optional["Deadline"]:
         """A fresh per-operation deadline (``None`` when disabled)."""
@@ -219,56 +198,53 @@ class RetryBudget:
 
     Shared per :class:`~repro.faults.ReliableChannel` (i.e. per fabric):
     every retry anywhere draws one token, every successful call refills
-    ``refill_per_success`` up to ``capacity``.  Under a load spike the
+    :data:`RETRY_REFILL_PER_SUCCESS` up to :data:`RETRY_BUDGET_CAPACITY`.
+    Under a load spike the
     bucket drains and calls degrade to single attempts — the retry storm
     stops feeding the overload — and recovery refills it organically,
     because refills only come from successes.
     """
 
-    __slots__ = ("capacity", "refill_per_success", "tokens", "exhausted")
+    __slots__ = ("tokens", "exhausted")
 
-    def __init__(self, config: Optional[RetryBudgetConfig] = None) -> None:
-        config = config or RetryBudgetConfig()
-        self.capacity = config.capacity
-        self.refill_per_success = config.refill_per_success
-        self.tokens = config.capacity
+    def __init__(self) -> None:
+        self.tokens = RETRY_BUDGET_CAPACITY
         #: times a retry was denied for want of a token
         self.exhausted = 0
 
-    def try_spend(self, cost: float = 1.0) -> bool:
-        """Draw ``cost`` tokens for a retry; False when the bucket is dry."""
-        if self.tokens < cost:
+    def try_spend(self) -> bool:
+        """Draw one token for a retry; False when the bucket is dry."""
+        if self.tokens < 1.0:
             self.exhausted += 1
             return False
-        self.tokens -= cost
+        self.tokens -= 1.0
         return True
 
     def on_success(self) -> None:
         """A call succeeded: earn back part of a token."""
-        self.tokens = min(self.capacity,
-                          self.tokens + self.refill_per_success)
+        self.tokens = min(RETRY_BUDGET_CAPACITY,
+                          self.tokens + RETRY_REFILL_PER_SUCCESS)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RetryBudget(tokens={self.tokens:.2f}/"
-                f"{self.capacity:.0f}, exhausted={self.exhausted})")
+                f"{RETRY_BUDGET_CAPACITY:.0f}, exhausted={self.exhausted})")
 
 
 class AdaptiveTimeout:
     """Per-destination EWMA attempt timeouts with a floor and ceiling.
 
     Each observed successful RTT updates the destination's EWMA; an
-    attempt timeout is ``clamp(multiplier * ewma, floor, ceiling)``.
+    attempt timeout is ``clamp(TIMEOUT_MULTIPLIER * ewma, TIMEOUT_FLOOR,
+    TIMEOUT_CEILING)``.
     Destinations never observed fall back to the caller-supplied
     default (the fixed :attr:`ServiceConfig.timeout`, or the legacy
     ``4*RTT`` when no service model exists), so the estimator can only
     sharpen the constant, never invent one from nothing.
     """
 
-    __slots__ = ("config", "_ewma")
+    __slots__ = ("_ewma",)
 
-    def __init__(self, config: Optional[AdaptiveTimeoutConfig] = None
-                 ) -> None:
-        self.config = config or AdaptiveTimeoutConfig()
+    def __init__(self) -> None:
         self._ewma: Dict[str, float] = {}
 
     def observe(self, dst: str, rtt: float) -> None:
@@ -277,13 +253,12 @@ class AdaptiveTimeout:
         if previous is None:
             self._ewma[dst] = rtt
         else:
-            alpha = self.config.alpha
-            self._ewma[dst] = (1.0 - alpha) * previous + alpha * rtt
+            self._ewma[dst] = (1.0 - EWMA_ALPHA) * previous + EWMA_ALPHA * rtt
 
     def timeout_for(self, dst: str) -> Optional[float]:
         """The attempt timeout for ``dst`` (``None`` before any sample)."""
         ewma = self._ewma.get(dst)
         if ewma is None:
             return None
-        cfg = self.config
-        return min(cfg.ceiling, max(cfg.floor, cfg.multiplier * ewma))
+        return min(TIMEOUT_CEILING,
+                   max(TIMEOUT_FLOOR, TIMEOUT_MULTIPLIER * ewma))

@@ -163,6 +163,10 @@ class CircuitBreaker:
 #: Gauge encoding of breaker states (``channel.breaker_state{dst=...}``).
 BREAKER_STATE_VALUES = {"closed": 0.0, "half_open": 0.5, "open": 1.0}
 
+#: stagger (virtual seconds) between the launches of a
+#: :meth:`ReliableChannel.hedged` race
+HEDGE_DELAY = 0.05
+
 
 class ReliableChannel:
     """Timeout/retry/breaker/hedging wrapper over a :class:`SimNetwork`.
@@ -173,13 +177,10 @@ class ReliableChannel:
     """
 
     def __init__(self, network, policy: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 hedge_delay: float = 0.05) -> None:
+                 breaker: Optional[CircuitBreaker] = None) -> None:
         self.network = network
         self.policy = policy or RetryPolicy()
         self.breaker = breaker
-        #: stagger between the launches of a :meth:`hedged` race
-        self.hedge_delay = hedge_delay
         #: the fabric's :class:`repro.membership.SwimMembership`, set by
         #: :meth:`repro.fabric.Fabric.attach_membership`.  When the
         #: *source* of a call has a membership view, that view replaces
@@ -357,7 +358,7 @@ class ReliableChannel:
         last-resort path a false confirmation must not lose the read).
 
         The race is :func:`repro.overlay.simulator.hedge_of` with
-        :attr:`hedge_delay` between launches (a spent ``deadline`` stops
+        :data:`HEDGE_DELAY` between launches (a spent ``deadline`` stops
         launching); ``elapsed`` is the winner's completion offset.
         """
         with self.network.tracer.span("channel.hedged", kind=kind,
@@ -376,7 +377,7 @@ class ReliableChannel:
                                        now)
                 return (future, future.ok)
 
-            winner, elapsed, hedges = hedge_of(dsts, self.hedge_delay, issue)
+            winner, elapsed, hedges = hedge_of(dsts, HEDGE_DELAY, issue)
             if hedges:
                 self.network.metrics.inc("net.hedges", hedges, kind=kind)
             span.set_attr("winner", winner)

@@ -10,10 +10,10 @@ driven by a per-peer phi-accrual estimator
 
 Opt in per fabric::
 
-    from repro.membership import MembershipConfig, SwimMembership
+    from repro.membership import SwimMembership
 
     fab = Fabric.create(seed=7, resilient=True)
-    swim = SwimMembership(fab, MembershipConfig())   # attaches to fab
+    swim = SwimMembership(fab)                       # attaches to fab
     for name in peers:
         swim.register(name)
     swim.start()
@@ -22,6 +22,10 @@ or through the facade::
 
     DosnConfig(architecture="dht", resilient=True,
                membership=MembershipConfig())
+
+:class:`MembershipConfig` is a switch, not a parameter set: nothing in
+the repo runs SWIM at a second parameter point, so the protocol's values
+are the module constants exported below.
 
 Once attached, the :class:`~repro.faults.ReliableChannel` fast-fails
 confirmed-dead destinations and strips retries from suspects, the
@@ -33,12 +37,19 @@ positives against packet loss, and the availability delta of
 health-aware routing under partitions + churn.
 """
 
-from repro.membership.config import MembershipConfig
-from repro.membership.phi import LN10, PhiEstimator
-from repro.membership.swim import (ALIVE, DEAD, SUSPECT, ConfirmEvent,
-                                   MemberView, SwimMembership)
+from repro.membership.phi import (INITIAL_INTERVAL, LN10, MIN_INTERVAL,
+                                  WINDOW, PhiEstimator)
+from repro.membership.swim import (ALIVE, CONFIRM_PHI, DEAD,
+                                   GOSSIP_BUDGET_FACTOR, K_INDIRECT,
+                                   PIGGYBACK_LIMIT, PROTOCOL_PERIOD,
+                                   RECLAIM_EVERY, SUSPECT, SUSPECT_PHI,
+                                   ConfirmEvent, MemberView,
+                                   MembershipConfig, SwimMembership)
 
 __all__ = [
-    "ALIVE", "DEAD", "SUSPECT", "ConfirmEvent", "LN10", "MemberView",
+    "ALIVE", "CONFIRM_PHI", "DEAD", "GOSSIP_BUDGET_FACTOR",
+    "INITIAL_INTERVAL", "K_INDIRECT", "LN10", "MIN_INTERVAL",
+    "PIGGYBACK_LIMIT", "PROTOCOL_PERIOD", "RECLAIM_EVERY", "SUSPECT",
+    "SUSPECT_PHI", "WINDOW", "ConfirmEvent", "MemberView",
     "MembershipConfig", "PhiEstimator", "SwimMembership",
 ]

@@ -27,20 +27,23 @@ from typing import Optional
 
 LN10 = math.log(10.0)
 
+#: sliding-window size of the per-peer evidence-gap estimator
+WINDOW = 16
+#: prior mean evidence gap (seconds) until the window holds three gaps
+INITIAL_INTERVAL = 5.0
+#: floor for the estimated mean gap (keeps phi finite on chatty pairs);
+#: at most :data:`INITIAL_INTERVAL`, so the prior needs no flooring
+MIN_INTERVAL = 0.25
+
 
 class PhiEstimator:
     """Evidence-gap tracker for one (observer, peer) pair."""
 
-    __slots__ = ("window", "initial_interval", "min_interval",
-                 "last_evidence", "_gaps")
+    __slots__ = ("last_evidence", "_gaps")
 
-    def __init__(self, window: int, initial_interval: float,
-                 min_interval: float, now: float) -> None:
-        self.window = window
-        self.initial_interval = initial_interval
-        self.min_interval = min_interval
+    def __init__(self, now: float) -> None:
         self.last_evidence = now
-        # a sliding window of the last ``window`` gaps, oldest first, as
+        # a sliding window of the last ``WINDOW`` gaps, oldest first, as
         # 8 B a gap and nothing up front: the cluster holds one estimator
         # per (observer, peer) *pair* (docs/membership.md "Cost")
         self._gaps = array("d")
@@ -54,7 +57,7 @@ class PhiEstimator:
         if at <= self.last_evidence:
             return False
         gaps = self._gaps
-        if len(gaps) == self.window:
+        if len(gaps) == WINDOW:
             del gaps[0]
         gaps.append(at - self.last_evidence)
         self.last_evidence = at
@@ -72,8 +75,8 @@ class PhiEstimator:
     def mean_gap(self) -> float:
         """Current estimate of the mean evidence gap (floored)."""
         if len(self._gaps) < 3:
-            return max(self.initial_interval, self.min_interval)
-        return max(sum(self._gaps) / len(self._gaps), self.min_interval)
+            return INITIAL_INTERVAL
+        return max(sum(self._gaps) / len(self._gaps), MIN_INTERVAL)
 
     def phi(self, now: float) -> float:
         """Suspicion level at ``now`` (0 when evidence just arrived)."""

@@ -34,12 +34,56 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
 from repro.exceptions import OverlayError, SimulationError
-from repro.membership.config import MembershipConfig
 from repro.membership.phi import PhiEstimator
 
 ALIVE = "alive"
 SUSPECT = "suspect"
 DEAD = "dead"
+
+# Sized for the simulated fabric's latency scale (tens of milliseconds
+# per link): one probe round per virtual second, three indirect proxies,
+# and phi thresholds that tolerate ~20% packet loss without false
+# confirmations (E15 measures exactly this).
+
+#: virtual seconds between probe rounds (every member probes one target
+#: per round, SWIM-style)
+PROTOCOL_PERIOD = 1.0
+#: indirect ping-req proxies consulted when a direct probe fails
+K_INDIRECT = 3
+# The two thresholds are phi-accrual suspicion levels: a phi of ``p``
+# means the estimator puts the odds that the peer is still alive and
+# merely silent at ``10^-p`` given its observed evidence-gap
+# distribution.  The confirm timeout is therefore *per peer and
+# adaptive*: ``CONFIRM_PHI * mean_gap * ln(10)`` virtual seconds of
+# silence, where ``mean_gap`` is learned online — a noisy link stretches
+# the bound automatically instead of tripping a fixed threshold.
+#: phi at which a destination is *deprioritized* (routing/channel)
+SUSPECT_PHI = 3.0
+#: phi at which a suspected peer is confirmed dead
+CONFIRM_PHI = 8.0
+#: membership updates piggybacked per direction per contact
+PIGGYBACK_LIMIT = 8
+#: lambda for the per-update retransmission budget
+#: (``ceil(lambda * log2(n + 1))`` piggyback transmissions per update)
+GOSSIP_BUDGET_FACTOR = 3.0
+#: every this many protocol periods a member also probes one peer it
+#: has confirmed dead ("gossip to the dead").  Without it two halves
+#: of a healed partition — each having buried the other — would
+#: never exchange another message, so neither could ever refute.
+RECLAIM_EVERY = 4
+#: rumors a view queues before the oldest are dropped
+_QUEUE_CAP = max(32, 4 * PIGGYBACK_LIMIT)
+
+
+@dataclass(frozen=True)
+class MembershipConfig:
+    """Switches the SWIM failure detector on; it has no knobs.
+
+    ``DosnConfig(membership=MembershipConfig())`` makes
+    :class:`SwimMembership` — instead of the churn oracle — the liveness
+    source; the protocol and estimator parameters are this module's and
+    :mod:`repro.membership.phi`'s constants.
+    """
 
 
 @dataclass(slots=True)
@@ -91,7 +135,6 @@ class MemberView:
                  now: float) -> None:
         self.owner = owner
         self.membership = membership
-        self.config = membership.config
         self.self_incarnation = 0
         self.records: Dict[str, MemberRecord] = {}
         #: the peers whose record is SUSPECT / DEAD — what the confirm
@@ -100,7 +143,6 @@ class MemberView:
         self.suspects: Set[str] = set()
         self.dead: Set[str] = set()
         self.queue: List[_Update] = []
-        self._queue_cap = max(32, 4 * self.config.piggyback_limit)
         #: last tick at which the owner was up (stale-clock detection)
         self.last_active = now
 
@@ -124,7 +166,7 @@ class MemberView:
         if record is None:
             return False
         return record.state != ALIVE \
-            or record.estimator.phi(now) >= self.config.suspect_phi
+            or record.estimator.phi(now) >= SUSPECT_PHI
 
     def health(self, peer: str, now: float) -> float:
         """A [0, 1] routing score: 1 fresh evidence, 0 confirmed dead."""
@@ -133,8 +175,7 @@ class MemberView:
             return 1.0
         if record.state == DEAD:
             return 0.0
-        score = max(0.0, 1.0 - record.estimator.phi(now)
-                    / self.config.confirm_phi)
+        score = max(0.0, 1.0 - record.estimator.phi(now) / CONFIRM_PHI)
         if record.state == SUSPECT:
             score *= 0.5
         return score
@@ -148,7 +189,7 @@ class MemberView:
         record = self.records.get(peer)
         if record is None:
             raise OverlayError(f"{self.owner!r} has no record of {peer!r}")
-        return record.estimator.silence_bound(self.config.confirm_phi)
+        return record.estimator.silence_bound(CONFIRM_PHI)
 
     # -- state transitions -----------------------------------------------------
 
@@ -168,10 +209,7 @@ class MemberView:
     def add_peer(self, peer: str, now: float) -> None:
         if peer == self.owner or peer in self.records:
             return
-        config = self.config
-        self.records[peer] = MemberRecord(PhiEstimator(
-            config.window, config.initial_interval, config.min_interval,
-            now))
+        self.records[peer] = MemberRecord(PhiEstimator(now))
 
     def direct_evidence(self, peer: str, incarnation: int,
                         now: float) -> None:
@@ -223,12 +261,12 @@ class MemberView:
         queue = self.queue
         queue.append(_Update(peer, state, incarnation, heard_at,
                              self.membership.rumor_budget))
-        if len(queue) > self._queue_cap:
-            del queue[:len(queue) - self._queue_cap]
+        if len(queue) > _QUEUE_CAP:
+            del queue[:len(queue) - _QUEUE_CAP]
 
     def take_piggyback(self) -> List[_Update]:
-        """Up to ``piggyback_limit`` updates to send with one contact."""
-        batch = self.queue[:self.config.piggyback_limit]
+        """Up to ``PIGGYBACK_LIMIT`` updates to send with one contact."""
+        batch = self.queue[:PIGGYBACK_LIMIT]
         del self.queue[:len(batch)]
         keep = []
         for update in batch:
@@ -299,10 +337,8 @@ class SwimMembership:
     membership keep their random streams byte-identical.
     """
 
-    def __init__(self, fabric, config: Optional[MembershipConfig] = None,
-                 members: Sequence[str] = ()) -> None:
+    def __init__(self, fabric) -> None:
         self.fabric = fabric
-        self.config = config or MembershipConfig()
         self.network = fabric.network
         self.sim = fabric.sim
         self.metrics = fabric.metrics
@@ -354,8 +390,7 @@ class SwimMembership:
         """Retransmissions a rumor is granted at the current roster size
         (a function of the roster alone: :attr:`rumor_budget` holds it)."""
         n = max(2, len(self._members))
-        return max(1, math.ceil(
-            self.config.gossip_budget_factor * math.log2(n + 1)))
+        return max(1, math.ceil(GOSSIP_BUDGET_FACTOR * math.log2(n + 1)))
 
     # -- administrative / consumer API ----------------------------------------
 
@@ -391,19 +426,18 @@ class SwimMembership:
             raise SimulationError(
                 "membership needs at least two registered members")
         self._started = True
-        self.sim.schedule(self.config.protocol_period, self._tick)
+        self.sim.schedule(PROTOCOL_PERIOD, self._tick)
 
     def _tick(self) -> None:
         now = self.sim.now
-        period = self.config.protocol_period
         self._ticks += 1
-        reclaim_turn = self._ticks % self.config.reclaim_every == 0
+        reclaim_turn = self._ticks % RECLAIM_EVERY == 0
         with self.tracer.span("membership.tick"):
             for name in self._members:
                 if not self.network.is_online(name):
                     continue
                 view = self.views[name]
-                if now - view.last_active > 1.5 * period:
+                if now - view.last_active > 1.5 * PROTOCOL_PERIOD:
                     view.resume(now)  # we were away; peers owe us nothing
                 view.last_active = now
                 self._probe_round(name, now)
@@ -413,7 +447,7 @@ class SwimMembership:
                 view = self.views[name]
                 if view.suspects and self.network.is_online(name):
                     self._sweep_confirms(view, now)
-        self.sim.schedule(period, self._tick)
+        self.sim.schedule(PROTOCOL_PERIOD, self._tick)
 
     def _next_target(self, member: str) -> Optional[str]:
         """Randomized round-robin target selection (SWIM section 4.3)."""
@@ -479,7 +513,7 @@ class SwimMembership:
         dead = view.dead
         candidates = [m for m in self._members
                       if m not in (member, target) and m not in dead]
-        k = min(self.config.k_indirect, len(candidates))
+        k = min(K_INDIRECT, len(candidates))
         if k == 0:
             return False
         proxies = self._rng.sample(candidates, k)
@@ -541,14 +575,13 @@ class SwimMembership:
                      record.estimator.last_evidence)
 
     def _sweep_confirms(self, view: MemberView, now: float) -> None:
-        confirm_phi = self.config.confirm_phi
         for peer in self.in_rank_order(view.suspects):
             record = view.records[peer]
             # a confirm's callbacks (repair -> RPCs -> observe_contact)
             # may have cleared a peer this snapshot still holds
             if record.state != SUSPECT:
                 continue
-            if record.estimator.phi(now) >= confirm_phi:
+            if record.estimator.phi(now) >= CONFIRM_PHI:
                 view.set_state(peer, DEAD)
                 self._confirmed(view.owner, peer, now, record,
                                 via_gossip=False)
@@ -566,7 +599,7 @@ class SwimMembership:
             self.confirm_log.append(ConfirmEvent(
                 observer=observer, peer=peer, at=now,
                 silence=now - estimator.last_evidence,
-                bound=estimator.silence_bound(self.config.confirm_phi),
+                bound=estimator.silence_bound(CONFIRM_PHI),
                 phi=estimator.phi(now),
                 actually_online=self.network.is_online(peer)))
         if peer not in self._dead:

@@ -270,8 +270,8 @@ class SimNetwork:
         With a :class:`~repro.faults.ServiceConfig` installed every RPC
         destination processes one request per ``service_time`` and keeps
         a bounded FIFO backlog; :meth:`rpc_issue` charges the queueing
-        delay on top of wire latency, and a full queue sheds.  With an
-        adaptive-timeout config, successful RTTs per destination feed an
+        delay on top of wire latency, and a full queue sheds.  With
+        ``adaptive_timeout`` on, successful RTTs per destination feed an
         EWMA that replaces the fixed attempt timeout.  ``None`` is a
         no-op: no service state exists and every draw, span, and counter
         stays byte-identical to the fair-weather fabric.
@@ -281,9 +281,9 @@ class SimNetwork:
         if self.service is not None:
             raise SimulationError("an overload config is already installed")
         self.service = config.service
-        if config.adaptive_timeout is not None:
+        if config.adaptive_timeout:
             from repro.faults.overload import AdaptiveTimeout
-            self._adaptive = AdaptiveTimeout(config.adaptive_timeout)
+            self._adaptive = AdaptiveTimeout()
 
     def queue_depth(self, dst: str, now: Optional[float] = None) -> int:
         """Jobs currently queued or in service at ``dst`` (0 when idle)."""

@@ -101,10 +101,6 @@ class BlindSubscriber:
         self._subscriptions[(publisher.name, keyword)] = \
             _keys_from_signature(signature)
 
-    def matching_tags(self) -> List[bytes]:
-        """The opaque tags the subscriber would hand a matching server."""
-        return [tag for tag, _ in self._subscriptions.values()]
-
     def try_decrypt(self, item: TaggedCiphertext
                     ) -> Optional[Tuple[str, str]]:
         """(keyword, message) when subscribed to this item's tag, else None."""

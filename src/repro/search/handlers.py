@@ -44,10 +44,6 @@ class DataOwner:
         self._policy: ApprovalPolicy = policy or (lambda req, label: False)
         self.request_log: List[Tuple[str, str, bool]] = []
 
-    def set_policy(self, policy: ApprovalPolicy) -> None:
-        """Replace the approval policy (e.g. friends-only)."""
-        self._policy = policy
-
     def register(self, label: str, content: bytes,
                  searchable: bool = True) -> Handler:
         """Create a handler for a private datum."""

@@ -74,10 +74,6 @@ class AliasProxy:
 
     # -- what different observers see ------------------------------------------
 
-    def external_view(self) -> List[Tuple[str, str]]:
-        """What recipients/other servers observe: (alias, query) pairs."""
-        return [(q.alias, q.query) for q in self.forwarded]
-
     def alias_table(self) -> Dict[str, str]:
         """The proxy's secret: alias -> real user (the collusion currency)."""
         return dict(self._user_of)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +34,6 @@ class ReplicationConfig:
     r: int = 2
     w: int = 2
     repair_interval: Optional[float] = None
-    read_repair: bool = True
     degraded_reads: bool = False
 
     def __post_init__(self) -> None:
@@ -46,5 +46,8 @@ class ReplicationConfig:
         if self.w + self.r <= self.n:
             raise SimulationError(
                 "need w + r > n for read/write quorum overlap")
-        if self.repair_interval is not None and self.repair_interval <= 0:
-            raise SimulationError("repair interval must be positive")
+        if self.repair_interval is not None and (
+                not math.isfinite(self.repair_interval)
+                or self.repair_interval <= 0):
+            raise SimulationError(
+                "repair interval must be positive and finite")

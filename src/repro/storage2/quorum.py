@@ -364,15 +364,14 @@ class ReplicatedStore:
             verified,
             key=lambda pair: (pair[1].version, pair[1].record_hash()))
         repaired = 0
-        if self.config.read_repair:
-            encoded = best.encode()
-            for holder, record in responses:
-                if record is not None and record.version >= best.version:
-                    continue
-                ok, _ = self.fabric.call(reader, holder, "read_repair")
-                if ok and self.store_at(holder, key, encoded):
-                    repaired += 1
-                    self.metrics.inc("storage.read_repairs")
+        encoded = best.encode()
+        for holder, record in responses:
+            if record is not None and record.version >= best.version:
+                continue
+            ok, _ = self.fabric.call(reader, holder, "read_repair")
+            if ok and self.store_at(holder, key, encoded):
+                repaired += 1
+                self.metrics.inc("storage.read_repairs")
         if span is not None:
             span.set_attr("version", best.version)
             span.set_attr("repaired", repaired)

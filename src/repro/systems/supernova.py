@@ -16,11 +16,10 @@ follows the storekeeper agreement, not the owner's own uptime.
 from __future__ import annotations
 
 import random as _random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.symmetric import StreamCipher, random_key
 from repro.exceptions import LookupError_, OverlayError, StorageError
-from repro.overlay.churn import ExponentialOnOff
 from repro.overlay.network import SimNetwork
 from repro.overlay.simulator import Simulator
 from repro.overlay.superpeer import SuperPeerOverlay
@@ -167,16 +166,3 @@ class SupernovaNetwork:
     def friend_key(self, owner: str) -> bytes:
         """The owner's content key (handed to friends out-of-band)."""
         return self._keys[owner]
-
-    # -- the availability story -----------------------------------------------------------
-
-    def availability_with_agreement(self, owner: str,
-                                    churn: ExponentialOnOff,
-                                    probe_times: Sequence[float]) -> float:
-        """P(some storekeeper online) under a churn model."""
-        keepers = self.agreements.get(owner, [])
-        hits = 0
-        for t in probe_times:
-            if any(churn.online_at(keeper, t) for keeper in keepers):
-                hits += 1
-        return hits / len(probe_times) if probe_times else 0.0

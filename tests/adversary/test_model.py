@@ -21,7 +21,7 @@ from repro.adversary.walks import random_walk_landings, region_mass
 from repro.exceptions import LookupError_, StorageError
 from repro.fabric import Fabric
 from repro.faults import CircuitBreaker
-from repro.membership import MembershipConfig, SwimMembership
+from repro.membership import SwimMembership
 from repro.overlay.chord import ChordRing
 
 N = 24
@@ -93,7 +93,7 @@ class TestQuarantineFeeds:
             breaker=CircuitBreaker(failure_threshold=4, cooldown=30.0),
             adversary=AdversaryConfig(fraction=0.2,
                                       defense=DefenseConfig()))
-        swim = SwimMembership(fab, MembershipConfig())
+        swim = SwimMembership(fab)
         for name in _names():
             swim.register(name)
         return fab, swim

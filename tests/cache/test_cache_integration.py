@@ -83,7 +83,7 @@ class TestPrefetch:
         assert all(item.result.source == "cache" for item in feed.items)
 
     def test_prefetch_noop_without_prefetcher(self):
-        net = cached_net(cache=CacheConfig(prefetch=False))
+        net = cached_net(cache=CacheConfig(capacity_per_reader=0))
         net.post("bob", "b1")
         assert net.prefetcher is None
         assert net.prefetch("alice") == 0

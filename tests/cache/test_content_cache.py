@@ -142,7 +142,6 @@ class TestCacheConfig:
     def test_defaults(self):
         config = CacheConfig()
         assert config.capacity_per_reader == 256
-        assert config.prefetch
         assert config.caching
 
     def test_capacity_zero_disables_caching_not_batching(self):

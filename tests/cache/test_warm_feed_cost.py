@@ -126,11 +126,12 @@ class TestCacheCounterHandles:
                        if instrument.name.startswith("cache.")})
 
     def test_no_family_exists_before_its_first_event(self):
-        net = small_net(prefetch=False)
+        net = small_net()
         assert self.families(net) == []
-        net.post("bob", "b1")
+        cid = net.post("bob", "b1")
         assert self.families(net) == []
-        net.feed("alice")                            # a miss, an insertion
+        # ``read`` runs no prefetch, so the cold copy is a miss first
+        net.read("alice", "bob", cid)                # a miss, an insertion
         assert self.families(net) == ["cache.insertions", "cache.misses"]
         net.feed("alice")                            # the first hit
         assert self.families(net) == ["cache.hits", "cache.insertions",

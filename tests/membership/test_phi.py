@@ -6,39 +6,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.membership import LN10, PhiEstimator
+from repro.membership import (INITIAL_INTERVAL, LN10, MIN_INTERVAL, WINDOW,
+                              PhiEstimator)
 
 
-def make(window=8, initial=5.0, floor=0.25, now=0.0):
-    return PhiEstimator(window, initial, floor, now)
+def make(now=0.0):
+    return PhiEstimator(now)
 
 
 class TestMeanGap:
     def test_initial_interval_until_three_samples(self):
-        est = make(initial=5.0)
-        assert est.mean_gap == 5.0
+        est = make()
+        assert est.mean_gap == INITIAL_INTERVAL
         est.evidence(1.0)
         est.evidence(2.0)
-        assert est.mean_gap == 5.0  # still the prior
+        assert est.mean_gap == INITIAL_INTERVAL  # still the prior
         est.evidence(3.0)
         assert est.mean_gap == pytest.approx(1.0)
 
     def test_mean_over_sliding_window(self):
-        est = make(window=4)
-        for t in (1.0, 2.0, 3.0, 4.0):
-            est.evidence(t)
+        est = make()
+        for t in range(1, WINDOW + 1):
+            est.evidence(float(t))
         assert est.mean_gap == pytest.approx(1.0)
-        est.evidence(14.0)  # a 10s gap slides in, a 1s gap slides out
-        assert est.mean_gap == pytest.approx((1 + 1 + 1 + 10) / 4)
+        est.evidence(WINDOW + 10.0)  # a 10s gap slides in, a 1s gap out
+        assert est.mean_gap == pytest.approx((WINDOW - 1 + 10) / WINDOW)
 
     def test_min_interval_floors_the_estimate(self):
-        est = make(floor=0.5)
+        est = make()
         for t in (0.01, 0.02, 0.03, 0.04):
             est.evidence(t)
-        assert est.mean_gap == 0.5
+        assert est.mean_gap == MIN_INTERVAL
 
     def test_initial_interval_is_floored_too(self):
-        assert make(initial=0.01, floor=0.5).mean_gap == 0.5
+        # mean_gap returns the prior unfloored: it must sit above the floor
+        assert make().mean_gap == INITIAL_INTERVAL >= MIN_INTERVAL
 
 
 class TestEvidence:
@@ -90,14 +92,12 @@ class TestPhi:
 
 
 class DequeEstimator:
-    """The estimator as first written, on ``deque(maxlen=window)`` — kept
+    """The estimator as first written, on ``deque(maxlen=WINDOW)`` — kept
     here as the reference the compact window must match bit for bit."""
 
-    def __init__(self, window, initial_interval, min_interval, now):
-        self.initial_interval = initial_interval
-        self.min_interval = min_interval
+    def __init__(self, now):
         self.last_evidence = now
-        self._gaps = deque(maxlen=window)
+        self._gaps = deque(maxlen=WINDOW)
 
     def evidence(self, at):
         if at <= self.last_evidence:
@@ -112,8 +112,8 @@ class DequeEstimator:
     @property
     def mean_gap(self):
         if len(self._gaps) < 3:
-            return max(self.initial_interval, self.min_interval)
-        return max(sum(self._gaps) / len(self._gaps), self.min_interval)
+            return max(INITIAL_INTERVAL, MIN_INTERVAL)
+        return max(sum(self._gaps) / len(self._gaps), MIN_INTERVAL)
 
     def phi(self, now):
         elapsed = now - self.last_evidence
@@ -130,33 +130,30 @@ class DequeEstimator:
 
 @st.composite
 def _histories(draw):
-    """A window size and a history that overfills it: mostly advancing
-    timestamps, with stale (negative step), duplicate (zero step) and
-    observer-restart events mixed in."""
-    window = draw(st.integers(min_value=2, max_value=8))
+    """A history that overfills the window: mostly advancing timestamps,
+    with stale (negative step), duplicate (zero step) and observer-restart
+    events mixed in, some gaps under the floor."""
     step = st.one_of(
         st.floats(min_value=1e-3, max_value=50.0),
         st.sampled_from([0.0, -1.0, 0.1, 1.0 / 3.0]))
     events = draw(st.lists(
         st.tuples(st.sampled_from(["evidence", "evidence", "evidence",
                                    "restart"]), step),
-        min_size=window + 5, max_size=window + 30))
-    # ... and always at least window + 5 that do advance the clock
+        min_size=5, max_size=WINDOW + 30))
+    # ... and always WINDOW + 5 that do advance the clock
     tail = draw(st.lists(st.floats(min_value=1e-3, max_value=50.0),
-                         min_size=window + 5, max_size=window + 5))
-    return window, events + [("evidence", gap) for gap in tail]
+                         min_size=WINDOW + 5, max_size=WINDOW + 5))
+    return events + [("evidence", gap) for gap in tail]
 
 
 class TestCompactWindowMatchesTheDeque:
     @settings(max_examples=200, deadline=None)
-    @given(_histories(), st.floats(min_value=1e-3, max_value=5.0),
-           st.floats(min_value=0.0, max_value=30.0))
-    def test_bit_equal_at_every_step(self, history, floor, lookahead):
-        window, events = history
-        est = PhiEstimator(window, 5.0, floor, 10.0)
-        ref = DequeEstimator(window, 5.0, floor, 10.0)
+    @given(_histories(), st.floats(min_value=0.0, max_value=30.0))
+    def test_bit_equal_at_every_step(self, history, lookahead):
+        est = PhiEstimator(10.0)
+        ref = DequeEstimator(10.0)
         at = 10.0
-        for kind, step in events:
+        for kind, step in history:
             if kind == "evidence":
                 # a step <= 0 lands at or before the newest evidence
                 assert est.evidence(est.last_evidence + step) \
@@ -172,4 +169,4 @@ class TestCompactWindowMatchesTheDeque:
             assert est.silence_bound(8.0) == ref.silence_bound(8.0)
             assert est.snapshot() == ref.snapshot()
             assert list(est._gaps) == list(ref._gaps)
-        assert len(est._gaps) == window      # the history did overfill it
+        assert len(est._gaps) == WINDOW      # the history did overfill it

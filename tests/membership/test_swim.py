@@ -6,18 +6,18 @@ import pytest
 
 from repro.exceptions import OverlayError, SimulationError
 from repro.fabric import Fabric
-from repro.membership import (ALIVE, DEAD, SUSPECT, MembershipConfig,
+from repro.membership import (ALIVE, CONFIRM_PHI, DEAD, GOSSIP_BUDGET_FACTOR,
+                              PROTOCOL_PERIOD, SUSPECT, MembershipConfig,
                               SwimMembership)
 from repro.membership.swim import _Update
 from repro.overlay.network import SimNode
 from repro.overlay.simulator import FixedLatency
 
 
-def cluster(n=6, seed=7, loss=0.0, faults=None, config=None,
-            resilient=False, start=True):
+def cluster(n=6, seed=7, loss=0.0, faults=None, resilient=False, start=True):
     fab = Fabric.create(seed=seed, latency=FixedLatency(0.02),
                         loss_rate=loss, faults=faults, resilient=resilient)
-    membership = SwimMembership(fab, config or MembershipConfig())
+    membership = SwimMembership(fab)
     names = [f"n{i}" for i in range(n)]
     for name in names:
         fab.network.register(SimNode(name))
@@ -41,7 +41,9 @@ class TestConfigValidation:
         dict(reclaim_every=0),
     ])
     def test_invalid_parameters_rejected(self, bad):
-        with pytest.raises(SimulationError):
+        """The config is a switch: every former knob is a module constant
+        of ``repro.membership``, and naming one is a ``TypeError``."""
+        with pytest.raises(TypeError):
             MembershipConfig(**bad)
 
 
@@ -92,7 +94,7 @@ class TestDetection:
         fab.sim.run(until=400.0)
         for event in membership.confirm_log:
             assert event.silence >= event.bound
-            assert event.phi >= membership.config.confirm_phi
+            assert event.phi >= CONFIRM_PHI
 
     def test_confirmation_gossips_cluster_wide(self):
         fab, membership, names = cluster(n=6)
@@ -345,10 +347,10 @@ class TestIndexes:
     def test_rumor_budget_tracks_the_roster(self):
         fab = Fabric.create(seed=1)
         membership = SwimMembership(fab)
-        factor = membership.config.gossip_budget_factor
 
         def formula(members):
-            return max(1, math.ceil(factor * math.log2(max(2, members) + 1)))
+            return max(1, math.ceil(
+                GOSSIP_BUDGET_FACTOR * math.log2(max(2, members) + 1)))
 
         for i in range(64):
             fab.network.register(SimNode(f"n{i}"))
@@ -367,7 +369,7 @@ class TestMemoryRatchet:
     def test_a_view_costs_under_400_bytes_per_peer(self):
         """200 members, 60 protocol periods: the n^2 table must stay small
         (it was 1 056 B per (observer, peer) pair on ``deque`` windows;
-        ~310 B on arrays).  PAPER.md's "thousands of in-process peers"
+        ~290 B on arrays).  PAPER.md's "thousands of in-process peers"
         holds only while a peer costs kilobytes per view, not megabytes."""
         import tracemalloc
         n, periods = 200, 60
@@ -375,8 +377,7 @@ class TestMemoryRatchet:
         try:
             before = tracemalloc.get_traced_memory()[0]
             fab, membership, _ = cluster(n=n)
-            fab.sim.run(
-                until=periods * membership.config.protocol_period + 0.5)
+            fab.sim.run(until=periods * PROTOCOL_PERIOD + 0.5)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()

@@ -9,7 +9,7 @@ from repro.exceptions import LookupError_, OverlayError
 from repro.fabric import Fabric
 from repro.faults import (Crash, FaultPlan, OverloadConfig, Partition,
                           ReliableChannel, RetryPolicy)
-from repro.membership import MembershipConfig, SwimMembership
+from repro.membership import SwimMembership
 from repro.membership.swim import DEAD
 from repro.obs.trace import NOOP_TRACER, Tracer
 from repro.overlay.chord import ChordRing
@@ -182,7 +182,7 @@ class TestOpContextAllOn:
             adversary=AdversaryConfig(
                 compromised=frozenset({"p1", "p2"}),
                 defense=DefenseConfig(), **adversary))
-        membership = SwimMembership(fab, MembershipConfig())
+        membership = SwimMembership(fab)
         _ring(fab)
         for name in PEERS:
             membership.register(name)

@@ -194,7 +194,7 @@ class TestOneReplicaReadPath:
     def test_shed_probes_surface_as_overloaded(self):
         overload = OverloadConfig(
             service=ServiceConfig(service_time=0.1, queue_limit=2),
-            op_budget=None, retry_budget=None, adaptive_timeout=None)
+            op_budget=None, retry_budget=False, adaptive_timeout=False)
 
         def arrange(fab, ring, holders):
             for holder in holders[1:]:
@@ -208,7 +208,7 @@ class TestOneReplicaReadPath:
 
     def test_spent_budget_stops_the_probing(self):
         overload = OverloadConfig(service=None, op_budget=0.2,
-                                  retry_budget=None, adaptive_timeout=None)
+                                  retry_budget=False, adaptive_timeout=False)
 
         def arrange(fab, ring, holders):
             ring.nodes[holders[1]].go_offline()

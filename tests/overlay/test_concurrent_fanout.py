@@ -9,6 +9,7 @@ let unverifiable bytes win, and (c) be a pure function of its seed.
 
 from repro.fabric import Fabric
 from repro.faults import CorruptBlob, FaultPlan
+from repro.faults.resilience import HEDGE_DELAY
 from repro.overlay.chord import ChordRing
 from repro.overlay.network import SimNode
 from repro.storage2 import ReplicatedStore, ReplicationConfig
@@ -120,9 +121,8 @@ class TestHedgedFanout:
         span, attempt_rtts = children_of(fabric, "channel.hedged")
         assert ok and winner == "p3"
         assert len(attempt_rtts) == 3
-        hedge_delay = fabric.channel.hedge_delay
         # p3 launched in slot 2 and won: its RTT after two stagger steps
-        assert elapsed == span.cost == 2 * hedge_delay + attempt_rtts[2]
+        assert elapsed == span.cost == 2 * HEDGE_DELAY + attempt_rtts[2]
         assert elapsed < sum(attempt_rtts)
 
     def test_all_dead_fails(self):

@@ -14,7 +14,7 @@ import pytest
 
 from repro.fabric import Fabric
 from repro.faults import FaultPlan, LossBurst
-from repro.membership import MembershipConfig, SwimMembership
+from repro.membership import PROTOCOL_PERIOD, SwimMembership
 from repro.overlay.network import SimNode
 from repro.overlay.simulator import FixedLatency
 
@@ -28,7 +28,7 @@ def run_cluster(seed=2015, loss_burst=False, crash_at=None, until=600.0,
         plan = FaultPlan(seed=seed, horizon=until).add(
             LossBurst(rate=0.3, mean_burst=15.0, mean_gap=45.0))
     fab = Fabric.create(seed=seed, latency=FixedLatency(0.02), faults=plan)
-    membership = SwimMembership(fab, MembershipConfig())
+    membership = SwimMembership(fab)
     names = [f"m{i}" for i in range(n)]
     for name in names:
         fab.network.register(SimNode(name))
@@ -73,7 +73,7 @@ class TestConfirmLatencyBound:
         phi_confirms = [e for e in membership.confirm_log
                         if e.peer == "m4"]
         assert phi_confirms, "the crash must be phi-confirmed"
-        slack = (N + 1) * membership.config.protocol_period
+        slack = (N + 1) * PROTOCOL_PERIOD
         for event in phi_confirms:
             assert event.silence >= event.bound
             assert event.silence < event.bound + slack
@@ -88,7 +88,7 @@ class TestConfirmLatencyBound:
         worst_bound = max(
             membership.view_of(m).confirm_bound("m4")
             for m in membership.views if m != "m4")
-        slack = (N + 1) * membership.config.protocol_period
+        slack = (N + 1) * PROTOCOL_PERIOD
         assert first - 120.0 <= worst_bound + slack
 
 

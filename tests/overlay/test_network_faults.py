@@ -8,6 +8,7 @@ from repro.fabric import Fabric
 from repro.faults import (CircuitBreaker, Corruption, Crash, FaultPlan,
                           LossBurst, Partition, ReliableChannel, RetryPolicy,
                           SlowLink)
+from repro.faults.resilience import HEDGE_DELAY
 from repro.overlay.chord import ChordRing
 from repro.overlay.churn import ExponentialOnOff, apply_churn_to_network
 from repro.overlay.network import Message, SimNetwork, SimNode
@@ -456,12 +457,12 @@ class TestMembershipChannel:
 
     def _channel(self, n=4, one_way=0.05):
         from repro.fabric import Fabric
-        from repro.membership import MembershipConfig, SwimMembership
+        from repro.membership import SwimMembership
         from repro.overlay.simulator import FixedLatency
         fab = Fabric.create(seed=5, latency=FixedLatency(one_way),
                             retry=RetryPolicy(max_attempts=3, jitter=0.0),
                             breaker=CircuitBreaker(failure_threshold=1))
-        membership = SwimMembership(fab, MembershipConfig())
+        membership = SwimMembership(fab)
         for i in range(n):
             fab.network.register(_Echo(f"p{i}"))
             membership.register(f"p{i}")
@@ -521,10 +522,10 @@ class TestMembershipChannel:
         assert fab.network.stats.breaker_trips == 1
 
     def test_hedged_probes_healthy_holders_first(self):
-        # RTT 0.04 < hedge_delay: the healthy holder has answered before
+        # RTT 0.04 < HEDGE_DELAY: the healthy holder has answered before
         # the hedge to the dead one would launch
         fab, channel, membership = self._channel(one_way=0.02)
-        assert 0.04 < channel.hedge_delay
+        assert 0.04 < HEDGE_DELAY
         view = membership.view_of("p0")
         view.set_state("p1", "dead")
         ok, winner, elapsed = channel.hedged("p0", ["p1", "p2"])
@@ -533,11 +534,11 @@ class TestMembershipChannel:
         assert fab.network.stats.hedges == 0  # the dead one was never paid
 
     def test_hedged_launches_the_dead_holder_last_and_it_never_wins(self):
-        # RTT 0.10 > hedge_delay: the hedge fires while the healthy
+        # RTT 0.10 > HEDGE_DELAY: the hedge fires while the healthy
         # holder is still in flight, and goes to the dead one — which,
         # launched a stagger step late, cannot beat it
         fab, channel, membership = self._channel(one_way=0.05)
-        assert 0.10 > channel.hedge_delay
+        assert 0.10 > HEDGE_DELAY
         view = membership.view_of("p0")
         view.set_state("p1", "dead")
         ok, winner, elapsed = channel.hedged("p0", ["p1", "p2"])

@@ -48,7 +48,7 @@ def _fabric(seed, shed_policy):
         overload=OverloadConfig(
             service=ServiceConfig(service_time=0.2, queue_limit=1,
                                   shed_policy=shed_policy, timeout=0.35),
-            op_budget=None, retry_budget=None, adaptive_timeout=None))
+            op_budget=None, retry_budget=False, adaptive_timeout=False))
     for name in PEERS:
         fab.network.register(_Sink(name))
     return fab

@@ -23,9 +23,8 @@ import pytest
 from repro.dosn.api import DosnConfig, DosnNetwork
 from repro.exceptions import DeadlineExceededError, OverloadedError
 from repro.fabric import Fabric
-from repro.faults import (AdaptiveTimeoutConfig, FaultPlan, LossBurst,
-                          OverloadConfig, RetryBudgetConfig, RetryPolicy,
-                          ServiceConfig)
+from repro.faults import (FaultPlan, LossBurst, OverloadConfig, RetryBudget,
+                          RetryPolicy, ServiceConfig)
 from repro.overlay.chord import ChordRing
 from repro.storage2 import ReplicatedStore, ReplicationConfig
 
@@ -52,9 +51,10 @@ def _hotspot(overload, install_late=True, reads=18):
     if overload is not None and install_late:
         fab.overload = overload
         fab.network.install_overload(overload)
-        if overload.retry_budget is not None:
-            from repro.faults import RetryBudget
-            fab.channel.retry_budget = RetryBudget(overload.retry_budget)
+        if overload.retry_budget:
+            fab.channel.retry_budget = RetryBudget()
+            # a bucket drained to four tokens, so the hotspot exhausts it
+            fab.channel.retry_budget.tokens = 4.0
     fab.network.stats.reset()
     for j in range(reads):
         fab.sim.run(until=5.0 + j * 0.2)
@@ -98,9 +98,7 @@ def _record_draws(fab):
 PROTECTED = OverloadConfig(
     service=ServiceConfig(service_time=0.3, queue_limit=2,
                           shed_policy="reject", timeout=1.0),
-    op_budget=1.5,
-    retry_budget=RetryBudgetConfig(capacity=4.0, refill_per_success=0.5),
-    adaptive_timeout=AdaptiveTimeoutConfig())
+    op_budget=1.5)
 
 
 class TestDeterminism:
@@ -144,7 +142,7 @@ class TestByteIdentity:
         harmless = OverloadConfig(
             service=ServiceConfig(service_time=1e-6, queue_limit=None,
                                   timeout=1e6),
-            op_budget=None, retry_budget=None, adaptive_timeout=None)
+            op_budget=None, retry_budget=False, adaptive_timeout=False)
 
         bare, bare_store = _hotspot(None)
         bare_net, bare_chan = _record_draws(bare)
@@ -168,7 +166,7 @@ class TestByteIdentity:
         harmless = OverloadConfig(
             service=ServiceConfig(service_time=1e-6, queue_limit=None,
                                   timeout=1e6),
-            op_budget=None, retry_budget=None, adaptive_timeout=None)
+            op_budget=None, retry_budget=False, adaptive_timeout=False)
         bare = _hotspot(None)[0].network.stats.summary()
         priced = _hotspot(harmless)[0].network.stats.summary()
         for key in ("messages", "retries", "fault_drops", "shed",
@@ -181,8 +179,8 @@ class TestFailureSurface:
         # install the starved budget only after bootstrap, so setup's
         # own lookups are not the ones that trip it
         config = OverloadConfig(service=ServiceConfig(),
-                                op_budget=0.01, retry_budget=None,
-                                adaptive_timeout=None)
+                                op_budget=0.01, retry_budget=False,
+                                adaptive_timeout=False)
         fab = Fabric.create(seed=7,
                             retry=RetryPolicy(max_attempts=2, jitter=0.0))
         ring = ChordRing(fab, successor_list_size=4, replication=3)
@@ -199,8 +197,8 @@ class TestFailureSurface:
 
     def test_starved_deadline_raises_from_chord_lookup(self):
         config = OverloadConfig(service=ServiceConfig(),
-                                op_budget=1e-6, retry_budget=None,
-                                adaptive_timeout=None)
+                                op_budget=1e-6, retry_budget=False,
+                                adaptive_timeout=False)
         fab = Fabric.create(seed=7)
         ring = ChordRing(fab, successor_list_size=4, replication=2)
         for i in range(8):
@@ -216,7 +214,7 @@ class TestFailureSurface:
         config = OverloadConfig(
             service=ServiceConfig(service_time=1.0, queue_limit=1,
                                   shed_policy="reject", timeout=30.0),
-            op_budget=None, retry_budget=None, adaptive_timeout=None)
+            op_budget=None, retry_budget=False, adaptive_timeout=False)
         fab = Fabric.create(seed=7)
         ring = ChordRing(fab, successor_list_size=4, replication=3)
         for i in range(8):
@@ -236,9 +234,7 @@ class TestDosnWiring:
     def test_config_threads_overload_through_the_fabric(self):
         overload = OverloadConfig(
             service=ServiceConfig(service_time=1e-4, queue_limit=None),
-            op_budget=5.0,
-            retry_budget=RetryBudgetConfig(capacity=10.0),
-            adaptive_timeout=None)
+            op_budget=5.0, adaptive_timeout=False)
         config = DosnConfig(architecture="dht", seed=3, resilient=True,
                             replication=ReplicationConfig(n=3, r=2, w=2),
                             overload=overload)

@@ -10,10 +10,12 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.fabric import Fabric
-from repro.faults import (AdaptiveTimeout, AdaptiveTimeoutConfig,
-                          CircuitBreaker, Deadline, OverloadConfig,
-                          RetryBudget, RetryBudgetConfig, RetryPolicy,
+from repro.faults import (AdaptiveTimeout, CircuitBreaker, Deadline,
+                          OverloadConfig, RetryBudget, RetryPolicy,
                           ServiceConfig)
+from repro.faults.overload import (RETRY_BUDGET_CAPACITY,
+                                   RETRY_REFILL_PER_SUCCESS, TIMEOUT_CEILING,
+                                   TIMEOUT_FLOOR, TIMEOUT_MULTIPLIER)
 from repro.overlay.simulator import FixedLatency
 
 
@@ -22,8 +24,8 @@ def _fab(service=None, retry=None, breaker=None, **overload_kw):
     if service is not None or overload_kw:
         # protections are opt-in per test: only what a test names is on
         overload_kw.setdefault("op_budget", None)
-        overload_kw.setdefault("retry_budget", None)
-        overload_kw.setdefault("adaptive_timeout", None)
+        overload_kw.setdefault("retry_budget", False)
+        overload_kw.setdefault("adaptive_timeout", False)
         overload = OverloadConfig(service=service, **overload_kw)
     fab = Fabric.create(seed=1, latency=FixedLatency(0.05), retry=retry,
                         breaker=breaker,
@@ -49,6 +51,17 @@ class TestConfigValidation:
     def test_overload_config_rejects_bad_budget(self):
         with pytest.raises(SimulationError):
             OverloadConfig(op_budget=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_floats_are_rejected(self, value):
+        """``nan <= 0`` is False: a NaN ``op_budget`` used to mint a
+        deadline that never expires, silently switching propagation off."""
+        with pytest.raises(SimulationError):
+            OverloadConfig(op_budget=value)
+        with pytest.raises(SimulationError):
+            ServiceConfig(service_time=value)
+        with pytest.raises(SimulationError):
+            ServiceConfig(timeout=value)
 
     def test_mint_deadline_honours_disabled_budget(self):
         assert OverloadConfig(op_budget=None).mint_deadline(5.0) is None
@@ -105,39 +118,41 @@ class TestDeadline:
 
 class TestRetryBudget:
     def test_spend_exhaust_and_refill(self):
-        budget = RetryBudget(RetryBudgetConfig(capacity=2.0,
-                                               refill_per_success=0.5))
+        budget = RetryBudget()
+        budget.tokens = 2.0  # a bucket drained to its last two tokens
         assert budget.try_spend() and budget.try_spend()
         assert not budget.try_spend()
         assert budget.exhausted == 1
         budget.on_success()
-        assert budget.tokens == pytest.approx(0.5)
-        assert not budget.try_spend()  # 0.5 < the 1-token cost
-        budget.on_success()
+        assert budget.tokens == pytest.approx(RETRY_REFILL_PER_SUCCESS)
+        assert not budget.try_spend()  # less than the 1-token cost
+        for _ in range(5):
+            budget.on_success()
         assert budget.try_spend()
 
     def test_refill_never_exceeds_capacity(self):
-        budget = RetryBudget(RetryBudgetConfig(capacity=1.0,
-                                               refill_per_success=5.0))
+        budget = RetryBudget()
+        assert budget.tokens == RETRY_BUDGET_CAPACITY  # starts full
         budget.on_success()
-        assert budget.tokens == pytest.approx(1.0)
+        assert budget.tokens == RETRY_BUDGET_CAPACITY
 
 
 class TestAdaptiveTimeout:
     def test_ewma_and_clamp(self):
-        adaptive = AdaptiveTimeout(AdaptiveTimeoutConfig(
-            alpha=0.5, multiplier=2.0, floor=0.2, ceiling=1.0))
+        adaptive = AdaptiveTimeout()
         assert adaptive.timeout_for("x") is None  # no sample yet
         adaptive.observe("x", 0.3)
-        assert adaptive.timeout_for("x") == pytest.approx(0.6)
-        adaptive.observe("x", 0.1)  # ewma -> 0.2
-        assert adaptive.timeout_for("x") == pytest.approx(0.4)
-        adaptive.observe("x", 0.01)
-        adaptive.observe("x", 0.01)
-        assert adaptive.timeout_for("x") >= 0.2  # floored
-        for _ in range(10):
+        assert adaptive.timeout_for("x") == \
+            pytest.approx(TIMEOUT_MULTIPLIER * 0.3)
+        adaptive.observe("x", 0.1)  # ewma -> 0.8 * 0.3 + 0.2 * 0.1
+        assert adaptive.timeout_for("x") == \
+            pytest.approx(TIMEOUT_MULTIPLIER * 0.26)
+        for _ in range(40):
+            adaptive.observe("x", 0.01)
+        assert adaptive.timeout_for("x") == TIMEOUT_FLOOR
+        for _ in range(40):
             adaptive.observe("x", 50.0)
-        assert adaptive.timeout_for("x") == pytest.approx(1.0)  # ceiling
+        assert adaptive.timeout_for("x") == TIMEOUT_CEILING
 
 
 class TestServiceQueue:
@@ -216,7 +231,8 @@ class TestServiceQueue:
         fab = _fab(service=ServiceConfig(service_time=1.0, queue_limit=1,
                                          timeout=10.0),
                    retry=RetryPolicy(max_attempts=3, jitter=0.0),
-                   retry_budget=RetryBudgetConfig(capacity=1.0))
+                   retry_budget=True)
+        fab.channel.retry_budget.tokens = 1.0
         stats = fab.network.stats
         summary = stats.summary()
         assert summary["shed"] == 0
@@ -267,8 +283,8 @@ class TestChannelOverload:
     def test_retry_budget_caps_attempts(self):
         fab = _fab(service=ServiceConfig(),
                    retry=RetryPolicy(max_attempts=4, jitter=0.0),
-                   retry_budget=RetryBudgetConfig(capacity=1.0,
-                                                  refill_per_success=1.0))
+                   retry_budget=True)
+        fab.channel.retry_budget.tokens = 1.0
         fab.network.nodes["b"].go_offline()
         ok, _ = fab.channel.call("a", "b")
         assert not ok
@@ -278,7 +294,8 @@ class TestChannelOverload:
         # successes refill the bucket
         ok, _ = fab.channel.call("a", "c")
         assert ok
-        assert fab.channel.retry_budget.tokens == pytest.approx(1.0)
+        assert fab.channel.retry_budget.tokens == \
+            pytest.approx(RETRY_REFILL_PER_SUCCESS)
 
     def test_shed_does_not_feed_the_breaker(self):
         breaker = CircuitBreaker(failure_threshold=1, cooldown=30.0)
@@ -300,9 +317,9 @@ class TestChannelOverload:
 
     def test_fabric_wires_budget_and_service(self):
         fab = _fab(service=ServiceConfig(), retry=RetryPolicy(),
-                   retry_budget=RetryBudgetConfig(capacity=7.0))
+                   retry_budget=True)
         assert fab.network.service is not None
-        assert fab.channel.retry_budget.capacity == pytest.approx(7.0)
+        assert fab.channel.retry_budget.tokens == RETRY_BUDGET_CAPACITY
         assert fab.overload is not None
 
     def test_no_overload_means_no_service_state(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import (QuorumWriteError, ReplicaIntegrityError,
-                              StorageError)
+                              SimulationError, StorageError)
 from repro.fabric import Fabric
 from repro.faults import CorruptBlob, Equivocate, FaultPlan, StaleServe
 from repro.storage2 import (AntiEntropyDaemon, ReplicatedStore,
@@ -27,6 +27,21 @@ def make_store(seed=7, plan=None, config=None, peers=PEERS):
 def reader_for(ring, holders):
     """A ring member who is not a replica holder of the key."""
     return next(n for n in PEERS if n not in holders)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("bad", [
+        dict(n=0, r=1, w=1),
+        dict(r=0), dict(r=4),
+        dict(w=0), dict(w=4),
+        dict(n=4, r=2, w=2),                 # w + r <= n: no overlap
+        dict(repair_interval=0.0), dict(repair_interval=-5.0),
+        dict(repair_interval=float("nan")),
+        dict(repair_interval=float("inf")),
+    ])
+    def test_invalid_parameters_rejected(self, bad):
+        with pytest.raises(SimulationError):
+            ReplicationConfig(**bad)
 
 
 class TestQuorumWrites:
@@ -147,19 +162,6 @@ class TestReadRepair:
         assert fabric.metrics.get_counter_value("storage.read_repairs") == 1
         repaired = store._verify("k", ring.nodes[laggard].store["k"])
         assert repaired.version == 2
-
-    def test_read_repair_can_be_disabled(self):
-        config = ReplicationConfig(n=3, r=2, w=2, read_repair=False)
-        fabric, ring, store = make_store(config=config)
-        store.put("p0", "k", b"v1")
-        holders = store.placements["k"]
-        laggard = holders[-1]
-        ring.nodes[laggard].go_offline()
-        store.put("p0", "k", b"v2")
-        ring.nodes[laggard].go_online()
-        result = store.get(reader_for(ring, holders), "k")
-        assert result.version == 2 and result.repaired == 0
-        assert store._verify("k", ring.nodes[laggard].store["k"]).version == 1
 
 
 class TestAntiEntropy:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fabric import Fabric
-from repro.membership import MembershipConfig, SwimMembership
+from repro.membership import SwimMembership
 from repro.overlay.chord import ChordRing
 from repro.overlay.simulator import FixedLatency
 from repro.storage2 import (AntiEntropyDaemon, ReplicatedStore,
@@ -14,7 +14,7 @@ PEERS = [f"p{i}" for i in range(10)]
 
 def make(seed=7, interval=500.0, start_membership=True):
     fabric = Fabric.create(seed=seed, latency=FixedLatency(0.02))
-    membership = SwimMembership(fabric, MembershipConfig())
+    membership = SwimMembership(fabric)
     ring = ChordRing(fabric, replication=3)
     for name in PEERS:
         ring.add_node(name)

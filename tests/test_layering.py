@@ -165,11 +165,16 @@ def test_ring_order_is_read_through_the_public_accessor():
 #: names of the read paths that were folded away, of the second
 #: statistics system and its profilers, of SWIM state nothing read, and of
 #: the list-based AES forward rounds (now ``tests/crypto/reference.py``),
-#: and of a ``FeedReport`` filter nothing called; nothing may bring them back
+#: of a ``FeedReport`` filter nothing called, of the config classes and
+#: fields the knob census turned into constants, and of six public methods
+#: nothing referenced; nothing may bring them back
 GONE = ("fetch_from_holders", "_get_failover", "_provenance", "batch_reads",
         "crypto_op", "profile_crypto", "absorb_network", "by_kind",
         "suspected_at", "is_suspect", "_shift_rows", "_mix_columns",
-        "from_source")
+        "from_source", "AdaptiveTimeoutConfig", "RetryBudgetConfig",
+        "prefetch_depth", "ranking_infiltration",
+        "availability_with_agreement", "external_view", "matching_tags",
+        "set_policy", "subscription_tags")
 READ_KINDS = {"chord_replica_read", "chord_batch_fetch"}
 
 
@@ -349,8 +354,8 @@ def test_one_function_writes_a_member_records_state():
 #: ``is None`` / ``is not None`` comparisons per hot module.  A ceiling may
 #: only ever be lowered: when a count drops, lower its number with it.
 NONE_TEST_CEILINGS = {
-    "fabric.py": 30,
-    "overlay/network.py": 28,
+    "fabric.py": 29,
+    "overlay/network.py": 27,
     "overlay/chord.py": 18,
     "storage2/quorum.py": 16,
     "membership/swim.py": 13,
@@ -373,3 +378,115 @@ def test_none_tests_only_ratchet_down(relative):
         f"{NONE_TEST_CEILINGS[relative]}: resolve the configuration once "
         "instead of re-testing it")
     assert _none_tests("a = x if x is not None else (y is None, z is 1)") == 2
+
+
+# -- the knob census (ROADMAP item 7) ---------------------------------------------
+
+#: dataclass fields per ``*Config`` class — every one multiplies the
+#: configurations the composed stack must be tested in.  Downward-only,
+#: like the ceilings above; a class missing here is a new config class.
+CONFIG_KNOB_CEILINGS = {
+    "CacheConfig": 1, "ServiceConfig": 4, "OverloadConfig": 4,
+    "DosnConfig": 14, "MembershipConfig": 0, "DefenseConfig": 0,
+    "AdversaryConfig": 5, "ReplicationConfig": 5,
+}
+#: fields no bench, example, script or ``src`` caller sets, and why each
+#: stays a field.  (``DosnConfig.concurrent`` needs no entry: the frozen
+#: ``benchmarks/perf`` workload passes it, which is all that keeps it.)
+UNSWEPT_KNOBS = {
+    ("DosnConfig", "index_posts"):
+        "the facade's only way into section V search; tests/stack covers it",
+    ("AdversaryConfig", "behaviors"):
+        "how tests/adversary isolates one attack at a time",
+    ("AdversaryConfig", "compromised"):
+        "how tests/adversary and tests/obs name the attacking peers",
+}
+REPO = SRC.parent.parent
+CALLER_ROOTS = ("src", "benchmarks", "examples", "scripts")
+#: calls that copy a config with some fields replaced
+_REPLACERS = {"replace", "_dc_replace", "with_overrides"}
+
+
+def _config_fields(sources):
+    """``{class name: [field, ...]}`` of every dataclass named ``*Config``."""
+    found = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Config") \
+                    and any("dataclass" in ast.unparse(decorator)
+                            for decorator in node.decorator_list):
+                found[node.name] = [
+                    item.target.id for item in node.body
+                    if isinstance(item, ast.AnnAssign)]
+    return found
+
+
+def _knobs_set(sources, fields):
+    """The ``(class, field)`` pairs some call in ``sources`` sets: by
+    keyword or position on the constructor, by keyword on a replacer."""
+    passed = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _name(node.func)
+            keywords = [kw.arg for kw in node.keywords if kw.arg]
+            if name in fields:
+                passed.update((name, arg) for arg in keywords)
+                passed.update((name, field) for field, _arg
+                              in zip(fields[name], node.args))
+            elif name in _REPLACERS:
+                passed.update((cls, arg) for cls, names in fields.items()
+                              for arg in keywords if arg in names)
+    return passed
+
+
+def _unset_knobs(config_sources, caller_sources):
+    fields = _config_fields(config_sources)
+    passed = _knobs_set(caller_sources, fields)
+    return sorted((cls, field) for cls, names in fields.items()
+                  for field in names if (cls, field) not in passed)
+
+
+def _sources(*roots):
+    return [path.read_text() for root in roots
+            for path in sorted((REPO / root).rglob("*.py"))]
+
+
+def test_config_knobs_only_ratchet_down():
+    counts = {cls: len(names)
+              for cls, names in _config_fields(_sources("src")).items()}
+    assert sorted(counts) == sorted(CONFIG_KNOB_CEILINGS), (
+        "a config class was added or removed: give it a ceiling")
+    over = {cls: n for cls, n in counts.items()
+            if n > CONFIG_KNOB_CEILINGS[cls]}
+    assert not over, (
+        f"{over} exceed CONFIG_KNOB_CEILINGS: a value with one setting in "
+        "use is a module constant next to the code that reads it")
+
+
+def test_every_config_knob_is_set_by_a_table_or_workload():
+    unset = _unset_knobs(_sources("src"), _sources(*CALLER_ROOTS))
+    assert unset == sorted(UNSWEPT_KNOBS), (
+        "every config field is passed somewhere under "
+        f"{CALLER_ROOTS} or listed in UNSWEPT_KNOBS with its reason (and "
+        f"nothing listed is passed); unset: {unset}")
+
+
+def test_the_census_sees_a_field_nobody_sets():
+    config = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class CacheConfig:\n"
+        "    capacity_per_reader: int = 256\n"
+        "    warm_ratio: float = 0.5\n"
+        "    def helper(self): pass\n"
+        "class NotAConfig:\n"
+        "    knob: int = 1\n")
+    assert _config_fields([config]) == {
+        "CacheConfig": ["capacity_per_reader", "warm_ratio"]}
+    callers = ["cache = CacheConfig(capacity_per_reader=0)\n"]
+    assert _unset_knobs([config], callers) == [("CacheConfig", "warm_ratio")]
+    for setter in ("CacheConfig(256, 0.9)", "CacheConfig(warm_ratio=0.9)",
+                   "replace(config, warm_ratio=0.9)"):
+        assert _unset_knobs([config], callers + [setter]) == []
