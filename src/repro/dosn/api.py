@@ -273,8 +273,7 @@ class DosnNetwork:
             self.cache = VerifiedContentCache(
                 config.cache.capacity_per_reader, metrics=self.metrics)
             self.prefetcher = SocialPrefetcher(
-                self.cache,
-                view_of=self._view_of, cids_of=self._cids_of,
+                self.cache, view_of=self._view_of, cids_of=self._cids_of,
                 fetch_many=self._fetch_many, open_post=self._open_for,
                 metrics=self.metrics, tracer=self.tracer)
 

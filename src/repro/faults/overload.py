@@ -199,10 +199,9 @@ class RetryBudget:
     Shared per :class:`~repro.faults.ReliableChannel` (i.e. per fabric):
     every retry anywhere draws one token, every successful call refills
     :data:`RETRY_REFILL_PER_SUCCESS` up to :data:`RETRY_BUDGET_CAPACITY`.
-    Under a load spike the
-    bucket drains and calls degrade to single attempts — the retry storm
-    stops feeding the overload — and recovery refills it organically,
-    because refills only come from successes.
+    Under a load spike the bucket drains and calls degrade to single
+    attempts — the retry storm stops feeding the overload — and recovery
+    refills it organically, because refills only come from successes.
     """
 
     __slots__ = ("tokens", "exhausted")

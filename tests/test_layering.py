@@ -401,7 +401,7 @@ UNSWEPT_KNOBS = {
     ("AdversaryConfig", "compromised"):
         "how tests/adversary and tests/obs name the attacking peers",
 }
-REPO = SRC.parent.parent
+REPO = pathlib.Path(__file__).parent.parent
 CALLER_ROOTS = ("src", "benchmarks", "examples", "scripts")
 #: calls that copy a config with some fields replaced
 _REPLACERS = {"replace", "_dc_replace", "with_overrides"}
@@ -412,7 +412,8 @@ def _config_fields(sources):
     found = {}
     for source in sources:
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.ClassDef) and node.name.endswith("Config") \
+            if isinstance(node, ast.ClassDef) \
+                    and node.name.endswith("Config") \
                     and any("dataclass" in ast.unparse(decorator)
                             for decorator in node.decorator_list):
                 found[node.name] = [
