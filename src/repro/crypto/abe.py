@@ -25,6 +25,7 @@ from __future__ import annotations
 import random as _random
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.hashing import hkdf
@@ -35,6 +36,9 @@ from repro.crypto.symmetric import AuthenticatedCipher
 from repro.exceptions import DecryptionError, PolicyError
 
 _DEFAULT_RNG = _random.Random(0xABE)
+#: attribute hashes a :class:`CPABE` context remembers (least recently used
+#: first out); one epoch attribute per revocation keeps the set growing
+ATTRIBUTE_MEMO = 256
 
 
 # --------------------------------------------------------------------------
@@ -242,6 +246,10 @@ class CPABE:
 
     def __init__(self, level: str = "TOY") -> None:
         self.group = pairing_group(level)
+        # H(attribute) memoised per context: a revocation re-keys every
+        # survivor and re-encrypts the back catalogue under ONE new epoch
+        # attribute, which would otherwise be hashed to the curve each time
+        self._hash_attribute = lru_cache(ATTRIBUTE_MEMO)(self._hash_attribute)
 
     def _hash_attribute(self, attribute: str) -> G1Element:
         return self.group.hash_to_g1(b"repro/abe/attr/" + attribute.encode())
@@ -322,9 +330,8 @@ class CPABE:
                 return None
             d_j, d_j_prime = sk.components[node.attribute]
             leaf_ct = ct.leaves[path]
-            num = self.group.pair(d_j, leaf_ct.c_y)
-            den = self.group.pair(d_j_prime, leaf_ct.c_y_prime)
-            return num / den
+            return self.group.pair_product([(d_j, leaf_ct.c_y)],
+                                           [(d_j_prime, leaf_ct.c_y_prime)])
         results: List[Tuple[int, GTElement]] = []
         for index, child in enumerate(node.children, start=1):
             if len(results) == node.threshold:

@@ -111,14 +111,11 @@ class IBBE:
         return pk, IBBEMasterKey(scheme=self, g=g, gamma=gamma)
 
     def _poly_in_h(self, pk: IBBEPublicKey, coeffs: Sequence[int]) -> G1Element:
-        """``h^{f(gamma)}`` for polynomial ``f`` given by ``coeffs``."""
+        """``h^{f(gamma)}`` for polynomial ``f`` given by ``coeffs``: one
+        multi-exponentiation over the published powers ``h^{gamma^i}``."""
         if len(coeffs) > len(pk.h_powers):
             raise CryptoError("polynomial degree exceeds setup bound")
-        acc = self.group.identity_g1()
-        for power, coeff in zip(pk.h_powers, coeffs):
-            if coeff:
-                acc = acc * (power ** coeff)
-        return acc
+        return self.group.multi_exp(pk.h_powers[:len(coeffs)], coeffs)
 
     def encrypt_key(self, pk: IBBEPublicKey, recipients: Sequence[str],
                     rng: Optional[_random.Random] = None
@@ -159,8 +156,8 @@ class IBBE:
         coeffs = _expand_roots(others, q)
         shifted = coeffs[1:] if len(coeffs) > 1 else [0]
         h_pi = self._poly_in_h(pk, shifted)
-        paired = (self.group.pair(header.c1, h_pi)
-                  * self.group.pair(user_key.sk, header.c2))
+        paired = self.group.pair_product([(header.c1, h_pi),
+                                          (user_key.sk, header.c2)])
         return paired ** modinv(delta, q)
 
     # -- byte-level hybrid API ---------------------------------------------

@@ -1,17 +1,21 @@
 """Reference implementations: the slow code the fast paths replaced.
 
 ``repro.crypto`` computes modular inverses with ``pow(a, -1, m)``, G1
-scalar multiplication and the Miller loop in Jacobian coordinates, and the
-AES forward cipher on T-tables.  What they replaced lives here, verbatim,
-as the oracle: every fast path must return *exactly* what this code
-returns (``test_fast_paths.py``), so every ciphertext, header and digest
-stays byte-identical.  Nothing under ``src/`` may import this module.
+scalar multiplication and the Miller loop in Jacobian coordinates, powers
+of the generator from a fixed-base table, IBBE's ``h^{f(gamma)}`` as one
+multi-exponentiation, products of pairings with one final exponentiation,
+``F_p^2`` powers on plain ints, the AES key schedule on 32-bit words and
+the AES forward cipher on T-tables.  What they replaced lives here,
+verbatim, as the oracle: every fast path must return *exactly* what this
+code returns (``test_fast_paths.py``), so every ciphertext, header and
+digest stays byte-identical.  Nothing under ``src/`` may import this module
+(``tests/test_layering.py`` enforces it).
 """
 
-from typing import List
+from typing import List, Sequence
 
 from repro.crypto import numbertheory as nt
-from repro.crypto.aes import _SBOX, AES, _gf_mul
+from repro.crypto.aes import _RCON, _SBOX, AES, _gf_mul
 from repro.crypto.pairing import (Fp2, G1Element, GTElement, PairingGroup,
                                   _Point, _point_add, _point_neg)
 from repro.exceptions import CryptoError
@@ -77,6 +81,20 @@ def miller(group: PairingGroup, P: _Point, xq: int, yq: int) -> Fp2:
     return f
 
 
+def fp2_pow(x: Fp2, exponent: int) -> Fp2:
+    """``Fp2.pow`` by square-and-multiply on ``Fp2`` objects."""
+    if exponent < 0:
+        return fp2_pow(x.inverse(), -exponent)
+    result = Fp2(1, 0, x.p)
+    base = x
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base.square()
+        exponent >>= 1
+    return result
+
+
 def pair(group: PairingGroup, P: G1Element, Q: G1Element) -> GTElement:
     """``PairingGroup.pair`` over the affine Miller loop."""
     if P.is_identity() or Q.is_identity():
@@ -84,7 +102,60 @@ def pair(group: PairingGroup, P: G1Element, Q: G1Element) -> GTElement:
     xq, y_q = Q.point
     f = miller(group, P.point, (-xq) % group.p, y_q)
     eased = f.conjugate() * f.inverse()
-    return GTElement(group, eased.pow((group.p + 1) // group.q))
+    return GTElement(group, fp2_pow(eased, (group.p + 1) // group.q))
+
+
+def pair_product(group: PairingGroup, numerator, denominator=()) -> GTElement:
+    """``PairingGroup.pair_product``: one full pairing per pair, then GT
+    products and quotients."""
+    acc = group.one_gt()
+    for P, Q in numerator:
+        acc = acc * pair(group, P, Q)
+    for P, Q in denominator:
+        acc = acc / pair(group, P, Q)
+    return acc
+
+
+def multi_exp(group: PairingGroup, bases: Sequence[G1Element],
+              exponents: Sequence[int]) -> G1Element:
+    """``PairingGroup.multi_exp``: a separate affine exponentiation per
+    base, multiplied together."""
+    acc = None
+    for base, exponent in zip(bases, exponents):
+        acc = _point_add(acc, point_mul(base.point, exponent % group.q,
+                                        group.p), group.p)
+    return G1Element(group, acc)
+
+
+def poly_in_h(group: PairingGroup, h_powers: Sequence[G1Element],
+              coeffs: Sequence[int]) -> G1Element:
+    """``IBBE._poly_in_h``: n + 1 separate exponentiations and n products."""
+    acc = group.identity_g1()
+    for power, coeff in zip(h_powers, coeffs):
+        if coeff:
+            acc = acc * (power ** coeff)
+    return acc
+
+
+# -- AES key schedule ---------------------------------------------------------
+
+
+def expand_key(key: bytes) -> List[List[int]]:
+    """KeyExpansion on 4-byte lists, grouped into per-round 16-byte keys."""
+    nk = len(key) // 4
+    rounds = {4: 10, 6: 12, 8: 14}[nk]
+    words = [list(key[4 * i:4 * i + 4]) for i in range(nk)]
+    for i in range(nk, 4 * (rounds + 1)):
+        temp = list(words[i - 1])
+        if i % nk == 0:
+            temp = temp[1:] + temp[:1]
+            temp = [_SBOX[b] for b in temp]
+            temp[0] ^= _RCON[i // nk - 1]
+        elif nk > 6 and i % nk == 4:
+            temp = [_SBOX[b] for b in temp]
+        words.append([a ^ b for a, b in zip(words[i - nk], temp)])
+    # Group into per-round 16-byte keys (column-major state order).
+    return [sum(words[4 * r:4 * r + 4], []) for r in range(rounds + 1)]
 
 
 # -- AES forward cipher -------------------------------------------------------
@@ -113,16 +184,19 @@ def _mix_columns(state: List[int]) -> List[int]:
     return out
 
 
-def encrypt_block(cipher: AES, block: bytes) -> bytes:
-    """FIPS-197 forward rounds on a 16-byte list, one step at a time."""
+def encrypt_block(key: bytes, block: bytes) -> bytes:
+    """FIPS-197 forward rounds on a 16-byte list, one step at a time, under
+    the list-based key schedule."""
+    round_keys = expand_key(key)
+    rounds = len(round_keys) - 1
     state = list(block)
-    cipher._add_round_key(state, cipher._round_keys[0])
-    for rnd in range(1, cipher._rounds):
-        cipher._sub_bytes(state, _SBOX)
+    AES._add_round_key(state, round_keys[0])
+    for rnd in range(1, rounds):
+        AES._sub_bytes(state, _SBOX)
         state = _shift_rows(state)
         state = _mix_columns(state)
-        cipher._add_round_key(state, cipher._round_keys[rnd])
-    cipher._sub_bytes(state, _SBOX)
+        AES._add_round_key(state, round_keys[rnd])
+    AES._sub_bytes(state, _SBOX)
     state = _shift_rows(state)
-    cipher._add_round_key(state, cipher._round_keys[cipher._rounds])
+    AES._add_round_key(state, round_keys[rounds])
     return bytes(state)

@@ -1,25 +1,32 @@
 """The exact fast paths of ``repro.crypto`` against the code they replaced.
 
 ``pow(a, -1, m)``, Jacobian G1 scalar multiplication, the inversion-free
-Miller loop and the T-table AES must return *the same values* as the
-extended-Euclid / affine / list-based implementations kept in
+Miller loop, the generator's fixed-base table, the shared doubling chain of
+``multi_exp``, the single final exponentiation of ``pair_product``,
+``Fp2.pow`` on ints, the word-based AES key schedule and the T-table AES
+must return *the same values* as the extended-Euclid / affine / per-base /
+per-pairing / list-based implementations kept in
 :mod:`tests.crypto.reference` — not merely satisfy the same algebraic laws:
 every stored header and ciphertext is derived from them.
 """
 
 import math
 import random
+import struct
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.acl.abe_acl import ABEACL
 from repro.crypto import numbertheory as nt
 from repro.crypto import pairing
 from repro.crypto import symmetric as sym
+from repro.crypto.abe import CPABE
 from repro.crypto.aes import AES
-from repro.crypto.pairing import (G1Element, PairingGroup, PairingParams,
+from repro.crypto.ibbe import IBBE
+from repro.crypto.pairing import (Fp2, G1Element, PairingGroup, PairingParams,
                                   pairing_group)
 from repro.exceptions import CryptoError
 from tests.crypto import reference as ref
@@ -44,6 +51,16 @@ def curve_points(p: int) -> list:
     """All of ``E(F_p)``, infinity first."""
     return [None] + [(x, y) for x in range(p) for y in range(p)
                      if (y * y - x * x * x - x) % p == 0]
+
+
+_IBBE_KEYS: dict = {}
+
+
+def _ibbe_key(level: str):
+    """One IBBE public key (8 recipients) per level, shared by examples."""
+    if level not in _IBBE_KEYS:
+        _IBBE_KEYS[level] = IBBE(level).setup(8, random.Random(level))[0]
+    return _IBBE_KEYS[level]
 
 
 def subgroup(group: PairingGroup) -> list:
@@ -131,6 +148,58 @@ class TestExhaustiveTinyCurves:
         pairing._point_mul(P, q + 2, p)
         assert hits
 
+    @pytest.mark.parametrize("p,q", TINY)
+    def test_generator_table_equals_the_affine_loop_for_every_scalar(self, p,
+                                                                     q):
+        """Every subgroup element as the generator, every scalar; on these
+        curves ``q <= 15``, so some table entries are the identity."""
+        for g in subgroup(tiny_group(p, q)):
+            group = tiny_group(p, q)
+            group.generator = g
+            table = group._generator_table
+            assert None in table
+            for index, entry in enumerate(table):
+                digit, position = index % 16, index // 16
+                assert entry == ref.point_mul(g.point, digit * 16 ** position,
+                                              p)
+            for k in range(-(q + 1), 2 * (q + 1) + 1):
+                assert (g ** k).point == ref.point_mul(g.point, k, p), (g, k)
+
+    @pytest.mark.parametrize("p,q", TINY)
+    def test_multi_exp_equals_the_separate_powers(self, p, q):
+        """Exponents 0, negative and >= q; repeated bases; ``P`` and ``-P``
+        (``Q`` runs over every element, ``-P`` included); the identity."""
+        group = tiny_group(p, q)
+        elements = [group.identity_g1()] + subgroup(group)
+        edges = [0, 1, -1, 2, q - 1, q, q + 1, -q, 2 * q + 3]
+        for P in elements:
+            for k in range(-(q + 1), 2 * (q + 1) + 1):
+                assert (group.multi_exp([P], [k])
+                        == ref.multi_exp(group, [P], [k])), (P, k)
+            for Q in elements:
+                for a in edges:
+                    for b in edges:
+                        bases, exponents = [P, Q, P], [a, b, a + b]
+                        assert (group.multi_exp(bases, exponents)
+                                == ref.multi_exp(group, bases, exponents)), \
+                            (P, Q, a, b)
+        assert group.multi_exp([], []).is_identity()
+
+    @pytest.mark.parametrize("p,q", TINY_PAIRINGS)
+    def test_pair_product_equals_products_and_quotients_of_pairings(self, p,
+                                                                    q):
+        group = tiny_group(p, q)
+        elements = [group.identity_g1()] + subgroup(group)
+        R = elements[1]
+        for P in elements:
+            for Q in elements:
+                num, den = [(P, Q), (R, P)], [(Q, R)]
+                assert (group.pair_product(num, den)
+                        == ref.pair_product(group, num, den)), (P, Q)
+                assert (group.pair_product([], [(P, Q)])
+                        == ref.pair_product(group, [], [(P, Q)])), (P, Q)
+        assert group.pair_product([]).is_one()
+
 
 @pytest.mark.parametrize("level", LEVELS)
 class TestAgainstTheReferenceAtRealSizes:
@@ -167,6 +236,75 @@ class TestAgainstTheReferenceAtRealSizes:
         assert group.pair(a, b).to_bytes() == ref.pair(group, a, b).to_bytes()
 
     @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_generator_bytes(self, level, data):
+        group = pairing_group(level)
+        q, g = group.q, group.generator
+        k = data.draw(st.integers(min_value=-2 * q, max_value=2 * q))
+        for e in (k, -k, 0, 1, 15, 16, q - 1, q, q + 1):
+            want = G1Element(group, ref.point_mul(g.point, e % q, group.p))
+            assert (g ** e).to_bytes() == want.to_bytes()
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_multi_exp_bytes(self, level, data):
+        group = pairing_group(level)
+        q = group.q
+        pool = [group.hash_to_g1(bytes([i])) for i in range(3)]
+        pool += [P.inverse() for P in pool]
+        pool += [group.generator, group.identity_g1()]
+        exponent = st.one_of(st.integers(min_value=-2 * q, max_value=2 * q),
+                             st.sampled_from([0, 1, -1, q - 1, q, q + 1]))
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        bases = [data.draw(st.sampled_from(pool)) for _ in range(n)]
+        exponents = [data.draw(exponent) for _ in range(n)]
+        assert (group.multi_exp(bases, exponents).to_bytes()
+                == ref.multi_exp(group, bases, exponents).to_bytes())
+
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_pair_product_bytes(self, level, data):
+        group = pairing_group(level)
+        scalars = st.integers(min_value=0, max_value=group.q)  # 0, q: identity
+        other = group.hash_to_g1(b"other base")
+
+        def pairs(most):
+            return [(group.generator ** data.draw(scalars),
+                     other ** data.draw(scalars))
+                    for _ in range(data.draw(st.integers(0, most)))]
+
+        num, den = pairs(2), pairs(2)
+        assert (group.pair_product(num, den).to_bytes()
+                == ref.pair_product(group, num, den).to_bytes())
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_fp2_pow(self, level, data):
+        p = pairing_group(level).p
+        coordinate = st.integers(min_value=0, max_value=p - 1)
+        x = Fp2(data.draw(coordinate), data.draw(coordinate), p)
+        e = data.draw(st.one_of(st.integers(min_value=-p * p, max_value=p * p),
+                                st.integers(min_value=-2, max_value=2)))
+        if x.a == x.b == 0 and e < 0:
+            for power in (x.pow, lambda n: ref.fp2_pow(x, n)):
+                with pytest.raises(CryptoError):
+                    power(e)
+        else:
+            assert x.pow(e) == ref.fp2_pow(x, e)
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_poly_in_h_bytes(self, level, data):
+        ibbe = IBBE(level)
+        pk = _ibbe_key(level)
+        q = ibbe.group.q
+        coeffs = data.draw(st.lists(
+            st.one_of(st.integers(min_value=0, max_value=q - 1), st.just(0)),
+            min_size=1, max_size=len(pk.h_powers)))
+        assert (ibbe._poly_in_h(pk, coeffs).to_bytes()
+                == ref.poly_in_h(ibbe.group, pk.h_powers, coeffs).to_bytes())
+
+    @given(data=st.data())
     @settings(max_examples=10, deadline=None)
     def test_bilinearity(self, level, data):
         group = pairing_group(level)
@@ -199,10 +337,94 @@ class TestInversionRatchet:
         b = group.generator ** 0xDECADE
         for operation in (lambda: a ** (group.q - 2),
                           lambda: group.pair(a, b),
-                          lambda: group.hash_to_g1(b"ratchet")):
+                          lambda: group.hash_to_g1(b"ratchet"),
+                          lambda: group.generator ** (group.q - 2),
+                          lambda: group.multi_exp([a, b, a], [3, -5, 7]),
+                          lambda: group.pair_product([(a, b), (b, b)],
+                                                     [(b, a)])):
             del inversions[:]
             operation()
             assert len(inversions) <= 1
+
+
+def _counting(monkeypatch, owner, name) -> list:
+    """Replace ``owner.name`` by a pass-through spy; return its call log."""
+    calls: list = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+class TestOperationRatchet:
+    """Like the inversion ratchet, perf gates that count instead of timing:
+    each fast path pays only the operations it promises."""
+
+    def test_a_power_of_the_generator_runs_no_doubling(self, monkeypatch):
+        group = pairing_group("TOY")
+        assert group._generator_table               # built once per group
+        doublings = _counting(monkeypatch, pairing, "_jac_double")
+        for k in (1, 2, 15, 16, 0xC0FFEE, group.q - 1, group.q + 5, -3):
+            group.generator ** k
+        group.random_g1(random.Random(1))
+        assert doublings == []
+        (group.generator ** 7) ** 7                  # any other base doubles
+        assert doublings
+
+    def test_poly_in_h_runs_one_doubling_chain(self, monkeypatch):
+        ibbe = IBBE("TOY")
+        pk, _ = ibbe.setup(16, random.Random(2))
+        rng = random.Random(3)
+        coeffs = [rng.randrange(ibbe.group.q) for _ in range(17)]
+        doublings = _counting(monkeypatch, pairing, "_jac_double")
+        fast = ibbe._poly_in_h(pk, coeffs)
+        assert 0 < len(doublings) <= ibbe.group.q.bit_length()
+        del doublings[:]
+        assert ref.poly_in_h(ibbe.group, pk.h_powers, coeffs) == fast
+        assert len(doublings) > 16 * ibbe.group.q.bit_length() // 2
+
+    def test_one_final_exponentiation_per_ibbe_decryption(self, monkeypatch):
+        rng = random.Random(4)
+        ibbe = IBBE("TOY")
+        pk, msk = ibbe.setup(8, rng)
+        header, session = ibbe.encrypt_key(pk, [f"u{i}" for i in range(6)],
+                                           rng)
+        user = msk.extract("u3")
+        exponentiations = _counting(monkeypatch, PairingGroup, "_final_exp")
+        assert ibbe.decrypt_key(pk, header, user) == session
+        assert len(exponentiations) == 1
+
+    @pytest.mark.parametrize("policy,leaves", [("a", 1), ("a and b", 2),
+                                               ("a or z", 1),
+                                               ("2 of (a, b, c)", 2)])
+    def test_one_final_exponentiation_per_abe_leaf(self, monkeypatch, policy,
+                                                   leaves):
+        rng = random.Random(5)
+        abe = CPABE("TOY")
+        pk, msk = abe.setup(rng)
+        sk = abe.keygen(pk, msk, ["a", "b", "c"], rng)
+        message = abe.group.random_gt(rng)
+        ct = abe.encrypt_element(pk, message, policy, rng)
+        exponentiations = _counting(monkeypatch, PairingGroup, "_final_exp")
+        assert abe.decrypt_element(ct, sk) == message
+        assert len(exponentiations) == leaves + 1     # + e(C, D) at the root
+
+    def test_a_cp_abe_revocation_hashes_at_most_one_attribute(self,
+                                                              monkeypatch):
+        scheme = ABEACL(rng=random.Random(6))
+        scheme.create_group("g", [f"u{i}" for i in range(6)])
+        for i in range(3):
+            scheme.publish("g", f"item{i}", b"x")
+        hashes = _counting(monkeypatch, PairingGroup, "hash_to_g1")
+        scheme.revoke_member("g", "u0")    # 5 keygens + 1 + 3 re-encryptions
+        assert len(hashes) <= 1
+        scheme.publish("g", "after", b"y")
+        assert scheme.read("g", "after", "u1") == b"y"
+        assert len(hashes) <= 1
 
 
 class TestAES:
@@ -212,16 +434,27 @@ class TestAES:
     @settings(max_examples=150, deadline=None)
     def test_t_table_rounds_equal_the_list_rounds(self, key, block):
         cipher = AES(key)
-        assert cipher.encrypt_block(block) == ref.encrypt_block(cipher, block)
+        assert cipher.encrypt_block(block) == ref.encrypt_block(key, block)
+
+    @pytest.mark.parametrize("length", [16, 24, 32])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_word_key_schedule_equals_the_list_schedule(self, length, data):
+        key = data.draw(st.binary(min_size=length, max_size=length))
+        cipher = AES(key)
+        listed = ref.expand_key(key)
+        words = cipher._enc_words
+        assert len(words) == 4 * len(listed)
+        assert struct.pack(f">{len(words)}I", *words) == bytes(sum(listed, []))
+        assert cipher._round_keys == listed       # the inverse cipher's view
 
     @pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 1000])
     def test_ctr_over_the_reference_block_cipher(self, length):
         rng = random.Random(length)
         key, nonce, data = rng.randbytes(32), rng.randbytes(8), \
             rng.randbytes(length)
-        cipher = AES(key)
         stream = b"".join(
-            ref.encrypt_block(cipher, nonce + counter.to_bytes(8, "big"))
+            ref.encrypt_block(key, nonce + counter.to_bytes(8, "big"))
             for counter in range((length + 15) // 16))
         want = bytes(d ^ s for d, s in zip(data, stream))
         assert sym.aes_ctr(key, nonce, data) == want

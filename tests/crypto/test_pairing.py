@@ -167,3 +167,34 @@ class TestPairing:
     def test_random_gt_has_order_q(self):
         x = G.random_gt(RNG)
         assert (x ** G.q).is_one()
+
+
+class TestMixedGroupsRejected:
+    """Elements of two parameter sets never combine: a TOY x TEST product
+    used to return a point on neither curve."""
+
+    other = pairing_group("TEST")
+
+    def test_g1_product(self):
+        with pytest.raises(CryptoError):
+            G.generator * self.other.generator
+
+    def test_gt_product(self):
+        with pytest.raises(CryptoError):
+            G.one_gt() * self.other.one_gt()
+
+    def test_gt_quotient(self):
+        with pytest.raises(CryptoError):
+            G.one_gt() / self.other.one_gt()
+
+    def test_multi_exp(self):
+        with pytest.raises(CryptoError):
+            G.multi_exp([G.generator, self.other.generator], [1, 1])
+
+    def test_pair_product(self):
+        g, h = G.generator, self.other.generator
+        for num, den in (([(g, g)], [(g, h)]), ([(h, g)], []),
+                         ([(g, G.identity_g1())], [(self.other.identity_g1(),
+                                                    g)])):
+            with pytest.raises(CryptoError):
+                G.pair_product(num, den)
