@@ -7,9 +7,14 @@ or an AEAD blob would pass it.  This test pins those bytes: a seeded
 lifecycle of every ``SCHEME_REGISTRY`` scheme, then a SHA-256 over every
 stored header, blob and key in a canonical (sorted) serialisation.
 
-``GOLDEN`` was computed at the commit *before* ``pow(a, -1, m)``, the
-Jacobian G1 / Miller loop and the T-table AES landed; those must — and any
-later change to the crypto substrate must — reproduce it unchanged.
+``AES_CTR_GOLDEN`` was computed at the commit *before* ``pow(a, -1, m)``,
+the Jacobian G1 / Miller loop and the T-table AES landed, which reproduced
+it unchanged.  ``GOLDEN`` is the same lifecycle once ``AuthenticatedCipher``
+runs the SHA-256-CTR keystream in place of AES-CTR.  Only keystream bytes
+moved: with the AES-CTR keystream patched back in, the lifecycle still
+yields ``AES_CTR_GOLDEN`` — every length, header, wrapped key, tag input
+and RNG draw is as before.  Any later change to the crypto substrate must
+reproduce ``GOLDEN`` unchanged.
 
 Schemes re-key survivors in ``set`` iteration order while drawing from one
 RNG, so the bytes depend on ``str`` hashing: the lifecycle runs in a child
@@ -23,17 +28,21 @@ import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 from repro.acl import SCHEME_REGISTRY
 from repro.acl.base import AccessControlScheme, CostMeter
+from repro.crypto import symmetric as sym
 from repro.crypto.abe import CPABE
 from repro.crypto.groups import SchnorrGroup
 from repro.crypto.ibbe import IBBE
 from repro.crypto.pairing import G1Element, GTElement, PairingGroup
 
-GOLDEN = "d30fe81eea91ffc2ff830b9e76d44d3b781ca93bbf3fef328cd3a477a82f6e65"
+GOLDEN = "b923275835bc7e198ad2fd75d5b5cb5cedb66e16b46fe3d01fd77f35b92442db"
+AES_CTR_GOLDEN = \
+    "d30fe81eea91ffc2ff830b9e76d44d3b781ca93bbf3fef328cd3a477a82f6e65"
 
 MEMBERS = ["alice", "bob", "carol", "dave", "erin"]
 
@@ -98,15 +107,34 @@ def lifecycle_digest() -> str:
     return digest.hexdigest()
 
 
-def test_stored_bytes_of_all_five_schemes_are_unchanged():
+def _aes_ctr_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
+    """AES-CTR over zeros; ``aes_ctr`` rejects any nonce but the AEAD's 8
+    bytes, so a ``StreamCipher`` reaching it would fail, not blend in."""
+    return sym.aes_ctr(key, nonce, bytes(length))
+
+
+def aes_ctr_lifecycle_digest() -> str:
+    with mock.patch.object(sym, "_sha256_ctr", _aes_ctr_keystream):
+        return lifecycle_digest()
+
+
+def _child_digest(function: str) -> str:
     env = dict(os.environ, PYTHONHASHSEED="0",
                PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
         [sys.executable, "-c",
-         "from tests.acl.test_golden_bytes import lifecycle_digest;"
-         "print(lifecycle_digest())"],
+         f"from tests.acl.test_golden_bytes import {function};"
+         f"print({function}())"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == GOLDEN
+    return out.stdout.strip()
+
+
+def test_stored_bytes_of_all_five_schemes_are_unchanged():
+    assert _child_digest("lifecycle_digest") == GOLDEN
+
+
+def test_only_the_aead_keystream_moved_since_the_aes_ctr_golden():
+    assert _child_digest("aes_ctr_lifecycle_digest") == AES_CTR_GOLDEN
 
 
 def test_canonical_encoding_rejects_unknown_state():
