@@ -1,5 +1,6 @@
 """Tests for the AES block cipher and the symmetric modes/AEAD."""
 
+import hashlib
 import random
 
 import pytest
@@ -168,8 +169,51 @@ class TestAEAD:
         rng = random.Random(1)
         assert cipher.decrypt(cipher.encrypt(data, rng=rng)) == data
 
+    @given(plaintext=st.binary(max_size=300), ad=st.binary(max_size=40),
+           seed=st.integers(0, 2 ** 32), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_format_and_every_authenticated_bit(self, plaintext, ad, seed,
+                                                data):
+        """``nonce(8) || body || tag(32)``: the nonce is the RNG's next 8
+        bytes, and flipping any bit of nonce, body, tag or associated data
+        is rejected."""
+        cipher = sym.AuthenticatedCipher(b"a" * 32)
+        rng, draws = random.Random(seed), random.Random(seed)
+        blob = cipher.encrypt(plaintext, ad, rng)
+        assert len(blob) == len(plaintext) + 40
+        assert blob[:8] == bytes(draws.getrandbits(8) for _ in range(8))
+        assert rng.getstate() == draws.getstate()      # and nothing more
+        assert cipher.decrypt(blob, ad) == plaintext
+        bit = data.draw(st.integers(0, 8 * (len(blob) + len(ad)) - 1))
+        flipped = bytearray(blob + ad)
+        flipped[bit // 8] ^= 1 << bit % 8
+        with pytest.raises(DecryptionError):
+            cipher.decrypt(bytes(flipped[:len(blob)]),
+                           bytes(flipped[len(blob):]))
+
 
 class TestStreamCipher:
+    #: SHA-256 of ``StreamCipher(b"s" * 32).encrypt(bytes(i % 251 for i in
+    #: range(n)), random.Random(26))``, computed while ``StreamCipher`` still
+    #: ran its own keystream method: sharing the keystream with
+    #: ``AuthenticatedCipher`` left every byte in place.
+    KNOWN = {
+        0: "b09408dcf339f452badf61d1ad2821cf68809e04440fb669ca8c40f6505d0fd3",
+        31: "ae2771e22ce013606d1d7e146022119cde070e613b5253c3eb859d6c2c6f9543",
+        32: "4e0e7230d45adac83aa8ee93100f7a7c7ea782049bcdfe3c77b88462534c00b3",
+        33: "ab335adc64e2072cbfb82a64f10a45b73245040d4a73d057790c7dc3c8368a27",
+        4096:
+            "d1bdfe865c4bac14c63e1d4d3d1201d426c8840f9cb54cdc10f2e90ba1d0f046",
+    }
+
+    @pytest.mark.parametrize("length", sorted(KNOWN))
+    def test_known_answers(self, length):
+        plaintext = bytes(i % 251 for i in range(length))
+        blob = sym.StreamCipher(b"s" * 32).encrypt(plaintext,
+                                                   random.Random(26))
+        assert len(blob) == length + 48
+        assert hashlib.sha256(blob).hexdigest() == self.KNOWN[length]
+
     @given(st.binary(max_size=2000))
     @settings(max_examples=25, deadline=None)
     def test_roundtrip(self, data):

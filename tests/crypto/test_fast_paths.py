@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.acl import SCHEME_REGISTRY
 from repro.acl.abe_acl import ABEACL
 from repro.crypto import numbertheory as nt
 from repro.crypto import pairing
@@ -29,6 +30,7 @@ from repro.crypto.ibbe import IBBE
 from repro.crypto.pairing import (Fp2, G1Element, PairingGroup, PairingParams,
                                   pairing_group)
 from repro.exceptions import CryptoError
+from tests.acl.test_golden_bytes import lifecycle_digest
 from tests.crypto import reference as ref
 
 #: supersingular toy curves small enough to enumerate.  (19, 5) has Miller
@@ -425,6 +427,15 @@ class TestOperationRatchet:
         scheme.publish("g", "after", b"y")
         assert scheme.read("g", "after", "u1") == b"y"
         assert len(hashes) <= 1
+
+    def test_no_scheme_runs_the_aes_block_cipher(self, monkeypatch):
+        blocks = _counting(monkeypatch, AES, "encrypt_block")
+        assert sorted(SCHEME_REGISTRY) == ["cp-abe", "hybrid", "ibbe",
+                                           "public-key", "symmetric"]
+        lifecycle_digest()        # every scheme: create, publish, revoke, read
+        assert blocks == []
+        sym.aes_ctr(b"k" * 32, b"n" * 8, b"x" * 33)    # the spy does count
+        assert len(blocks) == 3
 
 
 class TestAES:
