@@ -12,7 +12,7 @@ Module                    Primitive
 :mod:`~.hashing`          HMAC, HKDF, hash-to-field, chain hashing
 :mod:`~.merkle`           Merkle trees + inclusion proofs
 :mod:`~.aes`              AES block cipher (FIPS 197)
-:mod:`~.symmetric`        CBC/CTR modes, PKCS#7, encrypt-then-MAC AEAD
+:mod:`~.symmetric`        SHA-256-CTR AEADs; AES CBC/CTR modes, PKCS#7
 :mod:`~.groups`           safe-prime Schnorr groups
 :mod:`~.rsa`              RSA-OAEP encryption + FDH signatures
 :mod:`~.elgamal`          ElGamal encryption (homomorphic)
