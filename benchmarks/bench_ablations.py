@@ -22,7 +22,7 @@ import time
 import pytest
 
 from _reporting import report_table
-from repro.acl.pad import PAD
+from repro.acl.pad import PAD, verify_lookup
 from repro.crypto import prf
 from repro.crypto.hashing import hmac_sha256, hmac_verify
 from repro.crypto.symmetric import AuthenticatedCipher, aes_ctr
@@ -140,8 +140,11 @@ def test_pad_depth_ablation(benchmark):
             pad = PAD()
             for i in range(n):
                 pad = pad.insert(f"user{i:05d}", b"role")
-            depths = [len(pad.prove(f"user{i:05d}").path)
+            proofs = [pad.prove(f"user{i:05d}")
                       for i in range(0, n, max(1, n // 64))]
+            assert all(verify_lookup(pad.root_hash, proof)
+                       for proof in proofs)
+            depths = [len(proof.path) for proof in proofs]
             rows.append((n, statistics.mean(depths), max(depths)))
         return rows
 

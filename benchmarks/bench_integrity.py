@@ -18,6 +18,7 @@ import random
 import pytest
 
 from _reporting import report_table
+from repro.crypto.merkle import verify_inclusion
 from repro.crypto.signatures import generate_schnorr_keypair
 from repro.integrity import (FortClient, ForkingServer, HistoryServer,
                              ObjectHistory, Operation, Timeline,
@@ -83,6 +84,8 @@ def test_order_proof_sizes(benchmark):
                 history.append(Operation(client="c", payload=b"p",
                                          seen_version=i, seen_root=b""))
             tree_proof = history.prove_operation(n // 2)
+            op = history.operations[n // 2]
+            assert verify_inclusion(op.encode(), tree_proof, history.root)
             rows.append((n, len(chain_proof.segment),
                          len(tree_proof.siblings), n))
         return rows

@@ -8,8 +8,9 @@ four secure-search concerns from the paper:
 2. privacy of searcher   — the query travels through Safebook-style
                             trusted-friend rings, so the candidates never
                             learn who searched;
-3. owner privacy         — results are resource *handlers*; dereferencing
-                            needs a ZKP credential check by the owner;
+3. owner privacy         — owners publish resource *handlers* (labels, not
+                            data); dereferencing needs the owner's approval
+                            or a ZKP credential check by the owner;
 4. trusted search result — candidates are ranked by trust chains.
 
 Run:  python examples/friend_search.py
@@ -17,8 +18,10 @@ Run:  python examples/friend_search.py
 
 import random
 
-from repro.search import (AccessGuard, Matryoshka, PseudonymousSearcher,
-                          ResourceOwner, SearchIndex, rank_results)
+from repro.exceptions import AccessDeniedError
+from repro.search import (AccessGuard, DataOwner, HandlerDirectory,
+                          Matryoshka, PseudonymousSearcher, ResourceOwner,
+                          SearchIndex, friends_only_policy, rank_results)
 from repro.workloads import attach_trust, social_graph
 
 rng = random.Random(123)
@@ -60,8 +63,25 @@ def main() -> None:
         print(f"  {result.user:8s} score={result.score:.3f} "
               f"trust={result.trust:.3f} via {chain}")
 
-    print("\n== 4. dereferencing a result through the owner's guard ==")
+    print("\n== 4. the best match publishes handlers, not data ==")
     best = ranked[0].user
+    owner_data = DataOwner(best, policy=friends_only_policy({searcher}))
+    owner_data.register("birthday", b"26 October")
+    owner_data.register("phone", b"+90 555 0100", searchable=False)
+    directory = HandlerDirectory()
+    directory.publish(owner_data)
+    print(f"  the directory host learns only labels: "
+          f"{directory.directory_view()}")
+    handler = directory.search("birthday")[0]
+    birthday = owner_data.dereference(searcher, handler.label)
+    print(f"  {searcher}, on {best}'s approved list, dereferences "
+          f"{handler.label!r} -> {birthday.decode()!r}")
+    try:
+        owner_data.dereference("user199", handler.label)
+    except AccessDeniedError:
+        print(f"  user199 asks for it too -> {best} declines")
+
+    print("\n== 5. dereferencing a result through the owner's ZKP guard ==")
     owner = ResourceOwner(best, rng=rng)
     owner.publish(f"{best}/profile", b"full profile: football, Sundays")
     guard = AccessGuard(owner)

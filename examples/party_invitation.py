@@ -18,9 +18,9 @@ import random
 from repro.crypto.signatures import generate_schnorr_keypair
 from repro.crypto.symmetric import random_key
 from repro.exceptions import AccessDeniedError, IntegrityError
-from repro.integrity import (Timeline, TimelineView, create_post,
-                             open_envelope, seal, verify_comment,
-                             write_comment)
+from repro.integrity import (EntanglementGraph, Timeline, TimelineView,
+                             cite, create_post, open_envelope, seal,
+                             verify_comment, write_comment)
 
 rng = random.Random(2026)
 
@@ -68,6 +68,17 @@ def main() -> None:
     honest_view = TimelineView("bob", bob.public_key)
     show("full honest timeline",
          lambda: honest_view.accept_all(timeline.entries))
+
+    print("Alice's RSVP cites the move, entangling the two timelines:")
+    alice = Timeline("alice", generate_schnorr_keypair("TOY", rng))
+    alice.publish(b"see you at 8!", citations=[cite(timeline.entries[1])],
+                  rng=rng)
+    entangled = EntanglementGraph()
+    entangled.add_timeline(timeline.entries)
+    entangled.add_timeline(alice.entries)
+    print(f"  forged citations: {entangled.verify_citations() or 'none'}; "
+          "the move provably precedes the RSVP: "
+          f"{entangled.happened_before(('bob', 1), ('alice', 0))}")
 
     print("\n== Integrity of the data relations ==")
     to_carol = seal(bob, "bob", b"Carol, bring the cake!", issued_at=100.0,

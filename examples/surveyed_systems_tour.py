@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
 """A tour of the DOSNs the paper surveys, each doing its signature trick.
 
-Five named systems, five defining mechanisms:
+Seven named systems, seven defining mechanisms:
 
 * PeerSoN    — message a friend you are never online with;
 * Safebook   — fetch a profile whose owner is offline, anonymously;
 * Cachet     — hot content served from friends' caches, policy intact;
 * Supernova  — storekeepers picked by tracked uptime hold your data;
-* Diaspora   — post to an 'aspect'; removal rotates the key.
+* Diaspora   — post to an 'aspect'; removal rotates the key;
+* Cuckoo     — popular posts pushed to followers, the rest pulled;
+* Prpl       — a per-user butler federates that user's devices.
 
 Run:  python examples/surveyed_systems_tour.py
 """
 
-from repro.systems import (CachetNetwork, DiasporaNetwork, PeersonNetwork,
-                           SafebookNetwork, SupernovaNetwork)
+from repro.systems import (CachetNetwork, CuckooNetwork, DiasporaNetwork,
+                           PeersonNetwork, PrplNetwork, SafebookNetwork,
+                           SupernovaNetwork)
 from repro.workloads import social_graph
 
 
@@ -83,7 +86,10 @@ def diaspora() -> None:
     for i in range(12):
         net.register(f"d{i}")
     net.create_aspect("d0", "family", ["d1", "d2"])
-    old = net.post("d0", "family", "family-only news")
+    net.add_to_aspect("d0", "family", "d3")
+    net.post("d0", "family", "family-only news")
+    print(f"  d3, added to the aspect, reads it: "
+          f"{net.read('d3', net.post('d0', 'family', 'welcome d3'))!r}")
     net.remove_from_aspect("d0", "family", "d2")
     new = net.post("d0", "family", "d2 is out of the loop")
     print(f"  d1 reads the new post: {net.read('d1', new)!r}")
@@ -93,6 +99,46 @@ def diaspora() -> None:
         print(f"  d2 (removed) -> {type(exc).__name__}")
     print(f"  worst pod stores {net.worst_pod_content_fraction():.0%} of "
           "all ciphertexts; no pod reads any of them.")
+    users_seen = max(len(view["users"]) for view in net.pod_views().values())
+    print(f"  the busiest pod hosts {users_seen} of 12 accounts.\n")
+
+
+def cuckoo() -> None:
+    print("== Cuckoo: push to followers, pull from the DHT ==")
+    net = CuckooNetwork(seed=8)
+    for i in range(24):
+        net.register(f"c{i}")
+    for i in range(1, 9):
+        net.follow(f"c{i}", "c0")
+    net.go_offline("c8")                       # misses the push
+    post = net.post("c0", b"breaking news")
+    net.go_online("c8")
+    for reader in ("c1", "c8"):
+        _, path = net.read(reader, post)
+        print(f"  {reader} reads the post via {path}")
+    print(f"  push share of deliveries: {net.push_hit_rate():.0%}\n")
+
+
+def prpl() -> None:
+    print("== Prpl: a butler finds your data on whichever device holds it ==")
+    net = PrplNetwork(seed=9)
+    for i in range(16):
+        net.register(f"u{i}")
+    device = net.store("u0", "notes", b"trip notes")
+    content, hops = net.fetch("u5", "u0", "notes")
+    print(f"  u5 fetches u0's notes from {device} in {hops} hops: "
+          f"{content.decode()!r}")
+    net.device_offline(device)
+    try:
+        net.fetch("u5", "u0", "notes")
+    except Exception as exc:
+        print(f"  {device} runs out of battery -> {type(exc).__name__}")
+    net.butler_offline("u0")
+    try:
+        net.fetch("u5", "u0", "notes")
+    except Exception as exc:
+        print(f"  u0's butler stops -> {type(exc).__name__}: nothing of u0 "
+              "is findable")
 
 
 if __name__ == "__main__":
@@ -101,3 +147,5 @@ if __name__ == "__main__":
     cachet()
     supernova()
     diaspora()
+    cuckoo()
+    prpl()

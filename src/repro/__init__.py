@@ -19,7 +19,7 @@ Quick start::
 
     from repro.dosn import DosnNetwork
     net = DosnNetwork(architecture="dht", seed=7)
-    net.add_users(["alice", "bob"])
+    net.add_user("alice"); net.add_user("bob")
     net.befriend("alice", "bob")
     cid = net.post("alice", "hello distributed world!")
     print(net.feed("bob").items[0].post.text)

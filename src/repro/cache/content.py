@@ -163,15 +163,6 @@ class VerifiedContentCache:
         self._count("insertions")
         return entry
 
-    def invalidate(self, reader: str, cid: str) -> bool:
-        """Explicitly drop one reader's entry; returns whether it existed."""
-        lru = self._readers.get(reader)
-        if lru is None or lru.remove(cid) is None:
-            return False
-        self.invalidations += 1
-        self._count("invalidations")
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         total = sum(len(lru) for lru in self._readers.values())
         return (f"VerifiedContentCache(readers={len(self._readers)}, "

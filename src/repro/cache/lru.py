@@ -37,10 +37,6 @@ class LRUMap(Generic[K, V]):
             self._data.move_to_end(key)
         return value
 
-    def peek(self, key: K) -> Optional[V]:
-        """The value for ``key`` without touching recency."""
-        return self._data.get(key)
-
     def put(self, key: K, value: V) -> Optional[Tuple[K, V]]:
         """Insert/refresh an entry; returns the evicted ``(key, value)``.
 

@@ -7,20 +7,19 @@ the from-scratch :mod:`repro.crypto.sha256` by the test suite):
 ========================  ====================================================
 Module                    Primitive
 ========================  ====================================================
-:mod:`~.numbertheory`     primes, modular arithmetic, CRT, square roots
+:mod:`~.numbertheory`     primes, modular arithmetic, square roots
 :mod:`~.sha256`           SHA-256 from scratch
-:mod:`~.hashing`          HMAC, HKDF, hash-to-field, chain hashing
+:mod:`~.hashing`          HMAC, HKDF, hash-to-field, framed digests
 :mod:`~.merkle`           Merkle trees + inclusion proofs
 :mod:`~.aes`              AES block cipher (FIPS 197)
-:mod:`~.symmetric`        SHA-256-CTR AEADs; AES CBC/CTR modes, PKCS#7
+:mod:`~.symmetric`        SHA-256-CTR AEADs; AES-CTR reference
 :mod:`~.groups`           safe-prime Schnorr groups
 :mod:`~.rsa`              RSA-OAEP encryption + FDH signatures
-:mod:`~.elgamal`          ElGamal encryption (homomorphic)
-:mod:`~.dh`               Diffie–Hellman key agreement
-:mod:`~.signatures`       Schnorr + DSA signatures
+:mod:`~.elgamal`          ElGamal encryption
+:mod:`~.signatures`       Schnorr signatures
 :mod:`~.blind`            Chaum blind RSA signatures
-:mod:`~.prf`              HMAC-PRF, 2HashDH oblivious PRF
-:mod:`~.zkp`              Schnorr ZKP (interactive + NIZK), Chaum–Pedersen
+:mod:`~.prf`              2HashDH oblivious PRF
+:mod:`~.zkp`              Fiat–Shamir NIZK of a discrete log
 :mod:`~.pairing`          Type-1 Tate pairing on a supersingular curve
 :mod:`~.abe`              CP-ABE (Bethencourt–Sahai–Waters)
 :mod:`~.ibe`              Boneh–Franklin IBE

@@ -1,9 +1,9 @@
 """AES block cipher (FIPS 197) implemented from scratch.
 
-Supports 128/192/256-bit keys.  The S-box, its inverse and the forward
-T-tables are derived at import time from the finite-field definition rather
-than pasted as magic tables, so the implementation is auditable end-to-end;
-test vectors from FIPS 197 Appendix C pin the behaviour.
+Supports 128/192/256-bit keys.  The S-box and the forward T-tables are
+derived at import time from the finite-field definition rather than pasted
+as magic tables, so the implementation is auditable end-to-end; test
+vectors from FIPS 197 Appendix C pin the behaviour.
 
 This is the raw block primitive; modes of operation and authenticated
 encryption live in :mod:`repro.crypto.symmetric`.
@@ -12,8 +12,7 @@ encryption live in :mod:`repro.crypto.symmetric`.
 from __future__ import annotations
 
 import struct
-from functools import cached_property
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.exceptions import CryptoError, InvalidKeyError
 
@@ -56,13 +55,10 @@ def _build_sbox() -> tuple:
         for shift in (1, 2, 3, 4):
             s ^= ((inv << shift) | (inv >> (8 - shift))) & 0xFF
         sbox[value] = s ^ 0x63
-    inv_sbox = [0] * 256
-    for i, s in enumerate(sbox):
-        inv_sbox[s] = i
-    return tuple(sbox), tuple(inv_sbox)
+    return tuple(sbox)
 
 
-_SBOX, _INV_SBOX = _build_sbox()
+_SBOX = _build_sbox()
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36,
          0x6C, 0xD8, 0xAB, 0x4D)
 
@@ -72,12 +68,6 @@ _T0 = tuple(_gf_mul(s, 2) << 24 | s << 16 | s << 8 | _gf_mul(s, 3)
             for s in _SBOX)
 _T1, _T2, _T3 = (tuple((w >> r | w << 32 - r) & 0xFFFFFFFF for w in _T0)
                  for r in (8, 16, 24))
-
-# Precomputed GF multiplication tables for InvMixColumns speed.
-_MUL9 = tuple(_gf_mul(x, 9) for x in range(256))
-_MUL11 = tuple(_gf_mul(x, 11) for x in range(256))
-_MUL13 = tuple(_gf_mul(x, 13) for x in range(256))
-_MUL14 = tuple(_gf_mul(x, 14) for x in range(256))
 
 
 def _key_schedule(key: bytes, nk: int, rounds: int) -> Tuple[int, ...]:
@@ -109,48 +99,6 @@ class AES:
         self._rounds = {4: 10, 6: 12, 8: 14}[nk]
         self._enc_words = _key_schedule(key, nk, self._rounds)
 
-    @cached_property
-    def _round_keys(self) -> List[List[int]]:
-        """Per-round 16-byte keys (column-major state order), for the
-        byte-wise inverse cipher only: CTR mode never builds them."""
-        schedule = struct.pack(f">{len(self._enc_words)}I", *self._enc_words)
-        return [list(schedule[16 * r:16 * r + 16])
-                for r in range(self._rounds + 1)]
-
-    # State is a flat list of 16 bytes in column-major order, matching the
-    # byte order of the input block.
-
-    @staticmethod
-    def _add_round_key(state: List[int], rk: List[int]) -> None:
-        for i in range(16):
-            state[i] ^= rk[i]
-
-    @staticmethod
-    def _sub_bytes(state: List[int], box) -> None:
-        for i in range(16):
-            state[i] = box[state[i]]
-
-    @staticmethod
-    def _inv_shift_rows(state: List[int]) -> List[int]:
-        s = state
-        return [
-            s[0], s[13], s[10], s[7],
-            s[4], s[1], s[14], s[11],
-            s[8], s[5], s[2], s[15],
-            s[12], s[9], s[6], s[3],
-        ]
-
-    @staticmethod
-    def _inv_mix_columns(state: List[int]) -> List[int]:
-        out = [0] * 16
-        for c in range(4):
-            a0, a1, a2, a3 = state[4 * c:4 * c + 4]
-            out[4 * c + 0] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
-            out[4 * c + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
-            out[4 * c + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
-            out[4 * c + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]
-        return out
-
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt exactly one 16-byte block."""
         if len(block) != 16:
@@ -179,19 +127,3 @@ class AES:
              | S[s0 >> 8 & 255] << 8 | S[s1 & 255]) ^ rk[-2],
             (S[s3 >> 24] << 24 | S[s0 >> 16 & 255] << 16
              | S[s1 >> 8 & 255] << 8 | S[s2 & 255]) ^ rk[-1])
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt exactly one 16-byte block."""
-        if len(block) != 16:
-            raise CryptoError("AES blocks are exactly 16 bytes")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[self._rounds])
-        for rnd in range(self._rounds - 1, 0, -1):
-            state = self._inv_shift_rows(state)
-            self._sub_bytes(state, _INV_SBOX)
-            self._add_round_key(state, self._round_keys[rnd])
-            state = self._inv_mix_columns(state)
-        state = self._inv_shift_rows(state)
-        self._sub_bytes(state, _INV_SBOX)
-        self._add_round_key(state, self._round_keys[0])
-        return bytes(state)

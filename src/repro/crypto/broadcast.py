@@ -5,7 +5,7 @@ the ancestor of IBBE: "there exist a broadcast channel among the list of the
 recipients ... the broadcaster selects a group of identities in order to
 encrypt the messages for them".
 
-Two constructions, contrasted by experiment E3:
+Two constructions, one header-size trade-off:
 
 * :class:`NaiveBroadcast` — one key wrap per recipient; header grows as
   O(|S|) but joins/leaves are trivial.

@@ -3,10 +3,6 @@
 This is the textbook asymmetric scheme of Section III-C, used by the
 public-key access-control manager (:mod:`repro.acl.publickey_acl`): content
 keys are ElGamal-encrypted under the public key of every group member.
-
-The scheme is multiplicatively homomorphic — ``multiply_ciphertexts`` is
-exposed because the NOYB-style information-substitution scheme uses it to
-re-randomize dictionary indices without decrypting.
 """
 
 from __future__ import annotations
@@ -82,18 +78,6 @@ def decrypt_element(priv: ElGamalPrivateKey, ciphertext: Ciphertext) -> int:
         raise DecryptionError("ciphertext components outside the subgroup")
     shared = group.power(c1, priv.x)
     return group.mul(c2, group.inverse(shared))
-
-
-def multiply_ciphertexts(group: SchnorrGroup, a: Ciphertext,
-                         b: Ciphertext) -> Ciphertext:
-    """Homomorphic multiply: decrypts to the product of the two plaintexts."""
-    return (group.mul(a[0], b[0]), group.mul(a[1], b[1]))
-
-
-def rerandomize(pub: ElGamalPublicKey, ct: Ciphertext,
-                rng: Optional[_random.Random] = None) -> Ciphertext:
-    """Fresh randomness, same plaintext (multiply by an encryption of 1)."""
-    return multiply_ciphertexts(pub.group, ct, encrypt_element(pub, 1, rng))
 
 
 def encrypt_bytes(pub: ElGamalPublicKey, message: bytes,

@@ -1,9 +1,9 @@
 """Prime-order discrete-log groups over safe primes.
 
 A :class:`SchnorrGroup` is the order-``q`` subgroup of ``Z_p*`` for a safe
-prime ``p = 2q + 1``.  It backs Diffie–Hellman, ElGamal, Schnorr signatures,
-the 2HashDH OPRF, and the zero-knowledge proofs — everything in the survey
-that needs plain discrete logs rather than pairings.
+prime ``p = 2q + 1``.  It backs ElGamal, Schnorr signatures, the 2HashDH
+OPRF and the zero-knowledge proof — everything in the survey that needs
+plain discrete logs rather than pairings.
 """
 
 from __future__ import annotations

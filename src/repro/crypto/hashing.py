@@ -83,22 +83,3 @@ def hash_to_int(data: bytes, modulus: int, domain: bytes = b"") -> int:
             domain + counter.to_bytes(4, "big") + data).digest()
         counter += 1
     return int.from_bytes(out, "big") % modulus
-
-
-def hash_to_nonzero(data: bytes, modulus: int, domain: bytes = b"") -> int:
-    """Hash to an integer in ``[1, modulus)`` (never zero).
-
-    Used wherever a zero value would be degenerate, e.g. IBBE identity
-    hashes appearing in denominators.
-    """
-    value = hash_to_int(data, modulus - 1, domain)
-    return value + 1
-
-
-def chain_hash(previous: bytes, entry: bytes) -> bytes:
-    """One link of a hash chain: ``H(len(prev) || prev || len(e) || e)``.
-
-    The integrity layer (Section IV-B) builds provable partial orders out of
-    these links.
-    """
-    return digest_many([previous, entry])

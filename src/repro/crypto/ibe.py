@@ -5,9 +5,9 @@ keys can be any arbitrary string like email addresses. In such schemes,
 there is a trusted third party named Private Key Generator (PKG) that
 produces corresponding private keys."
 
-The PKG here is an explicit object (:class:`PrivateKeyGenerator`) because
-the DOSN layer models it as a (semi-)trusted service whose exposure is
-measured by the provider-exposure experiments.
+The PKG is an explicit object (:class:`PrivateKeyGenerator`) because it is
+the (semi-)trusted service the scheme rests on: it can extract every
+identity's key.
 """
 
 from __future__ import annotations

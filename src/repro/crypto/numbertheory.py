@@ -1,11 +1,11 @@
 """Number-theoretic primitives underpinning the crypto substrate.
 
 Everything here is implemented from scratch on Python integers: primality
-testing (deterministic small-prime sieve + Miller–Rabin), prime generation
-(random and safe primes), modular inverses (the built-in ``pow(a, -1, m)``),
-the extended Euclidean algorithm and the Chinese Remainder Theorem, Jacobi
-symbols and modular square roots (Tonelli–Shanks, with the fast
-``p % 4 == 3`` path used heavily by the pairing code).
+testing (deterministic small-prime sieve + Miller–Rabin), random prime
+generation, modular inverses (the built-in ``pow(a, -1, m)``), the extended
+Euclidean algorithm, Jacobi symbols and modular square roots
+(Tonelli–Shanks, with the fast ``p % 4 == 3`` path used heavily by the
+pairing code).
 
 All random choices flow through an injected :class:`random.Random` so callers
 (and tests) can be fully deterministic.
@@ -99,40 +99,6 @@ def generate_prime(bits: int, rng: Optional[_random.Random] = None) -> int:
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if is_probable_prime(candidate, rng=rng):
             return candidate
-
-
-def generate_safe_prime(bits: int, rng: Optional[_random.Random] = None) -> int:
-    """Generate a safe prime ``p = 2q + 1`` with ``q`` prime.
-
-    Safe primes give prime-order subgroups of index 2, which is what the
-    Diffie–Hellman, ElGamal and Schnorr implementations build on.
-    """
-    rng = rng or _DEFAULT_RNG
-    while True:
-        q = generate_prime(bits - 1, rng=rng)
-        p = 2 * q + 1
-        if is_probable_prime(p, rng=rng):
-            return p
-
-
-def crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
-    """Chinese Remainder Theorem for pairwise-coprime moduli.
-
-    Returns the unique ``x`` modulo the product of ``moduli`` with
-    ``x % moduli[i] == residues[i]`` for all ``i``.
-    """
-    if len(residues) != len(moduli):
-        raise CryptoError("CRT needs as many residues as moduli")
-    if not moduli:
-        raise CryptoError("CRT needs at least one congruence")
-    x, m = residues[0] % moduli[0], moduli[0]
-    for r_i, m_i in zip(residues[1:], moduli[1:]):
-        g, p, _ = egcd(m, m_i)
-        if g != 1:
-            raise CryptoError("CRT moduli must be pairwise coprime")
-        x = (x + (r_i - x) * p % m_i * m) % (m * m_i)
-        m *= m_i
-    return x % m
 
 
 def jacobi(a: int, n: int) -> int:

@@ -1,4 +1,4 @@
-"""Pseudorandom functions and the oblivious PRF (OPRF) protocol.
+"""The oblivious pseudorandom function (OPRF) protocol.
 
 Section III-F of the paper describes Hummingbird's hybrid scheme: "the
 symmetric key is derived by applying a combination of a PRF and a hash
@@ -6,12 +6,11 @@ function on a particular part of the message (hashtag). For the key
 dissemination an oblivious pseudo random function protocol must be followed
 between user and his friends."
 
-* :class:`PRF` — HMAC-SHA256 keyed function family.
-* The 2HashDH OPRF: ``F_s(x) = H2(x, H1(x)^s)`` over a Schnorr group.  The
-  receiver blinds ``H1(x)`` with a random exponent, the sender raises it to
-  the secret ``s``, the receiver unblinds — the sender never learns ``x``,
-  the receiver never learns ``s``.  Implemented as explicit message-passing
-  state machines so the DOSN layer can run it across simulated peers.
+The 2HashDH OPRF: ``F_s(x) = H2(x, H1(x)^s)`` over a Schnorr group.  The
+receiver blinds ``H1(x)`` with a random exponent, the sender raises it to
+the secret ``s``, the receiver unblinds — the sender never learns ``x``,
+the receiver never learns ``s``.  Implemented as explicit message-passing
+state machines so the DOSN layer can run it across simulated peers.
 """
 
 from __future__ import annotations
@@ -21,25 +20,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.crypto.groups import SchnorrGroup, group_for_level
-from repro.crypto.hashing import hkdf, hmac_sha256
+from repro.crypto.hashing import hkdf
 from repro.crypto.numbertheory import modinv
 from repro.exceptions import CryptoError
 
 _DEFAULT_RNG = _random.Random(0x0F4F)
-
-
-class PRF:
-    """An HMAC-SHA256 pseudorandom function family member ``f_s``."""
-
-    def __init__(self, secret: bytes) -> None:
-        if len(secret) < 16:
-            raise CryptoError("PRF secrets must be >= 16 bytes")
-        self._secret = secret
-
-    def evaluate(self, value: bytes, length: int = 32) -> bytes:
-        """``f_s(x)``, expanded to ``length`` bytes."""
-        return hkdf(hmac_sha256(self._secret, value), length,
-                    info=b"repro/prf/expand")
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,7 @@ from typing import Optional
 from repro.crypto.hashing import digest, hkdf
 from repro.crypto.numbertheory import (bytes_to_int, generate_prime,
                                        int_to_bytes, modinv)
-from repro.exceptions import (CryptoError, DecryptionError, InvalidKeyError,
-                              SignatureError)
+from repro.exceptions import CryptoError, DecryptionError, InvalidKeyError
 
 _DEFAULT_RNG = _random.Random(0x25A)
 
@@ -176,9 +175,3 @@ def verify(pub: RSAPublicKey, message: bytes, signature: bytes) -> bool:
         return False
     return pow(s, pub.e, pub.n) == _encode_digest_for_signing(message, pub.n)
 
-
-def verify_or_raise(pub: RSAPublicKey, message: bytes,
-                    signature: bytes) -> None:
-    """Like :func:`verify` but raises :class:`SignatureError` on failure."""
-    if not verify(pub, message, signature):
-        raise SignatureError("RSA signature verification failed")

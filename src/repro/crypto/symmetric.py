@@ -4,9 +4,8 @@ This is the "symmetric key encryption" row of Table I (Section III-B of the
 paper): the fast primitive that the hybrid schemes (Section III-F) wrap with
 public-key machinery.  Provided here:
 
-* PKCS#7 padding,
-* AES-CBC and AES-CTR over :class:`repro.crypto.aes.AES`, the FIPS-197
-  reference for Table I's cell, which no scheme runs (it is ~50x slower),
+* AES-CTR over :class:`repro.crypto.aes.AES`, the FIPS-197 reference for
+  Table I's cell, which no scheme runs (it is ~50x slower),
 * two encrypt-then-MAC AEADs over one SHA-256-CTR keystream, run through
   ``hashlib`` (:func:`_sha256_ctr`): :class:`AuthenticatedCipher` under
   every §III scheme and KEM, :class:`StreamCipher` under the DOSN facade.
@@ -34,60 +33,11 @@ def random_key(length: int = 32, rng: Optional[_random.Random] = None) -> bytes:
     return bytes(rng.getrandbits(8) for _ in range(length))
 
 
-def pkcs7_pad(data: bytes, block_size: int = 16) -> bytes:
-    """PKCS#7 padding up to a multiple of ``block_size``."""
-    if not 1 <= block_size <= 255:
-        raise CryptoError("block size must be in [1, 255]")
-    pad_len = block_size - len(data) % block_size
-    return data + bytes([pad_len]) * pad_len
-
-
-def pkcs7_unpad(data: bytes, block_size: int = 16) -> bytes:
-    """Remove PKCS#7 padding, validating every pad byte."""
-    if not data or len(data) % block_size:
-        raise DecryptionError("ciphertext length is not a padded multiple")
-    pad_len = data[-1]
-    if not 1 <= pad_len <= block_size:
-        raise DecryptionError("invalid padding length")
-    if data[-pad_len:] != bytes([pad_len]) * pad_len:
-        raise DecryptionError("invalid padding bytes")
-    return data[:-pad_len]
-
-
 def _xor(a: bytes, b: bytes) -> bytes:
     """Byte-wise XOR over the shorter length, as one big-integer XOR."""
     n = min(len(a), len(b))
     return (int.from_bytes(a[:n], "big")
             ^ int.from_bytes(b[:n], "big")).to_bytes(n, "big")
-
-
-def aes_cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
-    """AES-CBC with PKCS#7 padding; returns raw ciphertext (no IV prefix)."""
-    if len(iv) != 16:
-        raise CryptoError("CBC IV must be 16 bytes")
-    cipher = AES(key)
-    padded = pkcs7_pad(plaintext)
-    out = bytearray()
-    prev = iv
-    for i in range(0, len(padded), 16):
-        block = cipher.encrypt_block(_xor(padded[i:i + 16], prev))
-        out += block
-        prev = block
-    return bytes(out)
-
-
-def aes_cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
-    """Inverse of :func:`aes_cbc_encrypt`."""
-    if len(ciphertext) % 16:
-        raise DecryptionError("CBC ciphertext must be a multiple of 16 bytes")
-    cipher = AES(key)
-    out = bytearray()
-    prev = iv
-    for i in range(0, len(ciphertext), 16):
-        block = ciphertext[i:i + 16]
-        out += _xor(cipher.decrypt_block(block), prev)
-        prev = block
-    return pkcs7_unpad(bytes(out))
 
 
 def aes_ctr(key: bytes, nonce: bytes, data: bytes) -> bytes:

@@ -1,4 +1,4 @@
-"""Zero-knowledge proofs: Schnorr identification and NIZK variants.
+"""Zero-knowledge proofs: the Fiat–Shamir Schnorr proof of a discrete log.
 
 Section V-B of the paper: "Zero Knowledge Proof alongside using pseudonyms
 is another solution [for privacy of the searcher]. A user can use a
@@ -6,14 +6,9 @@ pseudonym while searching in the network, and when (s)he wants to reach a
 content belonging to another person, (s)he uses ZKP to prove having
 privileges to access."  (The Backes–Maffei–Pecina security API.)
 
-Provided:
-
-* interactive Schnorr proof of knowledge of a discrete log (three-move
-  sigma protocol as explicit commit/challenge/respond state machines);
-* the Fiat–Shamir non-interactive version (:func:`prove_dlog_nizk`), which
-  is what the pseudonymous search credentials use;
-* Chaum–Pedersen proof of discrete-log *equality* (used to show that a
-  pseudonym and a credential share the same secret without linking them).
+:func:`prove_dlog_nizk` proves knowledge of ``x`` for ``y = g^x`` without
+interaction; it is what the pseudonymous search credentials of
+:mod:`repro.search.zkp_access` present.
 """
 
 from __future__ import annotations
@@ -22,71 +17,11 @@ import random as _random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.crypto.groups import SchnorrGroup, group_for_level
+from repro.crypto.groups import SchnorrGroup
 from repro.crypto.hashing import hash_to_int
-from repro.exceptions import CryptoError
 
 _DEFAULT_RNG = _random.Random(0x2E9)
 
-
-# --------------------------------------------------------------------------
-# Interactive Schnorr sigma protocol
-# --------------------------------------------------------------------------
-
-@dataclass
-class ProverSession:
-    """Prover state across the three-move protocol for ``y = g^x``."""
-
-    group: SchnorrGroup
-    x: int
-    _k: Optional[int] = None
-
-    def commit(self, rng: Optional[_random.Random] = None) -> int:
-        """Move 1: send commitment ``t = g^k``."""
-        rng = rng or _DEFAULT_RNG
-        self._k = self.group.random_scalar(rng)
-        return self.group.exp(self._k)
-
-    def respond(self, challenge: int) -> int:
-        """Move 3: send response ``s = k + c*x mod q``."""
-        if self._k is None:
-            raise CryptoError("respond() called before commit()")
-        s = (self._k + challenge * self.x) % self.group.q
-        self._k = None  # never reuse a nonce
-        return s
-
-
-@dataclass
-class VerifierSession:
-    """Verifier state for the interactive proof of ``y = g^x``."""
-
-    group: SchnorrGroup
-    y: int
-    _t: Optional[int] = None
-    _c: Optional[int] = None
-
-    def challenge(self, commitment: int,
-                  rng: Optional[_random.Random] = None) -> int:
-        """Move 2: record the commitment and send a random challenge."""
-        if not self.group.contains(commitment):
-            raise CryptoError("commitment outside the subgroup")
-        rng = rng or _DEFAULT_RNG
-        self._t = commitment
-        self._c = rng.randrange(self.group.q)
-        return self._c
-
-    def check(self, response: int) -> bool:
-        """Final check: ``g^s == t * y^c``."""
-        if self._t is None or self._c is None:
-            raise CryptoError("check() called before challenge()")
-        lhs = self.group.exp(response)
-        rhs = self.group.mul(self._t, self.group.power(self.y, self._c))
-        return lhs == rhs
-
-
-# --------------------------------------------------------------------------
-# Non-interactive (Fiat–Shamir) proofs
-# --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DlogProof:
@@ -125,47 +60,3 @@ def verify_dlog_nizk(group: SchnorrGroup, y: int, proof: DlogProof,
     lhs = group.exp(proof.response)
     rhs = group.mul(proof.commitment, group.power(y, c))
     return lhs == rhs
-
-
-@dataclass(frozen=True)
-class EqualityProof:
-    """Chaum–Pedersen proof that ``log_g(y1) == log_h(y2)``."""
-
-    commitment_g: int
-    commitment_h: int
-    response: int
-
-
-def prove_dlog_equality(group: SchnorrGroup, x: int, h: int,
-                        context: bytes = b"",
-                        rng: Optional[_random.Random] = None) -> EqualityProof:
-    """Prove the same ``x`` underlies ``g^x`` and ``h^x`` (unlinkable creds)."""
-    if not group.contains(h):
-        raise CryptoError("second base outside the subgroup")
-    rng = rng or _DEFAULT_RNG
-    k = group.random_scalar(rng)
-    t1 = group.exp(k)
-    t2 = group.power(h, k)
-    width = (group.p.bit_length() + 7) // 8
-    data = b"".join(v.to_bytes(width, "big")
-                    for v in (group.exp(x), group.power(h, x), t1, t2))
-    c = hash_to_int(data + context, group.q, domain=b"repro/zkp/cp")
-    return EqualityProof(commitment_g=t1, commitment_h=t2,
-                         response=(k + c * x) % group.q)
-
-
-def verify_dlog_equality(group: SchnorrGroup, y1: int, h: int, y2: int,
-                         proof: EqualityProof, context: bytes = b"") -> bool:
-    """Verify a Chaum–Pedersen equality proof."""
-    if not (group.contains(proof.commitment_g)
-            and group.contains(proof.commitment_h)):
-        return False
-    width = (group.p.bit_length() + 7) // 8
-    data = b"".join(v.to_bytes(width, "big")
-                    for v in (y1, y2, proof.commitment_g, proof.commitment_h))
-    c = hash_to_int(data + context, group.q, domain=b"repro/zkp/cp")
-    ok_g = (group.exp(proof.response)
-            == group.mul(proof.commitment_g, group.power(y1, c)))
-    ok_h = (group.power(h, proof.response)
-            == group.mul(proof.commitment_h, group.power(y2, c)))
-    return ok_g and ok_h

@@ -7,7 +7,7 @@ surveys.  Entry point: :class:`repro.dosn.api.DosnNetwork`.
 """
 
 from repro.dosn.api import ARCHITECTURES, DosnConfig, DosnNetwork
-from repro.dosn.content import Post, Profile, ProfileField, content_id
+from repro.dosn.content import content_id
 from repro.dosn.feed import FeedItem, FeedReport, assemble_feed
 from repro.dosn.identity import Identity, KeyRegistry, create_identity
 from repro.dosn.provider import CentralProvider, ExposureReport
@@ -20,7 +20,7 @@ __all__ = [
     "DosnUser",
     "ExposureReport", "FeedItem", "FeedReport", "FetchedBlob", "Identity",
     "KeyRegistry",
-    "Post", "Profile", "ProfileField", "READ_SOURCES", "ReadResult",
+    "READ_SOURCES", "ReadResult",
     "StorageBackend", "VerifiedPost", "assemble_feed",
     "content_id", "create_identity",
 ]

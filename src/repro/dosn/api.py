@@ -21,10 +21,7 @@ Configuration beyond ``architecture``/``seed`` lives in the keyword-only
     net = DosnNetwork(config=DosnConfig(architecture="dht", seed=7,
                                         replication=3, tracing=True))
 
-(The loose ``encrypt_content=``/``replication=``/
-``federation_pods=`` constructor kwargs, deprecated for one release, are
-gone — ``config=DosnConfig(...)`` is the only spelling.)  With
-``tracing=True`` every ``post``/``read``/``feed``/``befriend`` opens a
+With ``tracing=True`` every ``post``/``read``/``feed``/``befriend`` opens a
 span on the fabric tracer, nesting the overlay, storage and crypto spans
 beneath it — experiment E13 builds its cost-breakdown tables from exactly
 this tree.
@@ -394,10 +391,6 @@ class DosnNetwork:
             self.federation.register_user(name)
         return user
 
-    def add_users(self, names: Sequence[str]) -> List[DosnUser]:
-        """Bulk user creation."""
-        return [self.add_user(name) for name in names]
-
     def befriend(self, a: str, b: str) -> None:
         """Create a mutual friendship (keys exchanged out-of-band).
 
@@ -504,18 +497,6 @@ class DosnNetwork:
                 self.cache.insert(reader, author, cid, item.result, view,
                                   version=fetched.version)
             return result
-
-    def prefetch(self, reader: str) -> int:
-        """Warm ``reader``'s cache with their friends' newest posts.
-
-        Returns how many posts were fetched, verified and cached; always
-        0 when the network runs without a prefetcher
-        (``DosnConfig.cache`` unset, or capacity 0).
-        """
-        if self.prefetcher is None:
-            return 0
-        self._ensure_routing()
-        return self.prefetcher.warm(reader, self.users[reader].friends)
 
     def feed(self, reader: str,
              limit_per_friend: Optional[int] = None) -> FeedReport:

@@ -1,4 +1,4 @@
-"""Content objects: posts, comments, profiles, and content addressing.
+"""Content addressing: the ids posts are stored and fetched under.
 
 The storage layer is content-addressed (ids are digests of canonical
 encodings) so any replica or provider returning a blob can be checked
@@ -8,11 +8,7 @@ all, complementing the signatures from Section IV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
-
-from repro.crypto.hashing import digest_many, hexdigest
-from repro.exceptions import IntegrityError
+from repro.crypto.hashing import digest_many
 
 
 def content_id(author: str, kind: str, payload: bytes,
@@ -21,72 +17,3 @@ def content_id(author: str, kind: str, payload: bytes,
     raw = digest_many([b"repro/content", author.encode(), kind.encode(),
                        payload, sequence.to_bytes(8, "big")])
     return raw.hex()[:32]
-
-
-@dataclass(frozen=True)
-class Post:
-    """A wall post (plaintext form, before ACL encryption)."""
-
-    author: str
-    sequence: int
-    text: str
-    tags: Tuple[str, ...] = ()
-    audience: str = "friends"   # the owner's group this is shared with
-
-    def encode(self) -> bytes:
-        """Canonical byte encoding (what gets encrypted and signed)."""
-        return digest_many([
-            b"repro/post", self.author.encode(),
-            self.sequence.to_bytes(8, "big"), self.text.encode(),
-            *(t.encode() for t in self.tags), self.audience.encode(),
-        ]) + self.text.encode()
-
-    @property
-    def content_id(self) -> str:
-        """The post's content address."""
-        return content_id(self.author, "post", self.text.encode(),
-                          self.sequence)
-
-
-@dataclass(frozen=True)
-class ProfileField:
-    """One profile attribute with its visibility class."""
-
-    name: str
-    value: str
-    visibility: str = "friends"  # "public" | "friends" | group name
-
-
-@dataclass
-class Profile:
-    """A user profile: named fields with per-field visibility."""
-
-    owner: str
-    fields: Dict[str, ProfileField] = field(default_factory=dict)
-
-    def set(self, name: str, value: str,
-            visibility: str = "friends") -> ProfileField:
-        """Set/replace a field."""
-        entry = ProfileField(name=name, value=value, visibility=visibility)
-        self.fields[name] = entry
-        return entry
-
-    def visible_to(self, visibility_classes: Tuple[str, ...]
-                   ) -> Dict[str, str]:
-        """Fields whose visibility is in the given classes."""
-        return {f.name: f.value for f in self.fields.values()
-                if f.visibility in visibility_classes}
-
-    def public_view(self) -> Dict[str, str]:
-        """What strangers (and providers, absent encryption) see."""
-        return self.visible_to(("public",))
-
-
-def verify_content_address(expected_id: str, author: str, kind: str,
-                           payload: bytes, sequence: int) -> None:
-    """Check a retrieved blob against the address it was fetched under."""
-    actual = content_id(author, kind, payload, sequence)
-    if actual != expected_id:
-        raise IntegrityError(
-            f"content address mismatch: requested {expected_id}, "
-            f"blob hashes to {actual} (replica served tampered data)")

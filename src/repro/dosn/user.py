@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.crypto.hashing import digest_many
 from repro.crypto.signatures import SchnorrPublicKey
 from repro.crypto.symmetric import StreamCipher, random_key
-from repro.dosn.content import Post, Profile, content_id
+from repro.dosn.content import content_id
 from repro.dosn.identity import Identity, KeyRegistry, create_identity
 from repro.exceptions import (AccessDeniedError, DecryptionError,
                               IntegrityError)
@@ -86,7 +86,6 @@ class DosnUser:
         self.encrypt_content = encrypt_content
         self.friends: Set[str] = set()
         self.timeline = Timeline(name, self.identity.signer)
-        self.profile = Profile(owner=name)
         #: this user's friend-group key (symmetric-ACL style)
         self.group_key: bytes = random_key(32, self.rng)
         #: keys received from friends: author -> their group key
@@ -182,18 +181,6 @@ class DosnUser:
             span.add_cost(_crypto_cost("encrypt", len(document)))
             return StreamCipher(self.group_key).encrypt(document,
                                                         rng=self.rng)
-
-    def compose_post(self, text: str,
-                     tags: Sequence[str] = ()) -> Tuple[str, bytes]:
-        """Build, sign, chain and (maybe) encrypt a post.
-
-        Returns ``(content_id, blob)``; the caller (usually
-        :class:`~repro.dosn.api.DosnNetwork`) stores the blob.  This is
-        :meth:`seal_post` + :meth:`protect_document` composed, for call
-        sites that do not run a full stack.
-        """
-        cid, document = self.seal_post(text, tags)
-        return cid, self.protect_document(document)
 
     # -- reading --------------------------------------------------------------------
 
@@ -306,22 +293,3 @@ class DosnUser:
                 seen.add(cid)
                 cids.append(cid)
         return cids
-
-    # -- revocation (symmetric-ACL semantics, Section III-B) ------------------------
-
-    def rotate_group_key(self, except_friends: Sequence[str] = ()) -> None:
-        """Rekey the friend group, excluding some (revoked) friends.
-
-        Future posts use the new key; the paper's caveat about already-
-        decrypted copies applies and is tested explicitly.
-        """
-        self.group_key = random_key(32, self.rng)
-        for friend_name in except_friends:
-            self.friends.discard(friend_name)
-
-    def redistribute_key(self, friends: Dict[str, "DosnUser"]) -> None:
-        """Hand the current group key to every remaining friend."""
-        for name in self.friends:
-            user = friends.get(name)
-            if user is not None:
-                user.friend_keys[self.name] = self.group_key

@@ -60,8 +60,10 @@ class LossBurst:
     start: float = 0.0
     end: float = math.inf
     peers: Optional[FrozenSet[str]] = None
+    #: the materialized ``(start, end)`` burst windows, in time order
+    windows: List[Tuple[float, float]] = field(default_factory=list,
+                                               repr=False)
     _starts: List[float] = field(default_factory=list, repr=False)
-    _ends: List[float] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
@@ -70,13 +72,13 @@ class LossBurst:
 
     def bind(self, seed: int, index: int, horizon: float) -> None:
         rng = _fault_rng(seed, f"burst/{index}")
-        self._starts, self._ends = [], []
+        self.windows, self._starts = [], []
         t = self.start + rng.expovariate(1.0 / self.mean_gap)
         limit = min(self.end, horizon)
         while t < limit:
             burst = rng.expovariate(1.0 / self.mean_burst)
+            self.windows.append((t, min(t + burst, limit)))
             self._starts.append(t)
-            self._ends.append(min(t + burst, limit))
             t += burst + rng.expovariate(1.0 / self.mean_gap)
 
     def _touches(self, src: str, dst: str) -> bool:
@@ -86,13 +88,9 @@ class LossBurst:
         if not self._touches(src, dst):
             return 0.0
         i = bisect_right(self._starts, t) - 1
-        if i >= 0 and t < self._ends[i]:
+        if i >= 0 and t < self.windows[i][1]:
             return self.rate
         return 0.0
-
-    def bursts(self) -> List[Tuple[float, float]]:
-        """The materialized burst windows (for tests and reports)."""
-        return list(zip(self._starts, self._ends))
 
 
 @dataclass

@@ -93,20 +93,13 @@ class CircuitBreaker:
     #: destinations with a half-open probe currently in flight
     _probing: Set[str] = field(default_factory=set, repr=False)
 
-    def _may_call(self, dst: str, now: float) -> bool:
-        """Pure admission check — no probe slot is claimed."""
-        opened = self._opened_at.get(dst)
-        if opened is None:
-            return True
-        return now - opened >= self.cooldown and dst not in self._probing
-
     def allow(self, dst: str, now: float) -> bool:
         """Whether a call to ``dst`` may proceed at virtual time ``now``.
 
         An allowed call against an open-but-cooled-down destination
         *claims* the single half-open probe slot; the caller must report
         back via :meth:`record_success` / :meth:`record_failure` to
-        release it.  Use :meth:`is_open` to inspect without claiming.
+        release it.
         """
         opened = self._opened_at.get(dst)
         if opened is None:
@@ -115,10 +108,6 @@ class CircuitBreaker:
             self._probing.add(dst)  # the one half-open probe
             return True
         return False
-
-    def is_open(self, dst: str, now: float) -> bool:
-        """Whether the breaker is holding calls to ``dst`` back."""
-        return not self._may_call(dst, now)
 
     def record_success(self, dst: str) -> None:
         """A call to ``dst`` succeeded: close the breaker."""

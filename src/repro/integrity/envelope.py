@@ -73,6 +73,13 @@ def seal(signer: SchnorrSigner, sender: str, body: bytes,
         signature=signer.sign(payload, rng=rng))
 
 
+def tampered_with(envelope: MessageEnvelope,
+                  sender_key: SchnorrPublicKey) -> bool:
+    """Pure predicate: does the signature fail (any field modified)?"""
+    return not sender_key.verify(envelope.canonical_bytes(),
+                                 envelope.signature)
+
+
 def open_envelope(envelope: MessageEnvelope, sender_key: SchnorrPublicKey,
                   expected_recipient: Optional[str] = None,
                   now: Optional[float] = None) -> bytes:
@@ -86,7 +93,7 @@ def open_envelope(envelope: MessageEnvelope, sender_key: SchnorrPublicKey,
       recipient binding;
     * historical integrity (freshness) — ``now`` past ``expires_at``.
     """
-    if not sender_key.verify(envelope.canonical_bytes(), envelope.signature):
+    if tampered_with(envelope, sender_key):
         raise IntegrityError(
             "owner/content integrity violated: signature does not verify "
             f"under {envelope.sender!r}'s key")
@@ -101,10 +108,3 @@ def open_envelope(envelope: MessageEnvelope, sender_key: SchnorrPublicKey,
             f"historical integrity violated: expired at "
             f"{envelope.expires_at}, now {now}")
     return envelope.body
-
-
-def tampered_with(envelope: MessageEnvelope,
-                  sender_key: SchnorrPublicKey) -> bool:
-    """Pure predicate: does the signature fail (any field modified)?"""
-    return not sender_key.verify(envelope.canonical_bytes(),
-                                 envelope.signature)

@@ -20,7 +20,7 @@ import random as _random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import chain_hash, digest, digest_many
+from repro.crypto.hashing import digest, digest_many
 from repro.crypto.signatures import SchnorrPublicKey, SchnorrSigner
 from repro.exceptions import IntegrityError
 

@@ -96,13 +96,6 @@ class ObjectHistory:
         self._tree.append(op.encode())
         return self.version
 
-    def root_at(self, version: int) -> bytes:
-        """Recompute the root as of an earlier version (for view checks)."""
-        if not 0 <= version <= self.version:
-            raise IntegrityError(f"no version {version}")
-        return MerkleTree([op.encode()
-                           for op in self.operations[:version]]).root()
-
     def prove_operation(self, index: int) -> MerkleProof:
         """O(log n) membership proof for the op at ``index``."""
         return self._tree.prove(index)

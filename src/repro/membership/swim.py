@@ -184,13 +184,6 @@ class MemberView:
         """Peers this view has confirmed dead (registration order)."""
         return self.membership.in_rank_order(self.dead)
 
-    def confirm_bound(self, peer: str) -> float:
-        """Silence (seconds) at which ``peer`` would be confirmed dead."""
-        record = self.records.get(peer)
-        if record is None:
-            raise OverlayError(f"{self.owner!r} has no record of {peer!r}")
-        return record.estimator.silence_bound(CONFIRM_PHI)
-
     # -- state transitions -----------------------------------------------------
 
     def set_state(self, peer: str, state: str) -> None:
@@ -397,10 +390,6 @@ class SwimMembership:
     def confirmed_dead(self, peer: str) -> bool:
         """Whether *any* view currently holds ``peer`` confirmed dead."""
         return peer in self._dead
-
-    def alive_members(self) -> List[str]:
-        """Members not administratively confirmed dead."""
-        return [m for m in self._members if m not in self._dead]
 
     def on_confirm(self, callback: Callable[[str, float], None]) -> None:
         """Subscribe to cluster-first death confirmations.

@@ -33,19 +33,6 @@ def _peer_rng(seed: int, peer: str) -> _random.Random:
 
 
 @dataclass
-class AlwaysOn:
-    """The degenerate no-churn model (the centralized-provider assumption)."""
-
-    def online_at(self, peer: str, t: float) -> bool:
-        """Always True."""
-        return True
-
-    def uptime_fraction(self, peer: str) -> float:
-        """Always 1.0."""
-        return 1.0
-
-
-@dataclass
 class ExponentialOnOff:
     """Alternating exponential on/off sessions (classic P2P churn).
 
@@ -63,8 +50,9 @@ class ExponentialOnOff:
         default_factory=dict, repr=False)
     _starts: Dict[str, List[float]] = field(default_factory=dict, repr=False)
 
-    def _schedule(self, peer: str) -> List[Tuple[float, float]]:
-        """The peer's (start, end) online intervals up to the horizon."""
+    def schedule(self, peer: str) -> List[Tuple[float, float]]:
+        """The peer's (start, end) online sessions up to the horizon
+        (materialized once per peer; the list is shared, do not mutate)."""
         cached = self._schedules.get(peer)
         if cached is not None:
             return cached
@@ -90,18 +78,14 @@ class ExponentialOnOff:
         """
         if not 0 <= t <= self.horizon:
             raise SimulationError(f"time {t} outside churn horizon")
-        intervals = self._schedule(peer)
+        intervals = self.schedule(peer)
         i = bisect_right(self._starts[peer], t) - 1
         return i >= 0 and t < intervals[i][1]
 
     def uptime_fraction(self, peer: str) -> float:
         """Measured online share over the horizon."""
-        total = sum(end - start for start, end in self._schedule(peer))
+        total = sum(end - start for start, end in self.schedule(peer))
         return total / self.horizon
-
-    def sessions(self, peer: str) -> List[Tuple[float, float]]:
-        """The raw session intervals (for session-length statistics)."""
-        return list(self._schedule(peer))
 
 
 @dataclass

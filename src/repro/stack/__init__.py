@@ -22,7 +22,8 @@ Quick tour::
 
     store = {}
     stack = ProtectionStack([
-        AclLayer.from_scheme(scheme, "friends", spec=SPEC.layers[0]),
+        AclLayer(post=lambda i: scheme.publish("friends", i.cid, i.payload),
+                 spec=SPEC.layers[0]),
         PlacementLayer(post=lambda i: store.__setitem__(i.cid, i.payload),
                        read=lambda i: i.meta.update(rec=store[i.cid]),
                        spec=SPEC.layers[1]),

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from repro.exceptions import AccessDeniedError, ReproError
+from repro.exceptions import ReproError
 from repro.obs.trace import NOOP_TRACER
 from repro.stack.spec import LAYER_KINDS, LayerSpec, SystemSpec
 
@@ -67,8 +67,8 @@ class Layer:
 
     Systems express their genuinely unique behavior as the hooks; the
     layer contributes the uniform parts — its declared
-    :class:`~repro.stack.spec.LayerSpec` (capabilities for the Table I
-    generator), optional tracer span names, and metrics accounting.
+    :class:`~repro.stack.spec.LayerSpec` (checked against the system's
+    spec), optional tracer span names, and metrics accounting.
     ``span_post``/``span_read`` default to ``None`` (no span) so call
     sites with committed trace baselines keep their exact span trees.
     """
@@ -91,11 +91,6 @@ class Layer:
         self.span_post = span_post
         self.span_read = span_read
         self.span_attrs = dict(span_attrs or {})
-
-    @property
-    def table1_rows(self) -> Tuple[str, ...]:
-        """Table I rows this layer instantiates (from its spec)."""
-        return self.spec.table1_rows if self.spec is not None else ()
 
     def on_post(self, item: ContentItem) -> None:
         """Write-path transformation (no-op when no hook was given)."""
@@ -122,48 +117,11 @@ class AclLayer(Layer):
 
     kind = "acl"
 
-    @classmethod
-    def from_scheme(cls, scheme, group: str, **kwargs) -> "AclLayer":
-        """Wrap any :class:`~repro.acl.base.AccessControlScheme`.
-
-        The scheme keeps custody of its ciphertext records (they are
-        scheme-specific objects, not bytes), so the layer stores under
-        the item's content id and reads back as ``item.reader`` — the
-        scheme's own cryptography enforces membership, exactly as in
-        experiment E3.  This is the one-edit plug-in point: any scheme
-        in ``repro.acl.SCHEME_REGISTRY`` becomes a stack layer here.
-        """
-
-        def protect(item: ContentItem) -> None:
-            scheme.publish(group, item.cid, item.payload)
-            item.meta["acl_scheme"] = scheme.scheme_name
-
-        def unprotect(item: ContentItem) -> None:
-            if item.reader is None:
-                raise AccessDeniedError("read without a reader identity")
-            item.payload = scheme.read(group, item.cid, item.reader)
-
-        kwargs.setdefault("mechanism", scheme.scheme_name)
-        return cls(post=protect, read=unprotect, **kwargs)
-
 
 class PlacementLayer(Layer):
     """Where (cipher)text physically lives: backend/overlay/mirrors."""
 
     kind = "placement"
-
-    @classmethod
-    def from_backend(cls, backend, **kwargs) -> "PlacementLayer":
-        """Wrap a :class:`~repro.dosn.storage.StorageBackend`."""
-
-        def store(item: ContentItem) -> None:
-            backend.put(item.author, item.cid, item.payload,
-                        recipients=list(item.recipients))
-
-        def retrieve(item: ContentItem) -> None:
-            item.payload = backend.get(item.reader, item.cid)
-
-        return cls(post=store, read=retrieve, **kwargs)
 
 
 class IndexLayer(Layer):
@@ -257,24 +215,6 @@ class ProtectionStack:
             if layer.kind == kind:
                 return layer
         raise ReproError(f"stack {self.name!r} has no {kind!r} layer")
-
-    def has_layer(self, kind: str) -> bool:
-        """Whether any layer of ``kind`` is installed."""
-        return any(layer.kind == kind for layer in self.layers)
-
-    def capabilities(self) -> Tuple[str, ...]:
-        """Table I rows instantiated by this stack, in layer order."""
-        rows: List[str] = []
-        for layer in self.layers:
-            for row in layer.table1_rows:
-                if row not in rows:
-                    rows.append(row)
-        return tuple(rows)
-
-    def describe(self) -> List[Tuple[str, str, str]]:
-        """(kind, mechanism, rows) rows for docs and debugging."""
-        return [(layer.kind, layer.mechanism,
-                 ", ".join(layer.table1_rows)) for layer in self.layers]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kinds = "+".join(layer.kind for layer in self.layers)

@@ -4,14 +4,11 @@ Substitutes for the proprietary OSN data the surveyed systems were
 evaluated on; see DESIGN.md's substitution table.
 """
 
-from repro.workloads.graphs import (attach_trust, degree_popularity,
-                                    social_graph)
-from repro.workloads.traces import (PostEvent, ReadEvent, generate_posts,
-                                    generate_reads, generate_text,
-                                    popularity_histogram, zipf_choice)
+from repro.workloads.graphs import attach_trust, social_graph
+from repro.workloads.traces import (PostEvent, generate_posts,
+                                    generate_text, zipf_choice)
 
 __all__ = [
-    "PostEvent", "ReadEvent", "attach_trust", "degree_popularity",
-    "generate_posts", "generate_reads", "generate_text",
-    "popularity_histogram", "social_graph", "zipf_choice",
+    "PostEvent", "attach_trust", "generate_posts", "generate_text",
+    "social_graph", "zipf_choice",
 ]

@@ -11,7 +11,6 @@ and can attach per-edge trust weights for the Section V-D experiments.
 from __future__ import annotations
 
 import random as _random
-from typing import Dict, Optional
 
 import networkx as nx
 
@@ -59,9 +58,3 @@ def attach_trust(graph: nx.Graph, seed: int = 0, low: float = 0.3,
     for a, b in graph.edges:
         graph[a][b]["trust"] = rng.uniform(low, high)
     return graph
-
-
-def degree_popularity(graph: nx.Graph) -> Dict[str, float]:
-    """Degree-normalized popularity scores (the trust-ranking signal)."""
-    max_degree = max((graph.degree(n) for n in graph), default=1) or 1
-    return {str(n): graph.degree(n) / max_degree for n in graph}

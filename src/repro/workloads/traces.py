@@ -1,11 +1,12 @@
-"""Activity traces: who posts/reads what, when.
+"""Activity traces: who posts what, when, and which items are popular.
 
 Synthetic stand-ins for the production traces the surveyed systems were
 evaluated on.  Two well-established empirical regularities are modelled,
 because the experiments' conclusions depend on them:
 
-* **Zipfian content popularity** — a few posts attract most reads (drives
-  the hybrid overlay's cache-hit results, experiment E5);
+* **Zipfian content popularity** — a few items attract most reads
+  (:func:`zipf_choice` drives the hybrid overlay's cache-hit results,
+  experiment E5);
 * **heavy-tailed user activity** — post counts proportional to degree
   (high-degree users post and are read more).
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import networkx as nx
 
@@ -40,15 +41,6 @@ class PostEvent:
     author: str
     text: str
     tags: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ReadEvent:
-    """One read: ``reader`` fetches the post at ``post_index``."""
-
-    time: float
-    reader: str
-    post_index: int
 
 
 def zipf_choice(rng: _random.Random, n: int, exponent: float = 1.0) -> int:
@@ -86,37 +78,3 @@ def generate_posts(graph: nx.Graph, count: int, seed: int = 0,
             text=generate_text(rng), tags=tags))
     events.sort(key=lambda e: e.time)
     return events
-
-
-def generate_reads(posts: Sequence[PostEvent], graph: nx.Graph, count: int,
-                   seed: int = 0, zipf_exponent: float = 1.0,
-                   duration: float = 86400.0) -> List[ReadEvent]:
-    """``count`` reads with Zipfian post popularity.
-
-    Readers are drawn uniformly; each read targets a post chosen by
-    popularity rank (rank order is a seed-fixed shuffle so "hot" posts are
-    arbitrary, not simply the oldest).
-    """
-    if not posts:
-        raise ReproError("need posts before generating reads")
-    rng = _random.Random(seed + 1)
-    users = sorted(str(n) for n in graph.nodes)
-    rank_to_post = list(range(len(posts)))
-    rng.shuffle(rank_to_post)
-    events = []
-    for _ in range(count):
-        rank = zipf_choice(rng, len(posts), zipf_exponent)
-        events.append(ReadEvent(
-            time=rng.uniform(0, duration), reader=rng.choice(users),
-            post_index=rank_to_post[rank]))
-    events.sort(key=lambda e: e.time)
-    return events
-
-
-def popularity_histogram(reads: Sequence[ReadEvent],
-                         post_count: int) -> List[int]:
-    """Reads per post index (the Zipf curve, for workload validation)."""
-    histogram = [0] * post_count
-    for event in reads:
-        histogram[event.post_index] += 1
-    return histogram

@@ -74,19 +74,13 @@ class TestPrefetch:
         net = cached_net()
         net.post("bob", "b1")
         net.post("carol", "c1")
-        warmed = net.prefetch("alice")
+        warmed = net.prefetcher.warm("alice", net.users["alice"].friends)
         assert warmed == 2
         before = net.network.stats.messages
         feed = net.feed("alice")
         assert feed.clean
         assert net.network.stats.messages == before
         assert all(item.result.source == "cache" for item in feed.items)
-
-    def test_prefetch_noop_without_prefetcher(self):
-        net = cached_net(cache=CacheConfig(capacity_per_reader=0))
-        net.post("bob", "b1")
-        assert net.prefetcher is None
-        assert net.prefetch("alice") == 0
 
 
 class TestConfigSurface:

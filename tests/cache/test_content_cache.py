@@ -114,14 +114,6 @@ class TestReaderIsolationAndCapacity:
         assert not cache.contains("bob", "c1")
         assert cache.evictions == 1
 
-    def test_invalidate_drops_one_readers_entry(self, cache):
-        seeded(cache, reader="bob")
-        seeded(cache, reader="carol")
-        assert cache.invalidate("bob", "c1") is True
-        assert cache.invalidate("bob", "c1") is False
-        assert cache.contains("carol", "c1")
-        assert cache.invalidations == 1
-
 
 class TestMetricsMirror:
     def test_counters_mirrored_into_registry(self):

@@ -38,13 +38,6 @@ class TestLRUMap:
         assert lru.put("c", 3) == ("b", 2)
         assert "a" in lru
 
-    def test_peek_does_not_refresh_recency(self):
-        lru = LRUMap(2)
-        lru.put("a", 1)
-        lru.put("b", 2)
-        assert lru.peek("a") == 1
-        assert lru.put("c", 3) == ("a", 1)
-
     def test_put_existing_key_refreshes_without_evicting(self):
         lru = LRUMap(2)
         lru.put("a", 1)

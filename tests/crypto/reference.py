@@ -15,7 +15,7 @@ digest stays byte-identical.  Nothing under ``src/`` may import this module
 from typing import List, Sequence
 
 from repro.crypto import numbertheory as nt
-from repro.crypto.aes import _RCON, _SBOX, AES, _gf_mul
+from repro.crypto.aes import _RCON, _SBOX, _gf_mul
 from repro.crypto.pairing import (Fp2, G1Element, GTElement, PairingGroup,
                                   _Point, _point_add, _point_neg)
 from repro.exceptions import CryptoError
@@ -184,19 +184,29 @@ def _mix_columns(state: List[int]) -> List[int]:
     return out
 
 
+def _add_round_key(state: List[int], rk: List[int]) -> None:
+    for i in range(16):
+        state[i] ^= rk[i]
+
+
+def _sub_bytes(state: List[int]) -> None:
+    for i in range(16):
+        state[i] = _SBOX[state[i]]
+
+
 def encrypt_block(key: bytes, block: bytes) -> bytes:
     """FIPS-197 forward rounds on a 16-byte list, one step at a time, under
     the list-based key schedule."""
     round_keys = expand_key(key)
     rounds = len(round_keys) - 1
     state = list(block)
-    AES._add_round_key(state, round_keys[0])
+    _add_round_key(state, round_keys[0])
     for rnd in range(1, rounds):
-        AES._sub_bytes(state, _SBOX)
+        _sub_bytes(state)
         state = _shift_rows(state)
         state = _mix_columns(state)
-        AES._add_round_key(state, round_keys[rnd])
-    AES._sub_bytes(state, _SBOX)
+        _add_round_key(state, round_keys[rnd])
+    _sub_bytes(state)
     state = _shift_rows(state)
-    AES._add_round_key(state, round_keys[rounds])
+    _add_round_key(state, round_keys[rounds])
     return bytes(state)

@@ -200,7 +200,7 @@ class TestExhaustiveTinyCurves:
                         == ref.pair_product(group, num, den)), (P, Q)
                 assert (group.pair_product([], [(P, Q)])
                         == ref.pair_product(group, [], [(P, Q)])), (P, Q)
-        assert group.pair_product([]).is_one()
+        assert group.pair_product([]) == group.one_gt()
 
 
 @pytest.mark.parametrize("level", LEVELS)
@@ -457,7 +457,6 @@ class TestAES:
         words = cipher._enc_words
         assert len(words) == 4 * len(listed)
         assert struct.pack(f">{len(words)}I", *words) == bytes(sum(listed, []))
-        assert cipher._round_keys == listed       # the inverse cipher's view
 
     @pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 1000])
     def test_ctr_over_the_reference_block_cipher(self, length):

@@ -38,11 +38,6 @@ class TestPrimality:
         with pytest.raises(CryptoError):
             nt.generate_prime(1)
 
-    def test_safe_prime_structure(self):
-        p = nt.generate_safe_prime(24, rng=random.Random(1))
-        assert nt.is_probable_prime(p)
-        assert nt.is_probable_prime((p - 1) // 2)
-
 
 class TestEgcdModinv:
     @given(st.integers(min_value=1, max_value=10**12),
@@ -63,30 +58,6 @@ class TestEgcdModinv:
     def test_modinv_nonexistent(self):
         with pytest.raises(CryptoError):
             nt.modinv(6, 9)
-
-
-class TestCRT:
-    def test_basic(self):
-        x = nt.crt([2, 3, 2], [3, 5, 7])
-        assert x == 23
-
-    @given(st.integers(min_value=0, max_value=3 * 5 * 7 * 11 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_roundtrip(self, x):
-        moduli = [3, 5, 7, 11]
-        assert nt.crt([x % m for m in moduli], moduli) == x
-
-    def test_rejects_non_coprime(self):
-        with pytest.raises(CryptoError):
-            nt.crt([1, 2], [4, 6])
-
-    def test_rejects_empty(self):
-        with pytest.raises(CryptoError):
-            nt.crt([], [])
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(CryptoError):
-            nt.crt([1], [3, 5])
 
 
 class TestQuadraticResidues:

@@ -85,12 +85,6 @@ class TestSignatures:
         assert not rsa.verify(KEY.public_key, b"m", b"\xFF" * 64)
         assert not rsa.verify(KEY.public_key, b"m", b"short")
 
-    def test_verify_or_raise(self):
-        sig = rsa.sign(KEY, b"m")
-        rsa.verify_or_raise(KEY.public_key, b"m", sig)
-        with pytest.raises(SignatureError):
-            rsa.verify_or_raise(KEY.public_key, b"n", sig)
-
 
 class TestBlindSignatures:
     def test_blind_equals_direct(self, rng):

@@ -98,11 +98,6 @@ class TestHashToField:
             value = hashing.hash_to_int(b"data", modulus)
             assert 0 <= value < modulus
 
-    def test_nonzero_variant(self):
-        for i in range(200):
-            v = hashing.hash_to_nonzero(str(i).encode(), 7)
-            assert 1 <= v < 7
-
     def test_domain_separation(self):
         assert hashing.hash_to_int(b"x", 2**128, b"d1") != \
             hashing.hash_to_int(b"x", 2**128, b"d2")
@@ -125,8 +120,3 @@ class TestFraming:
             hashing.digest_many([b"a", b"bc"])
         assert hashing.digest_many([b"abc"]) != \
             hashing.digest_many([b"abc", b""])
-
-    def test_chain_hash_depends_on_both(self):
-        base = hashing.chain_hash(b"prev", b"entry")
-        assert base != hashing.chain_hash(b"prev2", b"entry")
-        assert base != hashing.chain_hash(b"prev", b"entry2")

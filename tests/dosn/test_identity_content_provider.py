@@ -1,13 +1,11 @@
-"""Tests for identities/key registry, content objects, and the provider."""
+"""Tests for identities/key registry, content ids, and the provider."""
 
 import pytest
 
-from repro.dosn.content import (Post, Profile, content_id,
-                                verify_content_address)
+from repro.dosn.content import content_id
 from repro.dosn.identity import Identity, KeyRegistry, create_identity
 from repro.dosn.provider import CentralProvider, ExposureReport
-from repro.exceptions import (CryptoError, IntegrityError, InvalidKeyError,
-                              StorageError)
+from repro.exceptions import CryptoError, InvalidKeyError, StorageError
 
 
 class TestIdentity:
@@ -61,34 +59,6 @@ class TestContent:
         assert a != content_id("alice", "post", b"hello", 1)
         assert a != content_id("bob", "post", b"hello", 0)
         assert a != content_id("alice", "comment", b"hello", 0)
-
-    def test_verify_content_address(self):
-        cid = content_id("alice", "post", b"x", 0)
-        verify_content_address(cid, "alice", "post", b"x", 0)
-        with pytest.raises(IntegrityError):
-            verify_content_address(cid, "alice", "post", b"tampered", 0)
-
-    def test_post_encoding_distinct(self):
-        p1 = Post(author="a", sequence=0, text="hi", tags=("#x",))
-        p2 = Post(author="a", sequence=0, text="hi", tags=("#y",))
-        assert p1.encode() != p2.encode()
-        assert p1.content_id != Post(author="a", sequence=1,
-                                     text="hi").content_id
-
-    def test_profile_visibility(self):
-        profile = Profile(owner="alice")
-        profile.set("name", "Alice", visibility="public")
-        profile.set("phone", "555", visibility="friends")
-        profile.set("diary", "...", visibility="close-friends")
-        assert profile.public_view() == {"name": "Alice"}
-        assert profile.visible_to(("public", "friends")) == {
-            "name": "Alice", "phone": "555"}
-
-    def test_profile_field_replacement(self):
-        profile = Profile(owner="alice")
-        profile.set("city", "Rome")
-        profile.set("city", "Istanbul")
-        assert profile.fields["city"].value == "Istanbul"
 
 
 class TestCentralProvider:

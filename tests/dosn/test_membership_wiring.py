@@ -15,7 +15,8 @@ def build(n=8, **overrides):
                                       repair_interval=300.0),
         membership=MembershipConfig(), **overrides)
     net = DosnNetwork(config=config)
-    net.add_users([f"u{i}" for i in range(n)])
+    for i in range(n):
+        net.add_user(f"u{i}")
     for i in range(n - 1):
         net.befriend(f"u{i}", f"u{i+1}")
     return net
@@ -68,7 +69,8 @@ class TestWiring:
                             replication=2,
                             membership=MembershipConfig())
         net = DosnNetwork(config=config)
-        net.add_users([f"u{i}" for i in range(6)])
+        for i in range(6):
+            net.add_user(f"u{i}")
         net.befriend("u0", "u1")
         cid = net.post("u0", "hi")
         assert net.read("u1", "u0", cid) is not None

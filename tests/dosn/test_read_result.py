@@ -54,7 +54,8 @@ class TestDeprecationShim:
 class TestNetworkReturnsReadResult:
     def test_read_returns_typed_result(self):
         net = DosnNetwork(config=DosnConfig(architecture="local", seed=3))
-        net.add_users(["alice", "bob"])
+        for name in ["alice", "bob"]:
+            net.add_user(name)
         net.befriend("alice", "bob")
         cid = net.post("alice", "typed now")
         result = net.read("bob", "alice", cid)
@@ -63,7 +64,8 @@ class TestNetworkReturnsReadResult:
 
     def test_feed_items_carry_results(self):
         net = DosnNetwork(config=DosnConfig(architecture="local", seed=3))
-        net.add_users(["alice", "bob"])
+        for name in ["alice", "bob"]:
+            net.add_user(name)
         net.befriend("alice", "bob")
         net.post("alice", "in the feed")
         report = net.feed("bob")

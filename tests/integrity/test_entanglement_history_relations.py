@@ -165,19 +165,6 @@ class TestForkConsistency:
         proof = history.prove_operation(100)
         assert len(proof.siblings) == 8  # log2(256)
 
-    def test_root_at_versions(self, rng):
-        from repro.integrity import ObjectHistory, Operation
-        history = ObjectHistory("obj")
-        roots = [history.root]
-        for i in range(5):
-            history.append(Operation(client="c", payload=str(i).encode(),
-                                     seen_version=i, seen_root=b""))
-            roots.append(history.root)
-        for version, root in enumerate(roots):
-            assert history.root_at(version) == root
-        with pytest.raises(IntegrityError):
-            history.root_at(99)
-
 
 class TestRelations:
     def _post_with_commenters(self, rng):

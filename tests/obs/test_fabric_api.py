@@ -329,7 +329,8 @@ class TestCryptoProfiling:
     def _post_and_read(self, **tracing):
         net = DosnNetwork(config=DosnConfig(architecture="local", seed=5,
                                             **tracing))
-        net.add_users(["alice", "bob"])
+        for name in ["alice", "bob"]:
+            net.add_user(name)
         net.befriend("alice", "bob")
         net.read("bob", "alice", net.post("alice", "x" * 100))
         return {s.name: s for s in net.tracer.spans

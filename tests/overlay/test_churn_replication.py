@@ -7,7 +7,7 @@ import pytest
 
 from repro.exceptions import OverlayError, SimulationError
 from repro.overlay import replication as rep
-from repro.overlay.churn import (AlwaysOn, DiurnalChurn, ExponentialOnOff,
+from repro.overlay.churn import (DiurnalChurn, ExponentialOnOff,
                                  apply_churn_to_network)
 from repro.overlay.network import SimNetwork, SimNode
 from repro.overlay.simulator import Simulator
@@ -16,11 +16,6 @@ PEERS = [f"peer{i}" for i in range(40)]
 
 
 class TestChurnModels:
-    def test_always_on(self):
-        model = AlwaysOn()
-        assert model.online_at("x", 12345.0)
-        assert model.uptime_fraction("x") == 1.0
-
     def test_exponential_deterministic(self):
         m1 = ExponentialOnOff(seed=5)
         m2 = ExponentialOnOff(seed=5)
@@ -40,7 +35,7 @@ class TestChurnModels:
 
     def test_exponential_sessions_alternate(self):
         model = ExponentialOnOff(seed=7)
-        sessions = model.sessions("peerX")
+        sessions = model.schedule("peerX")
         for (s1, e1), (s2, e2) in zip(sessions, sessions[1:]):
             assert e1 <= s2  # no overlap
 
@@ -161,7 +156,7 @@ class TestAvailability:
     def test_empty_probes_rejected(self):
         placement = rep.Placement(owner="a", replicas=[])
         with pytest.raises(OverlayError):
-            rep.measure_availability(placement, AlwaysOn(), [])
+            rep.measure_availability(placement, ExponentialOnOff(), [])
 
 
 class TestReplicaExposure:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.fabric import Fabric
 from repro.faults import FaultPlan, LossBurst
-from repro.membership import PROTOCOL_PERIOD, SwimMembership
+from repro.membership import CONFIRM_PHI, PROTOCOL_PERIOD, SwimMembership
 from repro.overlay.network import SimNode
 from repro.overlay.simulator import FixedLatency
 
@@ -86,7 +86,8 @@ class TestConfirmLatencyBound:
         first = min(e.at for e in membership.confirm_log
                     if e.peer == "m4")
         worst_bound = max(
-            membership.view_of(m).confirm_bound("m4")
+            membership.view_of(m).records["m4"].estimator.silence_bound(
+                CONFIRM_PHI)
             for m in membership.views if m != "m4")
         slack = (N + 1) * PROTOCOL_PERIOD
         assert first - 120.0 <= worst_bound + slack

@@ -180,7 +180,7 @@ class TestFaultPlan:
         def bursts(seed):
             fault = LossBurst(rate=0.3, mean_burst=10, mean_gap=30)
             fault.bind(seed, 0, 1000.0)
-            return fault.bursts()
+            return fault.windows
 
         assert bursts(5) == bursts(5)
         assert bursts(5) != bursts(6)
@@ -190,7 +190,7 @@ class TestFaultPlan:
     def test_burst_loss_only_inside_bursts(self):
         fault = LossBurst(rate=0.3, mean_burst=10, mean_gap=30)
         fault.bind(7, 0, 1000.0)
-        (start, end) = fault.bursts()[0]
+        (start, end) = fault.windows[0]
         mid = (start + end) / 2
         assert fault.loss_rate("a", "b", mid) == 0.3
         assert fault.loss_rate("a", "b", start - 0.001) == 0.0
@@ -300,12 +300,12 @@ class TestReliableChannel:
         channel = ReliableChannel(
             net, RetryPolicy(max_attempts=1), breaker)
         channel.call("a", "b")
-        assert breaker.is_open("b", net.sim.now)
+        assert breaker.state("b", net.sim.now) == "open"
         b.go_online()
         sim.run(until=15.0)  # cooldown expires -> half-open probe allowed
         ok, _ = channel.call("a", "b")
         assert ok
-        assert not breaker.is_open("b", net.sim.now)
+        assert breaker.state("b", net.sim.now) == "closed"
 
     def test_failed_half_open_probe_reopens(self):
         sim, net, a, b = _net()
@@ -317,7 +317,7 @@ class TestReliableChannel:
         sim.run(until=15.0)
         ok, _ = channel.call("a", "b")  # half-open probe fails
         assert not ok
-        assert breaker.is_open("b", net.sim.now + 5.0)
+        assert breaker.state("b", net.sim.now + 5.0) == "open"
 
     def test_hedged_call_finds_live_replica(self):
         sim, net, *_ = _net(peers=("a", "b", "c", "d"))
@@ -449,7 +449,7 @@ class TestBreakerStateGauge:
         channel.call("a", "b")  # half-open probe fails -> re-open
         gauge = net.metrics.gauge("channel.breaker_state", dst="b")
         assert gauge.value == BREAKER_STATE_VALUES["open"]
-        assert breaker.is_open("b", net.sim.now + 5.0)
+        assert breaker.state("b", net.sim.now + 5.0) == "open"
 
 
 class TestMembershipChannel:
@@ -638,7 +638,7 @@ class TestChurnSatellites:
         model = ExponentialOnOff(seed=8, mean_online=600, mean_offline=900,
                                  horizon=100000.0)
         for peer in ("x", "y"):
-            intervals = model.sessions(peer)
+            intervals = model.schedule(peer)
             for t in [0.0, 1.0, 99999.0] + \
                     [s for s, _ in intervals] + \
                     [e - 1e-6 for _, e in intervals] + \

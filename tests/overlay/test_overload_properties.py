@@ -239,7 +239,8 @@ class TestDosnWiring:
                             replication=ReplicationConfig(n=3, r=2, w=2),
                             overload=overload)
         net = DosnNetwork(config=config)
-        net.add_users([f"u{i}" for i in range(8)])
+        for i in range(8):
+            net.add_user(f"u{i}")
         net.befriend("u0", "u1")
         assert net.fabric.overload is overload
         assert net.fabric.network.service is overload.service

@@ -340,14 +340,6 @@ class TestBreakerSingleProbe:
         assert not breaker.allow("d", now=20.0)
         assert not breaker.allow("d", now=25.0)
 
-    def test_is_open_inspects_without_claiming(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=10.0)
-        breaker.record_failure("d", now=0.0)
-        assert not breaker.is_open("d", now=20.0)
-        assert not breaker.is_open("d", now=20.0)  # still unclaimed
-        assert breaker.allow("d", now=20.0)  # the probe slot was free
-        assert breaker.is_open("d", now=20.0)  # now it is not
-
     def test_successful_probe_closes_and_releases(self):
         breaker = CircuitBreaker(failure_threshold=1, cooldown=10.0)
         breaker.record_failure("d", now=0.0)

@@ -93,7 +93,8 @@ class TestCachetSatellites:
 class TestDosnThroughStack:
     def test_post_read_feed_roundtrip(self):
         net = DosnNetwork(config=DosnConfig(architecture="local", seed=5))
-        net.add_users(["alice", "bob"])
+        for name in ["alice", "bob"]:
+            net.add_user(name)
         net.befriend("alice", "bob")
         cid = net.post("alice", "stack-routed post", tags=("x",))
         post = net.read("bob", "alice", cid).post
@@ -105,7 +106,8 @@ class TestDosnThroughStack:
 
     def test_feed_open_errors_still_reported_as_violations(self):
         net = DosnNetwork(config=DosnConfig(architecture="local", seed=5))
-        net.add_users(["alice", "bob"])
+        for name in ["alice", "bob"]:
+            net.add_user(name)
         net.befriend("alice", "bob")
         net.post("alice", "secret")
         # key loss: bob can fetch but not decrypt
@@ -117,7 +119,8 @@ class TestDosnThroughStack:
     def test_index_layer_enables_search(self):
         net = DosnNetwork(config=DosnConfig(architecture="local", seed=5,
                                             index_posts=True))
-        net.add_users(["alice", "bob"])
+        for name in ["alice", "bob"]:
+            net.add_user(name)
         net.befriend("alice", "bob")
         cid = net.post("alice", "distributed social networks rock")
         assert net.search("distributed") == [cid]
@@ -139,7 +142,8 @@ class TestDosnThroughStack:
     def test_legacy_span_tree_preserved(self):
         net = DosnNetwork(config=DosnConfig(architecture="local", seed=5,
                                             tracing=True))
-        net.add_users(["alice", "bob"])
+        for name in ["alice", "bob"]:
+            net.add_user(name)
         net.befriend("alice", "bob")
         cid = net.post("alice", "hi")
         net.read("bob", "alice", cid)

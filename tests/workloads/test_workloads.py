@@ -6,9 +6,8 @@ import networkx as nx
 import pytest
 
 from repro.exceptions import ReproError
-from repro.workloads import (attach_trust, degree_popularity, generate_posts,
-                             generate_reads, popularity_histogram,
-                             social_graph, zipf_choice)
+from repro.workloads import (attach_trust, generate_posts, social_graph,
+                             zipf_choice)
 
 
 class TestGraphs:
@@ -53,11 +52,6 @@ class TestGraphs:
         with pytest.raises(ReproError):
             attach_trust(social_graph(20, seed=0), low=0.0)
 
-    def test_degree_popularity_normalized(self):
-        pop = degree_popularity(social_graph(80, seed=4))
-        assert max(pop.values()) == 1.0
-        assert all(0 <= v <= 1 for v in pop.values())
-
 
 class TestTraces:
     GRAPH = social_graph(60, seed=7)
@@ -93,19 +87,6 @@ class TestTraces:
         hub = max(graph.nodes, key=graph.degree)
         leaf = min(graph.nodes, key=graph.degree)
         assert by_author.get(str(hub), 0) > by_author.get(str(leaf), 0)
-
-    def test_reads_follow_zipf(self):
-        posts = generate_posts(self.GRAPH, 50, seed=11)
-        reads = generate_reads(posts, self.GRAPH, 3000, seed=12)
-        histogram = popularity_histogram(reads, 50)
-        assert sum(histogram) == 3000
-        top = max(histogram)
-        median = sorted(histogram)[25]
-        assert top > 4 * max(1, median)
-
-    def test_reads_need_posts(self):
-        with pytest.raises(ReproError):
-            generate_reads([], self.GRAPH, 10)
 
     def test_determinism(self):
         p1 = generate_posts(self.GRAPH, 50, seed=13)
