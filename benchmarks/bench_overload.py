@@ -52,8 +52,7 @@ import statistics
 from _reporting import report_table
 from repro.exceptions import DeadlineExceededError, StorageError
 from repro.fabric import Fabric
-from repro.faults import (OverloadConfig, RetryBudget, RetryPolicy,
-                          ServiceConfig)
+from repro.faults import OverloadConfig, RetryPolicy, ServiceConfig
 from repro.overlay.chord import ChordRing
 from repro.storage2 import ReplicatedStore, ReplicationConfig
 
@@ -140,10 +139,7 @@ def _overload_cell(stack: str):
     # instantaneous request storm against the service queues.  Production
     # wiring is Fabric.create(overload=...) / DosnConfig(overload=...);
     # the late install here prices the measured workload only.
-    fab.overload = config
-    fab.network.install_overload(config)
-    if config.retry_budget:
-        fab.channel.retry_budget = RetryBudget()
+    fab.install_overload(config)
     holders = store.placements[HOT_KEY]
     readers = [f"p{i}" for i in range(N) if f"p{i}" not in holders]
     fab.network.stats.reset()

@@ -9,14 +9,14 @@ the library's core loop in one script.
 Run:  python examples/quickstart.py
 """
 
-from repro.dosn import DosnNetwork
+from repro.dosn import DosnConfig, DosnNetwork
 
 
-def main() -> None:
-    # A DOSN over a simulated DHT ("dht"); try "central", "federation",
-    # or "local" to switch the Section II architecture.
-    net = DosnNetwork(architecture="dht", seed=7)
-
+def build(architecture: str, encrypt_content: bool = True):
+    """Five users, three friendships, three posts; returns the network and
+    alice's post id."""
+    net = DosnNetwork(config=DosnConfig(architecture=architecture, seed=7,
+                                        encrypt_content=encrypt_content))
     for name in ("alice", "bob", "carol", "dave", "eve"):
         net.add_user(name)
     net.befriend("alice", "bob")
@@ -28,6 +28,13 @@ def main() -> None:
     cid = net.post("alice", "hello distributed world!", tags=["#first"])
     net.post("bob", "setting up my own replica tonight")
     net.post("carol", "who else is at ICDCS?")
+    return net, cid
+
+
+def main() -> None:
+    # A DOSN over a simulated DHT ("dht"); try "central", "federation",
+    # or "local" to switch the Section II architecture.
+    net, cid = build("dht")
 
     print("alice's post id:", cid)
     result = net.read("bob", "alice", cid)   # a typed ReadResult
@@ -54,6 +61,15 @@ def main() -> None:
           f"readable content={worst.content_view:.0%}  "
           f"metadata={worst.metadata_view:.0%}  "
           f"social graph={worst.graph_view:.0%}")
+
+    # Section I's thesis: one big provider sees more than any small one.
+    # Without encryption, the central provider's view dominates (more on
+    # every axis) the most-exposed peer of the same network on a DHT.
+    peer = build("dht", encrypt_content=False)[0].worst_observer()
+    provider = build("central", encrypt_content=False)[0].worst_observer()
+    print(f"in plaintext, the central provider's view dominates the "
+          f"most-exposed DHT peer's ({peer.observer!r}): "
+          f"{provider.dominates(peer)}")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ Three classic defenses against routing-layer adversaries, composed:
   half-open probe) when a breaker is wired on the fabric.
 
 The overlays' public ``lookup`` entry points hand the operation to these
-drivers (via :meth:`repro.fabric.Fabric.secure_lookup`) whenever the
+drivers (chosen once, in the overlays' constructors) whenever the
 fabric's adversary model carries a :class:`~repro.adversary.config
 .DefenseConfig`, so quorum writes (coordinator routing) and every other
 lookup consumer get the defended path with no call-site changes.  Each

@@ -254,15 +254,14 @@ class AdversaryModel:
     # -- quarantine feed -------------------------------------------------------
 
     def flag_cert_liar(self, peer: str, overlay: str) -> None:
-        """A provably forged claim (failed certificate check)."""
+        """A provably forged claim (failed certificate check; only a
+        defended lookup checks, so the quarantine exists)."""
         self.metrics.inc("lookup.poisoned", overlay=overlay, cause="cert")
-        if self.quarantine is not None:
-            self.quarantine.flag_provable(peer, reason="cert")
+        self.quarantine.flag_provable(peer, reason="cert")
 
     def flag_outvoted(self, peer: str, overlay: str) -> None:
         """A certified-but-lying resolver lost a disjoint-path vote."""
-        if self.quarantine is not None:
-            self.quarantine.flag_suspect(peer)
+        self.quarantine.flag_suspect(peer)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         banned = len(self.quarantine.banned) if self.quarantine else 0

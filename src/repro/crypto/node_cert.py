@@ -46,7 +46,6 @@ from typing import Callable, Dict, Optional
 
 from repro.crypto.signatures import (SchnorrPublicKey, SchnorrSignature,
                                      generate_schnorr_keypair)
-from repro.exceptions import SignatureError
 
 __all__ = ["NodeIdCertificate", "IdCertifier", "derive_node_id"]
 
@@ -142,10 +141,3 @@ class IdCertifier:
             verified = self.certificate(name).verify()
             self._verified[name] = verified
         return verified and claimed_id == self.certificate(name).node_id
-
-    def check_or_raise(self, name: str, claimed_id: int) -> None:
-        """Raise :class:`SignatureError` on a failed claim check."""
-        if not self.check(name, claimed_id):
-            raise SignatureError(
-                f"node-id claim {claimed_id} for {name!r} does not match "
-                "its certificate")

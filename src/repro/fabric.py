@@ -19,12 +19,16 @@ first use), so attaching a subsystem moves no experiment's random stream.
 
 **The RPC seam.**  Overlays and stores keep routing geometry and storage
 semantics; the RPC path's cross-cutting concerns meet them only here:
-:meth:`Fabric.call` / :meth:`Fabric.call_issue` are the one place that
-chooses between the resilient channel and the bare network, and
+``Fabric.call_issue`` / :meth:`Fabric.call` put every RPC on the wire, and
 :meth:`Fabric.op` mints the :class:`OpContext` of each public operation,
 which owns the deadline check, the holder ordering and the adversary's
-interposition on routing answers.  The steps and their order are fixed;
-on a fabric with nothing attached each is a single ``None`` test.
+interposition on routing answers.  Each attachment is decided once, where
+it attaches, and no operation asks whether a subsystem is present:
+``__init__`` binds ``call_issue`` to the channel or the bare network,
+:meth:`install_overload` the deadline minter, and
+:meth:`attach_membership` / :meth:`attach_adversary` the policies
+:class:`OpContext` calls (the adversary before any peer registers: the
+overlays enroll peers and pick their lookup driver as they are built).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import random as _random
 from typing import Any, FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import LookupError_, SimulationError
-from repro.faults.overload import (Deadline, OverloadConfig, RetryBudget,
+from repro.faults.overload import (NO_DEADLINE, Deadline, OverloadConfig,
                                    deadline_expired)
 from repro.faults.resilience import (CircuitBreaker, ReliableChannel,
                                      RetryPolicy)
@@ -60,6 +64,20 @@ class Fabric:
         # the network's own: its stats view derives from this registry
         self.tracer = network.tracer
         self.metrics = network.metrics
+        #: whether RPCs ride a :class:`ReliableChannel` — i.e. whether a
+        #: failed call already survived retries (callers then degrade
+        #: gracefully and write the peer off) or is one lost exchange
+        self.resilient = channel is not None
+        #: ``call_issue(src, dst, kind)``: one accounted RPC as a future,
+        #: on the channel or the network; ``_op_issue`` also hands the
+        #: channel the budget an operation has left.
+        if channel is None:
+            issue = self.call_issue = network.rpc_issue
+            self._op_issue = lambda ctx, src, dst, kind: issue(src, dst, kind)
+        else:
+            self.call_issue = channel.call_issue
+            self._op_issue = lambda ctx, src, dst, kind: channel.call_issue(
+                src, dst, kind, ctx.deadline.minus(ctx.spent))
         #: the attached :class:`repro.membership.SwimMembership` (None
         #: keeps every layer on the legacy oracle path, byte-identical)
         self.membership: Optional[Any] = None
@@ -68,13 +86,24 @@ class Fabric:
         #: adversary draws no RNG — its decisions are hash-derived)
         self.adversary: Optional[Any] = None
         #: the overload-protection config (None = fair-weather fabric,
-        #: byte-identical).  :meth:`op` mints each operation's deadline
-        #: from it.
-        self.overload: Optional[OverloadConfig] = overload
+        #: byte-identical) — see :meth:`install_overload`
+        self.overload: Optional[OverloadConfig] = None
+        # The policies OpContext and the overlays call, as nothing
+        # attached leaves them: no deadline, holders as given, no peer
+        # buried, silence trusted only after the channel's retries, every
+        # responder honest.  install_overload / attach_* rebind them.
+        self._mint = lambda now: NO_DEADLINE
+        self._by_health = lambda origin, holders: holders
+        self._liars_last = lambda holders: holders
+        self._buried_by = lambda origin: ()
+        self._trusts_silence = lambda origin: self.resilient
+        self._forges = dict.fromkeys(("chord", "kad"),
+                                     lambda responder, key: None)
+        #: ``enroll(name, space)``: register an overlay peer with the
+        #: adversary (the overlays' ``add_node`` calls it)
+        self.enroll = lambda name, space: None
         if overload is not None:
-            network.install_overload(overload)
-            if channel is not None and overload.retry_budget:
-                channel.retry_budget = RetryBudget()
+            self.install_overload(overload)
         self._rng = rng
 
     @classmethod
@@ -120,29 +149,8 @@ class Fabric:
 
     # -- the RPC seam -----------------------------------------------------------
 
-    @property
-    def resilient(self) -> bool:
-        """Whether RPCs ride a :class:`ReliableChannel` — i.e. whether a
-        failed call already survived retries (callers then degrade
-        gracefully and write the peer off) or is one lost exchange."""
-        return self.channel is not None
-
-    def call_issue(self, src: str, dst: str, kind: str,
-                   deadline: Optional[Deadline] = None) -> SimFuture:
-        """Issue one accounted RPC as a completion token.
-
-        With a channel the call gets retries, breakers and the membership
-        liveness policy and honours ``deadline`` (the caller's
-        *remaining* budget); the bare network ignores it — deadline
-        enforcement is channel machinery.
-        """
-        if self.channel is not None:
-            return self.channel.call_issue(src, dst, kind=kind,
-                                           deadline=deadline)
-        return self.network.rpc_issue(src, dst, kind=kind)
-
     def call(self, src: str, dst: str, kind: str) -> Tuple[bool, float]:
-        """One accounted RPC: ``(ok, elapsed)`` of :meth:`call_issue`."""
+        """One accounted RPC: ``(ok, elapsed)`` of ``call_issue``."""
         return self.call_issue(src, dst, kind).value
 
     def op(self, origin: str, distrust: FrozenSet[str] = frozenset(),
@@ -155,20 +163,22 @@ class Fabric:
         ends when its caller's does.  The keyword arguments are the
         secure-lookup drivers' per-path state.
         """
-        deadline = None if self.overload is None \
-            else self.overload.mint_deadline(self.sim.now)
-        return OpContext(self, origin, deadline, distrust, visited,
-                         certified)
+        return OpContext(self, origin, self._mint(self.sim.now), distrust,
+                         visited, certified)
 
-    def secure_lookup(self, space: str) -> Optional[Any]:
-        """The defended lookup driver for one overlay id space — ``None``
-        unless the adversary model carries a defense, in which case the
-        overlays' public ``lookup`` hands it the whole operation."""
-        if self.adversary is None or self.adversary.config.defense is None:
-            return None
-        from repro.adversary import defense
-        return {"chord": defense.defended_chord_lookup,
-                "kad": defense.defended_kad_lookup}[space]
+    # -- attachments --------------------------------------------------------------
+
+    def install_overload(self, overload: OverloadConfig) -> None:
+        """The overload-protection stack: the network's service model, a
+        deadline per operation when ``op_budget`` is set and the channel's
+        retry budget when ``retry_budget`` is (E18 installs it after
+        set-up, to keep the bootstrap out of the service queues)."""
+        self.network.install_overload(overload)
+        self.overload = overload
+        if overload.op_budget is not None:
+            self._mint = overload.mint_deadline
+        if self.channel is not None and overload.retry_budget:
+            self.channel.install_retry_budget()
 
     def attach_membership(self, membership: Any) -> None:
         """Install a membership service as the fabric's liveness source.
@@ -180,15 +190,32 @@ class Fabric:
             raise SimulationError(
                 "a membership service is already attached to this fabric")
         self.membership = membership
-        if self.channel is not None:
-            self.channel.membership = membership
+        views = membership.views
+        self._by_health = membership.order_by_health
+        self._buried_by = lambda origin: views[origin].dead \
+            if origin in views else ()
+        if self.channel is None:
+            self._trusts_silence = views.__contains__
+        else:
+            self.channel.attach_membership(membership)
 
     def attach_adversary(self, adversary: Any) -> None:
-        """Install an adversary model (called by its constructor)."""
+        """Install an adversary model (called by its constructor) before
+        any peer registers: the overlays enroll a peer as it is added and
+        pick their lookup driver when built."""
         if self.adversary is not None:
             raise SimulationError(
                 "an adversary model is already attached to this fabric")
+        if self.network.nodes:
+            raise SimulationError(
+                "attach the adversary before peers register: peers added "
+                "earlier are never enrolled")
         self.adversary = adversary
+        self.enroll = adversary.enroll
+        self._forges = {"chord": adversary.chord_answer,
+                        "kad": adversary.kad_answer}
+        if adversary.quarantine is not None:
+            self._liars_last = adversary.quarantine.order_last
 
     @property
     def rng(self) -> _random.Random:
@@ -227,9 +254,9 @@ class OpContext:
     __slots__ = ("fabric", "origin", "deadline", "distrust", "visited",
                  "certified", "spent", "_avoid")
 
-    def __init__(self, fabric: Fabric, origin: str,
-                 deadline: Optional[Deadline], distrust: FrozenSet[str],
-                 visited: Optional[Set[str]], certified: bool) -> None:
+    def __init__(self, fabric: Fabric, origin: str, deadline: Deadline,
+                 distrust: FrozenSet[str], visited: Optional[Set[str]],
+                 certified: bool) -> None:
         self.fabric = fabric
         self.origin = origin
         self.deadline = deadline
@@ -244,18 +271,19 @@ class OpContext:
     def expired(self, kind: str) -> bool:
         """Whether the time spent has exhausted the budget (asked before
         paying for the next RPC; an expiry is counted once per ask)."""
-        return self.deadline is not None and deadline_expired(
-            self.fabric.network, self.deadline, self.spent, kind)
+        # the unexpired case spelled out: every lookup hop asks
+        fabric = self.fabric
+        if self.deadline.expires_at - fabric.sim.now > self.spent:
+            return False
+        return deadline_expired(fabric.network, self.deadline, self.spent,
+                                kind)
 
     def call(self, src: str, dst: str, kind: str) -> Tuple[bool, float]:
         """One RPC charged to this operation: ``(ok, elapsed)``.  The
         callee sees only the budget that is left."""
         # spelled out rather than call_issue(...).value: every lookup hop
         # comes through here
-        deadline = self.deadline
-        future = self.fabric.call_issue(
-            src, dst, kind,
-            None if deadline is None else deadline.minus(self.spent))
+        future = self.fabric._op_issue(self, src, dst, kind)
         self.spent += future.latency
         return future.value
 
@@ -267,10 +295,7 @@ class OpContext:
         the operation has spent the slowest of them rather than their
         sum.
         """
-        deadline = self.deadline
-        future = self.fabric.call_issue(
-            src, dst, kind,
-            None if deadline is None else deadline.minus(self.spent))
+        future = self.fabric._op_issue(self, src, dst, kind)
         if fanout:
             self.spent = max(self.spent, future.latency)
         else:
@@ -289,25 +314,14 @@ class OpContext:
         a known liar is consulted.
         """
         fabric = self.fabric
-        if fabric.membership is not None:
-            holders = fabric.membership.order_by_health(self.origin, holders)
-        adversary = fabric.adversary
-        if adversary is not None and adversary.quarantine is not None:
-            holders = adversary.quarantine.order_last(holders)
-        return holders
-
-    def _view(self) -> Optional[Any]:
-        membership = self.fabric.membership
-        return None if membership is None \
-            else membership.view_of(self.origin)
+        return fabric._liars_last(fabric._by_health(self.origin, holders))
 
     @property
     def avoid(self) -> Set[str]:
         """Peers routing detours: pre-seeded with those the origin's view
         has confirmed dead, grown by :meth:`write_off`."""
         if self._avoid is None:
-            view = self._view()
-            self._avoid = set() if view is None else set(view.dead)
+            self._avoid = set(self.fabric._buried_by(self.origin))
         return self._avoid
 
     def write_off(self, peer: str) -> None:
@@ -315,7 +329,7 @@ class OpContext:
         that verdict is trustworthy (it survived the channel's retries,
         or a membership view vouches for liveness).  A bare client has
         no failure memory and keeps re-probing."""
-        if self.fabric.resilient or self._view() is not None:
+        if self.fabric._trusts_silence(self.origin):
             self.avoid.add(peer)
 
     # -- what a responder answered --------------------------------------------------
@@ -338,11 +352,7 @@ class OpContext:
         """
         if self.visited is not None:
             self.visited.add(responder)
-        adversary = self.fabric.adversary
-        if adversary is None:
-            return None
-        answer = adversary.chord_answer(responder, key) if space == "chord" \
-            else adversary.kad_answer(responder, key)
+        answer = self.fabric._forges[space](responder, key)
         if answer is None:
             return None
         if answer.drop:

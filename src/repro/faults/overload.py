@@ -46,8 +46,8 @@ from typing import Dict, Optional
 
 from repro.exceptions import SimulationError
 
-__all__ = ["AdaptiveTimeout", "Deadline", "OverloadConfig", "RetryBudget",
-           "ServiceConfig", "deadline_expired"]
+__all__ = ["AdaptiveTimeout", "Deadline", "NO_DEADLINE", "OverloadConfig",
+           "RetryBudget", "ServiceConfig", "deadline_expired"]
 
 #: tokens a full :class:`RetryBudget` holds, and what one success earns back
 RETRY_BUDGET_CAPACITY = 20.0
@@ -177,7 +177,11 @@ class Deadline:
         return f"Deadline(expires_at={self.expires_at:.4f})"
 
 
-def deadline_expired(network, deadline: Optional[Deadline], spent: float,
+#: the deadline of every operation when no op budget is installed
+NO_DEADLINE = Deadline(math.inf)
+
+
+def deadline_expired(network, deadline: Deadline, spent: float,
                      kind: str) -> bool:
     """The one deadline check: has ``spent`` exhausted ``deadline``?
 
@@ -185,9 +189,10 @@ def deadline_expired(network, deadline: Optional[Deadline], spent: float,
     lookup hops, replica and quorum probes) asks here before paying for
     the next RPC, so an expiry is counted the same way wherever it is
     noticed: once, as ``overload.deadline_expired{kind=...}`` (which
-    ``NetworkStats.deadline_expired`` sums).  ``None`` never expires.
+    ``NetworkStats.deadline_expired`` sums).  :data:`NO_DEADLINE` never
+    expires.
     """
-    if deadline is None or not deadline.expired(network.sim.now, spent):
+    if not deadline.expired(network.sim.now, spent):
         return False
     network.metrics.inc("overload.deadline_expired", kind=kind)
     return True

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import SimulationError
-from repro.faults.overload import (Deadline, RetryBudget,
+from repro.faults.overload import (NO_DEADLINE, Deadline, RetryBudget,
                                    deadline_expired)
 from repro.overlay.simulator import SimFuture, hedge_of
 
@@ -171,23 +171,36 @@ class ReliableChannel:
         self.policy = policy or RetryPolicy()
         self.breaker = breaker
         #: the fabric's :class:`repro.membership.SwimMembership`, set by
-        #: :meth:`repro.fabric.Fabric.attach_membership`.  When the
-        #: *source* of a call has a membership view, that view replaces
-        #: the fixed breaker thresholds: confirmed-dead destinations
-        #: fail fast, suspicious ones get a single attempt, and the
-        #: breaker is neither consulted nor updated for the call.
+        #: :meth:`attach_membership`.  When the *source* of a call has a
+        #: membership view, that view replaces the fixed breaker
+        #: thresholds: confirmed-dead destinations fail fast, suspicious
+        #: ones get a single attempt, and the breaker is neither consulted
+        #: nor updated for the call.
         self.membership = None
+        self._view_of = lambda src: None
         #: a shared :class:`repro.faults.RetryBudget` capping cluster-wide
-        #: retry amplification, set by :class:`repro.fabric.Fabric` when
-        #: an overload config asks for one.  ``None`` = unbudgeted
-        #: retries (the legacy behaviour).
+        #: retry amplification, set by :meth:`install_retry_budget`.
+        #: ``None`` = unbudgeted retries (the legacy behaviour).
         self.retry_budget: Optional[RetryBudget] = None
+        self._spend_retry = lambda: True
+        self._earn_retry = lambda: None
+        self._breaker_allows = lambda dst, now: True
+        self._breaker_feedback = lambda dst, future, now: None
+        if breaker is not None:
+            self._breaker_allows = self._breaker_admits
+            self._breaker_feedback = self._feed_breaker
         self._rng = network.sim.split_rng("reliable-channel")
 
-    def _view_of(self, src: str):
-        if self.membership is None:
-            return None
-        return self.membership.view_of(src)
+    def attach_membership(self, membership) -> None:
+        """Use ``membership``'s views as the liveness policy."""
+        self.membership = membership
+        self._view_of = membership.view_of
+
+    def install_retry_budget(self) -> None:
+        """Cap retries with a shared :class:`RetryBudget`."""
+        budget = self.retry_budget = RetryBudget()
+        self._spend_retry = budget.try_spend
+        self._earn_retry = budget.on_success
 
     def _export_breaker_state(self, dst: str) -> None:
         """Publish the breaker's view of ``dst`` as a labelled gauge."""
@@ -195,40 +208,39 @@ class ReliableChannel:
         self.network.metrics.gauge("channel.breaker_state", dst=dst).set(
             BREAKER_STATE_VALUES[state])
 
-    def _admit(self, view, dst: str, now: float) -> bool:
+    def _breaker_admits(self, dst: str, now: float) -> bool:
         """Whether the breaker lets an attempt through (a membership view
-        replaces it and is consulted by the caller instead)."""
-        if view is None and self.breaker is not None \
-                and not self.breaker.allow(dst, now):
-            self.network.metrics.inc("channel.breaker_fastfails")
-            self._export_breaker_state(dst)
-            return False
-        return True
+        replaces it, so it is asked only for sources without one)."""
+        if self.breaker.allow(dst, now):
+            return True
+        self.network.metrics.inc("channel.breaker_fastfails")
+        self._export_breaker_state(dst)
+        return False
+
+    def _feed_breaker(self, dst: str, future: SimFuture, now: float) -> None:
+        """A shed attempt never feeds the breaker: the peer is alive and
+        saying so, and opening the breaker on honesty would punish exactly
+        the peers that shed instead of timing out."""
+        if future.cause == "overloaded":
+            return
+        if future.ok:
+            self.breaker.record_success(dst)
+        elif self.breaker.record_failure(dst, now):
+            self.network.metrics.inc("channel.breaker_trips")
+        self._export_breaker_state(dst)
 
     def _attempt(self, view, src: str, dst: str, kind: str,
-                 payload_size: int, now: float) -> SimFuture:
-        """One wire attempt, its outcome fed to the view or the breaker.
-
-        A shed attempt never feeds the breaker: the peer is alive and
-        saying so, and opening the breaker on honesty would punish
-        exactly the peers that shed instead of timing out.
-        """
-        future = self.network.rpc_issue(src, dst, kind=kind,
-                                        payload_size=payload_size)
-        if view is not None:
-            if future.ok:
-                view.observe_contact(dst, now)
-        elif self.breaker is not None and future.cause != "overloaded":
-            if future.ok:
-                self.breaker.record_success(dst)
-            elif self.breaker.record_failure(dst, now):
-                self.network.metrics.inc("channel.breaker_trips")
-            self._export_breaker_state(dst)
+                 now: float) -> SimFuture:
+        """One wire attempt, its outcome fed to the view or the breaker."""
+        future = self.network.rpc_issue(src, dst, kind=kind)
+        if view is None:
+            self._breaker_feedback(dst, future, now)
+        elif future.ok:
+            view.observe_contact(dst, now)
         return future
 
     def call(self, src: str, dst: str, kind: str = "rpc",
-             payload_size: int = 64,
-             deadline: Optional[Deadline] = None) -> Tuple[bool, float]:
+             deadline: Deadline = NO_DEADLINE) -> Tuple[bool, float]:
         """One logical request/response with retries and breaker checks.
 
         Returns ``(ok, elapsed)`` where ``elapsed`` includes every
@@ -251,12 +263,10 @@ class ReliableChannel:
         retry); a shed attempt (the destination rejected for overload)
         does **not** feed the circuit breaker.
         """
-        ok, elapsed, _cause = self._call(src, dst, kind, payload_size,
-                                         deadline)
+        ok, elapsed, _cause = self._call(src, dst, kind, deadline)
         return (ok, elapsed)
 
-    def _call(self, src: str, dst: str, kind: str, payload_size: int,
-              deadline: Optional[Deadline]
+    def _call(self, src: str, dst: str, kind: str, deadline: Deadline
               ) -> Tuple[bool, float, Optional[str]]:
         """The :meth:`call` engine; also reports the last failure cause."""
         with self.network.tracer.span("channel.call", kind=kind, src=src,
@@ -283,24 +293,21 @@ class ReliableChannel:
                     # fast instead of issuing a doomed attempt
                     outcome = cause = "deadline_expired"
                     break
-                if not self._admit(view, dst, now):
+                if view is None and not self._breaker_allows(dst, now):
                     outcome = "breaker_fastfail"
                     cause = cause or "breaker_fastfail"
                     break
                 attempts += 1
-                future = self._attempt(view, src, dst, kind, payload_size,
-                                       now)
+                future = self._attempt(view, src, dst, kind, now)
                 cause = future.cause
                 elapsed += future.latency
                 if future.ok:
-                    if self.retry_budget is not None:
-                        self.retry_budget.on_success()
+                    self._earn_retry()
                     span.set_attr("attempts", attempts)
                     span.set_attr("outcome", "ok")
                     return (True, elapsed, None)
                 if attempt + 1 < max_attempts:
-                    if self.retry_budget is not None \
-                            and not self.retry_budget.try_spend():
+                    if not self._spend_retry():
                         self.network.metrics.inc("overload.budget_exhausted",
                                                  kind=kind)
                         outcome = "budget_exhausted"
@@ -314,8 +321,7 @@ class ReliableChannel:
             return (False, elapsed, cause)
 
     def call_issue(self, src: str, dst: str, kind: str = "rpc",
-                   payload_size: int = 64,
-                   deadline: Optional[Deadline] = None) -> SimFuture:
+                   deadline: Deadline = NO_DEADLINE) -> SimFuture:
         """Issue one logical call as a completion token.
 
         The call's retries and backoffs remain internally sequential
@@ -328,13 +334,12 @@ class ReliableChannel:
         attempt's failure cause (``"overloaded"`` for a shed), so quorum
         layers can price sheds differently from timeouts.
         """
-        ok, elapsed, cause = self._call(src, dst, kind, payload_size,
-                                        deadline)
+        ok, elapsed, cause = self._call(src, dst, kind, deadline)
         return self.network.sim.future(elapsed, value=(ok, elapsed), ok=ok,
                                        cause=cause)
 
     def hedged(self, src: str, dsts: Sequence[str], kind: str = "rpc",
-               payload_size: int = 64, deadline: Optional[Deadline] = None
+               deadline: Deadline = NO_DEADLINE
                ) -> Tuple[bool, Optional[str], float]:
         """Race a request across replica holders; first success wins.
 
@@ -360,10 +365,9 @@ class ReliableChannel:
                 now = self.network.sim.now
                 if deadline_expired(self.network, deadline, launch_at, kind):
                     return None
-                if not self._admit(view, dst, now):
+                if view is None and not self._breaker_allows(dst, now):
                     return (None, False)
-                future = self._attempt(view, src, dst, kind, payload_size,
-                                       now)
+                future = self._attempt(view, src, dst, kind, now)
                 return (future, future.ok)
 
             winner, elapsed, hedges = hedge_of(dsts, HEDGE_DELAY, issue)

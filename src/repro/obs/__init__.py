@@ -6,7 +6,7 @@ messages go*; this package is the layer that answers them:
 
 * :mod:`repro.obs.trace`   — hierarchical spans keyed to virtual sim time
   (:class:`Tracer`), with a near-zero-cost :class:`NoopTracer` default;
-* :mod:`repro.obs.metrics` — labelled counters/gauges/histograms
+* :mod:`repro.obs.metrics` — labelled counters and gauges
   (:class:`MetricsRegistry`): the one store of event counts, which the
   flat ``NetworkStats`` aggregates are a read-only view of;
 * :mod:`repro.obs.export`  — JSONL trace dumps, flamegraph-style text
@@ -23,12 +23,11 @@ every subsystem — see docs/observability.md for the migration guide.
 
 from repro.obs.export import (DOSN_PHASES, cost_breakdown, flame_summary,
                               metrics_rows, trace_to_jsonl)
-from repro.obs.metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
-                               MetricsRegistry)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.trace import NOOP_TRACER, NoopTracer, Span, Tracer
 
 __all__ = [
-    "Counter", "DEFAULT_BUCKETS", "DOSN_PHASES", "Gauge", "Histogram",
-    "MetricsRegistry", "NOOP_TRACER", "NoopTracer", "Span", "Tracer",
+    "Counter", "DOSN_PHASES", "Gauge", "MetricsRegistry", "NOOP_TRACER",
+    "NoopTracer", "Span", "Tracer",
     "cost_breakdown", "flame_summary", "metrics_rows", "trace_to_jsonl",
 ]

@@ -21,7 +21,7 @@ from collections import defaultdict
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer
 
 __all__ = ["trace_to_jsonl", "flame_summary", "metrics_rows",
@@ -123,27 +123,14 @@ def flame_summary(tracer: Tracer, min_cost: float = 0.0) -> str:
 
 def metrics_rows(metrics: MetricsRegistry
                  ) -> Tuple[List[str], List[List[object]]]:
-    """Flatten a registry into ``report_table``-compatible rows.
-
-    Histograms render as one row with count/mean/p50/p99; wall-clock
-    histograms (``.wall_ns`` suffix) are skipped by default callers that
-    need determinism — they carry real time, so they are flagged in the
-    ``kind`` column instead of silently mixed in.
-    """
-    headers = ["Metric", "Labels", "Kind", "Value", "p50", "p99"]
-    rows: List[List[object]] = []
-    for instrument in metrics:
-        labels = ", ".join(f"{k}={v}" for k, v in instrument.labels)
-        if isinstance(instrument, Histogram):
-            kind = ("histogram (wall)" if instrument.name.endswith(".wall_ns")
-                    else "histogram")
-            rows.append([instrument.name, labels, kind,
-                         f"n={instrument.count} mean={instrument.mean:.4g}",
-                         f"{instrument.percentile(50):.4g}",
-                         f"{instrument.percentile(99):.4g}"])
-        else:
-            rows.append([instrument.name, labels, instrument.kind,
-                         instrument.value, "", ""])
+    """Flatten a registry into ``report_table``-compatible rows: one per
+    labelled counter or gauge, in the registry's deterministic order."""
+    headers = ["Metric", "Labels", "Kind", "Value"]
+    rows: List[List[object]] = [
+        [instrument.name,
+         ", ".join(f"{k}={v}" for k, v in instrument.labels),
+         instrument.kind, instrument.value]
+        for instrument in metrics]
     return headers, rows
 
 

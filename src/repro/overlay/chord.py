@@ -14,9 +14,9 @@ peers under churn.
 
 Both construction modes are provided: :meth:`ChordRing.build` computes
 exact routing state for a static peer set (what the lookup experiments
-use), and :meth:`ChordNode.join` + :meth:`ChordRing.stabilize_all`
-implement the incremental protocol (exercised by the tests to show the
-ring converges).
+use), and :meth:`ChordRing.join` + :meth:`ChordRing.stabilize_all`
+implement the incremental protocol (``examples/overlay_taxonomy.py``
+shows a latecomer converge).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from typing import (AbstractSet, Any, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -169,6 +170,15 @@ class ChordRing:
         #: of ``nodes`` and keeps both in step, so no reader ever sorts.
         self._ids: List[int] = []
         self._names: List[str] = []
+        #: whether RPCs ride the channel (:meth:`_get_group` then probes)
+        self.resilient = self.fabric.resilient
+        # one iterative path, or the defense's vote over disjoint ones
+        self._lookup = lambda start, key, max_hops: self._route(
+            self.fabric.op(start), key, max_hops)
+        adversary = self.fabric.adversary
+        if adversary is not None and adversary.config.defense is not None:
+            from repro.adversary.defense import defended_chord_lookup
+            self._lookup = partial(defended_chord_lookup, self)
 
     # -- construction -----------------------------------------------------------
 
@@ -183,8 +193,7 @@ class ChordRing:
         self._ids.insert(slot, node.chord_id)
         self._names.insert(slot, name)
         self.network.register(node)
-        if self.fabric.adversary is not None:
-            self.fabric.adversary.enroll(name, "chord")
+        self.fabric.enroll(name, "chord")
         return node
 
     def build(self) -> None:
@@ -241,10 +250,7 @@ class ChordRing:
         .defended_chord_lookup`, which votes over disjoint
         :meth:`_route` paths.
         """
-        defended = self.fabric.secure_lookup("chord")
-        if defended is not None:
-            return defended(self, start, key, max_hops=max_hops)
-        return self._route(self.fabric.op(start), key, max_hops)
+        return self._lookup(start, key, max_hops)
 
     def _route(self, ctx: Any, key: str, max_hops: int = 64,
                whole_list: bool = False) -> LookupResult:
@@ -411,7 +417,7 @@ class ChordRing:
         holder that served.
         """
         ctx = self.fabric.op(start)
-        resilient = self.fabric.resilient
+        resilient = self.resilient
         route: Optional[LookupResult] = None
         try:
             route = self.lookup(start, group[0])
@@ -480,7 +486,7 @@ class ChordRing:
                     "holds it")
         return served, route
 
-    # -- incremental protocol (join / stabilize), used by the tests --------------
+    # -- incremental protocol (join / stabilize) ----------------------------------
 
     def join(self, name: str, via: str) -> ChordNode:
         """Join a new peer through an existing one (successor via lookup)."""

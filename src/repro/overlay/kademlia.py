@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import (DeadlineExceededError, LookupError_,
@@ -106,14 +106,22 @@ class KademliaOverlay:
         self.k = k
         self.alpha = alpha
         self.nodes: Dict[str, KademliaNode] = {}
+        #: a resilient :meth:`put` counts only confirmed stores
+        self.resilient = self.fabric.resilient
+        # the lookup driver, chosen once (as in ChordRing)
+        self._lookup = lambda start, key, find_value: self._iterate(
+            self.fabric.op(start), key, find_value)
+        adversary = self.fabric.adversary
+        if adversary is not None and adversary.config.defense is not None:
+            from repro.adversary.defense import defended_kad_lookup
+            self._lookup = partial(defended_kad_lookup, self)
 
     def add_node(self, name: str) -> KademliaNode:
         """Register a peer."""
         node = KademliaNode(name, k=self.k)
         self.nodes[name] = node
         self.network.register(node)
-        if self.fabric.adversary is not None:
-            self.fabric.adversary.enroll(name, "kad")
+        self.fabric.enroll(name, "kad")
         return node
 
     def bootstrap(self) -> None:
@@ -150,10 +158,7 @@ class KademliaOverlay:
         :func:`~repro.adversary.defense.defended_kad_lookup` votes over
         disjoint :meth:`_iterate` paths instead.
         """
-        defended = self.fabric.secure_lookup("kad")
-        if defended is not None:
-            return defended(self, start, key, find_value=find_value)
-        return self._iterate(self.fabric.op(start), key, find_value)
+        return self._lookup(start, key, find_value)
 
     def _iterate(self, ctx: Any, key: str,
                  find_value: bool = False) -> KadLookupResult:
@@ -264,7 +269,7 @@ class KademliaOverlay:
                 if not node.online:
                     continue
                 ok, _ = self.fabric.call(start, name, "kad_store")
-                if self.fabric.resilient and not ok:
+                if self.resilient and not ok:
                     continue  # a resilient put only counts confirmed stores
                 node.store[key] = value
                 stored += 1

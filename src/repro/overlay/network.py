@@ -28,7 +28,6 @@ stresses the overlay protocols through this hook.
 
 from __future__ import annotations
 
-import random as _random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -241,15 +240,30 @@ class SimNetwork:
         self._messages = self.metrics.counter("net.messages")
         self._bytes = self.metrics.counter("net.bytes")
         self._rng = sim.split_rng("network")
+        #: the installed :class:`repro.faults.FaultPlan` (None: none)
         self.faults = None
         #: per-peer service model (None = fair-weather: RPCs are free for
         #: the server) — see :meth:`install_overload`
         self.service = None
-        self._adaptive = None
         #: absolute virtual time until which each peer's queue is busy
         self._busy_until: Dict[str, float] = {}
         #: deepest backlog ever observed per destination (jobs waiting)
         self.queue_peak: Dict[str, int] = {}
+        # What install_faults / install_overload rebind.  Until then every
+        # link is open at full speed (``_link``: blocked?, latency factor)
+        # and lossy only at ``loss_rate``, no holder lies, every request
+        # is served on arrival and a timeout costs four RTTs.
+        self._link = lambda src, dst, t: (False, 1.0)
+        self._loss_cause = self._base_loss if loss_rate > 0 \
+            else lambda src, dst, t: None
+        self._corrupts = lambda src, dst, t: False
+        #: ``holder_faults(holder, t)``: the Byzantine faults driving a
+        #: holder (:meth:`repro.faults.FaultPlan.holder_faults`)
+        self.holder_faults = lambda holder, t: ()
+        self._admit = lambda dst, arrival: (True, 0.0)
+        self._in_time = lambda dst, out, rtt: True
+        self._timeout_cost = lambda dst, out: 4 * out
+        self._observe_rtt = lambda dst, rtt: None
         if faults is not None:
             self.install_faults(faults)
 
@@ -257,43 +271,49 @@ class SimNetwork:
         """Attach a :class:`repro.faults.FaultPlan` to the fabric.
 
         Binding materializes the plan's burst schedules from its seed and
-        registers crash/restart events on the simulator.
+        registers crash/restart events on the simulator; the plan's link
+        and holder queries become the network's.
         """
         if self.faults is not None:
             raise SimulationError("a fault plan is already installed")
         plan.bind(self)
         self.faults = plan
+        self._link = lambda src, dst, t: (plan.blocks(src, dst, t),
+                                          plan.latency_factor(src, dst, t))
+        self._loss_cause = self._fault_loss
+        self._corrupts = self._fault_corrupts
+        self.holder_faults = plan.holder_faults
 
-    def install_overload(self, config: Optional[Any]) -> None:
+    def install_overload(self, config: Any) -> None:
         """Attach an :class:`repro.faults.OverloadConfig` service model.
 
         With a :class:`~repro.faults.ServiceConfig` installed every RPC
         destination processes one request per ``service_time`` and keeps
         a bounded FIFO backlog; :meth:`rpc_issue` charges the queueing
-        delay on top of wire latency, and a full queue sheds.  With
+        delay on top of wire latency, a full queue sheds, and an answer
+        slower than the attempt timeout reads as one.  With
         ``adaptive_timeout`` on, successful RTTs per destination feed an
-        EWMA that replaces the fixed attempt timeout.  ``None`` is a
-        no-op: no service state exists and every draw, span, and counter
-        stays byte-identical to the fair-weather fabric.
+        EWMA that replaces the fixed attempt timeout.  Until one is
+        installed no service state exists and every draw, span and
+        counter is the fair-weather fabric's.
         """
-        if config is None:
-            return
         if self.service is not None:
             raise SimulationError("an overload config is already installed")
-        self.service = config.service
+        service = self.service = config.service
+        # what an abandoned attempt costs: the adaptive per-destination
+        # estimate once it has a sample, else the service's fixed timeout,
+        # else (as on the fair-weather fabric) four RTTs
+        if service is not None:
+            self._admit = self._enqueue
+            self._in_time = self._answered_in_time
+            self._timeout_cost = lambda dst, out: service.timeout
         if config.adaptive_timeout:
             from repro.faults.overload import AdaptiveTimeout
-            self._adaptive = AdaptiveTimeout()
-
-    def queue_depth(self, dst: str, now: Optional[float] = None) -> int:
-        """Jobs currently queued or in service at ``dst`` (0 when idle)."""
-        if self.service is None:
-            return 0
-        backlog = self._busy_until.get(dst, 0.0) - \
-            (self.sim.now if now is None else now)
-        if backlog <= 0:
-            return 0
-        return max(1, round(backlog / self.service.service_time))
+            adaptive = AdaptiveTimeout()
+            fixed = self._timeout_cost
+            self._timeout_cost = lambda dst, out: \
+                adaptive.timeout_for(dst) or fixed(dst, out)
+            self._observe_rtt = adaptive.observe
 
     def register(self, node: SimNode) -> None:
         """Add a peer to the fabric."""
@@ -316,24 +336,23 @@ class SimNetwork:
 
     # -- fault-aware draws ------------------------------------------------------
 
-    def _loss_cause(self, a: str, b: str, t: float) -> Optional[str]:
-        """One direction's loss draw: None, 'loss' (base), or 'fault'."""
+    def _base_loss(self, a: str, b: str, t: float) -> Optional[str]:
+        """One direction's loss draw (``_loss_cause`` on a lossy network
+        without a fault plan): None or 'loss'."""
         if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
             return "loss"
-        if self.faults is not None:
+        return None
+
+    def _fault_loss(self, a: str, b: str, t: float) -> Optional[str]:
+        """The base draw, then the plan's: None, 'loss' or 'fault'."""
+        cause = self._base_loss(a, b, t)
+        if cause is None:
             rate = self.faults.loss_rate(a, b, t)
             if rate > 0 and self._rng.random() < rate:
                 return "fault"
-        return None
+        return cause
 
-    def _latency_factor(self, a: str, b: str, t: float) -> float:
-        if self.faults is None:
-            return 1.0
-        return self.faults.latency_factor(a, b, t)
-
-    def _corrupts(self, a: str, b: str, t: float) -> bool:
-        if self.faults is None:
-            return False
+    def _fault_corrupts(self, a: str, b: str, t: float) -> bool:
         rate = self.faults.corruption_rate(a, b, t)
         return rate > 0 and self._rng.random() < rate
 
@@ -355,8 +374,8 @@ class SimNetwork:
         now = self.sim.now
         with self.tracer.span("net.send", kind=message.kind,
                               src=message.src, dst=message.dst) as span:
-            if self.faults is not None \
-                    and self.faults.blocks(message.src, message.dst, now):
+            blocked, factor = self._link(message.src, message.dst, now)
+            if blocked:
                 self.metrics.inc("net.send_drops", kind=message.kind,
                                  cause="partition")
                 span.set_attr("dropped", "partition")
@@ -370,8 +389,8 @@ class SimNetwork:
             if self._corrupts(message.src, message.dst, now):
                 message.corrupted = True
                 self.metrics.inc("net.corrupted", kind=message.kind)
-            delay = self.latency.sample(self._rng, message.src, message.dst) \
-                * self._latency_factor(message.src, message.dst, now)
+            delay = self.latency.sample(self._rng, message.src,
+                                        message.dst) * factor
             span.add_cost(delay)
             parent_id = self.tracer.current_id
 
@@ -441,23 +460,6 @@ class SimNetwork:
         """
         return self.rpc_issue(src, dst, kind, payload_size).value
 
-    def _timeout_cost(self, dst: str, out: float) -> float:
-        """What one abandoned attempt against ``dst`` costs the caller.
-
-        Cascade: the adaptive per-destination EWMA estimate when one
-        exists, else the fixed :attr:`ServiceConfig.timeout` when a
-        service model is installed, else the legacy ``4 * out``
-        heuristic — so with ``overload=None`` every timeout is priced
-        exactly as before.
-        """
-        if self._adaptive is not None:
-            adaptive = self._adaptive.timeout_for(dst)
-            if adaptive is not None:
-                return adaptive
-        if self.service is not None:
-            return self.service.timeout
-        return 4 * out  # timeout ~ a few RTTs
-
     def _enqueue(self, dst: str, arrival: float) -> Tuple[bool, float]:
         """Admit one request to ``dst``'s service queue at ``arrival``.
 
@@ -480,14 +482,21 @@ class SimNetwork:
         self._busy_until[dst] = busy + service.service_time
         return (True, (busy - arrival) + service.service_time)
 
+    def _answered_in_time(self, dst: str, out: float, rtt: float) -> bool:
+        """Whether a queued answer beat the attempt timeout (an answer
+        that did feeds the adaptive estimate)."""
+        if rtt > self._timeout_cost(dst, out):
+            return False
+        self._observe_rtt(dst, rtt)
+        return True
+
     def _rpc_inner(self, src: str, dst: str, kind: str, payload_size: int,
                    span: Any) -> Tuple[bool, float, Optional[str]]:
         now = self.sim.now
-        factor = self._latency_factor(src, dst, now)
+        blocked, factor = self._link(src, dst, now)
         out = self.latency.sample(self._rng, src, dst) * factor
-        blocked = self.faults is not None \
-            and self.faults.blocks(src, dst, now)
-        reachable = not blocked and self.is_online(dst)
+        node = self.nodes.get(dst)  # is_online, spelled out: every RPC
+        reachable = not blocked and node is not None and node.online
         request_lost = self._loss_cause(src, dst, now) if reachable else None
         if not reachable or request_lost is not None:
             self._messages.value += 1
@@ -499,25 +508,24 @@ class SimNetwork:
             span.set_attr("failed", f"request/{cause}")
             return (False, self._timeout_cost(dst, out), cause)
         back = self.latency.sample(self._rng, dst, src) * factor
-        queue_wait = 0.0
-        if self.service is not None:
-            # the request reached dst: admission to its service queue
-            accepted, queue_wait = self._enqueue(dst, now + out)
-            if not accepted:
-                self.metrics.inc("overload.sheds", kind=kind, dst=dst,
-                                 policy=self.service.shed_policy)
-                span.set_attr("failed", "overloaded")
-                if self.service.shed_policy == "reject":
-                    # a typed rejection rides back: two messages, one
-                    # round trip — the cheap failure shedding buys
-                    self._messages.value += 2
-                    self._bytes.value += payload_size + 64
-                    return (False, out + back, "overloaded")
-                # "drop": silently discarded; the caller waits out the
-                # attempt timeout, exactly like an unprotected peer
-                self._messages.value += 1
-                self._bytes.value += payload_size
-                return (False, self._timeout_cost(dst, out), "overloaded")
+        # the request reached dst: admission to its service queue
+        accepted, queue_wait = self._admit(dst, now + out)
+        if not accepted:
+            shed_policy = self.service.shed_policy
+            self.metrics.inc("overload.sheds", kind=kind, dst=dst,
+                             policy=shed_policy)
+            span.set_attr("failed", "overloaded")
+            if shed_policy == "reject":
+                # a typed rejection rides back: two messages, one round
+                # trip — the cheap failure shedding buys
+                self._messages.value += 2
+                self._bytes.value += payload_size + 64
+                return (False, out + back, "overloaded")
+            # "drop": silently discarded; the caller waits out the attempt
+            # timeout, exactly like an unprotected peer
+            self._messages.value += 1
+            self._bytes.value += payload_size
+            return (False, self._timeout_cost(dst, out), "overloaded")
         self._messages.value += 2
         self._bytes.value += 2 * payload_size
         response_lost = self._loss_cause(dst, src, now)
@@ -532,17 +540,12 @@ class SimNetwork:
             span.set_attr("failed", "response/corruption")
             return (False, out + back + queue_wait, "corruption")
         rtt = out + queue_wait + back
-        if self.service is not None:
-            timeout = self._timeout_cost(dst, out)
-            if rtt > timeout:
-                # the answer is coming, but later than the client waits:
-                # it reads as a timeout while dst's service time is
-                # already spent — the wasted work that feeds metastable
-                # collapse.
-                self.metrics.inc("net.rpc_failures", kind=kind,
-                                 cause="slow", direction="response")
-                span.set_attr("failed", "response/slow")
-                return (False, timeout, "slow")
-            if self._adaptive is not None:
-                self._adaptive.observe(dst, rtt)
+        if not self._in_time(dst, out, rtt):
+            # the answer is coming, but later than the client waits: it
+            # reads as a timeout while dst's service time is already
+            # spent — the wasted work that feeds metastable collapse.
+            self.metrics.inc("net.rpc_failures", kind=kind,
+                             cause="slow", direction="response")
+            span.set_attr("failed", "response/slow")
+            return (False, self._timeout_cost(dst, out), "slow")
         return (True, rtt, None)

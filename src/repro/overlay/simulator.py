@@ -23,8 +23,8 @@ account of the overlap a real client gets.  An issued operation is a
 :class:`SimFuture`: it settles immediately (all RNG draws happen at
 issue time, in issue order, so the synchronous wrappers keep
 byte-identical random streams) but carries a virtual *completion time*.
-The combinators :func:`gather`, :func:`quorum_of` and :func:`first_of`
-then reduce a fan-out to its critical path: overlapped operations cost
+The combinators :func:`gather` and :func:`quorum_of` then reduce a
+fan-out to its critical path: overlapped operations cost
 the **max** (or the ``n``-th completion, for quorums) of their latencies
 instead of the sum, and :func:`hedge_of` prices a staggered hedge race
 at its winner's completion.  Settle order is fixed by ``(completion
@@ -253,13 +253,6 @@ def gather(futures: Sequence[SimFuture]) -> FanoutResult:
     return quorum_of(len(futures), futures, predicate=lambda f: True)
 
 
-def first_of(futures: Sequence[SimFuture],
-             predicate: Optional[Callable[[SimFuture], bool]] = None
-             ) -> FanoutResult:
-    """Settle on the first satisfying branch (a 1-quorum)."""
-    return quorum_of(1, futures, predicate=predicate)
-
-
 def hedge_of(candidates: Iterable[Any], hedge_delay: float,
              issue: Callable[[Any, float],
                              Optional[Tuple[Optional[SimFuture], bool]]]
@@ -317,7 +310,8 @@ class UniformLatency:
 
     def sample(self, rng: _random.Random, src: Any, dst: Any) -> float:
         """A latency sample for one message from ``src`` to ``dst``."""
-        return rng.uniform(self.low, self.high)
+        # rng.uniform(low, high)'s own formula: the same draw, one call less
+        return self.low + (self.high - self.low) * rng.random()
 
 
 @dataclass

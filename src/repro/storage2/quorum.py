@@ -80,7 +80,10 @@ class ReplicatedStore:
         self.sim = self.fabric.sim
         self.metrics = self.network.metrics
         self.registry = registry if registry is not None else KeyRegistry()
-        self._signer_of = signer_of
+        #: ``author -> signer``: the identity world's, or TOY identities
+        #: the store mints on first write
+        self._signer = signer_of if signer_of is not None \
+            else self._own_signer
         self._local_identities: Dict[str, object] = {}
         self._rng: Optional[_random.Random] = None
         #: key -> current replica holders (repair may re-place these)
@@ -101,10 +104,8 @@ class ReplicatedStore:
             self._rng = self.sim.split_rng("storage2")
         return self._rng
 
-    def _signer(self, author: str):
+    def _own_signer(self, author: str):
         from repro.dosn.identity import create_identity
-        if self._signer_of is not None:
-            return self._signer_of(author)
         identity = self._local_identities.get(author)
         if identity is None:
             identity = create_identity(author, rng=self.rng)
@@ -118,10 +119,6 @@ class ReplicatedStore:
         if placed is not None:
             return list(placed)
         return self.ring.replica_set(key)[:self.config.n]
-
-    def latest_version(self, key: str) -> int:
-        """The writer-side view of the newest version (0 = never written)."""
-        return self._versions.get(key, 0)
 
     def store_at(self, holder: str, key: str, encoded: bytes) -> bool:
         """Accept a record at a holder; returns whether bytes changed.
@@ -150,12 +147,9 @@ class ReplicatedStore:
         corrupting holders garble the bytes.  Deterministic per
         ``(plan seed, holder, key, reader)``.
         """
-        node = self.ring.nodes[holder]
-        blob = node.store[key]
-        if self.network.faults is None:
-            return blob
+        blob = self.ring.nodes[holder].store[key]
         history = self._history.get((holder, key), [])
-        for fault in self.network.faults.holder_faults(holder, self.sim.now):
+        for fault in self.network.holder_faults(holder, self.sim.now):
             if not fault.applies_to(key):
                 continue
             if isinstance(fault, (StaleServe, Equivocate)) and history:

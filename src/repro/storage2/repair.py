@@ -54,22 +54,20 @@ class AntiEntropyDaemon:
         self._started = False
         #: the failure detector replacing the churn oracle (see module
         #: docstring), when one is attached to the store's fabric
-        self.membership = store.fabric.membership
-        if self.membership is not None:
-            self.membership.on_confirm(self._on_confirmed_death)
-
-    # -- liveness (oracle vs. detector) -------------------------------------------
-
-    def _believes_alive(self, peer: str) -> bool:
-        """Whether repair should count on ``peer`` right now."""
-        if self.membership is None:
-            return self.store.network.is_online(peer)  # the legacy oracle
-        return not self.membership.confirmed_dead(peer)
-
-    def _can_initiate(self, peer: str) -> bool:
-        """Whether a repair task can *run at* ``peer`` (self-knowledge)."""
-        node = self.store.ring.nodes.get(peer)
-        return node is not None and node.online
+        membership = self.membership = store.fabric.membership
+        # The liveness source and the copy direction, chosen once: the
+        # oracle and a push from the source, or the detector's beliefs
+        # and a pull by the target (so a source that is believed alive
+        # but actually gone fails the RPC instead of teleporting data).
+        # Either way a repair task runs only at a node that is really up:
+        # the node's knowledge of itself, which the oracle extends to all.
+        self._can_initiate = self._believes_alive = store.network.is_online
+        self._direction = lambda source, target: (source, target)
+        if membership is not None:
+            self._believes_alive = \
+                lambda peer: not membership.confirmed_dead(peer)
+            self._direction = lambda source, target: (target, source)
+            membership.on_confirm(self._on_confirmed_death)
 
     def start(self) -> None:
         """Schedule the recurring repair tick on the simulator clock."""
@@ -99,14 +97,12 @@ class AntiEntropyDaemon:
                 live = [h for h in holders if self._believes_alive(h)]
                 if len(live) < 2:
                     continue  # nobody to compare notes with
-                coordinator = live[0]
-                if self.membership is not None:
-                    # Beliefs pick the group; only a node that is really
-                    # up can run the comparison task (self-knowledge).
-                    initiators = [h for h in live if self._can_initiate(h)]
-                    if not initiators:
-                        continue
-                    coordinator = initiators[0]
+                # Beliefs pick the group; only a node that is really up
+                # can run the comparison task (self-knowledge).
+                initiators = [h for h in live if self._can_initiate(h)]
+                if not initiators:
+                    continue
+                coordinator = initiators[0]
                 local_root = self._summary_root(coordinator, keys)
                 with store.network.tracer.span("storage2.repair.group",
                                                parallel=True,
@@ -183,18 +179,8 @@ class AntiEntropyDaemon:
                     if target == source \
                             or self._stored(target, key) == encoded:
                         continue
-                    if self.membership is not None:
-                        # Non-oracle path: the target *pulls*, so a
-                        # source that is believed alive but actually gone
-                        # fails the RPC instead of teleporting data.
-                        if not self._can_initiate(target):
-                            continue
-                        ok, _ = store.fabric.call(target, source,
-                                                  "antientropy_pull")
-                    else:
-                        ok, _ = store.fabric.call(source, target,
-                                                  "antientropy_pull")
-                    if ok and store.store_at(target, key, encoded):
+                    if self._copy(source, target, key, encoded,
+                                  "antientropy_pull"):
                         store.metrics.inc("storage.repair_pulls")
 
     def _re_replicate(self, key: str) -> None:
@@ -218,24 +204,24 @@ class AntiEntropyDaemon:
                 break
             if candidate in placed or candidate in new_placement:
                 continue
-            if self.membership is not None:
-                # Pull semantics (see module docstring): the candidate
-                # fetches from the believed-best source, so a dead source
-                # fails honestly.
-                if not self._can_initiate(candidate):
-                    continue
-                ok, _ = store.fabric.call(candidate, source,
-                                          "re_replicate")
-            else:
-                ok, _ = store.fabric.call(source, candidate,
-                                          "re_replicate")
-            if ok and store.store_at(candidate, key, encoded):
+            if self._copy(source, candidate, key, encoded, "re_replicate"):
                 new_placement.append(candidate)
                 store.metrics.inc("storage.re_replications")
         # Offline ex-holders drop out of the placement (their copies
         # linger as exposure, but reads and repair stop counting on them).
         if len(new_placement) > len(live):
             store.placements[key] = new_placement
+
+    def _copy(self, source: str, target: str, key: str, encoded: bytes,
+              kind: str) -> bool:
+        """Copy one record ``source`` → ``target`` (the RPC goes out from
+        whichever end the direction makes the initiator, and only if that
+        node is up); whether ``target``'s bytes changed."""
+        caller, callee = self._direction(source, target)
+        if not self._can_initiate(caller):
+            return False
+        ok, _ = self.store.fabric.call(caller, callee, kind)
+        return ok and self.store.store_at(target, key, encoded)
 
     def _candidates(self, key: str) -> List[str]:
         """Online peers in ring order starting at the key's owner."""

@@ -15,10 +15,11 @@ from __future__ import annotations
 import random as _random
 
 import networkx as nx
+import pytest
 
-from repro.adversary import AdversaryConfig, DefenseConfig
+from repro.adversary import AdversaryConfig, AdversaryModel, DefenseConfig
 from repro.adversary.walks import random_walk_landings, region_mass
-from repro.exceptions import LookupError_, StorageError
+from repro.exceptions import LookupError_, SimulationError, StorageError
 from repro.fabric import Fabric
 from repro.faults import CircuitBreaker
 from repro.membership import SwimMembership
@@ -65,6 +66,31 @@ class TestSelection:
         large = _compromised_set(AdversaryConfig(fraction=0.4, defense=None))
         # The hash threshold nests: raising the fraction only adds peers.
         assert small <= large
+
+
+class TestAttachOrder:
+    """The overlays enroll a peer as it is added and pick their lookup
+    driver when built, so the model must attach before any peer exists."""
+
+    def test_a_model_attached_after_peers_register_is_refused(self):
+        fab = Fabric.create(seed=SEED)
+        ring = ChordRing(fab)
+        for name in _names():
+            ring.add_node(name)
+        # attached now, it would know no accomplice: every misroute would
+        # degrade to a self-eclipse and none would be counted
+        with pytest.raises(SimulationError, match="before peers register"):
+            AdversaryModel(fab, AdversaryConfig(fraction=0.3))
+        assert fab.adversary is None
+
+    def test_attached_in_create_it_enrolls_every_peer(self):
+        fab = Fabric.create(seed=SEED,
+                            adversary=AdversaryConfig(fraction=0.3))
+        ring = ChordRing(fab)
+        for name in _names():
+            ring.add_node(name)
+        assert fab.adversary.rosters["chord"] == _names()
+        assert fab.adversary.accomplices("chord")
 
 
 class TestAuditTrail:

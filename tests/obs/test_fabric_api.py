@@ -9,6 +9,7 @@ from repro.exceptions import LookupError_, OverlayError
 from repro.fabric import Fabric
 from repro.faults import (Crash, FaultPlan, OverloadConfig, Partition,
                           ReliableChannel, RetryPolicy)
+from repro.faults.overload import NO_DEADLINE
 from repro.membership import SwimMembership
 from repro.membership.swim import DEAD
 from repro.obs.trace import NOOP_TRACER, Tracer
@@ -151,7 +152,7 @@ class TestOpContextBareFabric:
         fab = Fabric.create(seed=4)
         _ring(fab)
         ctx = fab.op("p0")
-        assert ctx.deadline is None
+        assert ctx.deadline is NO_DEADLINE
         ctx.spent = 1e9
         assert not ctx.expired("chord_lookup")
         assert fab.network.stats.deadline_expired == 0

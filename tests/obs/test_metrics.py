@@ -1,8 +1,6 @@
-"""MetricsRegistry: labelled instruments and histogram percentile math."""
+"""MetricsRegistry: labelled counters and gauges."""
 
-import pytest
-
-from repro.obs.metrics import (DEFAULT_BUCKETS, Histogram, MetricsRegistry)
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestRegistry:
@@ -39,56 +37,3 @@ class TestRegistry:
         names = [(m.name, m.labels) for m in reg]
         assert names == sorted(names)
 
-
-class TestHistogramPercentiles:
-    def test_bounds_must_increase(self):
-        with pytest.raises(ValueError):
-            Histogram("h", (), bounds=(1.0, 1.0, 2.0))
-
-    def test_exact_small_case(self):
-        h = Histogram("h", (), bounds=(1.0, 2.0, 4.0))
-        for v in (0.5, 1.5, 3.0, 3.5):
-            h.observe(v)
-        assert h.count == 4
-        assert h.mean == pytest.approx(2.125)
-        # p25 lands in the first bucket [0, 1]: rank 1 of 1 -> upper edge.
-        assert h.percentile(25) == pytest.approx(1.0)
-        # p100 lands in (2, 4]: both its observations < rank -> edge 4.0.
-        assert h.percentile(100) == pytest.approx(4.0)
-
-    def test_interpolation_within_bucket(self):
-        h = Histogram("h", (), bounds=(10.0, 20.0))
-        for _ in range(10):
-            h.observe(15.0)  # all in the (10, 20] bucket
-        # Median rank 5/10 -> halfway through the bucket: 10 + 0.5*10.
-        assert h.percentile(50) == pytest.approx(15.0)
-
-    def test_overflow_bucket_reports_tracked_maximum(self):
-        h = Histogram("h", (), bounds=(1.0,))
-        h.observe(0.5)
-        h.observe(123.0)
-        h.observe(456.0)
-        assert h.percentile(99) == pytest.approx(456.0)
-        assert h.maximum == 456.0
-
-    def test_empty_histogram(self):
-        h = Histogram("h", ())
-        assert h.percentile(50) == 0.0
-        assert h.mean == 0.0
-        with pytest.raises(ValueError):
-            h.percentile(101)
-
-    def test_min_max_tracking(self):
-        h = Histogram("h", (), bounds=DEFAULT_BUCKETS)
-        for v in (0.2, 0.004, 7.0):
-            h.observe(v)
-        assert h.minimum == 0.004
-        assert h.maximum == 7.0
-
-    def test_registry_observe_shortcut(self):
-        reg = MetricsRegistry()
-        reg.observe("lat", 0.3, kind="chord")
-        reg.observe("lat", 0.6, kind="chord")
-        hist = reg.histogram("lat", kind="chord")
-        assert hist.count == 2
-        assert hist.mean == pytest.approx(0.45)

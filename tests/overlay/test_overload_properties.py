@@ -23,8 +23,8 @@ import pytest
 from repro.dosn.api import DosnConfig, DosnNetwork
 from repro.exceptions import DeadlineExceededError, OverloadedError
 from repro.fabric import Fabric
-from repro.faults import (FaultPlan, LossBurst, OverloadConfig, RetryBudget,
-                          RetryPolicy, ServiceConfig)
+from repro.faults import (FaultPlan, LossBurst, OverloadConfig, RetryPolicy,
+                          ServiceConfig)
 from repro.overlay.chord import ChordRing
 from repro.storage2 import ReplicatedStore, ReplicationConfig
 
@@ -49,10 +49,8 @@ def _hotspot(overload, install_late=True, reads=18):
     store = ReplicatedStore(ring, ReplicationConfig(n=3, r=2, w=2))
     store.put("p0", HOT, b"payload")
     if overload is not None and install_late:
-        fab.overload = overload
-        fab.network.install_overload(overload)
+        fab.install_overload(overload)
         if overload.retry_budget:
-            fab.channel.retry_budget = RetryBudget()
             # a bucket drained to four tokens, so the hotspot exhausts it
             fab.channel.retry_budget.tokens = 4.0
     fab.network.stats.reset()
@@ -189,8 +187,7 @@ class TestFailureSurface:
         ring.build()
         store = ReplicatedStore(ring, ReplicationConfig(n=3, r=2, w=2))
         store.put("p0", HOT, b"payload")
-        fab.overload = config
-        fab.network.install_overload(config)
+        fab.install_overload(config)
         with pytest.raises(DeadlineExceededError):
             store.get("p1", HOT)
         assert fab.network.stats.deadline_expired >= 1
@@ -204,8 +201,7 @@ class TestFailureSurface:
         for i in range(8):
             ring.add_node(f"p{i}")
         ring.build()
-        fab.overload = config
-        fab.network.install_overload(config)
+        fab.install_overload(config)
         with pytest.raises(DeadlineExceededError):
             ring.lookup("p0", "somekey")
         assert fab.network.stats.deadline_expired >= 1
@@ -222,8 +218,7 @@ class TestFailureSurface:
         ring.build()
         store = ReplicatedStore(ring, ReplicationConfig(n=3, r=2, w=2))
         store.put("p0", HOT, b"payload")
-        fab.overload = config
-        fab.network.install_overload(config)
+        fab.install_overload(config)
         assert store.get("p1", HOT).payload == b"payload"  # fills queues
         with pytest.raises(OverloadedError):
             store.get("p2", HOT)  # frozen clock: every probe sheds

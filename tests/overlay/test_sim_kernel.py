@@ -18,7 +18,7 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.overlay.network import SimNetwork, SimNode
 from repro.overlay.simulator import (FanoutResult, SimFuture, Simulator,
-                                     first_of, gather, hedge_of, quorum_of)
+                                     gather, hedge_of, quorum_of)
 
 
 class TestScheduleValidation:
@@ -142,8 +142,8 @@ class TestCombinators:
 
     def test_first_of_is_a_one_quorum(self):
         sim = Simulator()
-        result = first_of(_futures(sim, [0.3, 0.1, 0.2],
-                                   ok=[True, False, True]))
+        result = quorum_of(1, _futures(sim, [0.3, 0.1, 0.2],
+                                       ok=[True, False, True]))
         assert [f.value for f in result.winners] == [2]
         assert result.elapsed == pytest.approx(0.2)
 

@@ -54,7 +54,7 @@ class TestQuorumWrites:
             assert "k" in ring.nodes[holder].store
         record = store.put("p0", "k", b"v2")
         assert record.version == 2
-        assert store.latest_version("k") == 2
+        assert store.get("p0", "k").version == 2
 
     def test_write_quorum_failure_raises_and_keeps_chain_state(self):
         _, ring, store = make_store()
@@ -64,7 +64,7 @@ class TestQuorumWrites:
         writer = reader_for(ring, holders)
         with pytest.raises(QuorumWriteError):
             store.put(writer, "k", b"v1")
-        assert store.latest_version("k") == 0
+        assert "k" not in store.placements
         for holder in holders[1:]:
             ring.nodes[holder].go_online()
         record = store.put(writer, "k", b"v1")

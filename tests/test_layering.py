@@ -162,6 +162,111 @@ def test_ring_order_is_read_through_the_public_accessor():
     assert not found, f"_successor_index used outside chord.py: {found}"
 
 
+# -- each attachment is decided where it attaches (ROADMAP item 8) ---------------
+
+#: the modules on the RPC, hop and probe paths
+ATTACHED_TO = ["fabric.py", "overlay/network.py", "faults/resilience.py",
+               "overlay/chord.py", "overlay/kademlia.py", "storage2/quorum.py",
+               "storage2/repair.py"]
+#: names of an optional subsystem, or of the choice attaching it made
+ATTACHMENTS = {"channel", "overload", "membership", "adversary", "quarantine",
+               "defense", "faults", "service", "_adaptive", "breaker",
+               "retry_budget", "_signer_of", "resilient"}
+#: a function that may ask whether one is present: where it is decided
+DECIDED_IN = ("__init__", "create", "install_", "attach_", "__repr__")
+#: branches kept because binding their decision costs more than they do
+ATTACHMENT_EXEMPT = {
+    ("overlay/chord.py", "_get_group"):
+        "bare and resilient replica reads are two algorithms (the routed "
+        "node serves free and offline holders are skipped, vs. every "
+        "holder probed in health order with a fallback when routing "
+        "fails); six small policies would cost more than the one flag",
+    ("overlay/kademlia.py", "put"):
+        "one branch (a resilient put counts only acknowledged stores); a "
+        "bound predicate costs more lines than the test it replaces",
+}
+
+
+def _attachment_tests(source: str):
+    """``(line, function, name)`` of every ``is [not] None`` comparison on
+    an attachment and every truthiness test of one (``if``, ``while``,
+    ``and`` / ``or``, ``not``, a conditional expression or a
+    comprehension filter), outside the functions that decide it."""
+    found = []
+
+    def test_of(node, function):
+        if _name(node) in ATTACHMENTS:
+            found.append((node.lineno, function, _name(node)))
+
+    def walk(node: ast.AST, function: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if not function.startswith(DECIDED_IN):
+            if isinstance(node, ast.Compare):
+                operands = [node.left] + node.comparators
+                for op, pair in zip(node.ops, zip(operands, operands[1:])):
+                    if isinstance(op, (ast.Is, ast.IsNot)):
+                        for this, other in (pair, pair[::-1]):
+                            if isinstance(other, ast.Constant) \
+                                    and other.value is None:
+                                test_of(this, function)
+            elif isinstance(node, (ast.If, ast.IfExp, ast.While)):
+                test_of(node.test, function)
+            elif isinstance(node, ast.BoolOp):
+                for value in node.values:
+                    test_of(value, function)
+            elif isinstance(node, ast.UnaryOp) \
+                    and isinstance(node.op, ast.Not):
+                test_of(node.operand, function)
+            elif isinstance(node, ast.comprehension):
+                for condition in node.ifs:
+                    test_of(condition, function)
+        for child in ast.iter_child_nodes(node):
+            walk(child, function)
+
+    walk(ast.parse(source), "<module>")
+    return found
+
+
+def test_attachments_are_decided_where_they_attach():
+    found = {}
+    for relative in ATTACHED_TO:
+        for line, function, name in _attachment_tests(
+                (SRC / relative).read_text()):
+            found.setdefault((relative, function), []).append(
+                f"line {line}: {name}")
+    unlisted = {where: hits for where, hits in found.items()
+                if where not in ATTACHMENT_EXEMPT}
+    assert not unlisted, (
+        "a per-operation path asks whether a subsystem is attached: bind "
+        "the decision where it attaches (Fabric.__init__ / create / "
+        "attach_*, SimNetwork.install_*, the constructors) instead, or "
+        f"list the branch in ATTACHMENT_EXEMPT with its reason: {unlisted}")
+    stale = sorted(set(ATTACHMENT_EXEMPT) - set(found))
+    assert not stale, f"ATTACHMENT_EXEMPT lists clean functions: {stale}"
+
+
+def test_the_attachment_gate_sees_a_per_hop_test():
+    """The checker itself: a per-hop presence test is caught, the same
+    test where the subsystem attaches is not, and so is a truthiness
+    test."""
+    source = (
+        "class Net:\n"
+        "    def attach_membership(self, membership):\n"
+        "        if self.membership is not None:\n"
+        "            raise ValueError\n"
+        "        self.view = None if membership is None else membership\n"
+        "    def hop(self, peer):\n"
+        "        if self.fabric.membership is not None:\n"
+        "            peer = self.fabric.membership.order(peer)\n"
+        "        return peer if self.channel else None\n"
+        "    def probe(self, view, resilient):\n"
+        "        return view is None and not resilient\n")
+    assert _attachment_tests(source) == [
+        (7, "hop", "membership"), (9, "hop", "channel"),
+        (11, "probe", "resilient")]
+
+
 # -- one read path ------------------------------------------------------------
 
 #: names of the read paths that were folded away, of the second
@@ -169,15 +274,18 @@ def test_ring_order_is_read_through_the_public_accessor():
 #: the list-based AES forward rounds and key schedule (now
 #: ``tests/crypto/reference.py``), of a ``FeedReport`` filter nothing
 #: called, of the config classes and fields the knob census turned into
-#: constants, and of six public methods nothing referenced; nothing may
-#: bring them back
+#: constants, of six public methods nothing referenced, of the histogram
+#: instruments nothing wrote, of the per-lookup defense switch, and of
+#: three helpers only tests reached; nothing may bring them back
 GONE = ("fetch_from_holders", "_get_failover", "_provenance", "batch_reads",
         "crypto_op", "profile_crypto", "absorb_network", "by_kind",
         "suspected_at", "is_suspect", "_shift_rows", "_mix_columns",
         "_expand_key", "from_source", "AdaptiveTimeoutConfig",
         "RetryBudgetConfig", "prefetch_depth", "ranking_infiltration",
         "availability_with_agreement", "external_view", "matching_tags",
-        "set_policy", "subscription_tags")
+        "set_policy", "subscription_tags", "Histogram", "histogram",
+        "DEFAULT_BUCKETS", "secure_lookup", "check_or_raise", "first_of",
+        "latest_version")
 READ_KINDS = {"chord_replica_read", "chord_batch_fetch"}
 
 
@@ -381,14 +489,15 @@ def test_one_function_writes_a_member_records_state():
 #: ``is None`` / ``is not None`` comparisons per hot module.  A ceiling may
 #: only ever be lowered: when a count drops, lower its number with it.
 NONE_TEST_CEILINGS = {
-    "fabric.py": 29,
-    "overlay/network.py": 27,
+    "fabric.py": 18,
+    "overlay/network.py": 16,
     "dosn/api.py": 27,
     "overlay/chord.py": 18,
-    "storage2/quorum.py": 16,
-    "storage2/repair.py": 13,
+    "storage2/quorum.py": 15,
+    "storage2/repair.py": 9,
     "membership/swim.py": 12,
-    "faults/resilience.py": 12,
+    "faults/resilience.py": 9,
+    "overlay/kademlia.py": 5,
 }
 
 
