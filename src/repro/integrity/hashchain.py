@@ -28,13 +28,17 @@ from repro.exceptions import IntegrityError
 GENESIS = digest(b"repro/hashchain/genesis")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainEntry:
     """One signed timeline entry.
 
     ``previous`` is the hash of the preceding entry (GENESIS for the
     first); ``citations`` optionally carry hashes of *other users'* entries
     for cross-timeline entanglement (see :mod:`repro.integrity.entanglement`).
+
+    The two memos below are not ``__init__`` arguments, so a
+    ``dataclasses.replace`` copy (a tampered one, say) starts without
+    them; ``__slots__`` keeps them from costing a per-entry ``__dict__``.
     """
 
     author: str
@@ -43,10 +47,12 @@ class ChainEntry:
     payload: bytes
     citations: Tuple[Tuple[str, int, bytes], ...]
     signature: Tuple[int, int]
-    #: :meth:`entry_hash`, remembered.  Not an ``__init__`` argument, so a
-    #: ``dataclasses.replace`` copy (a tampered one, say) starts without it.
+    #: :meth:`entry_hash`, remembered.
     _hash: Optional[bytes] = field(default=None, init=False, repr=False,
                                    compare=False)
+    #: the last key :meth:`verified_by` accepted the signature under
+    _verified_under: Optional[SchnorrPublicKey] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def entry_hash(self) -> bytes:
         """The value the *next* entry chains to (covers the signature too).
@@ -56,6 +62,21 @@ class ChainEntry:
         if self._hash is None:
             object.__setattr__(self, "_hash", self._hash_fields())
         return self._hash
+
+    def verified_by(self, key: SchnorrPublicKey) -> bool:
+        """Whether ``key`` verifies the author's signature on this entry.
+
+        Every follower of an author holds the same entry objects, so the
+        check runs once per (entry, key): a success is remembered, a
+        reject never is.
+        """
+        under = self._verified_under
+        if under is key or under == key:
+            return True
+        if not key.verify(self.signed_bytes(), self.signature):
+            return False
+        object.__setattr__(self, "_verified_under", key)
+        return True
 
     def _hash_fields(self) -> bytes:
         return digest_many([
@@ -129,7 +150,7 @@ class TimelineView:
             raise IntegrityError(
                 "chain break: entry does not link to the current head "
                 "(history was rewritten or an entry was suppressed)")
-        if not self.author_key.verify(entry.signed_bytes(), entry.signature):
+        if not entry.verified_by(self.author_key):
             raise IntegrityError("entry signature does not verify")
         self.entries.append(entry)
 
@@ -171,7 +192,7 @@ def verify_order_proof(proof: OrderProof,
     """Check signatures and chain links along the proof segment."""
     previous_hash: Optional[bytes] = None
     for entry in proof.segment:
-        if not author_key.verify(entry.signed_bytes(), entry.signature):
+        if not entry.verified_by(author_key):
             return False
         if previous_hash is not None and entry.previous != previous_hash:
             return False

@@ -3,8 +3,9 @@
 Where :meth:`ChordRing.get` trusts the first replica that answers, the
 :class:`ReplicatedStore` treats every holder as a potential liar
 (:mod:`repro.faults.byzantine`): each response is decoded and checked
-against the author's signature before it counts toward the read quorum,
-the newest verified version wins, and holders caught serving older state
+against the author's signature before it counts toward the read quorum
+(byte-identical copies within one read share one check), the newest
+verified version wins, and holders caught serving older state
 are repaired in the read path.  Every probe, store, and repair push is an
 accounted RPC on the simulated fabric, so E14's availability numbers pay
 for the quorum traffic they claim.
@@ -171,6 +172,21 @@ class ReplicatedStore:
             raise IntegrityError("record signature does not verify")
         return record
 
+    def _verify_once(self, key: str, blob: bytes,
+                     seen: Dict[Tuple[str, bytes], object]) -> object:
+        """:meth:`_verify`'s record, or the error it raised, as a value.
+
+        Honest holders of a key serve the same bytes, so ``seen`` — one
+        per :meth:`get` call or :meth:`get_many` batch, never kept across
+        reads — decodes and verifies each distinct served blob once.
+        """
+        if (key, blob) not in seen:
+            try:
+                seen[key, blob] = self._verify(key, blob)
+            except (IntegrityError, CryptoError) as exc:
+                seen[key, blob] = exc
+        return seen[key, blob]
+
     # -- writes -----------------------------------------------------------------
 
     def put(self, author: str, key: str, payload: bytes) -> StoredVersion:
@@ -256,6 +272,7 @@ class ReplicatedStore:
                                       reader=reader) as span:
             ctx = self.fabric.op(reader)
             responses: List[Tuple[str, Optional[StoredVersion]]] = []
+            seen: Dict[Tuple[str, bytes], object] = {}
             rejected = 0
             probed = 0
             sheds = 0
@@ -280,10 +297,9 @@ class ReplicatedStore:
                         sheds += 1
                     if not future.ok:
                         continue
-                    try:
-                        record = self._verify(
-                            key, self.serve(holder, reader, key))
-                    except (IntegrityError, CryptoError):
+                    record = self._verify_once(
+                        key, self.serve(holder, reader, key), seen)
+                    if not isinstance(record, StoredVersion):
                         rejected += 1
                         self.metrics.inc("storage.byzantine_rejects")
                         responses.append((holder, None))
@@ -411,6 +427,7 @@ class ReplicatedStore:
             #: means the probe landed AND that key's record verified
             key_probes: Dict[str, List[SimFuture]] = {k: [] for k in ordered}
             key_verified: Dict[str, set] = {k: set() for k in ordered}
+            seen: Dict[Tuple[str, bytes], object] = {}
             reachable = 0
             deadline_hit = False
             batch_probes: List[SimFuture] = []
@@ -430,10 +447,9 @@ class ReplicatedStore:
                         continue
                     reachable += 1
                     for key in holder_keys:
-                        try:
-                            record = self._verify(
-                                key, self.serve(holder, reader, key))
-                        except (IntegrityError, CryptoError):
+                        record = self._verify_once(
+                            key, self.serve(holder, reader, key), seen)
+                        if not isinstance(record, StoredVersion):
                             rejected[key] += 1
                             self.metrics.inc("storage.byzantine_rejects")
                             responses[key].append((holder, None))

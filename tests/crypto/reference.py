@@ -4,8 +4,9 @@
 scalar multiplication and the Miller loop in Jacobian coordinates, powers
 of the generator from a fixed-base table, IBBE's ``h^{f(gamma)}`` as one
 multi-exponentiation, products of pairings with one final exponentiation,
-``F_p^2`` powers on plain ints, the AES key schedule on 32-bit words and
-the AES forward cipher on T-tables.  What they replaced lives here,
+``F_p^2`` powers on plain ints, the AES key schedule on 32-bit words, the
+AES forward cipher on T-tables and Schnorr verification with ``y^-1``
+derived once per key.  What they replaced lives here,
 verbatim, as the oracle: every fast path must return *exactly* what this
 code returns (``test_fast_paths.py``), so every ciphertext, header and
 digest stays byte-identical.  Nothing under ``src/`` may import this module
@@ -18,6 +19,7 @@ from repro.crypto import numbertheory as nt
 from repro.crypto.aes import _RCON, _SBOX, _gf_mul
 from repro.crypto.pairing import (Fp2, G1Element, GTElement, PairingGroup,
                                   _Point, _point_add, _point_neg)
+from repro.crypto.signatures import SchnorrPublicKey, _challenge
 from repro.exceptions import CryptoError
 
 # -- numbertheory -----------------------------------------------------------
@@ -29,6 +31,21 @@ def modinv(a: int, m: int) -> int:
     if g != 1:
         raise CryptoError(f"{a} has no inverse modulo {m} (gcd={g})")
     return x % m
+
+
+# -- signatures ---------------------------------------------------------------
+
+
+def schnorr_verify(key: SchnorrPublicKey, message: bytes, signature) -> bool:
+    """``SchnorrPublicKey.verify`` inverting ``y^e`` on every call."""
+    group = key.group
+    e, s = signature
+    if not 0 <= e < group.q or not 0 <= s < group.q:
+        return False
+    commitment = group.mul(
+        group.exp(s),
+        group.inverse(group.power(key.y, e)))
+    return _challenge(group, commitment, key.y, message) == e
 
 
 # -- pairing ----------------------------------------------------------------

@@ -3,9 +3,10 @@
 ``pow(a, -1, m)``, Jacobian G1 scalar multiplication, the inversion-free
 Miller loop, the generator's fixed-base table, the shared doubling chain of
 ``multi_exp``, the single final exponentiation of ``pair_product``,
-``Fp2.pow`` on ints, the word-based AES key schedule and the T-table AES
-must return *the same values* as the extended-Euclid / affine / per-base /
-per-pairing / list-based implementations kept in
+``Fp2.pow`` on ints, the word-based AES key schedule, the T-table AES and
+Schnorr verify's per-key ``y^-1`` must return *the same values* as the
+extended-Euclid / affine / per-base / per-pairing / list-based / per-call
+inversion implementations kept in
 :mod:`tests.crypto.reference` — not merely satisfy the same algebraic laws:
 every stored header and ciphertext is derived from them.
 """
@@ -26,9 +27,12 @@ from repro.crypto import pairing
 from repro.crypto import symmetric as sym
 from repro.crypto.abe import CPABE
 from repro.crypto.aes import AES
+from repro.crypto.groups import SchnorrGroup, group_for_level
 from repro.crypto.ibbe import IBBE
 from repro.crypto.pairing import (Fp2, G1Element, PairingGroup, PairingParams,
                                   pairing_group)
+from repro.crypto.signatures import (SchnorrPublicKey, _challenge,
+                                     generate_schnorr_keypair)
 from repro.exceptions import CryptoError
 from tests.acl.test_golden_bytes import lifecycle_digest
 from tests.crypto import reference as ref
@@ -437,6 +441,19 @@ class TestOperationRatchet:
         sym.aes_ctr(b"k" * 32, b"n" * 8, b"x" * 33)    # the spy does count
         assert len(blocks) == 3
 
+    def test_a_schnorr_key_inverts_once_not_once_per_verify(self,
+                                                            monkeypatch):
+        signer = generate_schnorr_keypair("TOY", random.Random(7))
+        messages = [bytes([i]) for i in range(4)]
+        signatures = [signer.sign(m, rng=random.Random(i))
+                      for i, m in enumerate(messages)]
+        inversions = _counting(monkeypatch, SchnorrGroup, "inverse")
+        key = SchnorrPublicKey(signer.group, signer.public_key.y)
+        for message, signature in zip(messages, signatures):
+            assert key.verify(message, signature)
+        assert not key.verify(b"other", signatures[0])
+        assert len(inversions) == 1
+
 
 class TestAES:
     @given(key=st.sampled_from([16, 24, 32]).flatmap(
@@ -494,3 +511,83 @@ class TestModinv:
         assert not issubclass(CryptoError, ValueError)
         with pytest.raises(CryptoError):
             nt.modinv(a, m)
+
+
+class TestSchnorrVerify:
+    """``verify`` raises a per-key ``y^-1`` to ``e``; the oracle inverts
+    ``y^e`` on every call.  ``(y^-1)^e = (y^e)^-1 mod p`` for every integer
+    ``y``, and ``y = 0 mod p`` gives 0 (``e > 0``) or 1 (``e = 0``) both
+    ways, so the two agree off the order-``q`` subgroup too — where
+    ``y^(q - e)`` would not: a non-residue has ``y^q = -1``."""
+
+    @staticmethod
+    def _sign(group: SchnorrGroup, x: int, message: bytes, k: int,
+              negated: bool = False):
+        """``(y, signature)`` that verifies under ``y = g^x`` or, negated,
+        under the non-residue ``y = -g^x``: ``(-g^x)^-e = g^-xe`` for even
+        ``e``, so nonces are retried until the challenge is even."""
+        y = group.p - group.exp(x) if negated else group.exp(x)
+        while True:
+            e = _challenge(group, group.exp(k), y, message)
+            if not negated or e % 2 == 0:
+                return y, (e, (k + e * x) % group.q)
+            k += 1
+
+    @pytest.mark.parametrize("level", LEVELS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_per_call_inversion(self, level, data):
+        group = group_for_level(level)
+        p, q = group.p, group.q
+        scalar = st.integers(min_value=0, max_value=q - 1)
+        x, k = data.draw(scalar), data.draw(scalar)
+        message = data.draw(st.binary(max_size=16))
+        raw = data.draw(st.integers(min_value=1, max_value=p - 1))
+        non_residue = raw if pow(raw, q, p) != 1 else p - raw  # -1 is one
+        assert pow(non_residue, q, p) == p - 1
+        kind = data.draw(st.sampled_from(
+            ["member", "negated", "one", "minus one", 0, p, non_residue,
+             data.draw(st.integers(min_value=0, max_value=p))]))
+        signed = {"member": (x, False), "negated": (x, True),
+                  "one": (0, False), "minus one": (0, True)}
+        if kind in signed:
+            y, (e, s) = self._sign(group, signed[kind][0], message, k,
+                                   negated=signed[kind][1])
+        else:
+            y, (e, s) = kind, self._sign(group, x, message, k)[1]
+        signatures = [(e, s), (e, (s + 1) % q), ((e + 1) % q, s),
+                      (0, 0), (0, q - 1), (q - 1, 0), (q - 1, q - 1),
+                      (data.draw(scalar), data.draw(scalar)), (q, s), (e, -1)]
+        key = SchnorrPublicKey(group, y)         # reused: its y^-1 is kept
+        for signature in signatures:
+            for m in (message, message + b"!"):
+                want = ref.schnorr_verify(key, m, signature)
+                assert key.verify(m, signature) == want, (y, signature)
+                assert SchnorrPublicKey(group, y).verify(m, signature) == want
+        assert key.verify(message, (e, s)) == (kind in signed)
+
+    def test_keys_off_the_subgroup(self):
+        group = group_for_level("TOY")
+        p, q = group.p, group.q
+        for y in (0, 1, p - 1, p):
+            key = SchnorrPublicKey(group, y)
+            for signature in ((0, 0), (0, 5), (1, 5), (q - 1, 0)):
+                assert (key.verify(b"m", signature)
+                        == ref.schnorr_verify(key, b"m", signature))
+        for x, negated in ((0, False), (0, True), (5, True)):
+            y, signature = self._sign(group, x, b"m", 12345, negated)
+            key = SchnorrPublicKey(group, y)
+            assert key.verify(b"m", signature)
+            assert ref.schnorr_verify(key, b"m", signature)
+            assert (pow(y, q, p) == p - 1) == negated
+
+    def test_the_inverse_is_not_part_of_the_key(self):
+        group = group_for_level("TOY")
+        used, fresh = SchnorrPublicKey(group, 16), SchnorrPublicKey(group, 16)
+        used.verify(b"m", (1, 1))
+        assert used._y_inverse == pow(16, -1, group.p)
+        assert fresh._y_inverse is None
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        with pytest.raises(TypeError):
+            SchnorrPublicKey(group, 16, 5)

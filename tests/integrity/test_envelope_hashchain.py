@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.groups import group_for_level
 from repro.crypto.hashing import digest_many
-from repro.crypto.signatures import generate_schnorr_keypair
+from repro.crypto.signatures import SchnorrPublicKey, generate_schnorr_keypair
 from repro.integrity import envelope as env
 from repro.integrity import hashchain as hc
 from repro.exceptions import IntegrityError
+from tests.crypto import reference as ref
 
 BOB = generate_schnorr_keypair("TOY", random.Random(1))
 MALLORY = generate_schnorr_keypair("TOY", random.Random(2))
@@ -244,8 +246,13 @@ class TestEntryHashMemo:
     def test_memo_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
             hc.ChainEntry("bob", 0, hc.GENESIS, b"x", (), (0, 0), b"forged")
+        with pytest.raises(TypeError):
+            hc.ChainEntry("bob", 0, hc.GENESIS, b"x", (), (0, 0), None,
+                          BOB.public_key)
         with pytest.raises(ValueError):
             dataclasses.replace(self.PINNED, _hash=b"forged")
+        with pytest.raises(ValueError):
+            dataclasses.replace(self.PINNED, _verified_under=BOB.public_key)
 
     def test_equality_hash_and_repr_ignore_the_memo(self):
         entry = self.PINNED
@@ -318,3 +325,132 @@ class TestEntryHashMemo:
         resigned[2] = hc.Timeline("bob", BOB).publish(b"x", rng=rng)
         assert not hc.verify_order_proof(hc.order_proof(resigned, 1, 4),
                                          BOB.public_key)
+
+
+class TestEntryVerifyMemo:
+    """An entry remembers the key it verified under: one check per
+    (entry, key) across every follower's view, and never a remembered
+    reject."""
+
+    @pytest.fixture
+    def verifies(self, monkeypatch):
+        calls = []
+        original = SchnorrPublicKey.verify
+
+        def spy(key, message, signature):
+            calls.append(key)
+            return original(key, message, signature)
+
+        monkeypatch.setattr(SchnorrPublicKey, "verify", spy)
+        return calls
+
+    @staticmethod
+    def oracle(entry, key):
+        """What a never-verified copy of ``entry`` says under ``key``."""
+        fresh = dataclasses.replace(entry)
+        assert fresh._verified_under is None
+        return ref.schnorr_verify(key, fresh.signed_bytes(), fresh.signature)
+
+    def _entries(self, rng, n=4):
+        timeline = hc.Timeline("bob", BOB)
+        for i in range(n):
+            timeline.publish(f"post {i}".encode(), rng=rng)
+        return timeline.entries
+
+    @pytest.mark.parametrize("field,value", [
+        ("author", "eve"), ("sequence", 9), ("previous", b"other"),
+        ("payload", b"evil edit"), ("citations", (("alice", 1, b"h"),)),
+        ("signature", (0, 1)), ("signature", (1, 0)),    # off by one
+    ])
+    def test_a_replaced_field_is_verified_afresh(self, rng, verifies, field,
+                                                 value):
+        entry = self._entries(rng)[1]
+        assert entry.verified_by(BOB.public_key)
+        if field == "signature":
+            value = tuple(a + b for a, b in zip(entry.signature, value))
+        tampered = dataclasses.replace(entry, **{field: value})
+        assert tampered._verified_under is None
+        del verifies[:]
+        assert tampered.verified_by(BOB.public_key) is False
+        assert self.oracle(tampered, BOB.public_key) is False
+        assert verifies == [BOB.public_key]
+        assert entry._verified_under is BOB.public_key
+
+    def test_keys_hit_on_equality_and_miss_on_anything_else(self, rng,
+                                                            verifies):
+        entries = self._entries(rng)
+        entry = entries[0]
+        bob = BOB.public_key
+        twin = SchnorrPublicKey(bob.group, bob.y)          # equal, not same
+        elsewhere = SchnorrPublicKey(group_for_level("TEST"), bob.y)
+        assert twin is not bob and twin == bob and elsewhere != bob
+        cases = [(bob, True, 1), (bob, True, 0), (twin, True, 0),
+                 (MALLORY.public_key, False, 1), (elsewhere, False, 1),
+                 (bob, True, 0)]
+        for key, accepted, calls in cases:
+            del verifies[:]
+            assert entry.verified_by(key) is accepted, key
+            assert self.oracle(entry, key) is accepted
+            assert len(verifies) == calls, key
+            assert entry._verified_under is bob      # a reject never lands
+        for key, accepted, _ in cases:                # the same via a view
+            view = hc.TimelineView("bob", key)
+            if accepted:
+                view.accept(entry)
+            else:
+                with pytest.raises(IntegrityError, match="signature"):
+                    view.accept(entry)
+
+    def test_a_second_follower_makes_no_verify_calls(self, rng, verifies):
+        entries = self._entries(rng)
+        hc.TimelineView("bob", BOB.public_key).accept_all(entries)
+        assert len(verifies) == len(entries)
+        del verifies[:]
+        hc.TimelineView("bob", BOB.public_key).accept_all(entries)
+        twin = SchnorrPublicKey(BOB.public_key.group, BOB.public_key.y)
+        hc.TimelineView("bob", twin).accept_all(entries)
+        assert verifies == []
+        # the order-proof path checks through the same memo
+        assert hc.verify_order_proof(hc.order_proof(entries, 0, 3),
+                                     BOB.public_key)
+        assert verifies == []
+
+    def test_an_order_proof_verifies_once_per_entry(self, rng, verifies):
+        entries = self._entries(rng, 5)
+        proof = hc.order_proof(entries, 1, 4)
+        assert hc.verify_order_proof(proof, BOB.public_key)
+        assert len(verifies) == 4
+        assert hc.verify_order_proof(proof, BOB.public_key)
+        assert not hc.verify_order_proof(proof, MALLORY.public_key)
+        assert len(verifies) == 5
+        hc.TimelineView("bob", BOB.public_key).accept_all(entries)
+        assert len(verifies) == 6                     # only entry 0 was new
+
+    def test_a_rejected_entry_is_reverified_every_time(self, rng, verifies):
+        entry = self._entries(rng)[0]
+        e, s = entry.signature
+        forged = dataclasses.replace(entry, signature=(e, s + 1))
+        for attempt in range(1, 4):
+            with pytest.raises(IntegrityError, match="signature"):
+                hc.TimelineView("bob", BOB.public_key).accept(forged)
+            assert forged.verified_by(BOB.public_key) is False
+            assert len(verifies) == 2 * attempt
+            assert forged._verified_under is None
+        assert not entry.verified_by(MALLORY.public_key)
+        assert not entry.verified_by(MALLORY.public_key)
+        assert len(verifies) == 8
+
+    def test_equality_hash_and_repr_ignore_the_memo(self, rng):
+        entry = self._entries(rng)[0]
+        fresh = dataclasses.replace(entry)
+        assert entry.verified_by(BOB.public_key)
+        assert entry._verified_under is BOB.public_key
+        assert fresh._verified_under is None
+        assert entry == fresh and hash(entry) == hash(fresh)
+        assert repr(entry) == repr(fresh)
+        assert "_verified_under" not in repr(entry)
+
+    def test_the_memos_cost_no_per_entry_dict(self):
+        entry = TestEntryHashMemo.PINNED
+        assert not hasattr(entry, "__dict__")
+        assert hc.ChainEntry.__slots__[-2:] == ("_hash", "_verified_under")

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.exceptions import (QuorumWriteError, ReplicaIntegrityError,
+from repro.exceptions import (CryptoError, IntegrityError,
+                              QuorumWriteError, ReplicaIntegrityError,
                               SimulationError, StorageError)
 from repro.fabric import Fabric
 from repro.faults import CorruptBlob, Equivocate, FaultPlan, StaleServe
-from repro.storage2 import (AntiEntropyDaemon, ReplicatedStore,
-                            ReplicationConfig)
+from repro.storage2 import (AntiEntropyDaemon, ReadResult, ReplicatedStore,
+                            ReplicationConfig, StoredVersion)
 from repro.overlay.chord import ChordRing
 
 PEERS = [f"p{i}" for i in range(10)]
@@ -303,3 +304,108 @@ class TestDegradedReads:
             ring.nodes[holder].go_offline()
         with pytest.raises(StorageError, match="quorum"):
             store.get(reader_for(ring, holders), "k")
+
+
+KEYS = [f"k{i}" for i in range(6)]
+#: two liars over a 10-peer ring: keys with 0, 1 and 2 of them as holders
+FAULTS = [StaleServe, Equivocate, CorruptBlob]
+
+
+def _verify_every_response(store):
+    """The read path before the per-read memo: one check per response."""
+
+    def verify(key, blob, seen):
+        try:
+            return store._verify(key, blob)
+        except (IntegrityError, CryptoError) as exc:
+            return exc
+
+    store._verify_once = verify
+
+
+def _outcome(value):
+    if isinstance(value, Exception):
+        return type(value).__name__, str(value)
+    return value
+
+
+class TestOneCheckPerDistinctBlob:
+    """A quorum read decodes and verifies each distinct served blob once;
+    every response still counts, rejects and repairs on its own."""
+
+    def _scenario(self, fault_cls, memo=True, begin_read=lambda: None):
+        plan = FaultPlan(seed=5).add(fault_cls(holders={"p1", "p4"}))
+        fabric, ring, store = make_store(plan=plan)
+        if not memo:
+            _verify_every_response(store)
+        laggard = store.holders_of(KEYS[0])[-1]
+        for version in (1, 2, 3):
+            if version == 3:
+                ring.nodes[laggard].go_offline()  # misses v3: read-repair
+            for key in KEYS:
+                store.put("p0", key, f"{key} v{version}".encode())
+            ring.nodes[laggard].go_online()
+        outcomes = []
+        for reader in ("p2", "p7"):
+            for key in KEYS:
+                begin_read()
+                try:
+                    outcomes.append(_outcome(store.get(reader, key)))
+                except StorageError as exc:
+                    outcomes.append(_outcome(exc))
+            begin_read()
+            batch = store.get_many(reader, KEYS + KEYS[:2])
+            outcomes.append({k: _outcome(v) for k, v in batch.items()})
+        return (outcomes,
+                fabric.metrics.get_counter_value("storage.byzantine_rejects"),
+                fabric.metrics.get_counter_value("storage.read_repairs"),
+                fabric.network.stats.messages)
+
+    @pytest.mark.parametrize("fault_cls", FAULTS)
+    def test_reads_equal_a_loop_that_verifies_every_response(self,
+                                                             fault_cls):
+        memo = self._scenario(fault_cls)
+        every = self._scenario(fault_cls, memo=False)
+        assert memo == every
+        outcomes, rejects, repairs, _ = memo
+        assert repairs > 0
+        # garbled copies are rejected; replays verify and lose on version
+        assert (rejects > 0) == (fault_cls is CorruptBlob)
+        assert any(isinstance(o, ReadResult) and o.rejected
+                   for o in outcomes) == (fault_cls is CorruptBlob)
+
+    @pytest.mark.parametrize("fault_cls", FAULTS)
+    def test_stored_version_verify_runs_once_per_distinct_blob(
+            self, fault_cls, monkeypatch):
+        reads = []
+        served, verify = ReplicatedStore.serve, StoredVersion.verify
+
+        def spy_serve(store, holder, reader, key):
+            blob = served(store, holder, reader, key)
+            if reads:
+                reads[-1]["served"].append((key, blob))
+            return blob
+
+        def spy_verify(record, verify_key):
+            if reads:
+                reads[-1]["verified"] += 1
+            return verify(record, verify_key)
+
+        monkeypatch.setattr(ReplicatedStore, "serve", spy_serve)
+        monkeypatch.setattr(StoredVersion, "verify", spy_verify)
+        self._scenario(fault_cls, begin_read=lambda: reads.append(
+            {"served": [], "verified": 0}))
+        deduped = contested = 0
+        for read in reads:
+            distinct = set(read["served"])
+            contested += len({key for key, _ in distinct}) < len(distinct)
+            decodable = 0
+            for key, blob in distinct:
+                try:
+                    decodable += StoredVersion.decode(blob).key == key
+                except IntegrityError:
+                    pass
+            assert read["verified"] == decodable
+            deduped += len(read["served"]) - len(distinct)
+        assert deduped > 0      # byte-identical copies shared one check
+        assert contested > 0    # and the liars did serve other bytes
