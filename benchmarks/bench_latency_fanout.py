@@ -4,8 +4,11 @@ A real client overlaps the independent requests of a fan-out (quorum
 probes, hedged replica fetches, batched feed fetches) and pays roughly
 the slowest one — which is precisely the latency the paper's
 availability-vs-cost trade-off (replication, quorum privacy) is priced
-against.  The :class:`SimFuture` kernel accounts exactly that critical
-path; E17 measures what it saves over the naive bill, from **one run**:
+against.  The clock is frozen during an operation, so every branch of a
+fan-out leaves at the same instant and
+:func:`repro.overlay.simulator.critical_path` prices exactly that
+critical path from the branches' latencies; E17 measures what it saves
+over the naive bill, from **one run**:
 every fan-out's probes are children of its span in the trace, so their
 RTTs summed are what a client issuing the very same probes one at a time
 would have paid.  Both rows of each table therefore share their wire
@@ -20,7 +23,8 @@ cost by construction:
   overlapped holder probes.
 
 Determinism: the quorum cell is re-run and must settle byte-identically
-(settle order is fixed by completion-time then issue sequence).
+(a fan-out's cost is a function of its branches' latencies, and every
+latency is a pure function of the seed).
 
 ``REPRO_E17_SCALE=smoke`` shrinks the sweep for CI smoke runs.
 """

@@ -46,6 +46,9 @@ def safebook() -> None:
     print(f"  profile mirrored to {mirrors} friends; owner offline")
     print(f"  {friend} fetched it via {request.hops} ring hops, served "
           f"by mirror {mirror!r}")
+    up = net.availability("user10", offline_probability=0.5)
+    print(f"  with every peer up half the time, owner or a mirror serves "
+          f"the profile {up:.0%} of the time")
     print("  the owner never learns who asked.\n")
 
 

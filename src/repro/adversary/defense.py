@@ -11,10 +11,9 @@ Three classic defenses against routing-layer adversaries, composed:
   distrusts the peers earlier paths routed through, forcing route
   diversity) and settles the owner by majority vote;
   :func:`defended_kad_lookup` does the same with :data:`DISJOINT_PATHS`
-  Kademlia lookups, merging their closest sets.  Path latencies
-  settle through the concurrent kernel (:func:`~repro.overlay.simulator
-  .gather`): the redundancy costs the *max* path latency, exactly like
-  every other fan-out in the codebase;
+  Kademlia lookups, merging their closest sets.  The paths overlap, so
+  the redundancy costs the *max* path latency, exactly like every other
+  fan-out in the codebase;
 * **quarantine** (:class:`Quarantine`) — provably-lying peers are banned
   from route selection immediately; certified-but-lying peers (true id,
   wrong answer — certification cannot catch them) are banned after
@@ -42,7 +41,6 @@ from typing import Dict, List, Set
 from repro.adversary.config import (DISJOINT_PATHS, SUCCESSOR_REDUNDANCY,
                                     SUSPECT_THRESHOLD)
 from repro.exceptions import LookupError_
-from repro.overlay.simulator import gather
 
 __all__ = ["Quarantine", "defended_chord_lookup", "defended_kad_lookup"]
 
@@ -134,20 +132,17 @@ def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64):
     the smallest name).
     Losing resolvers are flagged as suspects (once per lookup each).
     The returned :class:`~repro.overlay.chord.LookupResult` carries the
-    winning path's hop count and the :func:`gather`-settled latency of
-    all voting paths.
+    winning path's hop count and the slowest voting path's latency.
     """
     from repro.overlay.chord import _SPACE, LookupResult, chord_id
 
     adv = ring.fabric.adversary
     metrics = ring.network.metrics
-    sim = ring.network.sim
     with ring.network.tracer.span("chord.lookup.defended", key=key,
                                   start=start, parallel=True) as span:
         votes, failed_paths = _disjoint_paths(
             ring.fabric, start, SUCCESSOR_REDUNDANCY,
             lambda ctx: ring._route(ctx, key, max_hops, whole_list=True))
-        fanout = gather([sim.future(vote.rtt) for vote in votes])
         # Successor verification: certified positions are unforgeable,
         # so the owner claim with the smallest clockwise distance from
         # the key is the only one that can be the key's successor —
@@ -174,7 +169,8 @@ def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64):
         span.set_attr("agreement", top / len(votes))
         span.set_attr("owner", winner)
         return LookupResult(
-            owner=winner, hops=winning.hops, rtt=fanout.elapsed,
+            owner=winner, hops=winning.hops,
+            rtt=max(vote.rtt for vote in votes),
             failed_probes=failed_paths + sum(v.failed_probes
                                              for v in votes),
             resolver=winning.resolver)
@@ -223,7 +219,7 @@ def defended_kad_lookup(overlay, start: str, key: str,
                 node = overlay.nodes.get(name)
                 if node is None or not node.online:
                     continue
-                ok, _ = fabric.call(start, name, "kad_fetch")
+                ok = fabric.call(start, name, "kad_fetch").ok
                 rpcs += 1
                 if not ok or adv.withholds(name, key):
                     continue

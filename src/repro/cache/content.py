@@ -99,11 +99,6 @@ class VerifiedContentCache:
         lru = self._readers.get(reader)
         return lru is not None and cid in lru
 
-    def size(self, reader: str) -> int:
-        """How many entries a reader currently holds."""
-        lru = self._readers.get(reader)
-        return len(lru) if lru is not None else 0
-
     # -- the hot path ---------------------------------------------------------
 
     def lookup(self, reader: str, author: str, cid: str,

@@ -246,17 +246,6 @@ class DosnUser:
                             sequence=data["sequence"], text=data["text"],
                             tags=tuple(data["tags"]), content_id=cid)
 
-    def open_post(self, author: str, blob: bytes,
-                  expected_cid: Optional[str] = None) -> VerifiedPost:
-        """Decrypt and verify a fetched post blob.
-
-        :meth:`unlock` + :meth:`verify_document` composed — raises
-        :class:`AccessDeniedError` when we hold no key for the author,
-        :class:`IntegrityError` on any signature/address mismatch.
-        """
-        return self.verify_document(author, self.unlock(author, blob),
-                                    expected_cid=expected_cid)
-
     # -- timeline sync (historical integrity) -------------------------------------
 
     def sync_timeline(self, other: "DosnUser") -> int:

@@ -19,12 +19,12 @@ first use), so attaching a subsystem moves no experiment's random stream.
 
 **The RPC seam.**  Overlays and stores keep routing geometry and storage
 semantics; the RPC path's cross-cutting concerns meet them only here:
-``Fabric.call_issue`` / :meth:`Fabric.call` put every RPC on the wire, and
+``Fabric.call`` puts every RPC on the wire and returns its ``Reply``, and
 :meth:`Fabric.op` mints the :class:`OpContext` of each public operation,
 which owns the deadline check, the holder ordering and the adversary's
 interposition on routing answers.  Each attachment is decided once, where
 it attaches, and no operation asks whether a subsystem is present:
-``__init__`` binds ``call_issue`` to the channel or the bare network,
+``__init__`` binds ``call`` to the channel or the bare network,
 :meth:`install_overload` the deadline minter, and
 :meth:`attach_membership` / :meth:`attach_adversary` the policies
 :class:`OpContext` calls (the adversary before any peer registers: the
@@ -34,7 +34,7 @@ overlays enroll peers and pick their lookup driver as they are built).
 from __future__ import annotations
 
 import random as _random
-from typing import Any, FrozenSet, Optional, Sequence, Set, Tuple
+from typing import Any, FrozenSet, Optional, Sequence, Set
 
 from repro.exceptions import LookupError_, SimulationError
 from repro.faults.overload import (NO_DEADLINE, Deadline, OverloadConfig,
@@ -43,7 +43,7 @@ from repro.faults.resilience import (CircuitBreaker, ReliableChannel,
                                      RetryPolicy)
 from repro.obs.trace import NOOP_TRACER, Tracer
 from repro.overlay.network import SimNetwork
-from repro.overlay.simulator import SimFuture, Simulator
+from repro.overlay.simulator import Reply, Simulator
 
 __all__ = ["Fabric", "OpContext"]
 
@@ -68,14 +68,15 @@ class Fabric:
         #: failed call already survived retries (callers then degrade
         #: gracefully and write the peer off) or is one lost exchange
         self.resilient = channel is not None
-        #: ``call_issue(src, dst, kind)``: one accounted RPC as a future,
-        #: on the channel or the network; ``_op_issue`` also hands the
-        #: channel the budget an operation has left.
+        #: ``call(src, dst, kind)``: one accounted RPC's
+        #: :class:`~repro.overlay.simulator.Reply`, on the channel or the
+        #: network; ``_op_issue`` also hands the channel the budget an
+        #: operation has left.
         if channel is None:
-            issue = self.call_issue = network.rpc_issue
+            issue = self.call = network.rpc_issue
             self._op_issue = lambda ctx, src, dst, kind: issue(src, dst, kind)
         else:
-            self.call_issue = channel.call_issue
+            self.call = channel.call_issue
             self._op_issue = lambda ctx, src, dst, kind: channel.call_issue(
                 src, dst, kind, ctx.deadline.minus(ctx.spent))
         #: the attached :class:`repro.membership.SwimMembership` (None
@@ -148,10 +149,6 @@ class Fabric:
         return fabric
 
     # -- the RPC seam -----------------------------------------------------------
-
-    def call(self, src: str, dst: str, kind: str) -> Tuple[bool, float]:
-        """One accounted RPC: ``(ok, elapsed)`` of ``call_issue``."""
-        return self.call_issue(src, dst, kind).value
 
     def op(self, origin: str, distrust: FrozenSet[str] = frozenset(),
            visited: Optional[Set[str]] = None,
@@ -242,13 +239,12 @@ class OpContext:
     and the adversary model produce those answers stays in here.
 
     ``spent`` is the virtual time consumed so far: the accounted-RPC
-    shortcut keeps the clock frozen during an operation, so
-    :meth:`call` / :meth:`call_issue` add each RPC's elapsed time and the
-    callee sees only the remaining budget.  ``distrust`` (peers excluded
-    from *route selection*, never from being resolved to), ``visited``
-    (responders consulted, ``None`` = nobody is counting) and
-    ``certified`` (check node-id claims against certificates) are set by
-    the secure-lookup drivers only.
+    shortcut keeps the clock frozen during an operation, so :meth:`call`
+    adds each RPC's elapsed time and the callee sees only the remaining
+    budget.  ``distrust`` (peers excluded from *route selection*, never
+    from being resolved to), ``visited`` (responders consulted, ``None``
+    = nobody is counting) and ``certified`` (check node-id claims against
+    certificates) are set by the secure-lookup drivers only.
     """
 
     __slots__ = ("fabric", "origin", "deadline", "distrust", "visited",
@@ -278,29 +274,21 @@ class OpContext:
         return deadline_expired(fabric.network, self.deadline, self.spent,
                                 kind)
 
-    def call(self, src: str, dst: str, kind: str) -> Tuple[bool, float]:
-        """One RPC charged to this operation: ``(ok, elapsed)``.  The
-        callee sees only the budget that is left."""
-        # spelled out rather than call_issue(...).value: every lookup hop
-        # comes through here
-        future = self.fabric._op_issue(self, src, dst, kind)
-        self.spent += future.latency
-        return future.value
-
-    def call_issue(self, src: str, dst: str, kind: str,
-                   fanout: bool = False) -> SimFuture:
-        """:meth:`call` as a completion token (for its failure ``cause``).
+    def call(self, src: str, dst: str, kind: str,
+             fanout: bool = False) -> Reply:
+        """One RPC charged to this operation; the callee sees only the
+        budget that is left.
 
         ``fanout`` marks one branch of a fan-out: branches overlap, so
         the operation has spent the slowest of them rather than their
         sum.
         """
-        future = self.fabric._op_issue(self, src, dst, kind)
+        reply = self.fabric._op_issue(self, src, dst, kind)
         if fanout:
-            self.spent = max(self.spent, future.latency)
+            self.spent = max(self.spent, reply.latency)
         else:
-            self.spent += future.latency
-        return future
+            self.spent += reply.latency
+        return reply
 
     # -- whom to ask, whom to route around ----------------------------------------
 

@@ -131,10 +131,9 @@ class OverloadConfig:
             raise SimulationError(
                 "op_budget must be None or positive and finite")
 
-    def mint_deadline(self, now: float) -> Optional["Deadline"]:
-        """A fresh per-operation deadline (``None`` when disabled)."""
-        if self.op_budget is None:
-            return None
+    def mint_deadline(self, now: float) -> "Deadline":
+        """A fresh per-operation deadline (the fabric binds this only
+        when ``op_budget`` is set)."""
         return Deadline(now + self.op_budget)
 
 
@@ -154,11 +153,6 @@ class Deadline:
 
     def __init__(self, expires_at: float) -> None:
         self.expires_at = expires_at
-
-    @classmethod
-    def after(cls, now: float, budget: float) -> "Deadline":
-        """A deadline ``budget`` virtual seconds from ``now``."""
-        return cls(now + budget)
 
     def remaining(self, now: float) -> float:
         """Budget left at virtual time ``now`` (negative = expired)."""
@@ -209,17 +203,15 @@ class RetryBudget:
     refills it organically, because refills only come from successes.
     """
 
-    __slots__ = ("tokens", "exhausted")
+    __slots__ = ("tokens",)
 
     def __init__(self) -> None:
         self.tokens = RETRY_BUDGET_CAPACITY
-        #: times a retry was denied for want of a token
-        self.exhausted = 0
 
     def try_spend(self) -> bool:
-        """Draw one token for a retry; False when the bucket is dry."""
+        """Draw one token for a retry; False when the bucket is dry (the
+        channel counts each denial as ``overload.budget_exhausted``)."""
         if self.tokens < 1.0:
-            self.exhausted += 1
             return False
         self.tokens -= 1.0
         return True
@@ -231,7 +223,7 @@ class RetryBudget:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RetryBudget(tokens={self.tokens:.2f}/"
-                f"{RETRY_BUDGET_CAPACITY:.0f}, exhausted={self.exhausted})")
+                f"{RETRY_BUDGET_CAPACITY:.0f})")
 
 
 class AdaptiveTimeout:

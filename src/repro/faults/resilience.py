@@ -38,7 +38,7 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 from repro.exceptions import SimulationError
 from repro.faults.overload import (NO_DEADLINE, Deadline, RetryBudget,
                                    deadline_expired)
-from repro.overlay.simulator import SimFuture, hedge_of
+from repro.overlay.simulator import Reply, hedge_of
 
 
 @dataclass
@@ -185,7 +185,7 @@ class ReliableChannel:
         self._spend_retry = lambda: True
         self._earn_retry = lambda: None
         self._breaker_allows = lambda dst, now: True
-        self._breaker_feedback = lambda dst, future, now: None
+        self._breaker_feedback = lambda dst, reply, now: None
         if breaker is not None:
             self._breaker_allows = self._breaker_admits
             self._breaker_feedback = self._feed_breaker
@@ -217,37 +217,47 @@ class ReliableChannel:
         self._export_breaker_state(dst)
         return False
 
-    def _feed_breaker(self, dst: str, future: SimFuture, now: float) -> None:
+    def _feed_breaker(self, dst: str, reply: Reply, now: float) -> None:
         """A shed attempt never feeds the breaker: the peer is alive and
         saying so, and opening the breaker on honesty would punish exactly
         the peers that shed instead of timing out."""
-        if future.cause == "overloaded":
+        if reply.cause == "overloaded":
             return
-        if future.ok:
+        if reply.ok:
             self.breaker.record_success(dst)
         elif self.breaker.record_failure(dst, now):
             self.network.metrics.inc("channel.breaker_trips")
         self._export_breaker_state(dst)
 
     def _attempt(self, view, src: str, dst: str, kind: str,
-                 now: float) -> SimFuture:
+                 now: float) -> Reply:
         """One wire attempt, its outcome fed to the view or the breaker."""
-        future = self.network.rpc_issue(src, dst, kind=kind)
+        reply = self.network.rpc_issue(src, dst, kind=kind)
         if view is None:
-            self._breaker_feedback(dst, future, now)
-        elif future.ok:
+            self._breaker_feedback(dst, reply, now)
+        elif reply.ok:
             view.observe_contact(dst, now)
-        return future
+        return reply
 
     def call(self, src: str, dst: str, kind: str = "rpc",
              deadline: Deadline = NO_DEADLINE) -> Tuple[bool, float]:
+        """:meth:`call_issue` as ``(ok, elapsed)``."""
+        return self.call_issue(src, dst, kind, deadline)[:2]
+
+    def call_issue(self, src: str, dst: str, kind: str = "rpc",
+                   deadline: Deadline = NO_DEADLINE) -> Reply:
         """One logical request/response with retries and breaker checks.
 
-        Returns ``(ok, elapsed)`` where ``elapsed`` includes every
-        attempt's RTT/timeout plus backoff waits.  On a traced fabric the
-        logical call is one ``channel.call`` span whose children are the
-        per-attempt ``net.rpc`` spans; backoff waits are charged to the
-        channel span itself.
+        Returns the call's :class:`~repro.overlay.simulator.Reply`: its
+        ``latency`` includes every attempt's RTT/timeout plus backoff
+        waits, and its ``cause`` is the last attempt's failure cause
+        (``"overloaded"`` for a shed), so quorum layers can price sheds
+        differently from timeouts.  The retries are sequential (each
+        depends on the previous timeout); independent calls overlap, and
+        their caller prices the fan-out from the replies' latencies.  On
+        a traced fabric the logical call is one ``channel.call`` span
+        whose children are the per-attempt ``net.rpc`` spans; backoff
+        waits are charged to the channel span itself.
 
         With a membership view for ``src`` the liveness policy is
         adaptive instead of threshold-based: a destination the view has
@@ -263,12 +273,6 @@ class ReliableChannel:
         retry); a shed attempt (the destination rejected for overload)
         does **not** feed the circuit breaker.
         """
-        ok, elapsed, _cause = self._call(src, dst, kind, deadline)
-        return (ok, elapsed)
-
-    def _call(self, src: str, dst: str, kind: str, deadline: Deadline
-              ) -> Tuple[bool, float, Optional[str]]:
-        """The :meth:`call` engine; also reports the last failure cause."""
         with self.network.tracer.span("channel.call", kind=kind, src=src,
                                       dst=dst) as span:
             elapsed = 0.0
@@ -283,7 +287,7 @@ class ReliableChannel:
                                              kind=kind)
                     span.set_attr("attempts", 0)
                     span.set_attr("outcome", "membership_fastfail")
-                    return (False, 0.0, "membership_fastfail")
+                    return Reply(False, 0.0, "membership_fastfail")
                 if view.suspicious(dst, self.network.sim.now):
                     max_attempts = 1
             for attempt in range(max_attempts):
@@ -298,14 +302,14 @@ class ReliableChannel:
                     cause = cause or "breaker_fastfail"
                     break
                 attempts += 1
-                future = self._attempt(view, src, dst, kind, now)
-                cause = future.cause
-                elapsed += future.latency
-                if future.ok:
+                reply = self._attempt(view, src, dst, kind, now)
+                cause = reply.cause
+                elapsed += reply.latency
+                if reply.ok:
                     self._earn_retry()
                     span.set_attr("attempts", attempts)
                     span.set_attr("outcome", "ok")
-                    return (True, elapsed, None)
+                    return Reply(True, elapsed, None)
                 if attempt + 1 < max_attempts:
                     if not self._spend_retry():
                         self.network.metrics.inc("overload.budget_exhausted",
@@ -318,25 +322,7 @@ class ReliableChannel:
                     span.add_cost(backoff)
             span.set_attr("attempts", attempts)
             span.set_attr("outcome", outcome)
-            return (False, elapsed, cause)
-
-    def call_issue(self, src: str, dst: str, kind: str = "rpc",
-                   deadline: Deadline = NO_DEADLINE) -> SimFuture:
-        """Issue one logical call as a completion token.
-
-        The call's retries and backoffs remain internally sequential
-        (each retry depends on the previous timeout); what the future
-        adds is the ability to overlap *independent* calls: issue one per
-        destination and combine with
-        :func:`repro.overlay.simulator.quorum_of` /
-        :func:`~repro.overlay.simulator.gather`.  Draw order is exactly
-        a sequential loop's.  The future's ``cause`` carries the last
-        attempt's failure cause (``"overloaded"`` for a shed), so quorum
-        layers can price sheds differently from timeouts.
-        """
-        ok, elapsed, cause = self._call(src, dst, kind, deadline)
-        return self.network.sim.future(elapsed, value=(ok, elapsed), ok=ok,
-                                       cause=cause)
+            return Reply(False, elapsed, cause)
 
     def hedged(self, src: str, dsts: Sequence[str], kind: str = "rpc",
                deadline: Deadline = NO_DEADLINE
@@ -367,8 +353,8 @@ class ReliableChannel:
                     return None
                 if view is None and not self._breaker_allows(dst, now):
                     return (None, False)
-                future = self._attempt(view, src, dst, kind, now)
-                return (future, future.ok)
+                reply = self._attempt(view, src, dst, kind, now)
+                return (reply.latency, reply.ok)
 
             winner, elapsed, hedges = hedge_of(dsts, HEDGE_DELAY, issue)
             if hedges:

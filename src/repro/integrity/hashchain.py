@@ -162,21 +162,14 @@ class TimelineView:
 
 @dataclass(frozen=True)
 class OrderProof:
-    """Evidence that entry ``earlier`` precedes ``later`` in one timeline.
+    """Evidence that one timeline entry precedes another.
 
-    The proof is the contiguous chain segment from ``earlier`` to ``later``;
-    a verifier needs only the author's public key — no trusted replica.
+    The proof is the contiguous chain segment from the earlier entry
+    (``segment[0]``) to the later one (``segment[-1]``); a verifier needs
+    only the author's public key — no trusted replica.
     """
 
     segment: Tuple[ChainEntry, ...]
-
-    @property
-    def earlier(self) -> ChainEntry:
-        return self.segment[0]
-
-    @property
-    def later(self) -> ChainEntry:
-        return self.segment[-1]
 
 
 def order_proof(entries: Sequence[ChainEntry], earlier_seq: int,

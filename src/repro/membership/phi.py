@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Optional
 
 LN10 = math.log(10.0)
 
@@ -88,7 +87,3 @@ class PhiEstimator:
     def silence_bound(self, threshold: float) -> float:
         """Seconds of silence at which phi reaches ``threshold``."""
         return threshold * self.mean_gap * LN10
-
-    def snapshot(self) -> Optional[float]:
-        """The most recent gap (None before any evidence), for tests."""
-        return self._gaps[-1] if self._gaps else None

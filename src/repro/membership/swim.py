@@ -153,13 +153,6 @@ class MemberView:
         read as alive)."""
         return peer in self.dead
 
-    def phi(self, peer: str, now: float) -> float:
-        """Current suspicion level for ``peer``."""
-        record = self.records.get(peer)
-        if record is None:
-            return 0.0
-        return record.estimator.phi(now)
-
     def suspicious(self, peer: str, now: float) -> bool:
         """Whether the channel should deprioritize ``peer``."""
         record = self.records.get(peer)

@@ -284,8 +284,8 @@ class ChordRing:
                         key_id, self, avoid, ctx.distrust, whole_list)
                     if final and ctx.certified:
                         ctx.check_claim("chord", name, target)
-                ok, _ = ctx.call(name, target,
-                                 "chord_final" if final else "chord_step")
+                ok = ctx.call(name, target,
+                              "chord_final" if final else "chord_step").ok
                 hops += 1
                 if not ok:
                     # the target died mid-lookup; the next answer moves on
@@ -458,16 +458,15 @@ class ChordRing:
                 if resilient and probed:
                     self.network.metrics.inc("net.hedges", kind=kind)
                 probed += 1
-                future = ctx.call_issue(start if resilient else routed,
-                                        replica, kind)
-                ok, rtt = future.value
-                if not ok:
-                    if future.cause == "overloaded":
+                reply = ctx.call(start if resilient else routed, replica,
+                                 kind)
+                if not reply.ok:
+                    if reply.cause == "overloaded":
                         sheds += 1
                     continue
                 if route is None:
-                    route = LookupResult(owner=replica, hops=0, rtt=rtt,
-                                         failed_probes=0)
+                    route = LookupResult(owner=replica, hops=0,
+                                         rtt=reply.latency, failed_probes=0)
             for key in stocked:
                 served[key] = node.store[key]
                 pending.discard(key)

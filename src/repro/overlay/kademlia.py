@@ -148,7 +148,8 @@ class KademliaOverlay:
         Latency model: rounds are dependent (each consumes the previous
         round's answers) and always sum; *within* a round the alpha
         queries are the protocol's namesake concurrency, so each round
-        is a parallel span and its queries roll up as max.
+        is a parallel span and its queries roll up as max.  The time
+        budget is charged the same way: a round costs its slowest query.
 
         As in :meth:`ChordRing.lookup <repro.overlay.chord.ChordRing
         .lookup>`, the :class:`~repro.fabric.OpContext` checks the time
@@ -203,16 +204,21 @@ class KademliaOverlay:
                     break
                 hops += 1
                 improved = False
+                # A round's queries launch together, each with the budget
+                # left at the round's start; the round costs its slowest.
+                round_start = round_end = ctx.spent
                 with self.network.tracer.span("kad.round", parallel=True,
                                               round=hops):
                     for peer_name in batch:
+                        ctx.spent = round_start
                         if ctx.expired("kad_find"):
                             raise DeadlineExceededError(
                                 f"kad lookup for {key!r} ran out of budget "
                                 f"after {rpcs} RPCs ({ctx.spent:.3f}s spent)")
                         queried.add(peer_name)
                         ctx.visit(peer_name)
-                        ok, _ = ctx.call(start, peer_name, "kad_find")
+                        ok = ctx.call(start, peer_name, "kad_find").ok
+                        round_end = max(round_end, ctx.spent)
                         rpcs += 1
                         if not ok:
                             continue
@@ -247,6 +253,7 @@ class KademliaOverlay:
                                 if d < best:
                                     best = d
                                     improved = True
+                ctx.spent = round_end
                 shortlist.sort(key=distance)
                 shortlist = shortlist[:self.k * 2]
                 if not improved and all(n in queried
@@ -268,7 +275,7 @@ class KademliaOverlay:
                 node = self.nodes[name]
                 if not node.online:
                     continue
-                ok, _ = self.fabric.call(start, name, "kad_store")
+                ok = self.fabric.call(start, name, "kad_store").ok
                 if self.resilient and not ok:
                     continue  # a resilient put only counts confirmed stores
                 node.store[key] = value

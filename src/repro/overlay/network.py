@@ -28,13 +28,14 @@ stresses the overlay protocols through this hook.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import OverlayError, SimulationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NOOP_TRACER
-from repro.overlay.simulator import SimFuture, Simulator, UniformLatency
+from repro.overlay.simulator import Reply, Simulator, UniformLatency
 
 
 @dataclass
@@ -411,54 +412,48 @@ class SimNetwork:
     # -- accounted synchronous RPC ------------------------------------------------
 
     def rpc_issue(self, src: str, dst: str, kind: str = "rpc",
-                  payload_size: int = 64) -> SimFuture:
-        """Issue one RPC and return its completion token.
+                  payload_size: int = 64) -> Reply:
+        """Model one request/response round trip; return its :class:`Reply`.
 
         Every RNG draw (latency samples, loss causes, corruption) happens
-        *now*, in issue order — exactly the draws the blocking
-        :meth:`rpc` made, in the same order — so issuing a batch of RPCs
-        and combining their futures consumes the identical random stream
-        a sequential loop would.  The returned :class:`SimFuture` carries
-        ``value=(ok, rtt)``, ``ok``, and ``latency=rtt``; feed batches of
-        them to :func:`repro.overlay.simulator.quorum_of` /
-        :func:`~repro.overlay.simulator.gather` to account the fan-out's
-        critical path instead of the sum.
+        *now*, in issue order, and the clock does not move, so issuing a
+        fan-out's branches one after another consumes the identical
+        random stream a sequential loop would; the caller prices the
+        overlap from the replies' latencies
+        (:func:`repro.overlay.simulator.critical_path`).
 
-        Span and statistics behaviour is unchanged from :meth:`rpc`: the
-        ``net.rpc`` span closes immediately carrying the RTT as cost (a
-        parallel parent span turns the sum into a max — see
-        :class:`repro.obs.trace.Span`).
-        """
-        with self.tracer.span("net.rpc", kind=kind, src=src,
-                              dst=dst) as span:
-            ok, rtt, cause = self._rpc_inner(src, dst, kind, payload_size,
-                                             span)
-            span.set_attr("ok", ok)
-            span.add_cost(rtt)
-        return self.sim.future(rtt, value=(ok, rtt), ok=ok, cause=cause)
-
-    def rpc(self, src: str, dst: str, kind: str = "rpc",
-            payload_size: int = 64) -> Tuple[bool, float]:
-        """Model one request/response round trip.
-
-        A blocking wrapper over :meth:`rpc_issue` — the draws, spans and
-        statistics are byte-identical to the pre-split implementation.
-
-        Returns ``(reachable, rtt)``.  The two directions draw loss
-        independently so the accounting matches the fault model: a lost
-        *request* (or an offline/partitioned destination) costs one message
-        plus a timeout — failed probes are not free, matching how real
-        iterative lookups pay for dead fingers — while a lost *response*
-        costs both messages (the request was delivered) plus the timeout.
-        A corrupted response is delivered but useless, so it also reads as
-        a failure.
-
-        Every failure is recorded in :attr:`metrics` as
+        The two directions draw loss independently so the accounting
+        matches the fault model: a lost *request* (or an offline or
+        partitioned destination) costs one message plus a timeout —
+        failed probes are not free, matching how real iterative lookups
+        pay for dead fingers — while a lost *response* costs both
+        messages (the request was delivered) plus the timeout.  A
+        corrupted response is delivered but useless, so it also reads as
+        a failure.  Every failure is recorded in :attr:`metrics` as
         ``net.rpc_failures{kind=..., cause=..., direction=...}`` — the
         aggregate ``fault_drops`` cannot tell a lost request from a lost
         response, the labelled counters it sums can.
+
+        The ``net.rpc`` span closes immediately carrying the RTT as cost
+        (a parallel parent span turns the sum into a max — see
+        :class:`repro.obs.trace.Span`).  A latency model that yields a
+        NaN, infinite or negative latency raises
+        :class:`~repro.exceptions.SimulationError`.
         """
-        return self.rpc_issue(src, dst, kind, payload_size).value
+        with self.tracer.span("net.rpc", kind=kind, src=src,
+                              dst=dst) as span:
+            reply = self._rpc_inner(src, dst, kind, payload_size, span)
+            span.set_attr("ok", reply.ok)
+            span.add_cost(reply.latency)
+        if not 0.0 <= reply.latency < math.inf:
+            raise SimulationError(
+                f"RPC latency must be finite and >= 0 (got {reply.latency})")
+        return reply
+
+    def rpc(self, src: str, dst: str, kind: str = "rpc",
+            payload_size: int = 64) -> Tuple[bool, float]:
+        """:meth:`rpc_issue` as ``(reachable, rtt)``."""
+        return self.rpc_issue(src, dst, kind, payload_size)[:2]
 
     def _enqueue(self, dst: str, arrival: float) -> Tuple[bool, float]:
         """Admit one request to ``dst``'s service queue at ``arrival``.
@@ -491,7 +486,7 @@ class SimNetwork:
         return True
 
     def _rpc_inner(self, src: str, dst: str, kind: str, payload_size: int,
-                   span: Any) -> Tuple[bool, float, Optional[str]]:
+                   span: Any) -> Reply:
         now = self.sim.now
         blocked, factor = self._link(src, dst, now)
         out = self.latency.sample(self._rng, src, dst) * factor
@@ -506,7 +501,7 @@ class SimNetwork:
             self.metrics.inc("net.rpc_failures", kind=kind, cause=cause,
                              direction="request")
             span.set_attr("failed", f"request/{cause}")
-            return (False, self._timeout_cost(dst, out), cause)
+            return Reply(False, self._timeout_cost(dst, out), cause)
         back = self.latency.sample(self._rng, dst, src) * factor
         # the request reached dst: admission to its service queue
         accepted, queue_wait = self._admit(dst, now + out)
@@ -520,12 +515,12 @@ class SimNetwork:
                 # trip — the cheap failure shedding buys
                 self._messages.value += 2
                 self._bytes.value += payload_size + 64
-                return (False, out + back, "overloaded")
+                return Reply(False, out + back, "overloaded")
             # "drop": silently discarded; the caller waits out the attempt
             # timeout, exactly like an unprotected peer
             self._messages.value += 1
             self._bytes.value += payload_size
-            return (False, self._timeout_cost(dst, out), "overloaded")
+            return Reply(False, self._timeout_cost(dst, out), "overloaded")
         self._messages.value += 2
         self._bytes.value += 2 * payload_size
         response_lost = self._loss_cause(dst, src, now)
@@ -533,12 +528,12 @@ class SimNetwork:
             self.metrics.inc("net.rpc_failures", kind=kind,
                              cause=response_lost, direction="response")
             span.set_attr("failed", f"response/{response_lost}")
-            return (False, self._timeout_cost(dst, out), response_lost)
+            return Reply(False, self._timeout_cost(dst, out), response_lost)
         if self._corrupts(dst, src, now):
             self.metrics.inc("net.rpc_failures", kind=kind,
                              cause="corruption", direction="response")
             span.set_attr("failed", "response/corruption")
-            return (False, out + back + queue_wait, "corruption")
+            return Reply(False, out + back + queue_wait, "corruption")
         rtt = out + queue_wait + back
         if not self._in_time(dst, out, rtt):
             # the answer is coming, but later than the client waits: it
@@ -547,5 +542,5 @@ class SimNetwork:
             self.metrics.inc("net.rpc_failures", kind=kind,
                              cause="slow", direction="response")
             span.set_attr("failed", "response/slow")
-            return (False, self._timeout_cost(dst, out), "slow")
-        return (True, rtt, None)
+            return Reply(False, self._timeout_cost(dst, out), "slow")
+        return Reply(True, rtt, None)

@@ -28,7 +28,7 @@ from repro.exceptions import (CryptoError, DeadlineExceededError,
                               QuorumWriteError, ReplicaIntegrityError,
                               StorageError)
 from repro.faults.byzantine import CorruptBlob, Equivocate, StaleServe
-from repro.overlay.simulator import SimFuture, gather, quorum_of
+from repro.overlay.simulator import Reply, critical_path
 from repro.storage2.config import ReplicationConfig
 from repro.storage2.record import GENESIS, StoredVersion, seal_version
 
@@ -212,7 +212,8 @@ class ReplicatedStore:
             encoded = record.encode()
             acks = 0
             local_acks = 0
-            pushes: List[SimFuture] = []
+            pushes: List[float] = []  # every push's latency
+            acked: List[float] = []   # those of the pushes that landed
             with self.network.tracer.span(
                     "storage2.put.fanout", parallel=True, key=key,
                     holders=len(holders)) as fanout:
@@ -224,17 +225,18 @@ class ReplicatedStore:
                             acks += 1
                             local_acks += 1
                         continue
-                    future = self.fabric.call_issue(coordinator, holder,
-                                                    "quorum_store")
-                    pushes.append(future)
-                    if future.ok:
+                    reply = self.fabric.call(coordinator, holder,
+                                             "quorum_store")
+                    pushes.append(reply.latency)
+                    if reply.ok:
                         self.store_at(holder, key, encoded)
                         acks += 1
+                        acked.append(reply.latency)
                 # The writer returns at the W-th ack; pushes past it (and
                 # an already-satisfied local quorum) complete in the
                 # background.
                 need = max(0, self.config.w - local_acks)
-                fanout.settle_cost(quorum_of(need, pushes).elapsed)
+                fanout.settle_cost(critical_path(need, acked, pushes))
             span.set_attr("version", version)
             span.set_attr("acks", acks)
             self.metrics.inc("storage.quorum_writes")
@@ -277,7 +279,8 @@ class ReplicatedStore:
             probed = 0
             sheds = 0
             deadline_hit = False
-            probes: List[SimFuture] = []
+            probes: List[float] = []    # every probe's latency
+            verified: List[float] = []  # those whose response verified
             with self.network.tracer.span("storage2.get.fanout",
                                           parallel=True, key=key) as fanout:
                 for holder in ctx.order(self.holders_of(key)):
@@ -290,12 +293,12 @@ class ReplicatedStore:
                     if probed > 0:
                         self.metrics.inc("net.hedges", kind="quorum_read")
                     probed += 1
-                    future = ctx.call_issue(reader, holder, "quorum_read",
-                                            fanout=True)
-                    probes.append(future)
-                    if future.cause == "overloaded":
+                    reply = ctx.call(reader, holder, "quorum_read",
+                                     fanout=True)
+                    probes.append(reply.latency)
+                    if reply.cause == "overloaded":
                         sheds += 1
-                    if not future.ok:
+                    if not reply.ok:
                         continue
                     record = self._verify_once(
                         key, self.serve(holder, reader, key), seen)
@@ -303,17 +306,16 @@ class ReplicatedStore:
                         rejected += 1
                         self.metrics.inc("storage.byzantine_rejects")
                         responses.append((holder, None))
-                        # a rejected response cannot count toward R
-                        future.ok = False
-                        continue
+                        continue  # a rejected response cannot count toward R
                     responses.append((holder, record))
+                    verified.append(reply.latency)
                 # The client returns at the R-th *verified* response; an
                 # unmet quorum waits out every probe.
-                fanout_result = quorum_of(self.config.r, probes)
-                fanout.settle_cost(fanout_result.elapsed)
+                elapsed = critical_path(self.config.r, verified, probes)
+                fanout.settle_cost(elapsed)
             try:
                 return self._settle(reader, key, responses, rejected, span,
-                                    elapsed=fanout_result.elapsed)
+                                    elapsed=elapsed)
             except StorageError as exc:
                 if deadline_hit:
                     raise DeadlineExceededError(
@@ -378,7 +380,7 @@ class ReplicatedStore:
         for holder, record in responses:
             if record is not None and record.version >= best.version:
                 continue
-            ok, _ = self.fabric.call(reader, holder, "read_repair")
+            ok = self.fabric.call(reader, holder, "read_repair").ok
             if ok and self.store_at(holder, key, encoded):
                 repaired += 1
                 self.metrics.inc("storage.read_repairs")
@@ -423,14 +425,14 @@ class ReplicatedStore:
             responses: Dict[str, List[Tuple[str, Optional[StoredVersion]]]]
             responses = {key: [] for key in ordered}
             rejected: Dict[str, int] = {key: 0 for key in ordered}
-            #: key -> probe futures of the holders covering it; satisfied
-            #: means the probe landed AND that key's record verified
-            key_probes: Dict[str, List[SimFuture]] = {k: [] for k in ordered}
-            key_verified: Dict[str, set] = {k: set() for k in ordered}
+            #: key -> the replies of the holders probed for it, and the
+            #: latencies of those whose response for *that key* verified
+            key_probes: Dict[str, List[Reply]] = {k: [] for k in ordered}
+            key_verified: Dict[str, List[float]] = {k: [] for k in ordered}
             seen: Dict[Tuple[str, bytes], object] = {}
             reachable = 0
             deadline_hit = False
-            batch_probes: List[SimFuture] = []
+            batch_probes: List[float] = []
             with self.network.tracer.span(
                     "storage2.get_many.fanout", parallel=True,
                     holders=len(want)) as fanout:
@@ -438,12 +440,12 @@ class ReplicatedStore:
                     if ctx.expired("quorum_read_batch"):
                         deadline_hit = True
                         break  # unprobed holders' keys settle short
-                    future = ctx.call_issue(reader, holder,
-                                            "quorum_read_batch", fanout=True)
-                    batch_probes.append(future)
+                    reply = ctx.call(reader, holder, "quorum_read_batch",
+                                     fanout=True)
+                    batch_probes.append(reply.latency)
                     for key in holder_keys:
-                        key_probes[key].append(future)
-                    if not future.ok:
+                        key_probes[key].append(reply)
+                    if not reply.ok:
                         continue
                     reachable += 1
                     for key in holder_keys:
@@ -455,32 +457,31 @@ class ReplicatedStore:
                             responses[key].append((holder, None))
                             continue
                         responses[key].append((holder, record))
-                        key_verified[key].add(future.seq)
+                        key_verified[key].append(reply.latency)
                 # The batch's wire cost: every holder answers once; the
                 # slowest probe bounds the batch.
-                fanout.settle_cost(gather(batch_probes).elapsed)
+                fanout.settle_cost(max(batch_probes, default=0.0))
             span.set_attr("reachable", reachable)
             settled = 0
             for key in ordered:
                 # Per-key latency: the R-th holder whose response for
                 # *this key* verified (one probe can satisfy many keys).
-                verified_seqs = key_verified[key]
-                per_key = quorum_of(
-                    self.config.r, key_probes[key],
-                    predicate=lambda f, s=verified_seqs: f.seq in s)
+                elapsed = critical_path(
+                    self.config.r, key_verified[key],
+                    [probe.latency for probe in key_probes[key]])
                 try:
                     results[key] = self._settle(reader, key,
                                                 responses[key],
                                                 rejected[key],
-                                                elapsed=per_key.elapsed)
+                                                elapsed=elapsed)
                     settled += 1
                 except (StorageError, ReplicaIntegrityError) as exc:
                     if isinstance(exc, StorageError):
                         if deadline_hit:
                             exc = DeadlineExceededError(
                                 f"batch read of {key!r} ran out of budget")
-                        elif any(f.cause == "overloaded"
-                                 for f in key_probes[key]):
+                        elif any(probe.cause == "overloaded"
+                                 for probe in key_probes[key]):
                             exc = OverloadedError(
                                 f"quorum for {key!r} not met: probes were "
                                 "shed by overloaded holders")
@@ -503,8 +504,7 @@ class ReplicatedStore:
             if probed > 0:
                 self.metrics.inc("net.hedges", kind="replica_fetch")
             probed += 1
-            ok, _ = self.fabric.call(reader, holder, "replica_fetch")
-            if ok:
+            if self.fabric.call(reader, holder, "replica_fetch").ok:
                 return self.serve(holder, reader, key)
         raise StorageError(
             f"key {key!r} unavailable: no reachable replica holds it")

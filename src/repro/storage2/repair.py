@@ -112,8 +112,8 @@ class AntiEntropyDaemon:
                         # is serial; the chains across peers overlap.
                         with store.network.tracer.span(
                                 "storage2.repair.peer", peer=peer):
-                            ok, _ = store.fabric.call(coordinator, peer,
-                                                      "antientropy_root")
+                            ok = store.fabric.call(coordinator, peer,
+                                                   "antientropy_root").ok
                             if not ok:
                                 continue
                             if self._summary_root(peer, keys) == local_root:
@@ -220,7 +220,7 @@ class AntiEntropyDaemon:
         caller, callee = self._direction(source, target)
         if not self._can_initiate(caller):
             return False
-        ok, _ = self.store.fabric.call(caller, callee, kind)
+        ok = self.store.fabric.call(caller, callee, kind).ok
         return ok and self.store.store_at(target, key, encoded)
 
     def _candidates(self, key: str) -> List[str]:

@@ -102,7 +102,8 @@ class TestReaderIsolationAndCapacity:
     def test_readers_do_not_share_entries(self, cache):
         view = seeded(cache, reader="bob")
         assert cache.lookup("carol", "alice", "c1", view) is None
-        assert cache.size("bob") == 1 and cache.size("carol") == 0
+        assert cache.contains("bob", "c1")
+        assert not cache.contains("carol", "c1")
 
     def test_per_reader_capacity_evicts_oldest(self):
         cache = VerifiedContentCache(capacity_per_reader=2)
@@ -110,7 +111,7 @@ class TestReaderIsolationAndCapacity:
         for cid in ("c1", "c2", "c3"):
             view.publish(cid)
             cache.insert("bob", "alice", cid, cid.upper(), view)
-        assert cache.size("bob") == 2
+        assert cache.contains("bob", "c2") and cache.contains("bob", "c3")
         assert not cache.contains("bob", "c1")
         assert cache.evictions == 1
 

@@ -24,6 +24,12 @@ def small_net(architecture="dht", **overrides):
     return net
 
 
+def _open(user, author, blob, expected_cid=None):
+    """What the read path does with a fetched blob: unlock, then verify."""
+    return user.verify_document(author, user.unlock(author, blob),
+                                expected_cid=expected_cid)
+
+
 class TestDosnUser:
     def _pair(self):
         registry = KeyRegistry()
@@ -36,7 +42,7 @@ class TestDosnUser:
         alice, bob = self._pair()
         cid, document = alice.seal_post("hello", tags=["#hi"])
         blob = alice.protect_document(document)
-        post = bob.open_post("alice", blob, expected_cid=cid)
+        post = _open(bob, "alice", blob, expected_cid=cid)
         assert post.text == "hello" and post.tags == ("#hi",)
 
     def test_stranger_denied(self):
@@ -46,13 +52,13 @@ class TestDosnUser:
         cid, document = alice.seal_post("private")
         blob = alice.protect_document(document)
         with pytest.raises(AccessDeniedError):
-            eve.open_post("alice", blob, expected_cid=cid)
+            _open(eve, "alice", blob, expected_cid=cid)
 
     def test_author_opens_own_post(self):
         alice, _ = self._pair()
         cid, document = alice.seal_post("mine")
         blob = alice.protect_document(document)
-        assert alice.open_post("alice", blob).text == "mine"
+        assert _open(alice, "alice", blob).text == "mine"
 
     def test_wrong_cid_detected(self):
         alice, bob = self._pair()
@@ -61,7 +67,7 @@ class TestDosnUser:
         cid2, document = alice.seal_post("two")
         blob2 = alice.protect_document(document)
         with pytest.raises(IntegrityError, match="content id"):
-            bob.open_post("alice", blob2, expected_cid=cid1)
+            _open(bob, "alice", blob2, expected_cid=cid1)
 
     def test_impersonated_blob_detected(self):
         """Bob re-serves his own post claiming it is alice's."""
@@ -70,7 +76,7 @@ class TestDosnUser:
         blob = bob.protect_document(document)
         # claim authorship: open as 'alice' fails on author mismatch or key
         with pytest.raises((IntegrityError, AccessDeniedError)):
-            alice.open_post("alice", blob)
+            _open(alice, "alice", blob)
 
     def test_timeline_sync_and_verified_cids(self):
         alice, bob = self._pair()
@@ -86,7 +92,7 @@ class TestDosnUser:
         cid, document = alice.seal_post("public by design")
         blob = alice.protect_document(document)
         # anyone can open, but integrity still enforced
-        assert eve.open_post("alice", blob).text == "public by design"
+        assert _open(eve, "alice", blob).text == "public by design"
 
 
 class TestFeed:

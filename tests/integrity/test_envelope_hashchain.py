@@ -163,7 +163,8 @@ class TestOrderProofs:
             timeline.publish(str(i).encode(), rng=rng)
         proof = hc.order_proof(timeline.entries, 2, 7)
         assert hc.verify_order_proof(proof, BOB.public_key)
-        assert proof.earlier.sequence == 2 and proof.later.sequence == 7
+        assert proof.segment[0].sequence == 2
+        assert proof.segment[-1].sequence == 7
 
     def test_bad_ranges_rejected(self, rng):
         timeline = hc.Timeline("bob", BOB)

@@ -50,14 +50,14 @@ class TestEvidence:
         assert not est.evidence(1.0)  # older piggybacked news
         assert not est.evidence(2.0)  # duplicate
         assert est.last_evidence == 2.0
-        assert est.snapshot() == pytest.approx(2.0)
+        assert list(est._gaps) == pytest.approx([2.0])
 
     def test_restart_resets_clock_without_a_gap(self):
         est = make()
         est.evidence(1.0)
         est.restart(100.0)
         assert est.last_evidence == 100.0
-        assert est.snapshot() == pytest.approx(1.0)  # no 99s gap recorded
+        assert list(est._gaps) == pytest.approx([1.0])  # no 99s gap recorded
         assert est.phi(100.0) == 0.0
 
 
@@ -124,9 +124,6 @@ class DequeEstimator:
     def silence_bound(self, threshold):
         return threshold * self.mean_gap * LN10
 
-    def snapshot(self):
-        return self._gaps[-1] if self._gaps else None
-
 
 @st.composite
 def _histories(draw):
@@ -167,6 +164,5 @@ class TestCompactWindowMatchesTheDeque:
             assert est.mean_gap == ref.mean_gap          # ==, not approx
             assert est.phi(now) == ref.phi(now)
             assert est.silence_bound(8.0) == ref.silence_bound(8.0)
-            assert est.snapshot() == ref.snapshot()
             assert list(est._gaps) == list(ref._gaps)
         assert len(est._gaps) == WINDOW      # the history did overfill it

@@ -167,7 +167,7 @@ class TestOpContextBareFabric:
         fab = Fabric.create(seed=4)
         _ring(fab)
         ctx = fab.op("p0")
-        ok, rtt = ctx.call("p0", "p1", "chord_step")
+        ok, rtt, _cause = ctx.call("p0", "p1", "chord_step")
         assert ok and ctx.spent == rtt
         assert fab.network.stats.summary()["messages"] == 2
         ctx.write_off("p1")      # a bare client keeps re-probing
@@ -194,7 +194,7 @@ class TestOpContextAllOn:
         ctx = fab.op("p0")
         assert ctx.deadline.remaining(fab.sim.now) == 1.0
         assert not ctx.expired("chord_lookup")
-        ok, rtt = ctx.call("p0", "p3", "chord_step")
+        ok, rtt, _cause = ctx.call("p0", "p3", "chord_step")
         assert ok and ctx.spent == rtt
         ctx.spent = 1.0
         assert ctx.expired("chord_lookup")
@@ -203,8 +203,9 @@ class TestOpContextAllOn:
             "overload.deadline_expired", kind="chord_lookup") == 1
         # the callee sees only what is left: nothing, so no RPC is issued
         before = fab.network.stats.messages
-        ok, _ = ctx.call("p0", "p3", "chord_step")
-        assert not ok and fab.network.stats.messages == before
+        reply = ctx.call("p0", "p3", "chord_step")
+        assert not reply.ok and fab.network.stats.messages == before
+        assert reply.cause == "deadline_expired"
         # the clock is frozen during an operation: a nested operation's
         # fresh budget ends when its caller's does
         assert fab.op("p0").deadline.expires_at == ctx.deadline.expires_at
@@ -213,12 +214,11 @@ class TestOpContextAllOn:
         fab = Fabric.create(seed=4)
         _ring(fab)
         ctx = fab.op("p0")
-        latencies = [ctx.call_issue("p0", dst, "quorum_read",
-                                    fanout=True).latency
+        latencies = [ctx.call("p0", dst, "quorum_read", fanout=True).latency
                      for dst in ("p1", "p2", "p3")]
         assert ctx.spent == max(latencies) < sum(latencies)
         # a call that is not a fan-out branch waits for what came before
-        chained = ctx.call_issue("p0", "p4", "chord_replica_read").latency
+        chained = ctx.call("p0", "p4", "chord_replica_read").latency
         assert ctx.spent == pytest.approx(max(latencies) + chained)
 
     def test_the_serial_model_cannot_be_selected(self):

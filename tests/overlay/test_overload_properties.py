@@ -26,6 +26,8 @@ from repro.fabric import Fabric
 from repro.faults import (FaultPlan, LossBurst, OverloadConfig, RetryPolicy,
                           ServiceConfig)
 from repro.overlay.chord import ChordRing
+from repro.overlay.kademlia import KademliaOverlay
+from repro.overlay.simulator import FixedLatency
 from repro.storage2 import ReplicatedStore, ReplicationConfig
 
 N = 12
@@ -108,8 +110,8 @@ class TestDeterminism:
         assert first.network.queue_peak == second.network.queue_peak
         assert first.channel.retry_budget.tokens == \
             second.channel.retry_budget.tokens
-        assert first.channel.retry_budget.exhausted == \
-            second.channel.retry_budget.exhausted
+        assert first.network.stats.budget_exhausted == \
+            second.network.stats.budget_exhausted
 
     def test_the_workload_actually_exercises_the_stack(self):
         fab, _ = _hotspot(PROTECTED)
@@ -205,6 +207,22 @@ class TestFailureSurface:
         with pytest.raises(DeadlineExceededError):
             ring.lookup("p0", "somekey")
         assert fab.network.stats.deadline_expired >= 1
+
+    def test_a_kademlia_round_is_charged_its_slowest_query(self):
+        # every query is a 0.1 s round trip; the first round's three
+        # launch together, so it costs 0.1 s, not their 0.3 s sum, and
+        # a 0.15 s budget is enough
+        fab = Fabric.create(seed=7, latency=FixedLatency(0.05),
+                            overload=OverloadConfig(
+                                service=None, op_budget=0.15,
+                                retry_budget=False, adaptive_timeout=False))
+        overlay = KademliaOverlay(fab, alpha=3)
+        for i in range(4):
+            overlay.add_node(f"k{i}")
+        overlay.bootstrap()
+        result = overlay.lookup("k0", "somekey")
+        assert result.rpcs >= 3
+        assert fab.network.stats.deadline_expired == 0
 
     def test_saturated_holders_raise_overloaded(self):
         config = OverloadConfig(

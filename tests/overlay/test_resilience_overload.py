@@ -13,7 +13,7 @@ from repro.fabric import Fabric
 from repro.faults import (AdaptiveTimeout, CircuitBreaker, Deadline,
                           OverloadConfig, RetryBudget, RetryPolicy,
                           ServiceConfig)
-from repro.faults.overload import (RETRY_BUDGET_CAPACITY,
+from repro.faults.overload import (NO_DEADLINE, RETRY_BUDGET_CAPACITY,
                                    RETRY_REFILL_PER_SUCCESS, TIMEOUT_CEILING,
                                    TIMEOUT_FLOOR, TIMEOUT_MULTIPLIER)
 from repro.overlay.simulator import FixedLatency
@@ -64,7 +64,8 @@ class TestConfigValidation:
             ServiceConfig(timeout=value)
 
     def test_mint_deadline_honours_disabled_budget(self):
-        assert OverloadConfig(op_budget=None).mint_deadline(5.0) is None
+        # a disabled budget mints nothing: the fabric never binds it
+        assert _fab(service=ServiceConfig()).op("a").deadline is NO_DEADLINE
         deadline = OverloadConfig(op_budget=2.0).mint_deadline(5.0)
         assert deadline.expires_at == pytest.approx(7.0)
 
@@ -107,7 +108,7 @@ class TestRetryPolicyMaxDelay:
 
 class TestDeadline:
     def test_remaining_expired_minus(self):
-        deadline = Deadline.after(10.0, 2.0)
+        deadline = Deadline(10.0 + 2.0)
         assert deadline.remaining(10.0) == pytest.approx(2.0)
         assert not deadline.expired(10.0)
         assert deadline.expired(10.0, spent=2.0)
@@ -122,7 +123,7 @@ class TestRetryBudget:
         budget.tokens = 2.0  # a bucket drained to its last two tokens
         assert budget.try_spend() and budget.try_spend()
         assert not budget.try_spend()
-        assert budget.exhausted == 1
+        assert budget.tokens == 0.0  # a denied retry spends nothing
         budget.on_success()
         assert budget.tokens == pytest.approx(RETRY_REFILL_PER_SUCCESS)
         assert not budget.try_spend()  # less than the 1-token cost
@@ -274,7 +275,7 @@ class TestChannelOverload:
         # every attempt sheds (the clock is frozen, the queue cannot
         # drain) and each backoff burns budget until the deadline trips
         ok, _ = fab.channel.call("a", "b",
-                                 deadline=Deadline.after(fab.sim.now, 3.0))
+                                 deadline=Deadline(fab.sim.now + 3.0))
         assert not ok
         assert net.stats.deadline_expired == 1
         assert 0 < net.stats.shed < 5

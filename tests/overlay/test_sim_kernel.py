@@ -1,24 +1,116 @@
-"""Tests for the concurrent virtual-time kernel (SimFuture + combinators).
+"""Tests for the concurrent virtual-time kernel (Reply + critical_path).
 
 Three contracts are pinned here:
 
-* **settle determinism** — two runs at one seed settle every fan-out in
-  the identical ``(completion, seq)`` order;
-* **the latency model** — ``elapsed`` is the critical path (n-th
-  satisfying completion), strictly below the sum of the branches; a
-  staggered hedge race settles on its earliest accepted response;
-* **draw compatibility** — the synchronous ``rpc`` wrapper over
-  ``rpc_issue`` consumes the RNG identically to the pre-kernel code: a
-  golden trace recorded against the blocking implementation must
-  reproduce byte-for-byte.
+* **the latency model** — a fan-out costs its critical path (the n-th
+  fastest satisfying branch), strictly below the sum of the branches, and
+  exactly what the future-based kernel it replaced settled (``quorum_of``
+  below, kept as the oracle); a staggered hedge race settles on its
+  earliest accepted response;
+* **settle determinism** — two runs at one seed price every fan-out
+  identically;
+* **draw compatibility** — the synchronous ``rpc`` view of ``rpc_issue``
+  consumes the RNG identically to the pre-kernel code: a golden trace
+  recorded against the blocking implementation must reproduce
+  byte-for-byte.
 """
 
+import math
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
 from repro.overlay.network import SimNetwork, SimNode
-from repro.overlay.simulator import (FanoutResult, SimFuture, Simulator,
-                                     gather, hedge_of, quorum_of)
+from repro.overlay.simulator import (FixedLatency, Simulator, critical_path,
+                                     hedge_of)
+
+
+# -- the oracle: the future-based kernel that critical_path replaced ----------
+
+class SimFuture:
+    """The completion token of one issued operation (as it was)."""
+
+    __slots__ = ("sim", "issued_at", "seq", "latency", "value", "ok",
+                 "cause", "cancelled")
+
+    def __init__(self, sim, latency: float, value=None,
+                 ok: bool = True, cause: Optional[str] = None) -> None:
+        if not math.isfinite(latency) or latency < 0:
+            raise SimulationError(
+                f"future latency must be finite and >= 0 (got {latency})")
+        self.sim = sim
+        self.issued_at = sim.now
+        self.seq = sim._future_sequence
+        sim._future_sequence += 1
+        self.latency = latency
+        self.value = value
+        self.ok = ok
+        self.cause = cause
+        self.cancelled = False
+
+    @property
+    def completion(self) -> float:
+        return self.issued_at + self.latency
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+
+@dataclass
+class FanoutResult:
+    settled: List[SimFuture]
+    winners: List[SimFuture]
+    met: bool
+    elapsed: float
+    max_latency: float
+
+
+def quorum_of(n: int, futures: Sequence[SimFuture],
+              predicate: Optional[Callable[[SimFuture], bool]] = None
+              ) -> FanoutResult:
+    """Settle a fan-out when ``n`` satisfying branches have completed."""
+    futures = list(futures)
+    if predicate is None:
+        predicate = lambda future: future.ok  # noqa: E731
+    if not futures:
+        return FanoutResult(settled=[], winners=[], met=n <= 0,
+                            elapsed=0.0, max_latency=0.0)
+    epoch = min(future.issued_at for future in futures)
+    settled = sorted(futures, key=lambda f: (f.completion, f.seq))
+    max_latency = settled[-1].completion - epoch
+    winners: List[SimFuture] = []
+    for future in settled:
+        if len(winners) < n and predicate(future):
+            winners.append(future)
+    met = len(winners) >= n
+    if n <= 0:
+        # Nothing to wait for: the quorum was satisfied before any of
+        # these branches was needed (e.g. local write acks covered W).
+        elapsed = 0.0
+    elif met:
+        settle_at = winners[-1].completion
+        for future in settled:
+            if future.completion > settle_at or (
+                    future.completion == settle_at
+                    and future.seq > winners[-1].seq):
+                future.cancel()
+        elapsed = settle_at - epoch
+    else:
+        elapsed = max_latency
+    return FanoutResult(settled=settled, winners=winners, met=met,
+                        elapsed=elapsed, max_latency=max_latency)
+
+
+class _IssueClock:
+    """What the oracle's futures read of a simulator: a clock frozen at 0."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self._future_sequence = 0
 
 
 class TestScheduleValidation:
@@ -48,58 +140,37 @@ class TestScheduleValidation:
         assert fired == ["a", "b"]
 
 
-class TestSimFuture:
-    def test_settles_at_issue_with_completion_time(self):
-        sim = Simulator()
-        sim.schedule(5.0, lambda: None)
-        sim.run()
-        future = sim.future(0.25, value=("ok", 0.25))
-        assert future.issued_at == 5.0
-        assert future.completion == 5.25
-        assert future.value == ("ok", 0.25)
-        assert future.ok
-
-    def test_sequence_is_monotone(self):
-        sim = Simulator()
-        seqs = [sim.future(0.1).seq for _ in range(5)]
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == 5
+class TestReply:
+    def test_settles_at_issue_without_moving_the_clock(self):
+        net = _golden_network()
+        net.sim.schedule(5.0, lambda: None)
+        net.sim.run()
+        reply = net.rpc_issue("n0", "n1", kind="probe")
+        assert net.sim.now == 5.0
+        # the latency counts from the issue, not from time zero
+        assert reply.ok and 0.0 < reply.latency < 1.0
+        assert reply.cause is None
+        with pytest.raises(AttributeError):
+            reply.ok = False  # an outcome is a value
 
     def test_invalid_latency_rejected(self):
-        sim = Simulator()
         for bad in (float("nan"), float("inf"), -0.1):
-            with pytest.raises(SimulationError):
-                sim.future(bad)
-
-
-def _futures(sim, latencies, ok=None):
-    ok = ok or [True] * len(latencies)
-    return [sim.future(lat, value=i, ok=flag)
-            for i, (lat, flag) in enumerate(zip(latencies, ok))]
+            net = SimNetwork(Simulator(), latency=FixedLatency(bad))
+            net.register(SimNode("a"))
+            net.register(SimNode("b"))
+            with pytest.raises(SimulationError, match="latency"):
+                net.rpc_issue("a", "b")
 
 
 class TestCombinators:
     def test_quorum_concurrent_elapsed_is_nth_completion(self):
-        sim = Simulator()
-        futures = _futures(sim, [0.3, 0.1, 0.2])
-        result = quorum_of(2, futures)
-        assert result.met
-        # settle order: 0.1, 0.2, 0.3 — the quorum is in at 0.2
-        assert [f.value for f in result.settled] == [1, 2, 0]
-        assert [f.value for f in result.winners] == [1, 2]
-        assert result.elapsed == pytest.approx(0.2)
-        assert result.max_latency == pytest.approx(0.3)
-        # the branch past the settle point is cancelled, not un-issued
-        assert futures[0].cancelled
-        assert not futures[1].cancelled
+        latencies = [0.3, 0.1, 0.2]
+        # the quorum is in when the second-fastest branch answers
+        assert critical_path(2, latencies, latencies) == 0.2
 
     def test_quorum_elapsed_is_below_the_latency_sum(self):
-        sim = Simulator()
-        futures = _futures(sim, [0.3, 0.1, 0.2])
-        result = quorum_of(2, futures)
-        assert result.met
-        assert result.elapsed < sum(f.latency for f in futures)
-        assert not hasattr(result, "sum_latency")  # no serial bill
+        latencies = [0.3, 0.1, 0.2]
+        assert critical_path(2, latencies, latencies) < sum(latencies)
 
     def test_the_serial_model_cannot_be_selected(self):
         with pytest.raises(TypeError):
@@ -108,53 +179,38 @@ class TestCombinators:
             Simulator(seed=1, concurrent=True)
 
     def test_unmet_quorum_pays_max(self):
-        sim = Simulator()
-        result = quorum_of(2, _futures(sim, [0.3, 0.1, 0.2],
-                                       ok=[False, True, False]))
-        assert not result.met
-        assert result.elapsed == pytest.approx(0.3)
+        # only the 0.1 branch satisfies: the caller waits out every branch
+        assert critical_path(2, [0.1], [0.3, 0.1, 0.2]) == 0.3
 
     def test_zero_quorum_is_free(self):
-        sim = Simulator()
-        result = quorum_of(0, _futures(sim, [0.3, 0.1]))
-        assert result.met
-        assert result.elapsed == 0.0
+        assert critical_path(0, [0.3, 0.1], [0.3, 0.1]) == 0.0
+        assert critical_path(-1, [], [0.3]) == 0.0
 
     def test_empty_fanout(self):
-        assert quorum_of(0, []).met
-        assert not quorum_of(1, []).met
-        assert quorum_of(1, []).elapsed == 0.0
+        assert critical_path(0, [], []) == 0.0
+        assert critical_path(1, [], []) == 0.0
 
     def test_predicate_filters_winners(self):
-        sim = Simulator()
-        futures = _futures(sim, [0.1, 0.2, 0.3])
-        result = quorum_of(1, futures,
-                           predicate=lambda f: f.value == 2)
-        assert [f.value for f in result.winners] == [2]
-        assert result.elapsed == pytest.approx(0.3)
+        # only the slowest branch satisfies (say, the one copy that
+        # verified), so the caller waits for it
+        assert critical_path(1, [0.3], [0.1, 0.2, 0.3]) == 0.3
 
     def test_gather_waits_for_everything(self):
-        sim = Simulator()
-        # gather counts even failed branches: it models "wait for all"
-        result = gather(_futures(sim, [0.3, 0.1], ok=[False, True]))
-        assert result.met
-        assert result.elapsed == pytest.approx(0.3)
+        # waiting for every branch counts the failed ones too
+        latencies = [0.3, 0.1]
+        assert critical_path(len(latencies), latencies, latencies) == 0.3
 
     def test_first_of_is_a_one_quorum(self):
-        sim = Simulator()
-        result = quorum_of(1, _futures(sim, [0.3, 0.1, 0.2],
-                                       ok=[True, False, True]))
-        assert [f.value for f in result.winners] == [2]
-        assert result.elapsed == pytest.approx(0.2)
+        # the 0.1 branch failed: the fastest success answers at 0.2
+        assert critical_path(1, [0.3, 0.2], [0.3, 0.1, 0.2]) == 0.2
 
     def test_equal_completions_break_on_issue_sequence(self):
-        sim = Simulator()
-        futures = _futures(sim, [0.2, 0.2, 0.2])
+        clock = _IssueClock()
+        futures = [SimFuture(clock, 0.2) for _ in range(3)]
         result = quorum_of(1, futures)
         assert result.winners[0] is futures[0]
-        # later same-instant branches are cancelled (seq tie-break)
-        assert not futures[0].cancelled
-        assert futures[1].cancelled and futures[2].cancelled
+        # every branch leaves at one instant: a tie cannot move the cost
+        assert critical_path(1, [0.2] * 3, [0.2] * 3) == result.elapsed
 
     def test_settle_order_deterministic_across_runs(self):
         def run():
@@ -162,36 +218,53 @@ class TestCombinators:
             net = SimNetwork(sim, loss_rate=0.05)
             for i in range(8):
                 net.register(SimNode(f"n{i}"))
-            orders = []
+            fanouts = []
             for j in range(12):
-                futures = [net.rpc_issue(f"n{j % 8}", f"n{(j + k) % 8}",
+                replies = [net.rpc_issue(f"n{j % 8}", f"n{(j + k) % 8}",
                                          kind="fanout")
                            for k in range(1, 5)]
-                result = quorum_of(2, futures)
-                orders.append(([f.seq for f in result.settled],
-                               [f.seq for f in result.winners],
-                               round(result.elapsed, 12), result.met))
-            return orders
+                cost = critical_path(
+                    2, [reply.latency for reply in replies if reply.ok],
+                    [reply.latency for reply in replies])
+                fanouts.append((replies, cost))
+            return fanouts
 
         assert run() == run()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=10.0),
+                              st.booleans(), st.booleans()),
+                    max_size=8),
+           st.integers(min_value=-2, max_value=10), st.booleans())
+    def test_equals_the_future_kernel(self, branches, n, by_ok):
+        """Issued at time 0, ``quorum_of``'s elapsed is the critical path,
+        for the default ``ok`` predicate and for an arbitrary one."""
+        clock = _IssueClock()
+        futures = [SimFuture(clock, latency, value=picked, ok=ok)
+                   for latency, ok, picked in branches]
+        predicate = None if by_ok else (lambda future: future.value)
+        oracle = quorum_of(n, futures, predicate)
+        satisfying = [latency for latency, ok, picked in branches
+                      if (ok if by_ok else picked)]
+        assert critical_path(n, satisfying,
+                             [latency for latency, _, _ in branches]) \
+            == oracle.elapsed
+
 
 class TestHedgeOf:
-    """The stagger/settle routine the channel and the verified replica
-    fetch share."""
+    """The stagger/settle routine of the channel's hedged replica read."""
 
     @staticmethod
-    def race(sim, branches, hedge_delay=0.05):
+    def race(branches, hedge_delay=0.05):
         """``branches``: ``(latency, accepted)`` per candidate, or
         ``None`` for a slot that launches nothing."""
-        launched = {}
+        launched = {}  # candidate -> launch offset
 
         def issue(candidate, offset):
             if branches[candidate] is None:
                 return (None, False)
-            latency, accepted = branches[candidate]
-            launched[candidate] = (offset, sim.future(latency))
-            return (launched[candidate][1], accepted)
+            launched[candidate] = offset
+            return branches[candidate]
 
         winner, elapsed, hedges = hedge_of(range(len(branches)),
                                            hedge_delay, issue)
@@ -199,36 +272,32 @@ class TestHedgeOf:
         return winner, elapsed, launched
 
     def test_early_win_stops_launching(self):
-        winner, elapsed, launched = self.race(
-            Simulator(), [(0.04, True), (0.01, True)])
+        winner, elapsed, launched = self.race([(0.04, True), (0.01, True)])
         assert (winner, elapsed) == (0, 0.04)
         assert list(launched) == [0]  # 0.04 <= 0.05: no hedge ever fires
 
     def test_earliest_accepted_completion_wins_and_cancels_losers(self):
         winner, elapsed, launched = self.race(
-            Simulator(), [(0.30, True), (0.02, True), (0.5, True)])
+            [(0.30, True), (0.02, True), (0.5, True)])
         # slot 1 launches at 0.05 and completes at 0.07 < 0.10: slot 2
-        # never launches, slot 0 is still in flight and is cancelled
+        # never launches, slot 0 is still in flight and loses
         assert winner == 1
         assert elapsed == pytest.approx(0.07)
         assert list(launched) == [0, 1]
-        assert launched[0][1].cancelled and not launched[1][1].cancelled
 
     def test_unaccepted_responses_never_win(self):
-        winner, elapsed, launched = self.race(
-            Simulator(), [(0.01, False), (0.2, True)])
+        winner, elapsed, launched = self.race([(0.01, False), (0.2, True)])
         assert winner == 1  # the fast-but-rejected branch only forces a hedge
         assert elapsed == pytest.approx(0.25)
 
     def test_no_accepted_response_waits_out_the_last_completion(self):
         winner, elapsed, launched = self.race(
-            Simulator(), [(0.3, False), None, (0.1, False)])
+            [(0.3, False), None, (0.1, False)])
         assert winner is None
         # the empty slot still advanced the stagger (and counts as a
         # hedge): the third candidate launches at 0.10
-        assert launched[2][0] == pytest.approx(0.10)
+        assert launched[2] == pytest.approx(0.10)
         assert elapsed == pytest.approx(0.3)
-        assert not any(f.cancelled for _, f in launched.values())
 
     def test_issue_returning_none_stops_the_race(self):
         seen = []
@@ -241,16 +310,16 @@ class TestHedgeOf:
         assert seen == ["a"]
 
     def test_equal_completions_break_on_issue_sequence(self):
-        winner, elapsed, _ = self.race(
-            Simulator(), [(0.2, True), (0.2, True)], hedge_delay=0.0)
+        winner, elapsed, _ = self.race([(0.2, True), (0.2, True)],
+                                       hedge_delay=0.0)
         assert winner == 0
 
 
 # Recorded against the pre-kernel blocking ``rpc`` implementation:
 # seed=42, loss_rate=0.1, nodes n0..n5 with n3 offline, 24 RPCs of
 # kind="golden" with payload_size=64+i, src=n{i%6}, dst=n{(2i+1)%6}
-# (bumped to n{(2i+2)%6} when src==dst).  The sync wrapper over
-# rpc_issue must keep this stream byte-identical.
+# (bumped to n{(2i+2)%6} when src==dst).  The sync view of rpc_issue
+# must keep this stream byte-identical.
 GOLDEN_TRACE = [
     (True, 0.126052276459), (False, 0.294598362899), (True, 0.181229094815),
     (True, 0.1381605329), (False, 0.094397221357), (True, 0.139360926347),
@@ -295,7 +364,7 @@ class TestGoldenDrawTrace:
         assert net.stats.summary()["failures"] == 10
 
     def test_rpc_issue_draws_identically(self):
-        """Issuing futures keeps the stream."""
+        """Issuing replies keeps the stream."""
         sim = Simulator(seed=42)
         net = SimNetwork(sim, loss_rate=0.1)
         for i in range(6):
@@ -303,11 +372,9 @@ class TestGoldenDrawTrace:
         net.nodes["n3"].online = False
         trace = []
         for i, src, dst in _golden_pairs():
-            future = net.rpc_issue(src, dst, kind="golden",
-                                   payload_size=64 + i)
-            ok, rtt = future.value
-            assert future.ok == ok
-            assert future.latency == rtt
+            ok, rtt, cause = net.rpc_issue(src, dst, kind="golden",
+                                           payload_size=64 + i)
+            assert (cause is None) == ok
             trace.append((ok, round(rtt, 12)))
         assert trace == GOLDEN_TRACE
         assert net.stats.summary()["failures"] == 10

@@ -84,7 +84,8 @@ class TestPartyScenarioEndToEnd:
         cid, document = bob.seal_post("Party at my place on Friday!",
                                       tags=["#party"])
         blob = bob.protect_document(document)
-        opened = alice.open_post("bob", blob, expected_cid=cid)
+        opened = alice.verify_document("bob", alice.unlock("bob", blob),
+                                       expected_cid=cid)
         assert opened.text.startswith("Party")
 
         # Cachet-style comment keys: bob authorizes alice but not eve.

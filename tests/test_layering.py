@@ -275,8 +275,10 @@ def test_the_attachment_gate_sees_a_per_hop_test():
 #: ``tests/crypto/reference.py``), of a ``FeedReport`` filter nothing
 #: called, of the config classes and fields the knob census turned into
 #: constants, of six public methods nothing referenced, of the histogram
-#: instruments nothing wrote, of the per-lookup defense switch, and of
-#: three helpers only tests reached; nothing may bring them back
+#: instruments nothing wrote, of the per-lookup defense switch, of three
+#: helpers only tests reached, and of the future-based fan-out kernel (an
+#: RPC's outcome is a ``Reply``, a fan-out's cost ``critical_path``);
+#: nothing may bring them back
 GONE = ("fetch_from_holders", "_get_failover", "_provenance", "batch_reads",
         "crypto_op", "profile_crypto", "absorb_network", "by_kind",
         "suspected_at", "is_suspect", "_shift_rows", "_mix_columns",
@@ -285,7 +287,8 @@ GONE = ("fetch_from_holders", "_get_failover", "_provenance", "batch_reads",
         "availability_with_agreement", "external_view", "matching_tags",
         "set_policy", "subscription_tags", "Histogram", "histogram",
         "DEFAULT_BUCKETS", "secure_lookup", "check_or_raise", "first_of",
-        "latest_version")
+        "latest_version", "SimFuture", "FanoutResult", "quorum_of",
+        "_future_sequence")
 READ_KINDS = {"chord_replica_read", "chord_batch_fetch"}
 
 
@@ -373,7 +376,7 @@ def test_one_function_issues_the_replica_read_rpcs():
             continue
         for node in ast.walk(function):
             if isinstance(node, ast.Call) and len(node.args) > 2 \
-                    and _name(node.func) in {"call", "call_issue"}:
+                    and _name(node.func) == "call":
                 kind = node.args[2]
                 if isinstance(kind, ast.Name) or (
                         isinstance(kind, ast.Constant)
@@ -495,7 +498,7 @@ NONE_TEST_CEILINGS = {
     "overlay/chord.py": 18,
     "storage2/quorum.py": 15,
     "storage2/repair.py": 9,
-    "membership/swim.py": 12,
+    "membership/swim.py": 11,
     "faults/resilience.py": 9,
     "overlay/kademlia.py": 5,
 }
@@ -654,20 +657,20 @@ _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def _uses(tree: ast.AST):
-    """``(identifier, enclosing definitions)`` of every ``Name`` and
-    ``Attribute`` use, and of the original name of every aliased import
-    (a plain ``from m import x`` re-export uses nothing)."""
+    """``(identifier, enclosing definitions, is an attribute)`` of every
+    ``Name`` and ``Attribute`` use, and of the original name of every
+    aliased import (a plain ``from m import x`` re-export uses nothing)."""
 
     def walk(node: ast.AST, scope: tuple):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             scope += (".".join(scope[-1:] + (node.name,)),)
         if isinstance(node, ast.Name):
-            yield node.id, scope
+            yield node.id, scope, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, scope
+            yield node.attr, scope, True
         elif isinstance(node, ast.ImportFrom):
-            yield from ((alias.name, scope) for alias in node.names
+            yield from ((alias.name, scope, False) for alias in node.names
                         if alias.asname not in (None, alias.name))
         for child in ast.iter_child_nodes(node):
             yield from walk(child, scope)
@@ -708,13 +711,18 @@ def _unreached(modules, reach_sources, paper_map: str):
     none in ``reach_sources``, no Table I registration, no backticked path
     in ``paper_map``, and — for an ``on_<kind>`` handler, which
     ``SimNode.handle_message`` finds by ``getattr`` — no ``"<kind>"``
-    literal.  Methods count only in classes neither mapped nor registered."""
+    literal.  Methods count only in classes neither mapped nor registered,
+    and only an attribute use (``x.name``) or a string naming one reaches
+    it: a bare ``Name`` sharing its identifier (a local ``pending``) is
+    not a call of ``Simulator.pending``."""
     trees = {module: ast.parse(source) for module, source in modules.items()}
-    src_uses = [(module, name, scope) for module, tree in trees.items()
-                for name, scope in _uses(tree)]
-    elsewhere = {name for source in reach_sources
-                 for name, _scope in _uses(ast.parse(source))}
-    strings = {node.value for tree in trees.values()
+    reach_trees = [ast.parse(source) for source in reach_sources]
+    src_uses = [(module, name, scope, attribute)
+                for module, tree in trees.items()
+                for name, scope, attribute in _uses(tree)]
+    elsewhere = {(name, attribute) for tree in reach_trees
+                 for name, _scope, attribute in _uses(tree)}
+    strings = {node.value for tree in [*trees.values(), *reach_trees]
                for node in ast.walk(tree)
                if isinstance(node, ast.Constant)
                and isinstance(node.value, str)}
@@ -729,12 +737,16 @@ def _unreached(modules, reach_sources, paper_map: str):
 
     def reached(module, local):
         name = local.rsplit(".", 1)[-1]
-        return (name in elsewhere or name in registered
+        method = "." in local
+        return ((name, True) in elsewhere
+                or not method and (name, False) in elsewhere
+                or name in registered
                 or name.startswith("on_") and name[3:] in strings
+                or method and name in strings
                 or _mapped(module, local, paths)
-                or any(used == name
+                or any(used == name and (attribute or not method)
                        and not (where == module and local in scope)
-                       for where, used, scope in src_uses))
+                       for where, used, scope, attribute in src_uses))
 
     found = []
     for module, tree in trees.items():
@@ -787,17 +799,26 @@ def test_the_reach_gate_sees_what_only_tests_use():
                          "def oracle_only(): pass\n"
                          "class Node:\n"
                          "    def on_ping(self, message): pass\n"
-                         "    def on_pong(self, message): pass\n",
+                         "    def on_pong(self, message): pass\n"
+                         "    def pending(self): pass\n"
+                         "    def called(self): pass\n"
+                         "    def named(self): pass\n",
         "repro.pkg.user": "from repro.pkg.mod import aliased as _aliased\n"
-                          "def run(net): net.send('ping', Node())\n",
+                          "def run(net):\n"
+                          "    pending = net.send('ping', Node())\n"
+                          "    return net.called(pending, 'named')\n",
     }
     oracle = "from repro.pkg.mod import oracle_only\nassert oracle_only()\n"
     assert _unreached(modules, [], "") == [
-        "repro.pkg.mod.Node.on_pong", "repro.pkg.mod.exported",
-        "repro.pkg.mod.oracle_only", "repro.pkg.mod.recursive",
-        "repro.pkg.user.run"]
-    assert _unreached(modules, [oracle, "run(net)"],
+        "repro.pkg.mod.Node.on_pong", "repro.pkg.mod.Node.pending",
+        "repro.pkg.mod.exported", "repro.pkg.mod.oracle_only",
+        "repro.pkg.mod.recursive", "repro.pkg.user.run"]
+    assert _unreached(modules, [oracle, "run(net)", "pending = 1"],
                       "`repro.pkg.exported`, `repro.pkg.mod`") == [
+        "repro.pkg.mod.Node.on_pong", "repro.pkg.mod.Node.pending",
+        "repro.pkg.mod.recursive"]
+    assert _unreached(modules, [oracle, "run(net)", "node.pending"],
+                      "`repro.pkg.exported`") == [
         "repro.pkg.mod.Node.on_pong", "repro.pkg.mod.recursive"]
     assert (REPO / "tests/crypto/reference.py").read_text() \
         in _reach_sources()

@@ -114,8 +114,7 @@ class TestSimulatorUtilities:
         sim = Simulator()
         for _ in range(5):
             sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert sim.events_processed == 5
+        assert sim.run() == 5
 
 
 class TestPackaging:
