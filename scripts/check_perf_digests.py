@@ -2,9 +2,11 @@
 
 Usage::
 
-    python scripts/check_perf_digests.py
+    python scripts/check_perf_digests.py                   # all five
+    python scripts/check_perf_digests.py social_dht_bare   # just these
 
-Runs each workload of ``BENCHMARK.json`` once over its pinned prefix
+Runs each named workload of ``BENCHMARK.json`` (every one when none is
+named) once over its pinned prefix
 (``benchmarks/perf/run.py --seconds 0 --trace 0``, the baseline's seed)
 and compares what is exact for a seed — ``outcome_digest`` and the
 simulated ``msgs_per_op`` / ``bytes_per_op`` / ``failed_op_ratio`` /
@@ -20,16 +22,23 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import List
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "benchmarks" / "perf" / "run.py"
 BASELINE = ROOT / "benchmarks" / "perf" / "results" / "baseline.json"
 
 
-def main() -> int:
+def main(names: List[str]) -> int:
     baseline = json.loads(BASELINE.read_text())
-    workloads = [w["name"] for w in
-                 json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    declared = [w["name"] for w in
+                json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    unknown = sorted(set(names) - set(declared))
+    if unknown:
+        sys.stderr.write(f"unknown workload(s) {', '.join(unknown)}; "
+                         f"choose from {', '.join(declared)}\n")
+        return 2
+    workloads = [name for name in declared if not names or name in names]
     drift = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in workloads:
@@ -59,4 +68,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

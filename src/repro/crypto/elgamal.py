@@ -8,7 +8,7 @@ keys are ElGamal-encrypted under the public key of every group member.
 from __future__ import annotations
 
 import random as _random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.crypto.groups import SchnorrGroup, group_for_level
@@ -25,11 +25,21 @@ class ElGamalPublicKey:
 
     group: SchnorrGroup
     h: int
+    #: the :meth:`~SchnorrGroup.comb` of ``h``, built on the first
+    #: encryption; a cache, so eq/hash/repr ignore it
+    _comb: Tuple[int, ...] = field(default=(), init=False, repr=False,
+                                   compare=False)
 
     def to_bytes(self) -> bytes:
         """Canonical serialization for fingerprinting."""
         width = (self.group.p.bit_length() + 7) // 8
         return self.h.to_bytes(width, "big")
+
+    def _shared(self, r: int) -> int:
+        """``h^r``, the same value as ``group.power(h, r)``."""
+        if not self._comb:
+            object.__setattr__(self, "_comb", self.group.comb(self.h))
+        return self.group.comb_power(self._comb, r)
 
 
 @dataclass(frozen=True)
@@ -38,11 +48,17 @@ class ElGamalPrivateKey:
 
     group: SchnorrGroup
     x: int
+    _public: Optional[ElGamalPublicKey] = field(default=None, init=False,
+                                                repr=False, compare=False)
 
     @property
     def public_key(self) -> ElGamalPublicKey:
-        """Derive the matching public key."""
-        return ElGamalPublicKey(self.group, self.group.exp(self.x))
+        """The matching public key ``g^x`` (derived once, so its comb is
+        built once)."""
+        if self._public is None:
+            object.__setattr__(self, "_public", ElGamalPublicKey(
+                self.group, self.group.exp(self.x)))
+        return self._public
 
 
 #: An ElGamal ciphertext ``(c1, c2) = (g^r, m * h^r)``.
@@ -66,8 +82,7 @@ def encrypt_element(pub: ElGamalPublicKey, message: int,
                               "use encrypt_bytes for arbitrary data")
     rng = rng or _DEFAULT_RNG
     r = pub.group.random_scalar(rng)
-    return (pub.group.exp(r),
-            pub.group.mul(message, pub.group.power(pub.h, r)))
+    return (pub.group.exp(r), pub.group.mul(message, pub._shared(r)))
 
 
 def decrypt_element(priv: ElGamalPrivateKey, ciphertext: Ciphertext) -> int:
@@ -90,8 +105,7 @@ def encrypt_bytes(pub: ElGamalPublicKey, message: bytes,
     group = pub.group
     r = group.random_scalar(rng)
     kem_element = group.element_from_int(rng.randrange(1, group.p))
-    c1, c2 = (group.exp(r),
-              group.mul(kem_element, group.power(pub.h, r)))
+    c1, c2 = group.exp(r), group.mul(kem_element, pub._shared(r))
     width = (group.p.bit_length() + 7) // 8
     key = hkdf(kem_element.to_bytes(width, "big"), 32,
                info=b"repro/elgamal/kem")

@@ -41,23 +41,24 @@ class SchnorrPublicKey:
 
     group: SchnorrGroup
     y: int
-    #: ``y^-1 mod p`` (0 for ``y = 0 mod p``), derived on the first verify.
-    #: ``(y^-1)^e = (y^e)^-1`` for every integer ``y``, so later verifies
-    #: pay no inversion and get the value the per-call inversion gave.
-    _y_inverse: Optional[int] = field(default=None, init=False, repr=False,
-                                      compare=False)
+    #: the :meth:`~SchnorrGroup.comb` of ``y^-1 mod p`` (0 for ``y = 0 mod
+    #: p``; it is ``_comb[1]``), built on the first verify.  ``(y^-1)^e =
+    #: (y^e)^-1`` for every integer ``y``, so a verify pays no inversion
+    #: and no ``pow`` and gets the value the per-call inversion gave.
+    _comb: Tuple[int, ...] = field(default=(), init=False, repr=False,
+                                   compare=False)
 
     def verify(self, message: bytes, signature: SchnorrSignature) -> bool:
         """Check ``e == H(g^s * y^-e, y, m)``."""
         e, s = signature
-        if not 0 <= e < self.group.q or not 0 <= s < self.group.q:
+        group = self.group
+        if not 0 <= e < group.q or not 0 <= s < group.q:
             return False
-        if self._y_inverse is None:
-            object.__setattr__(self, "_y_inverse",
-                               self.group.inverse(self.y))
-        commitment = self.group.mul(
-            self.group.exp(s), self.group.power(self._y_inverse, e))
-        return _challenge(self.group, commitment, self.y, message) == e
+        if not self._comb:
+            object.__setattr__(self, "_comb",
+                               group.comb(group.inverse(self.y)))
+        commitment = group.mul(group.exp(s), group.comb_power(self._comb, e))
+        return _challenge(group, commitment, self.y, message) == e
 
     def to_bytes(self) -> bytes:
         """Canonical encoding for identity fingerprints."""

@@ -75,9 +75,13 @@ def _canon(obj) -> bytes:
         items = sorted((_canon(k), _canon(v)) for k, v in obj.items())
         return b"{" + b"".join(k + b":" + v for k, v in items) + b"}"
     if dataclasses.is_dataclass(obj):
+        # a ``compare=False`` field is a lazy cache (a key's comb, a derived
+        # public key), not stored data; no such field existed in the
+        # lifecycle's state when ``GOLDEN`` was computed
         return (type(obj).__name__.encode() + b"("
                 + b"".join(_canon(getattr(obj, f.name))
-                           for f in dataclasses.fields(obj)) + b")")
+                           for f in dataclasses.fields(obj) if f.compare)
+                + b")")
     if isinstance(obj, AccessControlScheme):
         return type(obj).__name__.encode() + _canon(vars(obj))
     raise TypeError(f"golden serialiser does not know {type(obj).__name__}")

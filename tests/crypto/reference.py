@@ -5,8 +5,10 @@ scalar multiplication and the Miller loop in Jacobian coordinates, powers
 of the generator from a fixed-base table, IBBE's ``h^{f(gamma)}`` as one
 multi-exponentiation, products of pairings with one final exponentiation,
 ``F_p^2`` powers on plain ints, the AES key schedule on 32-bit words, the
-AES forward cipher on T-tables and Schnorr verification with ``y^-1``
-derived once per key.  What they replaced lives here,
+AES forward cipher on T-tables, Schnorr verification with ``y^-1``
+derived once per key, and powers of a public key's base (``y^-1`` in a
+Schnorr verify, ``h`` in an ElGamal encryption) from a per-key Lim–Lee
+comb instead of ``pow``.  What they replaced lives here,
 verbatim, as the oracle: every fast path must return *exactly* what this
 code returns (``test_fast_paths.py``), so every ciphertext, header and
 digest stays byte-identical.  Nothing under ``src/`` may import this module
@@ -17,9 +19,13 @@ from typing import List, Sequence
 
 from repro.crypto import numbertheory as nt
 from repro.crypto.aes import _RCON, _SBOX, _gf_mul
+from repro.crypto.elgamal import ElGamalPublicKey
+from repro.crypto.groups import SchnorrGroup
+from repro.crypto.hashing import hkdf
 from repro.crypto.pairing import (Fp2, G1Element, GTElement, PairingGroup,
                                   _Point, _point_add, _point_neg)
 from repro.crypto.signatures import SchnorrPublicKey, _challenge
+from repro.crypto.symmetric import AuthenticatedCipher
 from repro.exceptions import CryptoError
 
 # -- numbertheory -----------------------------------------------------------
@@ -31,6 +37,33 @@ def modinv(a: int, m: int) -> int:
     if g != 1:
         raise CryptoError(f"{a} has no inverse modulo {m} (gcd={g})")
     return x % m
+
+
+# -- groups -------------------------------------------------------------------
+
+
+def comb_power(group: SchnorrGroup, base: int, exponent: int) -> int:
+    """``SchnorrGroup.comb_power(group.comb(base), exponent)``: one
+    left-to-right ``pow`` of the exponent reduced mod ``q``."""
+    return pow(base, exponent % group.q, group.p)
+
+
+# -- ElGamal ------------------------------------------------------------------
+
+
+def elgamal_encrypt_bytes(pub: ElGamalPublicKey, message: bytes, rng) -> bytes:
+    """``elgamal.encrypt_bytes`` raising ``h`` to ``r`` with ``pow``."""
+    group = pub.group
+    r = group.random_scalar(rng)
+    kem_element = group.element_from_int(rng.randrange(1, group.p))
+    c1, c2 = (group.exp(r),
+              group.mul(kem_element, pow(pub.h, r % group.q, group.p)))
+    width = (group.p.bit_length() + 7) // 8
+    key = hkdf(kem_element.to_bytes(width, "big"), 32,
+               info=b"repro/elgamal/kem")
+    blob = AuthenticatedCipher(key).encrypt(message, rng=rng)
+    return (width.to_bytes(2, "big") + c1.to_bytes(width, "big")
+            + c2.to_bytes(width, "big") + blob)
 
 
 # -- signatures ---------------------------------------------------------------

@@ -3,10 +3,10 @@
 ``pow(a, -1, m)``, Jacobian G1 scalar multiplication, the inversion-free
 Miller loop, the generator's fixed-base table, the shared doubling chain of
 ``multi_exp``, the single final exponentiation of ``pair_product``,
-``Fp2.pow`` on ints, the word-based AES key schedule, the T-table AES and
-Schnorr verify's per-key ``y^-1`` must return *the same values* as the
-extended-Euclid / affine / per-base / per-pairing / list-based / per-call
-inversion implementations kept in
+``Fp2.pow`` on ints, the word-based AES key schedule, the T-table AES,
+Schnorr verify's per-key ``y^-1`` and the per-key Lim–Lee comb must return
+*the same values* as the extended-Euclid / affine / per-base / per-pairing
+/ list-based / per-call inversion / plain ``pow`` implementations kept in
 :mod:`tests.crypto.reference` — not merely satisfy the same algebraic laws:
 every stored header and ciphertext is derived from them.
 """
@@ -14,6 +14,7 @@ every stored header and ciphertext is derived from them.
 import math
 import random
 import struct
+import sys
 from unittest import mock
 
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.acl import SCHEME_REGISTRY
 from repro.acl.abe_acl import ABEACL
+from repro.crypto import elgamal
 from repro.crypto import numbertheory as nt
 from repro.crypto import pairing
 from repro.crypto import symmetric as sym
@@ -47,6 +49,10 @@ TINY = [(43, 11), (59, 5), (19, 5), (131, 11)]
 #: (792 of the 4 900 pairs).  Too big for the all-points-all-scalars sweep.
 TINY_PAIRINGS = TINY + [(283, 71)]
 LEVELS = ["TOY", "TEST"]
+#: safe primes ``p = 2q + 1`` small enough for every base and exponent; ``q``
+#: runs from 2 to 8 bits, so a comb row is 1 or 2 bits wide and rows past
+#: the top of ``q`` are all zero
+TINY_SAFE_PRIMES = [7, 11, 23, 47, 107, 263, 383]
 
 
 def tiny_group(p: int, q: int) -> PairingGroup:
@@ -454,6 +460,41 @@ class TestOperationRatchet:
         assert not key.verify(b"other", signatures[0])
         assert len(inversions) == 1
 
+    def test_a_key_builds_one_comb_and_verify_runs_no_pow(self, monkeypatch):
+        signer = generate_schnorr_keypair("TOY", random.Random(8))
+        signatures = [(bytes([i]), signer.sign(bytes([i]),
+                                               rng=random.Random(i)))
+                      for i in range(12)]
+        combs = _counting(monkeypatch, SchnorrGroup, "comb")
+        powers = _counting(monkeypatch, SchnorrGroup, "power")
+        key = SchnorrPublicKey(signer.group, signer.public_key.y)
+        for message, signature in signatures:
+            assert key.verify(message, signature)
+            assert not key.verify(message + b"!", signature)
+        assert len(combs) == 1
+        assert powers == []
+        SchnorrPublicKey(signer.group, signer.public_key.y).verify(
+            b"m", signatures[0][1])           # a second key builds its own
+        assert len(combs) == 2
+
+    def test_an_elgamal_key_builds_one_comb(self, monkeypatch):
+        priv = elgamal.generate_keypair("TOY", random.Random(9))
+        combs = _counting(monkeypatch, SchnorrGroup, "comb")
+        powers = _counting(monkeypatch, SchnorrGroup, "power")
+        for i in range(5):
+            elgamal.encrypt_bytes(priv.public_key, bytes([i]),
+                                  random.Random(i))
+        assert len(combs) == 1
+        assert powers == []
+
+    def test_a_toy_comb_fits_in_one_and_a_half_kilobytes(self):
+        group = group_for_level("TOY")
+        key = generate_schnorr_keypair("TOY", random.Random(10)).public_key
+        key.verify(b"m", (1, 1))
+        comb = key._comb
+        assert len(comb) == 16 and comb[1] == pow(key.y, -1, group.p)
+        assert sys.getsizeof(comb) + sum(map(sys.getsizeof, comb)) <= 1536
+
 
 class TestAES:
     @given(key=st.sampled_from([16, 24, 32]).flatmap(
@@ -582,12 +623,105 @@ class TestSchnorrVerify:
             assert (pow(y, q, p) == p - 1) == negated
 
     def test_the_inverse_is_not_part_of_the_key(self):
+        """``y^-1`` lives in the comb (its entry 1), and the comb is a cache."""
         group = group_for_level("TOY")
         used, fresh = SchnorrPublicKey(group, 16), SchnorrPublicKey(group, 16)
         used.verify(b"m", (1, 1))
-        assert used._y_inverse == pow(16, -1, group.p)
-        assert fresh._y_inverse is None
+        assert used._comb == group.comb(pow(16, -1, group.p))
+        assert used._comb[1] == pow(16, -1, group.p)
+        assert fresh._comb == ()
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
         with pytest.raises(TypeError):
-            SchnorrPublicKey(group, 16, 5)
+            SchnorrPublicKey(group, 16, (1,))
+
+
+class TestComb:
+    """``comb_power(comb(b), e)`` against one plain ``pow`` of ``e mod q``
+    (:func:`tests.crypto.reference.comb_power`), for every base: the
+    subgroup, ``0``, ``1``, ``p - 1``, ``p`` and the non-residues."""
+
+    @pytest.mark.parametrize("p", TINY_SAFE_PRIMES)
+    def test_every_base_and_exponent_of_a_tiny_group(self, p):
+        group = SchnorrGroup(p)
+        q = group.q
+        for base in range(p + 1):
+            table = group.comb(base)
+            assert len(table) == 16
+            for e in range(q):
+                assert (group.comb_power(table, e)
+                        == pow(base, e, p) == ref.comb_power(group, base, e))
+            for e in (q, q + 1, 2 * q - 1, -1, -q):      # reduced mod q
+                assert (group.comb_power(table, e) == group.power(base, e)
+                        == ref.comb_power(group, base, e)), (base, e)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_equals_pow_at_real_sizes(self, level, data):
+        group = group_for_level(level)
+        p, q = group.p, group.q
+        raw = data.draw(st.integers(min_value=1, max_value=p - 1))
+        non_residue = raw if pow(raw, q, p) != 1 else p - raw  # -1 is one
+        assert pow(non_residue, q, p) == p - 1
+        base = data.draw(st.sampled_from(
+            [0, 1, p - 1, p, non_residue, group.exp(raw),
+             data.draw(st.integers(min_value=0, max_value=2 * p))]))
+        table = group.comb(base)
+        k = data.draw(st.integers(min_value=-2 * q, max_value=2 * q))
+        row = (q.bit_length() + 3) // 4                 # row-boundary edges
+        for e in (k, 0, 1, 2, q - 1, q, q + 1, (1 << row) - 1, 1 << row,
+                  1 << 3 * row):
+            assert (group.comb_power(table, e)
+                    == ref.comb_power(group, base, e)
+                    == group.power(base, e)), (base, e)
+            if 0 <= e < q:
+                assert group.comb_power(table, e) == pow(base, e, p)
+
+    def test_power_reduces_the_exponent_for_every_base(self):
+        """The documented contract: ``e`` is taken mod ``q`` whatever the
+        base, so a base of order 2 or ``2q`` gets ``base^e`` only for
+        ``e < q``."""
+        group = group_for_level("TOY")
+        p, q = group.p, group.q
+        minus_one = group.comb(p - 1)
+        assert group.power(p - 1, q) == 1 == group.comb_power(minus_one, q)
+        assert pow(p - 1, q, p) == p - 1
+        assert group.power(p - 1, q - 1) == 1 == pow(p - 1, q - 1, p)
+        assert group.comb_power(minus_one, q - 2) == p - 1
+
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("length", [0, 1, 32, 100])
+    def test_elgamal_encrypt_bytes_equals_the_plain_pow_reference(self, level,
+                                                                  length):
+        priv = elgamal.generate_keypair(level, random.Random(length))
+        message = random.Random(-length).randbytes(length)
+        for seed in range(3):       # the first call builds the comb
+            got = elgamal.encrypt_bytes(priv.public_key, message,
+                                        random.Random(seed))
+            want = ref.elgamal_encrypt_bytes(priv.public_key, message,
+                                             random.Random(seed))
+            assert got == want
+            assert elgamal.decrypt_bytes(priv, got) == message
+
+    def test_elgamal_encrypt_element_equals_pow(self):
+        group = group_for_level("TOY")
+        priv = elgamal.generate_keypair("TOY", random.Random(11))
+        pub = priv.public_key
+        for seed in range(4):
+            message = group.exp(seed + 2)
+            c1, c2 = elgamal.encrypt_element(pub, message, random.Random(seed))
+            r = group.random_scalar(random.Random(seed))
+            assert (c1, c2) == (group.exp(r),
+                                message * pow(pub.h, r, group.p) % group.p)
+            assert elgamal.decrypt_element(priv, (c1, c2)) == message
+
+    def test_the_comb_is_not_part_of_an_elgamal_key(self):
+        priv = elgamal.generate_keypair("TOY", random.Random(12))
+        used = priv.public_key
+        fresh = elgamal.ElGamalPublicKey(used.group, used.h)
+        elgamal.encrypt_bytes(used, b"m", random.Random(0))
+        assert used._comb[1] == used.h and fresh._comb == ()
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert priv.public_key is used
