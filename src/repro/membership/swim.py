@@ -30,8 +30,8 @@ from __future__ import annotations
 import math
 import random as _random
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.exceptions import OverlayError, SimulationError
 from repro.membership.phi import PhiEstimator
@@ -86,15 +86,15 @@ class MembershipConfig:
     """
 
 
-@dataclass(slots=True)
-class _Update:
-    """One piggybacked membership rumor."""
+class _Update(NamedTuple):
+    """One piggybacked membership rumor: an immutable value, so a view
+    that re-gossips it queues the very tuple it received (its remaining
+    transmissions live in the view's parallel ``budgets`` list)."""
 
     peer: str
     state: str          # ALIVE / SUSPECT / DEAD
     incarnation: int
     heard_at: float     # when the originator last had evidence of peer
-    budget: int         # remaining piggyback transmissions
 
 
 @dataclass
@@ -115,17 +115,18 @@ class ConfirmEvent:
     actually_online: bool
 
 
-class MemberRecord:
-    """One peer as seen by one member."""
+class MemberRecord(PhiEstimator):
+    """One peer as seen by one member: its phi estimator plus its SWIM
+    state — one object per (observer, peer) pair of the n² table."""
 
-    __slots__ = ("state", "incarnation", "estimator")
+    __slots__ = ("state", "incarnation")
 
-    def __init__(self, estimator: PhiEstimator) -> None:
+    def __init__(self, now: float) -> None:
+        PhiEstimator.__init__(self, now)   # not super(): n² calls
         #: written only by :meth:`MemberView.set_state`, which keeps the
         #: view's suspect / dead indexes in step
         self.state = ALIVE
         self.incarnation = 0
-        self.estimator = estimator
 
 
 class MemberView:
@@ -142,7 +143,10 @@ class MemberView:
         #: read instead of scanning ``records``
         self.suspects: Set[str] = set()
         self.dead: Set[str] = set()
+        #: rumors to piggyback, oldest first, and the transmissions each
+        #: has left (``budgets[i]`` belongs to ``queue[i]``; always >= 1)
         self.queue: List[_Update] = []
+        self.budgets: List[int] = []
         #: last tick at which the owner was up (stale-clock detection)
         self.last_active = now
 
@@ -158,8 +162,7 @@ class MemberView:
         record = self.records.get(peer)
         if record is None:
             return False
-        return record.state != ALIVE \
-            or record.estimator.phi(now) >= SUSPECT_PHI
+        return record.state != ALIVE or record.phi(now) >= SUSPECT_PHI
 
     def health(self, peer: str, now: float) -> float:
         """A [0, 1] routing score: 1 fresh evidence, 0 confirmed dead."""
@@ -168,7 +171,7 @@ class MemberView:
             return 1.0
         if record.state == DEAD:
             return 0.0
-        score = max(0.0, 1.0 - record.estimator.phi(now) / CONFIRM_PHI)
+        score = max(0.0, 1.0 - record.phi(now) / CONFIRM_PHI)
         if record.state == SUSPECT:
             score *= 0.5
         return score
@@ -192,11 +195,6 @@ class MemberView:
         else:
             self.dead.discard(peer)
 
-    def add_peer(self, peer: str, now: float) -> None:
-        if peer == self.owner or peer in self.records:
-            return
-        self.records[peer] = MemberRecord(PhiEstimator(now))
-
     def direct_evidence(self, peer: str, incarnation: int,
                         now: float) -> None:
         """First-hand proof of life: an ack from (or relayed for) ``peer``.
@@ -212,7 +210,7 @@ class MemberView:
         if record is None:
             return
         buried_as = record.incarnation if record.state == DEAD else None
-        record.estimator.evidence(now)
+        record.evidence(now)
         if incarnation > record.incarnation:
             record.incarnation = incarnation
         if record.state == DEAD:
@@ -238,79 +236,93 @@ class MemberView:
         the peers, so phi must not charge them for it.
         """
         for record in self.records.values():
-            record.estimator.restart(now)
+            record.restart(now)
 
     # -- piggyback dissemination ----------------------------------------------
 
     def enqueue(self, peer: str, state: str, incarnation: int,
                 heard_at: float) -> None:
         queue = self.queue
-        queue.append(_Update(peer, state, incarnation, heard_at,
-                             self.membership.rumor_budget))
+        queue.append(_Update(peer, state, incarnation, heard_at))
+        self.budgets.append(self.membership.rumor_budget)
         if len(queue) > _QUEUE_CAP:
             del queue[:len(queue) - _QUEUE_CAP]
+            del self.budgets[:len(self.budgets) - _QUEUE_CAP]
 
     def take_piggyback(self) -> List[_Update]:
         """Up to ``PIGGYBACK_LIMIT`` updates to send with one contact."""
-        batch = self.queue[:PIGGYBACK_LIMIT]
-        del self.queue[:len(batch)]
-        keep = []
-        for update in batch:
-            update.budget -= 1
-            if update.budget > 0:
-                keep.append(update)
-        self.queue.extend(keep)  # rotate: fresh rumors go first next time
+        queue, budgets = self.queue, self.budgets
+        batch = queue[:PIGGYBACK_LIMIT]
+        spent = budgets[:PIGGYBACK_LIMIT]
+        del queue[:PIGGYBACK_LIMIT], budgets[:PIGGYBACK_LIMIT]
+        # rotate: fresh rumors go first next time
+        if 1 not in spent:          # no rumor's budget runs out
+            queue += batch
+            budgets += [budget - 1 for budget in spent]
+        else:
+            for update, budget in zip(batch, spent):
+                if budget > 1:
+                    queue.append(update)
+                    budgets.append(budget - 1)
         return batch
 
-    def receive(self, update: _Update, now: float) -> None:
-        """Apply one piggybacked rumor (SWIM merge rules); re-gossip news."""
+    def merge(self, batch: Sequence[_Update], now: float) -> None:
+        """Apply one contact's piggybacked rumors in order (SWIM merge
+        rules); re-gossip each one that was news by queueing it as is."""
+        owner, records = self.owner, self.records
+        queue, budgets = self.queue, self.budgets
         membership = self.membership
         metrics = membership.metrics
-        if update.peer == self.owner:
-            # Someone is spreading doubt about us: refute by overriding
-            # the rumored incarnation with a fresher self.
-            if update.state in (SUSPECT, DEAD) \
-                    and update.incarnation >= self.self_incarnation:
-                self.self_incarnation = update.incarnation + 1
-                self.enqueue(self.owner, ALIVE, self.self_incarnation, now)
-                metrics.inc("membership.refutations")
-            return
-        record = self.records.get(update.peer)
-        if record is None:
-            return
-        news = False
-        if update.state == ALIVE:
-            if update.incarnation > record.incarnation:
+        budget = membership.rumor_budget
+        for update in batch:
+            peer, state, incarnation, heard_at = update
+            record = records.get(peer)
+            if record is None:
+                # Someone is spreading doubt about us: refute by
+                # overriding the rumored incarnation with a fresher self.
+                if peer == owner and state in (SUSPECT, DEAD) \
+                        and incarnation >= self.self_incarnation:
+                    self.self_incarnation = incarnation + 1
+                    queue.append(_Update(owner, ALIVE, incarnation + 1, now))
+                    budgets.append(budget)
+                    metrics.inc("membership.refutations")
+                continue   # the owner, or a peer this view never met
+            news = False
+            if state == ALIVE:
+                if incarnation > record.incarnation:
+                    if record.state == DEAD:
+                        membership._revived(owner, peer)
+                    self.set_state(peer, ALIVE)
+                    record.incarnation = incarnation
+                    news = True
+                if record.state != DEAD and record.evidence(heard_at):
+                    news = True
+            elif state == SUSPECT:
                 if record.state == DEAD:
-                    self.membership._revived(self.owner, update.peer)
-                self.set_state(update.peer, ALIVE)
-                record.incarnation = update.incarnation
+                    continue
+                if incarnation > record.incarnation or (
+                        incarnation == record.incarnation
+                        and record.state == ALIVE):
+                    if record.state != SUSPECT:
+                        metrics.inc("membership.suspicions", source="gossip")
+                        self.set_state(peer, SUSPECT)
+                    record.incarnation = incarnation
+                    news = True
+            elif record.state != DEAD:
+                # DEAD is final until a higher incarnation revives the peer
+                self.set_state(peer, DEAD)
+                record.incarnation = max(record.incarnation, incarnation)
+                membership._confirmed(owner, peer, now, record,
+                                      via_gossip=True)
                 news = True
-            if record.state != DEAD \
-                    and record.estimator.evidence(update.heard_at):
-                news = True
-        elif update.state == SUSPECT:
-            if record.state == DEAD:
-                return
-            if update.incarnation > record.incarnation or (
-                    update.incarnation == record.incarnation
-                    and record.state == ALIVE):
-                if record.state != SUSPECT:
-                    metrics.inc("membership.suspicions", source="gossip")
-                    self.set_state(update.peer, SUSPECT)
-                record.incarnation = update.incarnation
-                news = True
-        else:  # DEAD is final until a higher incarnation revives the peer
-            if record.state != DEAD:
-                self.set_state(update.peer, DEAD)
-                record.incarnation = max(record.incarnation,
-                                         update.incarnation)
-                membership._confirmed(self.owner, update.peer, now,
-                                      record, via_gossip=True)
-                news = True
-        if news:
-            self.enqueue(update.peer, update.state, update.incarnation,
-                         update.heard_at)
+            if news:
+                queue.append(update)
+                budgets.append(budget)
+        # trimming only drops from the front, so once per batch keeps
+        # exactly what trimming after every append would
+        if len(queue) > _QUEUE_CAP:
+            del queue[:len(queue) - _QUEUE_CAP]
+            del budgets[:len(budgets) - _QUEUE_CAP]
 
 
 class SwimMembership:
@@ -355,9 +367,9 @@ class SwimMembership:
             raise OverlayError(f"member {name!r} already registered")
         now = self.sim.now
         view = MemberView(name, self, now)
-        for other in self._members:
-            view.add_peer(other, now)
-            self.views[other].add_peer(name, now)
+        view.records = {other: MemberRecord(now) for other in self._members}
+        for other_view in self.views.values():
+            other_view.records[name] = MemberRecord(now)
         self.views[name] = view
         self._rank[name] = len(self._members)
         self._members.append(name)
@@ -540,10 +552,8 @@ class SwimMembership:
         # Fresh heartbeats for the epidemic evidence stream.
         view_a.enqueue(b, ALIVE, view_b.self_incarnation, now)
         view_b.enqueue(a, ALIVE, view_a.self_incarnation, now)
-        for update in view_a.take_piggyback():
-            view_b.receive(update, now)
-        for update in view_b.take_piggyback():
-            view_a.receive(update, now)
+        view_b.merge(view_a.take_piggyback(), now)
+        view_a.merge(view_b.take_piggyback(), now)
 
     def _suspect(self, member: str, target: str) -> None:
         view = self.views[member]
@@ -554,7 +564,7 @@ class SwimMembership:
             view.set_state(target, SUSPECT)
             self.metrics.inc("membership.suspicions", source="probe")
         view.enqueue(target, SUSPECT, record.incarnation,
-                     record.estimator.last_evidence)
+                     record.last_evidence)
 
     def _sweep_confirms(self, view: MemberView, now: float) -> None:
         for peer in self.in_rank_order(view.suspects):
@@ -563,12 +573,12 @@ class SwimMembership:
             # may have cleared a peer this snapshot still holds
             if record.state != SUSPECT:
                 continue
-            if record.estimator.phi(now) >= CONFIRM_PHI:
+            if record.phi(now) >= CONFIRM_PHI:
                 view.set_state(peer, DEAD)
                 self._confirmed(view.owner, peer, now, record,
                                 via_gossip=False)
                 view.enqueue(peer, DEAD, record.incarnation,
-                             record.estimator.last_evidence)
+                             record.last_evidence)
 
     # -- bookkeeping shared by local and gossiped transitions -------------------
 
@@ -577,12 +587,11 @@ class SwimMembership:
         self.metrics.inc("membership.confirms",
                          source="gossip" if via_gossip else "phi")
         if not via_gossip:
-            estimator = record.estimator
             self.confirm_log.append(ConfirmEvent(
                 observer=observer, peer=peer, at=now,
-                silence=now - estimator.last_evidence,
-                bound=estimator.silence_bound(CONFIRM_PHI),
-                phi=estimator.phi(now),
+                silence=now - record.last_evidence,
+                bound=record.silence_bound(CONFIRM_PHI),
+                phi=record.phi(now),
                 actually_online=self.network.is_online(peer)))
         if peer not in self._dead:
             self._dead.add(peer)

@@ -8,7 +8,7 @@ from repro.exceptions import OverlayError, SimulationError
 from repro.fabric import Fabric
 from repro.membership import (ALIVE, CONFIRM_PHI, DEAD, GOSSIP_BUDGET_FACTOR,
                               PROTOCOL_PERIOD, SUSPECT, MembershipConfig,
-                              SwimMembership)
+                              PhiEstimator, SwimMembership)
 from repro.membership.swim import _Update
 from repro.overlay.network import SimNode
 from repro.overlay.simulator import FixedLatency
@@ -146,8 +146,8 @@ class TestMergeRules:
         self.record = self.view.records["n1"]
 
     def _recv(self, state, incarnation, heard_at=1.0):
-        self.view.receive(
-            _Update("n1", state, incarnation, heard_at, budget=3), now=2.0)
+        self.view.merge([_Update("n1", state, incarnation, heard_at)],
+                        now=2.0)
 
     def test_suspect_beats_alive_at_equal_incarnation(self):
         self._recv(SUSPECT, 0)
@@ -175,20 +175,20 @@ class TestMergeRules:
         assert not self.membership.confirmed_dead("n1")
 
     def test_alive_news_counts_as_phi_evidence(self):
-        before = self.record.estimator.last_evidence
+        before = self.record.last_evidence
         self._recv(ALIVE, 0, heard_at=before + 7.5)
-        assert self.record.estimator.last_evidence == before + 7.5
+        assert self.record.last_evidence == before + 7.5
 
     def test_owner_refutes_rumors_about_itself(self):
-        rumor = _Update("n0", SUSPECT, 0, 1.0, budget=3)
-        self.view.receive(rumor, now=2.0)
+        rumor = _Update("n0", SUSPECT, 0, 1.0)
+        self.view.merge([rumor], now=2.0)
         assert self.view.self_incarnation == 1
         refute = [u for u in self.view.queue if u.peer == "n0"]
         assert refute and refute[-1].state == ALIVE
         assert refute[-1].incarnation == 1
 
     def test_unknown_peers_are_ignored(self):
-        self.view.receive(_Update("ghost", DEAD, 0, 1.0, budget=3), now=2.0)
+        self.view.merge([_Update("ghost", DEAD, 0, 1.0)], now=2.0)
         assert "ghost" not in self.view.records
 
     def test_direct_evidence_revives_without_incarnation_bump(self):
@@ -356,20 +356,21 @@ class TestIndexes:
             view = membership.register(f"n{i}")
             if i + 1 in (2, 3, 64):
                 view.enqueue("n0", ALIVE, 0, 0.0)
-                assert view.queue[-1].budget \
+                assert view.budgets[-1] \
                     == formula(i + 1) \
                     == membership.gossip_budget()
         first = membership.view_of("n0")     # an old view sees the new roster
         first.enqueue("n1", ALIVE, 0, 0.0)
-        assert first.queue[-1].budget == formula(64) == 19
+        assert first.budgets[-1] == formula(64) == 19
 
 
 class TestMemoryRatchet:
-    def test_a_view_costs_under_400_bytes_per_peer(self):
+    def test_a_view_costs_under_300_bytes_per_peer(self):
         """200 members, 60 protocol periods: the n^2 table must stay small
-        (it was 1 056 B per (observer, peer) pair on ``deque`` windows;
-        ~290 B on arrays).  PAPER.md's "thousands of in-process peers"
-        holds only while a peer costs kilobytes per view, not megabytes."""
+        (it was 1 056 B per (observer, peer) pair on ``deque`` windows,
+        ~290 B on arrays, ~242 B with the record folded into its
+        estimator).  PAPER.md's "thousands of in-process peers" holds only
+        while a peer costs kilobytes per view, not megabytes."""
         import tracemalloc
         n, periods = 200, 60
         tracemalloc.start()
@@ -381,4 +382,24 @@ class TestMemoryRatchet:
         finally:
             tracemalloc.stop()
         assert membership._ticks == periods
-        assert grown / (n * (n - 1)) <= 400
+        assert grown / (n * (n - 1)) <= 300
+
+    def test_a_pair_is_one_object(self):
+        """A record *is* its phi estimator: one slotted object per
+        (observer, peer) pair, not a record holding an estimator."""
+        _, membership, _ = cluster(n=3, start=False)
+        record = membership.view_of("n0").records["n1"]
+        assert isinstance(record, PhiEstimator)
+        assert not hasattr(record, "__dict__")
+        assert not hasattr(record, "estimator")
+
+    def test_a_regossiped_rumor_is_the_senders_object(self):
+        """News is re-queued as the tuple that arrived, not rebuilt."""
+        _, membership, _ = cluster(n=3, start=False)
+        sender, receiver = membership.view_of("n0"), membership.view_of("n1")
+        sender.enqueue("n2", SUSPECT, 0, 0.0)
+        batch = sender.take_piggyback()
+        receiver.merge(batch, now=1.0)
+        assert receiver.queue == batch
+        assert receiver.queue[-1] is batch[-1]
+        assert receiver.budgets == [membership.rumor_budget]

@@ -86,7 +86,7 @@ class TestConfirmLatencyBound:
         first = min(e.at for e in membership.confirm_log
                     if e.peer == "m4")
         worst_bound = max(
-            membership.view_of(m).records["m4"].estimator.silence_bound(
+            membership.view_of(m).records["m4"].silence_bound(
                 CONFIRM_PHI)
             for m in membership.views if m != "m4")
         slack = (N + 1) * PROTOCOL_PERIOD
