@@ -108,22 +108,29 @@ def test_hybrid_payload_scaling(benchmark):
 
     The asymmetric KEM cost is fixed, so doubling the payload should not
     double hybrid latency the way it would if the whole payload were
-    asymmetric-encrypted.
+    asymmetric-encrypted.  Each cell is the fastest of five repeats of
+    a 3-publish timing, the repeats interleaved across the cells so one
+    burst of host noise cannot inflate every repeat of one cell.
     """
     import time
 
+    cells = [(name, size) for size in (1024, 65536)
+             for name in ("symmetric", "hybrid")]
+
+    def publish_ms(name, size):
+        scheme = build_scheme(name, 8)
+        payload = b"y" * size
+        start = time.perf_counter()
+        for i in range(3):
+            scheme.publish("g", f"i{i}", payload)
+        return (time.perf_counter() - start) / 3 * 1000
+
     def measure():
-        rows = []
-        for size in (1024, 65536):
-            for name in ("symmetric", "hybrid"):
-                scheme = build_scheme(name, 8)
-                payload = b"y" * size
-                start = time.perf_counter()
-                for i in range(3):
-                    scheme.publish("g", f"i{i}", payload)
-                elapsed = (time.perf_counter() - start) / 3
-                rows.append((name, size, elapsed * 1000))
-        return rows
+        best = dict.fromkeys(cells, float("inf"))
+        for _ in range(5):
+            for cell in cells:
+                best[cell] = min(best[cell], publish_ms(*cell))
+        return [(name, size, best[name, size]) for name, size in cells]
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
     timings = {(name, size): ms for name, size, ms in rows}

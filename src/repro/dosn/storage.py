@@ -144,8 +144,8 @@ class DHTBackend(StorageBackend):
     Passing ``quorum=`` (a :class:`repro.storage2.ReplicatedStore` over
     the same ring) upgrades the backend to verified quorum semantics:
     puts seal signed version records and need W acks, gets verify every
-    response and return the newest verified version's payload.  The
-    legacy path is untouched when ``quorum`` is ``None``.
+    response and return the newest verified version's payload.  Without
+    it the ring's own replica read serves.
 
     Overload protection needs no backend plumbing: when the fabric
     carries a ``DosnConfig(overload=...)`` config, the ring's lookups
@@ -191,13 +191,12 @@ class DHTBackend(StorageBackend):
 
     def get_many(self, reader: str,
                  cids: Sequence[str]) -> Dict[str, object]:
-        """Coalesced batch read: one route / batch RPC per holder.
+        """Coalesced batch read: one route / probe RPC per holder.
 
-        With a quorum store the per-key holder probes are merged into one
-        ``quorum_read_batch`` RPC per distinct holder; on the legacy ring
-        the per-cid iterative lookups are merged into one route per
-        distinct owner.  Verification semantics per cid are identical to
-        the sequential path.
+        With a quorum store each distinct holder is probed once for all
+        the cids it holds; on the bare ring the per-cid iterative lookups
+        are merged into one route per distinct owner.  Either way a
+        one-cid :meth:`fetch_blob` is the same read over a batch of one.
         """
         return _blobs(self._get_many(reader, cids), self._blob)
 

@@ -28,9 +28,10 @@ from repro.exceptions import (CryptoError, DeadlineExceededError,
                               QuorumWriteError, ReplicaIntegrityError,
                               StorageError)
 from repro.faults.byzantine import CorruptBlob, Equivocate, StaleServe
-from repro.overlay.simulator import Reply, critical_path
+from repro.overlay.simulator import critical_path
 from repro.storage2.config import ReplicationConfig
-from repro.storage2.record import GENESIS, StoredVersion, seal_version
+from repro.storage2.record import (GENESIS, StoredVersion, newest,
+                                    seal_version)
 
 
 @dataclass
@@ -177,8 +178,8 @@ class ReplicatedStore:
         """:meth:`_verify`'s record, or the error it raised, as a value.
 
         Honest holders of a key serve the same bytes, so ``seen`` — one
-        per :meth:`get` call or :meth:`get_many` batch, never kept across
-        reads — decodes and verifies each distinct served blob once.
+        per :meth:`get_many` call, never kept across reads — decodes and
+        verifies each distinct served blob once.
         """
         if (key, blob) not in seen:
             try:
@@ -252,242 +253,151 @@ class ReplicatedStore:
     # -- reads ------------------------------------------------------------------
 
     def get(self, reader: str, key: str) -> ReadResult:
-        """Verified quorum read: newest of >= R verified responses wins.
+        """Verified quorum read of one key: the one-key :meth:`get_many`,
+        with the failure raised instead of returned."""
+        value = self.get_many(reader, (key,))[key]
+        if isinstance(value, Exception):
+            raise value
+        return value
 
-        Every holder is probed (an accounted RPC each; extra probes count
-        as hedges like the ring's replica reads); responses failing
-        verification are rejected and counted, never returned.  Verified
+    def get_many(self, reader: str, keys) -> Dict[str, object]:
+        """The verified quorum read: newest of >= R verified responses wins.
+
+        Each live holder is probed once, healthiest first, for every key
+        it holds (an accounted ``quorum_read`` RPC each; probes after the
+        first count as hedges like the ring's replica reads); responses
+        failing verification are rejected and counted, never returned.
+        Each key then settles on its own (:meth:`_settle`): verified
         holders serving an older version get the winner pushed back
-        (read-repair).  Raises :class:`ReplicaIntegrityError` when data
-        was served but nothing verified, :class:`StorageError` when the
-        quorum is short.
+        (read-repair), and the key costs the critical path to its R-th
+        *verified* response; the batch costs its slowest key.
 
-        With an overload config on the fabric the read carries a
-        deadline: probes stop being issued once the budget is spent
-        (each holder's channel call sees only the remainder), and an
-        exhausted budget that costs the quorum raises
+        Returns ``key -> ReadResult | ReproError``, so one short quorum
+        cannot fail the batch: :class:`ReplicaIntegrityError` when data
+        was served but nothing verified, :class:`StorageError` when the
+        quorum is short.  With an overload config on the fabric the read
+        carries a deadline: probes stop being issued once the budget is
+        spent (each holder's channel call sees only the remainder), and
+        an exhausted budget that costs a quorum becomes a
         :class:`DeadlineExceededError`.  A quorum missed because holders
-        *shed* the probes raises :class:`OverloadedError` — the caller
+        *shed* the probes is an :class:`OverloadedError` — the caller
         learns the replicas are saturated, not gone.
         """
-        with self.network.tracer.span("storage2.get", key=key,
-                                      reader=reader) as span:
-            ctx = self.fabric.op(reader)
-            responses: List[Tuple[str, Optional[StoredVersion]]] = []
+        ctx = self.fabric.op(reader)
+        #: key -> (responses, its probes' latencies, the verified ones')
+        reads: Dict[str, Tuple[list, list, list]] = {}
+        plan: Dict[str, List[str]] = {}   # holder -> the keys it serves
+        for key in keys:
+            if key in reads:
+                continue
+            reads[key] = ([], [], [])
+            for holder in ctx.order(self.holders_of(key)):
+                node = self.ring.nodes.get(holder)
+                # crashed holders lost the key with their state
+                if node is not None and key in node.store:
+                    plan.setdefault(holder, []).append(key)
+        with self.network.tracer.span("storage2.get", reader=reader,
+                                      keys=len(reads),
+                                      holders=len(plan)):
             seen: Dict[Tuple[str, bytes], object] = {}
-            rejected = 0
-            probed = 0
-            sheds = 0
+            shed: List[str] = []  # holders that shed their probe
             deadline_hit = False
-            probes: List[float] = []    # every probe's latency
-            verified: List[float] = []  # those whose response verified
             with self.network.tracer.span("storage2.get.fanout",
-                                          parallel=True, key=key) as fanout:
-                for holder in ctx.order(self.holders_of(key)):
-                    node = self.ring.nodes.get(holder)
-                    if node is None or key not in node.store:
-                        continue  # crashed holders lost key with their state
+                                          parallel=True,
+                                          holders=len(plan)) as fanout:
+                for probed, (holder, held) in enumerate(plan.items()):
                     if ctx.expired("quorum_read"):
                         deadline_hit = True
                         break  # stop issuing probes nobody will wait for
-                    if probed > 0:
+                    if probed:
                         self.metrics.inc("net.hedges", kind="quorum_read")
-                    probed += 1
                     reply = ctx.call(reader, holder, "quorum_read",
                                      fanout=True)
-                    probes.append(reply.latency)
                     if reply.cause == "overloaded":
-                        sheds += 1
-                    if not reply.ok:
-                        continue
-                    record = self._verify_once(
-                        key, self.serve(holder, reader, key), seen)
-                    if not isinstance(record, StoredVersion):
-                        rejected += 1
-                        self.metrics.inc("storage.byzantine_rejects")
-                        responses.append((holder, None))
-                        continue  # a rejected response cannot count toward R
-                    responses.append((holder, record))
-                    verified.append(reply.latency)
-                # The client returns at the R-th *verified* response; an
-                # unmet quorum waits out every probe.
-                elapsed = critical_path(self.config.r, verified, probes)
-                fanout.settle_cost(elapsed)
-            try:
-                return self._settle(reader, key, responses, rejected, span,
-                                    elapsed=elapsed)
-            except StorageError as exc:
-                if deadline_hit:
-                    raise DeadlineExceededError(
-                        f"quorum read of {key!r} ran out of budget after "
-                        f"{probed} probes") from exc
-                if sheds:
-                    raise OverloadedError(
-                        f"quorum for {key!r} not met: {sheds} of {probed} "
-                        "probes were shed by overloaded holders") from exc
-                raise
+                        shed.append(holder)
+                    for key in held:
+                        responses, probes, verified = reads[key]
+                        probes.append(reply.latency)
+                        if not reply.ok:
+                            continue
+                        record = self._verify_once(
+                            key, self.serve(holder, reader, key), seen)
+                        if isinstance(record, StoredVersion):
+                            verified.append(reply.latency)
+                        else:  # a rejected response cannot count toward R
+                            record = None
+                            self.metrics.inc("storage.byzantine_rejects")
+                        responses.append((holder, record))
+                # A key returns at its R-th *verified* response (an unmet
+                # quorum waits out every probe); the batch at its slowest.
+                costs = [critical_path(self.config.r, verified, probes)
+                         for _, probes, verified in reads.values()]
+                fanout.settle_cost(max(costs, default=0.0))
+            results: Dict[str, object] = {}
+            for (key, (responses, probes, _)), elapsed in zip(reads.items(),
+                                                              costs):
+                try:
+                    results[key] = self._settle(reader, key, responses,
+                                                elapsed)
+                except ReplicaIntegrityError as exc:
+                    results[key] = exc
+                except StorageError as exc:
+                    sheds = sum(key in plan[holder] for holder in shed)
+                    if deadline_hit:
+                        exc = DeadlineExceededError(
+                            f"quorum read of {key!r} ran out of budget "
+                            f"after {len(probes)} probes")
+                    elif sheds:
+                        exc = OverloadedError(
+                            f"quorum for {key!r} not met: {sheds} of "
+                            f"{len(probes)} probes were shed by overloaded "
+                            "holders")
+                    results[key] = exc
+        return results
 
     def _settle(self, reader: str, key: str,
                 responses: List[Tuple[str, Optional[StoredVersion]]],
-                rejected: int, span=None,
-                elapsed: float = 0.0) -> ReadResult:
+                elapsed: float) -> ReadResult:
         """Winner selection, degraded fallback and read-repair for one key.
 
-        Shared verbatim between :meth:`get` and :meth:`get_many` so the
-        batched path cannot drift from the sequential semantics; only the
-        probe plan (how the responses were gathered) differs between the
-        two.
+        ``responses`` pairs each holder that answered with its verified
+        record, or ``None`` for a rejected one.
         """
         verified = [(h, r) for h, r in responses if r is not None]
-        if span is not None:
-            span.set_attr("verified", len(verified))
-            span.set_attr("rejected", rejected)
+        rejected = len(responses) - len(verified)
         if not verified:
             if rejected:
                 raise ReplicaIntegrityError(
                     f"no holder served a valid copy of {key!r} "
                     f"({rejected} responses rejected)")
             raise StorageError(
-                f"key {key!r} unavailable: no reachable replica "
-                "holds it")
-        if len(verified) < self.config.r:
-            if self.config.degraded_reads:
-                # DegradedRead: the quorum is unreachable but at
-                # least one copy verified — serve it flagged rather
-                # than failing.  Staleness is possible; tampered
-                # bytes are not (only verified responses compete).
-                best_holder, best = max(
-                    verified,
-                    key=lambda pair: (pair[1].version,
-                                      pair[1].record_hash()))
-                self.metrics.inc("storage.degraded_reads")
-                if span is not None:
-                    span.set_attr("degraded", True)
-                    span.set_attr("version", best.version)
-                return ReadResult(
-                    payload=best.payload, version=best.version,
-                    author=best.author, holder=best_holder,
-                    verified=len(verified), rejected=rejected,
-                    repaired=0, degraded=True, elapsed=elapsed)
+                f"key {key!r} unavailable: no reachable replica holds it")
+        degraded = len(verified) < self.config.r
+        if degraded and not self.config.degraded_reads:
             raise StorageError(
                 f"read quorum for {key!r} not met: {len(verified)} "
                 f"verified responses, needs R={self.config.r}")
-        best_holder, best = max(
-            verified,
-            key=lambda pair: (pair[1].version, pair[1].record_hash()))
+        best_holder, best = newest(verified)
         repaired = 0
-        encoded = best.encode()
-        for holder, record in responses:
-            if record is not None and record.version >= best.version:
-                continue
-            ok = self.fabric.call(reader, holder, "read_repair").ok
-            if ok and self.store_at(holder, key, encoded):
-                repaired += 1
-                self.metrics.inc("storage.read_repairs")
-        if span is not None:
-            span.set_attr("version", best.version)
-            span.set_attr("repaired", repaired)
+        if degraded:
+            # DegradedRead: the quorum is unreachable but at least one
+            # copy verified — serve it flagged rather than failing.
+            # Staleness is possible; tampered bytes are not (only
+            # verified responses compete).
+            self.metrics.inc("storage.degraded_reads")
+        else:
+            encoded = best.encode()
+            for holder, record in responses:
+                if record is not None and record.version >= best.version:
+                    continue
+                ok = self.fabric.call(reader, holder, "read_repair").ok
+                if ok and self.store_at(holder, key, encoded):
+                    repaired += 1
+                    self.metrics.inc("storage.read_repairs")
         return ReadResult(
-            payload=best.payload, version=best.version,
-            author=best.author, holder=best_holder,
-            verified=len(verified), rejected=rejected,
-            repaired=repaired, elapsed=elapsed)
-
-    def get_many(self, reader: str, keys) -> Dict[str, object]:
-        """Batched verified reads: one probe RPC per holder, not per key.
-
-        The verification, winner-selection, degraded-fallback and
-        read-repair semantics per key are exactly :meth:`get`'s (both run
-        through :meth:`_settle`); what the batch changes is the wire
-        plan — every live holder is probed **once** with a
-        ``quorum_read_batch`` RPC covering all the keys it holds, instead
-        of once per key.  Returns ``key -> ReadResult | ReproError``:
-        failures come back as exception values, so one short quorum
-        cannot fail the whole batch.
-        """
-        results: Dict[str, object] = {}
-        ordered: List[str] = []
-        for key in keys:
-            if key not in results:
-                results[key] = None  # placeholder; settled below
-                ordered.append(key)
-        ctx = self.fabric.op(reader)
-        want: Dict[str, List[str]] = {}   # holder -> keys it should serve
-        for key in ordered:
-            for holder in ctx.order(self.holders_of(key)):
-                node = self.ring.nodes.get(holder)
-                if node is None or key not in node.store:
-                    continue  # crashed holders lost the key with their state
-                want.setdefault(holder, []).append(key)
-        with self.network.tracer.span("storage2.get_many", reader=reader,
-                                      keys=len(ordered),
-                                      holders=len(want)) as span:
-            responses: Dict[str, List[Tuple[str, Optional[StoredVersion]]]]
-            responses = {key: [] for key in ordered}
-            rejected: Dict[str, int] = {key: 0 for key in ordered}
-            #: key -> the replies of the holders probed for it, and the
-            #: latencies of those whose response for *that key* verified
-            key_probes: Dict[str, List[Reply]] = {k: [] for k in ordered}
-            key_verified: Dict[str, List[float]] = {k: [] for k in ordered}
-            seen: Dict[Tuple[str, bytes], object] = {}
-            reachable = 0
-            deadline_hit = False
-            batch_probes: List[float] = []
-            with self.network.tracer.span(
-                    "storage2.get_many.fanout", parallel=True,
-                    holders=len(want)) as fanout:
-                for holder, holder_keys in want.items():
-                    if ctx.expired("quorum_read_batch"):
-                        deadline_hit = True
-                        break  # unprobed holders' keys settle short
-                    reply = ctx.call(reader, holder, "quorum_read_batch",
-                                     fanout=True)
-                    batch_probes.append(reply.latency)
-                    for key in holder_keys:
-                        key_probes[key].append(reply)
-                    if not reply.ok:
-                        continue
-                    reachable += 1
-                    for key in holder_keys:
-                        record = self._verify_once(
-                            key, self.serve(holder, reader, key), seen)
-                        if not isinstance(record, StoredVersion):
-                            rejected[key] += 1
-                            self.metrics.inc("storage.byzantine_rejects")
-                            responses[key].append((holder, None))
-                            continue
-                        responses[key].append((holder, record))
-                        key_verified[key].append(reply.latency)
-                # The batch's wire cost: every holder answers once; the
-                # slowest probe bounds the batch.
-                fanout.settle_cost(max(batch_probes, default=0.0))
-            span.set_attr("reachable", reachable)
-            settled = 0
-            for key in ordered:
-                # Per-key latency: the R-th holder whose response for
-                # *this key* verified (one probe can satisfy many keys).
-                elapsed = critical_path(
-                    self.config.r, key_verified[key],
-                    [probe.latency for probe in key_probes[key]])
-                try:
-                    results[key] = self._settle(reader, key,
-                                                responses[key],
-                                                rejected[key],
-                                                elapsed=elapsed)
-                    settled += 1
-                except (StorageError, ReplicaIntegrityError) as exc:
-                    if isinstance(exc, StorageError):
-                        if deadline_hit:
-                            exc = DeadlineExceededError(
-                                f"batch read of {key!r} ran out of budget")
-                        elif any(probe.cause == "overloaded"
-                                 for probe in key_probes[key]):
-                            exc = OverloadedError(
-                                f"quorum for {key!r} not met: probes were "
-                                "shed by overloaded holders")
-                    results[key] = exc
-            span.set_attr("served", settled)
-        return results
+            payload=best.payload, version=best.version, author=best.author,
+            holder=best_holder, verified=len(verified), rejected=rejected,
+            repaired=repaired, degraded=degraded, elapsed=elapsed)
 
     def read_any(self, reader: str, key: str) -> bytes:
         """The *bare* read path: trust the first holder that answers.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.crypto.hashing import digest, digest_many
 from repro.exceptions import IntegrityError
@@ -86,6 +86,16 @@ class StoredVersion:
         if record.version < 1:
             raise IntegrityError("stored record has a non-positive version")
         return record
+
+
+def newest(copies: Iterable[Tuple[str, StoredVersion]]
+           ) -> Optional[Tuple[str, StoredVersion]]:
+    """The ``(holder, record)`` that wins among verified copies: the
+    newest version, a tie broken by the larger :meth:`record_hash` (the
+    first such copy if several are identical); ``None`` for no copies."""
+    return max(copies, key=lambda copy: (copy[1].version,
+                                         copy[1].record_hash()),
+               default=None)
 
 
 def seal_version(signer, key: str, version: int, previous: bytes,

@@ -39,7 +39,7 @@ from repro.crypto.hashing import digest, digest_many
 from repro.crypto.merkle import MerkleTree
 from repro.exceptions import CryptoError, IntegrityError, SimulationError
 from repro.storage2.quorum import ReplicatedStore
-from repro.storage2.record import StoredVersion
+from repro.storage2.record import StoredVersion, newest
 
 
 class AntiEntropyDaemon:
@@ -142,7 +142,7 @@ class AntiEntropyDaemon:
     def _best_record(self, holders: List[str], key: str
                      ) -> Optional[Tuple[str, StoredVersion]]:
         """The newest *verified* copy among the given holders."""
-        best: Optional[Tuple[str, StoredVersion]] = None
+        copies: List[Tuple[str, StoredVersion]] = []
         for holder in holders:
             blob = self._stored(holder, key)
             if blob is None:
@@ -151,10 +151,8 @@ class AntiEntropyDaemon:
                 record = self.store._verify(key, blob)
             except (IntegrityError, CryptoError):
                 continue  # a poisoned at-rest copy never propagates
-            if best is None or (record.version, record.record_hash()) \
-                    > (best[1].version, best[1].record_hash()):
-                best = (holder, record)
-        return best
+            copies.append((holder, record))
+        return newest(copies)
 
     def _sync_pair(self, a: str, b: str, keys: List[str]) -> None:
         """Reconcile two live holders whose summaries disagree.

@@ -86,11 +86,31 @@ class TestQuorumReadLatency:
         results = store.get_many("p7", [f"k{i}" for i in range(4)])
         assert all(results[f"k{i}"].payload == b"v%d" % i
                    for i in range(4))
-        fanout, probe_rtts = children_of(fabric, "storage2.get_many.fanout")
-        # the batch waits for its slowest holder; each key only for the
-        # R-th holder that verified *that key*
-        assert fanout.cost == max(probe_rtts) < sum(probe_rtts)
+        fanout, probe_rtts = children_of(fabric, "storage2.get.fanout")
+        # each key waits for the R-th holder that verified *that key*; the
+        # batch for its slowest key, never longer than its slowest holder
+        assert len(probe_rtts) == len(set(
+            h for k in results for h in store.holders_of(k)))
+        assert fanout.cost == max(r.elapsed for r in results.values())
+        assert fanout.cost <= max(probe_rtts) < sum(probe_rtts)
         assert all(0.0 < results[k].elapsed <= fanout.cost for k in results)
+
+    def test_batch_settled_before_its_slowest_holder_costs_less(self):
+        # keys owned by one node share its replica set, so every key
+        # reaches R=2 of 3 before the slowest of those holders answers
+        fabric, ring, store = make_store()
+        owner = ring.owner_of("k0")
+        keys = [k for k in (f"k{i}" for i in range(64))
+                if ring.owner_of(k) == owner][:3]
+        assert len(keys) == 3
+        for key in keys:
+            store.put("p0", key, key.encode())
+        reader = next(n for n in PEERS if n not in store.holders_of(keys[0]))
+        results = store.get_many(reader, keys)
+        fanout, probe_rtts = children_of(fabric, "storage2.get.fanout")
+        assert len(probe_rtts) == 3  # one probe per holder, not per key
+        assert all(results[k].elapsed == sorted(probe_rtts)[1] for k in keys)
+        assert fanout.cost == sorted(probe_rtts)[1] < max(probe_rtts)
 
 
 def hedged_cell(offline=()):
@@ -155,7 +175,8 @@ class TestSingleModelTrace:
         assert self._trace() == self._trace()
 
     def test_fanout_spans_are_always_emitted(self):
-        names = {name for name, *_ in self._trace()[0]}
+        names = [name for name, *_ in self._trace()[0]]
         assert "storage2.put.fanout" in names
-        assert "storage2.get.fanout" in names
-        assert "storage2.get_many.fanout" in names
+        # five one-key reads and one batch: one read, one span pair each
+        assert names.count("storage2.get") == 6
+        assert names.count("storage2.get.fanout") == 6
