@@ -16,17 +16,18 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import (DeadlineExceededError, LookupError_,
-                              OverlayError, StorageError)
+                              StorageError)
 from repro.overlay.network import SimNode
 
 ID_BITS = 64
 
 
-# Bounded: node names are hashed inside every closest-peers sort key and
-# stay hot; content keys pass through once and must not accumulate.
+# Bounded: every node hashes each peer name it learns, and each lookup
+# hashes the names it ranks once (``XorDistances``), so node names stay
+# hot; content keys pass through once and must not accumulate.
 @lru_cache(maxsize=1 << 13)
 def kad_id(name: str) -> int:
     """Hash a name/key onto the XOR identifier space."""
@@ -37,6 +38,24 @@ def kad_id(name: str) -> int:
 def xor_distance(a: int, b: int) -> int:
     """The Kademlia metric."""
     return a ^ b
+
+
+class XorDistances(dict):
+    """Each name's XOR distance to one target, the name hashed on first ask.
+
+    One lookup keeps one map, so a name every queried peer ranks is hashed
+    once, not once per sort; ``map.__getitem__`` is the sort key.
+    """
+
+    __slots__ = ("target_id",)
+
+    def __init__(self, target_id: int) -> None:
+        super().__init__()
+        self.target_id = target_id
+
+    def __missing__(self, name: str) -> int:
+        distance = self[name] = kad_id(name) ^ self.target_id
+        return distance
 
 
 @dataclass
@@ -62,33 +81,53 @@ class KademliaNode(SimNode):
         self.buckets: Dict[int, List[str]] = {}
         self.store: Dict[str, bytes] = {}
 
-    def bucket_index(self, other_id: int) -> int:
-        """Which bucket an id belongs in (shared-prefix length based)."""
-        distance = xor_distance(self.kad_id, other_id)
-        if distance == 0:
-            raise OverlayError("node cannot bucket itself")
-        return distance.bit_length() - 1
-
     def observe(self, other: str) -> None:
         """Record contact with a peer (move-to-tail, bounded bucket)."""
-        other_id = kad_id(other)
-        if other_id == self.kad_id:
-            return
-        bucket = self.buckets.setdefault(self.bucket_index(other_id), [])
-        if other in bucket:
-            bucket.remove(other)
-            bucket.append(other)
-        elif len(bucket) < self.k:
-            bucket.append(other)
-        # A full bucket drops the newcomer (classic Kademlia favours
-        # long-lived contacts).
+        self.observe_all(((kad_id(other), other),))
 
-    def closest_known(self, target_id: int, count: int) -> List[str]:
-        """The ``count`` known peers closest to ``target_id``."""
-        known = [name for index in sorted(self.buckets)
-                 for name in self.buckets[index]]
-        known.sort(key=lambda name: xor_distance(kad_id(name), target_id))
-        return known[:count]
+    def observe_all(self, peers: Iterable[Tuple[int, str]]) -> None:
+        """Record contact with each ``(id, name)`` peer in turn: the one
+        insert rule.  A peer's bucket is the length of the prefix it shares
+        with this node; a known peer moves to its bucket's tail, a new one
+        joins a bucket with room, and a full bucket drops the newcomer
+        (classic Kademlia favours long-lived contacts)."""
+        own, k, buckets = self.kad_id, self.k, self.buckets
+        for other_id, other in peers:
+            index = (own ^ other_id).bit_length() - 1
+            if index < 0:
+                continue  # a node never buckets itself
+            bucket = buckets.setdefault(index, [])
+            if other in bucket:
+                bucket.remove(other)
+                bucket.append(other)
+            elif len(bucket) < k:
+                bucket.append(other)
+
+    def closest_known(self, distances: XorDistances,
+                      count: int) -> List[str]:
+        """The ``count`` known peers closest to ``distances.target_id``.
+
+        Walks outward from the target's bucket, sorting only the buckets
+        it needs.  With ``top`` that bucket's index: its own peers are
+        nearest (distance below ``2**top``); every lower bucket's peers
+        lie in ``[2**top, 2**(top+1))``, so they sort together; a bucket
+        ``i > top`` holds distances in ``[2**i, 2**(i+1))``, so higher
+        buckets follow in ascending order until ``count`` peers are found.
+        Ids are distinct, so this is the full sort's prefix exactly.
+        """
+        buckets = self.buckets
+        rank = distances.__getitem__
+        top = (self.kad_id ^ distances.target_id).bit_length() - 1
+        found = sorted(buckets[top], key=rank) if top in buckets else []
+        if len(found) < count:
+            found += sorted([name for index, bucket in buckets.items()
+                             if index < top for name in bucket], key=rank)
+            for index in range(top + 1, ID_BITS):
+                if len(found) >= count:
+                    break
+                if index in buckets:
+                    found += sorted(buckets[index], key=rank)
+        return found[:count]
 
 
 class KademliaOverlay:
@@ -130,10 +169,9 @@ class KademliaOverlay:
         Equivalent to each node having completed its join lookups; gives the
         steady-state routing tables the lookup experiments assume.
         """
-        names = list(self.nodes)
+        peers = [(kad_id(name), name) for name in self.nodes]
         for node in self.nodes.values():
-            for other in names:
-                node.observe(other)
+            node.observe_all(peers)
 
     # -- iterative lookup ---------------------------------------------------------
 
@@ -165,25 +203,27 @@ class KademliaOverlay:
                  find_value: bool = False) -> KadLookupResult:
         """One iterative lookup path from ``ctx.origin`` toward ``key``."""
         start = ctx.origin
-        target_id = kad_id(key)
+        #: every name's true distance, hashed once per lookup: what the
+        #: queried peers rank their buckets by
+        true = XorDistances(kad_id(key))
+        target_id = true.target_id
         origin = self.nodes.get(start)
         if origin is None or not origin.online:
             raise LookupError_(f"start node {start!r} is not online")
-        shortlist = origin.closest_known(target_id, self.k)
+        shortlist = origin.closest_known(true, self.k)
         if not shortlist:
             raise LookupError_("empty routing table; bootstrap first")
-        #: self-reported ids a bare client has no way to verify — real
-        #: Kademlia nodes learn peer ids from routing responses, so a
-        #: forged (chosen) id ranks wherever the forger placed it.  With
-        #: certification the forged answers never get this far, and an
-        #: honest claim's certified id equals the true position, so the
-        #: map stays empty (and with no adversary it always is —
-        #: ``eff_id`` then reduces to ``kad_id``, byte-identical).
-        claimed_ids: Dict[str, int] = {}
-
-        def distance(name: str) -> int:
-            return xor_distance(claimed_ids.get(name) if name in claimed_ids
-                                else kad_id(name), target_id)
+        #: the distance this client ranks each name it has learned by.  A
+        #: self-reported id a bare client has no way to verify overwrites
+        #: the true one — real Kademlia nodes learn peer ids from routing
+        #: responses, so a forged (chosen) id ranks wherever the forger
+        #: placed it, and a name keeps its claim if it is dropped from the
+        #: shortlist and learned again.  With certification the forged
+        #: answers never get this far, and an honest claim's certified id
+        #: equals the true position, so (as with no adversary) every entry
+        #: is the true distance.
+        dist: Dict[str, int] = {name: true[name] for name in shortlist}
+        distance = dist.__getitem__
 
         # Peers the start's membership view has confirmed dead are
         # skipped without paying for the probe (as are a defended path's
@@ -194,7 +234,7 @@ class KademliaOverlay:
             queried: Set[str] = set()
             hops = 0
             rpcs = 0
-            best = min(distance(n) for n in shortlist)
+            best = min(map(distance, shortlist))
             while True:
                 candidates = [n for n in shortlist
                               if n not in queried and n not in skip]
@@ -232,8 +272,8 @@ class KademliaOverlay:
                             learned_names = []
                             for n, cid in forged.claims:
                                 learned_names.append(n)
-                                if cid != kad_id(n):
-                                    claimed_ids[n] = cid
+                                if cid ^ target_id != true[n]:
+                                    dist[n] = cid ^ target_id
                         elif find_value and key in peer.store:
                             span.set_attr("rounds", hops)
                             span.set_attr("rpcs", rpcs)
@@ -244,12 +284,12 @@ class KademliaOverlay:
                                 hops=hops, rpcs=rpcs,
                                 value=peer.store[key])
                         else:
-                            learned_names = peer.closest_known(target_id,
+                            learned_names = peer.closest_known(true,
                                                                self.k)
                         for learned in learned_names:
                             if learned not in shortlist:
                                 shortlist.append(learned)
-                                d = distance(learned)
+                                d = dist.setdefault(learned, true[learned])
                                 if d < best:
                                     best = d
                                     improved = True

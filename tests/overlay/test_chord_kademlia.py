@@ -13,8 +13,8 @@ from repro.fabric import Fabric
 from repro.faults import OverloadConfig, RetryPolicy, ServiceConfig
 from repro.overlay import chord as chord_module
 from repro.overlay.chord import (M_BITS, ChordRing, chord_id, in_interval)
-from repro.overlay.kademlia import (KademliaNode, KademliaOverlay, kad_id,
-                                    xor_distance)
+from repro.overlay.kademlia import (KademliaNode, KademliaOverlay,
+                                    XorDistances, kad_id, xor_distance)
 from repro.overlay.network import SimNetwork
 from repro.overlay.simulator import FixedLatency, Simulator
 
@@ -325,6 +325,12 @@ class TestRingIndex:
         assert ring.ring_order("k") == ["solo"]
 
 
+def _bucket_of(node, name):
+    """The bucket ``name`` belongs in at ``node``: the length of the id
+    prefix the two share."""
+    return xor_distance(node.kad_id, kad_id(name)).bit_length() - 1
+
+
 class TestKademlia:
     def build(self, n=64, seed=1):
         fab = Fabric.create(seed=seed)
@@ -411,7 +417,7 @@ class TestKademlia:
         node = overlay.nodes["p0"]
         peers = [n for bucket in node.buckets.values() for n in bucket]
         first = peers[0]
-        bucket = node.buckets[node.bucket_index(kad_id(first))]
+        bucket = node.buckets[_bucket_of(node, first)]
         node.observe(first)
         assert bucket[-1] == first
 
@@ -419,7 +425,7 @@ class TestKademlia:
         node = KademliaNode("origin")
         assert node.buckets == {}
         peers = sorted((f"p{i}" for i in range(40)),
-                       key=lambda n: -node.bucket_index(kad_id(n)))
+                       key=lambda n: -_bucket_of(node, n))
         for peer in peers:  # farthest first: buckets are created descending
             node.observe(peer)
         node.observe("origin")  # self-contact never makes a bucket
@@ -427,7 +433,7 @@ class TestKademlia:
         assert list(node.buckets) == sorted(node.buckets, reverse=True)
         known = [n for bucket in node.buckets.values() for n in bucket]
         target = kad_id("somewhere")
-        assert node.closest_known(target, 5) == sorted(
+        assert node.closest_known(XorDistances(target), 5) == sorted(
             known, key=lambda n: xor_distance(kad_id(n), target))[:5]
 
     def test_rpc_cost_grows_slowly(self):
