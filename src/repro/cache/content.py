@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cache.lru import LRUMap
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["CacheEntry", "VerifiedContentCache"]
 
@@ -57,14 +58,14 @@ class VerifiedContentCache:
     delegated to the chain view the caller passes into :meth:`lookup` /
     :meth:`insert`, which must be the reader's *verified* replica of the
     author's timeline (or the author's own timeline for self-reads).
-    Counters are mirrored into the fabric metrics registry when one is
-    attached: ``cache.hits`` / ``cache.misses`` / ``cache.invalidations``
-    / ``cache.evictions`` / ``cache.insertions``.
+    Counters are mirrored into ``metrics`` (the fabric's registry; a
+    private one when none is given): ``cache.hits`` / ``cache.misses`` /
+    ``cache.invalidations`` / ``cache.evictions`` / ``cache.insertions``.
     """
 
     def __init__(self, capacity_per_reader: int, metrics=None) -> None:
         self.capacity = capacity_per_reader
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._readers: Dict[str, LRUMap] = {}
         self.hits = 0
         self.misses = 0
@@ -76,10 +77,8 @@ class VerifiedContentCache:
     def _count(self, name: str) -> None:
         counter = self._counters.get(name)
         if counter is None:
-            if self.metrics is None:
-                return
-            counter = self.metrics.counter(f"cache.{name}")
-            self._counters[name] = counter
+            counter = self._counters[name] = self.metrics.counter(
+                f"cache.{name}")
         counter.value += 1
 
     def _lru(self, reader: str) -> LRUMap:
@@ -96,8 +95,7 @@ class VerifiedContentCache:
 
     def contains(self, reader: str, cid: str) -> bool:
         """Whether an entry exists (no validation, no counters)."""
-        lru = self._readers.get(reader)
-        return lru is not None and cid in lru
+        return cid in self._readers.get(reader, ())
 
     # -- the hot path ---------------------------------------------------------
 
@@ -113,13 +111,9 @@ class VerifiedContentCache:
         """
         lru = self._readers.get(reader)
         entry = lru.get(cid) if lru is not None else None
-        if entry is None or entry.author != author:
-            self.misses += 1
-            self._count("misses")
-            return None
-        if view is None:
-            # No verified view of the author: freshness cannot be
-            # re-checked, so the cache refuses to serve.
+        if entry is None or entry.author != author or view is None:
+            # Not cached for this author, or no verified view of the author
+            # to re-check freshness against: the cache refuses to serve.
             self.misses += 1
             self._count("misses")
             return None
@@ -150,9 +144,10 @@ class VerifiedContentCache:
         entry = CacheEntry(author=author, post=post,
                            head=view.head_hash,
                            chain_len=len(view.entries), version=version)
-        before = self._lru(reader).evictions
-        self._lru(reader).put(cid, entry)
-        if self._lru(reader).evictions > before:
+        lru = self._lru(reader)
+        before = lru.evictions
+        lru.put(cid, entry)
+        if lru.evictions > before:
             self._count("evictions")
         self.insertions += 1
         self._count("insertions")

@@ -17,11 +17,11 @@ the cache without passing the full verification pipeline first.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.cache.content import VerifiedContentCache
 from repro.exceptions import ReproError
-from repro.obs.trace import NOOP_TRACER
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["SocialPrefetcher"]
 
@@ -44,6 +44,9 @@ class SocialPrefetcher:
       ``cid -> FetchedBlob | exception``;
     * ``open_post(reader, author, blob, cid)`` — decrypt + verify one
       fetched blob (raises on violation).
+
+    ``metrics`` and ``tracer`` are the network's: a warming that fetches
+    opens one ``cache.prefetch`` span and counts ``cache.prefetched``.
     """
 
     def __init__(self, cache: VerifiedContentCache,
@@ -51,14 +54,14 @@ class SocialPrefetcher:
                  cids_of: Callable[[str, str], List[str]],
                  fetch_many: Callable[[str, List[str]], Dict[str, object]],
                  open_post: Callable[[str, str, bytes, str], object],
-                 metrics=None, tracer=None) -> None:
+                 metrics: MetricsRegistry, tracer) -> None:
         self.cache = cache
         self._view_of = view_of
         self._cids_of = cids_of
         self._fetch_many = fetch_many
         self._open_post = open_post
         self.metrics = metrics
-        self.tracer = tracer if tracer is not None else NOOP_TRACER
+        self.tracer = tracer
         self.prefetched = 0
 
     def warm(self, reader: str, friends: Iterable[str]) -> int:
@@ -101,6 +104,6 @@ class SocialPrefetcher:
                 warmed += 1
             span.set_attr("warmed", warmed)
         self.prefetched += warmed
-        if self.metrics is not None and warmed:
+        if warmed:
             self.metrics.inc("cache.prefetched", warmed)
         return warmed

@@ -12,11 +12,11 @@ a feed that quietly hides a friend's censored post is exactly the
 equivocation the paper warns about.
 
 There is one loop: sync *every* friend's timeline, plan the cids still
-needed (a :class:`~repro.cache.VerifiedContentCache` serves unchanged
-posts without fetch + decrypt + verify — only after re-checking the entry
-against the friend's *current* chain-verified head, so stale copies are
-evicted, never shown), fetch the plan in one ``fetch_many`` call, open
-each blob.  ``fetch_many`` is the
+needed (a :class:`~repro.cache.VerifiedContentCache`'s ``lookup`` serves
+unchanged posts without fetch + decrypt + verify — only after re-checking
+the entry against the friend's *current* chain-verified head, so stale
+copies are evicted, never shown), fetch the plan in one ``fetch_many``
+call, open each blob.  ``fetch_many`` is the
 :meth:`~repro.dosn.storage.StorageBackend.get_many` contract; a backend
 with nothing to coalesce meets it one cid at a time
 (:func:`~repro.dosn.storage.fetch_each`).
@@ -65,7 +65,8 @@ def assemble_feed(reader: DosnUser, friends: Dict[str, DosnUser],
                   fetch_many: Callable[[str, List[str]], Dict[str, object]],
                   open_post: Callable[[str, bytes, str], VerifiedPost],
                   limit_per_friend: Optional[int] = None,
-                  cache=None) -> FeedReport:
+                  lookup=lambda reader, author, cid, view: None,
+                  insert=lambda *entry, version=None: None) -> FeedReport:
     """Build ``reader``'s verified feed.
 
     ``fetch_many(reader_name, cids) -> {cid: FetchedBlob | exception}``
@@ -76,10 +77,11 @@ def assemble_feed(reader: DosnUser, friends: Dict[str, DosnUser],
     :class:`~repro.stack.pipeline.ProtectionStack` ACL/integrity read
     path).  Every friend's timeline is synced and chain-verified first;
     the referenced posts are then fetched in one call, decrypted and
-    signature-verified.  ``cache`` (a
-    :class:`~repro.cache.VerifiedContentCache`) serves chain-validated
-    hits without fetching, and is seeded with every post this assembly
-    verifies (degraded reads are never cached).
+    signature-verified.  ``lookup`` and ``insert`` are a
+    :class:`~repro.cache.VerifiedContentCache`'s methods of those names:
+    ``lookup`` serves chain-validated hits without fetching, ``insert`` is
+    seeded with every post this assembly verifies (degraded reads are
+    never cached).  The defaults are a cache that is always cold.
 
     Latency model: the feed inherits whatever the storage backend pays.
     A coalescing ``fetch_many`` rides the backend's parallel fan-out (one
@@ -105,20 +107,17 @@ def assemble_feed(reader: DosnUser, friends: Dict[str, DosnUser],
         if limit_per_friend is not None:
             # not ``cids[-limit:]``: ``-0`` slices the whole list
             cids = cids[max(len(cids) - limit_per_friend, 0):]
+        view = reader.views.get(name)
         for cid in cids:
-            if cache is not None:
-                entry = cache.lookup(reader.name, name, cid,
-                                     reader.views.get(name))
-                if entry is not None:
-                    report.items.append(FeedItem(
-                        post=entry.post, author=name,
-                        result=ReadResult(entry.post, verified=True,
-                                          degraded=False, source="cache")))
-                    continue
+            entry = lookup(reader.name, name, cid, view)
+            if entry is not None:
+                report.items.append(FeedItem(
+                    post=entry.post, author=name,
+                    result=ReadResult(entry.post, verified=True,
+                                      degraded=False, source="cache")))
+                continue
             plan.append((name, cid))
-    blobs: Dict[str, object] = {}
-    if plan:
-        blobs = fetch_many(reader.name, [cid for _, cid in plan])
+    blobs = fetch_many(reader.name, [cid for _, cid in plan]) if plan else {}
     for name, cid in plan:
         got = blobs.get(cid)
         if got is None or isinstance(got, Exception):
@@ -135,10 +134,10 @@ def assemble_feed(reader: DosnUser, friends: Dict[str, DosnUser],
             post=post, author=name,
             result=ReadResult(post, verified=True, degraded=got.degraded,
                               source=got.source)))
-        if cache is not None and not got.degraded:
+        if not got.degraded:
             view = reader.views.get(name)
             if view is not None:
-                cache.insert(reader.name, name, cid, post, view,
-                             version=got.version)
+                insert(reader.name, name, cid, post, view,
+                       version=got.version)
     report.items.sort(key=lambda item: (item.author, item.post.sequence))
     return report

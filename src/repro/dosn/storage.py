@@ -20,6 +20,10 @@ The read side of the protocol has three entry points:
   :func:`fetch_each` over :meth:`fetch_blob`; the DHT and federation
   backends override it to coalesce routing per holder (one route / one
   batch RPC per holder instead of one per cid).
+
+A backend also owns what else differs between architectures, so
+:class:`~repro.dosn.api.DosnNetwork` asks which one it runs only when it
+picks the backend: ``enroll``, ``ready``, ``record_edge``, ``graph_view``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ import abc
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.dosn.provider import CentralProvider, ExposureReport
+import networkx as nx
+
+from repro.dosn.provider import CentralProvider
 from repro.exceptions import ReproError, StorageError
 from repro.overlay.chord import ChordRing
 from repro.overlay.federation import FederatedNetwork
@@ -114,6 +120,22 @@ class StorageBackend(abc.ABC):
         """
         return fetch_each(self.fetch_blob, reader, cids)
 
+    def enroll(self, name: str) -> None:
+        """Admit a new user (nothing to join by default)."""
+
+    def ready(self) -> None:
+        """Make placement usable before an operation (always, by default)."""
+
+    def record_edge(self, a: str, b: str) -> None:
+        """Note a new friendship (no backend observes one by default)."""
+
+    def graph_view(self, observer: str, graph: nx.Graph) -> float:
+        """``observer``'s share of the edges (a peer knows its own)."""
+        edges = graph.number_of_edges()
+        if observer not in graph or not edges:
+            return 0.0
+        return graph.degree(observer) / edges
+
 
 class CentralBackend(StorageBackend):
     """All blobs at one provider (Section II-A)."""
@@ -130,6 +152,14 @@ class CentralBackend(StorageBackend):
 
     def observer_views(self) -> Dict[str, Set[str]]:
         return {self.provider.name: self.provider.stored_ids()}
+
+    def record_edge(self, a: str, b: str) -> None:
+        self.provider.record_edge(a, b)
+
+    def graph_view(self, observer: str, graph: nx.Graph) -> float:
+        """The provider sees every friendship made through it."""
+        edges = graph.number_of_edges()
+        return len(self.provider.observed_edges) / edges if edges else 0.0
 
 
 class DHTBackend(StorageBackend):
@@ -154,11 +184,27 @@ class DHTBackend(StorageBackend):
     the retry budget, and
     the network sheds at saturated peers — a shed surfaces here as
     :class:`repro.exceptions.OverloadedError` from fetch paths.
+
+    ``membership=`` (the fabric's :class:`~repro.membership.SwimMembership`)
+    enrolls every user in the detector, which probes once the ring is built.
     """
 
-    def __init__(self, ring: ChordRing, quorum=None) -> None:
+    def __init__(self, ring: ChordRing, quorum=None,
+                 membership=None) -> None:
         self.ring = ring
         self.quorum = quorum
+        #: users joined since the finger tables were last built
+        self._dirty = False
+        # the one detector-or-not decision
+        if membership is None:
+            self._register = self._start_probing = lambda *name: None
+        else:
+            def start_probing() -> None:
+                if len(membership.views) >= 2:
+                    membership.start()
+
+            self._register = membership.register
+            self._start_probing = start_probing
         # the one bare-or-quorum decision: which store serves, and how
         # its answers become FetchedBlobs
         if quorum is not None:
@@ -206,6 +252,19 @@ class DHTBackend(StorageBackend):
             views[name] = set(node.store.keys())
         return views
 
+    def enroll(self, name: str) -> None:
+        """Join the ring (and the detector); routing is rebuilt lazily."""
+        self.ring.add_node(name)
+        self._register(name)
+        self._dirty = True
+
+    def ready(self) -> None:
+        """Rebuild the finger tables after joins; then start probing."""
+        if self._dirty:
+            self.ring.build()
+            self._dirty = False
+            self._start_probing()
+
 
 class FederationBackend(StorageBackend):
     """Blobs on home pods, federated to recipients' pods (Section II-B)."""
@@ -228,6 +287,19 @@ class FederationBackend(StorageBackend):
     def observer_views(self) -> Dict[str, Set[str]]:
         return {name: set(server.content.keys())
                 for name, server in self.federation.servers.items()}
+
+    def enroll(self, name: str) -> None:
+        """Home the user on a pod."""
+        self.federation.register_user(name)
+
+    def graph_view(self, observer: str, graph: nx.Graph) -> float:
+        """A pod sees the friendships its posts were delivered along."""
+        server = self.federation.servers.get(observer)
+        edges = graph.number_of_edges()
+        if server is None or not edges:
+            return 0.0
+        return len({tuple(sorted(edge))
+                    for edge in server.observed_edges}) / edges
 
 
 class LocalBackend(StorageBackend):

@@ -3,8 +3,8 @@
 ``repro.stack`` turns the survey's classification into an executable
 architecture: every DOSN model routes its post/read path through an
 explicit :class:`ProtectionStack` of
-:class:`IntegrityLayer` → :class:`AclLayer` → :class:`PlacementLayer`
-(→ :class:`IndexLayer`), declares the composition as a
+:class:`IntegrityLayer` → :class:`AclLayer` → :class:`PlacementLayer`,
+declares the composition as a
 :class:`SystemSpec`, and registers it so the Table I matrix can be
 regenerated from code (:mod:`repro.stack.table1`).
 
@@ -31,9 +31,8 @@ Quick tour::
     stack.post(ContentItem(author="alice", cid="c1", payload=b"hi"))
 """
 
-from repro.stack.pipeline import (AclLayer, ContentItem, IndexLayer,
-                                  IntegrityLayer, Layer, PlacementLayer,
-                                  ProtectionStack)
+from repro.stack.pipeline import (AclLayer, ContentItem, IntegrityLayer,
+                                  Layer, PlacementLayer, ProtectionStack)
 from repro.stack.registry import (MechanismEntry, mechanisms,
                                   register_mechanism, register_properties)
 from repro.stack.spec import (LAYER_KINDS, LayerSpec, SystemSpec,
@@ -41,7 +40,7 @@ from repro.stack.spec import (LAYER_KINDS, LayerSpec, SystemSpec,
                               unregister_system)
 
 __all__ = [
-    "AclLayer", "ContentItem", "IndexLayer", "IntegrityLayer",
+    "AclLayer", "ContentItem", "IntegrityLayer",
     "LAYER_KINDS", "Layer", "LayerSpec", "MechanismEntry",
     "PlacementLayer", "ProtectionStack", "SystemSpec", "mechanisms",
     "register_mechanism", "register_properties", "register_system",

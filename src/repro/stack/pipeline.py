@@ -1,7 +1,7 @@
 """The ProtectionStack: one composable content pipeline for every DOSN.
 
 Before this module, each system model hand-rolled its own
-encrypt → integrity-protect → place → index sequence inline in ``post()``
+encrypt → integrity-protect → place sequence inline in ``post()``
 and the inverse in ``read()``.  The stack makes that sequence explicit:
 
 * :class:`IntegrityLayer` — signatures / envelopes / hash chains / comment
@@ -10,8 +10,7 @@ and the inverse in ``read()``.  The stack makes that sequence explicit:
   :class:`~repro.acl.base.AccessControlScheme`, or a system's own hybrid);
 * :class:`PlacementLayer` — where ciphertext physically goes (a
   :class:`~repro.dosn.storage.StorageBackend`, an overlay publish path,
-  mirrors, storekeepers, …);
-* :class:`IndexLayer`    — search indexing hooks (:mod:`repro.search`).
+  mirrors, storekeepers, …).
 
 A post flows through the layers in declaration order; a read runs them in
 reverse (fetch, then decrypt, then verify).  Each layer can open a span
@@ -35,8 +34,8 @@ from repro.exceptions import ReproError
 from repro.obs.trace import NOOP_TRACER
 from repro.stack.spec import LAYER_KINDS, LayerSpec, SystemSpec
 
-__all__ = ["AclLayer", "ContentItem", "IndexLayer", "IntegrityLayer",
-           "Layer", "PlacementLayer", "ProtectionStack"]
+__all__ = ["AclLayer", "ContentItem", "IntegrityLayer", "Layer",
+           "PlacementLayer", "ProtectionStack"]
 
 #: layer hook signature: mutate the item in place
 Hook = Callable[["ContentItem"], None]
@@ -124,30 +123,6 @@ class PlacementLayer(Layer):
     kind = "placement"
 
 
-class IndexLayer(Layer):
-    """Search-index hooks (:mod:`repro.search`): make content findable."""
-
-    kind = "index"
-
-    @classmethod
-    def from_index(cls, index, text_of: Callable[[ContentItem], str],
-                   **kwargs) -> "IndexLayer":
-        """Wrap a :class:`~repro.search.index.SearchIndex`.
-
-        Indexing happens on the write path only (reads go through the
-        index's own ``search``); a blinded index keeps the hook
-        compatible with the Section V content-privacy rows.
-        """
-
-        def add(item: ContentItem) -> None:
-            index.add_document(item.cid, text_of(item))
-
-        kwargs.setdefault(
-            "mechanism", "blinded index" if index.blinded else "plaintext "
-            "index")
-        return cls(post=add, **kwargs)
-
-
 class ProtectionStack:
     """An ordered layer pipeline with spec validation and instrumentation.
 
@@ -180,7 +155,7 @@ class ProtectionStack:
 
     def post(self, item: ContentItem,
              only: Optional[Iterable[str]] = None) -> ContentItem:
-        """Run the write path: integrity → acl → placement → index."""
+        """Run the write path: integrity → acl → placement."""
         return self._run(item, "post", self.layers, only)
 
     def read(self, item: ContentItem,

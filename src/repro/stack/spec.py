@@ -28,7 +28,7 @@ __all__ = ["LAYER_KINDS", "LayerSpec", "SystemSpec", "register_system",
 
 #: The pipeline order every stack follows on the write path; the read
 #: path runs the same layers in reverse.
-LAYER_KINDS = ("integrity", "acl", "placement", "index")
+LAYER_KINDS = ("integrity", "acl", "placement")
 
 
 @dataclass(frozen=True)

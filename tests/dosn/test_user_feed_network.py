@@ -262,6 +262,28 @@ class TestDosnNetwork:
         net.apply_social_graph(graph)
         assert "u1" in net.users["u0"].friends
 
+    @pytest.mark.parametrize("arch", ["central", "dht", "federation",
+                                      "local"])
+    def test_befriending_oneself_is_rejected(self, arch):
+        net = small_net(architecture=arch)
+        edges = net.graph.number_of_edges()
+        with pytest.raises(OverlayError, match="themselves"):
+            net.befriend("alice", "alice")
+        assert "alice" not in net.users["alice"].friends
+        assert net.graph.number_of_edges() == edges
+        net.post("alice", "mine")
+        assert net.feed("alice").items == []
+        assert all(report.graph_view <= 1.0
+                   for report in net.exposure_report())
+
+    @pytest.mark.parametrize("pair", [("alice", "mallory"),
+                                      ("mallory", "alice")])
+    def test_befriending_an_unknown_user_is_rejected(self, pair):
+        net = small_net(architecture="local")
+        with pytest.raises(OverlayError, match="unknown user 'mallory'"):
+            net.befriend(*pair)
+        assert "mallory" not in net.graph
+
     def test_worst_observer_empty_network(self):
         net = DosnNetwork(architecture="local", seed=1)
         report = net.worst_observer()

@@ -4,10 +4,8 @@ import pytest
 
 from repro.exceptions import ReproError
 from repro.fabric import Fabric
-from repro.search.index import SearchIndex
-from repro.stack import (AclLayer, ContentItem, IndexLayer, IntegrityLayer,
-                         LayerSpec, PlacementLayer, ProtectionStack,
-                         SystemSpec)
+from repro.stack import (AclLayer, ContentItem, IntegrityLayer, LayerSpec,
+                         PlacementLayer, ProtectionStack, SystemSpec)
 
 
 def _trace_layer(cls, kind_log, tag):
@@ -52,7 +50,7 @@ class TestLayerOrder:
         assert log == [("read", "acl"), ("read", "integrity")]
 
     def test_missing_hook_is_noop(self):
-        stack = ProtectionStack([IndexLayer(post=None, read=None)])
+        stack = ProtectionStack([AclLayer(post=None, read=None)])
         stack.post(ContentItem(author="a"))
         stack.read(ContentItem(author="a"))
 
@@ -106,22 +104,6 @@ class TestSpecValidation:
         with pytest.raises(ReproError):
             stack.layer("integrity")
         assert spec.rows_covered() == ("Symmetric key encryption",)
-
-
-class TestAdapters:
-    def test_index_layer_from_index_posts_only(self):
-        index = SearchIndex()
-        stack = ProtectionStack([IndexLayer.from_index(
-            index, lambda item: item.meta["text"])])
-        stack.post(ContentItem(author="alice", cid="c1",
-                               meta={"text": "hello distributed world"}))
-        assert index.search("distributed") == ["c1"]
-        assert stack.layers[0].mechanism == "plaintext index"
-
-    def test_index_layer_blinded_mechanism_label(self):
-        index = SearchIndex(blinding_secret=b"s")
-        layer = IndexLayer.from_index(index, lambda item: "")
-        assert layer.mechanism == "blinded index"
 
 
 class TestInstrumentation:

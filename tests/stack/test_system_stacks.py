@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.dosn.api import DOSN_SPEC, DosnConfig, DosnNetwork
-from repro.exceptions import (AccessDeniedError, OverlayError, ReproError,
+from repro.exceptions import (AccessDeniedError, OverlayError,
                               StorageError)
 from repro.stack import registered_systems
 from repro.systems.cachet import CACHET_SPEC, CachetNetwork
@@ -115,29 +115,6 @@ class TestDosnThroughStack:
         report = net.feed("bob")
         assert not report.clean
         assert report.violations
-
-    def test_index_layer_enables_search(self):
-        net = DosnNetwork(config=DosnConfig(architecture="local", seed=5,
-                                            index_posts=True))
-        for name in ["alice", "bob"]:
-            net.add_user(name)
-        net.befriend("alice", "bob")
-        cid = net.post("alice", "distributed social networks rock")
-        assert net.search("distributed") == [cid]
-        # blinded: the index host sees tags, not vocabulary
-        assert net.index.blinded
-        assert not net.index.vocabulary_leaked()
-
-    def test_search_without_index_layer_raises(self):
-        net = DosnNetwork(config=DosnConfig(architecture="local", seed=5))
-        with pytest.raises(OverlayError, match="index_posts"):
-            net.search("anything")
-
-    def test_stack_has_four_layers_when_indexing(self):
-        net = DosnNetwork(config=DosnConfig(architecture="local",
-                                            index_posts=True))
-        assert [l.kind for l in net.stack.layers] == [
-            "integrity", "acl", "placement", "index"]
 
     def test_legacy_span_tree_preserved(self):
         net = DosnNetwork(config=DosnConfig(architecture="local", seed=5,

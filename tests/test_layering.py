@@ -164,16 +164,22 @@ def test_ring_order_is_read_through_the_public_accessor():
 
 # -- each attachment is decided where it attaches (ROADMAP item 8) ---------------
 
-#: the modules on the RPC, hop and probe paths
+#: the modules on the RPC, hop and probe paths, and the facade's per-call
+#: paths (the social operations, the feed, the peer, the backends, the
+#: cache tier)
 ATTACHED_TO = ["fabric.py", "overlay/network.py", "faults/resilience.py",
                "overlay/chord.py", "overlay/kademlia.py", "storage2/quorum.py",
-               "storage2/repair.py"]
+               "storage2/repair.py", "dosn/api.py", "dosn/feed.py",
+               "dosn/user.py", "dosn/storage.py"] + [
+    str(path.relative_to(SRC)) for path in sorted((SRC / "cache").glob("*.py"))]
 #: names of an optional subsystem, or of the choice attaching it made
 ATTACHMENTS = {"channel", "overload", "membership", "adversary", "quarantine",
                "defense", "faults", "service", "_adaptive", "breaker",
-               "retry_budget", "_signer_of", "resilient"}
+               "retry_budget", "_signer_of", "resilient", "cache",
+               "prefetcher", "provider", "metrics"}
 #: a function that may ask whether one is present: where it is decided
-DECIDED_IN = ("__init__", "create", "install_", "attach_", "__repr__")
+DECIDED_IN = ("__init__", "__post_init__", "create", "install_", "attach_",
+              "__repr__")
 #: branches kept because binding their decision costs more than they do
 ATTACHMENT_EXEMPT = {
     ("overlay/chord.py", "_get_group"):
@@ -267,6 +273,53 @@ def test_the_attachment_gate_sees_a_per_hop_test():
         (11, "probe", "resilient")]
 
 
+def _architecture_compares(source: str):
+    """``(line, function)`` of every comparison with an ``architecture``
+    operand outside the functions that decide it."""
+    found = []
+
+    def walk(node: ast.AST, function: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare) \
+                and not function.startswith(DECIDED_IN) \
+                and any(_name(operand) == "architecture"
+                        for operand in [node.left, *node.comparators]):
+            found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            walk(child, function)
+
+    walk(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_architecture_is_decided_once():
+    """``DosnNetwork.__init__`` picks the storage backend and the backend
+    owns what differs between architectures; no operation asks again."""
+    found = [(str(path.relative_to(SRC)), line, function)
+             for path in sorted((SRC / "dosn").rglob("*.py"))
+             for line, function in _architecture_compares(path.read_text())]
+    assert not found, (
+        "a per-call path compares the architecture: move the difference "
+        f"onto the StorageBackend subclasses instead: {found}")
+
+
+def test_the_architecture_gate_sees_a_per_call_compare():
+    source = (
+        "class Net:\n"
+        "    def __init__(self, config):\n"
+        "        if config.architecture == 'dht':\n"
+        "            self.ring = Ring()\n"
+        "    def add_user(self, name):\n"
+        "        if self.architecture == 'dht':\n"
+        "            self.ring.add_node(name)\n"
+        "        return name if 'local' != architecture else None\n"
+        "    def report(self):\n"
+        "        return self.architecture in ('central', 'federation')\n")
+    assert _architecture_compares(source) == [
+        (6, "add_user"), (8, "add_user"), (10, "report")]
+
+
 # -- one read path ------------------------------------------------------------
 
 #: names of the read paths that were folded away, of the second
@@ -276,9 +329,10 @@ def test_the_attachment_gate_sees_a_per_hop_test():
 #: called, of the config classes and fields the knob census turned into
 #: constants, of six public methods nothing referenced, of the histogram
 #: instruments nothing wrote, of the per-lookup defense switch, of three
-#: helpers only tests reached, and of the future-based fan-out kernel (an
-#: RPC's outcome is a ``Reply``, a fan-out's cost ``critical_path``);
-#: nothing may bring them back
+#: helpers only tests reached, of the future-based fan-out kernel (an
+#: RPC's outcome is a ``Reply``, a fan-out's cost ``critical_path``), and
+#: of the facade's search (section V search runs through ``SearchIndex``
+#: itself); nothing may bring them back
 GONE = ("fetch_from_holders", "_get_failover", "_provenance", "batch_reads",
         "crypto_op", "profile_crypto", "absorb_network", "by_kind",
         "suspected_at", "is_suspect", "_shift_rows", "_mix_columns",
@@ -288,7 +342,7 @@ GONE = ("fetch_from_holders", "_get_failover", "_provenance", "batch_reads",
         "set_policy", "subscription_tags", "Histogram", "histogram",
         "DEFAULT_BUCKETS", "secure_lookup", "check_or_raise", "first_of",
         "latest_version", "SimFuture", "FanoutResult", "quorum_of",
-        "_future_sequence", "quorum_read_batch")
+        "_future_sequence", "quorum_read_batch", "index_posts", "IndexLayer")
 READ_KINDS = {"chord_replica_read", "chord_batch_fetch"}
 
 
@@ -513,7 +567,12 @@ def test_one_function_writes_a_member_records_state():
 NONE_TEST_CEILINGS = {
     "fabric.py": 18,
     "overlay/network.py": 16,
-    "dosn/api.py": 27,
+    "dosn/api.py": 14,
+    "dosn/feed.py": 7,
+    "dosn/user.py": 5,
+    "dosn/storage.py": 3,
+    "cache/content.py": 6,
+    "cache/prefetch.py": 2,
     "overlay/chord.py": 18,
     "storage2/quorum.py": 11,
     "storage2/repair.py": 7,
@@ -548,15 +607,13 @@ def test_none_tests_only_ratchet_down(relative):
 #: like the ceilings above; a class missing here is a new config class.
 CONFIG_KNOB_CEILINGS = {
     "CacheConfig": 1, "ServiceConfig": 4, "OverloadConfig": 4,
-    "DosnConfig": 14, "MembershipConfig": 0, "DefenseConfig": 0,
+    "DosnConfig": 13, "MembershipConfig": 0, "DefenseConfig": 0,
     "AdversaryConfig": 5, "ReplicationConfig": 5,
 }
 #: fields no bench, example, script or ``src`` caller sets, and why each
 #: stays a field.  (``DosnConfig.concurrent`` needs no entry: the frozen
 #: ``benchmarks/perf`` workload passes it, which is all that keeps it.)
 UNSWEPT_KNOBS = {
-    ("DosnConfig", "index_posts"):
-        "the facade's only way into section V search; tests/stack covers it",
     ("AdversaryConfig", "behaviors"):
         "how tests/adversary isolates one attack at a time",
     ("AdversaryConfig", "compromised"):
