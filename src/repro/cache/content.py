@@ -58,19 +58,16 @@ class VerifiedContentCache:
     delegated to the chain view the caller passes into :meth:`lookup` /
     :meth:`insert`, which must be the reader's *verified* replica of the
     author's timeline (or the author's own timeline for self-reads).
-    Counters are mirrored into ``metrics`` (the fabric's registry; a
-    private one when none is given): ``cache.hits`` / ``cache.misses`` /
-    ``cache.invalidations`` / ``cache.evictions`` / ``cache.insertions``.
+    Counters live in ``metrics`` alone (the fabric's registry; a private
+    one when none is given): ``cache.hits`` / ``cache.misses`` /
+    ``cache.invalidations`` / ``cache.evictions`` / ``cache.insertions``;
+    the first four read back as properties.
     """
 
     def __init__(self, capacity_per_reader: int, metrics=None) -> None:
         self.capacity = capacity_per_reader
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._readers: Dict[str, LRUMap] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.insertions = 0
         #: ``cache.*`` counter handles, each resolved at its first event
         self._counters: Dict[str, object] = {}
 
@@ -87,6 +84,28 @@ class VerifiedContentCache:
             lru = LRUMap(self.capacity)
             self._readers[reader] = lru
         return lru
+
+    # the registry is the one store: these read it and create nothing,
+    # so no ``cache.*`` family exists before its first event
+    @property
+    def hits(self) -> int:
+        """Validated hits served."""
+        return self.metrics.get_counter_value("cache.hits")
+
+    @property
+    def misses(self) -> int:
+        """Lookups that fell through to the verified fetch path."""
+        return self.metrics.get_counter_value("cache.misses")
+
+    @property
+    def invalidations(self) -> int:
+        """Entries evicted because the author re-listed their cid."""
+        return self.metrics.get_counter_value("cache.invalidations")
+
+    @property
+    def insertions(self) -> int:
+        """Verified posts cached."""
+        return self.metrics.get_counter_value("cache.insertions")
 
     @property
     def evictions(self) -> int:
@@ -114,7 +133,6 @@ class VerifiedContentCache:
         if entry is None or entry.author != author or view is None:
             # Not cached for this author, or no verified view of the author
             # to re-check freshness against: the cache refuses to serve.
-            self.misses += 1
             self._count("misses")
             return None
         if view.head_hash != entry.head:
@@ -125,16 +143,13 @@ class VerifiedContentCache:
                 # The author overwrote this cid since we cached it:
                 # the copy is provably stale — evict and miss.
                 lru.remove(cid)
-                self.invalidations += 1
                 self._count("invalidations")
-                self.misses += 1
                 self._count("misses")
                 return None
             # Chain advanced without touching the cid: re-pin the
             # freshness evidence so the next check is O(1) again.
             entry.head = view.head_hash
             entry.chain_len = len(view.entries)
-        self.hits += 1
         self._count("hits")
         return entry
 
@@ -149,7 +164,6 @@ class VerifiedContentCache:
         lru.put(cid, entry)
         if lru.evictions > before:
             self._count("evictions")
-        self.insertions += 1
         self._count("insertions")
         return entry
 

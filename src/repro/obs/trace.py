@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-__all__ = ["NOOP_TRACER", "NoopTracer", "Span", "Tracer"]
+__all__ = ["NOOP_SPAN", "NOOP_TRACER", "NoopTracer", "Span", "Tracer"]
 
 
 class Span:
@@ -135,7 +135,7 @@ class _NoopSpan:
         return False
 
 
-_NOOP_SPAN = _NoopSpan()
+NOOP_SPAN = _NoopSpan()
 
 
 class NoopTracer:
@@ -145,7 +145,7 @@ class NoopTracer:
 
     def span(self, name: str, parent: Optional[int] = None,
              parallel: bool = False, **attrs: Any) -> _NoopSpan:
-        return _NOOP_SPAN
+        return NOOP_SPAN
 
     @property
     def current(self) -> Optional[Span]:

@@ -44,7 +44,7 @@ def chord_id(name: str) -> int:
         "big") % _SPACE
 
 
-def in_interval(x: int, a: int, b: int, inclusive_right: bool = False) -> int:
+def in_interval(x: int, a: int, b: int, inclusive_right: bool = False) -> bool:
     """Ring-interval membership test ``x in (a, b)`` modulo 2^m."""
     if a < b:
         return a < x < b or (inclusive_right and x == b)
@@ -79,6 +79,10 @@ class ChordNode(SimNode):
         self.successors: List[str] = []   # successor list, nearest first
         self.predecessor: Optional[str] = None
         self.fingers: List[Optional[str]] = [None] * M_BITS
+        #: the distinct peers ``fingers`` names, farthest first: what
+        #: :meth:`closest_preceding` scans.  Rebuilt by
+        #: :meth:`ChordRing._index_fingers` after every write to ``fingers``
+        self.finger_nodes: Tuple["ChordNode", ...] = ()
         self.store: Dict[str, bytes] = {}
 
     # -- routing-table reads (executed at the *queried* node) -----------------
@@ -91,18 +95,21 @@ class ChordNode(SimNode):
         ``avoid`` lists peers the lookup routes around: written off as
         unresponsive, or distrusted by a secure-lookup driver.
         """
-        nodes = ring.nodes
         own_id = self.chord_id
-        for finger in reversed(self.fingers):
-            node = nodes.get(finger)
-            if node is not None and node.online \
-                    and in_interval(node.chord_id, own_id, key_id) \
-                    and finger not in avoid:
-                return finger
+        # ``x in (own, key)`` as one modular distance; key == own leaves
+        # the whole ring but ``own`` itself
+        bound = (key_id - own_id) % _SPACE or _SPACE
+        # a duplicate finger gives its first occurrence's answer, so
+        # scanning each distinct peer once is the 32-entry scan
+        for node in self.finger_nodes:
+            if node.online and 0 < (node.chord_id - own_id) % _SPACE < bound \
+                    and node.node_id not in avoid:
+                return node.node_id
+        nodes = ring.nodes
         for succ in self.successors:
             node = nodes.get(succ)
             if node is not None and node.online \
-                    and in_interval(node.chord_id, own_id, key_id) \
+                    and 0 < (node.chord_id - own_id) % _SPACE < bound \
                     and succ not in avoid:
                 return succ
         return None
@@ -210,11 +217,25 @@ class ChordRing:
             for bit in range(M_BITS):
                 target = (node.chord_id + (1 << bit)) % _SPACE
                 node.fingers[bit] = names[self._successor_index(ids, target)]
+            self._index_fingers(node)
+
+    def _index_fingers(self, node: ChordNode) -> None:
+        """The one writer of ``node.finger_nodes``: the distinct peers of
+        ``node.fingers``, first occurrence in reversed order (unset
+        entries name nobody).  Whatever rewrites fingers calls it."""
+        nodes = self.nodes
+        node.finger_nodes = tuple(
+            nodes[name] for name in dict.fromkeys(reversed(node.fingers))
+            if name is not None)
 
     @staticmethod
     def _successor_index(sorted_ids: Sequence[int], target: int) -> int:
         """Index of the first id >= target (wrapping)."""
-        return bisect_left(sorted_ids, target) % len(sorted_ids)
+        try:
+            return bisect_left(sorted_ids, target) % len(sorted_ids)
+        except ZeroDivisionError:
+            raise OverlayError(
+                "the chord ring is empty: add a node first") from None
 
     # -- the iterative lookup (experiment E5's workhorse) -----------------------
 
@@ -493,6 +514,7 @@ class ChordRing:
         result = self.lookup(via, name)
         node.successors = [result.owner]
         node.fingers[0] = result.owner
+        self._index_fingers(node)
         return node
 
     def stabilize_all(self, rounds: int = 1) -> None:
@@ -541,3 +563,4 @@ class ChordRing:
             target = (node.chord_id + (1 << bit)) % _SPACE
             node.fingers[bit] = self._names[
                 online[self._successor_index(ids, target)]]
+        self._index_fingers(node)

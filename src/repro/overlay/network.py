@@ -15,9 +15,9 @@ Every message and every failure is counted once, in the attached
 :class:`repro.obs.MetricsRegistry` — failures dimensionally (kind × cause
 × direction) — and :class:`NetworkStats`, which the experiments read for
 their cost series, is a read-only view derived from those counters
-(:data:`STATS_FIELDS`).  Every send/RPC also opens a span on the attached
-tracer (a no-op by default) — see :mod:`repro.obs` and
-:class:`repro.fabric.Fabric`.
+(:data:`STATS_FIELDS`).  Every send also opens a span on the attached
+tracer (a no-op by default), and on a traced network so does every RPC —
+see :mod:`repro.obs` and :class:`repro.fabric.Fabric`.
 
 Beyond the benign i.i.d. loss process, the fabric can carry an installed
 :class:`repro.faults.FaultPlan` (see :meth:`SimNetwork.install_faults`):
@@ -34,7 +34,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import OverlayError, SimulationError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NOOP_TRACER
+from repro.obs.trace import NOOP_SPAN, NOOP_TRACER
 from repro.overlay.simulator import Reply, Simulator, UniformLatency
 
 
@@ -234,6 +234,10 @@ class SimNetwork:
         #: observability: a no-op tracer by default, and the registry
         #: every subsystem of the :class:`repro.fabric.Fabric` counts into
         self.tracer = tracer if tracer is not None else NOOP_TRACER
+        # the tracer is fixed for the network's life, so whether an RPC
+        # opens a ``net.rpc`` span is decided once, here
+        self._settle = self._rpc_traced if self.tracer.enabled \
+            else self._rpc_inner
         self.metrics = MetricsRegistry()
         self.stats = NetworkStats(self.metrics)
         # per-message hot path: the two handles resolved once, so an RPC
@@ -434,20 +438,28 @@ class SimNetwork:
         aggregate ``fault_drops`` cannot tell a lost request from a lost
         response, the labelled counters it sums can.
 
-        The ``net.rpc`` span closes immediately carrying the RTT as cost
-        (a parallel parent span turns the sum into a max — see
-        :class:`repro.obs.trace.Span`).  A latency model that yields a
+        On a traced network the ``net.rpc`` span closes immediately
+        carrying the RTT as cost (a parallel parent span turns the sum
+        into a max — see :class:`repro.obs.trace.Span`); an untraced one
+        opens no span at all.  A latency model that yields a
         NaN, infinite or negative latency raises
         :class:`~repro.exceptions.SimulationError`.
         """
+        reply = self._settle(src, dst, kind, payload_size)
+        if not 0.0 <= reply.latency < math.inf:
+            raise SimulationError(
+                f"RPC latency must be finite and >= 0 (got {reply.latency})")
+        return reply
+
+    def _rpc_traced(self, src: str, dst: str, kind: str,
+                    payload_size: int) -> Reply:
+        """:meth:`_rpc_inner` inside its ``net.rpc`` span (what
+        :meth:`rpc_issue` settles with on a traced network)."""
         with self.tracer.span("net.rpc", kind=kind, src=src,
                               dst=dst) as span:
             reply = self._rpc_inner(src, dst, kind, payload_size, span)
             span.set_attr("ok", reply.ok)
             span.add_cost(reply.latency)
-        if not 0.0 <= reply.latency < math.inf:
-            raise SimulationError(
-                f"RPC latency must be finite and >= 0 (got {reply.latency})")
         return reply
 
     def rpc(self, src: str, dst: str, kind: str = "rpc",
@@ -486,7 +498,7 @@ class SimNetwork:
         return True
 
     def _rpc_inner(self, src: str, dst: str, kind: str, payload_size: int,
-                   span: Any) -> Reply:
+                   span: Any = NOOP_SPAN) -> Reply:
         now = self.sim.now
         blocked, factor = self._link(src, dst, now)
         out = self.latency.sample(self._rng, src, dst) * factor

@@ -1,23 +1,33 @@
-"""Reference implementation: Kademlia's ranking and bucket fill as first
-written.
+"""Reference implementations: overlay hot paths as first written.
 
-``KademliaNode.closest_known`` now walks buckets outward from the target's
-bucket, each lookup hashes every name it ranks once (``XorDistances``),
-and ``bootstrap`` fills each node's buckets in one ``observe_all`` pass.
-What they replaced lives here, verbatim, as the oracle: a node that sorts
-every peer it knows for each answer and buckets peers one ``observe`` at
-a time, and an overlay whose lookup re-hashes a name in every sort key.
-``test_kad_oracle.py`` holds the new code equal to it: the same
-``KadLookupResult`` or exception type, network statistics, RNG state and
-bucket dicts, insertion order included.
+Kademlia.  ``KademliaNode.closest_known`` now walks buckets outward from
+the target's bucket, each lookup hashes every name it ranks once
+(``XorDistances``), and ``bootstrap`` fills each node's buckets in one
+``observe_all`` pass.  What they replaced lives here, verbatim, as the
+oracle: a node that sorts every peer it knows for each answer and buckets
+peers one ``observe`` at a time, and an overlay whose lookup re-hashes a
+name in every sort key.  ``test_kad_oracle.py`` holds the new code equal
+to it: the same ``KadLookupResult`` or exception type, network
+statistics, RNG state and bucket dicts, insertion order included.
+
+Chord and the network.  ``ChordNode.closest_preceding`` now scans each
+node's distinct finger nodes once with one modular distance, and an
+untraced ``SimNetwork`` opens no ``net.rpc`` span.  Here are the 32-entry
+scan with ``in_interval`` and the ``rpc_issue`` that always opens its
+span; ``test_chord_oracle.py`` holds the new code equal to them.
 """
 
-from typing import Any, Dict, List, Set
+import math
+from bisect import bisect_left
+from typing import AbstractSet, Any, Dict, List, Optional, Set
 
 from repro.exceptions import (DeadlineExceededError, LookupError_,
-                              OverlayError)
+                              OverlayError, SimulationError)
+from repro.overlay.chord import ChordNode, ChordRing, in_interval
 from repro.overlay.kademlia import (KademliaNode, KademliaOverlay,
                                     KadLookupResult, kad_id, xor_distance)
+from repro.overlay.network import SimNetwork
+from repro.overlay.simulator import Reply
 
 
 class ReferenceNode(KademliaNode):
@@ -176,3 +186,66 @@ class ReferenceOverlay(KademliaOverlay):
             span.set_attr("rpcs", rpcs)
             return KadLookupResult(
                 closest=shortlist[:self.k], hops=hops, rpcs=rpcs)
+
+
+class ReferenceChordNode(ChordNode):
+    """A Chord node that scans all 32 fingers with ``in_interval``."""
+
+    def closest_preceding(self, key_id: int, ring: "ChordRing",
+                          avoid: AbstractSet[str] = frozenset()
+                          ) -> Optional[str]:
+        """The best next hop: the closest live finger preceding ``key_id``.
+
+        ``avoid`` lists peers the lookup routes around: written off as
+        unresponsive, or distrusted by a secure-lookup driver.
+        """
+        nodes = ring.nodes
+        own_id = self.chord_id
+        for finger in reversed(self.fingers):
+            node = nodes.get(finger)
+            if node is not None and node.online \
+                    and in_interval(node.chord_id, own_id, key_id) \
+                    and finger not in avoid:
+                return finger
+        for succ in self.successors:
+            node = nodes.get(succ)
+            if node is not None and node.online \
+                    and in_interval(node.chord_id, own_id, key_id) \
+                    and succ not in avoid:
+                return succ
+        return None
+
+
+class ReferenceChordRing(ChordRing):
+    """A ring of :class:`ReferenceChordNode` peers."""
+
+    def add_node(self, name: str) -> ChordNode:
+        """Register a peer (routing state filled by build/join)."""
+        node = ReferenceChordNode(name)
+        slot = bisect_left(self._ids, node.chord_id)
+        if slot < len(self._ids) and self._ids[slot] == node.chord_id:
+            raise OverlayError(
+                f"chord id collision for {name!r}; rename the node")
+        self.nodes[name] = node
+        self._ids.insert(slot, node.chord_id)
+        self._names.insert(slot, name)
+        self.network.register(node)
+        self.fabric.enroll(name, "chord")
+        return node
+
+
+class ReferenceNetwork(SimNetwork):
+    """A network whose every RPC opens its ``net.rpc`` span."""
+
+    def rpc_issue(self, src: str, dst: str, kind: str = "rpc",
+                  payload_size: int = 64) -> Reply:
+        """Model one request/response round trip; return its Reply."""
+        with self.tracer.span("net.rpc", kind=kind, src=src,
+                              dst=dst) as span:
+            reply = self._rpc_inner(src, dst, kind, payload_size, span)
+            span.set_attr("ok", reply.ok)
+            span.add_cost(reply.latency)
+        if not 0.0 <= reply.latency < math.inf:
+            raise SimulationError(
+                f"RPC latency must be finite and >= 0 (got {reply.latency})")
+        return reply

@@ -324,6 +324,98 @@ class TestRingIndex:
         assert ring.replica_set("k") == ["solo"]
         assert ring.ring_order("k") == ["solo"]
 
+    @pytest.mark.parametrize("resilient", [False, True])
+    def test_an_empty_ring_names_itself(self, resilient):
+        """No node, no owner: every placement read raises an
+        ``OverlayError`` saying so (it divided by zero before)."""
+        ring = ChordRing(Fabric.create(seed=1, resilient=resilient))
+        for read in (ring.owner_of, ring.ring_order, ring.replica_set):
+            with pytest.raises(OverlayError, match="empty"):
+                read("k")
+        with pytest.raises(OverlayError, match="empty"):
+            ring.get_many("nobody", ["k"])
+        with pytest.raises(OverlayError):
+            ring.put("nobody", "k", b"v")
+        with pytest.raises(OverlayError):
+            ring.get("nobody", "k")
+
+
+class TestHopCost:
+    """What one Chord hop costs, ratcheted by counts and bytes: each node
+    scans its distinct finger nodes, and an untraced RPC opens no span."""
+
+    @staticmethod
+    def assert_indexed(ring):
+        for node in ring.nodes.values():
+            expected = []
+            for name in reversed(node.fingers):
+                if name is not None and name not in expected:
+                    expected.append(name)
+            assert node.finger_nodes == tuple(ring.nodes[name]
+                                              for name in expected)
+
+    def test_the_finger_nodes_follow_every_finger_write(self):
+        net, ring = build_ring(48)
+        self.assert_indexed(ring)
+        assert max(len(n.finger_nodes) for n in ring.nodes.values()) \
+            < M_BITS
+        ring.join("latecomer", via="peer0")
+        assert len(ring.nodes["latecomer"].finger_nodes) == 1
+        self.assert_indexed(ring)
+        for name in ("peer3", "peer11", "peer17"):
+            ring.nodes[name].go_offline()
+        ring._fix_fingers(ring.nodes["peer0"])
+        self.assert_indexed(ring)
+        ring.stabilize_all(rounds=2)
+        self.assert_indexed(ring)
+
+    def test_a_built_ring_costs_under_950_bytes_per_node(self):
+        """``Fabric.create`` plus overlay_kv's 2 000-node ring (799 B per
+        node before the finger-node tuples, 940 B with them; ``(name,
+        offset)`` pairs plus successor offsets cost ≈ 2 700 B)."""
+        import tracemalloc
+        n = 2000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ring = ChordRing(Fabric.create(seed=11), successor_list_size=8,
+                             replication=3)
+            for i in range(n):
+                ring.add_node(f"c11-{i}")
+            ring.build()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ring.nodes) == n
+        assert grown / n <= 950
+
+    @staticmethod
+    def issue(tracing, monkeypatch):
+        """One RPC on a fresh two-peer fabric: its no-op span calls and
+        the spans it left."""
+        from repro.obs.trace import NoopTracer
+        from repro.overlay.network import SimNode
+        fabric = Fabric.create(seed=1, tracing=tracing)
+        for name in ("a", "b"):
+            fabric.network.register(SimNode(name))
+        calls = []
+        noop_span = NoopTracer.span
+        monkeypatch.setattr(NoopTracer, "span", lambda self, *args, **kw: (
+            calls.append(args), noop_span(self, *args, **kw))[1])
+        reply = fabric.network.rpc_issue("a", "b", "probe")
+        assert reply.ok
+        return calls, fabric.network.tracer.spans
+
+    def test_an_untraced_rpc_opens_no_span(self, monkeypatch):
+        assert self.issue(False, monkeypatch) == ([], [])
+
+    def test_a_traced_rpc_opens_one_net_rpc_span(self, monkeypatch):
+        calls, spans = self.issue(True, monkeypatch)
+        assert calls == []
+        assert [(s.name, s.attrs["kind"], s.attrs["ok"]) for s in spans] \
+            == [("net.rpc", "probe", True)]
+        assert spans[0].cost > 0
+
 
 def _bucket_of(node, name):
     """The bucket ``name`` belongs in at ``node``: the length of the id
