@@ -3,12 +3,12 @@
 The social graph *is* the access predictor in an OSN — what a reader
 fetches next is overwhelmingly the newest posts of their friends
 (the observation socially-aware DHT placement builds on).  The
-prefetcher exploits it on the read side: on ``befriend`` (and on
-demand) it batch-fetches the newest posts of a reader's friends through
-:meth:`StorageBackend.get_many`, opens them through the normal
-decrypt + verify pipeline, and seeds the
-:class:`~repro.cache.content.VerifiedContentCache` — so the reader's
-next ``feed`` is served warm.
+prefetcher exploits it on the read side: on ``befriend`` and at the
+start of every cached feed it batch-fetches the newest posts of a
+reader's friends through :meth:`StorageBackend.get_many`, opens them
+through the normal decrypt + verify pipeline, and seeds the
+:class:`~repro.cache.content.VerifiedContentCache` — so the feed's
+lookups (and the reader's next ``read``) are served warm.
 
 Prefetching is best-effort: unavailable or unverifiable posts are simply
 skipped (the feed path will report them properly), and nothing enters
@@ -32,14 +32,12 @@ PREFETCH_DEPTH = 2
 class SocialPrefetcher:
     """Warms per-reader caches along social edges.
 
-    The four callbacks decouple the prefetcher from
-    :class:`~repro.dosn.api.DosnNetwork` (which wires them to its users,
-    storage backend and protection stack):
+    It syncs nothing itself: :meth:`warm` takes the friends a caller has
+    already synced and listed (:func:`repro.dosn.feed.sync_friends`), so
+    a cached feed visits each friend once.  The two callbacks decouple
+    the prefetcher from :class:`~repro.dosn.api.DosnNetwork` (which wires
+    them to its storage backend and protection stack):
 
-    * ``view_of(reader, author)`` — sync and return the reader's
-      chain-verified view of the author (or ``None``);
-    * ``cids_of(reader, author)`` — the cids on that verified view, in
-      order (:meth:`DosnUser.verified_cids`);
     * ``fetch_many(reader, cids)`` — the batched storage read; returns
       ``cid -> FetchedBlob | exception``;
     * ``open_post(reader, author, blob, cid)`` — decrypt + verify one
@@ -50,46 +48,37 @@ class SocialPrefetcher:
     """
 
     def __init__(self, cache: VerifiedContentCache,
-                 view_of: Callable[[str, str], object],
-                 cids_of: Callable[[str, str], List[str]],
                  fetch_many: Callable[[str, List[str]], Dict[str, object]],
                  open_post: Callable[[str, str, bytes, str], object],
                  metrics: MetricsRegistry, tracer) -> None:
         self.cache = cache
-        self._view_of = view_of
-        self._cids_of = cids_of
         self._fetch_many = fetch_many
         self._open_post = open_post
         self.metrics = metrics
         self.tracer = tracer
         self.prefetched = 0
 
-    def warm(self, reader: str, friends: Iterable[str]) -> int:
-        """Prefetch ``friends``' newest posts into ``reader``'s cache.
+    def warm(self, reader: str,
+             listing: Iterable[Tuple[str, object, List[str]]]) -> int:
+        """Prefetch the listed friends' newest posts into ``reader``'s cache.
 
-        Returns how many posts were verified and cached.  Already-cached
-        cids are skipped before any fetch is issued, so repeated warming
-        is idempotent and (warm) free.
+        ``listing`` holds ``(author, view, verified_cids)`` per synced
+        friend, in order.  Returns how many posts were verified and
+        cached.  Already-cached cids are skipped before any fetch is
+        issued, so repeated warming is idempotent and (warm) free.
         """
-        wanted: List[Tuple[str, str]] = []   # (author, cid), fetch order
-        views: Dict[str, object] = {}
-        for author in sorted(set(friends)):
-            if author == reader:
-                continue
-            view = self._view_of(reader, author)
-            if view is None:
-                continue
-            views[author] = view
-            for cid in self._cids_of(reader, author)[-PREFETCH_DEPTH:]:
+        wanted: List[Tuple[str, str, object]] = []   # fetch order
+        for author, view, cids in listing:
+            for cid in cids[-PREFETCH_DEPTH:]:
                 if not self.cache.contains(reader, cid):
-                    wanted.append((author, cid))
+                    wanted.append((author, cid, view))
         if not wanted:
             return 0
         with self.tracer.span("cache.prefetch", reader=reader,
                               wanted=len(wanted)) as span:
-            blobs = self._fetch_many(reader, [cid for _, cid in wanted])
+            blobs = self._fetch_many(reader, [cid for _, cid, _ in wanted])
             warmed = 0
-            for author, cid in wanted:
+            for author, cid, view in wanted:
                 got = blobs.get(cid)
                 if got is None or isinstance(got, Exception):
                     continue
@@ -99,8 +88,8 @@ class SocialPrefetcher:
                     post = self._open_post(reader, author, got.blob, cid)
                 except ReproError:
                     continue
-                self.cache.insert(reader, author, cid, post,
-                                  views[author], version=got.version)
+                self.cache.insert(reader, author, cid, post, view,
+                                  version=got.version)
                 warmed += 1
             span.set_attr("warmed", warmed)
         self.prefetched += warmed

@@ -52,7 +52,7 @@ import networkx as nx
 
 from repro.adversary.config import AdversaryConfig
 from repro.cache import CacheConfig, SocialPrefetcher, VerifiedContentCache
-from repro.dosn.feed import FeedReport, assemble_feed
+from repro.dosn.feed import FeedReport, assemble_feed, sync_friends
 from repro.dosn.provider import CentralProvider, ExposureReport
 from repro.dosn.results import ReadResult
 from repro.dosn.storage import (CentralBackend, DHTBackend, FetchedBlob,
@@ -259,10 +259,8 @@ class DosnNetwork:
             self.cache = VerifiedContentCache(
                 config.cache.capacity_per_reader, metrics=self.metrics)
             self.prefetcher = SocialPrefetcher(
-                self.cache, view_of=self._view_of,
-                cids_of=lambda reader, author:
-                    self.users[reader].verified_cids(author),
-                fetch_many=self._get_many, open_post=self._open_for,
+                self.cache, fetch_many=self._get_many,
+                open_post=self._open_for,
                 metrics=self.metrics, tracer=self.tracer)
             self._read, self._feed, self._warm_pair = (
                 self._read_cached, self._feed_cached, self._prefetch_pair)
@@ -320,16 +318,14 @@ class DosnNetwork:
 
     def _view_of(self, reader: str, author: str):
         """Sync and return ``reader``'s chain-verified view of ``author``;
-        ``None`` (the cache then refuses to serve) when the author is
-        unknown, unsynced, or their chain fails to extend the view."""
+        ``None`` (the cache then refuses to serve) when their chain fails
+        to extend the view."""
         user = self.users[reader]
-        friend = self.users.get(author)
-        if friend is not None:
-            try:
-                user.sync_timeline(friend)
-            except IntegrityError:
-                return None
-        return user.views.get(author)
+        try:
+            user.sync_timeline(self.users[author])
+        except IntegrityError:
+            return None
+        return user.views[author]
 
     def _fetch_one(self, reader: str, cid: str) -> FetchedBlob:
         """One blob through the stack's placement layer (a cold feed)."""
@@ -387,17 +383,19 @@ class DosnNetwork:
 
     def _feed_cached(self, reader: str,
                      limit_per_friend: Optional[int]) -> FeedReport:
-        """Warm the reader's cache, then serve the feed from it."""
-        self.prefetcher.warm(reader, self.users[reader].friends)
+        """One pass over the friends: warm the reader's cache from the
+        feed's own listing, then serve the feed from it."""
         return self._assemble(reader, limit_per_friend,
+                              warm=self.prefetcher.warm,
                               lookup=self.cache.lookup,
                               insert=self.cache.insert)
 
     def _prefetch_pair(self, a: str, b: str) -> None:
         """Warm each side of a new friendship with the other's posts."""
         self.storage.ready()
-        self.prefetcher.warm(a, (b,))
-        self.prefetcher.warm(b, (a,))
+        for reader, author in ((a, b), (b, a)):
+            self.prefetcher.warm(reader, sync_friends(
+                self.users[reader], self.users, (author,), []))
 
     # -- population -----------------------------------------------------------
 
@@ -423,14 +421,18 @@ class DosnNetwork:
         """
         if a == b:
             raise OverlayError(f"{a!r} cannot befriend themselves")
-        for name in (a, b):
-            if name not in self.users:
-                raise OverlayError(f"unknown user {name!r}")
+        self._require_users(a, b)
         with self.tracer.span("dosn.befriend", a=a, b=b):
             self.users[a].befriend(self.users[b])
             self.graph.add_edge(a, b)
             self.storage.record_edge(a, b)
         self._warm_pair(a, b)
+
+    def _require_users(self, *names: str) -> None:
+        """Raise :class:`OverlayError` on a name no user holds."""
+        for name in names:
+            if name not in self.users:
+                raise OverlayError(f"unknown user {name!r}")
 
     def apply_social_graph(self, graph: nx.Graph) -> None:
         """Befriend along every edge of a (workload-generated) graph."""
@@ -442,6 +444,7 @@ class DosnNetwork:
     def post(self, author: str, text: str,
              tags: Sequence[str] = ()) -> str:
         """Author a post through the stack; returns its content id."""
+        self._require_users(author)
         self.storage.ready()
         with self.tracer.span("dosn.post", author=author):
             item = ContentItem(author=author,
@@ -462,6 +465,7 @@ class DosnNetwork:
         On quorum backends the overwrite seals the next version, so
         Byzantine holders gain real stale history to replay.
         """
+        self._require_users(author)
         record = self._posts.get(cid)
         if record is None:
             raise OverlayError(
@@ -491,6 +495,7 @@ class DosnNetwork:
         the author's current chain-verified head; misses run the full
         stack and seed the cache.
         """
+        self._require_users(reader, author)
         self.storage.ready()
         with self.tracer.span("dosn.read", reader=reader, author=author):
             return self._read(reader, author, cid)
@@ -507,6 +512,7 @@ class DosnNetwork:
         ``capacity_per_reader`` is 0 — the prefetcher warms the reader's
         cache and chain-validated hits skip fetch + decrypt + verify.
         """
+        self._require_users(reader)
         self.storage.ready()
         with self.tracer.span("dosn.feed", reader=reader):
             return self._feed(reader, limit_per_friend)

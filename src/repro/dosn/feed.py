@@ -11,12 +11,15 @@ the access policy (Section III).
 a feed that quietly hides a friend's censored post is exactly the
 equivocation the paper warns about.
 
-There is one loop: sync *every* friend's timeline, plan the cids still
-needed (a :class:`~repro.cache.VerifiedContentCache`'s ``lookup`` serves
-unchanged posts without fetch + decrypt + verify — only after re-checking
-the entry against the friend's *current* chain-verified head, so stale
-copies are evicted, never shown), fetch the plan in one ``fetch_many``
-call, open each blob.  ``fetch_many`` is the
+There is one pass per friend: :func:`sync_friends` syncs *every*
+friend's timeline and lists its chain-verified cids once; a warm hook
+(a :class:`~repro.cache.SocialPrefetcher`'s ``warm``) sees that listing
+first; then the cids still needed are planned (a
+:class:`~repro.cache.VerifiedContentCache`'s ``lookup`` serves unchanged
+posts without fetch + decrypt + verify — only after re-checking the
+entry against the friend's *current* chain-verified head, so stale
+copies are evicted, never shown), the plan is fetched in one
+``fetch_many`` call and each blob is opened.  ``fetch_many`` is the
 :meth:`~repro.dosn.storage.StorageBackend.get_many` contract; a backend
 with nothing to coalesce meets it one cid at a time
 (:func:`~repro.dosn.storage.fetch_each`).
@@ -30,14 +33,14 @@ degraded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.dosn.results import ReadResult
 from repro.dosn.user import DosnUser, VerifiedPost
 from repro.exceptions import AccessDeniedError, IntegrityError
 
 
-@dataclass
+@dataclass(slots=True)
 class FeedItem:
     """One verified feed entry."""
 
@@ -61,10 +64,36 @@ class FeedReport:
         return not self.unavailable and not self.violations
 
 
+def sync_friends(reader: DosnUser, friends: Dict[str, DosnUser],
+                 authors: Iterable[str], violations: List[Tuple[str, str]]
+                 ) -> List[Tuple[str, object, List[str]]]:
+    """Sync and chain-verify each of ``authors``' timelines, in name order.
+
+    Returns ``(author, view, verified_cids)`` for every author whose
+    published chain extends ``reader``'s verified view; an author whose
+    chain does not is recorded in ``violations`` as
+    ``(author, "timeline: ...")``, and a name missing from ``friends`` is
+    skipped.
+    """
+    listing = []
+    for name in sorted(authors):
+        friend = friends.get(name)
+        if friend is None:
+            continue
+        try:
+            reader.sync_timeline(friend)
+        except IntegrityError as exc:
+            violations.append((name, f"timeline: {exc}"))
+            continue
+        listing.append((name, reader.views[name], reader.verified_cids(name)))
+    return listing
+
+
 def assemble_feed(reader: DosnUser, friends: Dict[str, DosnUser],
                   fetch_many: Callable[[str, List[str]], Dict[str, object]],
                   open_post: Callable[[str, bytes, str], VerifiedPost],
                   limit_per_friend: Optional[int] = None,
+                  warm=lambda reader, listing: None,
                   lookup=lambda reader, author, cid, view: None,
                   insert=lambda *entry, version=None: None) -> FeedReport:
     """Build ``reader``'s verified feed.
@@ -75,13 +104,16 @@ def assemble_feed(reader: DosnUser, friends: Dict[str, DosnUser],
     ``open_post(author, blob, cid) -> VerifiedPost`` abstracts the
     decrypt+verify pipeline (a network's
     :class:`~repro.stack.pipeline.ProtectionStack` ACL/integrity read
-    path).  Every friend's timeline is synced and chain-verified first;
+    path).  Every friend's timeline is synced and chain-verified first,
+    once (:func:`sync_friends`), and ``warm(reader_name, listing)`` sees
+    that listing (a :class:`~repro.cache.SocialPrefetcher`'s ``warm``);
     the referenced posts are then fetched in one call, decrypted and
     signature-verified.  ``lookup`` and ``insert`` are a
     :class:`~repro.cache.VerifiedContentCache`'s methods of those names:
     ``lookup`` serves chain-validated hits without fetching, ``insert`` is
     seeded with every post this assembly verifies (degraded reads are
-    never cached).  The defaults are a cache that is always cold.
+    never cached).  The defaults are a cache that is always cold and
+    nothing to warm.
 
     Latency model: the feed inherits whatever the storage backend pays.
     A coalescing ``fetch_many`` rides the backend's parallel fan-out (one
@@ -93,32 +125,25 @@ def assemble_feed(reader: DosnUser, friends: Dict[str, DosnUser],
     if limit_per_friend is not None and limit_per_friend < 0:
         raise ValueError("limit_per_friend must be >= 0")
     report = FeedReport()
-    plan: List[Tuple[str, str]] = []   # (author, cid) still needing a fetch
-    for name in sorted(reader.friends):
-        friend = friends.get(name)
-        if friend is None:
-            continue
-        try:
-            reader.sync_timeline(friend)
-        except IntegrityError as exc:
-            report.violations.append((name, f"timeline: {exc}"))
-            continue
-        cids = reader.verified_cids(name)
+    listing = sync_friends(reader, friends, reader.friends,
+                           report.violations)
+    warm(reader.name, listing)
+    plan: List[Tuple[str, str, object]] = []   # (author, cid, view) to fetch
+    for name, view, cids in listing:
         if limit_per_friend is not None:
             # not ``cids[-limit:]``: ``-0`` slices the whole list
             cids = cids[max(len(cids) - limit_per_friend, 0):]
-        view = reader.views.get(name)
         for cid in cids:
             entry = lookup(reader.name, name, cid, view)
             if entry is not None:
                 report.items.append(FeedItem(
-                    post=entry.post, author=name,
-                    result=ReadResult(entry.post, verified=True,
-                                      degraded=False, source="cache")))
+                    entry.post, name,
+                    ReadResult(entry.post, True, False, "cache")))
                 continue
-            plan.append((name, cid))
-    blobs = fetch_many(reader.name, [cid for _, cid in plan]) if plan else {}
-    for name, cid in plan:
+            plan.append((name, cid, view))
+    blobs = (fetch_many(reader.name, [cid for _, cid, _ in plan])
+             if plan else {})
+    for name, cid, view in plan:
         got = blobs.get(cid)
         if got is None or isinstance(got, Exception):
             report.unavailable.append(
@@ -135,9 +160,6 @@ def assemble_feed(reader: DosnUser, friends: Dict[str, DosnUser],
             result=ReadResult(post, verified=True, degraded=got.degraded,
                               source=got.source)))
         if not got.degraded:
-            view = reader.views.get(name)
-            if view is not None:
-                insert(reader.name, name, cid, post, view,
-                       version=got.version)
+            insert(reader.name, name, cid, post, view, version=got.version)
     report.items.sort(key=lambda item: (item.author, item.post.sequence))
     return report

@@ -30,7 +30,7 @@ __all__ = ["READ_SOURCES", "ReadResult"]
 READ_SOURCES = ("cache", "quorum", "bare")
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadResult:
     """One read's payload plus its trust provenance."""
 

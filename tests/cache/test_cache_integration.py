@@ -10,6 +10,7 @@ import pytest
 
 from repro.cache import CacheConfig
 from repro.dosn import DosnConfig, DosnNetwork
+from repro.dosn.feed import sync_friends
 
 
 def cached_net(architecture="dht", seed=5, cache=None, **overrides):
@@ -74,7 +75,9 @@ class TestPrefetch:
         net = cached_net()
         net.post("bob", "b1")
         net.post("carol", "c1")
-        warmed = net.prefetcher.warm("alice", net.users["alice"].friends)
+        alice = net.users["alice"]
+        listing = sync_friends(alice, net.users, alice.friends, [])
+        warmed = net.prefetcher.warm("alice", listing)
         assert warmed == 2
         before = net.network.stats.messages
         feed = net.feed("alice")

@@ -7,16 +7,24 @@ feed.  The counts below repeat exactly for a seed, so they are asserted
 as equalities: a fully warm feed hashes nothing, verifies nothing and
 sends nothing; one new post costs one entry hash and two signature
 checks (chain entry + post), once.
+
+A cached feed also visits each friend once: one sync and one listing of
+verified cids per friend serve both the prefetcher and the cache lookups
+(the two-pass feed made two of each), through one call of the class's
+``SocialPrefetcher.warm`` — what the wall-clock harness wraps.
 """
 
 import sys
 
 import pytest
 
-from repro.cache import CacheConfig
+from repro.cache import CacheConfig, SocialPrefetcher
 from repro.crypto import hashing
 from repro.crypto.signatures import SchnorrPublicKey
 from repro.dosn import DosnConfig, DosnNetwork
+from repro.dosn.feed import FeedItem
+from repro.dosn.results import ReadResult
+from repro.dosn.user import DosnUser
 from repro.integrity.hashchain import ChainEntry
 
 CACHE_FAMILIES = ("hits", "misses", "invalidations", "insertions",
@@ -163,3 +171,50 @@ class TestCacheCounterHandles:
                     == getattr(cache, name)), name
         if capacity != 2:
             assert not net.metrics.family("cache.evictions")
+
+
+class TestOnePassPerFriend:
+    @staticmethod
+    def count_calls(monkeypatch, cls, name):
+        calls = []
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("more", [(), ("dave",)])
+    def test_a_feed_syncs_and_lists_each_friend_once(self, monkeypatch,
+                                                     more):
+        net = small_net()
+        for name in more:
+            net.befriend("alice", name)
+        for name in ("bob", "carol", "dave"):
+            net.post(name, f"by {name}")
+        syncs = self.count_calls(monkeypatch, DosnUser, "sync_timeline")
+        listings = self.count_calls(monkeypatch, DosnUser, "verified_cids")
+        warms = self.count_calls(monkeypatch, SocialPrefetcher, "warm")
+        k = len(net.users["alice"].friends)
+        for round_ in ("cold", "warm"):
+            del syncs[:], listings[:], warms[:]
+            feed = net.feed("alice")
+            assert feed.clean and len(feed.items) == k, round_
+            assert len(syncs) == len(listings) == k, round_
+            assert [reader for reader, _listing in warms] == ["alice"]
+        assert all(item.result.source == "cache" for item in feed.items)
+
+    def test_feed_items_and_read_results_have_no_dict(self):
+        net = small_net()
+        net.post("bob", "b1")
+        net.feed("alice")
+        items = net.feed("alice").items
+        assert items and all(isinstance(item, FeedItem) for item in items)
+        for item in items:
+            assert not hasattr(item, "__dict__")
+            assert not hasattr(item.result, "__dict__")
+        assert not hasattr(ReadResult(items[0].post), "__dict__")
+        with pytest.raises(ValueError, match="source"):
+            ReadResult(items[0].post, source="elsewhere")

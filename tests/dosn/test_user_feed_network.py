@@ -284,6 +284,28 @@ class TestDosnNetwork:
             net.befriend(*pair)
         assert "mallory" not in net.graph
 
+    @pytest.mark.parametrize("cache", [None, CacheConfig(),
+                                       CacheConfig(capacity_per_reader=0)],
+                             ids=["cold", "cached", "batched"])
+    @pytest.mark.parametrize("operation", [
+        "post", "read as zed", "read zed's", "feed", "repost"])
+    def test_every_operation_rejects_an_unknown_user_first(self, operation,
+                                                           cache):
+        net = small_net(cache=cache, tracing=True)
+        cid = net.post("bob", "hello")
+        net.add_user("frank")            # routing is stale until ready()
+        stats, closed = net.network.stats.summary(), len(net.tracer.spans)
+        call = {"post": lambda: net.post("zed", "hi"),
+                "read as zed": lambda: net.read("zed", "bob", cid),
+                "read zed's": lambda: net.read("alice", "zed", cid),
+                "feed": lambda: net.feed("zed"),
+                "repost": lambda: net.repost("zed", cid)}[operation]
+        with pytest.raises(OverlayError, match="unknown user 'zed'"):
+            call()
+        assert net.network.stats.summary() == stats
+        assert len(net.tracer.spans) == closed
+        assert net.storage._dirty, "the check runs before storage.ready()"
+
     def test_worst_observer_empty_network(self):
         net = DosnNetwork(architecture="local", seed=1)
         report = net.worst_observer()
