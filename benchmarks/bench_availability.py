@@ -95,8 +95,7 @@ def test_friend_replication_correlation_penalty(benchmark):
         rows = []
         for correlation, label in ((0.0, "independent phases"),
                                    (1.0, "fully correlated phases")):
-            churn = DiurnalChurn(seed=68, base=0.40, amplitude=0.35,
-                                 phase_correlation=correlation)
+            churn = DiurnalChurn(seed=68, phase_correlation=correlation)
             rng = random.Random(69)
             values = []
             for owner in OWNERS:

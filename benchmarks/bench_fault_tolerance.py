@@ -72,8 +72,7 @@ def _make_plan(burst_rate: float, partitioned: bool) -> FaultPlan:
 
 def _chord_cell(burst_rate: float, partitioned: bool, policy: str):
     """Run one (fault intensity x policy) cell; returns the metrics row."""
-    breaker = CircuitBreaker(failure_threshold=4, cooldown=30.0) \
-        if policy == "retry+cb" else None
+    breaker = CircuitBreaker() if policy == "retry+cb" else None
     fab = Fabric.create(
         seed=SEED, faults=_make_plan(burst_rate, partitioned),
         retry=RetryPolicy(max_attempts=4) if policy != "bare" else None,

@@ -197,8 +197,7 @@ def _routing_cell(policy: str):
     fab = Fabric.create(seed=SEED, latency=FixedLatency(0.02),
                         faults=_routing_plan(),
                         retry=RetryPolicy(max_attempts=3),
-                        breaker=CircuitBreaker(failure_threshold=4,
-                                               cooldown=30.0))
+                        breaker=CircuitBreaker())
     membership = None
     if policy == "health":
         membership = SwimMembership(fab)

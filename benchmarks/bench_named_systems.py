@@ -87,7 +87,7 @@ def run_cachet():
 
 
 def run_supernova():
-    net = SupernovaNetwork(seed=26, storekeepers_per_user=3)
+    net = SupernovaNetwork(seed=26)
     for i in range(40):
         net.register(f"n{i}")
     net.report_uptimes({f"n{i}": (0.3 if i < 30 else 0.95)
@@ -112,7 +112,7 @@ def run_supernova():
 
 
 def run_diaspora():
-    net = DiasporaNetwork(seed=27, pods=4)
+    net = DiasporaNetwork(seed=27)
     for i in range(40):
         net.register(f"d{i}")
     net.create_aspect("d0", "family", [f"d{i}" for i in range(1, 6)])

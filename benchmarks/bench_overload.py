@@ -81,12 +81,12 @@ STACKS = {
         op_budget=None, retry_budget=False, adaptive_timeout=False),
     "shed": OverloadConfig(
         service=ServiceConfig(service_time=SERVICE_TIME,
-                              queue_limit=QUEUE_LIMIT, shed_policy="reject",
+                              queue_limit=QUEUE_LIMIT,
                               timeout=ATTEMPT_TIMEOUT),
         op_budget=None, retry_budget=False, adaptive_timeout=False),
     "full": OverloadConfig(
         service=ServiceConfig(service_time=SERVICE_TIME,
-                              queue_limit=QUEUE_LIMIT, shed_policy="reject",
+                              queue_limit=QUEUE_LIMIT,
                               timeout=ATTEMPT_TIMEOUT),
         op_budget=OP_BUDGET, retry_budget=True, adaptive_timeout=True),
 }

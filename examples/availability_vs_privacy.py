@@ -63,8 +63,7 @@ def main() -> None:
 
     print("\nfriend replication under correlated (same-timezone) churn:")
     for correlation in (0.0, 1.0):
-        diurnal = DiurnalChurn(seed=33, base=0.4, amplitude=0.35,
-                               phase_correlation=correlation)
+        diurnal = DiurnalChurn(seed=33, phase_correlation=correlation)
         availability, _ = sweep("friends", diurnal, 3, True)
         label = "independent" if correlation == 0.0 else "correlated "
         print(f"  {label} phases: availability={availability:.3f}")

@@ -53,8 +53,7 @@ def unstructured() -> None:
     print("\n== Unstructured: flooding and push gossip on the social "
           "graph ==")
     net = SimNetwork(Simulator(1), latency=FixedLatency(0.01))
-    overlay = GossipOverlay(net, social_graph(200, kind="ba", seed=2),
-                            fanout=3)
+    overlay = GossipOverlay(net, social_graph(200, kind="ba", seed=2))
     overlay.place_key("album", "user150")
     search = overlay.flood_search("user0", "album", ttl=6)
     print(f"  flooded search found the album: {search.found} "

@@ -85,7 +85,7 @@ def supernova() -> None:
 
 def diaspora() -> None:
     print("== Diaspora: pods + aspects + key rotation ==")
-    net = DiasporaNetwork(seed=7, pods=4)
+    net = DiasporaNetwork(seed=7)
     for i in range(12):
         net.register(f"d{i}")
     net.create_aspect("d0", "family", ["d1", "d2"])

@@ -21,7 +21,7 @@ Plus the two named systems the paper singles out:
 """
 
 from repro.acl.abe_acl import ABEACL
-from repro.acl.base import AccessControlScheme, CostMeter, SchemeProperties
+from repro.acl.base import AccessControlScheme, CostMeter
 from repro.acl.hybrid_acl import HybridACL
 from repro.acl.ibbe_acl import IBBEACL
 from repro.acl.publickey_acl import PublicKeyACL
@@ -45,6 +45,5 @@ __all__ = [
     "IBBEACL",
     "PublicKeyACL",
     "SCHEME_REGISTRY",
-    "SchemeProperties",
     "SymmetricKeyACL",
 ]

@@ -180,17 +180,3 @@ class AccessControlScheme(abc.ABC):
     def _decrypt_item(self, group: GroupState, record: object,
                       user: str) -> bytes:
         """Recover plaintext with ``user``'s credentials or raise."""
-
-
-@dataclass(frozen=True)
-class SchemeProperties:
-    """Qualitative properties used to regenerate Table I (experiment E1)."""
-
-    scheme_name: str
-    table1_category: str
-    table1_row: str
-    group_creation: str       # e.g. "one key", "one encryption"
-    join_cost: str            # what adding a member costs
-    revocation_cost: str      # what removing a member costs
-    header_growth: str        # how metadata scales with group size
-    hides_from_provider: bool

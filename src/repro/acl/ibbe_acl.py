@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.acl.base import AccessControlScheme, GroupState, SchemeProperties
+from repro.acl.base import AccessControlScheme, GroupState
 from repro.crypto.ibbe import IBBE, IBBEHeader, IBBEUserKey
 from repro.exceptions import AccessDeniedError, DecryptionError
 
@@ -36,17 +36,6 @@ class IBBEACL(AccessControlScheme):
 
     scheme_name = "ibbe"
     table1_row = "Identity based broadcast encryption"
-
-    PROPERTIES = SchemeProperties(
-        scheme_name="ibbe",
-        table1_category="Data privacy",
-        table1_row="Identity based broadcast encryption",
-        group_creation="none (identities are the keys)",
-        join_cost="none for future items (identity joins the list)",
-        revocation_cost="none (drop the identity from the list)",
-        header_growth="O(1) — constant-size header",
-        hides_from_provider=True,
-    )
 
     def __init__(self, *args, level: str = "TOY", max_group_size: int = 64,
                  **kwargs) -> None:

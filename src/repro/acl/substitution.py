@@ -27,24 +27,11 @@ import random as _random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.acl.base import SchemeProperties
 from repro.crypto.hashing import hmac_sha256
 from repro.crypto.symmetric import AuthenticatedCipher, random_key
 from repro.exceptions import AccessDeniedError
 
 _DEFAULT_RNG = _random.Random(0x5B5)
-
-
-PROPERTIES = SchemeProperties(
-    scheme_name="substitution",
-    table1_category="Data privacy",
-    table1_row="Information substitution",
-    group_creation="share the substitution secret with the group",
-    join_cost="one secret distribution",
-    revocation_cost="re-randomize swaps (new secret)",
-    header_growth="none (provider sees a full fake profile)",
-    hides_from_provider=True,
-)
 
 
 @dataclass
@@ -200,6 +187,7 @@ class NoybUser:
 
 # Claim our Table I row so the generated matrix reads it from here, not
 # from a hand-maintained list in the benchmark.
-from repro.stack.registry import register_properties as _register_properties
+from repro.stack.registry import register_mechanism as _register_mechanism
 
-_register_properties(PROPERTIES, VirtualPrivateProfile, NoybUser)
+_register_mechanism("Data privacy", "Information substitution",
+                    VirtualPrivateProfile, NoybUser)

@@ -191,7 +191,8 @@ def defended_kad_lookup(overlay, start: str, key: str,
     probed in XOR order for the value (compromised holders withhold it;
     honest ones serve it), so a single honest live holder suffices.
     """
-    from repro.overlay.kademlia import KadLookupResult, kad_id, xor_distance
+    from repro.overlay.kademlia import (K, KadLookupResult, kad_id,
+                                        xor_distance)
 
     fabric = overlay.fabric
     adv = fabric.adversary
@@ -206,7 +207,7 @@ def defended_kad_lookup(overlay, start: str, key: str,
         agreed = sorted(
             set().union(*(set(path.closest) for path in paths)),
             key=lambda n: xor_distance(kad_id(n), target_id))
-        closest = agreed[:overlay.k]
+        closest = agreed[:K]
         tops = {path.closest[0] for path in paths if path.closest}
         if len(tops) <= 1:
             metrics.inc("lookup.disjoint_agreement", overlay="kad")

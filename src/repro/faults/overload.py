@@ -68,13 +68,10 @@ class ServiceConfig:
     ``service_time`` is the virtual seconds one RPC occupies the peer;
     requests arriving while it is busy queue FIFO behind the backlog.
     ``queue_limit`` bounds the backlog (``None`` = unbounded, the
-    collapse-prone baseline E18 measures).  ``shed_policy`` picks what a
-    full queue does with the overflow:
-
-    * ``"reject"`` — an immediate typed rejection rides back to the
-      caller (cost: one round trip, no service time billed);
-    * ``"drop"`` — the request is silently discarded and the caller
-      waits out its attempt timeout (what an unprotected peer does).
+    collapse-prone baseline E18 measures).  A full queue rejects the
+    overflow: an immediate typed rejection rides back to the caller
+    (cost: one round trip, no service time billed; the metric keeps its
+    ``policy="reject"`` label).
 
     ``timeout`` is the fixed per-attempt client timeout that applies
     once a service model exists (a queued response slower than this
@@ -85,7 +82,6 @@ class ServiceConfig:
 
     service_time: float = 0.02
     queue_limit: Optional[int] = 16
-    shed_policy: str = "reject"
     timeout: float = 1.0
 
     def __post_init__(self) -> None:
@@ -93,10 +89,6 @@ class ServiceConfig:
             raise SimulationError("service_time must be positive and finite")
         if self.queue_limit is not None and self.queue_limit < 1:
             raise SimulationError("queue_limit must be None or >= 1")
-        if self.shed_policy not in ("reject", "drop"):
-            raise SimulationError(
-                f"shed_policy must be 'reject' or 'drop' "
-                f"(got {self.shed_policy!r})")
         if not math.isfinite(self.timeout) or self.timeout <= 0:
             raise SimulationError("timeout must be positive and finite")
 

@@ -41,53 +41,55 @@ from repro.faults.overload import (NO_DEADLINE, Deadline, RetryBudget,
 from repro.overlay.simulator import Reply, hedge_of
 
 
+#: :class:`RetryPolicy` backoff: retry ``n`` (0-based) waits
+#: ``RETRY_BASE_DELAY * RETRY_MULTIPLIER ** n`` virtual seconds, capped at
+#: ``RETRY_MAX_DELAY`` (far above what a few attempts reach: without a cap
+#: a long retry loop could sleep for hours of virtual time), times a
+#: jitter factor drawn uniformly from ``1 ± RETRY_JITTER``
+RETRY_BASE_DELAY = 0.25
+RETRY_MULTIPLIER = 2.0
+RETRY_JITTER = 0.5
+RETRY_MAX_DELAY = 30.0
+
+
 @dataclass
 class RetryPolicy:
     """Bounded retries with exponential backoff and jitter."""
 
     max_attempts: int = 3
-    base_delay: float = 0.25
-    multiplier: float = 2.0
-    jitter: float = 0.5
-    #: cap on the exponential term — without one, ``base * mult**attempt``
-    #: grows unbounded and a long retry loop can sleep for hours of
-    #: virtual time (the default cap is far above what the default three
-    #: attempts can reach, so existing behaviour is unchanged)
-    max_delay: float = 30.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise SimulationError("need at least one attempt")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise SimulationError("jitter must be in [0, 1]")
-        if self.max_delay <= 0:
-            raise SimulationError("max_delay must be positive")
-        if self.base_delay > self.max_delay:
-            raise SimulationError("base_delay cannot exceed max_delay")
 
     def backoff(self, attempt: int, rng: _random.Random) -> float:
         """Delay before retry number ``attempt`` (0-based), capped."""
-        delay = min(self.base_delay * (self.multiplier ** attempt),
-                    self.max_delay)
-        return delay * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
+        delay = min(RETRY_BASE_DELAY * (RETRY_MULTIPLIER ** attempt),
+                    RETRY_MAX_DELAY)
+        return delay * (1.0 + RETRY_JITTER * (2.0 * rng.random() - 1.0))
+
+
+#: :class:`CircuitBreaker`: consecutive failures that open it, and the
+#: virtual seconds it stays open before admitting a half-open probe
+BREAKER_FAILURE_THRESHOLD = 4
+BREAKER_COOLDOWN = 30.0
 
 
 @dataclass
 class CircuitBreaker:
     """Per-destination breaker: closed -> open -> half-open -> closed.
 
-    ``failure_threshold`` consecutive failures open the breaker for
-    ``cooldown`` virtual seconds; while open, calls fail fast.  After the
-    cooldown exactly **one** half-open probe is admitted per destination;
-    concurrent callers fail fast until that probe's outcome is recorded
-    (success closes the breaker, failure re-opens it).  Without the
+    ``BREAKER_FAILURE_THRESHOLD`` consecutive failures open the breaker
+    for ``BREAKER_COOLDOWN`` virtual seconds; while open, calls fail fast.
+    After the cooldown exactly **one** half-open probe is admitted per
+    destination; concurrent callers fail fast until that probe's outcome
+    is recorded (success closes the breaker, failure re-opens it, a shed
+    releases the slot for the next caller).  Without the
     single-probe claim, every caller whose cooldown had elapsed would
     stampede the recovering peer at once — the thundering herd the
     breaker exists to prevent.
     """
 
-    failure_threshold: int = 4
-    cooldown: float = 30.0
     _failures: Dict[str, int] = field(default_factory=dict, repr=False)
     _opened_at: Dict[str, float] = field(default_factory=dict, repr=False)
     #: destinations with a half-open probe currently in flight
@@ -98,13 +100,13 @@ class CircuitBreaker:
 
         An allowed call against an open-but-cooled-down destination
         *claims* the single half-open probe slot; the caller must report
-        back via :meth:`record_success` / :meth:`record_failure` to
-        release it.
+        back via :meth:`record_success` / :meth:`record_failure` /
+        :meth:`release_probe` to release it.
         """
         opened = self._opened_at.get(dst)
         if opened is None:
             return True
-        if now - opened >= self.cooldown and dst not in self._probing:
+        if now - opened >= BREAKER_COOLDOWN and dst not in self._probing:
             self._probing.add(dst)  # the one half-open probe
             return True
         return False
@@ -123,11 +125,17 @@ class CircuitBreaker:
             return False
         count = self._failures.get(dst, 0) + 1
         self._failures[dst] = count
-        if count >= self.failure_threshold:
+        if count >= BREAKER_FAILURE_THRESHOLD:
             self._opened_at[dst] = now
             self._failures.pop(dst, None)
             return True
         return False
+
+    def release_probe(self, dst: str) -> None:
+        """The half-open probe to ``dst`` was shed: it proved nothing
+        either way, so the breaker stays half-open and the next caller may
+        probe."""
+        self._probing.discard(dst)
 
     def quarantine(self, dst: str, now: float) -> None:
         """Force the breaker open for ``dst`` (adversary quarantine).
@@ -144,7 +152,7 @@ class CircuitBreaker:
         opened = self._opened_at.get(dst)
         if opened is None:
             return "closed"
-        if now - opened >= self.cooldown:
+        if now - opened >= BREAKER_COOLDOWN:
             return "half_open"
         return "open"
 
@@ -220,8 +228,11 @@ class ReliableChannel:
     def _feed_breaker(self, dst: str, reply: Reply, now: float) -> None:
         """A shed attempt never feeds the breaker: the peer is alive and
         saying so, and opening the breaker on honesty would punish exactly
-        the peers that shed instead of timing out."""
+        the peers that shed instead of timing out.  It does release a
+        half-open probe slot, or the breaker would stay half-open for good
+        with no caller let through."""
         if reply.cause == "overloaded":
+            self.breaker.release_probe(dst)
             return
         if reply.ok:
             self.breaker.record_success(dst)

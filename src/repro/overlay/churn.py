@@ -88,19 +88,22 @@ class ExponentialOnOff:
         return total / self.horizon
 
 
+#: :class:`DiurnalChurn`: mean online probability and its day-night swing
+DIURNAL_BASE = 0.40
+DIURNAL_AMPLITUDE = 0.35
+
+
 @dataclass
 class DiurnalChurn:
     """Day-night availability: a sinusoidal online probability per hour.
 
-    Peers get a random timezone phase and a personal base availability.
+    Peers get a random timezone phase; all share one base availability.
     ``online_at`` thins a per-hour Bernoulli draw deterministically from
     the seed, giving correlated day/night patterns across the population —
     the worst case for friend-based replication (friends share timezones:
     ``phase_correlation`` pulls phases toward a common value).
     """
 
-    base: float = 0.45
-    amplitude: float = 0.35
     seed: int = 0
     phase_correlation: float = 0.0
 
@@ -112,7 +115,7 @@ class DiurnalChurn:
     def online_probability(self, peer: str, t: float) -> float:
         """P(online) at virtual time ``t`` seconds."""
         hour = (t / 3600.0 + self._phase(peer)) % 24
-        level = self.base + self.amplitude * math.sin(
+        level = DIURNAL_BASE + DIURNAL_AMPLITUDE * math.sin(
             2 * math.pi * (hour - 6) / 24)
         return min(0.99, max(0.01, level))
 

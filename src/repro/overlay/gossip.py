@@ -11,9 +11,9 @@ Both primitives run event-driven on the simulator:
 * :func:`flood_search` — TTL-limited flooding looking for the peer holding
   a key (Gnutella-style); returns whether/when it was found and the total
   message cost.
-* :func:`gossip_disseminate` — push gossip with fanout ``f``: each
-  infected peer forwards to ``f`` random neighbours; returns the coverage
-  curve over rounds (the classic logistic curve).
+* :func:`gossip_disseminate` — push gossip: each infected peer forwards
+  to ``RUMOR_FANOUT`` random neighbours; returns the coverage curve over
+  rounds (the classic logistic curve).
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ import networkx as nx
 from repro.exceptions import OverlayError
 from repro.overlay.network import Message, SimNetwork, SimNode
 
+#: how many random neighbours an infected peer pushes a rumor to
+RUMOR_FANOUT = 3
+
 
 class GossipNode(SimNode):
     """A peer in the unstructured overlay, linked to social neighbours."""
@@ -38,7 +41,6 @@ class GossipNode(SimNode):
         self.seen_queries: Set[str] = set()   # duplicate suppression
         self.received: Dict[str, float] = {}  # rumor id -> arrival time
         self._search: Optional["_SearchState"] = None
-        self._rumor_fanout = 3
         self._rng: Optional[_random.Random] = None
 
     # -- flooding search -------------------------------------------------------
@@ -81,8 +83,8 @@ class GossipNode(SimNode):
         # being counted as if delivery were possible).
         targets = [n for n in self.neighbors
                    if n != message.src and self.network.is_online(n)]
-        if self._rng is not None and len(targets) > self._rumor_fanout:
-            targets = self._rng.sample(targets, self._rumor_fanout)
+        if self._rng is not None and len(targets) > RUMOR_FANOUT:
+            targets = self._rng.sample(targets, RUMOR_FANOUT)
         for neighbor in targets:
             self.network.send(Message(
                 kind="rumor", src=self.node_id, dst=neighbor,
@@ -115,17 +117,14 @@ class FloodResult:
 class GossipOverlay:
     """An unstructured overlay shaped by a social graph."""
 
-    def __init__(self, network: SimNetwork, graph: nx.Graph,
-                 fanout: int = 3) -> None:
+    def __init__(self, network: SimNetwork, graph: nx.Graph) -> None:
         self.network = network
         self.graph = graph
-        self.fanout = fanout
         self.nodes: Dict[str, GossipNode] = {}
         rng = network.sim.split_rng("gossip")
         for name in graph.nodes:
             node = GossipNode(str(name))
             node.neighbors = [str(n) for n in graph.neighbors(name)]
-            node._rumor_fanout = fanout
             node._rng = rng
             self.nodes[str(name)] = node
             network.register(node)

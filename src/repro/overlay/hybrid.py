@@ -25,6 +25,11 @@ import networkx as nx
 from repro.exceptions import OverlayError
 from repro.overlay.chord import ChordRing, LookupResult
 
+#: social neighbours a fetch polls before falling back to the DHT
+PROBE_LIMIT = 5
+#: replicas the DHT keeps of each key
+REPLICATION = 2
+
 
 @dataclass
 class HybridFetchResult:
@@ -66,14 +71,12 @@ class HybridOverlay:
     """Chord storage + social-neighbour caches."""
 
     def __init__(self, fabric, graph: nx.Graph,
-                 cache_capacity: int = 32, probe_limit: int = 5,
-                 replication: int = 2) -> None:
+                 cache_capacity: int = 32) -> None:
         from repro.fabric import coerce_fabric  # avoids an import cycle
         self.fabric = coerce_fabric(fabric, "HybridOverlay")
         self.network = self.fabric.network
         self.graph = graph
-        self.probe_limit = probe_limit
-        self.ring = ChordRing(self.fabric, replication=replication)
+        self.ring = ChordRing(self.fabric, replication=REPLICATION)
         self.caches: Dict[str, _LRUCache] = {}
         for name in graph.nodes:
             self.ring.add_node(str(name))
@@ -109,7 +112,7 @@ class HybridOverlay:
         ctx = self.fabric.op(reader)
         neighbors = [n for n in ctx.order(self.neighbors(reader))
                      if n not in ctx.avoid]
-        for neighbor in neighbors[:self.probe_limit]:
+        for neighbor in neighbors[:PROBE_LIMIT]:
             ok, t = self.network.rpc(reader, neighbor, kind="hybrid_probe")
             rpcs += 1
             rtt += t

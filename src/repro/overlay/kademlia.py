@@ -7,8 +7,8 @@ the survey's actual claim ("queries will be resolved in a limited number of
 steps"), with different constants.
 
 Implemented: 64-bit XOR identifier space, k-buckets with least-recently-seen
-ordering, iterative ``alpha``-parallel node lookup, and STORE/FIND_VALUE on
-the ``k`` closest nodes.
+ordering, iterative ``ALPHA``-parallel node lookup, and STORE/FIND_VALUE on
+the ``K`` closest nodes.
 """
 
 from __future__ import annotations
@@ -23,6 +23,11 @@ from repro.exceptions import (DeadlineExceededError, LookupError_,
 from repro.overlay.network import SimNode
 
 ID_BITS = 64
+#: bucket size, and how many closest nodes a lookup returns and a key is
+#: stored on
+K = 8
+#: lookup parallelism: queries sent per round
+ALPHA = 3
 
 
 # Bounded: every node hashes each peer name it learns, and each lookup
@@ -71,10 +76,9 @@ class KadLookupResult:
 class KademliaNode(SimNode):
     """One Kademlia peer: k-buckets plus a local store."""
 
-    def __init__(self, name: str, k: int = 8) -> None:
+    def __init__(self, name: str) -> None:
         super().__init__(name)
         self.kad_id = kad_id(name)
-        self.k = k
         #: bucket index -> node names, least-recently-seen first; a
         #: bucket exists once a peer has landed in it (most of the
         #: ``ID_BITS`` never do)
@@ -91,7 +95,7 @@ class KademliaNode(SimNode):
         with this node; a known peer moves to its bucket's tail, a new one
         joins a bucket with room, and a full bucket drops the newcomer
         (classic Kademlia favours long-lived contacts)."""
-        own, k, buckets = self.kad_id, self.k, self.buckets
+        own, buckets = self.kad_id, self.buckets
         for other_id, other in peers:
             index = (own ^ other_id).bit_length() - 1
             if index < 0:
@@ -100,7 +104,7 @@ class KademliaNode(SimNode):
             if other in bucket:
                 bucket.remove(other)
                 bucket.append(other)
-            elif len(bucket) < k:
+            elif len(bucket) < K:
                 bucket.append(other)
 
     def closest_known(self, distances: XorDistances,
@@ -138,12 +142,10 @@ class KademliaOverlay:
     alone recover most transient-loss failures.
     """
 
-    def __init__(self, fabric: Any, k: int = 8, alpha: int = 3) -> None:
+    def __init__(self, fabric: Any) -> None:
         from repro.fabric import coerce_fabric  # avoids an import cycle
         self.fabric = coerce_fabric(fabric, "KademliaOverlay")
         self.network = self.fabric.network
-        self.k = k
-        self.alpha = alpha
         self.nodes: Dict[str, KademliaNode] = {}
         #: a resilient :meth:`put` counts only confirmed stores
         self.resilient = self.fabric.resilient
@@ -157,7 +159,7 @@ class KademliaOverlay:
 
     def add_node(self, name: str) -> KademliaNode:
         """Register a peer."""
-        node = KademliaNode(name, k=self.k)
+        node = KademliaNode(name)
         self.nodes[name] = node
         self.network.register(node)
         self.fabric.enroll(name, "kad")
@@ -179,12 +181,12 @@ class KademliaOverlay:
                find_value: bool = False) -> KadLookupResult:
         """Iterative FIND_NODE / FIND_VALUE from ``start`` toward ``key``.
 
-        ``alpha`` concurrent queries per round (charged as RPCs); terminates
+        ``ALPHA`` concurrent queries per round (charged as RPCs); terminates
         when a round fails to improve the closest-seen distance, like the
         original protocol.
 
         Latency model: rounds are dependent (each consumes the previous
-        round's answers) and always sum; *within* a round the alpha
+        round's answers) and always sum; *within* a round the ALPHA
         queries are the protocol's namesake concurrency, so each round
         is a parallel span and its queries roll up as max.  The time
         budget is charged the same way: a round costs its slowest query.
@@ -210,7 +212,7 @@ class KademliaOverlay:
         origin = self.nodes.get(start)
         if origin is None or not origin.online:
             raise LookupError_(f"start node {start!r} is not online")
-        shortlist = origin.closest_known(true, self.k)
+        shortlist = origin.closest_known(true, K)
         if not shortlist:
             raise LookupError_("empty routing table; bootstrap first")
         #: the distance this client ranks each name it has learned by.  A
@@ -239,7 +241,7 @@ class KademliaOverlay:
                 candidates = [n for n in shortlist
                               if n not in queried and n not in skip]
                 candidates.sort(key=distance)
-                batch = candidates[:self.alpha]
+                batch = candidates[:ALPHA]
                 if not batch:
                     break
                 hops += 1
@@ -280,12 +282,12 @@ class KademliaOverlay:
                             span.set_attr("hit", True)
                             return KadLookupResult(
                                 closest=sorted(shortlist,
-                                               key=distance)[:self.k],
+                                               key=distance)[:K],
                                 hops=hops, rpcs=rpcs,
                                 value=peer.store[key])
                         else:
                             learned_names = peer.closest_known(true,
-                                                               self.k)
+                                                               K)
                         for learned in learned_names:
                             if learned not in shortlist:
                                 shortlist.append(learned)
@@ -295,19 +297,19 @@ class KademliaOverlay:
                                     improved = True
                 ctx.spent = round_end
                 shortlist.sort(key=distance)
-                shortlist = shortlist[:self.k * 2]
+                shortlist = shortlist[:K * 2]
                 if not improved and all(n in queried
-                                        for n in shortlist[:self.k]):
+                                        for n in shortlist[:K]):
                     break
             span.set_attr("rounds", hops)
             span.set_attr("rpcs", rpcs)
             return KadLookupResult(
-                closest=shortlist[:self.k], hops=hops, rpcs=rpcs)
+                closest=shortlist[:K], hops=hops, rpcs=rpcs)
 
     # -- storage --------------------------------------------------------------------
 
     def put(self, start: str, key: str, value: bytes) -> KadLookupResult:
-        """Store on the k closest live nodes to the key."""
+        """Store on the ``K`` closest live nodes to the key."""
         with self.network.tracer.span("kad.put", key=key, start=start):
             result = self.lookup(start, key)
             stored = 0

@@ -68,10 +68,9 @@ STATS_FIELDS: Dict[str, Tuple[
     "bytes": (("net.bytes", None, ()),),
     "drops": (("net.send_drops", None, ()),),
     # every abandoned attempt the caller waited out; a corrupted response
-    # and a ``reject`` shed come back at once, so neither is a timeout
+    # and a shed come back at once, so neither is a timeout
     "timeouts": (("net.rpc_failures", "cause",
-                  ("partition", "offline", "loss", "fault", "slow")),
-                 ("overload.sheds", "policy", ("drop",))),
+                  ("partition", "offline", "loss", "fault", "slow")),),
     "corrupted": (("net.corrupted", None, ()),
                   ("net.rpc_failures", "cause", ("corruption",))),
     "retries": (("channel.retries", None, ()),),
@@ -518,21 +517,14 @@ class SimNetwork:
         # the request reached dst: admission to its service queue
         accepted, queue_wait = self._admit(dst, now + out)
         if not accepted:
-            shed_policy = self.service.shed_policy
             self.metrics.inc("overload.sheds", kind=kind, dst=dst,
-                             policy=shed_policy)
+                             policy="reject")
             span.set_attr("failed", "overloaded")
-            if shed_policy == "reject":
-                # a typed rejection rides back: two messages, one round
-                # trip — the cheap failure shedding buys
-                self._messages.value += 2
-                self._bytes.value += payload_size + 64
-                return Reply(False, out + back, "overloaded")
-            # "drop": silently discarded; the caller waits out the attempt
-            # timeout, exactly like an unprotected peer
-            self._messages.value += 1
-            self._bytes.value += payload_size
-            return Reply(False, self._timeout_cost(dst, out), "overloaded")
+            # a typed rejection rides back: two messages, one round trip —
+            # the cheap failure shedding buys
+            self._messages.value += 2
+            self._bytes.value += payload_size + 64
+            return Reply(False, out + back, "overloaded")
         self._messages.value += 2
         self._bytes.value += 2 * payload_size
         response_lost = self._loss_cause(dst, src, now)

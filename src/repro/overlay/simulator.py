@@ -185,17 +185,20 @@ def hedge_of(candidates: Iterable[Any], hedge_delay: float,
     return best[1], best[0], hedges
 
 
+#: :class:`UniformLatency` bounds, virtual seconds
+LATENCY_LOW = 0.010
+LATENCY_HIGH = 0.100
+
+
 @dataclass
 class UniformLatency:
-    """Link latency drawn uniformly from ``[low, high]`` per message."""
-
-    low: float = 0.010
-    high: float = 0.100
+    """Link latency drawn uniformly from ``[LATENCY_LOW, LATENCY_HIGH]``
+    per message."""
 
     def sample(self, rng: _random.Random, src: Any, dst: Any) -> float:
         """A latency sample for one message from ``src`` to ``dst``."""
         # rng.uniform(low, high)'s own formula: the same draw, one call less
-        return self.low + (self.high - self.low) * rng.random()
+        return LATENCY_LOW + (LATENCY_HIGH - LATENCY_LOW) * rng.random()
 
 
 @dataclass

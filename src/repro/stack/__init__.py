@@ -34,7 +34,7 @@ Quick tour::
 from repro.stack.pipeline import (AclLayer, ContentItem, IntegrityLayer,
                                   Layer, PlacementLayer, ProtectionStack)
 from repro.stack.registry import (MechanismEntry, mechanisms,
-                                  register_mechanism, register_properties)
+                                  register_mechanism)
 from repro.stack.spec import (LAYER_KINDS, LayerSpec, SystemSpec,
                               register_system, registered_systems,
                               unregister_system)
@@ -43,6 +43,6 @@ __all__ = [
     "AclLayer", "ContentItem", "IntegrityLayer",
     "LAYER_KINDS", "Layer", "LayerSpec", "MechanismEntry",
     "PlacementLayer", "ProtectionStack", "SystemSpec", "mechanisms",
-    "register_mechanism", "register_properties", "register_system",
+    "register_mechanism", "register_system",
     "registered_systems", "unregister_system",
 ]

@@ -1,9 +1,9 @@
 """The Table I mechanism registry: rows claim their implementations.
 
 The paper's Table I maps each security aspect/solution row to concrete
-mechanisms.  Implementation modules register themselves here — an ACL
-scheme through its :class:`~repro.acl.base.SchemeProperties`, anything
-else through :func:`register_mechanism` — and the matrix generator
+mechanisms.  Implementation modules register themselves here through
+:func:`register_mechanism` — the lifecycle ACL schemes are read from
+``repro.acl.SCHEME_REGISTRY`` instead — and the matrix generator
 (:mod:`repro.stack.table1`) reads the registry instead of a
 hand-maintained list in the benchmark.  Adding a mechanism therefore
 means one registration at its definition site, and it appears in the
@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-__all__ = ["MechanismEntry", "register_mechanism", "register_properties",
-           "mechanisms", "unregister_mechanism"]
+__all__ = ["MechanismEntry", "register_mechanism", "mechanisms",
+           "unregister_mechanism"]
 
 
 @dataclass(frozen=True)
@@ -54,20 +54,6 @@ def register_mechanism(category: str, row: str, *implementations: object,
             continue
         entries.append(MechanismEntry(category=category, row=row, name=name,
                                       implementation=impl, detail=detail))
-
-
-def register_properties(properties, *implementations: object) -> None:
-    """Register via a :class:`~repro.acl.base.SchemeProperties` record.
-
-    The properties object names its own category/row; extra
-    ``implementations`` default to the properties' scheme name.
-    """
-    if implementations:
-        register_mechanism(properties.table1_category, properties.table1_row,
-                           *implementations)
-    else:
-        register_mechanism(properties.table1_category, properties.table1_row,
-                           properties.scheme_name)
 
 
 def unregister_mechanism(category: str, row: str, name: str) -> None:

@@ -37,17 +37,21 @@ CUCKOO_SPEC = register_system(SystemSpec(
           "placement-only — no ACL or integrity layer"))
 
 
+#: replicas the DHT keeps of each post
+REPLICATION = 2
+#: most co-followers one push relay hands a post on to
+PUSH_FANOUT = 8
+
+
 class CuckooNetwork:
     """A Cuckoo deployment: follower-push + DHT-pull microblogging."""
 
-    def __init__(self, seed: int = 0, replication: int = 2,
-                 push_fanout: int = 8) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.fabric = Fabric.create(seed=seed)
         self.sim = self.fabric.sim
         self.network = self.fabric.network
-        self.ring = ChordRing(self.fabric, replication=replication)
+        self.ring = ChordRing(self.fabric, replication=REPLICATION)
         self.rng = _random.Random(seed)
-        self.push_fanout = push_fanout
         self.followers: Dict[str, Set[str]] = {}
         self.following: Dict[str, Set[str]] = {}
         #: user -> post id -> content, delivered by push
@@ -109,7 +113,7 @@ class CuckooNetwork:
             # socio-aware relay: co-followers of the same publisher
             co_followers = [f for f in sorted(self.followers[author])
                             if f not in visited]
-            for next_target in co_followers[:self.push_fanout]:
+            for next_target in co_followers[:PUSH_FANOUT]:
                 queue.append((target, next_target))
 
     def _inbox_or_pull(self, item: ContentItem) -> None:

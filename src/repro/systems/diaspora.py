@@ -41,14 +41,18 @@ DIASPORA_SPEC = register_system(SystemSpec(
     )))
 
 
+#: federated pod servers in one deployment
+PODS = 4
+
+
 class DiasporaNetwork:
     """A Diaspora deployment: pods + aspects + per-aspect encryption."""
 
-    def __init__(self, seed: int = 0, pods: int = 4) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.sim = Simulator(seed)
         self.network = SimNetwork(self.sim)
         self.federation = FederatedNetwork(
-            self.network, [f"pod{i}" for i in range(pods)])
+            self.network, [f"pod{i}" for i in range(PODS)])
         self.rng = _random.Random(seed)
         #: (owner, aspect) -> (epoch, key)
         self._aspect_keys: Dict[Tuple[str, str], Tuple[int, bytes]] = {}

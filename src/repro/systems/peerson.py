@@ -43,15 +43,18 @@ PEERSON_SPEC = register_system(SystemSpec(
     )))
 
 
+#: replicas the DHT keeps of each item
+REPLICATION = 2
+
+
 class PeersonNetwork:
     """A PeerSoN deployment: DHT + public-key encryption + DHT mailboxes."""
 
-    def __init__(self, seed: int = 0, replication: int = 2,
-                 level: str = "TOY") -> None:
+    def __init__(self, seed: int = 0, level: str = "TOY") -> None:
         self.fabric = Fabric.create(seed=seed)
         self.sim = self.fabric.sim
         self.network = self.fabric.network
-        self.ring = ChordRing(self.fabric, replication=replication)
+        self.ring = ChordRing(self.fabric, replication=REPLICATION)
         self.registry = KeyRegistry()
         self.level = level
         self.rng = _random.Random(seed)

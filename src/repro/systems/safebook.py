@@ -51,13 +51,16 @@ SAFEBOOK_SPEC = register_system(SystemSpec(
     )))
 
 
+#: matryoshka shells around each core
+DEPTH = 3
+
+
 class SafebookNetwork:
     """A Safebook deployment over a social graph."""
 
-    def __init__(self, graph: nx.Graph, seed: int = 0, depth: int = 3,
+    def __init__(self, graph: nx.Graph, seed: int = 0,
                  level: str = "TOY") -> None:
         self.graph = graph
-        self.depth = depth
         self.level = level
         self.rng = _random.Random(seed)
         self.registry = KeyRegistry()
@@ -88,7 +91,7 @@ class SafebookNetwork:
     def _matryoshka(self, core: str) -> Matryoshka:
         shells = self._shells.get(core)
         if shells is None:
-            shells = Matryoshka(self.graph, core, depth=self.depth)
+            shells = Matryoshka(self.graph, core, depth=DEPTH)
             self._shells[core] = shells
         return shells
 

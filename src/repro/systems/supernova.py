@@ -42,17 +42,21 @@ SUPERNOVA_SPEC = register_system(SystemSpec(
     )))
 
 
+#: super-peers indexing the storekeeper agreements
+SUPER_PEERS = 4
+#: storekeepers each user's agreement names
+STOREKEEPERS_PER_USER = 3
+
+
 class SupernovaNetwork:
     """A Supernova deployment: super-peers + uptime-picked storekeepers."""
 
-    def __init__(self, seed: int = 0, super_peers: int = 4,
-                 storekeepers_per_user: int = 3) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.sim = Simulator(seed)
         self.network = SimNetwork(self.sim)
         self.overlay = SuperPeerOverlay(self.network)
         self.rng = _random.Random(seed)
-        self.storekeepers_per_user = storekeepers_per_user
-        for index in range(super_peers):
+        for index in range(SUPER_PEERS):
             self.overlay.add_super_peer(f"sp{index}")
         self._keys: Dict[str, bytes] = {}
         #: owner -> storekeeper agreement (names)
@@ -87,8 +91,8 @@ class SupernovaNetwork:
         service in action.
         """
         keepers = self.overlay.best_replica_hosts(
-            self.storekeepers_per_user, exclude=[owner])
-        if len(keepers) < self.storekeepers_per_user:
+            STOREKEEPERS_PER_USER, exclude=[owner])
+        if len(keepers) < STOREKEEPERS_PER_USER:
             raise OverlayError("not enough tracked peers to pick keepers")
         self.agreements[owner] = keepers
         return keepers

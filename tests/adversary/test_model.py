@@ -22,6 +22,7 @@ from repro.adversary.walks import random_walk_landings, region_mass
 from repro.exceptions import LookupError_, SimulationError, StorageError
 from repro.fabric import Fabric
 from repro.faults import CircuitBreaker
+from repro.faults.resilience import BREAKER_COOLDOWN
 from repro.membership import SwimMembership
 from repro.overlay.chord import ChordRing
 
@@ -116,7 +117,7 @@ class TestQuarantineFeeds:
     def _world(self):
         fab = Fabric.create(
             seed=SEED, resilient=True,
-            breaker=CircuitBreaker(failure_threshold=4, cooldown=30.0),
+            breaker=CircuitBreaker(),
             adversary=AdversaryConfig(fraction=0.2,
                                       defense=DefenseConfig()))
         swim = SwimMembership(fab)
@@ -132,7 +133,7 @@ class TestQuarantineFeeds:
         assert breaker.state("p3", now) == "open"
         # After the cooldown the breaker half-opens: one probe, and a
         # success closes it again — quarantine is recoverable.
-        later = now + breaker.cooldown + 1.0
+        later = now + BREAKER_COOLDOWN + 1.0
         assert breaker.state("p3", later) == "half_open"
         assert breaker.allow("p3", later)
         breaker.record_success("p3")

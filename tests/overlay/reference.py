@@ -23,6 +23,7 @@ from typing import AbstractSet, Any, Dict, List, Optional, Set
 
 from repro.exceptions import (DeadlineExceededError, LookupError_,
                               OverlayError, SimulationError)
+from repro.overlay import kademlia
 from repro.overlay.chord import ChordNode, ChordRing, in_interval
 from repro.overlay.kademlia import (KademliaNode, KademliaOverlay,
                                     KadLookupResult, kad_id, xor_distance)
@@ -49,7 +50,7 @@ class ReferenceNode(KademliaNode):
         if other in bucket:
             bucket.remove(other)
             bucket.append(other)
-        elif len(bucket) < self.k:
+        elif len(bucket) < kademlia.K:
             bucket.append(other)
         # A full bucket drops the newcomer (classic Kademlia favours
         # long-lived contacts).
@@ -67,7 +68,7 @@ class ReferenceOverlay(KademliaOverlay):
 
     def add_node(self, name: str) -> KademliaNode:
         """Register a peer."""
-        node = ReferenceNode(name, k=self.k)
+        node = ReferenceNode(name)
         self.nodes[name] = node
         self.network.register(node)
         self.fabric.enroll(name, "kad")
@@ -92,7 +93,7 @@ class ReferenceOverlay(KademliaOverlay):
         origin = self.nodes.get(start)
         if origin is None or not origin.online:
             raise LookupError_(f"start node {start!r} is not online")
-        shortlist = origin.closest_known(target_id, self.k)
+        shortlist = origin.closest_known(target_id, kademlia.K)
         if not shortlist:
             raise LookupError_("empty routing table; bootstrap first")
         #: self-reported ids a bare client has no way to verify — real
@@ -122,7 +123,7 @@ class ReferenceOverlay(KademliaOverlay):
                 candidates = [n for n in shortlist
                               if n not in queried and n not in skip]
                 candidates.sort(key=distance)
-                batch = candidates[:self.alpha]
+                batch = candidates[:kademlia.ALPHA]
                 if not batch:
                     break
                 hops += 1
@@ -163,12 +164,12 @@ class ReferenceOverlay(KademliaOverlay):
                             span.set_attr("hit", True)
                             return KadLookupResult(
                                 closest=sorted(shortlist,
-                                               key=distance)[:self.k],
+                                               key=distance)[:kademlia.K],
                                 hops=hops, rpcs=rpcs,
                                 value=peer.store[key])
                         else:
                             learned_names = peer.closest_known(target_id,
-                                                               self.k)
+                                                               kademlia.K)
                         for learned in learned_names:
                             if learned not in shortlist:
                                 shortlist.append(learned)
@@ -178,14 +179,14 @@ class ReferenceOverlay(KademliaOverlay):
                                     improved = True
                 ctx.spent = round_end
                 shortlist.sort(key=distance)
-                shortlist = shortlist[:self.k * 2]
+                shortlist = shortlist[:kademlia.K * 2]
                 if not improved and all(n in queried
-                                        for n in shortlist[:self.k]):
+                                        for n in shortlist[:kademlia.K]):
                     break
             span.set_attr("rounds", hops)
             span.set_attr("rpcs", rpcs)
             return KadLookupResult(
-                closest=shortlist[:self.k], hops=hops, rpcs=rpcs)
+                closest=shortlist[:kademlia.K], hops=hops, rpcs=rpcs)
 
 
 class ReferenceChordNode(ChordNode):

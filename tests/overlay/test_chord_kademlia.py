@@ -13,7 +13,7 @@ from repro.fabric import Fabric
 from repro.faults import OverloadConfig, RetryPolicy, ServiceConfig
 from repro.overlay import chord as chord_module
 from repro.overlay.chord import (M_BITS, ChordRing, chord_id, in_interval)
-from repro.overlay.kademlia import (KademliaNode, KademliaOverlay,
+from repro.overlay.kademlia import (K, KademliaNode, KademliaOverlay,
                                     XorDistances, kad_id, xor_distance)
 from repro.overlay.network import SimNetwork
 from repro.overlay.simulator import FixedLatency, Simulator
@@ -459,7 +459,7 @@ class TestKademlia:
         net, overlay = self.build(128)
         for node in overlay.nodes.values():
             for bucket in node.buckets.values():
-                assert len(bucket) <= overlay.k
+                assert len(bucket) <= K
 
     def test_lookup_converges_to_closest(self):
         net, overlay = self.build(64)
@@ -481,7 +481,7 @@ class TestKademlia:
         overlay.put("p0", "item", b"v")
         holders = [n for n, node in overlay.nodes.items()
                    if "item" in node.store]
-        assert len(holders) == overlay.k
+        assert len(holders) == K
 
     def test_get_missing_raises(self):
         net, overlay = self.build(16)

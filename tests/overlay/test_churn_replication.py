@@ -145,8 +145,7 @@ class TestAvailability:
     def test_correlated_churn_hurts(self):
         """Fully phase-correlated diurnal churn: replicas sleep together,
         so availability drops below the independence prediction."""
-        correlated = DiurnalChurn(seed=16, phase_correlation=1.0,
-                                  base=0.4, amplitude=0.35)
+        correlated = DiurnalChurn(seed=16, phase_correlation=1.0)
         placement = rep.Placement(owner="peer0", replicas=PEERS[1:4])
         measured = rep.measure_availability(placement, correlated,
                                             self.TIMES)

@@ -15,6 +15,8 @@ contacts observed by hand.
 
 import random
 from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -81,7 +83,7 @@ def _world(overlay_cls, s):
         seed=s["seed"], loss_rate=s["loss"], resilient=s["resilient"],
         tracing=s["tracing"], overload=EXPIRING if s["budget"] else None,
         adversary=ADVERSARIES[s["adversary"]])
-    overlay = overlay_cls(fabric, k=s["k"], alpha=s["alpha"])
+    overlay = overlay_cls(fabric)
     names = NAMES[:s["n"]]
     for name in names:
         overlay.add_node(name)
@@ -136,8 +138,23 @@ def _step(world, n, op):
     return outcome, _state(fabric, overlay)
 
 
+@contextmanager
+def _geometry(k, alpha=kademlia.ALPHA):
+    """Both codes read the bucket size and the parallelism from the module
+    constants, so the oracle holds for any value; small buckets reach the
+    full-bucket and truncated-claim paths a few dozen peers do not."""
+    with mock.patch.object(kademlia, "K", k), \
+            mock.patch.object(kademlia, "ALPHA", alpha):
+        yield
+
+
 def _agree(s):
     """Replay ``s`` on the oracle and the new code, comparing throughout."""
+    with _geometry(s["k"], s["alpha"]):
+        return _replay(s)
+
+
+def _replay(s):
     old = _world(reference.ReferenceOverlay, s)
     new = _world(KademliaOverlay, s)
     assert _state(*new) == _state(*old)
@@ -169,12 +186,13 @@ def test_the_overlay_equals_the_sorting_oracle(s):
 def test_the_walk_equals_the_full_sort(contacts, k, target, count, who):
     """One node, any bucket state: the walk returns the sorted prefix."""
     names = [f"n{i}" for i in range(64)]
-    old = reference.ReferenceNode(names[who], k=k)
-    new = KademliaNode(names[who], k=k)
-    for i, j in contacts:
-        for node in (old, new):
-            node.observe(names[i])
-            node.observe(names[j])
+    old = reference.ReferenceNode(names[who])
+    new = KademliaNode(names[who])
+    with _geometry(k):
+        for i, j in contacts:
+            for node in (old, new):
+                node.observe(names[i])
+                node.observe(names[j])
     assert list(new.buckets.items()) == list(old.buckets.items())
     target_id = {"own": new.kad_id,
                  "member": kademlia.kad_id(names[contacts[0][0]]
@@ -295,7 +313,7 @@ def test_a_lookup_hashes_each_name_it_ranks_once(monkeypatch):
     for key in ("k0", "p7", "k1"):
         calls.clear()
         result = overlay.lookup("p0", key)
-        assert result.rpcs > overlay.k
+        assert result.rpcs > kademlia.K
         assert calls[key] >= 1
         calls[key] -= 1  # the key's own hash; a peer's name is ranked too
         assert max(calls.values()) == 1

@@ -8,7 +8,8 @@ from repro.fabric import Fabric
 from repro.faults import (CircuitBreaker, Corruption, Crash, FaultPlan,
                           LossBurst, Partition, ReliableChannel, RetryPolicy,
                           SlowLink)
-from repro.faults.resilience import HEDGE_DELAY
+from repro.faults.resilience import (BREAKER_COOLDOWN,
+                                     BREAKER_FAILURE_THRESHOLD, HEDGE_DELAY)
 from repro.overlay.chord import ChordRing
 from repro.overlay.churn import ExponentialOnOff, apply_churn_to_network
 from repro.overlay.network import Message, SimNetwork, SimNode
@@ -106,10 +107,10 @@ class TestFailurePaths:
                 .add(Partition(groups=[{"b"}]))
                 .add(Corruption(rate=1.0, peers={"c"})))
         sim, net, a, b, c = _net(faults=plan, peers=("a", "b", "c"))
+        threshold = BREAKER_FAILURE_THRESHOLD
         channel = ReliableChannel(
-            net, RetryPolicy(max_attempts=2, jitter=0.0),
-            CircuitBreaker(failure_threshold=2))
-        # two partitioned attempts: one retry, then the breaker trips
+            net, RetryPolicy(max_attempts=threshold), CircuitBreaker())
+        # ``threshold`` partitioned attempts, then the breaker trips
         assert not channel.call("a", "b")[0]
         # the open breaker fails the next call fast
         assert not channel.call("a", "b")[0]
@@ -118,12 +119,12 @@ class TestFailurePaths:
         # both breakers are open by now: a two-slot race, one hedge
         assert not channel.hedged("a", ["b", "c"])[0]
         assert net.stats.messages > 0
-        assert net.stats.retries == 2
+        assert net.stats.retries == 2 * (threshold - 1)
         assert net.stats.breaker_trips == 2
         assert net.stats.breaker_fastfails == 3
         assert net.stats.hedges == 1
-        assert net.stats.fault_drops == 2
-        assert net.stats.corrupted == 2
+        assert net.stats.fault_drops == threshold
+        assert net.stats.corrupted == threshold
         net.stats.reset()
         assert net.stats.messages == 0
         assert net.stats.retries == 0
@@ -260,8 +261,7 @@ class TestFaultPlan:
 class TestReliableChannel:
     def test_retry_masks_transient_loss(self):
         sim, net, a, b = _net(loss=0.5)
-        channel = ReliableChannel(net, RetryPolicy(max_attempts=3,
-                                                   jitter=0.0))
+        channel = ReliableChannel(net, RetryPolicy(max_attempts=3))
         # attempt 1: request lost; attempt 2: clean round trip
         net._rng = _ScriptedRng([0.4, 0.9, 0.9])
         ok, elapsed = channel.call("a", "b")
@@ -281,10 +281,10 @@ class TestReliableChannel:
     def test_breaker_opens_and_fails_fast(self):
         sim, net, a, b = _net()
         b.go_offline()
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=30.0)
+        breaker = CircuitBreaker()
         channel = ReliableChannel(
-            net, RetryPolicy(max_attempts=2), breaker)
-        ok, _ = channel.call("a", "b")  # 2 failures -> breaker trips
+            net, RetryPolicy(max_attempts=BREAKER_FAILURE_THRESHOLD), breaker)
+        ok, _ = channel.call("a", "b")  # threshold failures -> trips
         assert not ok
         assert net.stats.breaker_trips == 1
         before = net.stats.messages
@@ -296,13 +296,14 @@ class TestReliableChannel:
     def test_breaker_half_open_probe_recovers(self):
         sim, net, a, b = _net()
         b.go_offline()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=10.0)
+        breaker = CircuitBreaker()
         channel = ReliableChannel(
-            net, RetryPolicy(max_attempts=1), breaker)
+            net, RetryPolicy(max_attempts=BREAKER_FAILURE_THRESHOLD), breaker)
         channel.call("a", "b")
         assert breaker.state("b", net.sim.now) == "open"
         b.go_online()
-        sim.run(until=15.0)  # cooldown expires -> half-open probe allowed
+        # cooldown expires -> half-open probe allowed
+        sim.run(until=BREAKER_COOLDOWN + 5.0)
         ok, _ = channel.call("a", "b")
         assert ok
         assert breaker.state("b", net.sim.now) == "closed"
@@ -310,11 +311,11 @@ class TestReliableChannel:
     def test_failed_half_open_probe_reopens(self):
         sim, net, a, b = _net()
         b.go_offline()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=10.0)
+        breaker = CircuitBreaker()
         channel = ReliableChannel(
-            net, RetryPolicy(max_attempts=1), breaker)
+            net, RetryPolicy(max_attempts=BREAKER_FAILURE_THRESHOLD), breaker)
         channel.call("a", "b")
-        sim.run(until=15.0)
+        sim.run(until=BREAKER_COOLDOWN + 5.0)
         ok, _ = channel.call("a", "b")  # half-open probe fails
         assert not ok
         assert breaker.state("b", net.sim.now + 5.0) == "open"
@@ -409,29 +410,32 @@ class TestBreakerStateGauge:
     """Satellite: the breaker's per-destination state as a labelled gauge."""
 
     def test_state_walks_closed_open_half_open(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=10.0)
+        breaker = CircuitBreaker()
+        cooled = BREAKER_COOLDOWN
         assert breaker.state("b", 0.0) == "closed"
-        breaker.record_failure("b", 0.0)
+        for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
+            breaker.record_failure("b", 0.0)
         assert breaker.state("b", 0.0) == "closed"  # below threshold
         breaker.record_failure("b", 0.0)
-        assert breaker.state("b", 5.0) == "open"
-        assert breaker.state("b", 10.0) == "half_open"
-        breaker.record_failure("b", 10.0)  # failed half-open probe
-        assert breaker.state("b", 15.0) == "open"
+        assert breaker.state("b", cooled / 2) == "open"
+        assert breaker.state("b", cooled) == "half_open"
+        breaker.record_failure("b", cooled)  # failed half-open probe
+        assert breaker.state("b", 1.5 * cooled) == "open"
         breaker.record_success("b")
-        assert breaker.state("b", 15.0) == "closed"
+        assert breaker.state("b", 1.5 * cooled) == "closed"
 
     def test_gauge_tracks_breaker_per_destination(self):
         from repro.faults import BREAKER_STATE_VALUES
         sim, net, a, b = _net()
         b.go_offline()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=10.0)
-        channel = ReliableChannel(net, RetryPolicy(max_attempts=1), breaker)
+        breaker = CircuitBreaker()
+        channel = ReliableChannel(
+            net, RetryPolicy(max_attempts=BREAKER_FAILURE_THRESHOLD), breaker)
         gauge = net.metrics.gauge("channel.breaker_state", dst="b")
         channel.call("a", "b")  # trips open
         assert gauge.value == BREAKER_STATE_VALUES["open"]
         b.go_online()
-        sim.run(until=15.0)
+        sim.run(until=BREAKER_COOLDOWN + 5.0)
         channel.call("a", "b")  # half-open probe succeeds -> closed
         assert gauge.value == BREAKER_STATE_VALUES["closed"]
         # an untouched destination never even creates a gauge series
@@ -442,14 +446,19 @@ class TestBreakerStateGauge:
         from repro.faults import BREAKER_STATE_VALUES
         sim, net, a, b = _net()
         b.go_offline()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=10.0)
-        channel = ReliableChannel(net, RetryPolicy(max_attempts=1), breaker)
+        breaker = CircuitBreaker()
+        channel = ReliableChannel(
+            net, RetryPolicy(max_attempts=BREAKER_FAILURE_THRESHOLD), breaker)
         channel.call("a", "b")
-        sim.run(until=15.0)
+        sim.run(until=BREAKER_COOLDOWN + 5.0)
         channel.call("a", "b")  # half-open probe fails -> re-open
         gauge = net.metrics.gauge("channel.breaker_state", dst="b")
         assert gauge.value == BREAKER_STATE_VALUES["open"]
         assert breaker.state("b", net.sim.now + 5.0) == "open"
+
+
+#: three-attempt calls that fail enough attempts to trip a breaker
+_CALLS_TO_TRIP = -(-BREAKER_FAILURE_THRESHOLD // 3)
 
 
 class TestMembershipChannel:
@@ -460,8 +469,8 @@ class TestMembershipChannel:
         from repro.membership import SwimMembership
         from repro.overlay.simulator import FixedLatency
         fab = Fabric.create(seed=5, latency=FixedLatency(one_way),
-                            retry=RetryPolicy(max_attempts=3, jitter=0.0),
-                            breaker=CircuitBreaker(failure_threshold=1))
+                            retry=RetryPolicy(max_attempts=3),
+                            breaker=CircuitBreaker())
         membership = SwimMembership(fab)
         for i in range(n):
             fab.network.register(_Echo(f"p{i}"))
@@ -508,7 +517,8 @@ class TestMembershipChannel:
     def test_breaker_not_consulted_when_view_exists(self):
         fab, channel, membership = self._channel()
         fab.network.node("p1").go_offline()
-        channel.call("p0", "p1")  # would trip the threshold-1 breaker
+        for _ in range(_CALLS_TO_TRIP):  # would trip the breaker
+            channel.call("p0", "p1")
         assert fab.network.stats.breaker_trips == 0
         fab.network.node("p1").go_online()
         ok, _ = channel.call("p0", "p1")  # no open breaker blocking it
@@ -518,7 +528,8 @@ class TestMembershipChannel:
         fab, channel, membership = self._channel()
         fab.network.register(_Echo("outsider"))
         fab.network.node("p1").go_offline()
-        channel.call("outsider", "p1")
+        for _ in range(_CALLS_TO_TRIP):
+            channel.call("outsider", "p1")
         assert fab.network.stats.breaker_trips == 1
 
     def test_hedged_probes_healthy_holders_first(self):

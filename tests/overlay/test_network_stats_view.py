@@ -35,7 +35,7 @@ class _Sink(SimNode):
         pass
 
 
-def _fabric(seed, shed_policy):
+def _fabric(seed):
     plan = (FaultPlan(seed=seed, horizon=200.0)
             .add(Partition(groups=[{"d"}], start=2.0, end=12.0))
             .add(LossBurst(rate=0.5, mean_burst=4.0, mean_gap=4.0,
@@ -44,17 +44,17 @@ def _fabric(seed, shed_policy):
     fab = Fabric.create(
         seed=seed, loss_rate=0.1, faults=plan, tracing=True,
         retry=RetryPolicy(max_attempts=3),
-        breaker=CircuitBreaker(failure_threshold=3, cooldown=5.0),
+        breaker=CircuitBreaker(),
         overload=OverloadConfig(
             service=ServiceConfig(service_time=0.2, queue_limit=1,
-                                  shed_policy=shed_policy, timeout=0.35),
+                                  timeout=0.35),
             op_budget=None, retry_budget=False, adaptive_timeout=False))
     for name in PEERS:
         fab.network.register(_Sink(name))
     return fab
 
 
-def _recount(spans, sent, shed_policy):
+def _recount(spans, sent):
     """The aggregates as the trace and the messages tell them."""
     seen = dict.fromkeys(("messages", "drops", "timeouts", "fault_drops",
                           "corrupted", "shed"), 0)
@@ -72,9 +72,7 @@ def _recount(spans, sent, shed_policy):
         failed = span.attrs.get("failed")
         if failed == "overloaded":
             seen["shed"] += 1
-            # a reject rides back (two messages); a drop is waited out
-            seen["messages"] += 2 if shed_policy == "reject" else 1
-            seen["timeouts"] += shed_policy == "drop"
+            seen["messages"] += 2  # the rejection rides back
             continue
         direction, _, cause = (failed or "ok/").partition("/")
         seen["messages"] += 1 if direction == "request" else 2
@@ -98,11 +96,9 @@ _op = st.one_of(
 class TestViewAgainstTheTrace:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 16),
-           shed_policy=st.sampled_from(("reject", "drop")),
            ops=st.lists(_op, min_size=1, max_size=60))
-    def test_summary_equals_a_recount_from_spans(self, seed, shed_policy,
-                                                 ops):
-        fab = _fabric(seed, shed_policy)
+    def test_summary_equals_a_recount_from_spans(self, seed, ops):
+        fab = _fabric(seed)
         net, sim = fab.network, fab.sim
         sent = []
         for op, x, y in ops:
@@ -124,7 +120,7 @@ class TestViewAgainstTheTrace:
                 node = net.nodes[x]
                 node.go_offline() if node.online else node.go_online()
         sim.run(until=sim.now + 1.0)  # deliver what is still in flight
-        seen = _recount(fab.tracer.spans, sent, shed_policy)
+        seen = _recount(fab.tracer.spans, sent)
         summary = net.stats.summary()
         assert {key: summary[key] for key in seen} == seen
         assert summary["failures"] == seen["timeouts"] + seen["corrupted"]
@@ -138,7 +134,7 @@ class TestReadOnlyView:
         assert set(STATS_FIELDS) == set(SUMMARY_KEYS) - {"failures"}
 
     def test_assigning_any_field_raises(self):
-        stats = _fabric(1, "reject").network.stats
+        stats = _fabric(1).network.stats
         for field in SUMMARY_KEYS:
             with pytest.raises(AttributeError):
                 setattr(stats, field, 3)
@@ -159,7 +155,7 @@ class TestReadOnlyView:
             NetworkStats().by_kind
 
     def test_the_view_and_the_network_share_the_message_handles(self):
-        fab = _fabric(1, "reject")
+        fab = _fabric(1)
         fab.network.rpc("a", "b")
         assert fab.network.stats.messages \
             == fab.metrics.get_counter_value("net.messages") > 0

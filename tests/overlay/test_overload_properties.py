@@ -43,7 +43,7 @@ def _burst_plan():
 def _hotspot(overload, install_late=True, reads=18):
     """A hot-key quorum workload under burst loss; returns its fabric."""
     fab = Fabric.create(seed=42, faults=_burst_plan(),
-                        retry=RetryPolicy(max_attempts=3, jitter=0.0))
+                        retry=RetryPolicy(max_attempts=3))
     ring = ChordRing(fab, successor_list_size=4, replication=3)
     for i in range(N):
         ring.add_node(f"p{i}")
@@ -97,7 +97,7 @@ def _record_draws(fab):
 #: holders serve ~3.3 req/s against a 5 reads/s hotspot — saturated
 PROTECTED = OverloadConfig(
     service=ServiceConfig(service_time=0.3, queue_limit=2,
-                          shed_policy="reject", timeout=1.0),
+                          timeout=1.0),
     op_budget=1.5)
 
 
@@ -182,7 +182,7 @@ class TestFailureSurface:
                                 op_budget=0.01, retry_budget=False,
                                 adaptive_timeout=False)
         fab = Fabric.create(seed=7,
-                            retry=RetryPolicy(max_attempts=2, jitter=0.0))
+                            retry=RetryPolicy(max_attempts=2))
         ring = ChordRing(fab, successor_list_size=4, replication=3)
         for i in range(8):
             ring.add_node(f"p{i}")
@@ -216,7 +216,7 @@ class TestFailureSurface:
                             overload=OverloadConfig(
                                 service=None, op_budget=0.15,
                                 retry_budget=False, adaptive_timeout=False))
-        overlay = KademliaOverlay(fab, alpha=3)
+        overlay = KademliaOverlay(fab)
         for i in range(4):
             overlay.add_node(f"k{i}")
         overlay.bootstrap()
@@ -227,7 +227,7 @@ class TestFailureSurface:
     def test_saturated_holders_raise_overloaded(self):
         config = OverloadConfig(
             service=ServiceConfig(service_time=1.0, queue_limit=1,
-                                  shed_policy="reject", timeout=30.0),
+                                  timeout=30.0),
             op_budget=None, retry_budget=False, adaptive_timeout=False)
         fab = Fabric.create(seed=7)
         ring = ChordRing(fab, successor_list_size=4, replication=3)

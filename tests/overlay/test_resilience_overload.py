@@ -1,9 +1,9 @@
 """Overload protection units: service queues, deadlines, budgets, breaker.
 
 Covers the PR-9 mechanisms at the network/channel layer — the service
-queue's pricing and shed policies, deadline fast-failure, the retry
-budget, adaptive timeouts, the ``max_delay`` backoff cap, and the
-circuit breaker's single half-open probe (the anti-stampede claim).
+queue's pricing and shedding, deadline fast-failure, the retry budget,
+adaptive timeouts, the ``RETRY_MAX_DELAY`` backoff cap, and the circuit
+breaker's single half-open probe (the anti-stampede claim).
 """
 
 import pytest
@@ -16,6 +16,10 @@ from repro.faults import (AdaptiveTimeout, CircuitBreaker, Deadline,
 from repro.faults.overload import (NO_DEADLINE, RETRY_BUDGET_CAPACITY,
                                    RETRY_REFILL_PER_SUCCESS, TIMEOUT_CEILING,
                                    TIMEOUT_FLOOR, TIMEOUT_MULTIPLIER)
+from repro.faults.resilience import (BREAKER_COOLDOWN,
+                                     BREAKER_FAILURE_THRESHOLD,
+                                     RETRY_BASE_DELAY, RETRY_JITTER,
+                                     RETRY_MAX_DELAY, RETRY_MULTIPLIER)
 from repro.overlay.simulator import FixedLatency
 
 
@@ -43,8 +47,6 @@ class TestConfigValidation:
             ServiceConfig(service_time=0.0)
         with pytest.raises(SimulationError):
             ServiceConfig(queue_limit=0)
-        with pytest.raises(SimulationError):
-            ServiceConfig(shed_policy="explode")
         with pytest.raises(SimulationError):
             ServiceConfig(timeout=-1.0)
 
@@ -75,29 +77,35 @@ class TestConfigValidation:
             fab.network.install_overload(OverloadConfig())
 
     def test_max_delay_validation(self):
+        # what RetryPolicy checked when the backoff had settings: a
+        # positive cap no lower than the base, and jitter within [0, 1]
+        assert 0.0 < RETRY_BASE_DELAY <= RETRY_MAX_DELAY
+        assert 0.0 <= RETRY_JITTER <= 1.0
         with pytest.raises(SimulationError):
-            RetryPolicy(max_delay=0.0)
-        with pytest.raises(SimulationError):
-            RetryPolicy(base_delay=2.0, max_delay=1.0)
+            RetryPolicy(max_attempts=0)
 
 
 class TestRetryPolicyMaxDelay:
     def test_backoff_is_capped_at_max_delay(self):
-        policy = RetryPolicy(base_delay=1.0, multiplier=10.0, jitter=0.0,
-                             max_delay=5.0)
+        policy = RetryPolicy()
 
         class _Rng:
             def random(self):
                 return 0.5  # zero jitter either way
 
         rng = _Rng()
-        assert policy.backoff(0, rng) == pytest.approx(1.0)
-        assert policy.backoff(1, rng) == pytest.approx(5.0)  # capped from 10
-        assert policy.backoff(5, rng) == pytest.approx(5.0)
+        assert policy.backoff(0, rng) == pytest.approx(RETRY_BASE_DELAY)
+        # the first exponent whose uncapped term passes the cap
+        capped = next(n for n in range(64) if RETRY_BASE_DELAY
+                      * RETRY_MULTIPLIER ** n > RETRY_MAX_DELAY)
+        assert policy.backoff(capped - 1, rng) < RETRY_MAX_DELAY
+        assert policy.backoff(capped, rng) == pytest.approx(RETRY_MAX_DELAY)
+        assert policy.backoff(capped + 20, rng) == \
+            pytest.approx(RETRY_MAX_DELAY)
 
     def test_default_cap_leaves_default_policy_unchanged(self):
         # three default attempts reach base * mult**1 = 0.5s << 30s cap
-        policy = RetryPolicy(jitter=0.0)
+        policy = RetryPolicy()
 
         class _Rng:
             def random(self):
@@ -170,7 +178,7 @@ class TestServiceQueue:
 
     def test_full_queue_sheds_reject_cheaply(self):
         fab = _fab(service=ServiceConfig(service_time=1.0, queue_limit=2,
-                                         shed_policy="reject", timeout=10.0))
+                                         timeout=10.0))
         net = fab.network
         assert net.rpc("a", "b")[0] and net.rpc("a", "b")[0]
         before = net.stats.messages
@@ -182,19 +190,6 @@ class TestServiceQueue:
         assert net.stats.messages == before + 2
         assert rtt == pytest.approx(0.10)
         assert net.stats.timeouts == 0
-
-    def test_full_queue_drop_costs_the_timeout(self):
-        fab = _fab(service=ServiceConfig(service_time=1.0, queue_limit=2,
-                                         shed_policy="drop", timeout=10.0))
-        net = fab.network
-        assert net.rpc("a", "b")[0] and net.rpc("a", "b")[0]
-        before = net.stats.messages
-        ok, rtt = net.rpc("a", "b")
-        assert not ok
-        assert net.stats.shed == 1
-        assert net.stats.messages == before + 1  # the request only
-        assert rtt == pytest.approx(10.0)  # waited out the attempt timeout
-        assert net.stats.timeouts == 1
 
     def test_backlog_drains_with_virtual_time(self):
         fab = _fab(service=ServiceConfig(service_time=1.0, queue_limit=2,
@@ -230,7 +225,7 @@ class TestServiceQueue:
     def test_summary_reports_overload_counters(self):
         fab = _fab(service=ServiceConfig(service_time=1.0, queue_limit=1,
                                          timeout=10.0),
-                   retry=RetryPolicy(max_attempts=3, jitter=0.0),
+                   retry=RetryPolicy(max_attempts=3),
                    retry_budget=True)
         fab.channel.retry_budget.tokens = 1.0
         stats = fab.network.stats
@@ -257,7 +252,7 @@ class TestServiceQueue:
 
 class TestChannelOverload:
     def test_expired_deadline_fails_before_any_attempt(self):
-        fab = _fab(service=ServiceConfig(), retry=RetryPolicy(jitter=0.0))
+        fab = _fab(service=ServiceConfig(), retry=RetryPolicy())
         before = fab.network.stats.messages
         ok, elapsed = fab.channel.call(
             "a", "b", deadline=Deadline(fab.sim.now))
@@ -268,21 +263,21 @@ class TestChannelOverload:
     def test_deadline_stops_mid_retry_loop(self):
         fab = _fab(service=ServiceConfig(service_time=1.0, queue_limit=1,
                                          timeout=10.0),
-                   retry=RetryPolicy(max_attempts=5, base_delay=2.0,
-                                     jitter=0.0))
+                   retry=RetryPolicy(max_attempts=5))
         net = fab.network
         assert net.rpc("a", "b")[0]  # saturate b's one-slot queue
         # every attempt sheds (the clock is frozen, the queue cannot
-        # drain) and each backoff burns budget until the deadline trips
+        # drain) and each backoff burns budget until the deadline trips:
+        # three attempts and their backoffs take at least 1.175 s
         ok, _ = fab.channel.call("a", "b",
-                                 deadline=Deadline(fab.sim.now + 3.0))
+                                 deadline=Deadline(fab.sim.now + 1.0))
         assert not ok
         assert net.stats.deadline_expired == 1
         assert 0 < net.stats.shed < 5
 
     def test_retry_budget_caps_attempts(self):
         fab = _fab(service=ServiceConfig(),
-                   retry=RetryPolicy(max_attempts=4, jitter=0.0),
+                   retry=RetryPolicy(max_attempts=4),
                    retry_budget=True)
         fab.channel.retry_budget.tokens = 1.0
         fab.network.nodes["b"].go_offline()
@@ -298,17 +293,18 @@ class TestChannelOverload:
             pytest.approx(RETRY_REFILL_PER_SUCCESS)
 
     def test_shed_does_not_feed_the_breaker(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=30.0)
+        breaker = CircuitBreaker()
+        attempts = BREAKER_FAILURE_THRESHOLD + 1
         fab = _fab(service=ServiceConfig(service_time=1.0, queue_limit=1,
                                          timeout=10.0),
-                   retry=RetryPolicy(max_attempts=2, jitter=0.0),
+                   retry=RetryPolicy(max_attempts=attempts),
                    breaker=breaker)
         net = fab.network
         assert net.rpc("a", "b")[0]  # saturate
         ok, _ = fab.channel.call("a", "b")
-        assert not ok and net.stats.shed == 2
-        # two overloaded failures against a 1-failure threshold: still
-        # closed — the peer is alive and honestly rejecting
+        assert not ok and net.stats.shed == attempts
+        # more overloaded failures than the threshold: still closed —
+        # the peer is alive and honestly rejecting
         assert breaker.state("b", fab.sim.now) == "closed"
         # a genuine failure still trips it
         net.nodes["c"].go_offline()
@@ -329,46 +325,56 @@ class TestChannelOverload:
         assert fab.channel.retry_budget is None
 
 
+def _trip(breaker, dst, now):
+    """Feed ``dst`` the failures that open its breaker; whether they did."""
+    return [breaker.record_failure(dst, now)
+            for _ in range(BREAKER_FAILURE_THRESHOLD)][-1]
+
+
 class TestBreakerSingleProbe:
     def test_half_open_admits_exactly_one_probe(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=10.0)
-        assert breaker.record_failure("d", now=0.0)  # trips open
-        assert not breaker.allow("d", now=5.0)  # still cooling down
+        breaker = CircuitBreaker()
+        assert _trip(breaker, "d", now=0.0)  # trips open
+        # still cooling down
+        assert not breaker.allow("d", now=BREAKER_COOLDOWN / 2)
         # cooled down: the first caller claims the single probe slot...
-        assert breaker.allow("d", now=20.0)
+        assert breaker.allow("d", now=BREAKER_COOLDOWN)
         # ...and the stampede behind it keeps failing fast
-        assert not breaker.allow("d", now=20.0)
-        assert not breaker.allow("d", now=25.0)
+        assert not breaker.allow("d", now=BREAKER_COOLDOWN)
+        assert not breaker.allow("d", now=BREAKER_COOLDOWN + 5.0)
 
     def test_successful_probe_closes_and_releases(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=10.0)
-        breaker.record_failure("d", now=0.0)
-        assert breaker.allow("d", now=20.0)
+        breaker = CircuitBreaker()
+        _trip(breaker, "d", now=0.0)
+        cooled = BREAKER_COOLDOWN
+        assert breaker.allow("d", now=cooled)
         breaker.record_success("d")
-        assert breaker.state("d", now=20.0) == "closed"
-        assert breaker.allow("d", now=20.0)
-        assert breaker.allow("d", now=20.0)  # closed: no probe gate
+        assert breaker.state("d", now=cooled) == "closed"
+        assert breaker.allow("d", now=cooled)
+        assert breaker.allow("d", now=cooled)  # closed: no probe gate
 
     def test_failed_probe_reopens_and_releases(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=10.0)
-        breaker.record_failure("d", now=0.0)
-        assert breaker.allow("d", now=20.0)
-        breaker.record_failure("d", now=20.0)  # the probe failed
-        assert breaker.state("d", now=20.0) == "open"
-        assert not breaker.allow("d", now=25.0)
+        breaker = CircuitBreaker()
+        _trip(breaker, "d", now=0.0)
+        cooled = BREAKER_COOLDOWN
+        assert breaker.allow("d", now=cooled)
+        breaker.record_failure("d", now=cooled)  # the probe failed
+        assert breaker.state("d", now=cooled) == "open"
+        assert not breaker.allow("d", now=cooled + 5.0)
         # the next cooldown admits exactly one probe again
-        assert breaker.allow("d", now=31.0)
-        assert not breaker.allow("d", now=31.0)
+        assert breaker.allow("d", now=2 * cooled)
+        assert not breaker.allow("d", now=2 * cooled)
 
     def test_stampede_through_the_channel(self):
         """End to end: concurrent callers after cooldown -> one real probe."""
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=10.0)
+        breaker = CircuitBreaker()
         fab = _fab(retry=RetryPolicy(max_attempts=1), breaker=breaker)
         net = fab.network
         net.nodes["b"].go_offline()
-        fab.channel.call("a", "b")  # trips the breaker
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
+            fab.channel.call("a", "b")  # trips the breaker
         net.nodes["b"].go_online()
-        fab.sim.run(until=20.0)
+        fab.sim.run(until=BREAKER_COOLDOWN + 10.0)
         before = net.stats.messages
         # simulate a stampede: claim the probe, then race a second caller
         # in before its outcome lands
@@ -377,3 +383,29 @@ class TestBreakerSingleProbe:
         assert not ok
         assert net.stats.messages == before  # fast-failed, no RPC sent
         assert net.stats.breaker_fastfails >= 1
+
+    def test_a_shed_probe_releases_the_slot(self):
+        """A half-open probe the peer sheds neither closes nor re-opens
+        the breaker, and it does not hold the probe slot for good: once
+        the queue drains, the next caller probes and closes it."""
+        breaker = CircuitBreaker()
+        fab = _fab(service=ServiceConfig(service_time=1.0, queue_limit=1,
+                                         timeout=10.0),
+                   retry=RetryPolicy(max_attempts=1), breaker=breaker)
+        net = fab.network
+        net.nodes["b"].go_offline()
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
+            assert not fab.channel.call("a", "b")[0]
+        assert breaker.state("b", fab.sim.now) == "open"
+        net.nodes["b"].go_online()
+        fab.sim.run(until=BREAKER_COOLDOWN + 10.0)
+        assert net.rpc("c", "b")[0]  # fill b's one-slot queue
+        ok, _ = fab.channel.call("a", "b")  # the half-open probe
+        assert not ok and net.stats.shed == 1
+        assert breaker.state("b", fab.sim.now) == "half_open"
+        fastfails = net.stats.breaker_fastfails
+        fab.sim.run(until=fab.sim.now + 10.0)  # b's queue drains
+        ok, _ = fab.channel.call("a", "b")
+        assert ok
+        assert net.stats.breaker_fastfails == fastfails
+        assert breaker.state("b", fab.sim.now) == "closed"

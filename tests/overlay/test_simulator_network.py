@@ -4,7 +4,8 @@ import pytest
 
 from repro.exceptions import OverlayError, SimulationError
 from repro.overlay.network import Message, SimNetwork, SimNode
-from repro.overlay.simulator import FixedLatency, Simulator, UniformLatency
+from repro.overlay.simulator import (LATENCY_HIGH, LATENCY_LOW, FixedLatency,
+                                     Simulator, UniformLatency)
 
 
 class TestSimulator:
@@ -165,8 +166,8 @@ class TestSimNetwork:
     def test_latency_models(self):
         import random
         rng = random.Random(0)
-        uniform = UniformLatency(0.01, 0.02)
+        uniform = UniformLatency()
         for _ in range(100):
             sample = uniform.sample(rng, "a", "b")
-            assert 0.01 <= sample <= 0.02
+            assert LATENCY_LOW <= sample <= LATENCY_HIGH
         assert FixedLatency(0.3).sample(rng, "a", "b") == 0.3

@@ -108,7 +108,7 @@ class TestSafebook:
         lonely_graph.add_edge("a", "b")
         lonely_graph.add_edge("b", "c")
         lonely_graph.add_edge("c", "d")
-        lonely = SafebookNetwork(lonely_graph, seed=5, depth=2)
+        lonely = SafebookNetwork(lonely_graph, seed=5)
         lonely.publish_profile("a", b"x")
         few = lonely.availability("a", offline_probability=0.5, seed=4)
         assert many >= few
@@ -163,7 +163,7 @@ class TestCachet:
 
 class TestSupernova:
     def _net(self):
-        net = SupernovaNetwork(seed=8, storekeepers_per_user=3)
+        net = SupernovaNetwork(seed=8)
         for i in range(30):
             net.register(f"n{i}")
         # uptime observations: n20..n29 are the reliable ones
@@ -219,7 +219,7 @@ class TestSupernova:
 
 class TestDiaspora:
     def _net(self):
-        net = DiasporaNetwork(seed=9, pods=4)
+        net = DiasporaNetwork(seed=9)
         for i in range(20):
             net.register(f"d{i}")
         net.create_aspect("d0", "family", ["d1", "d2"])
