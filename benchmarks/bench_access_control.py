@@ -6,7 +6,7 @@ Paper claims reproduced (Section III):
   "for the revocation, we need to create a new key and re-encrypt the whole
   data" (O(items) + O(members));
 * public key: join requires wrapping history for the newcomer; revocation
-  is a list edit (lazy mode);
+  is a list edit;
 * ABE: "it is enough to do a single encryption operation to construct a new
   group", but "re-encryptions cause an extra overhead to the access control
   management" on revocation;
@@ -90,7 +90,7 @@ def test_lifecycle_cost_table(benchmark):
     # symmetric: join = 1 distribution; revoke re-encrypts all items
     assert sym[1] == 1
     assert sym[3] == ITEMS
-    # public-key (lazy): join wraps history, revoke free
+    # public-key: join wraps history, revoke free
     assert pk[1] == ITEMS
     assert pk[3] == 0
     # ABE: revocation triggers re-keying + full re-encryption
