@@ -80,39 +80,12 @@ class ChordNode(SimNode):
         self.predecessor: Optional[str] = None
         self.fingers: List[Optional[str]] = [None] * M_BITS
         #: the distinct peers ``fingers`` names, farthest first: what
-        #: :meth:`closest_preceding` scans.  Rebuilt by
+        #: :meth:`next_step` scans.  Rebuilt by
         #: :meth:`ChordRing._index_fingers` after every write to ``fingers``
         self.finger_nodes: Tuple["ChordNode", ...] = ()
         self.store: Dict[str, bytes] = {}
 
     # -- routing-table reads (executed at the *queried* node) -----------------
-
-    def closest_preceding(self, key_id: int, ring: "ChordRing",
-                          avoid: AbstractSet[str] = frozenset()
-                          ) -> Optional[str]:
-        """The best next hop: the closest live finger preceding ``key_id``.
-
-        ``avoid`` lists peers the lookup routes around: written off as
-        unresponsive, or distrusted by a secure-lookup driver.
-        """
-        own_id = self.chord_id
-        # ``x in (own, key)`` as one modular distance; key == own leaves
-        # the whole ring but ``own`` itself
-        bound = (key_id - own_id) % _SPACE or _SPACE
-        # a duplicate finger gives its first occurrence's answer, so
-        # scanning each distinct peer once is the 32-entry scan
-        for node in self.finger_nodes:
-            if node.online and 0 < (node.chord_id - own_id) % _SPACE < bound \
-                    and node.node_id not in avoid:
-                return node.node_id
-        nodes = ring.nodes
-        for succ in self.successors:
-            node = nodes.get(succ)
-            if node is not None and node.online \
-                    and 0 < (node.chord_id - own_id) % _SPACE < bound \
-                    and succ not in avoid:
-                return succ
-        return None
 
     def first_live_successor(self, ring: "ChordRing") -> Optional[str]:
         """The nearest online entry of the successor list."""
@@ -129,19 +102,26 @@ class ChordNode(SimNode):
 
         If the nearest live successor (skipping ``avoid``) covers the key
         it is the owner; otherwise the lookup moves to the closest
-        preceding finger neither avoided nor ``distrust``-ed, falling
-        back to that successor.  ``whole_list`` lets *any* live entry of
-        the successor list covering the key name the owner (redundant
-        successor verification: one compromised immediate predecessor is
-        then not a routing choke point).
+        preceding finger neither avoided nor ``distrust``-ed (then the
+        nearest such successor), falling back to that successor.
+        ``whole_list`` lets *any* live entry of the successor list
+        covering the key name the owner (redundant successor
+        verification: one compromised immediate predecessor is then not
+        a routing choke point).
         """
+        own_id = self.chord_id
+        # Both ring tests as one modular distance from ``own``: ``key in
+        # (own, succ]`` is ``key_gap <= succ_gap`` and ``x in (own, key)``
+        # is ``0 < x_gap < key_gap``, where a gap of 0 reads as the whole
+        # ring (key == own, or a one-node ring's succ == own)
+        key_gap = (key_id - own_id) % _SPACE or _SPACE
         nodes = ring.nodes
         successor = None
         for succ in self.successors:
             node = nodes.get(succ)
             if node is None or not node.online or succ in avoid:
                 continue
-            if in_interval(key_id, self.chord_id, node.chord_id, True):
+            if key_gap <= ((node.chord_id - own_id) % _SPACE or _SPACE):
                 return succ, True
             if successor is None:
                 successor = succ
@@ -152,7 +132,20 @@ class ChordNode(SimNode):
                 f"{self.node_id!r} has no live successor (ring partitioned)")
         if distrust:
             avoid = avoid | distrust
-        return self.closest_preceding(key_id, ring, avoid) or successor, False
+        # a duplicate finger gives its first occurrence's answer, so
+        # scanning each distinct peer once is the 32-entry scan
+        for node in self.finger_nodes:
+            if node.online \
+                    and 0 < (node.chord_id - own_id) % _SPACE < key_gap \
+                    and node.node_id not in avoid:
+                return node.node_id, False
+        for succ in self.successors:
+            node = nodes.get(succ)
+            if node is not None and node.online \
+                    and 0 < (node.chord_id - own_id) % _SPACE < key_gap \
+                    and succ not in avoid:
+                return succ, False
+        return successor, False
 
 
 class ChordRing:

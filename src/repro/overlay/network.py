@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Dict, NoReturn, Optional, Tuple
 
 from repro.exceptions import OverlayError, SimulationError
 from repro.obs.metrics import MetricsRegistry
@@ -218,6 +219,22 @@ class SimNode:
         handler(message)
 
 
+_INF = math.inf
+_new_tuple = tuple.__new__
+
+
+def _reject_latency(latency: float) -> NoReturn:
+    """Raise for a latency sample no RPC can take (NaN, infinite or
+    negative); the settles call it before any span records the RPC."""
+    raise SimulationError(
+        f"RPC latency must be finite and >= 0 (got {latency})")
+
+
+#: what an RPC's ``nodes.get`` answers for an unregistered peer: one that
+#: is never online, so reachability is one attribute read
+_UNKNOWN = SimpleNamespace(online=False)
+
+
 class SimNetwork:
     """The message fabric connecting :class:`SimNode` peers."""
 
@@ -234,9 +251,15 @@ class SimNetwork:
         #: every subsystem of the :class:`repro.fabric.Fabric` counts into
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         # the tracer is fixed for the network's life, so whether an RPC
-        # opens a ``net.rpc`` span is decided once, here
-        self._settle = self._rpc_traced if self.tracer.enabled \
-            else self._rpc_inner
+        # opens a ``net.rpc`` span is decided once, here; an untraced
+        # loss-free network settles fair-weather until install_faults /
+        # install_overload attach a policy
+        if self.tracer.enabled:
+            self._settle = self._rpc_traced
+        elif loss_rate > 0:
+            self._settle = self._rpc_inner
+        else:
+            self._settle = self._rpc_fair
         self.metrics = MetricsRegistry()
         self.stats = NetworkStats(self.metrics)
         # per-message hot path: the two handles resolved once, so an RPC
@@ -282,6 +305,7 @@ class SimNetwork:
             raise SimulationError("a fault plan is already installed")
         plan.bind(self)
         self.faults = plan
+        self._settle_generally()
         self._link = lambda src, dst, t: (plan.blocks(src, dst, t),
                                           plan.latency_factor(src, dst, t))
         self._loss_cause = self._fault_loss
@@ -304,6 +328,7 @@ class SimNetwork:
         if self.service is not None:
             raise SimulationError("an overload config is already installed")
         service = self.service = config.service
+        self._settle_generally()
         # what an abandoned attempt costs: the adaptive per-destination
         # estimate once it has a sample, else the service's fixed timeout,
         # else (as on the fair-weather fabric) four RTTs
@@ -318,6 +343,12 @@ class SimNetwork:
             self._timeout_cost = lambda dst, out: \
                 adaptive.timeout_for(dst) or fixed(dst, out)
             self._observe_rtt = adaptive.observe
+
+    def _settle_generally(self) -> None:
+        """An attached policy takes the fair-weather settle's place (a
+        traced network keeps its span around the general path)."""
+        if not self.tracer.enabled:
+            self._settle = self._rpc_inner
 
     def register(self, node: SimNode) -> None:
         """Add a peer to the fabric."""
@@ -335,8 +366,7 @@ class SimNetwork:
 
     def is_online(self, node_id: str) -> bool:
         """Whether the peer exists and is currently up."""
-        node = self.nodes.get(node_id)
-        return node is not None and node.online
+        return self.nodes.get(node_id, _UNKNOWN).online
 
     # -- fault-aware draws ------------------------------------------------------
 
@@ -440,15 +470,17 @@ class SimNetwork:
         On a traced network the ``net.rpc`` span closes immediately
         carrying the RTT as cost (a parallel parent span turns the sum
         into a max — see :class:`repro.obs.trace.Span`); an untraced one
-        opens no span at all.  A latency model that yields a
-        NaN, infinite or negative latency raises
-        :class:`~repro.exceptions.SimulationError`.
+        opens no span at all.  A latency model that yields a NaN,
+        infinite or negative sample raises
+        :class:`~repro.exceptions.SimulationError` as it is drawn, before
+        any span records the RPC.
+
+        Until a policy attaches, an untraced loss-free network settles
+        with :meth:`_rpc_fair`, the general path with every policy at its
+        default; :meth:`install_faults` and :meth:`install_overload` bind
+        the general :meth:`_rpc_inner`.
         """
-        reply = self._settle(src, dst, kind, payload_size)
-        if not 0.0 <= reply.latency < math.inf:
-            raise SimulationError(
-                f"RPC latency must be finite and >= 0 (got {reply.latency})")
-        return reply
+        return self._settle(src, dst, kind, payload_size)
 
     def _rpc_traced(self, src: str, dst: str, kind: str,
                     payload_size: int) -> Reply:
@@ -496,13 +528,38 @@ class SimNetwork:
         self._observe_rtt(dst, rtt)
         return True
 
+    def _rpc_fair(self, src: str, dst: str, kind: str,
+                  payload_size: int) -> Reply:
+        """:meth:`_rpc_inner` with every policy at its install-free
+        default: every link open at factor 1.0, no loss, no corruption,
+        each request served on arrival, a timeout four RTTs.  The same
+        draws, counters and floats (``out`` is ``out * 1.0``, ``out +
+        back`` is ``out + 0.0 + back``)."""
+        out = self.latency.sample(self._rng, src, dst)
+        if not 0.0 <= out < _INF:
+            _reject_latency(out)
+        if not self.nodes.get(dst, _UNKNOWN).online:
+            self._messages.value += 1
+            self._bytes.value += payload_size
+            self.metrics.inc("net.rpc_failures", kind=kind, cause="offline",
+                             direction="request")
+            return Reply(False, 4 * out, "offline")
+        back = self.latency.sample(self._rng, dst, src)
+        if not 0.0 <= back < _INF:
+            _reject_latency(back)
+        self._messages.value += 2
+        self._bytes.value += 2 * payload_size
+        # the NamedTuple's generated __new__, minus its frame
+        return _new_tuple(Reply, (True, out + back, None))
+
     def _rpc_inner(self, src: str, dst: str, kind: str, payload_size: int,
                    span: Any = NOOP_SPAN) -> Reply:
         now = self.sim.now
         blocked, factor = self._link(src, dst, now)
         out = self.latency.sample(self._rng, src, dst) * factor
-        node = self.nodes.get(dst)  # is_online, spelled out: every RPC
-        reachable = not blocked and node is not None and node.online
+        if not 0.0 <= out < _INF:
+            _reject_latency(out)
+        reachable = not blocked and self.nodes.get(dst, _UNKNOWN).online
         request_lost = self._loss_cause(src, dst, now) if reachable else None
         if not reachable or request_lost is not None:
             self._messages.value += 1
@@ -514,6 +571,8 @@ class SimNetwork:
             span.set_attr("failed", f"request/{cause}")
             return Reply(False, self._timeout_cost(dst, out), cause)
         back = self.latency.sample(self._rng, dst, src) * factor
+        if not 0.0 <= back < _INF:
+            _reject_latency(back)
         # the request reached dst: admission to its service queue
         accepted, queue_wait = self._admit(dst, now + out)
         if not accepted:

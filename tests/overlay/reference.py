@@ -10,21 +10,22 @@ name in every sort key.  ``test_kad_oracle.py`` holds the new code equal
 to it: the same ``KadLookupResult`` or exception type, network
 statistics, RNG state and bucket dicts, insertion order included.
 
-Chord and the network.  ``ChordNode.closest_preceding`` now scans each
-node's distinct finger nodes once with one modular distance, and an
-untraced ``SimNetwork`` opens no ``net.rpc`` span.  Here are the 32-entry
-scan with ``in_interval`` and the ``rpc_issue`` that always opens its
-span; ``test_chord_oracle.py`` holds the new code equal to them.
+Chord and the network.  ``ChordNode.next_step`` now tests each successor
+with one modular distance and scans the distinct finger nodes itself, and
+an untraced loss-free ``SimNetwork`` settles with ``_rpc_fair``.  Here are
+the ``next_step`` that tested each successor with ``in_interval`` and
+handed the finger scan to ``closest_preceding``, and the ``rpc_issue``
+that always opens its span around the general ``_rpc_inner``;
+``test_chord_oracle.py`` holds the new code equal to them.
 """
 
-import math
 from bisect import bisect_left
-from typing import AbstractSet, Any, Dict, List, Optional, Set
+from typing import AbstractSet, Any, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import (DeadlineExceededError, LookupError_,
-                              OverlayError, SimulationError)
+                              OverlayError)
 from repro.overlay import kademlia
-from repro.overlay.chord import ChordNode, ChordRing, in_interval
+from repro.overlay.chord import M_BITS, ChordNode, ChordRing, in_interval
 from repro.overlay.kademlia import (KademliaNode, KademliaOverlay,
                                     KadLookupResult, kad_id, xor_distance)
 from repro.overlay.network import SimNetwork
@@ -189,8 +190,12 @@ class ReferenceOverlay(KademliaOverlay):
                 closest=shortlist[:kademlia.K], hops=hops, rpcs=rpcs)
 
 
+_SPACE = 1 << M_BITS
+
+
 class ReferenceChordNode(ChordNode):
-    """A Chord node that scans all 32 fingers with ``in_interval``."""
+    """A Chord node that routes with ``in_interval`` and a separate
+    ``closest_preceding`` scan."""
 
     def closest_preceding(self, key_id: int, ring: "ChordRing",
                           avoid: AbstractSet[str] = frozenset()
@@ -200,21 +205,57 @@ class ReferenceChordNode(ChordNode):
         ``avoid`` lists peers the lookup routes around: written off as
         unresponsive, or distrusted by a secure-lookup driver.
         """
-        nodes = ring.nodes
         own_id = self.chord_id
-        for finger in reversed(self.fingers):
-            node = nodes.get(finger)
-            if node is not None and node.online \
-                    and in_interval(node.chord_id, own_id, key_id) \
-                    and finger not in avoid:
-                return finger
+        # ``x in (own, key)`` as one modular distance; key == own leaves
+        # the whole ring but ``own`` itself
+        bound = (key_id - own_id) % _SPACE or _SPACE
+        # a duplicate finger gives its first occurrence's answer, so
+        # scanning each distinct peer once is the 32-entry scan
+        for node in self.finger_nodes:
+            if node.online and 0 < (node.chord_id - own_id) % _SPACE < bound \
+                    and node.node_id not in avoid:
+                return node.node_id
+        nodes = ring.nodes
         for succ in self.successors:
             node = nodes.get(succ)
             if node is not None and node.online \
-                    and in_interval(node.chord_id, own_id, key_id) \
+                    and 0 < (node.chord_id - own_id) % _SPACE < bound \
                     and succ not in avoid:
                 return succ
         return None
+
+    def next_step(self, key_id: int, ring: "ChordRing",
+                  avoid: AbstractSet[str],
+                  distrust: AbstractSet[str] = frozenset(),
+                  whole_list: bool = False) -> Tuple[str, bool]:
+        """This node's routing answer for ``key_id``: ``(peer, is_owner)``.
+
+        If the nearest live successor (skipping ``avoid``) covers the key
+        it is the owner; otherwise the lookup moves to the closest
+        preceding finger neither avoided nor ``distrust``-ed, falling
+        back to that successor.  ``whole_list`` lets *any* live entry of
+        the successor list covering the key name the owner (redundant
+        successor verification: one compromised immediate predecessor is
+        then not a routing choke point).
+        """
+        nodes = ring.nodes
+        successor = None
+        for succ in self.successors:
+            node = nodes.get(succ)
+            if node is None or not node.online or succ in avoid:
+                continue
+            if in_interval(key_id, self.chord_id, node.chord_id, True):
+                return succ, True
+            if successor is None:
+                successor = succ
+                if not whole_list:
+                    break
+        if successor is None:
+            raise LookupError_(
+                f"{self.node_id!r} has no live successor (ring partitioned)")
+        if distrust:
+            avoid = avoid | distrust
+        return self.closest_preceding(key_id, ring, avoid) or successor, False
 
 
 class ReferenceChordRing(ChordRing):
@@ -236,7 +277,8 @@ class ReferenceChordRing(ChordRing):
 
 
 class ReferenceNetwork(SimNetwork):
-    """A network whose every RPC opens its ``net.rpc`` span."""
+    """A network whose every RPC opens its ``net.rpc`` span and settles
+    on the general path (``_rpc_inner`` checks each latency sample)."""
 
     def rpc_issue(self, src: str, dst: str, kind: str = "rpc",
                   payload_size: int = 64) -> Reply:
@@ -246,7 +288,4 @@ class ReferenceNetwork(SimNetwork):
             reply = self._rpc_inner(src, dst, kind, payload_size, span)
             span.set_attr("ok", reply.ok)
             span.add_cost(reply.latency)
-        if not 0.0 <= reply.latency < math.inf:
-            raise SimulationError(
-                f"RPC latency must be finite and >= 0 (got {reply.latency})")
         return reply

@@ -1,16 +1,20 @@
-"""Chord's distinct-finger scan and the span-free untraced RPC against the
-code they replaced.
+"""Chord's one-frame ``next_step`` and the fair-weather RPC settle against
+the code they replaced.
 
-``tests/overlay/reference.py`` keeps ``closest_preceding`` as first
-written (all 32 fingers, farthest first, one ``in_interval`` each) and the
-``rpc_issue`` that opens a ``net.rpc`` span on every network.  Two worlds
-are grown from one seed — built, or built and then grown by ``join`` +
+``tests/overlay/reference.py`` keeps ``next_step`` as it was (one
+``in_interval`` per successor, then a separate ``closest_preceding`` scan
+of the distinct finger nodes) and the ``rpc_issue`` that opens a
+``net.rpc`` span on every network and always settles on the general
+``_rpc_inner`` — so wherever the new network settles fair-weather, this
+oracle holds the fair settle equal to the general one.  Two worlds are
+grown from one seed — built, or built and then grown by ``join`` +
 ``stabilize_all`` with some peers asleep, which leaves stale and
 non-monotone finger tables — and must agree on every routing answer
-(``closest_preceding``, ``next_step`` or the exception type) and on every
-whole operation: the same ``LookupResult``, statistics, counters, spans
-and RNG states, traced and untraced, with loss, offline peers, expiring
-budgets, resilient channels and bare or defended adversaries.
+(``next_step`` or the exception type) and on every whole operation: the
+same ``LookupResult`` or ``Reply``, statistics, counters, spans and RNG
+states, traced and untraced, under uniform, fixed or one-way latency,
+with loss, offline and unknown destinations, expiring budgets, resilient
+channels and bare or defended adversaries.
 """
 
 from unittest import mock
@@ -25,6 +29,7 @@ from repro.fabric import Fabric
 from repro.faults import OverloadConfig
 from repro.overlay.chord import M_BITS, ChordRing, chord_id
 from repro.overlay.network import SimNetwork
+from repro.overlay.simulator import FixedLatency
 
 from tests.overlay import reference
 from tests.overlay.test_kad_oracle import ORACLE, _rng_states
@@ -48,18 +53,33 @@ ADVERSARIES = {
         fraction=0.3, behaviors=("eclipse", "chosen_id"),
         defense=DefenseConfig()),
 }
+
+
+class OneWay:
+    """A latency model that tells a request from its response."""
+
+    def sample(self, rng, src, dst):
+        return 0.02 if src < dst else 0.07
+
+
+LATENCIES = {"uniform": None, "fixed": FixedLatency(), "one-way": OneWay()}
 #: a budget a few hops long: lookups run out of it
 EXPIRING = OverloadConfig(service=None, op_budget=0.05, retry_budget=False,
                           adaptive_timeout=False)
 
 PEERS = st.frozensets(st.integers(0, MAX_PEERS - 1), max_size=8)
 #: a routing key: any id, the asking node's own id or its neighbour's,
-#: the ends of the id space (keys that wrap zero), or a peer's id
+#: just past its first successor (distrusting that successor leaves the
+#: fallback answer), the ends of the id space (keys that wrap zero), or a
+#: peer's id
 KEY_IDS = st.one_of(st.integers(0, TOP),
-                    st.sampled_from(("own", "own+1", "own-1", 0, 1, TOP)),
+                    st.sampled_from(("own", "own+1", "own-1", "succ+1",
+                                     0, 1, TOP)),
                     st.sampled_from(NAMES))
+#: a ``call`` is one bare RPC to its key: a peer (online, offline or not
+#: yet added) or a content key no peer is registered under
 OP = st.tuples(st.sampled_from(("lookup", "lookup", "put", "get", "get",
-                                "get_many")),
+                                "get_many", "call")),
                st.integers(0, MAX_PEERS - 1),
                st.lists(st.sampled_from(KEYS), min_size=1, max_size=3))
 SCENARIO = st.fixed_dictionaries({
@@ -75,6 +95,7 @@ SCENARIO = st.fixed_dictionaries({
     "avoid": PEERS,
     "distrust": PEERS,
     "key_ids": st.lists(KEY_IDS, min_size=1, max_size=6),
+    "latency": st.sampled_from(sorted(LATENCIES)),
     "loss": st.sampled_from((0.0, 0.0, 0.2)),
     "resilient": st.booleans(),
     "budget": st.booleans(),
@@ -88,7 +109,8 @@ def _world(ring_cls, network_cls, s):
     """A ring and its fabric, grown from ``s`` alone."""
     with mock.patch.object(repro.fabric, "SimNetwork", network_cls):
         fabric = Fabric.create(
-            seed=s["seed"], loss_rate=s["loss"], resilient=s["resilient"],
+            seed=s["seed"], latency=LATENCIES[s["latency"]],
+            loss_rate=s["loss"], resilient=s["resilient"],
             tracing=s["tracing"], overload=EXPIRING if s["budget"] else None,
             adversary=ADVERSARIES[s["adversary"]])
     ring = ring_cls(fabric, replication=2)
@@ -138,6 +160,10 @@ def distinct_reversed(fingers):
 
 
 def _key_id(node, key):
+    if key == "succ+1":
+        first = chord_id(node.successors[0]) if node.successors \
+            else node.chord_id
+        return (first + 1) % (TOP + 1)
     if key in ("own", "own+1", "own-1"):
         return (node.chord_id + {"own": 0, "own+1": 1, "own-1": -1}[key]) \
             % (TOP + 1)
@@ -157,8 +183,7 @@ def _answers(ring, s):
     distrust = frozenset(NAMES[i] for i in s["distrust"])
     return {
         (name, key): (
-            _answer(lambda: node.closest_preceding(key_id, ring)),
-            _answer(lambda: node.closest_preceding(key_id, ring, avoid)),
+            _answer(lambda: node.next_step(key_id, ring, frozenset())),
             _answer(lambda: node.next_step(key_id, ring, avoid)),
             _answer(lambda: node.next_step(key_id, ring, avoid, distrust)),
             _answer(lambda: node.next_step(key_id, ring, avoid, distrust,
@@ -177,6 +202,8 @@ def _run(ring, n, op):
         return ring.put(start, keys[0], f"{keys[0]} from {start}".encode())
     if kind == "get":
         return ring.get(start, keys[0])
+    if kind == "call":
+        return ring.fabric.op(start).call(start, keys[0], "probe")
     return {key: type(value) if isinstance(value, Exception) else value
             for key, value in ring.get_many(start, keys).items()}
 
@@ -209,14 +236,18 @@ def test_the_ring_equals_the_full_finger_scan(s):
 PINNED = {"seed": 3, "n": 40, "built": 40, "rounds": 0,
           "asleep": frozenset(), "offline": frozenset(),
           "avoid": frozenset(), "distrust": frozenset(),
-          "key_ids": ["own", "own+1", "own-1", 0, TOP, "c5", "k0"],
-          "loss": 0.0, "resilient": False, "budget": False,
-          "adversary": "off", "tracing": False,
+          "key_ids": ["own", "own+1", "own-1", "succ+1", 0, TOP, "c5",
+                      "k0"],
+          "latency": "uniform", "loss": 0.0, "resilient": False,
+          "budget": False, "adversary": "off", "tracing": False,
           "ops": [("put", 1, ["k0"]), ("get", 7, ["k0"]),
-                  ("lookup", 3, ["c3"]), ("get_many", 2, ["k0", "k1"])]}
+                  ("lookup", 3, ["c3"]), ("get_many", 2, ["k0", "k1"]),
+                  ("call", 5, ["c9"]), ("call", 6, ["k2"])]}
 PINNED_CHANGES = (
     {},
     {"n": 1, "built": 1},
+    {"n": 1, "built": 1, "latency": "fixed"},
+    {"latency": "fixed"},
     {"n": 2, "built": 2},
     {"n": 3, "built": 1, "rounds": 1},
     {"built": 24, "rounds": 0},
@@ -231,19 +262,35 @@ PINNED_CHANGES = (
 )
 
 
+def _branch(ring, node, key_id, step, avoid):
+    """Which way ``next_step`` answered: an owning successor, a finger, a
+    preceding successor, the fallback successor or an exception (the
+    oracle's ``closest_preceding`` tells the middle three apart)."""
+    if isinstance(step, type):
+        return step.__name__
+    if step[1]:
+        return "owner"
+    hop = node.closest_preceding(key_id, ring, avoid)
+    return "fallback" if hop is None \
+        else "finger" if hop in node.fingers else "successor"
+
+
 def test_the_pinned_scenarios_reach_every_branch():
-    """The pinned scenarios answer from a finger, from the successor list
-    and from nobody; run on tables with unset, repeated and non-monotone
-    fingers; and end in every outcome a lookup has."""
-    answered, tables, outcomes = set(), set(), set()
+    """The pinned scenarios route from an owning successor, a finger, a
+    preceding successor, the fallback and a partitioned node; run on
+    tables with unset, repeated and non-monotone fingers; end in every
+    outcome a lookup has; and call online, offline and unknown peers."""
+    answered, tables, outcomes, causes = set(), set(), set(), set()
     for change in PINNED_CHANGES:
         s = {**PINNED, **change}
         ring, answers = _agree(s)
-        for (name, _), (hop, *_) in answers.items():
+        # the fallback needs the first live successor distrusted
+        skip = frozenset(NAMES[i] for i in s["avoid"] | s["distrust"])
+        for (name, key), (step, _, distrusting, _) in answers.items():
             node = ring.nodes[name]
-            answered.add("nobody" if hop is None
-                         else "finger" if hop in node.fingers
-                         else "successor")
+            key_id = _key_id(node, key)
+            answered.add(_branch(ring, node, key_id, step, frozenset()))
+            answered.add(_branch(ring, node, key_id, distrusting, skip))
         for node in ring.nodes.values():
             fingers = node.fingers
             if None in fingers:
@@ -258,7 +305,11 @@ def test_the_pinned_scenarios_reach_every_branch():
             outcome = _answer(lambda: _run(ring, s["n"], op))
             outcomes.add(outcome.__name__ if isinstance(outcome, type)
                          else type(outcome).__name__)
-    assert answered == {"finger", "successor", "nobody"}
+            if op[0] == "call":
+                causes.add(outcome.cause)
+    assert answered == {"owner", "finger", "successor", "fallback",
+                        "LookupError_"}, answered
     assert tables == {"unset", "repeated", "non-monotone"}
-    assert outcomes >= {"LookupResult", "tuple", "dict", "LookupError_",
-                        "DeadlineExceededError"}, outcomes
+    assert outcomes >= {"LookupResult", "tuple", "dict", "Reply",
+                        "LookupError_", "DeadlineExceededError"}, outcomes
+    assert causes >= {None, "offline"}, causes

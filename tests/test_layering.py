@@ -566,7 +566,7 @@ def test_one_function_writes_a_member_records_state():
 #: only ever be lowered: when a count drops, lower its number with it.
 NONE_TEST_CEILINGS = {
     "fabric.py": 18,
-    "overlay/network.py": 16,
+    "overlay/network.py": 14,
     "dosn/api.py": 13,
     "dosn/feed.py": 6,
     "dosn/user.py": 5,
