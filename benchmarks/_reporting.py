@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 _RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 _SCALE_VAR = re.compile(r"REPRO_E\w+_SCALE")
@@ -52,6 +52,14 @@ def _fmt(cell: object) -> str:
             return f"{cell:.2f}"
         return f"{cell:.4f}"
     return str(cell)
+
+
+def percentiles(values: Sequence[float]) -> Tuple[float, float]:
+    """``(p50, p99)`` of ``values``, nearest-rank on the sorted list."""
+    ordered = sorted(values)
+    p50 = ordered[len(ordered) // 2]
+    p99 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
+    return p50, p99
 
 
 def results_dir() -> str:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import statistics
 
-from _reporting import report_table
+from _reporting import percentiles, report_table
 from repro.cache import CacheConfig
 from repro.dosn import DosnConfig, DosnNetwork
 from repro.workloads import generate_posts, social_graph
@@ -73,13 +73,6 @@ def _feed_once(net, reader):
     messages = net.network.stats.messages - before_msgs
     cost = sum(span.cost for span in net.tracer.spans[before_spans:])
     return messages, cost, report
-
-
-def _percentiles(values):
-    ordered = sorted(values)
-    p50 = ordered[len(ordered) // 2]
-    p99 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
-    return p50, p99
 
 
 def _run_config(users, posts, readers, cache):
@@ -121,8 +114,8 @@ def test_feed_scale(benchmark):
                     users, posts, readers, cache)
                 cold_msgs = statistics.mean(cold["msgs"])
                 warm_msgs = statistics.mean(warm["msgs"])
-                cold_p50, cold_p99 = _percentiles(cold["cost"])
-                warm_p50, warm_p99 = _percentiles(warm["cost"])
+                cold_p50, cold_p99 = percentiles(cold["cost"])
+                warm_p50, warm_p99 = percentiles(warm["cost"])
                 hits = net.cache.hits if net.cache is not None else 0
                 rows.append([label, name, f"{cold_msgs:.1f}",
                              f"{warm_msgs:.1f}", cold_p50, cold_p99,

@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import statistics
 
-from _reporting import report_table
+from _reporting import percentiles, report_table
 from repro.cache import CacheConfig
 from repro.dosn import DosnConfig, DosnNetwork
 from repro.fabric import Fabric
@@ -53,13 +53,6 @@ TRIALS = 12 if SMOKE else 40     # hedged lookups measured
 USERS = 120 if SMOKE else 300    # feed cells
 POSTS = 120 if SMOKE else 300
 READERS = 8 if SMOKE else 20
-
-
-def _percentiles(values):
-    ordered = sorted(values)
-    p50 = ordered[len(ordered) // 2]
-    p99 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
-    return p50, p99
 
 
 def _children_summed(spans, select):
@@ -120,7 +113,7 @@ def test_quorum_read_critical_path(benchmark):
     rows = []
     for label, latencies in (("probes summed", summed),
                              ("critical path", elapsed)):
-        p50, p99 = _percentiles(latencies)
+        p50, p99 = percentiles(latencies)
         rows.append([label, f"{statistics.mean(latencies):.4f}",
                      f"{p50:.4f}", f"{p99:.4f}",
                      f"{stats_['messages'] / READS:.1f}",
@@ -192,7 +185,7 @@ def test_hedged_lookup_latency(benchmark):
     rows = []
     for label, latencies in (("attempts summed", summed),
                              ("hedged race", elapsed)):
-        p50, p99 = _percentiles(latencies)
+        p50, p99 = percentiles(latencies)
         rows.append([label, f"{statistics.mean(latencies):.4f}",
                      f"{p50:.4f}", f"{p99:.4f}",
                      f"{ok_count}/{TRIALS}",
@@ -256,16 +249,16 @@ def test_feed_fanout_latency(benchmark):
     """E17d: batched feeds inherit the backend's overlapped fan-out."""
     cold, warm = benchmark.pedantic(_feed_cell, rounds=1, iterations=1)
 
-    summed_p50, _ = _percentiles(warm["summed"])
-    critical_p50, _ = _percentiles(warm["cost"])
+    summed_p50, _ = percentiles(warm["summed"])
+    critical_p50, _ = percentiles(warm["cost"])
     assert critical_p50 < summed_p50, (
         f"warm feed p50 {critical_p50:.4f}s not below its owner groups "
         f"summed {summed_p50:.4f}s")
     rows = []
     for label, bill in (("groups summed", "summed"),
                         ("critical path", "cost")):
-        cold_p50, cold_p99 = _percentiles(cold[bill])
-        warm_p50, warm_p99 = _percentiles(warm[bill])
+        cold_p50, cold_p99 = percentiles(cold[bill])
+        warm_p50, warm_p99 = percentiles(warm[bill])
         rows.append([label,
                      f"{statistics.mean(cold['msgs']):.1f}",
                      f"{statistics.mean(warm['msgs']):.1f}",

@@ -9,10 +9,10 @@ Usage::
 
 Builds the workload exactly as ``benchmarks/perf/run.py`` does, switches
 ``cProfile`` on when set-up ends (set-up never shows) and runs the pinned
-op prefix once (``--seconds 0``), under ``PYTHONHASHSEED=0`` like
-``run.py``.  Prints the pass's outcome digest — equal to ``run.py``'s for
-the same seed and scale, so a profile names the behaviour it measured —
-and the ``--top`` functions by self time.  The profiler slows the run
+op prefix once (``--seconds 0``).  Prints the pass's outcome digest —
+equal to ``run.py``'s for the same seed and scale, under any
+``PYTHONHASHSEED``, so a profile names the behaviour it measured — and
+the ``--top`` functions by self time.  The profiler slows the run
 about twofold and evenly enough to rank functions, not to time them:
 take wall-clock numbers from ``run.py``.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import cProfile
 import io
-import os
 import pstats
 import sys
 from pathlib import Path
@@ -32,9 +31,6 @@ PERF = ROOT / "benchmarks" / "perf"
 
 
 def main(argv) -> int:
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        os.environ["PYTHONHASHSEED"] = "0"
-        os.execv(sys.executable, [sys.executable, __file__] + argv)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload")
     parser.add_argument("--seed", type=int, default=11)

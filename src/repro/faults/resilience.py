@@ -1,8 +1,8 @@
 """Resilient messaging over the simulated fabric.
 
-:class:`ReliableChannel` wraps :meth:`SimNetwork.rpc` with the machinery
-real P2P stacks use to survive the faults :mod:`repro.faults.plan`
-injects:
+:class:`ReliableChannel` wraps :meth:`SimNetwork.rpc_issue` with the
+machinery real P2P stacks use to survive the faults
+:mod:`repro.faults.plan` injects:
 
 * **bounded retries** with exponential backoff and jitter
   (:class:`RetryPolicy`) — masks transient loss bursts;
@@ -168,7 +168,9 @@ HEDGE_DELAY = 0.05
 class ReliableChannel:
     """Timeout/retry/breaker/hedging wrapper over a :class:`SimNetwork`.
 
-    Protocols call :meth:`call` where they would call ``network.rpc``;
+    Protocols call :meth:`call_issue` where they would call
+    ``network.rpc_issue`` (both return a
+    :class:`~repro.overlay.simulator.Reply`);
     replica reads go through :meth:`hedged`.  The channel's RNG is split
     from the simulator seed, so retry jitter is deterministic.
     """

@@ -467,8 +467,7 @@ class SwimMembership:
         if target is None:
             return
         self.metrics.inc("membership.pings")
-        ok, _ = self.network.rpc(member, target, kind="swim_ping")
-        if ok:
+        if self.network.rpc_issue(member, target, "swim_ping").ok:
             self._contact(member, target, now)
             return
         if self._indirect_probe(member, target, now):
@@ -491,8 +490,7 @@ class SwimMembership:
             return
         target = dead[self._rng.randrange(len(dead))]
         self.metrics.inc("membership.reclaim_pings")
-        ok, _ = self.network.rpc(member, target, kind="swim_ping")
-        if ok:
+        if self.network.rpc_issue(member, target, "swim_ping").ok:
             self._contact(member, target, now)
 
     def _indirect_probe(self, member: str, target: str,
@@ -521,16 +519,14 @@ class SwimMembership:
                 with self.network.tracer.span("swim.pingreq.chain",
                                               proxy=proxy):
                     self.metrics.inc("membership.indirect_chains")
-                    ok, _ = self.network.rpc(member, proxy,
-                                             kind="swim_pingreq")
-                    if not ok:
+                    if not self.network.rpc_issue(
+                            member, proxy, "swim_pingreq").ok:
                         continue
                     self._contact(member, proxy, now)
                     if not self.network.is_online(proxy):
                         continue  # the proxy answered, then left
-                    ok, _ = self.network.rpc(proxy, target,
-                                             kind="swim_ping")
-                    if not ok:
+                    if not self.network.rpc_issue(
+                            proxy, target, "swim_ping").ok:
                         continue
                     reached = True
                     # The proxy heard the target; its relayed ack is

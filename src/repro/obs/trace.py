@@ -3,10 +3,11 @@
 The discrete-event substrate makes wall-clock timestamps meaningless for
 most questions the experiments ask ("where does lookup latency go?"), so
 spans here are anchored to the simulator's **virtual** clock.  Because the
-accounted-RPC shortcut (:meth:`repro.overlay.network.SimNetwork.rpc`)
-returns an RTT without advancing the clock, a span additionally carries an
-explicit **cost** — the accounted virtual seconds attributed to it — which
-instrumented code adds via :meth:`Span.add_cost`.  The exporters aggregate
+accounted-RPC shortcut (:meth:`repro.overlay.network.SimNetwork.rpc_issue`)
+settles its :class:`~repro.overlay.simulator.Reply`, RTT included, without
+advancing the clock, a span additionally carries an explicit **cost** —
+the accounted virtual seconds attributed to it — which instrumented code
+adds via :meth:`Span.add_cost`.  The exporters aggregate
 over cost, not ``end - start``.
 
 Design constraints (see docs/observability.md):

@@ -8,9 +8,9 @@ Prpl, Peerson, Safebook and Cachet all utilize structured control overlay
 Classic Chord (Stoica et al.) over the simulated network: an ``m``-bit
 identifier ring, finger tables for O(log n) iterative lookup, successor
 lists for fault tolerance, and key replication on the successor set.
-Lookups are *accounted* through :meth:`SimNetwork.rpc`, so experiment E5
-gets faithful hop and message counts, including retries around offline
-peers under churn.
+Lookups are *accounted* through :meth:`SimNetwork.rpc_issue`, so
+experiment E5 gets faithful hop and message counts, including retries
+around offline peers under churn.
 
 Both construction modes are provided: :meth:`ChordRing.build` computes
 exact routing state for a static peer set (what the lookup experiments

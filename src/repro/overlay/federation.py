@@ -87,7 +87,7 @@ class FederatedNetwork:
             r_home = self._home_of(recipient)
             home_server.observed_edges.add((author, recipient))
             if r_home != home:
-                self.network.rpc(home, r_home, kind="fed_deliver")
+                self.network.rpc_issue(home, r_home, "fed_deliver")
                 cross += 1
                 remote = self.servers[r_home]
                 if content_id not in remote.content:
@@ -101,10 +101,15 @@ class FederatedNetwork:
                                  cross_server_messages=cross)
 
     def fetch(self, reader: str, content_id: str) -> bytes:
-        """Read from the reader's home server (one RPC)."""
+        """Read from the reader's home server (one RPC).
+
+        Raises :class:`LookupError_` when the home pod does not answer or
+        was never federated the content.
+        """
         home = self._home_of(reader)
         server = self.servers[home]
-        self.network.rpc(reader, home, kind="fed_fetch")
+        if not self.network.rpc_issue(reader, home, "fed_fetch").ok:
+            raise LookupError_(f"home pod {home!r} is unreachable")
         if content_id not in server.content:
             raise LookupError_(
                 f"{content_id!r} was not federated to {home!r}")
@@ -116,16 +121,20 @@ class FederatedNetwork:
 
         The whole batch rides a single ``fed_fetch_batch`` RPC — the
         federation analogue of the per-holder coalescing the DHT does.
-        Ids missing from the home pod come back as
-        :class:`LookupError_` **values** keyed by id (never raised), so
-        one undelivered post cannot fail a feed's fetch pass.
+        Ids missing from the home pod — every id, when the pod does not
+        answer — come back as :class:`LookupError_` **values** keyed by
+        id (never raised), so one undelivered post cannot fail a feed's
+        fetch pass.
         """
         results: Dict[str, object] = {}
         if not content_ids:
             return results
         home = self._home_of(reader)
         server = self.servers[home]
-        self.network.rpc(reader, home, kind="fed_fetch_batch")
+        if not self.network.rpc_issue(reader, home, "fed_fetch_batch").ok:
+            return {content_id: LookupError_(
+                        f"home pod {home!r} is unreachable")
+                    for content_id in content_ids}
         for content_id in content_ids:
             if content_id in results:
                 continue

@@ -16,12 +16,12 @@ comes straight from here.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import networkx as nx
 
+from repro.cache.lru import LRUMap
 from repro.exceptions import OverlayError
 from repro.overlay.chord import ChordRing, LookupResult
 
@@ -41,32 +41,6 @@ class HybridFetchResult:
     rtt: float
 
 
-class _LRUCache:
-    """A bounded per-peer content cache."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._items: "OrderedDict[str, bytes]" = OrderedDict()
-
-    def get(self, key: str) -> Optional[bytes]:
-        value = self._items.get(key)
-        if value is not None:
-            self._items.move_to_end(key)
-        return value
-
-    def put(self, key: str, value: bytes) -> None:
-        self._items[key] = value
-        self._items.move_to_end(key)
-        while len(self._items) > self.capacity:
-            self._items.popitem(last=False)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 class HybridOverlay:
     """Chord storage + social-neighbour caches."""
 
@@ -77,10 +51,10 @@ class HybridOverlay:
         self.network = self.fabric.network
         self.graph = graph
         self.ring = ChordRing(self.fabric, replication=REPLICATION)
-        self.caches: Dict[str, _LRUCache] = {}
+        self.caches: Dict[str, LRUMap[str, bytes]] = {}
         for name in graph.nodes:
             self.ring.add_node(str(name))
-            self.caches[str(name)] = _LRUCache(cache_capacity)
+            self.caches[str(name)] = LRUMap(cache_capacity)
         self.ring.build()
         self.cache_hits = 0
         self.dht_fetches = 0
@@ -113,10 +87,10 @@ class HybridOverlay:
         neighbors = [n for n in ctx.order(self.neighbors(reader))
                      if n not in ctx.avoid]
         for neighbor in neighbors[:PROBE_LIMIT]:
-            ok, t = self.network.rpc(reader, neighbor, kind="hybrid_probe")
+            reply = self.network.rpc_issue(reader, neighbor, "hybrid_probe")
             rpcs += 1
-            rtt += t
-            if not ok:
+            rtt += reply.latency
+            if not reply.ok:
                 continue
             cached = self.caches[neighbor].get(key)
             if cached is not None:

@@ -15,8 +15,10 @@ Implementation notes:
   (the first member to populate it, re-hostable on failure) — so the tree
   itself is distributed, matching the paper's "decentralization via
   virtual individual servers";
-* queries are accounted through :meth:`SimNetwork.rpc` hop by hop, so the
-  lookup experiments can compare against the other overlays;
+* queries are accounted through :meth:`SimNetwork.rpc_issue` hop by hop —
+  each hop's :class:`~repro.overlay.simulator.Reply` says whether the host
+  answered and what the round trip cost — so the lookup experiments can
+  compare against the other overlays;
 * a member's coordinates are visible only *inside* the subtree they chose
   to register under — the location-privacy dial Vis-à-Vis exposes.
 """
@@ -154,11 +156,11 @@ class LocationTree:
         previous = requester
         # phase 1: descend to the queried region
         for component in region:
-            ok, t = self.network.rpc(previous, node.host, kind="vis_route")
+            reply = self.network.rpc_issue(previous, node.host, "vis_route")
             hops += 1
-            rtt += t
+            rtt += reply.latency
             contacted.append(node.host)
-            if not ok:
+            if not reply.ok:
                 raise LookupError_(
                     f"VIS {node.host!r} hosting {node.region} is offline; "
                     "rehost the node to restore the subtree")
@@ -172,12 +174,12 @@ class LocationTree:
         stack = [node]
         while stack:
             current = stack.pop()
-            ok, t = self.network.rpc(previous, current.host,
-                                     kind="vis_collect")
+            reply = self.network.rpc_issue(previous, current.host,
+                                           "vis_collect")
             hops += 1
-            rtt += t
+            rtt += reply.latency
             contacted.append(current.host)
-            if not ok:
+            if not reply.ok:
                 continue  # that branch is dark; report what we can reach
             members.extend(current.members)
             if max_results is not None and len(members) >= max_results:

@@ -5,11 +5,13 @@ Two communication styles, matching how the overlay protocols are written:
 * **asynchronous messages** — :meth:`SimNetwork.send` schedules delivery of
   a :class:`Message` to the destination's ``on_<kind>`` handler after a
   latency sample (gossip and churn-driven protocols use this);
-* **accounted RPC** — :meth:`SimNetwork.rpc` models a synchronous
+* **accounted RPC** — :meth:`SimNetwork.rpc_issue` models a synchronous
   request/response against an online peer: it charges two messages and one
-  round trip to the statistics and returns immediately (the iterative DHT
-  lookups use this — the classic simulation shortcut that preserves hop and
-  message counts without continuation-passing every protocol step).
+  round trip to the statistics and returns the outcome at once, as a
+  :class:`~repro.overlay.simulator.Reply` ``(ok, latency, cause)`` (the
+  iterative DHT lookups use this — the classic simulation shortcut that
+  preserves hop and message counts without continuation-passing every
+  protocol step).
 
 Every message and every failure is counted once, in the attached
 :class:`repro.obs.MetricsRegistry` — failures dimensionally (kind × cause
@@ -492,11 +494,6 @@ class SimNetwork:
             span.set_attr("ok", reply.ok)
             span.add_cost(reply.latency)
         return reply
-
-    def rpc(self, src: str, dst: str, kind: str = "rpc",
-            payload_size: int = 64) -> Tuple[bool, float]:
-        """:meth:`rpc_issue` as ``(reachable, rtt)``."""
-        return self.rpc_issue(src, dst, kind, payload_size)[:2]
 
     def _enqueue(self, dst: str, arrival: float) -> Tuple[bool, float]:
         """Admit one request to ``dst``'s service queue at ``arrival``.

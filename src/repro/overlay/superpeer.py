@@ -108,9 +108,9 @@ class SuperPeerOverlay:
         peer = self.peers[peer_name]
         peer.store[key] = value
         index_sp = self._index_super(key)
-        self.network.rpc(peer_name, peer.super_peer, kind="sp_publish")
+        self.network.rpc_issue(peer_name, peer.super_peer, "sp_publish")
         if index_sp != peer.super_peer:
-            self.network.rpc(peer.super_peer, index_sp, kind="sp_index")
+            self.network.rpc_issue(peer.super_peer, index_sp, "sp_index")
         self.super_peers[index_sp].index.setdefault(key, [])
         if peer_name not in self.super_peers[index_sp].index[key]:
             self.super_peers[index_sp].index[key].append(peer_name)
@@ -122,19 +122,19 @@ class SuperPeerOverlay:
             raise LookupError_(f"peer {peer_name!r} is not online")
         hops = 0
         rtt = 0.0
-        ok, t = self.network.rpc(peer_name, peer.super_peer, kind="sp_query")
+        reply = self.network.rpc_issue(peer_name, peer.super_peer, "sp_query")
         hops += 1
-        rtt += t
-        if not ok:
+        rtt += reply.latency
+        if not reply.ok:
             raise LookupError_(
                 f"super-peer {peer.super_peer!r} is unreachable")
         index_sp = self._index_super(key)
         if index_sp != peer.super_peer:
-            ok, t = self.network.rpc(peer.super_peer, index_sp,
-                                     kind="sp_query")
+            reply = self.network.rpc_issue(peer.super_peer, index_sp,
+                                           "sp_query")
             hops += 1
-            rtt += t
-            if not ok:
+            rtt += reply.latency
+            if not reply.ok:
                 raise LookupError_(f"index super-peer {index_sp!r} is down")
         holders = list(self.super_peers[index_sp].index.get(key, ()))
         if not holders:
@@ -147,10 +147,10 @@ class SuperPeerOverlay:
         for holder in result.holders:
             node = self.peers.get(holder)
             if node is not None and node.online and key in node.store:
-                ok, t = self.network.rpc(peer_name, holder, kind="sp_fetch")
+                reply = self.network.rpc_issue(peer_name, holder, "sp_fetch")
                 result.hops += 1
-                result.rtt += t
-                if ok:
+                result.rtt += reply.latency
+                if reply.ok:
                     return node.store[key], result
         raise LookupError_(f"no live holder for {key!r}")
 

@@ -107,7 +107,7 @@ class CuckooNetwork:
             visited.add(target)
             if not self.network.is_online(target):
                 continue  # missed push; DHT pull will catch them up
-            self.network.rpc(relay, target, kind="cuckoo_push")
+            self.network.rpc_issue(relay, target, "cuckoo_push")
             self.inboxes[target][item.cid] = text
             self.push_deliveries += 1
             # socio-aware relay: co-followers of the same publisher

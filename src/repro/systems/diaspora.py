@@ -20,9 +20,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto.symmetric import StreamCipher, random_key
 from repro.exceptions import AccessDeniedError, DecryptionError, OverlayError
+from repro.fabric import Fabric
 from repro.overlay.federation import FederatedNetwork
-from repro.overlay.network import SimNetwork
-from repro.overlay.simulator import Simulator
 from repro.stack import (AclLayer, ContentItem, LayerSpec, PlacementLayer,
                          ProtectionStack, SystemSpec, register_system)
 
@@ -49,8 +48,9 @@ class DiasporaNetwork:
     """A Diaspora deployment: pods + aspects + per-aspect encryption."""
 
     def __init__(self, seed: int = 0) -> None:
-        self.sim = Simulator(seed)
-        self.network = SimNetwork(self.sim)
+        self.fabric = Fabric.create(seed=seed)
+        self.sim = self.fabric.sim
+        self.network = self.fabric.network
         self.federation = FederatedNetwork(
             self.network, [f"pod{i}" for i in range(PODS)])
         self.rng = _random.Random(seed)

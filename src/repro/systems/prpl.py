@@ -109,7 +109,7 @@ class PrplNetwork:
             raise OverlayError(f"{device_id!r} is not {user}'s device")
         self.devices[device_id].items[item_id] = item.payload
         self.butler_index[user][item_id] = device_id
-        self.network.rpc(device_id, f"butler:{user}", kind="prpl_index")
+        self.network.rpc_issue(device_id, f"butler:{user}", "prpl_index")
         item.meta["device_id"] = device_id
 
     def _butler_fetch(self, item: ContentItem) -> None:
@@ -123,15 +123,15 @@ class PrplNetwork:
         butler = f"butler:{owner}"
         if not self.network.is_online(butler):
             raise LookupError_(f"{owner!r}'s butler is offline")
-        ok, _ = self.network.rpc(result.owner, butler, kind="prpl_butler")
+        self.network.rpc_issue(result.owner, butler, "prpl_butler")
         hops += 1
         device_id = self.butler_index.get(owner, {}).get(item_id)
         if device_id is None:
             raise StorageError(f"{owner!r} has no item {item_id!r}")
         device = self.devices[device_id]
-        ok, _ = self.network.rpc(butler, device_id, kind="prpl_device")
+        reply = self.network.rpc_issue(butler, device_id, "prpl_device")
         hops += 1
-        if not ok or item_id not in device.items:
+        if not reply.ok or item_id not in device.items:
             raise StorageError(
                 f"device {device_id!r} holding {item_id!r} is offline")
         item.result = (device.items[item_id], hops)

@@ -176,12 +176,6 @@ class SafebookNetwork:
         self.stack.post(item)
         return item.meta["mirrors"]
 
-    def _decrypt_and_verify(self, owner: str, reader: str,
-                            blob: bytes) -> bytes:
-        item = ContentItem(author=owner, reader=reader, payload=blob)
-        self.stack.read(item, only=("acl", "integrity"))
-        return item.result
-
     # -- anonymous retrieval through the shells ---------------------------------------
 
     def retrieve_profile(self, requester: str, owner: str

@@ -20,8 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.symmetric import StreamCipher, random_key
 from repro.exceptions import LookupError_, OverlayError, StorageError
-from repro.overlay.network import SimNetwork
-from repro.overlay.simulator import Simulator
+from repro.fabric import Fabric
 from repro.overlay.superpeer import SuperPeerOverlay
 from repro.stack import (AclLayer, ContentItem, LayerSpec, PlacementLayer,
                          ProtectionStack, SystemSpec, register_system)
@@ -52,8 +51,9 @@ class SupernovaNetwork:
     """A Supernova deployment: super-peers + uptime-picked storekeepers."""
 
     def __init__(self, seed: int = 0) -> None:
-        self.sim = Simulator(seed)
-        self.network = SimNetwork(self.sim)
+        self.fabric = Fabric.create(seed=seed)
+        self.sim = self.fabric.sim
+        self.network = self.fabric.network
         self.overlay = SuperPeerOverlay(self.network)
         self.rng = _random.Random(seed)
         for index in range(SUPER_PEERS):
@@ -108,7 +108,7 @@ class SupernovaNetwork:
         keepers = self.agreements[owner]
         for keeper in keepers:
             self._kept[keeper][(owner, item_id)] = item.payload
-            self.network.rpc(owner, keeper, kind="sn_store")
+            self.network.rpc_issue(owner, keeper, "sn_store")
         # publish the index entry so lookups find the keepers
         self.overlay.publish(owner, f"sn/{owner}/{item_id}", b"")
         index_sp = self.overlay._index_super(f"sn/{owner}/{item_id}")
@@ -125,7 +125,7 @@ class SupernovaNetwork:
             blob = self._kept.get(keeper, {}).get((owner, item_id))
             if blob is None:
                 continue
-            self.network.rpc(item.reader, keeper, kind="sn_fetch")
+            self.network.rpc_issue(item.reader, keeper, "sn_fetch")
             item.payload = blob
             return
         raise StorageError(

@@ -18,7 +18,7 @@ import pytest
 from repro.dosn.provider import CentralProvider
 from repro.dosn.storage import (CentralBackend, DHTBackend, FederationBackend,
                                 FetchedBlob, LocalBackend)
-from repro.exceptions import ReproError, StorageError
+from repro.exceptions import LookupError_, ReproError, StorageError
 from repro.fabric import Fabric
 from repro.overlay.chord import ChordRing
 from repro.overlay.federation import FederatedNetwork
@@ -259,6 +259,35 @@ class TestLocalBackendOfflineOwner:
         backend.online["alice"] = False
         backend.online["alice"] = True
         assert backend.get("bob", "cid-7") == b"only-copy"
+
+
+class TestFederationBackendOfflinePod:
+    """A reader's reads all go to its home pod: while that pod is down,
+    every read entry point fails, and none serves a stale copy."""
+
+    def _backend_with_offline_pod(self):
+        backend = _federation()
+        backend.put("alice", "cid-f", b"pod-copy", recipients=["bob"])
+        pod = backend.federation.servers[backend.federation.home["bob"]]
+        pod.go_offline()
+        return backend, pod
+
+    def test_offline_home_pod_makes_content_unavailable(self, read):
+        backend, _ = self._backend_with_offline_pod()
+        with pytest.raises(LookupError_):
+            read(backend, "bob", "cid-f")
+
+    def test_offline_home_pod_fails_each_id_of_a_batch(self):
+        backend, _ = self._backend_with_offline_pod()
+        got = backend.get_many("bob", ["cid-f", "cid-ghost", "cid-f"])
+        assert list(got) == ["cid-f", "cid-ghost"]
+        assert all(isinstance(value, LookupError_)
+                   for value in got.values())
+
+    def test_home_pod_back_online_restores_availability(self, read):
+        backend, pod = self._backend_with_offline_pod()
+        pod.go_online()
+        assert read(backend, "bob", "cid-f") == b"pod-copy"
 
 
 class TestCentralProviderPublicSurface:

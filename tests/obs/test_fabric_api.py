@@ -52,7 +52,7 @@ class TestFabric:
             for i in range(8):
                 ring.add_node(f"p{i}")
             ring.build()
-            _, rtt = fab.network.rpc("p0", "p1")
+            rtt = fab.network.rpc_issue("p0", "p1").latency
             draws.append(rtt)
         assert draws[0] == draws[1]
 
@@ -280,7 +280,7 @@ class TestRpcFailureCauseMetrics:
         from repro.overlay.network import SimNode
         for name in ("a", "b"):
             fab.network.register(SimNode(name))
-        ok, _ = fab.network.rpc("a", "b", kind="chord_step")
+        ok = fab.network.rpc_issue("a", "b", kind="chord_step").ok
         assert not ok
         assert fab.metrics.get_counter_value(
             "net.rpc_failures", kind="chord_step", cause="loss",
@@ -292,7 +292,7 @@ class TestRpcFailureCauseMetrics:
         for name in ("a", "b"):
             fab.network.register(SimNode(name))
         fab.network.node("b").go_offline()
-        ok, _ = fab.network.rpc("a", "b", kind="kad_find")
+        ok = fab.network.rpc_issue("a", "b", kind="kad_find").ok
         assert not ok
         assert fab.metrics.get_counter_value(
             "net.rpc_failures", kind="kad_find", cause="offline",
@@ -305,7 +305,7 @@ class TestRpcFailureCauseMetrics:
         from repro.overlay.network import SimNode
         for name in ("a", "b"):
             fab.network.register(SimNode(name))
-        ok, _ = fab.network.rpc("a", "b", kind="chord_final")
+        ok = fab.network.rpc_issue("a", "b", kind="chord_final").ok
         assert not ok
         assert fab.metrics.get_counter_value(
             "net.rpc_failures", kind="chord_final", cause="partition",
@@ -316,7 +316,7 @@ class TestRpcFailureCauseMetrics:
         from repro.overlay.network import SimNode
         for name in ("a", "b"):
             fab.network.register(SimNode(name))
-        ok, _ = fab.network.rpc("a", "b", kind="chord_step")
+        ok = fab.network.rpc_issue("a", "b", kind="chord_step").ok
         assert ok
         assert fab.metrics.get_counter_value(
             "net.rpc_failures", kind="chord_step", cause="loss",

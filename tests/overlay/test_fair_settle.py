@@ -12,16 +12,25 @@ which the perf harness wraps to count them.
 
 import math
 
+import networkx as nx
 import pytest
 
-from repro.exceptions import SimulationError
+from repro.exceptions import LookupError_, SimulationError, StorageError
 from repro.fabric import Fabric
 from repro.faults import (FaultPlan, OverloadConfig, Partition,
                           ServiceConfig, SlowLink)
+from repro.membership import SwimMembership
 from repro.overlay.chord import ChordRing
+from repro.overlay.federation import FederatedNetwork
+from repro.overlay.hybrid import HybridOverlay
 from repro.overlay.kademlia import KademliaOverlay
+from repro.overlay.locationtree import LocationTree
 from repro.overlay.network import SimNetwork, SimNode
 from repro.overlay.simulator import FixedLatency
+from repro.overlay.superpeer import SuperPeerOverlay
+from repro.systems.cuckoo import CuckooNetwork
+from repro.systems.prpl import PrplNetwork
+from repro.systems.supernova import SupernovaNetwork
 
 #: a service model and nothing else: no deadline, no budgets
 SERVICE = OverloadConfig(service=ServiceConfig(service_time=0.1,
@@ -134,18 +143,9 @@ def test_an_impossible_latency_raises_before_any_span_records_it(
         == (["net.rpc", "op"] if network == "traced" else [])
 
 
-def test_every_fabric_rpc_is_one_rpc_issue_call(monkeypatch):
-    """Chord lookup, get and get_many and a Kademlia lookup, with one
-    peer offline: the class-level wrap sees each RPC the network
-    counted (two messages an answered RPC, one a failed request)."""
-    calls = []
-    issue = SimNetwork.rpc_issue
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return issue(self, *args, **kwargs)
-
-    monkeypatch.setattr(SimNetwork, "rpc_issue", counted)
+def _chord_and_kademlia():
+    """Chord lookup, get and get_many and a Kademlia lookup, one peer
+    offline in each: RPCs that ride ``Fabric.call``."""
     chord_fab, kad_fab = Fabric.create(seed=3), Fabric.create(seed=4)
     ring = ChordRing(chord_fab, replication=2)
     kad = KademliaOverlay(kad_fab)
@@ -157,22 +157,167 @@ def test_every_fabric_rpc_is_one_rpc_issue_call(monkeypatch):
     ring.put("c0", "key", b"value")
     ring.nodes["c7"].go_offline()
     kad.nodes["k7"].go_offline()
-    for fab in (chord_fab, kad_fab):
-        fab.network.stats.reset()
-    calls.clear()
-
     ring.lookup("c1", "key")
     ring.get("c2", "key")
     ring.get_many("c3", ["key", "other", "c7"])
     for i in range(8):
         ring.lookup(f"c{i + 8}", f"c{7 * i % 32}")
         kad.lookup(f"k{i + 8}", f"k{7 * i % 32}")
+    return [chord_fab.network, kad_fab.network]
 
-    counted_rpcs = 0
-    failures = 0
-    for fab in (chord_fab, kad_fab):
-        failed = sum(c.value for c in fab.metrics.family("net.rpc_failures"))
-        counted_rpcs += (fab.network.stats.messages + failed) // 2
-        failures += failed
-    assert failures > 0
-    assert len(calls) == counted_rpcs > failures
+
+# -- the overlays and system models that call the network directly -----------
+
+
+def _federation():
+    """Posts, fetches and batched fetches, one reader's pod offline."""
+    fab = Fabric.create(seed=3)
+    fed = FederatedNetwork(fab.network, ["pod0", "pod1", "pod2"])
+    users = [f"u{i}" for i in range(8)]
+    for user in users:
+        fed.register_user(user)
+    fed.post("u0", "c", b"x", users[1:])
+    fed.servers[fed.home["u1"]].go_offline()
+    for user in users:
+        try:
+            fed.fetch(user, "c")
+        except LookupError_:
+            pass
+        fed.fetch_many(user, ["c", "d"])
+    return [fab.network]
+
+
+def _super_peer():
+    """Publishes, lookups and fetches, one super-peer and one holder
+    offline."""
+    fab = Fabric.create(seed=3)
+    overlay = SuperPeerOverlay(fab.network)
+    for i in range(3):
+        overlay.add_super_peer(f"sp{i}")
+    for i in range(12):
+        overlay.add_peer(f"p{i}")
+        overlay.publish(f"p{i}", f"k{i}", b"v")
+    overlay.super_peers["sp1"].go_offline()
+    overlay.peers["p5"].go_offline()
+    for i in range(12):
+        try:
+            overlay.fetch(f"p{(i + 1) % 12}", f"k{i}")
+        except LookupError_:
+            pass
+    return [fab.network]
+
+
+def _location_tree():
+    """Region queries with one subtree's host offline."""
+    fab = Fabric.create(seed=3)
+    tree = LocationTree("g", fab.network)
+    regions = [("eu", "tr", "ist"), ("eu", "tr", "ank"),
+               ("eu", "de", "ber"), ("us", "ny", "nyc")]
+    for i in range(8):
+        tree.add_member(f"m{i}", regions[i % 4])
+    tree.servers["m2"].go_offline()
+    for region in [(), ("eu",), ("eu", "tr"), ("us", "ny", "nyc")]:
+        tree.query("m1", region)
+    return [fab.network]
+
+
+def _hybrid():
+    """Fetches that probe neighbours' caches, one neighbour offline."""
+    fab = Fabric.create(seed=3)
+    graph = nx.relabel_nodes(nx.barabasi_albert_graph(30, 3, seed=3),
+                             lambda i: f"h{i}")
+    overlay = HybridOverlay(fab, graph)
+    overlay.publish("h0", "k", b"v")
+    fab.network.nodes["h1"].go_offline()
+    for i in range(2, 30):
+        overlay.fetch(f"h{i}", "k")
+    return [fab.network]
+
+
+def _swim():
+    """SWIM ticks, direct and indirect probes, one member offline."""
+    fab = Fabric.create(seed=3, latency=FixedLatency(0.02))
+    membership = SwimMembership(fab)
+    for i in range(8):
+        fab.network.register(SimNode(f"s{i}"))
+        membership.register(f"s{i}")
+    membership.start()
+    fab.network.nodes["s3"].go_offline()
+    fab.sim.run(until=5.0)
+    return [fab.network]
+
+
+def _supernova():
+    """A storekeeper store and retrieve, one keeper offline."""
+    net = SupernovaNetwork(seed=3)
+    for i in range(12):
+        net.register(f"n{i}")
+    net.report_uptimes({f"n{i}": 0.2 if i < 8 else 0.9 for i in range(12)})
+    keepers = net.arrange_storekeepers("n0")
+    net.overlay.peers[keepers[0]].go_offline()
+    net.store("n0", "album", b"x")
+    net.retrieve("n1", "n0", "album", owner_key=net.friend_key("n0"))
+    return [net.network]
+
+
+def _cuckoo():
+    """A push through the followers, one offline, then pulls."""
+    net = CuckooNetwork(seed=3)
+    for i in range(16):
+        net.register(f"c{i}")
+    for i in range(1, 8):
+        net.follow(f"c{i}", "c0")
+    net.go_offline("c3")
+    post = net.post("c0", b"x")
+    for i in range(1, 16):
+        if i != 3:
+            net.read(f"c{i}", post)
+    return [net.network]
+
+
+def _prpl():
+    """Device stores and butler fetches, one device offline."""
+    net = PrplNetwork(seed=3)
+    for i in range(6):
+        net.register(f"u{i}")
+        net.store(f"u{i}", "item", b"x")
+    net.device_offline(net.butler_index["u2"]["item"])
+    for i in range(6):
+        try:
+            net.fetch(f"u{(i + 1) % 6}", f"u{i}", "item")
+        except StorageError:
+            pass
+    return [net.network]
+
+
+#: scenario -> what it runs; each returns the networks it used
+RPC_SCENARIOS = {"chord and kademlia": _chord_and_kademlia,
+                 "federation": _federation, "super-peer": _super_peer,
+                 "location tree": _location_tree, "hybrid": _hybrid,
+                 "swim": _swim, "supernova": _supernova, "cuckoo": _cuckoo,
+                 "prpl": _prpl}
+
+
+def test_every_fabric_rpc_is_one_rpc_issue_call(monkeypatch):
+    """Each scenario, answered and failed RPCs alike: the class-level
+    wrap sees each RPC its networks counted (two messages an answered
+    RPC, one a failed request), whether the overlay called
+    ``Fabric.call`` or the network itself."""
+    calls = []
+    issue = SimNetwork.rpc_issue
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return issue(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimNetwork, "rpc_issue", counted)
+    for name, scenario in RPC_SCENARIOS.items():
+        calls.clear()
+        rpcs = failures = 0
+        for network in scenario():
+            failed = sum(
+                c.value for c in network.metrics.family("net.rpc_failures"))
+            rpcs += (network.stats.messages + failed) // 2
+            failures += failed
+        assert failures > 0, name
+        assert len(calls) == rpcs > failures, name

@@ -3,7 +3,9 @@
 import networkx as nx
 import pytest
 
-from repro.exceptions import LookupError_, OverlayError
+from repro.cache import CacheConfig
+from repro.dosn import DosnConfig, DosnNetwork
+from repro.exceptions import LookupError_, OverlayError, SimulationError
 from repro.overlay.federation import FederatedNetwork
 from repro.overlay.gossip import GossipOverlay
 from repro.overlay.hybrid import HybridOverlay
@@ -203,6 +205,11 @@ class TestHybrid:
         with pytest.raises(OverlayError):
             overlay.fetch("ghost", "k")
 
+    def test_cache_capacity_below_one_rejected(self):
+        from repro.fabric import Fabric
+        with pytest.raises(SimulationError, match="capacity"):
+            HybridOverlay(Fabric.create(seed=0), social(8), cache_capacity=0)
+
 
 class TestFederation:
     def build(self, pods=4, users=30, seed=0):
@@ -266,3 +273,29 @@ class TestFederation:
         view = fed.server_view(home)
         assert "c1" in view["content_ids"]
         assert ("fu0", "fu1") in view["edges"]
+
+    @pytest.mark.parametrize("cache", [None, CacheConfig()],
+                             ids=["cold", "cached"])
+    def test_offline_home_pod_serves_nothing(self, cache):
+        """A reader whose home pod is down pays the timeout and gets no
+        post: ``read`` raises and ``feed`` lists it unavailable.  The
+        post comes back with the pod."""
+        net = DosnNetwork(config=DosnConfig(architecture="federation",
+                                            seed=1, cache=cache))
+        for name in ("alice", "bob"):
+            net.add_user(name)
+        net.befriend("alice", "bob")
+        cid = net.post("alice", "hi")
+        pod = net.federation.servers[net.federation.home["bob"]]
+        pod.go_offline()
+        timeouts = net.network.stats.timeouts
+        with pytest.raises(LookupError_, match="unreachable"):
+            net.read("bob", "alice", cid)
+        assert net.network.stats.timeouts == timeouts + 1
+        report = net.feed("bob")
+        assert not report.items
+        assert [unavailable for unavailable, _ in report.unavailable] \
+            == [cid]
+        pod.go_online()
+        assert net.read("bob", "alice", cid).post.text == "hi"
+        assert [item.post.text for item in net.feed("bob").items] == ["hi"]

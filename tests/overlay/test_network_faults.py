@@ -76,7 +76,7 @@ class TestFailurePaths:
     def test_rpc_timeout_against_offline_peer(self):
         sim, net, a, b = _net()
         b.go_offline()
-        ok, rtt = net.rpc("a", "b")
+        ok, rtt, _ = net.rpc_issue("a", "b")
         assert not ok
         assert net.stats.timeouts == 1
         assert net.stats.messages == 1  # the request was still sent
@@ -86,19 +86,19 @@ class TestFailurePaths:
         sim, net, a, b = _net(loss=0.5)
         # request direction lost: one message charged
         net._rng = _ScriptedRng([0.4])
-        ok, _ = net.rpc("a", "b")
+        ok = net.rpc_issue("a", "b").ok
         assert not ok and net.stats.messages == 1
         assert net.stats.timeouts == 1
         # request delivered, response lost: both messages charged
         net.stats.reset()
         net._rng = _ScriptedRng([0.9, 0.4])
-        ok, _ = net.rpc("a", "b")
+        ok = net.rpc_issue("a", "b").ok
         assert not ok and net.stats.messages == 2
         assert net.stats.timeouts == 1
         # both directions survive
         net.stats.reset()
         net._rng = _ScriptedRng([0.9, 0.9])
-        ok, _ = net.rpc("a", "b")
+        ok = net.rpc_issue("a", "b").ok
         assert ok and net.stats.messages == 2
         assert net.stats.timeouts == 0
 
@@ -161,7 +161,7 @@ class TestFaultPlan:
         plan = FaultPlan(seed=3).add(
             Partition(groups=[{"a"}], start=0.0, end=100.0))
         sim, net, a, b = _net(faults=plan)
-        ok, _ = net.rpc("a", "b")
+        ok = net.rpc_issue("a", "b").ok
         assert not ok
         assert net.stats.fault_drops == 1
         net.send(Message(kind="ping", src="b", dst="a"))
@@ -170,7 +170,7 @@ class TestFaultPlan:
         assert net.stats.fault_drops == 2
         # same side of the cut is unaffected, and the window expires
         sim.run(until=200.0)
-        ok, _ = net.rpc("a", "b")
+        ok = net.rpc_issue("a", "b").ok
         assert ok
 
     def test_partition_groups_must_be_disjoint(self):
@@ -201,10 +201,10 @@ class TestFaultPlan:
         plan = FaultPlan(seed=1).add(
             SlowLink(factor=3.0, peers={"b"}, start=0.0, end=50.0))
         sim, net, a, b = _net(faults=plan)
-        ok, rtt = net.rpc("a", "b")
+        ok, rtt, _ = net.rpc_issue("a", "b")
         assert ok and rtt == pytest.approx(0.30)  # 2 x 0.05 x 3
         sim.run(until=60.0)
-        ok, rtt = net.rpc("a", "b")
+        ok, rtt, _ = net.rpc_issue("a", "b")
         assert ok and rtt == pytest.approx(0.10)  # window over
 
     def test_crash_wipes_state_and_restart_recovers(self):
@@ -231,7 +231,7 @@ class TestFaultPlan:
         assert b.received[0].corrupted
         assert net.stats.corrupted == 1
         # a corrupted RPC response reads as a failure
-        ok, _ = net.rpc("a", "b")
+        ok = net.rpc_issue("a", "b").ok
         assert not ok
         assert net.stats.corrupted == 2
 
@@ -252,7 +252,7 @@ class TestFaultPlan:
             trace = []
             for i in range(50):
                 sim.run(until=10.0 * i)
-                trace.append(net.rpc("a", "b"))
+                trace.append(net.rpc_issue("a", "b"))
             return trace, net.stats.fault_drops
 
         assert run() == run()

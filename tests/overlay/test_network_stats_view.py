@@ -106,10 +106,10 @@ class TestViewAgainstTheTrace:
                 sent.append(Message(kind="ping", src=x, dst=y))
                 net.send(sent[-1])
             elif op == "rpc":
-                net.rpc(x, y, kind="probe")
+                net.rpc_issue(x, y, kind="probe")
             elif op == "burst":  # overruns y's one-slot service queue
                 for _ in range(3):
-                    net.rpc(x, y, kind="probe")
+                    net.rpc_issue(x, y, kind="probe")
             elif op == "call":
                 fab.channel.call(x, y, kind="probe")
             elif op == "hedged":
@@ -156,7 +156,7 @@ class TestReadOnlyView:
 
     def test_the_view_and_the_network_share_the_message_handles(self):
         fab = _fabric(1)
-        fab.network.rpc("a", "b")
+        fab.network.rpc_issue("a", "b")
         assert fab.network.stats.messages \
             == fab.metrics.get_counter_value("net.messages") > 0
         assert fab.network.stats.bytes \

@@ -168,8 +168,8 @@ class TestServiceQueue:
     def test_queue_charges_service_and_wait_time(self):
         fab = _fab(service=ServiceConfig(service_time=1.0, queue_limit=4,
                                          timeout=10.0))
-        ok1, rtt1 = fab.network.rpc("a", "b")
-        ok2, rtt2 = fab.network.rpc("a", "b")
+        ok1, rtt1, _ = fab.network.rpc_issue("a", "b")
+        ok2, rtt2, _ = fab.network.rpc_issue("a", "b")
         assert ok1 and ok2
         assert rtt1 == pytest.approx(0.05 + 1.0 + 0.05)
         # issued at the same frozen instant: waits behind the first job
@@ -180,9 +180,9 @@ class TestServiceQueue:
         fab = _fab(service=ServiceConfig(service_time=1.0, queue_limit=2,
                                          timeout=10.0))
         net = fab.network
-        assert net.rpc("a", "b")[0] and net.rpc("a", "b")[0]
+        assert net.rpc_issue("a", "b").ok and net.rpc_issue("a", "b").ok
         before = net.stats.messages
-        ok, rtt = net.rpc("a", "b")
+        ok, rtt, _ = net.rpc_issue("a", "b")
         assert not ok
         assert net.stats.shed == 1
         # a rejection rides back: two messages, one wire round trip, no
@@ -195,16 +195,16 @@ class TestServiceQueue:
         fab = _fab(service=ServiceConfig(service_time=1.0, queue_limit=2,
                                          timeout=10.0))
         net = fab.network
-        assert net.rpc("a", "b")[0] and net.rpc("a", "b")[0]
-        assert not net.rpc("a", "b")[0]  # full at the frozen instant
+        assert net.rpc_issue("a", "b").ok and net.rpc_issue("a", "b").ok
+        assert not net.rpc_issue("a", "b").ok  # full at the frozen instant
         fab.sim.run(until=10.0)
-        ok, rtt = net.rpc("a", "b")
+        ok, rtt, _ = net.rpc_issue("a", "b")
         assert ok and rtt == pytest.approx(0.05 + 1.0 + 0.05)
 
     def test_slow_response_reads_as_timeout(self):
         fab = _fab(service=ServiceConfig(service_time=1.0, queue_limit=8,
                                          timeout=0.5))
-        ok, rtt = fab.network.rpc("a", "b")
+        ok, rtt, _ = fab.network.rpc_issue("a", "b")
         assert not ok
         assert rtt == pytest.approx(0.5)  # the client stopped waiting
         assert fab.network.stats.timeouts == 1
@@ -214,12 +214,12 @@ class TestServiceQueue:
         fab = _fab(service=ServiceConfig(service_time=1.0, queue_limit=1,
                                          timeout=10.0))
         net = fab.network
-        assert net.rpc("a", "b")[0]
+        assert net.rpc_issue("a", "b").ok
         state = net._rng.getstate()
         # both wire latencies are drawn, then the deterministic rejection
-        assert not net.rpc("a", "b")[0]
+        assert not net.rpc_issue("a", "b").ok
         net._rng.setstate(state)
-        assert not net.rpc("a", "b")[0]
+        assert not net.rpc_issue("a", "b").ok
         assert net.stats.shed == 2
 
     def test_summary_reports_overload_counters(self):
@@ -233,7 +233,7 @@ class TestServiceQueue:
         assert summary["shed"] == 0
         assert summary["deadline_expired"] == 0
         assert summary["budget_exhausted"] == 0
-        assert fab.network.rpc("a", "b")[0]
+        assert fab.network.rpc_issue("a", "b").ok
         # b's one-slot queue is full: both attempts are shed, and the
         # bucket's single token buys only the first retry
         assert not fab.channel.call("a", "b")[0]
@@ -265,7 +265,7 @@ class TestChannelOverload:
                                          timeout=10.0),
                    retry=RetryPolicy(max_attempts=5))
         net = fab.network
-        assert net.rpc("a", "b")[0]  # saturate b's one-slot queue
+        assert net.rpc_issue("a", "b").ok  # saturate b's one-slot queue
         # every attempt sheds (the clock is frozen, the queue cannot
         # drain) and each backoff burns budget until the deadline trips:
         # three attempts and their backoffs take at least 1.175 s
@@ -300,7 +300,7 @@ class TestChannelOverload:
                    retry=RetryPolicy(max_attempts=attempts),
                    breaker=breaker)
         net = fab.network
-        assert net.rpc("a", "b")[0]  # saturate
+        assert net.rpc_issue("a", "b").ok  # saturate
         ok, _ = fab.channel.call("a", "b")
         assert not ok and net.stats.shed == attempts
         # more overloaded failures than the threshold: still closed —
@@ -399,7 +399,7 @@ class TestBreakerSingleProbe:
         assert breaker.state("b", fab.sim.now) == "open"
         net.nodes["b"].go_online()
         fab.sim.run(until=BREAKER_COOLDOWN + 10.0)
-        assert net.rpc("c", "b")[0]  # fill b's one-slot queue
+        assert net.rpc_issue("c", "b").ok  # fill b's one-slot queue
         ok, _ = fab.channel.call("a", "b")  # the half-open probe
         assert not ok and net.stats.shed == 1
         assert breaker.state("b", fab.sim.now) == "half_open"

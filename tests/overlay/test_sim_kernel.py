@@ -9,10 +9,9 @@ Three contracts are pinned here:
   earliest accepted response;
 * **settle determinism** — two runs at one seed price every fan-out
   identically;
-* **draw compatibility** — the synchronous ``rpc`` view of ``rpc_issue``
-  consumes the RNG identically to the pre-kernel code: a golden trace
-  recorded against the blocking implementation must reproduce
-  byte-for-byte.
+* **draw compatibility** — ``rpc_issue`` consumes the RNG identically to
+  the pre-kernel code: a golden trace recorded against the blocking
+  implementation must reproduce byte-for-byte.
 """
 
 import math
@@ -318,8 +317,8 @@ class TestHedgeOf:
 # Recorded against the pre-kernel blocking ``rpc`` implementation:
 # seed=42, loss_rate=0.1, nodes n0..n5 with n3 offline, 24 RPCs of
 # kind="golden" with payload_size=64+i, src=n{i%6}, dst=n{(2i+1)%6}
-# (bumped to n{(2i+2)%6} when src==dst).  The sync view of rpc_issue
-# must keep this stream byte-identical.
+# (bumped to n{(2i+2)%6} when src==dst).  rpc_issue must keep this
+# stream byte-identical.
 GOLDEN_TRACE = [
     (True, 0.126052276459), (False, 0.294598362899), (True, 0.181229094815),
     (True, 0.1381605329), (False, 0.094397221357), (True, 0.139360926347),
@@ -355,7 +354,8 @@ class TestGoldenDrawTrace:
         net = _golden_network()
         trace = []
         for i, src, dst in _golden_pairs():
-            ok, rtt = net.rpc(src, dst, kind="golden", payload_size=64 + i)
+            ok, rtt, _ = net.rpc_issue(src, dst, kind="golden",
+                                       payload_size=64 + i)
             trace.append((ok, round(rtt, 12)))
         assert trace == GOLDEN_TRACE
         assert net.stats.messages == 39

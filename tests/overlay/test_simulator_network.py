@@ -145,22 +145,22 @@ class TestSimNetwork:
 
     def test_rpc_accounting(self):
         sim, net, a, b = self._net()
-        ok, rtt = net.rpc("a", "b")
+        ok, rtt, _ = net.rpc_issue("a", "b")
         assert ok and rtt == pytest.approx(0.10)
         assert net.stats.messages == 2
         b.go_offline()
-        ok, rtt = net.rpc("a", "b")
+        ok, rtt, _ = net.rpc_issue("a", "b")
         assert not ok
         assert net.stats.timeouts == 1
         assert rtt > 0.10  # timeouts cost more than a round trip
 
     def test_stats_reset(self):
         sim, net, a, b = self._net()
-        net.rpc("a", "b")
+        net.rpc_issue("a", "b")
         assert net.stats.messages == 2 and net.stats.bytes > 0
         net.stats.reset()
         assert net.stats.messages == 0 and net.stats.bytes == 0
-        net.rpc("a", "b")  # the network keeps counting into the view
+        net.rpc_issue("a", "b")  # the network keeps counting into the view
         assert net.stats.messages == 2
 
     def test_latency_models(self):
