@@ -5,8 +5,8 @@ That check reads ``TimelineView.head_hash``, which used to re-hash the
 (immutable) last entry on every access: one SHA-256 per served cid per
 feed.  The counts below repeat exactly for a seed, so they are asserted
 as equalities: a fully warm feed hashes nothing, verifies nothing and
-sends nothing; one new post costs one entry hash and two signature
-checks (chain entry + post), once.
+sends nothing; one new post costs one entry hash and one signature
+check (its chain entry, the post's only signature), once.
 
 A cached feed also visits each friend once: one sync and one listing of
 verified cids per friend serve both the prefetcher and the cache lookups
@@ -106,12 +106,12 @@ class TestWarmFeedCountRatchet:
         after_post = net.feed("alice")
         assert after_post.clean and len(after_post.items) == 4
         taken = counts.taken()
-        # the new chain entry's hash, once; its chain signature and the
-        # post's own signature, once each
+        # the new chain entry's hash and its signature, once each: the
+        # entry that lists the cid is the post's only signature
         assert taken["entry_hash"] == 1
-        assert taken["verify"] == 2
+        assert taken["verify"] == 1
         assert taken["messages"] > 0
-        # signed_bytes / _post_signed_bytes / content_id hash too
+        # signed_bytes / content_id hash too
         assert taken["digest_many"] > taken["entry_hash"]
 
         counts.reset()

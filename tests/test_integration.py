@@ -84,6 +84,7 @@ class TestPartyScenarioEndToEnd:
         cid, document = bob.seal_post("Party at my place on Friday!",
                                       tags=["#party"])
         blob = bob.protect_document(document)
+        alice.sync_timeline(bob)     # the chain entry is the post's signature
         opened = alice.verify_document("bob", alice.unlock("bob", blob),
                                        expected_cid=cid)
         assert opened.text.startswith("Party")
