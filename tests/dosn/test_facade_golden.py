@@ -16,6 +16,19 @@ spans)`` — a span being its name, attributes and accounted cost, in the
 order the tracer closed them — followed by the final metrics registry
 and ``exposure_report()``.  A refactor of the facade that moves one RNG
 draw, message, span or counter in any configuration changes a digest.
+
+Re-pinned when a post's chain entry became its only signature: every
+configuration seals 12 times (one Schnorr nonce drawn from the author's
+stream per seal, not two, so every later nonce and ciphertext moved); a
+document lost its signature field (249 to 77 bytes before encryption, so
+each ``crypto.encrypt`` / ``crypto.decrypt`` cost fell with its
+``nbytes``); ``crypto.verify`` spans are opened by ``sync_timeline``, one
+per accepted batch priced per entry (62 / 33 / 54 / 29 per-read spans
+became 20, 34 entries in all); a cold read syncs first.  The scenario's
+posts carry tags, which the cid now covers, so every tagged post's cid
+moved: on the DHT its holders moved with it (cold 344 to 350 messages,
+cached 200 to 184, batched 268 to 238); the central, federation and
+local message counts held.
 """
 
 import hashlib
@@ -37,29 +50,29 @@ CACHES = {"cold": None, "cached": CacheConfig(),
 
 GOLDEN = {
     ("central", "cold"):
-        "c3320a00f45f286c56c5f5bd068ac23b8b800765fd23e17b021c14e73380f73d",
+        "6292339e2e774f88d3adb9516d75d7ac0557422e871faa06330518d2f24b6e17",
     ("central", "cached"):
-        "a0688732d23d28f6e86dba20921acc2262176d12d1241fba5dc70ef335818d32",
+        "671490c4776ca842bcccd0b21d8f63390e08bf2d6d6f6401c85e52146166b35c",
     ("central", "batched"):
-        "0ff7b913731673d68deb3308510c74ca0f00041ea049df797ed5e6bb27e2a3db",
+        "12ade97c50d72c8cf59fe76a6e3ec48e473953007e616660c52b0dab82d0407f",
     ("dht", "cold"):
-        "f25ec6698c9f16aea110d79f58b0d2308358538e2c6139f931271cf6e7bf1baa",
+        "fac7fdfd6baceffc6e733a0baadaff9ccd324ef3e03fc21e2f4be15b17e869ac",
     ("dht", "cached"):
-        "6b5e487e42d5c0a2f0f83975cce46bc994e8b95328f62b5642ef80cf564025bf",
+        "c55f560abcc9fb6badb7338fa2b3ba76a1197205c4fed764fb0bb19f0cd4f723",
     ("dht", "batched"):
-        "a9dd6eca9d7e9dad50811d630ef981c5bc2fcbc04e11a119b7a5ffa1dc9aa234",
+        "80e84f3f2ba0f16c437dd2d14c9ea0061e78e55fd36dc88e475aa6a15236a36c",
     ("federation", "cold"):
-        "75c2f32168f3d63fae871b1d01a2c746e364725de585f28e8ed4a1d5ecd18326",
+        "671c6928c3e18f39d401624eb0202bb84636ac32af610aab6f710dce9898bd63",
     ("federation", "cached"):
-        "119df02eb1a3ea9af9327692c8c18857fc264b04f4305c95293c9a1507e4d760",
+        "efd49482e038bd25bf984733d933bc97a978299adfd609b7f96c435890a04485",
     ("federation", "batched"):
-        "0c3564d260bb6d2c7ef565a20e251d0f4629888b91e441eb6f543ef293ef85dc",
+        "1f2f18423b9be5394d47dd7bebc97ce7f7909f52839ac94af9dbd2c088de2c36",
     ("local", "cold"):
-        "872ed570f5decf66e829d35a848ce9906c4b8c49561e35081a6f4d5498e73130",
+        "0fca711029ee25d39468fc8f54dc072e4629282c6ca1d59ca068bc80aa5e9988",
     ("local", "cached"):
-        "4044bfbfb7ed9aaef0b0dfb7a79960da8600af1fd00a155ac7c7443af2dd6b77",
+        "f3d9241def6f66e64947f102ec0f0c994c550e758adcda3041bc861ea037a7f7",
     ("local", "batched"):
-        "810955decc40a19be895953fbed20fd23f9746743f702cac6b3fde832612db7b",
+        "a5faffd30ae45b52bbf9b782511242f96c1b829682521abaee1d483e5a42d9f1",
 }
 
 
