@@ -2,10 +2,10 @@
 
 A user's feed is the union of their friends' timelines.  Assembling it
 exercises every integrity layer at once: the hash chain proves no friend's
-history was truncated or reordered (Section IV-B), the per-post signature
-proves owner/content integrity (IV-A), the content address proves the
-storage layer served the blob that was asked for, and decryption enforces
-the access policy (Section III).
+history was truncated, reordered or rewritten (Section IV-B), its signed
+entry listing a post's content address proves owner/content integrity
+(IV-A), the address proves the storage layer served the post that was
+asked for, and decryption enforces the access policy (Section III).
 
 :func:`assemble_feed` reports problems instead of silently dropping them —
 a feed that quietly hides a friend's censored post is exactly the
@@ -108,7 +108,7 @@ def assemble_feed(reader: DosnUser, friends: Dict[str, DosnUser],
     once (:func:`sync_friends`), and ``warm(reader_name, listing)`` sees
     that listing (a :class:`~repro.cache.SocialPrefetcher`'s ``warm``);
     the referenced posts are then fetched in one call, decrypted and
-    signature-verified.  ``lookup`` and ``insert`` are a
+    checked against the synced views.  ``lookup`` and ``insert`` are a
     :class:`~repro.cache.VerifiedContentCache`'s methods of those names:
     ``lookup`` serves chain-validated hits without fetching, ``insert`` is
     seeded with every post this assembly verifies (degraded reads are

@@ -6,7 +6,7 @@ caller no way to tell a fresh quorum read from a degraded one, or a
 cache hit from a cold fetch.  :class:`ReadResult` makes that provenance
 part of the API:
 
-* ``post`` — the decrypted, signature-verified post;
+* ``post`` — the decrypted post, its cid found on the author's signed chain;
 * ``verified`` — whether the full decrypt + verify pipeline ran on the
   served bytes (always ``True`` on current paths; the field exists so a
   future best-effort mode cannot masquerade as verified);
