@@ -9,7 +9,8 @@ correlated 20-40 % loss bursts, peer crashes with state loss, and a slow
 link), and the same read workload is run under three resilience
 policies:
 
-* ``bare``      — raw ``SimNetwork.rpc`` (the fair-weather baseline);
+* ``bare``      — raw ``SimNetwork.rpc_issue`` (the fair-weather
+  baseline);
 * ``retry``     — :class:`ReliableChannel` with bounded retries +
   exponential backoff, hedged replica reads on routing failure;
 * ``retry+cb``  — the same plus per-destination circuit breakers.

@@ -612,6 +612,91 @@ class TestResilientChord:
         assert self._success_rate(ring) == 1.0
 
 
+class TestReplicaRule:
+    """One replica write and one replica read on every fabric: a copy
+    lands only on an acknowledged store, and a read routes once, takes
+    the routed owner's keys for free and probes every other holder from
+    the reader, paying for the ones that are down."""
+
+    def _ring(self, resilient=False, tracing=False):
+        fab = Fabric.create(seed=5, latency=FixedLatency(0.02),
+                            resilient=resilient, tracing=tracing)
+        ring = ChordRing(fab, successor_list_size=4, replication=3)
+        for i in range(16):
+            ring.add_node(f"p{i}")
+        ring.build()
+        return fab, ring
+
+    @staticmethod
+    def _reader(ring, key):
+        return next(name for name in ring.nodes
+                    if name not in ring.replica_set(key))
+
+    def test_bare_chord_put_skips_an_offline_replica_and_pays_for_it(self):
+        fab, ring = self._ring()
+        owner, down, third = ring.replica_set("k")
+        ring.nodes[down].go_offline()
+        ring.put(self._reader(ring, "k"), "k", b"v")
+        assert "k" not in ring.nodes[down].store
+        assert ring.nodes[owner].store["k"] == b"v"
+        assert ring.nodes[third].store["k"] == b"v"
+        assert fab.metrics.get_counter_value(
+            "net.rpc_failures", kind="chord_replicate", cause="offline",
+            direction="request") == 1
+
+    def test_bare_kad_put_skips_a_node_its_store_never_reached(self):
+        from repro.overlay.kademlia import K, KademliaOverlay, kad_id
+        names = [f"q{i}" for i in range(24)]
+        closest = sorted(names, key=lambda n: kad_id(n) ^ kad_id("k"))[:K]
+        cut = closest[1]
+        start = next(n for n in names if n not in closest)
+        plan = FaultPlan(seed=5, horizon=1000.0)
+        plan.add(Partition(groups=[{cut}], start=0.0, end=1000.0))
+        fab = Fabric.create(seed=5, latency=FixedLatency(0.02), faults=plan)
+        kad = KademliaOverlay(fab)
+        for name in names:
+            kad.add_node(name)
+        kad.bootstrap()
+        result = kad.put(start, "k", b"v")
+        assert cut in result.closest
+        assert "k" not in kad.nodes[cut].store
+        assert all(kad.nodes[name].store["k"] == b"v"
+                   for name in result.closest if name != cut)
+        assert fab.metrics.get_counter_value(
+            "net.rpc_failures", kind="kad_store", cause="partition",
+            direction="request") == 1
+
+    def test_fair_weather_get_costs_the_same_on_every_fabric(self):
+        costs = []
+        for resilient in (False, True):
+            fab, ring = self._ring(resilient=resilient)
+            keys = [f"k{i}" for i in range(8)]
+            for key in keys:
+                ring.put("p0", key, b"v")
+            before = fab.network.stats.messages
+            for key in keys:
+                assert ring.get(self._reader(ring, key), key)[0] == b"v"
+            costs.append(fab.network.stats.messages - before)
+        assert costs[0] == costs[1]
+
+    def test_bare_read_pays_for_an_offline_holder_from_the_reader(self):
+        fab, ring = self._ring(tracing=True)
+        owner, down, third = ring.replica_set("k")
+        reader = self._reader(ring, "k")
+        ring.put(reader, "k", b"v")
+        ring.nodes[owner].wipe_state()  # crashed and restarted empty
+        ring.nodes[down].go_offline()   # holds its copy, but is down
+        fab.tracer.clear()
+        value, route = ring.get(reader, "k")
+        assert value == b"v" and route.owner == owner
+        assert [(s.attrs["src"], s.attrs["dst"], s.attrs["ok"])
+                for s in fab.tracer.spans
+                if s.name == "net.rpc"
+                and s.attrs["kind"] == "chord_replica_read"] \
+            == [(reader, down, False), (reader, third, True)]
+        assert fab.network.stats.hedges == 1
+
+
 class TestChurnSatellites:
     def test_apply_churn_calls_transition_hooks(self):
         class Recorder(SimNode):
