@@ -140,3 +140,23 @@ class TestInstrumentation:
         assert fabric.metrics.get_counter_value(
             "stack_layer_ops_total", system="sys", layer="placement",
             op="read") == 2
+
+    def test_hooks_resolve_by_name_on_every_run(self, monkeypatch):
+        """A run looks ``Layer.on_post`` / ``on_read`` up when it runs, so
+        a class-level wrapper installed after the stack was built still
+        sees every hook; a layer given no hook runs a no-op."""
+        from repro.stack.pipeline import Layer
+        log = []
+        stack = ProtectionStack([AclLayer(),
+                                 _trace_layer(PlacementLayer, log, "p")])
+        seen = []
+        for name in ("on_post", "on_read"):
+            original = getattr(Layer, name)
+            monkeypatch.setattr(Layer, name, lambda self, item, _o=original,
+                                _n=name: (seen.append((_n, self.kind)),
+                                          _o(self, item))[1])
+        stack.post(ContentItem(author="a"))
+        stack.read(ContentItem(author="a"), only=("acl",))
+        assert seen == [("on_post", "acl"), ("on_post", "placement"),
+                        ("on_read", "acl")]
+        assert log == [("post", "p")]
