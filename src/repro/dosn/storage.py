@@ -6,14 +6,12 @@ federation — which is what makes the E8 exposure comparison apples-to-
 apples.  Every backend records *who ends up storing what*, feeding the
 exposure reports.
 
-The read side of the protocol has three entry points:
+The read side of the protocol has two entry points:
 
 * :meth:`StorageBackend.fetch_blob` — one blob *with provenance*
   (:class:`FetchedBlob`: source, quorum version, degraded flag), raising
   on failure; what every backend implements and what the typed
   :class:`~repro.dosn.results.ReadResult` API reads;
-* :meth:`StorageBackend.get` — the same read's bare bytes
-  (``fetch_blob(...).blob``);
 * :meth:`StorageBackend.get_many` — the batched path: one call for a
   whole feed's worth of cids, returning exceptions as values so one
   unreachable replica cannot fail the batch.  The default is
@@ -103,10 +101,6 @@ class StorageBackend(abc.ABC):
     @abc.abstractmethod
     def observer_views(self) -> Dict[str, Set[str]]:
         """observer name -> set of content ids it physically stores."""
-
-    def get(self, reader: str, cid: str) -> bytes:
-        """Retrieve a blob's bytes on behalf of ``reader``."""
-        return self.fetch_blob(reader, cid).blob
 
     def get_many(self, reader: str,
                  cids: Sequence[str]) -> Dict[str, object]:
@@ -207,7 +201,8 @@ class DHTBackend(StorageBackend):
             self._register = membership.register
             self._start_probing = start_probing
         # the one bare-or-quorum decision: which store serves, and how
-        # its answers become FetchedBlobs
+        # its answers become FetchedBlobs (the bare ring keeps no
+        # placement map: observer_views() records who holds a cid)
         if quorum is not None:
             #: cid -> the replica set chosen at put time; aliases the
             #: quorum store's placement map, so repair re-placements
@@ -216,13 +211,8 @@ class DHTBackend(StorageBackend):
             self._put, self._get = quorum.put, quorum.get
             self._get_many, self._blob = quorum.get_many, _quorum_blob
         else:
-            self.placements = {}
-            self._put, self._get = self._ring_put, self._ring_get
+            self._put, self._get = ring.put, self._ring_get
             self._get_many, self._blob = ring.get_many, FetchedBlob
-
-    def _ring_put(self, author: str, cid: str, blob: bytes) -> None:
-        self.ring.put(author, cid, blob)
-        self.placements[cid] = self.ring.replica_set(cid)
 
     def _ring_get(self, reader: str, cid: str) -> bytes:
         return self.ring.get(reader, cid)[0]

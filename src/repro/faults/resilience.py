@@ -170,9 +170,11 @@ class ReliableChannel:
 
     Protocols call :meth:`call_issue` where they would call
     ``network.rpc_issue`` (both return a
-    :class:`~repro.overlay.simulator.Reply`);
-    replica reads go through :meth:`hedged`.  The channel's RNG is split
-    from the simulator seed, so retry jitter is deterministic.
+    :class:`~repro.overlay.simulator.Reply`); so do replica reads, one
+    call per holder probed.  :meth:`hedged`, the staggered race, runs
+    only in E17c (``benchmarks/bench_latency_fanout.py``).  The
+    channel's RNG is split from the simulator seed, so retry jitter is
+    deterministic.
     """
 
     def __init__(self, network, policy: Optional[RetryPolicy] = None,

@@ -420,11 +420,13 @@ class ChordRing:
         unserved keys (one starved group never fails a whole fan-out),
         shed probes an :class:`OverloadedError`.  The routed node's keys
         ride the route free; the reader probes every other holder in
-        ``ctx.order``, one ``kind`` RPC each (the channel, not an oracle
-        peek, finds out who is down; probes after the first are hedges).
-        A failed route fails the group on a bare fabric; on a resilient
-        one the reader probes the replica set, ``route`` then naming the
-        holder that served.
+        ``ctx.order``, one ``kind`` RPC each, and takes what an ``ok``
+        reply's holder has (the reply, never a peek at the holder's
+        store, says who is down and what it holds; probes after the
+        first are hedges, an empty answer included).  A failed route
+        fails the group on a bare fabric; on a resilient one the reader
+        probes the replica set, ``route`` then naming the holder that
+        served.
         """
         ctx = self.fabric.op(start)
         try:
@@ -449,11 +451,6 @@ class ChordRing:
         for replica in holders:
             if not pending:
                 break
-            node = self.nodes[replica]
-            # crashed holders lost their keys with their state
-            stocked = [k for k in group if k in pending and k in node.store]
-            if not stocked:
-                continue
             if ctx.expired(kind):
                 failure = DeadlineExceededError(
                     f"read ran out of budget after {probed} replica "
@@ -468,12 +465,14 @@ class ChordRing:
                     if reply.cause == "overloaded":
                         sheds += 1
                     continue
-                if route is None:
-                    route = LookupResult(owner=replica, hops=0,
-                                         rtt=reply.latency, failed_probes=0)
+            store = self.nodes[replica].store
+            stocked = [k for k in group if k in pending and k in store]
             for key in stocked:
-                served[key] = node.store[key]
+                served[key] = store[key]
                 pending.discard(key)
+            if stocked and route is None:
+                route = LookupResult(owner=replica, hops=0,
+                                     rtt=reply.latency, failed_probes=0)
         for key in group:
             if key not in pending:
                 continue

@@ -76,7 +76,9 @@ class FederatedNetwork:
         """Publish: store at home, federate to recipients' home servers.
 
         Every involved server records the author->recipient edges it can
-        see — the metadata leak the paper attributes to federation.
+        see — the metadata leak the paper attributes to federation.  A
+        remote server is involved only if its ``fed_deliver`` reply is
+        ``ok``.
         """
         home = self._home_of(author)
         home_server = self.servers[home]
@@ -87,8 +89,10 @@ class FederatedNetwork:
             r_home = self._home_of(recipient)
             home_server.observed_edges.add((author, recipient))
             if r_home != home:
-                self.network.rpc_issue(home, r_home, "fed_deliver")
                 cross += 1
+                if not self.network.rpc_issue(home, r_home,
+                                              "fed_deliver").ok:
+                    continue
                 remote = self.servers[r_home]
                 if content_id not in remote.content:
                     stored.append(r_home)

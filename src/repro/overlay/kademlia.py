@@ -307,15 +307,14 @@ class KademliaOverlay:
     # -- storage --------------------------------------------------------------------
 
     def put(self, start: str, key: str, value: bytes) -> KadLookupResult:
-        """Store on those of the ``K`` closest live nodes that ack it."""
+        """Store on those of the ``K`` closest nodes whose ``kad_store``
+        reply is ``ok``."""
         with self.network.tracer.span("kad.put", key=key, start=start):
             result = self.lookup(start, key)
             stored = 0
             for name in result.closest:
-                node = self.nodes[name]
-                if node.online and self.fabric.call(
-                        start, name, "kad_store").ok:
-                    node.store[key] = value
+                if self.fabric.call(start, name, "kad_store").ok:
+                    self.nodes[name].store[key] = value
                     stored += 1
             if stored == 0:
                 raise StorageError(f"no live node accepted key {key!r}")

@@ -104,16 +104,24 @@ class SuperPeerOverlay:
     # -- publish / lookup ---------------------------------------------------------
 
     def publish(self, peer_name: str, key: str, value: bytes) -> None:
-        """Store content locally and register it in the index shard."""
+        """Store content locally and register it in the index shard.
+
+        The entry lands only if the peer's super-peer acknowledges the
+        ``sp_publish`` and, when another super-peer shards ``key``, that
+        one acknowledges the ``sp_index``.
+        """
         peer = self.peers[peer_name]
         peer.store[key] = value
         index_sp = self._index_super(key)
-        self.network.rpc_issue(peer_name, peer.super_peer, "sp_publish")
-        if index_sp != peer.super_peer:
-            self.network.rpc_issue(peer.super_peer, index_sp, "sp_index")
-        self.super_peers[index_sp].index.setdefault(key, [])
-        if peer_name not in self.super_peers[index_sp].index[key]:
-            self.super_peers[index_sp].index[key].append(peer_name)
+        if not self.network.rpc_issue(peer_name, peer.super_peer,
+                                      "sp_publish").ok:
+            return
+        if index_sp != peer.super_peer and not self.network.rpc_issue(
+                peer.super_peer, index_sp, "sp_index").ok:
+            return
+        holders = self.super_peers[index_sp].index.setdefault(key, [])
+        if peer_name not in holders:
+            holders.append(peer_name)
 
     def lookup(self, peer_name: str, key: str) -> SPLookupResult:
         """Resolve a key: at most peer->SP, SP->index-SP, then holders."""
@@ -142,16 +150,15 @@ class SuperPeerOverlay:
         return SPLookupResult(holders=holders, hops=hops, rtt=rtt)
 
     def fetch(self, peer_name: str, key: str) -> Tuple[bytes, SPLookupResult]:
-        """Lookup then download from the first live holder."""
+        """Lookup then download from the first holder whose ``sp_fetch``
+        reply is ``ok`` and has the key; each probe costs a hop."""
         result = self.lookup(peer_name, key)
         for holder in result.holders:
-            node = self.peers.get(holder)
-            if node is not None and node.online and key in node.store:
-                reply = self.network.rpc_issue(peer_name, holder, "sp_fetch")
-                result.hops += 1
-                result.rtt += reply.latency
-                if reply.ok:
-                    return node.store[key], result
+            reply = self.network.rpc_issue(peer_name, holder, "sp_fetch")
+            result.hops += 1
+            result.rtt += reply.latency
+            if reply.ok and key in self.peers[holder].store:
+                return self.peers[holder].store[key], result
         raise LookupError_(f"no live holder for {key!r}")
 
     # -- uptime-aware replica placement (feeds experiment E6) ---------------------

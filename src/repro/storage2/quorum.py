@@ -405,16 +405,14 @@ class ReplicatedStore:
         Returns whatever bytes the holder serves — stale, forked, or
         garbled included.  This is the pre-quorum behaviour kept as E14's
         baseline; nothing in the repo should use it for correctness.
+        Every holder is probed in turn (probes after the first are
+        hedges) until an ``ok`` reply comes from one that has the key.
         """
-        probed = 0
-        for holder in self.holders_of(key):
-            node = self.ring.nodes.get(holder)
-            if node is None or key not in node.store:
-                continue
-            if probed > 0:
+        for probed, holder in enumerate(self.holders_of(key)):
+            if probed:
                 self.metrics.inc("net.hedges", kind="replica_fetch")
-            probed += 1
-            if self.fabric.call(reader, holder, "replica_fetch").ok:
+            if self.fabric.call(reader, holder, "replica_fetch").ok \
+                    and key in self.ring.nodes[holder].store:
                 return self.serve(holder, reader, key)
         raise StorageError(
             f"key {key!r} unavailable: no reachable replica holds it")

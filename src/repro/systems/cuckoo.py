@@ -105,9 +105,8 @@ class CuckooNetwork:
             if target in visited:
                 continue
             visited.add(target)
-            if not self.network.is_online(target):
-                continue  # missed push; DHT pull will catch them up
-            self.network.rpc_issue(relay, target, "cuckoo_push")
+            if not self.network.rpc_issue(relay, target, "cuckoo_push").ok:
+                continue
             self.inboxes[target][item.cid] = text
             self.push_deliveries += 1
             # socio-aware relay: co-followers of the same publisher

@@ -108,8 +108,9 @@ class PrplNetwork:
         if device_id not in device_ids:
             raise OverlayError(f"{device_id!r} is not {user}'s device")
         self.devices[device_id].items[item_id] = item.payload
-        self.butler_index[user][item_id] = device_id
-        self.network.rpc_issue(device_id, f"butler:{user}", "prpl_index")
+        if self.network.rpc_issue(device_id, f"butler:{user}",
+                                  "prpl_index").ok:
+            self.butler_index[user][item_id] = device_id
         item.meta["device_id"] = device_id
 
     def _butler_fetch(self, item: ContentItem) -> None:
@@ -121,9 +122,9 @@ class PrplNetwork:
         result = self.ring.lookup(start, f"butler:{owner}")
         hops = result.hops
         butler = f"butler:{owner}"
-        if not self.network.is_online(butler):
+        if not self.network.rpc_issue(result.owner, butler,
+                                      "prpl_butler").ok:
             raise LookupError_(f"{owner!r}'s butler is offline")
-        self.network.rpc_issue(result.owner, butler, "prpl_butler")
         hops += 1
         device_id = self.butler_index.get(owner, {}).get(item_id)
         if device_id is None:

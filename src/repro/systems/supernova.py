@@ -105,39 +105,31 @@ class SupernovaNetwork:
 
     def _keeper_store(self, item: ContentItem) -> None:
         owner, item_id = item.author, item.meta["item_id"]
-        keepers = self.agreements[owner]
-        for keeper in keepers:
-            self._kept[keeper][(owner, item_id)] = item.payload
-            self.network.rpc_issue(owner, keeper, "sn_store")
-        # publish the index entry so lookups find the keepers
-        self.overlay.publish(owner, f"sn/{owner}/{item_id}", b"")
-        index_sp = self.overlay._index_super(f"sn/{owner}/{item_id}")
-        self.overlay.super_peers[index_sp].index[
-            f"sn/{owner}/{item_id}"] = list(keepers)
+        kept = []
+        for keeper in self.agreements[owner]:
+            if self.network.rpc_issue(owner, keeper, "sn_store").ok:
+                self._kept[keeper][(owner, item_id)] = item.payload
+                kept.append(keeper)
+        # publish the index entry so lookups find the keepers that acked
+        key = f"sn/{owner}/{item_id}"
+        self.overlay.publish(owner, key, b"")
+        self.overlay.super_peers[self.overlay._index_super(key)].index[
+            key] = kept
 
     def _keeper_fetch(self, item: ContentItem) -> None:
         owner, item_id = item.author, item.meta["item_id"]
         result = self.overlay.lookup(item.reader, f"sn/{owner}/{item_id}")
         for keeper in result.holders:
-            peer = self.overlay.peers.get(keeper)
-            if peer is None or not peer.online:
-                continue
-            blob = self._kept.get(keeper, {}).get((owner, item_id))
-            if blob is None:
-                continue
-            self.network.rpc_issue(item.reader, keeper, "sn_fetch")
-            item.payload = blob
-            return
+            if self.network.rpc_issue(item.reader, keeper, "sn_fetch").ok \
+                    and (owner, item_id) in self._kept[keeper]:
+                item.payload = self._kept[keeper][(owner, item_id)]
+                return
         raise StorageError(
             f"no live storekeeper for {owner!r}/{item_id!r}")
 
     def _owner_decrypt(self, item: ContentItem) -> None:
-        owner_key = item.meta.get("owner_key")
-        key = owner_key if owner_key is not None \
-            else self._keys.get(item.reader) if item.reader == item.author \
-            else None
-        if item.reader == item.author:
-            key = self._keys[item.author]
+        key = self._keys[item.author] if item.reader == item.author \
+            else item.meta.get("owner_key")
         if key is None:
             raise StorageError(
                 f"{item.reader!r} fetched ciphertext but holds no key of "

@@ -6,11 +6,12 @@ with the repo's storage exception family, and reporting observer views
 consistent with what was actually stored — or the E8 exposure comparison
 stops being apples-to-apples.
 
-The contract suite runs every read assertion through **all three** read
-entry points — the single :meth:`StorageBackend.get`, the same read with
-provenance (:meth:`StorageBackend.fetch_blob`) and the batched
-:meth:`StorageBackend.get_many` — so the per-holder coalescing overrides
-cannot drift from the sequential semantics.
+The contract suite runs every read assertion through **both** read
+entry points — the single read with provenance
+(:meth:`StorageBackend.fetch_blob`, its bytes alone and its
+:class:`FetchedBlob`) and the batched :meth:`StorageBackend.get_many` — so
+the per-holder coalescing overrides cannot drift from the sequential
+semantics.
 """
 
 import pytest
@@ -72,7 +73,7 @@ BACKENDS = {
 
 
 def _read_single(backend, reader, cid):
-    return backend.get(reader, cid)
+    return backend.fetch_blob(reader, cid).blob
 
 
 def _read_blob(backend, reader, cid):
@@ -157,8 +158,7 @@ class TestBatchedReads:
         got = backend.get_many("bob", cids)
         assert set(got) == set(cids)
         for cid in cids:
-            assert got[cid].blob == backend.get("bob", cid) \
-                == backend.fetch_blob("bob", cid).blob
+            assert got[cid].blob == backend.fetch_blob("bob", cid).blob
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_failures_are_values_not_raises(self, name):
@@ -199,7 +199,7 @@ class TestBatchedReads:
             backend.put("alice", cid, b"x", recipients=["bob", "carol"])
         before = network.stats.messages
         for cid in cids:
-            backend.get("bob", cid)
+            backend.fetch_blob("bob", cid).blob
         sequential = network.stats.messages - before
         before = network.stats.messages
         got = backend.get_many("bob", cids)
@@ -225,7 +225,7 @@ class TestDHTReplicaObserverViews:
         backend = factory()
         backend.put("alice", "cid-r", b"blob", recipients=["bob"])
         views = backend.observer_views()
-        holders = backend.placements["cid-r"]
+        holders = backend.ring.replica_set("cid-r")
         assert len(holders) >= 2, "replicated put must pick several holders"
         for holder in holders:
             assert "cid-r" in views[holder], (
@@ -248,17 +248,17 @@ class TestLocalBackendOfflineOwner:
     def test_offline_owner_makes_content_unavailable(self):
         backend = _local()
         backend.put("alice", "cid-6", b"only-copy")
-        assert backend.get("bob", "cid-6") == b"only-copy"
+        assert backend.fetch_blob("bob", "cid-6").blob == b"only-copy"
         backend.online["alice"] = False
         with pytest.raises(StorageError):
-            backend.get("bob", "cid-6")
+            backend.fetch_blob("bob", "cid-6").blob
 
     def test_owner_back_online_restores_availability(self):
         backend = _local()
         backend.put("alice", "cid-7", b"only-copy")
         backend.online["alice"] = False
         backend.online["alice"] = True
-        assert backend.get("bob", "cid-7") == b"only-copy"
+        assert backend.fetch_blob("bob", "cid-7").blob == b"only-copy"
 
 
 class TestFederationBackendOfflinePod:

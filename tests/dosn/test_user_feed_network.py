@@ -195,7 +195,8 @@ class TestFeed:
             net.post("dave", "d1")
             dave = net.users["dave"]
             document = json.loads(
-                dave.unlock("dave", net.storage.get("dave", forged)))
+                dave.unlock("dave",
+                            net.storage.fetch_blob("dave", forged).blob))
             document["text"] = "words dave never signed"
             net.storage.put("dave", forged, dave.protect_document(
                 json.dumps(document).encode()))
@@ -216,7 +217,8 @@ class TestFeed:
 def _document(net, author, cid):
     """The plaintext document storage holds for ``author``'s ``cid``."""
     user = net.users[author]
-    return json.loads(user.unlock(author, net.storage.get(author, cid)))
+    blob = net.storage.fetch_blob(author, cid).blob
+    return json.loads(user.unlock(author, blob))
 
 
 def _never_chained(net, author):
@@ -459,11 +461,11 @@ class TestLocalBackend:
     def test_offline_owner_unavailable(self):
         backend = LocalBackend()
         backend.put("alice", "c1", b"x")
-        assert backend.get("bob", "c1") == b"x"
+        assert backend.fetch_blob("bob", "c1").blob == b"x"
         backend.online["alice"] = False
         with pytest.raises(StorageError):
-            backend.get("bob", "c1")
+            backend.fetch_blob("bob", "c1").blob
 
     def test_missing_content(self):
         with pytest.raises(StorageError):
-            LocalBackend().get("bob", "ghost")
+            LocalBackend().fetch_blob("bob", "ghost").blob

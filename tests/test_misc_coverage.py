@@ -49,7 +49,7 @@ class TestStorageBackendsDirect:
     def test_central_backend(self):
         backend = CentralBackend(CentralProvider("p"))
         backend.put("alice", "c1", b"blob")
-        assert backend.get("bob", "c1") == b"blob"
+        assert backend.fetch_blob("bob", "c1").blob == b"blob"
         assert backend.observer_views() == {"p": {"c1"}}
 
     def test_dht_backend(self):
@@ -60,12 +60,11 @@ class TestStorageBackendsDirect:
         ring.build()
         backend = DHTBackend(ring)
         backend.put("n0", "c1", b"blob")
-        assert backend.get("n5", "c1") == b"blob"
+        assert backend.fetch_blob("n5", "c1").blob == b"blob"
         holders = [name for name, ids in backend.observer_views().items()
                    if "c1" in ids]
         assert len(holders) == 2  # replication factor
-        assert backend.placements["c1"] == holders or \
-            set(backend.placements["c1"]) == set(holders)
+        assert set(holders) == set(ring.replica_set("c1"))
 
     def test_dht_backend_rejects_non_member(self):
         fab = Fabric.create(seed=2)
@@ -83,7 +82,7 @@ class TestStorageBackendsDirect:
         federation.register_user("bob", "pod1")
         backend = FederationBackend(federation)
         backend.put("alice", "c1", b"blob", recipients=["bob"])
-        assert backend.get("bob", "c1") == b"blob"
+        assert backend.fetch_blob("bob", "c1").blob == b"blob"
         views = backend.observer_views()
         assert "c1" in views["pod0"] and "c1" in views["pod1"]
 
