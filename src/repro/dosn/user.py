@@ -10,7 +10,8 @@ Wire format: a post blob is the JSON document ``{author, sequence, text,
 tags}``; its content id covers every field, and the author's signed chain
 entry listing the id is its one signature.  When the network runs with
 encryption enabled the JSON is wrapped in the author's group
-:class:`~repro.crypto.symmetric.StreamCipher`.  Group keys reach friends
+:class:`~repro.crypto.symmetric.StreamCipher`, derived from the group key
+once and shared by reference with every friend.  Group keys reach friends
 through the out-of-band channel of :mod:`repro.dosn.identity` (the paper's
 solved-key-distribution assumption); the *comparison* between key-
 management schemes is the job of :mod:`repro.acl` and experiments E2/E3 —
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import random as _random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto.symmetric import StreamCipher, random_key
@@ -80,11 +82,18 @@ class DosnUser:
         self.timeline = Timeline(name, self.identity.signer)
         #: this user's friend-group key (symmetric-ACL style)
         self.group_key: bytes = random_key(32, self.rng)
-        #: keys received from friends: author -> their group key
-        self.friend_keys: Dict[str, bytes] = {}
+        #: keys received from friends: author -> their group cipher, the
+        #: author's own object (deleting an entry revokes it)
+        self.friend_keys: Dict[str, StreamCipher] = {}
         #: verified replicas of friends' timelines
         self.views: Dict[str, TimelineView] = {}
         self.posts_published = 0
+
+    @cached_property
+    def group_cipher(self) -> StreamCipher:
+        """The cipher of :attr:`group_key`: its two HKDFs run once, and
+        every friend holds this object, not a copy."""
+        return StreamCipher(self.group_key)
 
     # -- friendship -----------------------------------------------------------
 
@@ -92,8 +101,8 @@ class DosnUser:
         """Mutual friendship: exchange group keys over the OOB channel."""
         self.friends.add(other.name)
         other.friends.add(self.name)
-        self.friend_keys[other.name] = other.group_key
-        other.friend_keys[self.name] = self.group_key
+        self.friend_keys[other.name] = other.group_cipher
+        other.friend_keys[self.name] = self.group_cipher
         # Pin each other's verified timelines from the current state.
         self._ensure_view(other.name)
         other._ensure_view(self.name)
@@ -161,8 +170,7 @@ class DosnUser:
         with self.tracer.span("crypto.encrypt",
                               nbytes=len(document)) as span:
             span.add_cost(len(document) * _SYM_SECONDS_PER_BYTE)
-            return StreamCipher(self.group_key).encrypt(document,
-                                                        rng=self.rng)
+            return self.group_cipher.encrypt(document, rng=self.rng)
 
     # -- reading --------------------------------------------------------------------
 
@@ -175,22 +183,20 @@ class DosnUser:
         is the stack's read-path :class:`~repro.stack.pipeline.AclLayer`
         hook.
         """
-        if author == self.name:
-            key: Optional[bytes] = self.group_key
-        else:
-            key = self.friend_keys.get(author)
         try:
             json.loads(blob.decode())
             return blob  # plaintext (unencrypted network)
         except (UnicodeDecodeError, json.JSONDecodeError):
-            if key is None:
+            cipher = (self.group_cipher if author == self.name
+                      else self.friend_keys.get(author))
+            if cipher is None:
                 raise AccessDeniedError(
                     f"{self.name!r} holds no group key of {author!r}")
             with self.tracer.span("crypto.decrypt", author=author,
                                   nbytes=len(blob)) as span:
                 span.add_cost(len(blob) * _SYM_SECONDS_PER_BYTE)
                 try:
-                    return StreamCipher(key).decrypt(blob)
+                    return cipher.decrypt(blob)
                 except DecryptionError:
                     raise AccessDeniedError(
                         f"{self.name!r}'s key for {author!r} does not open "
@@ -232,8 +238,11 @@ class DosnUser:
         Returns how many entries were accepted; raises
         :class:`IntegrityError` if the friend's published chain does not
         extend our verified view (truncated, rewritten even at the same
-        length, or a new entry that fails to link or verify).  A batch
-        accepted whole costs one ``crypto.verify`` span, priced per entry.
+        length, or a new entry that fails to link or verify).  The new
+        entries hash-link, so the view checks one signature for them, the
+        newest (:meth:`~repro.integrity.hashchain.TimelineView.accept_all`);
+        the batch still costs one ``crypto.verify`` span priced per entry,
+        as the virtual CPU-cost model stays until it is calibrated.
         """
         view = self._ensure_view(other.name)
         published = other.timeline.entries

@@ -68,7 +68,11 @@ class ChainEntry:
 
         Every follower of an author holds the same entry objects, so the
         check runs once per (entry, key): a success is remembered, a
-        reject never is.
+        reject never is.  Only an entry whose own signature was checked
+        remembers it: the earlier entries of a batch that
+        :meth:`TimelineView.accept_all` took on the newest one's
+        signature stay unchecked, so an order proof over them still
+        verifies each.
         """
         under = self._verified_under
         if under is key or under == key:
@@ -155,9 +159,38 @@ class TimelineView:
         self.entries.append(entry)
 
     def accept_all(self, entries: Sequence[ChainEntry]) -> None:
-        """Accept a batch in order."""
+        """Accept a batch in order, checking one signature when it links.
+
+        :meth:`ChainEntry.entry_hash` covers the signature, so when every
+        entry of the batch is the author's, continues the sequence and
+        names the hash of the one before it (the first, this view's head),
+        a valid signature on the newest vouches for all of them: the
+        batch costs one verify, through :meth:`ChainEntry.verified_by`.
+        When either check fails the batch goes entry by entry through
+        :meth:`accept`, so every rejection raises the same error after
+        accepting the same prefix as a per-entry loop would.  One case
+        differs: an author who signs a successor of their own badly-signed
+        entry has the whole batch accepted, where the loop rejects the bad
+        entry's signature; only the author's key can make that successor.
+        A one-entry batch is a plain :meth:`accept`.
+        """
+        if (len(entries) > 1 and self._extends(entries)
+                and entries[-1].verified_by(self.author_key)):
+            self.entries.extend(entries)
+            return
         for entry in entries:
             self.accept(entry)
+
+    def _extends(self, entries: Sequence[ChainEntry]) -> bool:
+        """Whether ``entries`` are this author's next entries, each naming
+        the hash of the one before it; no signature is checked."""
+        previous, sequence = self.head_hash, len(self.entries)
+        for entry in entries:
+            if (entry.author != self.author or entry.sequence != sequence
+                    or entry.previous != previous):
+                return False
+            previous, sequence = entry.entry_hash(), sequence + 1
+        return True
 
 
 @dataclass(frozen=True)
