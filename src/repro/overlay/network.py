@@ -235,6 +235,9 @@ def _reject_latency(latency: float) -> NoReturn:
 #: what an RPC's ``nodes.get`` answers for an unregistered peer: one that
 #: is never online, so reachability is one attribute read
 _UNKNOWN = SimpleNamespace(online=False)
+#: what it answers for an unregistered *source*: a client outside the
+#: fabric, up whenever it calls
+_CLIENT = SimpleNamespace(online=True)
 
 
 class SimNetwork:
@@ -463,6 +466,8 @@ class SimNetwork:
         failed probes are not free, matching how real iterative lookups
         pay for dead fingers — while a lost *response* costs both
         messages (the request was delivered) plus the timeout.  A
+        registered source that is offline sends nothing it can be
+        answered on, so its RPC fails like one to an offline peer.  A
         corrupted response is delivered but useless, so it also reads as
         a failure.  Every failure is recorded in :attr:`metrics` as
         ``net.rpc_failures{kind=..., cause=..., direction=...}`` — the
@@ -535,7 +540,9 @@ class SimNetwork:
         out = self.latency.sample(self._rng, src, dst)
         if not 0.0 <= out < _INF:
             _reject_latency(out)
-        if not self.nodes.get(dst, _UNKNOWN).online:
+        nodes = self.nodes
+        if not (nodes.get(dst, _UNKNOWN).online
+                and nodes.get(src, _CLIENT).online):
             self._messages.value += 1
             self._bytes.value += payload_size
             self.metrics.inc("net.rpc_failures", kind=kind, cause="offline",
@@ -556,7 +563,9 @@ class SimNetwork:
         out = self.latency.sample(self._rng, src, dst) * factor
         if not 0.0 <= out < _INF:
             _reject_latency(out)
-        reachable = not blocked and self.nodes.get(dst, _UNKNOWN).online
+        nodes = self.nodes
+        reachable = (not blocked and nodes.get(dst, _UNKNOWN).online
+                     and nodes.get(src, _CLIENT).online)
         request_lost = self._loss_cause(src, dst, now) if reachable else None
         if not reachable or request_lost is not None:
             self._messages.value += 1

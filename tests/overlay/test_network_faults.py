@@ -82,6 +82,21 @@ class TestFailurePaths:
         assert net.stats.messages == 1  # the request was still sent
         assert rtt == pytest.approx(0.20)  # 4x the one-way latency
 
+    @pytest.mark.parametrize("loss", [0.0, 0.5])   # fair and general settle
+    def test_rpc_issue_from_an_offline_source_fails(self, loss):
+        sim, net, a, b = _net(loss=loss)
+        a.go_offline()
+        reply = net.rpc_issue("a", "b", "ping")
+        assert (reply.ok, reply.cause) == (False, "offline")
+        assert reply.latency == pytest.approx(0.20)
+        assert net.stats.messages == 1 and net.stats.timeouts == 1
+        assert net.metrics.get_counter_value(
+            "net.rpc_failures", kind="ping", cause="offline",
+            direction="request") == 1
+        # a caller the fabric never registered is a client, up when it calls
+        net = _net()[1]
+        assert net.rpc_issue("client", "b", "ping").ok
+
     def test_rpc_request_vs_response_loss_accounting(self):
         sim, net, a, b = _net(loss=0.5)
         # request direction lost: one message charged

@@ -12,7 +12,7 @@ keeps these functions off the ``online`` flag.
 import pytest
 
 from repro.dosn.storage import DHTBackend
-from repro.exceptions import LookupError_
+from repro.exceptions import LookupError_, StorageError
 from repro.fabric import Fabric
 from repro.faults import FaultPlan, Partition
 from repro.overlay.chord import ChordRing
@@ -218,6 +218,15 @@ class TestReplyRule:
         net.store("u0", "photo", b"p")
         assert "photo" not in net.butler_index["u0"]
         assert _failures(net.network, "prpl_index") == 1
+
+    def test_prpl_indexes_nothing_stored_on_an_offline_device(self):
+        net = _prpl()
+        net.device_offline("u0/dev0")
+        net.store("u0", "photo", b"p", device_id="u0/dev0")
+        assert "photo" not in net.butler_index["u0"]
+        assert _failures(net.network, "prpl_index") == 1
+        with pytest.raises(StorageError, match="has no item"):
+            net.fetch("u5", "u0", "photo")
 
     # -- what the bare DHT backend records ------------------------------------
 
