@@ -318,16 +318,19 @@ class TestHedgeOf:
 # seed=42, loss_rate=0.1, nodes n0..n5 with n3 offline, 24 RPCs of
 # kind="golden" with payload_size=64+i, src=n{i%6}, dst=n{(2i+1)%6}
 # (bumped to n{(2i+2)%6} when src==dst).  rpc_issue must keep this
-# stream byte-identical.
+# stream byte-identical.  Re-pinned once, when an RPC from an offline
+# registered source began to fail: the four sent by n3 (i = 3, 9, 15, 21)
+# fail "offline" at one message each and draw neither a return latency
+# nor a loss roll, which shifts every later draw.
 GOLDEN_TRACE = [
     (True, 0.126052276459), (False, 0.294598362899), (True, 0.181229094815),
-    (True, 0.1381605329), (False, 0.094397221357), (True, 0.139360926347),
-    (False, 0.129383204184), (False, 0.071512980003), (True, 0.117151011188),
-    (True, 0.132424192293), (False, 0.054015361145), (True, 0.170570345718),
-    (False, 0.087609434157), (False, 0.230893456703), (True, 0.097915127794),
+    (False, 0.184373322298), (False, 0.170649372821), (True, 0.115666507665),
+    (True, 0.148956308276), (False, 0.134922888587), (False, 0.336792087382),
+    (False, 0.071512980003), (False, 0.13462835896), (True, 0.191631559183),
+    (False, 0.288379175668), (False, 0.338634310584), (True, 0.168732823639),
+    (False, 0.041461414566), (False, 0.230893456703), (True, 0.097915127794),
     (True, 0.124336818397), (False, 0.282627647696), (True, 0.150827028252),
-    (True, 0.101743827235), (False, 0.262448650924), (True, 0.16587680474),
-    (True, 0.139998633935), (False, 0.339388939687), (True, 0.096548390713),
+    (False, 0.041005177449), (False, 0.173365777483), (True, 0.157104695604),
 ]
 
 
@@ -358,10 +361,10 @@ class TestGoldenDrawTrace:
                                        payload_size=64 + i)
             trace.append((ok, round(rtt, 12)))
         assert trace == GOLDEN_TRACE
-        assert net.stats.messages == 39
-        assert net.stats.bytes == 2944
-        assert net.stats.timeouts == 10
-        assert net.stats.summary()["failures"] == 10
+        assert net.stats.messages == 35
+        assert net.stats.bytes == 2644
+        assert net.stats.timeouts == 14
+        assert net.stats.summary()["failures"] == 14
 
     def test_rpc_issue_draws_identically(self):
         """Issuing replies keeps the stream."""
@@ -377,4 +380,4 @@ class TestGoldenDrawTrace:
             assert (cause is None) == ok
             trace.append((ok, round(rtt, 12)))
         assert trace == GOLDEN_TRACE
-        assert net.stats.summary()["failures"] == 10
+        assert net.stats.summary()["failures"] == 14
