@@ -1,4 +1,4 @@
-"""Fail unless every perf workload still behaves as the committed baseline.
+"""Fail unless every perf workload still behaves as the newest committed run.
 
 Usage::
 
@@ -7,17 +7,19 @@ Usage::
 
 Runs each named workload of ``BENCHMARK.json`` (every one when none is
 named) once over its pinned prefix
-(``benchmarks/perf/run.py --seconds 0 --trace 0``, the baseline's seed)
+(``benchmarks/perf/run.py --seconds 0 --trace 0``, at that run's seed)
 and compares what is exact for a seed — ``outcome_digest`` and the
 simulated ``msgs_per_op`` / ``bytes_per_op`` / ``failed_op_ratio`` /
-``unverified_served`` — with ``benchmarks/perf/results/baseline.json``,
-which it only reads.  A speed-up that moved any of them changed
-behaviour; exits non-zero naming the workload and the metric.
+``unverified_served`` — with the newest ``BENCH_<pr>.json`` at the repo
+root (the highest PR number), which it only reads.  A speed-up that moved
+any of them changed behaviour; exits non-zero naming the workload and the
+metric.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -26,11 +28,23 @@ from typing import List
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "benchmarks" / "perf" / "run.py"
-BASELINE = ROOT / "benchmarks" / "perf" / "results" / "baseline.json"
+
+
+def newest_bench(root: Path = ROOT) -> Path:
+    """The ``BENCH_<pr>.json`` in ``root`` with the highest PR number, by
+    number (``BENCH_100`` comes after ``BENCH_45``)."""
+    numbered = [(int(match.group(1)), path)
+                for path in root.glob("BENCH_*.json")
+                if (match := re.fullmatch(r"BENCH_(\d+)\.json", path.name))]
+    if not numbered:
+        raise FileNotFoundError(f"no BENCH_<pr>.json in {root}")
+    return max(numbered)[1]
 
 
 def main(names: List[str]) -> int:
-    baseline = json.loads(BASELINE.read_text())
+    bench = newest_bench()
+    baseline = json.loads(bench.read_text())
+    print(f"against {bench.name}")
     declared = [w["name"] for w in
                 json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     unknown = sorted(set(names) - set(declared))
@@ -57,7 +71,7 @@ def main(names: List[str]) -> int:
             pairs = [("outcome_digest", want["digest"], record["digest"])]
             pairs += [(metric, value, record["simulated"].get(metric))
                       for metric, value in want["simulated"].items()]
-            moved = [f"{name}: {metric} {got!r} != baseline {value!r}"
+            moved = [f"{name}: {metric} {got!r} != {bench.name} {value!r}"
                      for metric, value, got in pairs if got != value]
             drift += moved
             print(f"{name:<20} {'DRIFT' if moved else 'ok'}  "
