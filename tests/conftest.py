@@ -12,6 +12,7 @@ import pytest
 from repro.crypto.abe import CPABE
 from repro.crypto.ibbe import IBBE
 from repro.crypto.pairing import pairing_group
+from repro.crypto.signatures import SchnorrPublicKey
 
 
 @pytest.fixture
@@ -40,3 +41,17 @@ def ibbe_setup():
     scheme = IBBE("TOY")
     pk, msk = scheme.setup(16, random.Random(101))
     return scheme, pk, msk
+
+
+@pytest.fixture
+def verifies(monkeypatch):
+    """The key of every Schnorr verify the test runs."""
+    calls = []
+    original = SchnorrPublicKey.verify
+
+    def spy(key, message, signature):
+        calls.append(key)
+        return original(key, message, signature)
+
+    monkeypatch.setattr(SchnorrPublicKey, "verify", spy)
+    return calls
