@@ -38,7 +38,7 @@ health-aware routing under partitions + churn.
 """
 
 from repro.membership.phi import (INITIAL_INTERVAL, LN10, MIN_INTERVAL,
-                                  WINDOW, PhiEstimator)
+                                  WINDOW, PhiTable)
 from repro.membership.swim import (ALIVE, CONFIRM_PHI, DEAD,
                                    GOSSIP_BUDGET_FACTOR, K_INDIRECT,
                                    PIGGYBACK_LIMIT, PROTOCOL_PERIOD,
@@ -51,5 +51,5 @@ __all__ = [
     "INITIAL_INTERVAL", "K_INDIRECT", "LN10", "MIN_INTERVAL",
     "PIGGYBACK_LIMIT", "PROTOCOL_PERIOD", "RECLAIM_EVERY", "SUSPECT",
     "SUSPECT_PHI", "WINDOW", "ConfirmEvent", "MemberView",
-    "MembershipConfig", "PhiEstimator", "SwimMembership",
+    "MembershipConfig", "PhiTable", "SwimMembership",
 ]

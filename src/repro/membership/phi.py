@@ -16,7 +16,7 @@ adaptivity E15 measures against fixed breaker thresholds.
 
 The model is invertible, which the property tests exploit: silence of
 ``threshold * mu * ln(10)`` seconds is exactly where phi crosses
-``threshold`` (:meth:`PhiEstimator.silence_bound`).
+``threshold`` (:meth:`PhiTable.silence_bound`).
 """
 
 from __future__ import annotations
@@ -33,57 +33,86 @@ INITIAL_INTERVAL = 5.0
 #: floor for the estimated mean gap (keeps phi finite on chatty pairs);
 #: at most :data:`INITIAL_INTERVAL`, so the prior needs no flooring
 MIN_INTERVAL = 0.25
+#: doubles a peer takes in a table: its last evidence, then a gap ring
+STRIDE = 1 + WINDOW
 
 
-class PhiEstimator:
-    """Evidence-gap tracker for one (observer, peer) pair."""
+def _room(slots: int) -> int:
+    """Room a table of ``slots`` peers reserves (< 1/16 spare), on one
+    schedule: a cluster's tables grow together, reusing freed blocks."""
+    spare = (1 << max(0, slots.bit_length() - 5)) - 1
+    return (slots + spare) & ~spare
 
-    __slots__ = ("last_evidence", "_gaps")
 
-    def __init__(self, now: float) -> None:
-        self.last_evidence = now
-        # a sliding window of the last ``WINDOW`` gaps, oldest first, as
-        # 8 B a gap and nothing up front: the cluster holds one estimator
-        # per (observer, peer) *pair* (docs/membership.md "Cost")
-        self._gaps = array("d")
+class PhiTable:
+    """One observer's evidence-gap trackers packed by peer rank: a pair
+    of the n² table (docs/membership.md "Cost") is ``STRIDE`` doubles,
+    its gap count and its ring's oldest slot, and no object of its own."""
 
-    def evidence(self, at: float) -> bool:
-        """Record liveness evidence observed at virtual time ``at``.
+    def __init__(self, slots: int, now: float) -> None:
+        self.windows = array("d", bytes(8 * STRIDE * _room(slots)))
+        self.counts = bytearray(slots)
+        self.heads = bytearray(slots)
+        self.restart(now)
 
-        Returns whether the evidence advanced the clock (older or
-        duplicate timestamps — stale piggybacked news — are ignored).
-        """
-        if at <= self.last_evidence:
+    def add_slot(self, now: float) -> None:
+        rank = len(self.counts)
+        if rank * STRIDE == len(self.windows):
+            self.windows = self.windows + array(
+                "d", bytes(8 * STRIDE * (_room(rank + 1) - rank)))
+        self.windows[rank * STRIDE] = now
+        self.counts.append(0)
+        self.heads.append(0)
+
+    def last_evidence(self, rank: int) -> float:
+        return self.windows[rank * STRIDE]
+
+    def evidence(self, rank: int, at: float) -> bool:
+        """Record evidence of peer ``rank`` seen at ``at``; whether it
+        advanced the clock (stale or duplicate news is ignored)."""
+        windows = self.windows
+        base = rank * STRIDE
+        last = windows[base]
+        if at <= last:
             return False
-        gaps = self._gaps
-        if len(gaps) == WINDOW:
-            del gaps[0]
-        gaps.append(at - self.last_evidence)
-        self.last_evidence = at
+        slot = self.counts[rank]
+        if slot < WINDOW:
+            self.counts[rank] = slot + 1
+        else:   # full: the newest gap overwrites the oldest
+            slot = self.heads[rank]
+            self.heads[rank] = (slot + 1) % WINDOW
+        windows[base + 1 + slot] = at - last
+        windows[base] = at
         return True
 
     def restart(self, now: float) -> None:
-        """Reset the silence clock without recording a gap.
+        """Reset every silence clock without recording a gap: the
+        observer's own absence is no evidence against its peers."""
+        self.windows[::STRIDE] = array("d", (now,)) * (
+            len(self.windows) // STRIDE)
 
-        Used when the *observer* was away: its own absence produced the
-        silence, which must not count as evidence against the peer.
-        """
-        self.last_evidence = now
+    def gaps(self, rank: int) -> array:
+        """A copy of peer ``rank``'s window, oldest gap first."""
+        start = rank * STRIDE + 1
+        oldest = start + self.heads[rank]
+        windows = self.windows
+        return windows[oldest:start + self.counts[rank]] + windows[start:oldest]
 
-    @property
-    def mean_gap(self) -> float:
-        """Current estimate of the mean evidence gap (floored)."""
-        if len(self._gaps) < 3:
+    def mean_gap(self, rank: int) -> float:
+        """Current estimate of peer ``rank``'s mean evidence gap (floored)."""
+        count = self.counts[rank]
+        if count < 3:
             return INITIAL_INTERVAL
-        return max(sum(self._gaps) / len(self._gaps), MIN_INTERVAL)
+        # one sum over the window, oldest gap first, as when it slid
+        return max(sum(self.gaps(rank)) / count, MIN_INTERVAL)
 
-    def phi(self, now: float) -> float:
-        """Suspicion level at ``now`` (0 when evidence just arrived)."""
-        elapsed = now - self.last_evidence
+    def phi(self, rank: int, now: float) -> float:
+        """Peer ``rank``'s suspicion at ``now`` (0 at fresh evidence)."""
+        elapsed = now - self.windows[rank * STRIDE]
         if elapsed <= 0:
             return 0.0
-        return elapsed / (self.mean_gap * LN10)
+        return elapsed / (self.mean_gap(rank) * LN10)
 
-    def silence_bound(self, threshold: float) -> float:
-        """Seconds of silence at which phi reaches ``threshold``."""
-        return threshold * self.mean_gap * LN10
+    def silence_bound(self, rank: int, threshold: float) -> float:
+        """Silence at which peer ``rank``'s phi reaches ``threshold``."""
+        return threshold * self.mean_gap(rank) * LN10

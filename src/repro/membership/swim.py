@@ -29,16 +29,19 @@ from __future__ import annotations
 
 import math
 import random as _random
+from array import array
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
 from repro.exceptions import OverlayError, SimulationError
-from repro.membership.phi import PhiEstimator
+from repro.membership.phi import PhiTable
 
 ALIVE = "alive"
 SUSPECT = "suspect"
 DEAD = "dead"
+_STATES = (ALIVE, SUSPECT, DEAD)    # a view's ``states`` byte indexes it
+_ALIVE, _SUSPECT, _DEAD = range(3)
 
 # Sized for the simulated fabric's latency scale (tens of milliseconds
 # per link): one probe round per virtual second, three indirect proxies,
@@ -115,32 +118,34 @@ class ConfirmEvent:
     actually_online: bool
 
 
-class MemberRecord(PhiEstimator):
-    """One peer as seen by one member: its phi estimator plus its SWIM
-    state — one object per (observer, peer) pair of the n² table."""
+class PeerRecord(NamedTuple):
+    """One peer as one member sees it: a copy of its slot in the view."""
 
-    __slots__ = ("state", "incarnation")
-
-    def __init__(self, now: float) -> None:
-        PhiEstimator.__init__(self, now)   # not super(): n² calls
-        #: written only by :meth:`MemberView.set_state`, which keeps the
-        #: view's suspect / dead indexes in step
-        self.state = ALIVE
-        self.incarnation = 0
+    state: str
+    incarnation: int
+    last_evidence: float
+    gaps: array     # oldest first
 
 
-class MemberView:
-    """Everything one member believes about the cluster."""
+class MemberView(PhiTable):
+    """Everything one member believes about the cluster: its peers' phi
+    estimators, ``states`` and ``incarnations``, packed by registration
+    rank; the owner's own slot, like an unknown name, has no record."""
 
     def __init__(self, owner: str, membership: "SwimMembership",
                  now: float) -> None:
+        self.ranks = membership.ranks
+        self.rank = len(self.ranks)     # the owner's own slot
+        slots = self.rank + 1
+        PhiTable.__init__(self, slots, now)
+        #: written only by :meth:`set_state`, which keeps the indexes true
+        self.states = bytearray(slots)  # _ALIVE
+        self.incarnations = array("I", bytes(4 * slots))
         self.owner = owner
         self.membership = membership
         self.self_incarnation = 0
-        self.records: Dict[str, MemberRecord] = {}
-        #: the peers whose record is SUSPECT / DEAD — what the confirm
-        #: sweep, the probe rotation and every operation's ``avoid`` set
-        #: read instead of scanning ``records``
+        #: the SUSPECT / DEAD peers — what the confirm sweep, the probe
+        #: rotation and every ``avoid`` set read instead of a scan
         self.suspects: Set[str] = set()
         self.dead: Set[str] = set()
         #: rumors to piggyback, oldest first, and the transmissions each
@@ -150,7 +155,19 @@ class MemberView:
         #: last tick at which the owner was up (stale-clock detection)
         self.last_active = now
 
+    def add_slot(self, now: float) -> None:
+        PhiTable.add_slot(self, now)
+        self.states.append(_ALIVE)
+        self.incarnations.append(0)
+
     # -- read API (what routing and the channel consume) ----------------------
+
+    def record(self, peer: str) -> Optional[PeerRecord]:
+        """``peer``'s record, or None for the owner and strangers."""
+        rank = self.ranks.get(peer, self.rank)
+        return None if rank == self.rank else PeerRecord(
+            _STATES[self.states[rank]], self.incarnations[rank],
+            self.last_evidence(rank), self.gaps(rank))
 
     def is_dead(self, peer: str) -> bool:
         """Whether this view has confirmed ``peer`` dead (unknown peers
@@ -159,20 +176,22 @@ class MemberView:
 
     def suspicious(self, peer: str, now: float) -> bool:
         """Whether the channel should deprioritize ``peer``."""
-        record = self.records.get(peer)
-        if record is None:
+        rank = self.ranks.get(peer, self.rank)
+        if rank == self.rank:
             return False
-        return record.state != ALIVE or record.phi(now) >= SUSPECT_PHI
+        return self.states[rank] != _ALIVE \
+            or self.phi(rank, now) >= SUSPECT_PHI
 
     def health(self, peer: str, now: float) -> float:
         """A [0, 1] routing score: 1 fresh evidence, 0 confirmed dead."""
-        record = self.records.get(peer)
-        if record is None:
+        rank = self.ranks.get(peer, self.rank)
+        if rank == self.rank:
             return 1.0
-        if record.state == DEAD:
+        state = self.states[rank]
+        if state == _DEAD:
             return 0.0
-        score = max(0.0, 1.0 - record.phi(now) / CONFIRM_PHI)
-        if record.state == SUSPECT:
+        score = max(0.0, 1.0 - self.phi(rank, now) / CONFIRM_PHI)
+        if state == _SUSPECT:
             score *= 0.5
         return score
 
@@ -184,8 +203,8 @@ class MemberView:
 
     def set_state(self, peer: str, state: str) -> None:
         """Move ``peer``'s record to ``state`` — the one writer of
-        ``record.state``, so the indexes cannot drift from the records."""
-        self.records[peer].state = state
+        ``states``, so the indexes cannot drift from the table."""
+        self.states[self.ranks[peer]] = _STATES.index(state)
         if state == SUSPECT:
             self.suspects.add(peer)
         else:
@@ -206,17 +225,17 @@ class MemberView:
         _revived`) so the revival can win in every *other* view, where
         DEAD is final until a strictly higher incarnation.
         """
-        record = self.records.get(peer)
-        if record is None:
+        rank = self.ranks.get(peer, self.rank)
+        if rank == self.rank:
             return
-        buried_as = record.incarnation if record.state == DEAD else None
-        record.evidence(now)
-        if incarnation > record.incarnation:
-            record.incarnation = incarnation
-        if record.state == DEAD:
+        state, buried_as = self.states[rank], self.incarnations[rank]
+        self.evidence(rank, now)
+        if incarnation > buried_as:
+            self.incarnations[rank] = incarnation
+        if state == _DEAD:
             self.set_state(peer, ALIVE)
             self.membership._revived(self.owner, peer, buried_as, now)
-        elif record.state == SUSPECT:
+        elif state == _SUSPECT:
             self.set_state(peer, ALIVE)
 
     def observe_contact(self, peer: str, now: float) -> None:
@@ -225,18 +244,7 @@ class MemberView:
         Lifeguard-style: any acked RPC is as good as a probe ack, so the
         hot path keeps phi low for the peers it actually talks to.
         """
-        record = self.records.get(peer)
-        if record is not None:
-            self.direct_evidence(peer, record.incarnation, now)
-
-    def resume(self, now: float) -> None:
-        """The owner was away: restart every silence clock.
-
-        Silence accumulated while *we* were offline says nothing about
-        the peers, so phi must not charge them for it.
-        """
-        for record in self.records.values():
-            record.restart(now)
+        self.direct_evidence(peer, 0, now)   # 0: no incarnation news
 
     # -- piggyback dissemination ----------------------------------------------
 
@@ -269,15 +277,17 @@ class MemberView:
     def merge(self, batch: Sequence[_Update], now: float) -> None:
         """Apply one contact's piggybacked rumors in order (SWIM merge
         rules); re-gossip each one that was news by queueing it as is."""
-        owner, records = self.owner, self.records
+        owner, own, ranks = self.owner, self.rank, self.ranks
+        states, incarnations = self.states, self.incarnations
+        evidence = self.evidence
         queue, budgets = self.queue, self.budgets
         membership = self.membership
         metrics = membership.metrics
         budget = membership.rumor_budget
         for update in batch:
             peer, state, incarnation, heard_at = update
-            record = records.get(peer)
-            if record is None:
+            rank = ranks.get(peer, own)
+            if rank == own:
                 # Someone is spreading doubt about us: refute by
                 # overriding the rumored incarnation with a fresher self.
                 if peer == owner and state in (SUSPECT, DEAD) \
@@ -289,31 +299,30 @@ class MemberView:
                 continue   # the owner, or a peer this view never met
             news = False
             if state == ALIVE:
-                if incarnation > record.incarnation:
-                    if record.state == DEAD:
+                if incarnation > incarnations[rank]:
+                    if states[rank] == _DEAD:
                         membership._revived(owner, peer)
                     self.set_state(peer, ALIVE)
-                    record.incarnation = incarnation
+                    incarnations[rank] = incarnation
                     news = True
-                if record.state != DEAD and record.evidence(heard_at):
+                if states[rank] != _DEAD and evidence(rank, heard_at):
                     news = True
             elif state == SUSPECT:
-                if record.state == DEAD:
+                if states[rank] == _DEAD:
                     continue
-                if incarnation > record.incarnation or (
-                        incarnation == record.incarnation
-                        and record.state == ALIVE):
-                    if record.state != SUSPECT:
+                if incarnation > incarnations[rank] or (
+                        incarnation == incarnations[rank]
+                        and states[rank] == _ALIVE):
+                    if states[rank] != _SUSPECT:
                         metrics.inc("membership.suspicions", source="gossip")
                         self.set_state(peer, SUSPECT)
-                    record.incarnation = incarnation
+                    incarnations[rank] = incarnation
                     news = True
-            elif record.state != DEAD:
+            elif states[rank] != _DEAD:
                 # DEAD is final until a higher incarnation revives the peer
                 self.set_state(peer, DEAD)
-                record.incarnation = max(record.incarnation, incarnation)
-                membership._confirmed(owner, peer, now, record,
-                                      via_gossip=True)
+                incarnations[rank] = max(incarnations[rank], incarnation)
+                membership._confirmed(peer, now, via_gossip=True)
                 news = True
             if news:
                 queue.append(update)
@@ -344,12 +353,13 @@ class SwimMembership:
         self._rng: _random.Random = self.sim.split_rng("membership")
         self.views: Dict[str, MemberView] = {}
         self._members: List[str] = []
-        #: registration rank; every view's ``records`` are inserted in
-        #: ``_members`` order, so rank order *is* ``records`` order
-        self._rank: Dict[str, int] = {}
+        #: registration rank: where every view keeps the member's slot
+        self.ranks: Dict[str, int] = {}
+        self._pings = self.metrics.counter("membership.pings")
+        self._chains = self.metrics.counter("membership.indirect_chains")
         #: retransmissions granted to each new rumor (see :meth:`register`)
         self.rumor_budget = self.gossip_budget()
-        self._rotation: Dict[str, List[str]] = {}
+        self._rotation: Dict[str, array] = {}
         self._rotation_index: Dict[str, int] = {}
         #: administrative union of confirmations (see module docstring)
         self._dead: Set[str] = set()
@@ -366,12 +376,10 @@ class SwimMembership:
         if name in self.views:
             raise OverlayError(f"member {name!r} already registered")
         now = self.sim.now
-        view = MemberView(name, self, now)
-        view.records = {other: MemberRecord(now) for other in self._members}
         for other_view in self.views.values():
-            other_view.records[name] = MemberRecord(now)
-        self.views[name] = view
-        self._rank[name] = len(self._members)
+            other_view.add_slot(now)
+        self.views[name] = view = MemberView(name, self, now)
+        self.ranks[name] = view.rank
         self._members.append(name)
         self.rumor_budget = self.gossip_budget()
         return view
@@ -381,8 +389,8 @@ class SwimMembership:
         return self.views.get(name)
 
     def in_rank_order(self, peers: Iterable[str]) -> List[str]:
-        """``peers`` sorted by registration rank (= ``records`` order)."""
-        return sorted(peers, key=self._rank.__getitem__)
+        """``peers`` sorted by registration rank."""
+        return sorted(peers, key=self.ranks.__getitem__)
 
     def gossip_budget(self) -> int:
         """Retransmissions a rumor is granted at the current roster size
@@ -432,7 +440,7 @@ class SwimMembership:
                     continue
                 view = self.views[name]
                 if now - view.last_active > 1.5 * PROTOCOL_PERIOD:
-                    view.resume(now)  # we were away; peers owe us nothing
+                    view.restart(now)  # we were away; peers owe us nothing
                 view.last_active = now
                 self._probe_round(name, now)
                 if reclaim_turn:
@@ -448,15 +456,16 @@ class SwimMembership:
         order = self._rotation.get(member)
         index = self._rotation_index.get(member, 0)
         if order is None or index >= len(order):
-            order = [m for m in self._members if m != member]
+            order = array("I", range(len(self._members)))
+            del order[self.ranks[member]]
             self._rng.shuffle(order)
             self._rotation[member] = order
             index = 0
         view = self.views[member]
         while index < len(order):
-            target = order[index]
+            target = self._members[order[index]]
             index += 1
-            if target in view.records and target not in view.dead:
+            if target not in view.dead:
                 self._rotation_index[member] = index
                 return target
         self._rotation_index[member] = index
@@ -466,7 +475,7 @@ class SwimMembership:
         target = self._next_target(member)
         if target is None:
             return
-        self.metrics.inc("membership.pings")
+        self._pings.value += 1
         if self.network.rpc_issue(member, target, "swim_ping").ok:
             self._contact(member, target, now)
             return
@@ -518,7 +527,7 @@ class SwimMembership:
             for proxy in proxies:
                 with self.network.tracer.span("swim.pingreq.chain",
                                               proxy=proxy):
-                    self.metrics.inc("membership.indirect_chains")
+                    self._chains.value += 1
                     if not self.network.rpc_issue(
                             member, proxy, "swim_pingreq").ok:
                         continue
@@ -553,7 +562,7 @@ class SwimMembership:
 
     def _suspect(self, member: str, target: str) -> None:
         view = self.views[member]
-        record = view.records[target]
+        record = view.record(target)
         if record.state == DEAD:
             return
         if record.state == ALIVE:
@@ -563,32 +572,33 @@ class SwimMembership:
                      record.last_evidence)
 
     def _sweep_confirms(self, view: MemberView, now: float) -> None:
-        for peer in self.in_rank_order(view.suspects):
-            record = view.records[peer]
+        ranks = self.ranks
+        # most sweeps confirm nobody: sort only the suspects that cross
+        due = [peer for peer in view.suspects
+               if view.phi(ranks[peer], now) >= CONFIRM_PHI]
+        for peer in self.in_rank_order(due):
+            rank = ranks[peer]
             # a confirm's callbacks (repair -> RPCs -> observe_contact)
             # may have cleared a peer this snapshot still holds
-            if record.state != SUSPECT:
+            if view.states[rank] != _SUSPECT:
                 continue
-            if record.phi(now) >= CONFIRM_PHI:
+            phi = view.phi(rank, now)
+            if phi >= CONFIRM_PHI:
                 view.set_state(peer, DEAD)
-                self._confirmed(view.owner, peer, now, record,
-                                via_gossip=False)
-                view.enqueue(peer, DEAD, record.incarnation,
-                             record.last_evidence)
+                self.confirm_log.append(ConfirmEvent(
+                    observer=view.owner, peer=peer, at=now,
+                    silence=now - view.last_evidence(rank),
+                    bound=view.silence_bound(rank, CONFIRM_PHI), phi=phi,
+                    actually_online=self.network.is_online(peer)))
+                self._confirmed(peer, now, via_gossip=False)
+                view.enqueue(peer, DEAD, view.incarnations[rank],
+                             view.last_evidence(rank))
 
     # -- bookkeeping shared by local and gossiped transitions -------------------
 
-    def _confirmed(self, observer: str, peer: str, now: float,
-                   record: MemberRecord, via_gossip: bool) -> None:
+    def _confirmed(self, peer: str, now: float, via_gossip: bool) -> None:
         self.metrics.inc("membership.confirms",
                          source="gossip" if via_gossip else "phi")
-        if not via_gossip:
-            self.confirm_log.append(ConfirmEvent(
-                observer=observer, peer=peer, at=now,
-                silence=now - record.last_evidence,
-                bound=record.silence_bound(CONFIRM_PHI),
-                phi=record.phi(now),
-                actually_online=self.network.is_online(peer)))
         if peer not in self._dead:
             self._dead.add(peer)
             for callback in self._confirm_callbacks:

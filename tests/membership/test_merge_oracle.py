@@ -1,9 +1,10 @@
-"""``MemberView.merge`` and the tuple queue against the per-rumor oracle.
+"""The packed ``MemberView`` and its tuple queue against the oracle.
 
-``tests/membership/reference.py`` keeps the rumor queue as first
-written (a mutable ``_Update`` with its own budget, one ``receive`` per
-rumor, a trim after every append).  The batch merge must leave every
-view exactly where the oracle leaves it: records, indexes, queue and
+``tests/membership/reference.py`` keeps the member table and the rumor
+queue as first written (a ``MemberRecord`` per pair; a mutable
+``_Update`` with its own budget, one ``receive`` per rumor, a trim after
+every append).  The packed view must leave every view exactly where the
+oracle leaves it: records (gap windows bit for bit), indexes, queue and
 budgets, counters — rumor by rumor and over a whole faulty run.
 """
 
@@ -44,8 +45,10 @@ def _queue(view):
 
 
 def _view_state(view):
-    records = {peer: (r.state, r.incarnation, r.last_evidence, list(r._gaps))
-               for peer, r in view.records.items()}
+    """Everything the view holds; the owner and strangers have no record."""
+    names = [*view.membership.ranks, "ghost"]
+    records = {peer: view.record(peer) for peer in names}
+    assert records.pop(view.owner) is None and records.pop("ghost") is None
     return (records, view.suspects, view.dead, view.self_incarnation,
             _queue(view))
 

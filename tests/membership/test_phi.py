@@ -1,4 +1,9 @@
-"""Unit tests for the phi-accrual suspicion estimator."""
+"""Unit tests for the phi-accrual suspicion estimator.
+
+A :class:`PhiTable` packs one observer's estimators by rank; ``Slot``
+reads one rank of a three-peer table like the single-pair estimator it
+replaced, so each test drives one peer's window in a packed array.
+"""
 
 from collections import deque
 
@@ -7,11 +12,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.membership import (INITIAL_INTERVAL, LN10, MIN_INTERVAL, WINDOW,
-                              PhiEstimator)
+                              PhiTable)
+
+
+class Slot:
+    """The middle peer of a three-peer table."""
+
+    RANK = 1
+
+    def __init__(self, now):
+        self.table = PhiTable(3, now)
+
+    def evidence(self, at):
+        return self.table.evidence(self.RANK, at)
+
+    def restart(self, now):
+        self.table.restart(now)
+
+    @property
+    def last_evidence(self):
+        return self.table.last_evidence(self.RANK)
+
+    @property
+    def _gaps(self):
+        return self.table.gaps(self.RANK)
+
+    @property
+    def mean_gap(self):
+        return self.table.mean_gap(self.RANK)
+
+    def phi(self, now):
+        return self.table.phi(self.RANK, now)
+
+    def silence_bound(self, threshold):
+        return self.table.silence_bound(self.RANK, threshold)
 
 
 def make(now=0.0):
-    return PhiEstimator(now)
+    return Slot(now)
 
 
 class TestMeanGap:
@@ -147,7 +185,7 @@ class TestCompactWindowMatchesTheDeque:
     @settings(max_examples=200, deadline=None)
     @given(_histories(), st.floats(min_value=0.0, max_value=30.0))
     def test_bit_equal_at_every_step(self, history, lookahead):
-        est = PhiEstimator(10.0)
+        est = Slot(10.0)
         ref = DequeEstimator(10.0)
         at = 10.0
         for kind, step in history:
@@ -166,3 +204,6 @@ class TestCompactWindowMatchesTheDeque:
             assert est.silence_bound(8.0) == ref.silence_bound(8.0)
             assert list(est._gaps) == list(ref._gaps)
         assert len(est._gaps) == WINDOW      # the history did overfill it
+        # the neighbours' slots saw no write but the restarts'
+        assert [est.table.counts[r] for r in (0, 2)] == [0, 0]
+        assert len(est.table.gaps(0)) == len(est.table.gaps(2)) == 0

@@ -1,14 +1,16 @@
 """Unit tests for the SWIM-style membership protocol."""
 
 import math
+from array import array
 
 import pytest
 
 from repro.exceptions import OverlayError, SimulationError
 from repro.fabric import Fabric
 from repro.membership import (ALIVE, CONFIRM_PHI, DEAD, GOSSIP_BUDGET_FACTOR,
-                              PROTOCOL_PERIOD, SUSPECT, MembershipConfig,
-                              PhiEstimator, SwimMembership)
+                              PROTOCOL_PERIOD, SUSPECT, WINDOW,
+                              MembershipConfig, SwimMembership)
+from repro.membership.phi import STRIDE, PhiTable
 from repro.membership.swim import _Update
 from repro.overlay.network import SimNode
 from repro.overlay.simulator import FixedLatency
@@ -70,7 +72,9 @@ class TestRoster:
         _, membership, names = cluster(n=4, start=False)
         for name in names:
             view = membership.view_of(name)
-            assert set(view.records) == set(names) - {name}
+            assert [p for p in names if view.record(p)] \
+                == [p for p in names if p != name]
+            assert view.record("stranger") is None
         assert membership.view_of("stranger") is None
 
 
@@ -143,7 +147,10 @@ class TestMergeRules:
     def setup_method(self):
         _, self.membership, _ = cluster(n=3, start=False)
         self.view = self.membership.view_of("n0")
-        self.record = self.view.records["n1"]
+
+    @property
+    def record(self):
+        return self.view.record("n1")
 
     def _recv(self, state, incarnation, heard_at=1.0):
         self.view.merge([_Update("n1", state, incarnation, heard_at)],
@@ -189,7 +196,7 @@ class TestMergeRules:
 
     def test_unknown_peers_are_ignored(self):
         self.view.merge([_Update("ghost", DEAD, 0, 1.0)], now=2.0)
-        assert "ghost" not in self.view.records
+        assert self.view.record("ghost") is None
 
     def test_direct_evidence_revives_without_incarnation_bump(self):
         self._recv(SUSPECT, 0)
@@ -249,7 +256,7 @@ class TestReclaim:
         the buried record, or DEAD stays final in every other view."""
         fab, membership, _ = self._partitioned_cluster()
         fab.sim.run(until=220.0)
-        buried = {peer: max(membership.view_of(o).records[peer].incarnation
+        buried = {peer: max(membership.view_of(o).record(peer).incarnation
                             for o in membership.views if o != peer)
                   for peer in membership._dead}
         fab.sim.run(until=400.0)
@@ -276,17 +283,18 @@ class TestDeterminism:
 
 
 class TestIndexes:
-    """The per-view suspect / dead indexes against a scan of ``records``."""
+    """The per-view suspect / dead indexes against a scan of the table."""
 
     def _assert_indexes_true(self, membership):
         seen = {SUSPECT: 0, DEAD: 0}
         for view in membership.views.values():
+            records = [(p, view.record(p)) for p in membership.ranks
+                       if p != view.owner]
             for state, index in ((SUSPECT, view.suspects), (DEAD, view.dead)):
-                scanned = [p for p, r in view.records.items()
-                           if r.state == state]
+                scanned = [p for p, r in records if r.state == state]
                 assert index == set(scanned)
                 seen[state] += len(scanned)
-            assert view.dead_peers() == [p for p, r in view.records.items()
+            assert view.dead_peers() == [p for p, r in records
                                          if r.state == DEAD]
         return seen
 
@@ -339,7 +347,7 @@ class TestIndexes:
             lambda peer, now: view.direct_evidence("n3", 0, heard_at))
         membership._sweep_confirms(view, 10_000.0)
         assert [e.peer for e in membership.confirm_log] == ["n1", "n2"]
-        assert view.records["n3"].state == ALIVE
+        assert view.record("n3").state == ALIVE
         assert view.suspects == set() and view.dead == {"n1", "n2"}
         assert not membership.confirmed_dead("n3")
 
@@ -364,34 +372,63 @@ class TestIndexes:
         assert first.budgets[-1] == formula(64) == 19
 
 
-class TestMemoryRatchet:
-    def test_a_view_costs_under_300_bytes_per_peer(self):
-        """200 members, 60 protocol periods: the n^2 table must stay small
-        (it was 1 056 B per (observer, peer) pair on ``deque`` windows,
-        ~290 B on arrays, ~242 B with the record folded into its
-        estimator).  PAPER.md's "thousands of in-process peers" holds only
-        while a peer costs kilobytes per view, not megabytes."""
-        import tracemalloc
-        n, periods = 200, 60
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            fab, membership, _ = cluster(n=n)
-            fab.sim.run(until=periods * PROTOCOL_PERIOD + 0.5)
-            grown = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert membership._ticks == periods
-        assert grown / (n * (n - 1)) <= 300
+def _bytes_per_pair(n, periods):
+    """docs/membership.md "Cost": the traced bytes a fabric's membership
+    holds per (observer, peer) pair once ``n`` members registered and
+    after ``periods`` protocol periods, and the membership."""
+    import tracemalloc
+    fab = Fabric.create(seed=7, latency=FixedLatency(0.02))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        membership = SwimMembership(fab)
+        for i in range(n):
+            fab.network.register(SimNode(f"n{i}"))
+            membership.register(f"n{i}")
+        registered = tracemalloc.get_traced_memory()[0] - base
+        membership.start()
+        fab.sim.run(until=periods * PROTOCOL_PERIOD + 0.5)
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert membership._ticks == periods
+    pairs = n * (n - 1)
+    return registered / pairs, grown / pairs, membership
 
-    def test_a_pair_is_one_object(self):
-        """A record *is* its phi estimator: one slotted object per
-        (observer, peer) pair, not a record holding an estimator."""
+
+class TestMemoryRatchet:
+    """PAPER.md's "thousands of in-process peers" holds only while a peer
+    costs bytes per view, not kilobytes: the n² table was 1 056 B a pair
+    on ``deque`` windows, and 182 / 242 / 342 B at these three points
+    with one ``MemberRecord`` object per pair.  A packed pair is 143 B;
+    the rest is the protocol's own state (rumors, queues, probe
+    rotations), which weighs more per pair the smaller the cluster."""
+
+    def test_a_pair_costs_at_most_160_bytes_registered_170_running(self):
+        registered, running, _ = _bytes_per_pair(200, 60)
+        assert registered <= 160
+        assert running <= 170
+
+    def test_a_pair_costs_at_most_190_bytes_with_every_window_full(self):
+        _, full, membership = _bytes_per_pair(100, 240)
+        assert full <= 190
+        assert {len(view.record(peer).gaps)
+                for view in membership.views.values()
+                for peer in membership.ranks if peer != view.owner} \
+            == {WINDOW}
+
+    def test_a_pair_is_a_slot_not_an_object(self):
+        """A view *is* its peers' phi estimators, packed by rank: a few
+        arrays per view, no object per (observer, peer) pair."""
         _, membership, _ = cluster(n=3, start=False)
-        record = membership.view_of("n0").records["n1"]
-        assert isinstance(record, PhiEstimator)
-        assert not hasattr(record, "__dict__")
-        assert not hasattr(record, "estimator")
+        view = membership.view_of("n0")
+        assert isinstance(view, PhiTable)
+        assert view.windows.typecode == "d"
+        assert len(view.windows) >= 3 * STRIDE
+        assert [len(column) for column in (view.counts, view.heads,
+                                           view.states, view.incarnations)] \
+            == [3, 3, 3, 3]
+        assert view.record("n1") == (ALIVE, 0, 0.0, array("d"))
 
     def test_a_regossiped_rumor_is_the_senders_object(self):
         """News is re-queued as the tuple that arrived, not rebuilt."""

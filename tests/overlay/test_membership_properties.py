@@ -86,8 +86,8 @@ class TestConfirmLatencyBound:
         first = min(e.at for e in membership.confirm_log
                     if e.peer == "m4")
         worst_bound = max(
-            membership.view_of(m).records["m4"].silence_bound(
-                CONFIRM_PHI)
+            membership.view_of(m).silence_bound(membership.ranks["m4"],
+                                                CONFIRM_PHI)
             for m in membership.views if m != "m4")
         slack = (N + 1) * PROTOCOL_PERIOD
         assert first - 120.0 <= worst_bound + slack

@@ -6,8 +6,9 @@ import random
 import networkx as nx
 import pytest
 
-from repro.exceptions import (AccessDeniedError, OverlayError, SearchError,
-                              StorageError)
+from repro.crypto.symmetric import StreamCipher
+from repro.exceptions import (AccessDeniedError, DecryptionError, OverlayError,
+                              SearchError, StorageError)
 from repro.systems import (CachetNetwork, DiasporaNetwork, PeersonNetwork,
                            SafebookNetwork, SupernovaNetwork)
 from repro.workloads import social_graph
@@ -251,6 +252,40 @@ class TestDiaspora:
             net.read("d2", new)
         # the paper's caveat: d2 may still hold the old key for old posts
         assert net.read("d2", old) == "before removal"
+
+    def test_a_removed_member_keeping_every_key_opens_nothing_later(self):
+        """Section III-B's rekey on removal, against the strongest removed
+        member: one who kept every aspect key they were ever given (of
+        every owner, aspect and epoch) and gets hold of the ciphertext
+        anyway (a colluding pod, a leak).  Posts from before the removal
+        open — the paper's caveat — and none from after it does."""
+        net = self._net()
+        net.create_aspect("d1", "friends", ["d2"])
+        net.add_to_aspect("d0", "work", "d2")
+        before = [net.post("d0", "family", "before removal")]
+        net.remove_from_aspect("d0", "family", "d2")
+        net.remove_from_aspect("d0", "family", "d1")
+        net.add_to_aspect("d0", "family", "d1")
+        after = [net.post("d0", "family", f"after removal {i}")
+                 for i in range(3)]
+        kept = list(net._keyrings["d2"].values())
+        assert len(kept) == 3           # family@0, work@0, d1's friends@0
+
+        def opened(cid):
+            ciphertext = next(pod.content[cid][1]
+                              for pod in net.federation.servers.values()
+                              if cid in pod.content)
+            texts = []
+            for key in kept:
+                try:
+                    texts.append(StreamCipher(key).decrypt(ciphertext))
+                except DecryptionError:
+                    pass
+            return texts
+
+        assert [opened(cid) for cid in before] == [[b"before removal"]]
+        assert [opened(cid) for cid in after] == [[], [], []]
+        assert net.read("d1", after[-1]) == "after removal 2"
 
     def test_late_added_member(self):
         net = self._net()
