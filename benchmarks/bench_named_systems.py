@@ -95,12 +95,12 @@ def run_supernova():
     net.arrange_storekeepers("n0")
     net.store("n0", "album", b"data")
     before = net.network.stats.messages
-    key = net.friend_key("n0")
     for reader in ("n5", "n6", "n7"):
-        assert net.retrieve(reader, "n0", "album", owner_key=key) == b"data"
+        net.share_key("n0", reader)
+        assert net.retrieve(reader, "n0", "album") == b"data"
     cost = (net.network.stats.messages - before) / 3
     net.overlay.peers["n0"].online = False
-    assert net.retrieve("n5", "n0", "album", owner_key=key) == b"data"
+    assert net.retrieve("n5", "n0", "album") == b"data"
     denied = 0
     try:
         net.retrieve("n8", "n0", "album")

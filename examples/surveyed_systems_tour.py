@@ -77,7 +77,8 @@ def supernova() -> None:
     keepers = net.arrange_storekeepers("n0")
     net.store("n0", "album", b"holiday photos")
     net.overlay.peers["n0"].online = False     # owner disappears
-    data = net.retrieve("n5", "n0", "album", owner_key=net.friend_key("n0"))
+    net.share_key("n0", "n5")                  # out of band, to a friend
+    data = net.retrieve("n5", "n0", "album")
     print(f"  super-peers recommended keepers {keepers} "
           "(the high-uptime nodes)")
     print(f"  owner offline, data still served: {data.decode()!r}\n")

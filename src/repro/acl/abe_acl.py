@@ -55,8 +55,11 @@ class ABEACL(AccessControlScheme):
     # -- attribute management (the Persona-style public API) -----------------
 
     def grant_attribute(self, user: str, attribute: str) -> None:
-        """Give ``user`` an attribute and re-issue their key."""
+        """Give ``user`` an attribute and re-issue their key (a no-op when
+        they already hold it)."""
         self.register_user(user)
+        if attribute in self._attributes[user]:
+            return
         self._attributes[user].add(attribute)
         self._reissue(user)
 
@@ -74,11 +77,17 @@ class ABEACL(AccessControlScheme):
                             plaintext: bytes,
                             policy: Union[str, PolicyNode]) -> None:
         """Persona-style publish under an arbitrary policy expression."""
-        group = self._group(group_name)
+        self._group(group_name).items[item_id] = self.seal_with_policy(
+            group_name, plaintext, policy)
+
+    def seal_with_policy(self, group_name: str, plaintext: bytes,
+                         policy: Union[str, PolicyNode]) -> _ABERecord:
+        """:meth:`seal` under an arbitrary policy expression."""
+        self._group(group_name)
         self.meter.count("pub_encrypt")
         header, blob = self.abe.encrypt_bytes(self.pk, plaintext, policy,
                                               self.rng)
-        group.items[item_id] = _ABERecord(header=header, blob=blob)
+        return _ABERecord(header=header, blob=blob)
 
     def _reissue(self, user: str) -> None:
         attrs = sorted(self._attributes[user])

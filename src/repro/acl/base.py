@@ -148,6 +148,19 @@ class AccessControlScheme(abc.ABC):
             raise AccessDeniedError(f"no item {item_id!r} in {group_name!r}")
         return self._decrypt_item(group, group.items[item_id], user)
 
+    def seal(self, group_name: str, plaintext: bytes) -> object:
+        """Encrypt for the group's current members and hand the record back.
+
+        Unlike :meth:`publish` nothing is stored: the caller places the
+        record (a pod, a mirror, a DHT), so revocation re-protects only
+        what :meth:`publish` stored.
+        """
+        return self._encrypt_item(self._group(group_name), plaintext)
+
+    def unseal(self, group_name: str, record: object, user: str) -> bytes:
+        """Open a record from :meth:`seal` as ``user``, on their keys alone."""
+        return self._decrypt_item(self._group(group_name), record, user)
+
     def _group(self, name: str) -> GroupState:
         try:
             return self.groups[name]

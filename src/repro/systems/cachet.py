@@ -9,22 +9,23 @@ content with "a hybrid scheme of symmetric key encryption and CP-ABE"
 
 Composition (declared as :data:`CACHET_SPEC`, executed by a
 :class:`~repro.stack.pipeline.ProtectionStack`): a per-post comment-key
-integrity layer (:mod:`repro.integrity.relations`), a CP-ABE hybrid ACL
-layer with one authority per user, and a placement layer over
+integrity layer (:mod:`repro.integrity.relations`), a CP-ABE ACL layer
+with one :class:`~repro.acl.abe_acl.ABEACL` authority per user, and a
+placement layer over
 :class:`~repro.overlay.hybrid.HybridOverlay` (DHT + social caches).
 """
 
 from __future__ import annotations
 
 import random as _random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import networkx as nx
 
-from repro.crypto.abe import CPABE
+from repro.acl import ABEACL
+from repro.crypto.abe import parse_policy, policy_attributes
 from repro.crypto.symmetric import random_key
-from repro.exceptions import (AccessDeniedError, DecryptionError,
-                              StorageError)
+from repro.exceptions import AccessDeniedError, IntegrityError
 from repro.integrity.relations import (Comment, CommentablePost, create_post,
                                        verify_comment, write_comment)
 from repro.fabric import Fabric
@@ -67,17 +68,12 @@ class CachetNetwork:
         self.overlay = HybridOverlay(self.fabric, graph)
         self.level = level
         #: per-user ABE authority (users control their own policies)
-        self._abe: Dict[str, CPABE] = {}
-        self._abe_keys: Dict[str, Tuple[object, object]] = {}
-        #: (owner, principal) -> issued attribute key
-        self._issued: Dict[Tuple[str, str], object] = {}
+        self._abe: Dict[str, ABEACL] = {}
         #: pairwise keys used to wrap comment-signing keys
         self._pairwise: Dict[Tuple[str, str], bytes] = {}
         #: post id -> CommentablePost metadata (replicated with the post)
         self._posts: Dict[str, CommentablePost] = {}
         self._comments: Dict[str, List[Comment]] = {}
-        #: post id -> CP-ABE header (small object riding with the blob)
-        self._headers: Dict[str, object] = {}
         self.stack = ProtectionStack([
             IntegrityLayer(post=self._bind_comment_keys,
                            spec=CACHET_SPEC.layers[0]),
@@ -88,26 +84,27 @@ class CachetNetwork:
         ], spec=CACHET_SPEC, tracer=self.fabric.tracer,
             metrics=self.fabric.metrics)
 
-    def _authority(self, owner: str) -> Tuple[CPABE, object, object]:
-        if owner not in self._abe:
-            scheme = CPABE(self.level)
+    def _authority(self, owner: str) -> ABEACL:
+        """The owner's authority, with one group: the owner's posts."""
+        scheme = self._abe.get(owner)
+        if scheme is None:
             # Seeded from (master seed, owner) only: authority creation is
             # order-independent and never perturbs the network RNG stream.
-            pk, msk = scheme.setup(
-                _random.Random(f"cachet/authority/{self.seed}/{owner}"))
+            scheme = ABEACL(
+                rng=_random.Random(f"cachet/authority/{self.seed}/{owner}"),
+                level=self.level)
+            scheme.create_group(owner, [owner])
             self._abe[owner] = scheme
-            self._abe_keys[owner] = (pk, msk)
-        pk, msk = self._abe_keys[owner]
-        return self._abe[owner], pk, msk
+        return scheme
 
     # -- key management ----------------------------------------------------------
 
     def grant(self, owner: str, principal: str,
               attributes: Sequence[str]) -> None:
         """Owner issues an attribute key to a friend."""
-        scheme, pk, msk = self._authority(owner)
-        self._issued[(owner, principal)] = scheme.keygen(
-            pk, msk, list(attributes), self.rng)
+        scheme = self._authority(owner)
+        for attribute in attributes:
+            scheme.grant_attribute(principal, attribute)
 
     def pairwise_key(self, a: str, b: str) -> bytes:
         """The symmetric key a pair shares (comment-key wrap channel)."""
@@ -129,12 +126,13 @@ class CachetNetwork:
         self._comments.setdefault(item.cid, [])
 
     def _abe_protect(self, item: ContentItem) -> None:
-        scheme, pk, _ = self._authority(item.author)
-        header, blob = scheme.encrypt_bytes(pk, item.payload,
-                                            item.meta["policy"], self.rng)
-        # ship header+payload as one DHT object (headers are small objects)
-        self._headers[item.cid] = header
-        item.payload = blob
+        scheme, policy = self._authority(item.author), item.meta["policy"]
+        # The owner runs the authority, so it can always read its own data.
+        for attribute in sorted(policy_attributes(parse_policy(policy))):
+            scheme.grant_attribute(item.author, attribute)
+        # header and blob travel as one DHT object
+        item.payload = scheme.seal_with_policy(item.author, item.payload,
+                                               policy)
 
     def _publish(self, item: ContentItem) -> None:
         self.overlay.publish(item.author, item.cid, item.payload)
@@ -145,31 +143,8 @@ class CachetNetwork:
         item.payload = result.value
 
     def _abe_unprotect(self, item: ContentItem) -> None:
-        header = self._headers.get(item.cid)
-        if header is None:
-            raise StorageError(
-                f"no CP-ABE header for {item.cid!r}: nothing published "
-                "under that id")
-        scheme, pk, msk = self._authority(item.author)
-        if item.reader == item.author:
-            # The owner runs the authority: mint a key satisfying the
-            # post's own policy (owners can always read their data).
-            from repro.crypto.abe import policy_attributes
-            attrs = sorted(policy_attributes(header.policy))
-            key = scheme.keygen(pk, msk, attrs, self.rng)
-        else:
-            key = self._issued.get((item.author, item.reader))
-            if key is None:
-                raise AccessDeniedError(
-                    f"{item.author!r} issued no attribute key to "
-                    f"{item.reader!r}")
-        try:
-            text = scheme.decrypt_bytes(header, item.payload, key)
-        except DecryptionError as exc:
-            raise AccessDeniedError(
-                f"{item.reader!r}'s attributes do not satisfy the policy: "
-                f"{exc}")
-        item.result = text.decode()
+        item.result = self._authority(item.author).unseal(
+            item.author, item.payload, item.reader).decode()
 
     # -- posting (hybrid ABE + DHT/caching) ------------------------------------------
 
@@ -217,7 +192,7 @@ class CachetNetwork:
             try:
                 verify_comment(meta, comment)
                 verified.append(comment.body.decode())
-            except Exception:
+            except IntegrityError:
                 continue
         return verified
 

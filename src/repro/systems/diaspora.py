@@ -8,18 +8,19 @@ several servers ... none of them will have a complete global view."
 Composition: :class:`~repro.overlay.federation.FederatedNetwork` provides
 the pod substrate; on top we add Diaspora's signature feature — **aspects**
 (per-audience contact groups: "family", "work", ...).  A post targets one
-aspect; it is encrypted for that aspect's members (symmetric per-aspect
-keys, rotated on removal exactly as Section III-B prescribes) and federated
-only to their home pods.
+aspect; it is sealed for that aspect's members (one
+:class:`~repro.acl.symmetric_acl.SymmetricKeyACL` group per aspect, rekeyed
+on removal exactly as Section III-B prescribes) and federated only to their
+home pods.
 """
 
 from __future__ import annotations
 
 import random as _random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.crypto.symmetric import StreamCipher, random_key
-from repro.exceptions import AccessDeniedError, DecryptionError, OverlayError
+from repro.acl import SymmetricKeyACL
+from repro.exceptions import AccessDeniedError, OverlayError
 from repro.fabric import Fabric
 from repro.overlay.federation import FederatedNetwork
 from repro.stack import (AclLayer, ContentItem, LayerSpec, PlacementLayer,
@@ -53,15 +54,10 @@ class DiasporaNetwork:
         self.network = self.fabric.network
         self.federation = FederatedNetwork(
             self.network, [f"pod{i}" for i in range(PODS)])
-        self.rng = _random.Random(seed)
-        #: (owner, aspect) -> (epoch, key)
-        self._aspect_keys: Dict[Tuple[str, str], Tuple[int, bytes]] = {}
-        #: (owner, aspect) -> member set
-        self.aspects: Dict[Tuple[str, str], Set[str]] = {}
-        #: user -> {(owner, aspect, epoch): key} — keys received from owners
-        self._keyrings: Dict[str, Dict[Tuple[str, str, int], bytes]] = {}
-        #: content id -> (owner, aspect, epoch)
-        self._catalog: Dict[str, Tuple[str, str, int]] = {}
+        #: one group per aspect, named ``owner/aspect``; the owner is a member
+        self.acl = SymmetricKeyACL(rng=_random.Random(seed))
+        #: content id -> (owner, aspect)
+        self._catalog: Dict[str, Tuple[str, str]] = {}
         self._sequence = 0
         self.stack = ProtectionStack([
             AclLayer(post=self._aspect_encrypt, read=self._aspect_decrypt,
@@ -74,76 +70,48 @@ class DiasporaNetwork:
 
     def register(self, user: str, pod: Optional[str] = None) -> str:
         """Join a pod (hash-balanced by default)."""
-        self._keyrings[user] = {}
         return self.federation.register_user(user, pod)
 
     def create_aspect(self, owner: str, aspect: str,
                       members: Sequence[str]) -> None:
         """Create a contact group with its own key, shared with members."""
-        key = random_key(32, self.rng)
-        self._aspect_keys[(owner, aspect)] = (0, key)
-        self.aspects[(owner, aspect)] = set(members)
-        self._keyrings.setdefault(owner, {})[(owner, aspect, 0)] = key
-        for member in members:
-            self._keyrings[member][(owner, aspect, 0)] = key
+        self.acl.create_group(f"{owner}/{aspect}", [owner, *members])
 
     def add_to_aspect(self, owner: str, aspect: str, user: str) -> None:
         """Share the current aspect key with a new contact."""
-        epoch, key = self._aspect_keys[(owner, aspect)]
-        self.aspects[(owner, aspect)].add(user)
-        self._keyrings[user][(owner, aspect, epoch)] = key
+        self.acl.add_member(f"{owner}/{aspect}", user)
 
     def remove_from_aspect(self, owner: str, aspect: str,
                            user: str) -> None:
         """Remove a contact: rotate the key (future posts excluded)."""
-        members = self.aspects.get((owner, aspect))
-        if members is None or user not in members:
-            raise AccessDeniedError(
-                f"{user!r} is not in {owner!r}'s aspect {aspect!r}")
-        members.discard(user)
-        epoch, _ = self._aspect_keys[(owner, aspect)]
-        new_key = random_key(32, self.rng)
-        self._aspect_keys[(owner, aspect)] = (epoch + 1, new_key)
-        self._keyrings[owner][(owner, aspect, epoch + 1)] = new_key
-        for member in members:
-            self._keyrings[member][(owner, aspect, epoch + 1)] = new_key
+        if user == owner:
+            raise AccessDeniedError(f"{owner!r} cannot leave their own aspect")
+        self.acl.revoke_member(f"{owner}/{aspect}", user)
 
     # -- stack layer hooks -------------------------------------------------------
 
     def _aspect_encrypt(self, item: ContentItem) -> None:
-        aspect = item.meta["aspect"]
-        entry = self._aspect_keys.get((item.author, aspect))
-        if entry is None:
-            raise OverlayError(f"{item.author!r} has no aspect {aspect!r}")
-        epoch, key = entry
-        item.recipients = tuple(sorted(self.aspects[(item.author, aspect)]))
-        item.meta["epoch"] = epoch
-        item.payload = StreamCipher(key).encrypt(item.payload, self.rng)
+        group = self.acl.groups.get(f"{item.author}/{item.meta['aspect']}")
+        if group is None:
+            raise OverlayError(
+                f"{item.author!r} has no aspect {item.meta['aspect']!r}")
+        item.recipients = tuple(sorted(group.members - {item.author}))
+        item.payload = self.acl.seal(group.name, item.payload)
 
     def _federate(self, item: ContentItem) -> None:
         item.cid = f"dsp{self._sequence}"
         self._sequence += 1
         self.federation.post(item.author, item.cid, item.payload,
                              list(item.recipients))
-        self._catalog[item.cid] = (item.author, item.meta["aspect"],
-                                   item.meta["epoch"])
+        self._catalog[item.cid] = (item.author, item.meta["aspect"])
 
     def _pod_fetch(self, item: ContentItem) -> None:
         item.payload = self.federation.fetch(item.reader, item.cid)
 
     def _aspect_decrypt(self, item: ContentItem) -> None:
-        aspect, epoch = item.meta["aspect"], item.meta["epoch"]
-        key = self._keyrings.get(item.reader, {}).get(
-            (item.author, aspect, epoch))
-        if key is None:
-            raise AccessDeniedError(
-                f"{item.reader!r} holds no key for {item.author!r}/"
-                f"{aspect!r} epoch {epoch}")
-        try:
-            item.result = StreamCipher(key).decrypt(item.payload).decode()
-        except DecryptionError:
-            raise AccessDeniedError(
-                f"{item.reader!r}'s aspect key does not open {item.cid!r}")
+        item.result = self.acl.unseal(
+            f"{item.author}/{item.meta['aspect']}", item.payload,
+            item.reader).decode()
 
     # -- posting ------------------------------------------------------------------------
 
@@ -156,9 +124,9 @@ class DiasporaNetwork:
 
     def read(self, reader: str, content_id: str) -> str:
         """Fetch from the reader's pod and decrypt with the aspect key."""
-        owner, aspect, epoch = self._catalog[content_id]
+        owner, aspect = self._catalog[content_id]
         item = ContentItem(author=owner, reader=reader, cid=content_id,
-                           meta={"aspect": aspect, "epoch": epoch})
+                           meta={"aspect": aspect})
         self.stack.read(item)
         return item.result
 

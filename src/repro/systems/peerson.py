@@ -6,22 +6,20 @@ As the paper describes it: PeerSoN "utilize[s] structured control overlay"
 "distributed out-of-band like physical meeting" (Section IV-A).
 
 Composition: :class:`~repro.overlay.chord.ChordRing` for lookup/storage +
-per-item public-key wrapped content keys + the
-:class:`~repro.dosn.identity.KeyRegistry` out-of-band channel + asynchronous
-DHT mailboxes so two peers who are never online simultaneously can still
-exchange messages (PeerSoN's headline feature).
+per-item public-key wrapped content keys (a
+:class:`~repro.acl.publickey_acl.PublicKeyACL` group per author: the author
+and their friends) + asynchronous DHT mailboxes (a one-member group
+``mailbox/<user>``) so two peers who are never online simultaneously can
+still exchange messages (PeerSoN's headline feature).
 """
 
 from __future__ import annotations
 
 import random as _random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from repro.crypto import elgamal
-from repro.crypto.hashing import hkdf
-from repro.crypto.symmetric import AuthenticatedCipher, random_key
-from repro.dosn.identity import Identity, KeyRegistry, create_identity
-from repro.exceptions import AccessDeniedError, DecryptionError, StorageError
+from repro.acl import PublicKeyACL
+from repro.exceptions import StorageError
 from repro.fabric import Fabric
 from repro.overlay.chord import ChordRing
 from repro.stack import (AclLayer, ContentItem, LayerSpec, PlacementLayer,
@@ -55,11 +53,8 @@ class PeersonNetwork:
         self.sim = self.fabric.sim
         self.network = self.fabric.network
         self.ring = ChordRing(self.fabric, replication=REPLICATION)
-        self.registry = KeyRegistry()
-        self.level = level
-        self.rng = _random.Random(seed)
-        self.identities: Dict[str, Identity] = {}
-        self.friends: Dict[str, set] = {}
+        #: a group per author (author + friends), one per mailbox
+        self.acl = PublicKeyACL(rng=_random.Random(seed), level=level)
         self._mailbox_counters: Dict[str, int] = {}
         self._built = False
         self.stack = ProtectionStack([
@@ -72,21 +67,18 @@ class PeersonNetwork:
 
     # -- membership --------------------------------------------------------------
 
-    def register(self, name: str) -> Identity:
-        """Join: create identity, publish public keys out-of-band, join DHT."""
-        identity = create_identity(name, self.level,
-                                   _random.Random(f"{name}/{self.rng.random()}"))
-        self.registry.register(identity)
-        self.identities[name] = identity
-        self.friends[name] = set()
+    def register(self, name: str) -> None:
+        """Join: create a keypair and the author and mailbox groups, join
+        the DHT."""
+        self.acl.create_group(name, [name])
+        self.acl.create_group(f"mailbox/{name}", [name])
         self.ring.add_node(name)
         self._built = False
-        return identity
 
     def befriend(self, a: str, b: str) -> None:
         """The 'physical meeting': both sides learn authenticated keys."""
-        self.friends[a].add(b)
-        self.friends[b].add(a)
+        self.acl.add_member(a, b)
+        self.acl.add_member(b, a)
 
     def _ensure_built(self) -> None:
         if not self._built:
@@ -96,17 +88,7 @@ class PeersonNetwork:
     # -- stack layer hooks -------------------------------------------------------
 
     def _wrap_for_friends(self, item: ContentItem) -> None:
-        content_key = random_key(32, self.rng)
-        wraps: Dict[str, str] = {}
-        for friend in sorted(self.friends[item.author]) + [item.author]:
-            public = self.registry.get(friend).encryption_key
-            wraps[friend] = elgamal.encrypt_bytes(public, content_key,
-                                                  self.rng).hex()
-        payload = AuthenticatedCipher(content_key).encrypt(item.payload,
-                                                           rng=self.rng)
-        import json
-        item.payload = json.dumps({"wraps": wraps,
-                                   "payload": payload.hex()}).encode()
+        item.payload = self.acl.seal(item.author, item.payload)
 
     def _dht_put(self, item: ContentItem) -> None:
         item.cid = f"peerson/{item.author}/{item.meta['item_id']}"
@@ -116,20 +98,7 @@ class PeersonNetwork:
         item.payload, _ = self.ring.get(item.reader, item.cid)
 
     def _unwrap(self, item: ContentItem) -> None:
-        import json
-        record = json.loads(item.payload.decode())
-        wrap = record["wraps"].get(item.reader)
-        if wrap is None:
-            raise AccessDeniedError(
-                f"{item.reader!r} has no wrapped key on {item.cid!r}")
-        private = self.identities[item.reader].encryption_key
-        try:
-            content_key = elgamal.decrypt_bytes(private, bytes.fromhex(wrap))
-            item.result = AuthenticatedCipher(content_key).decrypt(
-                bytes.fromhex(record["payload"]))
-        except DecryptionError:
-            raise AccessDeniedError(
-                f"{item.reader!r} cannot unwrap {item.cid!r}")
+        item.result = self.acl.unseal(item.author, item.payload, item.reader)
 
     # -- content: public-key wrapped, DHT stored -----------------------------------
 
@@ -144,7 +113,8 @@ class PeersonNetwork:
     def read(self, reader: str, dht_key: str) -> bytes:
         """Fetch from the DHT and unwrap with the reader's private key."""
         self._ensure_built()
-        item = ContentItem(author="", reader=reader, cid=dht_key)
+        _, author, _ = dht_key.split("/", 2)
+        item = ContentItem(author=author, reader=reader, cid=dht_key)
         self.stack.read(item)
         return item.result
 
@@ -158,26 +128,25 @@ class PeersonNetwork:
         phones never awake at the same time.
         """
         self._ensure_built()
-        public = self.registry.get(recipient).encryption_key
-        blob = elgamal.encrypt_bytes(public, message, self.rng)
+        record = self.acl.seal(f"mailbox/{recipient}", message)
         index = self._mailbox_counters.get(recipient, 0)
         self._mailbox_counters[recipient] = index + 1
         dht_key = f"peerson/mailbox/{recipient}/{index}"
-        self.ring.put(sender, dht_key, blob)
+        self.ring.put(sender, dht_key, record)
         return dht_key
 
     def fetch_mailbox(self, owner: str) -> List[bytes]:
         """Drain every pending mailbox entry (decrypting locally)."""
         self._ensure_built()
-        private = self.identities[owner].encryption_key
         messages: List[bytes] = []
         for index in range(self._mailbox_counters.get(owner, 0)):
             dht_key = f"peerson/mailbox/{owner}/{index}"
             try:
-                blob, _ = self.ring.get(owner, dht_key)
+                record, _ = self.ring.get(owner, dht_key)
             except StorageError:
                 continue
-            messages.append(elgamal.decrypt_bytes(private, blob))
+            messages.append(self.acl.unseal(f"mailbox/{owner}", record,
+                                            owner))
         return messages
 
     def go_offline(self, name: str) -> None:

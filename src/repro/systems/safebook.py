@@ -17,13 +17,13 @@ come from real-life friends, so both inherit the friends' uptime.
 from __future__ import annotations
 
 import random as _random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import networkx as nx
 
-from repro.crypto.symmetric import StreamCipher, random_key
+from repro.acl import SymmetricKeyACL
 from repro.dosn.identity import Identity, KeyRegistry, create_identity
-from repro.exceptions import AccessDeniedError, SearchError, StorageError
+from repro.exceptions import SearchError, StorageError
 from repro.integrity.envelope import MessageEnvelope, open_envelope, seal
 from repro.search.friend_routing import Matryoshka, RoutedRequest
 from repro.stack import (AclLayer, ContentItem, IntegrityLayer, LayerSpec,
@@ -66,9 +66,10 @@ class SafebookNetwork:
         self.registry = KeyRegistry()
         self.identities: Dict[str, Identity] = {}
         self.online: Dict[str, bool] = {}
-        self._group_keys: Dict[str, bytes] = {}
+        #: one group per owner: the owner plus their graph neighbours
+        self.acl = SymmetricKeyACL(rng=self.rng)
         #: owner -> mirror -> encrypted signed profile replica
-        self._mirrors: Dict[str, Dict[str, bytes]] = {}
+        self._mirrors: Dict[str, Dict[str, object]] = {}
         self._shells: Dict[str, Matryoshka] = {}
         for node in graph.nodes:
             name = str(node)
@@ -77,7 +78,8 @@ class SafebookNetwork:
             self.registry.register(identity)
             self.identities[name] = identity
             self.online[name] = True
-            self._group_keys[name] = random_key(32, self.rng)
+            self.acl.create_group(
+                name, [name, *(str(n) for n in graph.neighbors(node))])
         self.stack = ProtectionStack([
             IntegrityLayer(post=self._seal_profile,
                            read=self._open_envelope,
@@ -110,8 +112,7 @@ class SafebookNetwork:
         }).encode()
 
     def _group_encrypt(self, item: ContentItem) -> None:
-        item.payload = StreamCipher(
-            self._group_keys[item.author]).encrypt(item.payload, self.rng)
+        item.payload = self.acl.seal(item.author, item.payload)
 
     def _mirror_out(self, item: ContentItem) -> None:
         mirrors = self._matryoshka(item.author).shells[0]
@@ -141,13 +142,7 @@ class SafebookNetwork:
         item.payload = blob
 
     def _group_decrypt(self, item: ContentItem) -> None:
-        owner = item.author
-        if item.reader != owner and item.reader not in set(
-                str(n) for n in self.graph.neighbors(owner)):
-            raise AccessDeniedError(
-                f"{item.reader!r} is not a friend of {owner!r}")
-        item.payload = StreamCipher(
-            self._group_keys[owner]).decrypt(item.payload)
+        item.payload = self.acl.unseal(item.author, item.payload, item.reader)
 
     def _open_envelope(self, item: ContentItem) -> None:
         import json

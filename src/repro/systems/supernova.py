@@ -16,10 +16,10 @@ follows the storekeeper agreement, not the owner's own uptime.
 from __future__ import annotations
 
 import random as _random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.crypto.symmetric import StreamCipher, random_key
-from repro.exceptions import LookupError_, OverlayError, StorageError
+from repro.acl import SymmetricKeyACL
+from repro.exceptions import OverlayError, StorageError
 from repro.fabric import Fabric
 from repro.overlay.superpeer import SuperPeerOverlay
 from repro.stack import (AclLayer, ContentItem, LayerSpec, PlacementLayer,
@@ -55,14 +55,14 @@ class SupernovaNetwork:
         self.sim = self.fabric.sim
         self.network = self.fabric.network
         self.overlay = SuperPeerOverlay(self.network)
-        self.rng = _random.Random(seed)
         for index in range(SUPER_PEERS):
             self.overlay.add_super_peer(f"sp{index}")
-        self._keys: Dict[str, bytes] = {}
+        #: one group per owner: the owner plus the friends it shared with
+        self.acl = SymmetricKeyACL(rng=_random.Random(seed))
         #: owner -> storekeeper agreement (names)
         self.agreements: Dict[str, List[str]] = {}
-        #: storekeeper -> {(owner, item): blob}
-        self._kept: Dict[str, Dict[Tuple[str, str], bytes]] = {}
+        #: storekeeper -> {(owner, item): sealed record}
+        self._kept: Dict[str, Dict[Tuple[str, str], object]] = {}
         self.stack = ProtectionStack([
             AclLayer(post=self._owner_encrypt, read=self._owner_decrypt,
                      spec=SUPERNOVA_SPEC.layers[0]),
@@ -75,8 +75,12 @@ class SupernovaNetwork:
     def register(self, name: str) -> None:
         """Join under a (hash-assigned) super-peer."""
         self.overlay.add_peer(name)
-        self._keys[name] = random_key(32, self.rng)
+        self.acl.create_group(name, [name])
         self._kept[name] = {}
+
+    def share_key(self, owner: str, friend: str) -> None:
+        """Hand ``friend`` the owner's content key (out of band)."""
+        self.acl.add_member(owner, friend)
 
     def report_uptimes(self, fractions: Dict[str, float]) -> None:
         """Feed uptime observations to the super-peer tier."""
@@ -100,8 +104,7 @@ class SupernovaNetwork:
     # -- stack layer hooks -------------------------------------------------------
 
     def _owner_encrypt(self, item: ContentItem) -> None:
-        item.payload = StreamCipher(
-            self._keys[item.author]).encrypt(item.payload, self.rng)
+        item.payload = self.acl.seal(item.author, item.payload)
 
     def _keeper_store(self, item: ContentItem) -> None:
         owner, item_id = item.author, item.meta["item_id"]
@@ -128,13 +131,7 @@ class SupernovaNetwork:
             f"no live storekeeper for {owner!r}/{item_id!r}")
 
     def _owner_decrypt(self, item: ContentItem) -> None:
-        key = self._keys[item.author] if item.reader == item.author \
-            else item.meta.get("owner_key")
-        if key is None:
-            raise StorageError(
-                f"{item.reader!r} fetched ciphertext but holds no key of "
-                f"{item.author!r}")
-        item.result = StreamCipher(key).decrypt(item.payload)
+        item.result = self.acl.unseal(item.author, item.payload, item.reader)
 
     # -- the content path ---------------------------------------------------------
 
@@ -147,18 +144,13 @@ class SupernovaNetwork:
         self.stack.post(ContentItem(author=owner, payload=content,
                                     meta={"item_id": item_id}))
 
-    def retrieve(self, reader: str, owner: str, item_id: str,
-                 owner_key: Optional[bytes] = None) -> bytes:
+    def retrieve(self, reader: str, owner: str, item_id: str) -> bytes:
         """Lookup via super-peers, download from a live storekeeper.
 
-        ``owner_key`` models the out-of-band friend-key handoff; readers
-        without it get ciphertext they cannot open.
+        A reader the owner never :meth:`share_key`-ed with gets ciphertext
+        it cannot open.
         """
         item = ContentItem(author=owner, reader=reader,
-                           meta={"item_id": item_id, "owner_key": owner_key})
+                           meta={"item_id": item_id})
         self.stack.read(item)
         return item.result
-
-    def friend_key(self, owner: str) -> bytes:
-        """The owner's content key (handed to friends out-of-band)."""
-        return self._keys[owner]

@@ -182,6 +182,13 @@ class TestABESemantics:
         with pytest.raises(AccessDeniedError):
             s.read("g", "med", "bob")
 
+    def test_granting_a_held_attribute_issues_no_key(self):
+        s = make_scheme("cp-abe")
+        s.grant_attribute("alice", "doctor")
+        s.meter.reset()
+        s.grant_attribute("alice", "doctor")
+        assert s.meter.counts["key_distribution"] == 0
+
     def test_strip_attribute(self):
         s = make_scheme("cp-abe")
         s.create_group("g", ["alice"])

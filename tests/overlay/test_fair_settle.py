@@ -256,7 +256,8 @@ def _supernova():
     keepers = net.arrange_storekeepers("n0")
     net.overlay.peers[keepers[0]].go_offline()
     net.store("n0", "album", b"x")
-    net.retrieve("n1", "n0", "album", owner_key=net.friend_key("n0"))
+    net.share_key("n0", "n1")
+    net.retrieve("n1", "n0", "album")
     return [net.network]
 
 

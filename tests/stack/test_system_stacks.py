@@ -53,14 +53,9 @@ class TestStacksMatchSpecs:
 
 class TestCachetSatellites:
     def test_read_before_any_post_raises_proper_error(self):
-        """Satellite: no AttributeError from a lazily-created _headers."""
         net = CachetNetwork(_graph(), seed=3)
         with pytest.raises((StorageError, OverlayError, AccessDeniedError)):
             net.read("0", "1", "never-posted")
-
-    def test_headers_initialized_in_init(self):
-        net = CachetNetwork(_graph(), seed=3)
-        assert net._headers == {}
 
     def test_authority_deterministic_per_owner(self):
         """Satellite: authority keys derive from (master seed, owner) only,
@@ -70,16 +65,14 @@ class TestCachetSatellites:
         net_b = CachetNetwork(g, seed=9)
         # perturb net_b's shared rng before the authority is first built
         net_b.pairwise_key("0", "1")
-        _, pk_a, _ = net_a._authority("0")
-        _, pk_b, _ = net_b._authority("0")
-        assert pk_a == pk_b
+        assert net_a._authority("0").pk == net_b._authority("0").pk
 
     def test_authority_differs_across_owners_and_seeds(self):
         g = _graph()
         net = CachetNetwork(g, seed=9)
         other = CachetNetwork(g, seed=10)
-        assert net._authority("0")[1] != net._authority("1")[1]
-        assert net._authority("0")[1] != other._authority("0")[1]
+        assert net._authority("0").pk != net._authority("1").pk
+        assert net._authority("0").pk != other._authority("0").pk
 
     def test_post_read_roundtrip_still_works(self):
         net = CachetNetwork(_graph(), seed=3)
@@ -158,9 +151,8 @@ class TestOtherSystemsThroughStack:
                             "alice": 0.5, "bob": 0.5})
         net.arrange_storekeepers("alice")
         net.store("alice", "i1", b"content")
-        got = net.retrieve("bob", "alice", "i1",
-                           owner_key=net.friend_key("alice"))
-        assert got == b"content"
+        net.share_key("alice", "bob")
+        assert net.retrieve("bob", "alice", "i1") == b"content"
 
     def test_diaspora_roundtrip_and_rotation(self):
         net = DiasporaNetwork(seed=2)

@@ -6,12 +6,12 @@ import random
 import networkx as nx
 import pytest
 
-from repro.crypto.symmetric import StreamCipher
-from repro.exceptions import (AccessDeniedError, DecryptionError, OverlayError,
+from repro.exceptions import (AccessDeniedError, IntegrityError, OverlayError,
                               SearchError, StorageError)
 from repro.systems import (CachetNetwork, DiasporaNetwork, PeersonNetwork,
                            SafebookNetwork, SupernovaNetwork)
 from repro.workloads import social_graph
+from tests.acl.held_keys import held_keys, opened
 
 
 class TestPeerson:
@@ -49,6 +49,25 @@ class TestPeerson:
         net.send_async("p0", "p2", b"one")
         net.send_async("p1", "p2", b"two")
         assert net.fetch_mailbox("p2") == [b"one", b"two"]
+
+    def test_an_outsider_keeping_every_key_opens_nothing_in_the_dht(self):
+        """p9 befriends p3 and keeps its keypair: neither p0's post nor
+        p1's mailbox entry, read straight off every DHT replica, opens."""
+        net = self._net()
+        net.befriend("p9", "p3")
+        key = net.post("p0", "status", b"friends only")
+        box = net.send_async("p0", "p1", b"for p1 alone")
+        kept = held_keys(net.acl, "p9")
+        assert len(kept) == 1
+        for dht_key, text in ((key, b"friends only"),
+                              (box, b"for p1 alone")):
+            records = [node.store[dht_key] for node in net.ring.nodes.values()
+                       if dht_key in node.store]
+            assert len(records) == 2
+            for record in records:
+                assert opened(net.acl, record, kept) == []
+                assert opened(net.acl, record,
+                              held_keys(net.acl, "p1")) == [text]
 
     def test_dht_replication_keeps_posts_available(self):
         net = self._net()
@@ -90,6 +109,36 @@ class TestSafebook:
         stranger = next(n for n, d in distances.items() if d >= 2)
         with pytest.raises(AccessDeniedError):
             net.retrieve_profile(str(stranger), "user10")
+
+    def test_a_graph_edge_is_not_a_key(self):
+        """Refusal comes from the ciphertext: a stranger who turns up as
+        the owner's neighbour after the keys were handed out still opens
+        nothing."""
+        graph = self.GRAPH.copy()
+        net = SafebookNetwork(graph, seed=3)
+        net.publish_profile("user10", b"safebook profile of 10")
+        distances = nx.single_source_shortest_path_length(graph, "user10")
+        stranger = next(str(n) for n, d in distances.items() if d >= 2)
+        graph.add_edge(stranger, "user10")
+        with pytest.raises(AccessDeniedError, match="holds no key"):
+            net.retrieve_profile(stranger, "user10")
+
+    def test_an_outsider_keeping_every_key_opens_no_mirror(self):
+        """A stranger keeps every group key its own friends gave it; none
+        opens the replica any mirror holds."""
+        net = self._net()
+        distances = nx.single_source_shortest_path_length(self.GRAPH,
+                                                          "user10")
+        stranger = next(str(n) for n, d in distances.items() if d >= 2)
+        friend = str(next(iter(self.GRAPH.neighbors("user10"))))
+        kept = held_keys(net.acl, stranger)
+        assert len(kept) > 1
+        replicas = list(net._mirrors["user10"].values())
+        assert replicas
+        for record in replicas:
+            assert opened(net.acl, record, kept) == []
+            assert len(opened(net.acl, record,
+                              held_keys(net.acl, friend))) == 1
 
     def test_offline_relay_breaks_the_path(self):
         net = self._net()
@@ -161,6 +210,50 @@ class TestCachet:
         with pytest.raises(AccessDeniedError):
             net.read("user5", "user0", "post1")
 
+    def test_an_outsider_keeping_every_key_opens_nothing_in_the_dht(self):
+        """user5 keeps each attribute key user0 issued it and a "friends"
+        key from user3's authority; none opens user0's "friends" post read
+        straight off the DHT."""
+        net = self._net()
+        kept = []
+        for attributes in (["family"], ["colleagues"]):
+            net.grant("user0", "user5", attributes)
+            kept += held_keys(net._authority("user0"), "user5")
+        net.grant("user3", "user5", ["friends"])
+        kept += held_keys(net._authority("user3"), "user5")
+        net.post("user0", "post1", "friends only", "friends")
+        records = [node.store["post1"]
+                   for node in net.overlay.ring.nodes.values()
+                   if "post1" in node.store]
+        assert records and len(kept) == 3
+        scheme = net._authority("user0")
+        for record in records:
+            assert opened(scheme, record, kept) == []
+            assert opened(scheme, record, held_keys(scheme, "user1")) == [
+                b"friends only"]
+
+    def test_a_fault_inside_verification_is_not_a_forged_comment(
+            self, monkeypatch):
+        """Only an :class:`IntegrityError` marks a comment as forged; any
+        other error inside verification propagates."""
+        net = self._net()
+        net.post("user0", "post1", "discuss", "friends",
+                 commenters=["user1"])
+        net.comment("user1", "post1", "great point")
+
+        def broken(meta, comment):
+            raise KeyError("verification fault")
+
+        monkeypatch.setattr("repro.systems.cachet.verify_comment", broken)
+        with pytest.raises(KeyError):
+            net.verified_comments("post1")
+
+        def forged(meta, comment):
+            raise IntegrityError("forged")
+
+        monkeypatch.setattr("repro.systems.cachet.verify_comment", forged)
+        assert net.verified_comments("post1") == []
+
 
 class TestSupernova:
     def _net(self):
@@ -183,25 +276,41 @@ class TestSupernova:
         net.arrange_storekeepers("n0")
         net.store("n0", "album", b"supernova data")
         assert net.retrieve("n0", "n0", "album") == b"supernova data"
-        # a friend with the out-of-band key can read too
-        key = net.friend_key("n0")
-        assert net.retrieve("n5", "n0", "album",
-                            owner_key=key) == b"supernova data"
+        # a friend handed the key out of band can read too
+        net.share_key("n0", "n5")
+        assert net.retrieve("n5", "n0", "album") == b"supernova data"
 
     def test_without_key_only_ciphertext(self):
         net = self._net()
         net.arrange_storekeepers("n0")
         net.store("n0", "album", b"secret")
-        with pytest.raises(StorageError):
+        with pytest.raises(AccessDeniedError):
             net.retrieve("n5", "n0", "album")
+
+    def test_an_outsider_keeping_every_key_opens_no_keeper_copy(self):
+        """n8 keeps n1's key (shared before and after n0's store); no
+        storekeeper's copy of n0's album opens with it."""
+        net = self._net()
+        keepers = net.arrange_storekeepers("n0")
+        net.share_key("n1", "n8")
+        net.share_key("n0", "n5")
+        net.store("n0", "album", b"secret")
+        kept = held_keys(net.acl, "n8")
+        assert len(kept) == 2           # its own and n1's
+        copies = [net._kept[keeper][("n0", "album")] for keeper in keepers]
+        assert len(copies) == 3
+        for record in copies:
+            assert opened(net.acl, record, kept) == []
+            assert opened(net.acl, record,
+                          held_keys(net.acl, "n5")) == [b"secret"]
 
     def test_owner_offline_data_survives(self):
         net = self._net()
         net.arrange_storekeepers("n0")
         net.store("n0", "album", b"alive")
         net.overlay.peers["n0"].online = False
-        key = net.friend_key("n0")
-        assert net.retrieve("n5", "n0", "album", owner_key=key) == b"alive"
+        net.share_key("n0", "n5")
+        assert net.retrieve("n5", "n0", "album") == b"alive"
 
     def test_all_keepers_down_data_lost(self):
         net = self._net()
@@ -236,8 +345,9 @@ class TestDiaspora:
     def test_other_aspects_excluded(self):
         net = self._net()
         cid = net.post("d0", "family", "not for work")
-        with pytest.raises((AccessDeniedError, Exception)):
+        with pytest.raises(AccessDeniedError, match="holds no key") as err:
             net.read("d3", cid)
+        assert err.type is AccessDeniedError
 
     def test_removal_rotates_key(self):
         net = self._net()
@@ -268,23 +378,18 @@ class TestDiaspora:
         net.add_to_aspect("d0", "family", "d1")
         after = [net.post("d0", "family", f"after removal {i}")
                  for i in range(3)]
-        kept = list(net._keyrings["d2"].values())
+        kept = held_keys(net.acl, "d2")
         assert len(kept) == 3           # family@0, work@0, d1's friends@0
 
-        def opened(cid):
-            ciphertext = next(pod.content[cid][1]
-                              for pod in net.federation.servers.values()
-                              if cid in pod.content)
-            texts = []
-            for key in kept:
-                try:
-                    texts.append(StreamCipher(key).decrypt(ciphertext))
-                except DecryptionError:
-                    pass
-            return texts
+        def opened_at_a_pod(cid):
+            record = next(pod.content[cid][1]
+                          for pod in net.federation.servers.values()
+                          if cid in pod.content)
+            return opened(net.acl, record, kept)
 
-        assert [opened(cid) for cid in before] == [[b"before removal"]]
-        assert [opened(cid) for cid in after] == [[], [], []]
+        assert [opened_at_a_pod(cid) for cid in before] == [
+            [b"before removal"]]
+        assert [opened_at_a_pod(cid) for cid in after] == [[], [], []]
         assert net.read("d1", after[-1]) == "after removal 2"
 
     def test_late_added_member(self):
@@ -315,3 +420,6 @@ class TestDiaspora:
         net = self._net()
         with pytest.raises(AccessDeniedError):
             net.remove_from_aspect("d0", "family", "d9")
+        with pytest.raises(AccessDeniedError):
+            net.remove_from_aspect("d0", "family", "d0")
+        assert net.read("d0", net.post("d0", "family", "mine")) == "mine"

@@ -634,6 +634,66 @@ def test_one_function_writes_a_member_records_state():
             (6, "sweep"), (7, "sweep"), (8, "sweep"), (9, "sweep")]
 
 
+# -- the surveyed systems protect content through the registered schemes ----------
+
+#: content crypto a ``repro.systems`` model reaches only through a
+#: ``repro.acl`` scheme (``seal`` / ``unseal``), never by itself
+SCHEME_PRIMITIVES = {"StreamCipher", "AuthenticatedCipher", "elgamal", "CPABE",
+                     "random_key"}
+#: the one exception: Cachet's pairwise comment keys
+#: (``repro.integrity.relations``) are drawn with ``random_key``
+PRIMITIVE_ALLOWED = {"cachet.py": {"random_key"}}
+
+
+def _primitive_uses(source: str):
+    """``(line, name)`` for every import or reference of a scheme primitive:
+    imported names, module path parts, bare names and attributes."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [
+                alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names
+                     for part in alias.name.split(".")]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found.update((node.lineno, name) for name in names
+                     if name in SCHEME_PRIMITIVES)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in (SRC / "systems").glob("*.py")))
+def test_surveyed_systems_seal_through_the_schemes(module):
+    allowed = PRIMITIVE_ALLOWED.get(module, set())
+    found = [(line, name) for line, name in
+             _primitive_uses((SRC / "systems" / module).read_text())
+             if name not in allowed]
+    assert not found, (
+        f"systems/{module} holds content crypto of its own: {found}; "
+        "seal and open through a repro.acl scheme")
+
+
+def test_the_scheme_gate_sees_a_splice():
+    """The checker itself: a primitive imported by name, by module, or
+    reached as an attribute is caught; the scheme import is not."""
+    source = (
+        "from repro.crypto.symmetric import StreamCipher, random_key\n"
+        "import repro.crypto.elgamal as eg\n"
+        "from repro.acl import SymmetricKeyACL\n"
+        "def seal(abe, symmetric, key):\n"
+        "    symmetric.AuthenticatedCipher(key)\n"
+        "    return abe.CPABE('TOY')\n")
+    assert _primitive_uses(source) == [
+        (1, "StreamCipher"), (1, "random_key"), (2, "elgamal"),
+        (5, "AuthenticatedCipher"), (6, "CPABE")]
+
+
 # -- the ``None``-path pay-down (ROADMAP item 5) ----------------------------------
 
 #: ``is None`` / ``is not None`` comparisons per hot module.  A ceiling may
