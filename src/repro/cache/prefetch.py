@@ -59,7 +59,7 @@ class SocialPrefetcher:
         self.prefetched = 0
 
     def warm(self, reader: str,
-             listing: Iterable[Tuple[str, object, List[str]]]) -> int:
+             listing: Iterable[Tuple[str, object, Tuple[str, ...]]]) -> int:
         """Prefetch the listed friends' newest posts into ``reader``'s cache.
 
         ``listing`` holds ``(author, view, verified_cids)`` per synced

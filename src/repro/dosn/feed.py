@@ -66,7 +66,7 @@ class FeedReport:
 
 def sync_friends(reader: DosnUser, friends: Dict[str, DosnUser],
                  authors: Iterable[str], violations: List[Tuple[str, str]]
-                 ) -> List[Tuple[str, object, List[str]]]:
+                 ) -> List[Tuple[str, object, Tuple[str, ...]]]:
     """Sync and chain-verify each of ``authors``' timelines, in name order.
 
     Returns ``(author, view, verified_cids)`` for every author whose

@@ -87,6 +87,8 @@ class DosnUser:
         self.friend_keys: Dict[str, StreamCipher] = {}
         #: verified replicas of friends' timelines
         self.views: Dict[str, TimelineView] = {}
+        #: author -> (entries of their view listed, :meth:`verified_cids`)
+        self._listings: Dict[str, Tuple[int, Tuple[str, ...]]] = {}
         self.posts_published = 0
 
     @cached_property
@@ -262,22 +264,33 @@ class DosnUser:
             span.add_cost(_SIG_SECONDS_PER_OP * len(new_entries))
         return len(new_entries)
 
-    def verified_cids(self, author: str) -> List[str]:
+    def verified_cids(self, author: str) -> Tuple[str, ...]:
         """Content ids from the author's chain-verified timeline, in order.
 
         A re-sealed post lists its cid more than once on the chain
         (:meth:`reseal_post`); readers want each post once, at its first
         publication position, so duplicates are dropped keeping first
-        occurrence.  A no-op on chains that never resealed.
+        occurrence.  The listing is remembered per author and extended
+        only by the entries the view accepted since the last call (a view
+        only ever appends), so a feed over an unchanged chain decodes
+        nothing.  Its cids are the entries' own
+        :meth:`~repro.integrity.hashchain.ChainEntry.payload_text`
+        strings, the same objects for every reader of the author, and it
+        is a tuple: no caller can edit it.
         """
         view = self.views.get(author)
         if view is None:
-            return []
-        seen: Set[str] = set()
-        cids: List[str] = []
-        for entry in view.entries:
-            cid = entry.payload.decode()
-            if cid not in seen:
-                seen.add(cid)
-                cids.append(cid)
+            return ()
+        listed, cids = self._listings.get(author, (0, ()))
+        entries = view.entries
+        if listed < len(entries):
+            seen = set(cids)
+            new: List[str] = []
+            for entry in entries[listed:]:
+                cid = entry.payload_text()
+                if cid not in seen:
+                    seen.add(cid)
+                    new.append(cid)
+            cids += tuple(new)
+            self._listings[author] = (len(entries), cids)
         return cids

@@ -36,7 +36,7 @@ class ChainEntry:
     first); ``citations`` optionally carry hashes of *other users'* entries
     for cross-timeline entanglement (see :mod:`repro.integrity.entanglement`).
 
-    The two memos below are not ``__init__`` arguments, so a
+    The three memos below are not ``__init__`` arguments, so a
     ``dataclasses.replace`` copy (a tampered one, say) starts without
     them; ``__slots__`` keeps them from costing a per-entry ``__dict__``.
     """
@@ -47,6 +47,9 @@ class ChainEntry:
     payload: bytes
     citations: Tuple[Tuple[str, int, bytes], ...]
     signature: Tuple[int, int]
+    #: :meth:`payload_text`, remembered.
+    _text: Optional[str] = field(default=None, init=False, repr=False,
+                                 compare=False)
     #: :meth:`entry_hash`, remembered.
     _hash: Optional[bytes] = field(default=None, init=False, repr=False,
                                    compare=False)
@@ -62,6 +65,16 @@ class ChainEntry:
         if self._hash is None:
             object.__setattr__(self, "_hash", self._hash_fields())
         return self._hash
+
+    def payload_text(self) -> str:
+        """The payload decoded as UTF-8, once per entry object.
+
+        Every follower of an author holds the same entry objects, so they
+        all hold this one ``str`` too.
+        """
+        if self._text is None:
+            object.__setattr__(self, "_text", self.payload.decode())
+        return self._text
 
     def verified_by(self, key: SchnorrPublicKey) -> bool:
         """Whether ``key`` verifies the author's signature on this entry.

@@ -35,6 +35,10 @@ INITIAL_INTERVAL = 5.0
 MIN_INTERVAL = 0.25
 #: doubles a peer takes in a table: its last evidence, then a gap ring
 STRIDE = 1 + WINDOW
+#: gaps a window holds before its mean replaces the prior
+_PRIOR_GAPS = 3
+#: a silence this fraction of a bound is short of it after float rounding
+_ROUNDING_MARGIN = 1.0 - 1e-9
 
 
 def _room(slots: int) -> int:
@@ -101,7 +105,7 @@ class PhiTable:
     def mean_gap(self, rank: int) -> float:
         """Current estimate of peer ``rank``'s mean evidence gap (floored)."""
         count = self.counts[rank]
-        if count < 3:
+        if count < _PRIOR_GAPS:
             return INITIAL_INTERVAL
         # one sum over the window, oldest gap first, as when it slid
         return max(sum(self.gaps(rank)) / count, MIN_INTERVAL)
@@ -112,6 +116,17 @@ class PhiTable:
         if elapsed <= 0:
             return 0.0
         return elapsed / (self.mean_gap(rank) * LN10)
+
+    def may_reach(self, rank: int, now: float, threshold: float) -> bool:
+        """False when peer ``rank``'s silence at ``now`` is short of the
+        least :meth:`silence_bound` its window permits for ``threshold``
+        (the floored mean gap's, or the prior's while the window holds
+        fewer than three gaps) by more than float rounding: its phi is
+        then below ``threshold``, and the window is not read."""
+        least = (INITIAL_INTERVAL if self.counts[rank] < _PRIOR_GAPS
+                 else MIN_INTERVAL)
+        return (now - self.windows[rank * STRIDE]
+                >= threshold * least * LN10 * _ROUNDING_MARGIN)
 
     def silence_bound(self, rank: int, threshold: float) -> float:
         """Silence at which peer ``rank``'s phi reaches ``threshold``."""

@@ -573,9 +573,12 @@ class SwimMembership:
 
     def _sweep_confirms(self, view: MemberView, now: float) -> None:
         ranks = self.ranks
-        # most sweeps confirm nobody: sort only the suspects that cross
+        # most sweeps confirm nobody: sort only the suspects that cross,
+        # and read the window only of those silent long enough that they
+        # may
         due = [peer for peer in view.suspects
-               if view.phi(ranks[peer], now) >= CONFIRM_PHI]
+               if view.may_reach(ranks[peer], now, CONFIRM_PHI)
+               and view.phi(ranks[peer], now) >= CONFIRM_PHI]
         for peer in self.in_rank_order(due):
             rank = ranks[peer]
             # a confirm's callbacks (repair -> RPCs -> observe_contact)

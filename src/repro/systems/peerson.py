@@ -69,7 +69,14 @@ class PeersonNetwork:
 
     def register(self, name: str) -> None:
         """Join: create a keypair and the author and mailbox groups, join
-        the DHT."""
+        the DHT.
+
+        A name may not contain ``/``: ``mailbox/<name>`` names a mailbox
+        group and :meth:`read` takes the author from a DHT key's second
+        ``/``-separated field.
+        """
+        if "/" in name:
+            raise ValueError(f"a PeerSoN name may not contain '/': {name!r}")
         self.acl.create_group(name, [name])
         self.acl.create_group(f"mailbox/{name}", [name])
         self.ring.add_node(name)

@@ -14,6 +14,7 @@ from repro.acl.hybrid_acl import HybridACL
 from repro.acl.ibbe_acl import IBBEACL
 from repro.acl.symmetric_acl import SymmetricKeyACL
 from repro.exceptions import AccessDeniedError, DecryptionError
+from tests.acl.held_keys import held_keys, opened
 
 
 def make_scheme(name):
@@ -82,6 +83,28 @@ class TestLifecycleContract:
         assert scheme.read("g1", "i1", "bob") == b"for g1"
         with pytest.raises(AccessDeniedError):
             scheme.read("g2", "i2", "bob")
+
+
+#: the schemes ``tests/acl/held_keys.py`` can read a user's keys out of
+HELD_KEY_SCHEMES = ("cp-abe", "public-key", "symmetric")
+
+
+@pytest.mark.parametrize("name", HELD_KEY_SCHEMES)
+def test_keys_held_before_a_revoke_open_nothing_published_after(name):
+    """Bob keeps every key he held before his revocation and tries them
+    on the ciphertext itself, not through ``read``'s membership check."""
+    scheme = make_scheme(name)
+    scheme.create_group("g", ["alice", "bob", "carol"])
+    scheme.publish("g", "old", b"old data")
+    kept = held_keys(scheme, "bob")
+    assert opened(scheme, scheme.groups["g"].items["old"], kept) == [
+        b"old data"]
+    scheme.revoke_member("g", "bob")
+    scheme.publish("g", "new", b"new data")
+    record = scheme.groups["g"].items["new"]
+    assert opened(scheme, record, kept) == []
+    assert opened(scheme, record, held_keys(scheme, "alice")) == [
+        b"new data"]
 
 
 class TestSymmetricSemantics:

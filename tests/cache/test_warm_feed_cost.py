@@ -4,9 +4,10 @@ Every cache hit is re-checked against the author's chain-verified head.
 That check reads ``TimelineView.head_hash``, which used to re-hash the
 (immutable) last entry on every access: one SHA-256 per served cid per
 feed.  The counts below repeat exactly for a seed, so they are asserted
-as equalities: a fully warm feed hashes nothing, verifies nothing and
-sends nothing; one new post costs one entry hash and one signature
-check (its chain entry, the post's only signature), once.
+as equalities: a fully warm feed hashes nothing, verifies nothing,
+decodes no chain payload and sends nothing; one new post costs one
+entry hash, one signature check and one payload decode (its chain
+entry, the post's only signature), once.
 
 A cached feed also visits each friend once: one sync and one listing of
 verified cids per friend serve both the prefetcher and the cache lookups
@@ -58,10 +59,15 @@ class Counts:
                 monkeypatch.setattr(module, "digest_many", digest_many)
 
         hash_fields, verify = ChainEntry._hash_fields, SchnorrPublicKey.verify
+        payload_text = ChainEntry.payload_text
 
         def counted_hash_fields(entry):
             self.entry_hashes += 1
             return hash_fields(entry)
+
+        def counted_payload_text(entry):
+            self.payload_texts += 1
+            return payload_text(entry)
 
         def counted_verify(key, message, signature):
             self.verifies += 1
@@ -69,21 +75,25 @@ class Counts:
 
         monkeypatch.setattr(ChainEntry, "_hash_fields", counted_hash_fields)
         monkeypatch.setattr(SchnorrPublicKey, "verify", counted_verify)
+        monkeypatch.setattr(ChainEntry, "payload_text", counted_payload_text)
         self.reset()
 
     def reset(self):
         self.digests = self.entry_hashes = self.verifies = 0
+        self.payload_texts = 0
         self.messages_before = self.net.network.stats.messages
 
     def taken(self):
         return {"digest_many": self.digests,
                 "entry_hash": self.entry_hashes,
                 "verify": self.verifies,
+                "payload_text": self.payload_texts,
                 "messages": (self.net.network.stats.messages
                              - self.messages_before)}
 
 
-NOTHING = {"digest_many": 0, "entry_hash": 0, "verify": 0, "messages": 0}
+NOTHING = {"digest_many": 0, "entry_hash": 0, "verify": 0,
+           "payload_text": 0, "messages": 0}
 
 
 class TestWarmFeedCountRatchet:
@@ -106,10 +116,12 @@ class TestWarmFeedCountRatchet:
         after_post = net.feed("alice")
         assert after_post.clean and len(after_post.items) == 4
         taken = counts.taken()
-        # the new chain entry's hash and its signature, once each: the
-        # entry that lists the cid is the post's only signature
+        # the new chain entry's hash, signature and payload, once each:
+        # the entry that lists the cid is the post's only signature, and
+        # the reader's cid listing decodes only the entries it lacks
         assert taken["entry_hash"] == 1
         assert taken["verify"] == 1
+        assert taken["payload_text"] == 1
         assert taken["messages"] > 0
         # signed_bytes / content_id hash too
         assert taken["digest_many"] > taken["entry_hash"]

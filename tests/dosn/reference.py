@@ -14,10 +14,16 @@ spans and RNG states after every operation.
 :func:`install` routes one network's cached feeds and befriend
 prefetches through this module; everything else on that network is the
 code under test.
+
+:func:`verified_cids` is ``DosnUser.verified_cids`` as first written:
+it decodes and de-duplicates the reader's whole view of the author on
+every call, where the code under test remembers the listing and extends
+it by the entries accepted since.  ``test_cid_listing_oracle.py`` holds
+the two equal.
 """
 
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cache.content import VerifiedContentCache
 from repro.cache.prefetch import PREFETCH_DEPTH
@@ -26,6 +32,22 @@ from repro.dosn.results import ReadResult
 from repro.dosn.user import DosnUser, VerifiedPost
 from repro.exceptions import AccessDeniedError, IntegrityError, ReproError
 from repro.obs.metrics import MetricsRegistry
+
+
+def verified_cids(reader: DosnUser, author: str) -> List[str]:
+    """Content ids from the author's chain-verified timeline, in order,
+    each at its first occurrence (a re-sealed post lists its cid again)."""
+    view = reader.views.get(author)
+    if view is None:
+        return []
+    seen: Set[str] = set()
+    cids: List[str] = []
+    for entry in view.entries:
+        cid = entry.payload.decode()
+        if cid not in seen:
+            seen.add(cid)
+            cids.append(cid)
+    return cids
 
 
 class ReferencePrefetcher:

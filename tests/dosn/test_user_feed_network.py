@@ -86,7 +86,7 @@ class TestDosnUser:
         alice, bob = self._pair()
         cids = [alice.seal_post(f"p{i}")[0] for i in range(3)]
         assert bob.sync_timeline(alice) == 3
-        assert bob.verified_cids("alice") == cids
+        assert bob.verified_cids("alice") == tuple(cids)
         assert bob.sync_timeline(alice) == 0  # idempotent
 
     def test_unencrypted_mode(self):

@@ -565,3 +565,14 @@ class TestEntryVerifyMemo:
         entry = TestEntryHashMemo.PINNED
         assert not hasattr(entry, "__dict__")
         assert hc.ChainEntry.__slots__[-2:] == ("_hash", "_verified_under")
+        assert hc.ChainEntry.__slots__[-3:] == (
+            "_text", "_hash", "_verified_under")
+
+    def test_the_decoded_payload_is_one_remembered_str(self, rng):
+        entry = self._entries(rng)[0]
+        fresh = dataclasses.replace(entry)
+        text = entry.payload_text()
+        assert text == "post 0" and entry.payload_text() is text
+        assert fresh._text is None and fresh.payload_text() == text
+        assert entry == fresh and repr(entry) == repr(fresh)
+        assert "_text" not in repr(entry)

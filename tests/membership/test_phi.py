@@ -47,6 +47,9 @@ class Slot:
     def silence_bound(self, threshold):
         return self.table.silence_bound(self.RANK, threshold)
 
+    def may_reach(self, now, threshold):
+        return self.table.may_reach(self.RANK, now, threshold)
+
 
 def make(now=0.0):
     return Slot(now)
@@ -207,3 +210,39 @@ class TestCompactWindowMatchesTheDeque:
         # the neighbours' slots saw no write but the restarts'
         assert [est.table.counts[r] for r in (0, 2)] == [0, 0]
         assert len(est.table.gaps(0)) == len(est.table.gaps(2)) == 0
+
+
+class TestMayReach:
+    """``may_reach`` lets a sweep skip a suspect without reading its
+    window: it must never skip one whose phi reaches the threshold."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_histories(), st.floats(min_value=0.0, max_value=400.0),
+           st.sampled_from([3.0, 8.0]))
+    def test_a_skipped_silence_is_below_the_threshold(self, history, silence,
+                                                      threshold):
+        est = Slot(10.0)
+        at = 10.0
+        for kind, step in history:
+            if kind == "evidence":
+                est.evidence(est.last_evidence + step)
+            else:
+                at = max(at, est.last_evidence) + abs(step)
+                est.restart(at)
+            now = est.last_evidence + silence
+            if not est.may_reach(now, threshold):
+                assert est.phi(now) < threshold
+            bound = est.last_evidence + est.silence_bound(threshold)
+            assert est.may_reach(bound, threshold)
+
+    def test_the_least_bound_is_the_prior_then_the_floor(self):
+        est = make()
+        prior = 8.0 * INITIAL_INTERVAL * LN10
+        floor = 8.0 * MIN_INTERVAL * LN10
+        assert not est.may_reach(prior * 0.999, 8.0)
+        assert est.may_reach(prior, 8.0)
+        for t in (0.1, 0.2, 0.3):           # gaps under the floor
+            est.evidence(t)
+        assert not est.may_reach(0.3 + floor * 0.999, 8.0)
+        assert est.may_reach(0.3 + floor, 8.0)
+        assert est.phi(0.3 + floor) == pytest.approx(8.0)

@@ -8,6 +8,7 @@ import pytest
 from repro.exceptions import OverlayError, SimulationError
 from repro.fabric import Fabric
 from repro.membership import (ALIVE, CONFIRM_PHI, DEAD, GOSSIP_BUDGET_FACTOR,
+                              INITIAL_INTERVAL, LN10, MIN_INTERVAL,
                               PROTOCOL_PERIOD, SUSPECT, WINDOW,
                               MembershipConfig, SwimMembership)
 from repro.membership.phi import STRIDE, PhiTable
@@ -331,6 +332,34 @@ class TestIndexes:
         assert [e.peer for e in membership.confirm_log] == names[1:]
         assert [u.peer for u in view.queue if u.state == DEAD] == names[1:]
         assert view.dead_peers() == names[1:] and view.suspects == set()
+
+    def test_a_sweep_reads_the_window_only_of_a_suspect_that_may_cross(
+            self, monkeypatch):
+        """A suspect silent for less than the least bound its window
+        permits (the prior's under three gaps, else the floored mean's)
+        is skipped without a phi read."""
+        _, membership, names = cluster(n=5, start=False)
+        view = membership.view_of("n0")
+        for peer in names[1:]:
+            membership._suspect("n0", peer)
+        for at in (0.1, 0.2, 0.3):              # n1's gaps, under the floor
+            view.evidence(membership.ranks["n1"], at)
+        reads = []
+        mean_gap = PhiTable.mean_gap
+        monkeypatch.setattr(PhiTable, "mean_gap", lambda table, rank: (
+            reads.append(membership._members[rank]) or mean_gap(table, rank)))
+        floor = CONFIRM_PHI * MIN_INTERVAL * LN10
+        prior = CONFIRM_PHI * INITIAL_INTERVAL * LN10
+        membership._sweep_confirms(view, 0.3 + 0.99 * floor)
+        assert reads == [] and view.suspects == set(names[1:])
+        membership._sweep_confirms(view, 0.3 + 1.01 * floor)
+        assert set(reads) == {"n1"} and view.dead == {"n1"}
+        del reads[:]
+        membership._sweep_confirms(view, 0.99 * prior)
+        assert reads == [] and view.suspects == set(names[2:])
+        membership._sweep_confirms(view, 1.01 * prior)
+        assert set(reads) == set(names[2:])
+        assert view.dead == set(names[1:])
 
     @pytest.mark.parametrize("heard_at", [10_000.0, 0.5],
                              ids=["fresh-contact", "stale-relayed-ack"])

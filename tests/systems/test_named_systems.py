@@ -69,6 +69,27 @@ class TestPeerson:
                 assert opened(net.acl, record,
                               held_keys(net.acl, "p1")) == [text]
 
+    @pytest.mark.parametrize("order", [("mailbox/c", "c"),
+                                       ("c", "mailbox/c")])
+    def test_a_name_with_a_slash_is_rejected_in_either_order(self, order):
+        """``mailbox/c`` would take c's mailbox group (registered first)
+        or collide with it (registered second); c joins either way."""
+        net = PeersonNetwork(seed=1)
+        for name in order:
+            if "/" in name:
+                with pytest.raises(ValueError, match="may not contain"):
+                    net.register(name)
+            else:
+                net.register(name)
+        net.register("d")
+        net.befriend("c", "d")
+        assert sorted(net.ring.nodes) == ["c", "d"]
+        key = net.post("c", "status", b"from c")
+        assert net.read("d", key) == b"from c"
+        box = net.send_async("d", "c", b"to c")
+        assert box.startswith("peerson/mailbox/c/")
+        assert net.fetch_mailbox("c") == [b"to c"]
+
     def test_dht_replication_keeps_posts_available(self):
         net = self._net()
         key = net.post("p0", "status", b"replicated")
