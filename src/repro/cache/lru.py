@@ -3,13 +3,13 @@
 Deliberately dependency-free and deterministic: recency is the only
 eviction signal, so two runs at the same seed touch and evict in exactly
 the same order — the property every experiment table in this repo leans
-on.
+on.  :attr:`LRUMap.version` moves on every change of membership or
+recency, so a caller can tell that a map is exactly as it left it.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Generic, Iterator, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar
 
 from repro.exceptions import SimulationError
 
@@ -26,15 +26,22 @@ class LRUMap(Generic[K, V]):
         if capacity < 1:
             raise SimulationError("LRUMap capacity must be >= 1")
         self.capacity = capacity
-        self._data: "OrderedDict[K, V]" = OrderedDict()
+        #: insertion order is recency order, least-recently-used first (a
+        #: plain dict: an ``OrderedDict`` costs a linked node per entry)
+        self._data: Dict[K, V] = {}
         #: entries pushed out by capacity pressure (not explicit removes)
         self.evictions = 0
+        #: goes up on every hit, put, remove and eviction: an equal
+        #: version means the same members in the same recency order
+        self.version = 0
 
     def get(self, key: K) -> Optional[V]:
         """The value for ``key`` (refreshing its recency), else ``None``."""
-        value = self._data.get(key)
+        data = self._data
+        value = data.pop(key, None)
         if value is not None:
-            self._data.move_to_end(key)
+            data[key] = value
+            self.version += 1
         return value
 
     def put(self, key: K, value: V) -> Optional[Tuple[K, V]]:
@@ -42,16 +49,20 @@ class LRUMap(Generic[K, V]):
 
         ``None`` when nothing was pushed out.
         """
-        self._data[key] = value
-        self._data.move_to_end(key)
-        if len(self._data) > self.capacity:
-            evicted = self._data.popitem(last=False)
+        data = self._data
+        data.pop(key, None)
+        data[key] = value
+        self.version += 1
+        if len(data) > self.capacity:
+            oldest = next(iter(data))
             self.evictions += 1
-            return evicted
+            self.version += 1
+            return oldest, data.pop(oldest)
         return None
 
     def remove(self, key: K) -> Optional[V]:
         """Drop an entry (explicit invalidation; not counted as eviction)."""
+        self.version += 1
         return self._data.pop(key, None)
 
     def __contains__(self, key: K) -> bool:

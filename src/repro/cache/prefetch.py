@@ -45,6 +45,9 @@ class SocialPrefetcher:
 
     ``metrics`` and ``tracer`` are the network's: a warming that fetches
     opens one ``cache.prefetch`` span and counts ``cache.prefetched``.
+    ``requested`` counts the posts every warming asked storage for, so an
+    unchanged count says a warming wanted nothing (every listed head was
+    cached already).
     """
 
     def __init__(self, cache: VerifiedContentCache,
@@ -57,6 +60,7 @@ class SocialPrefetcher:
         self.metrics = metrics
         self.tracer = tracer
         self.prefetched = 0
+        self.requested = 0
 
     def warm(self, reader: str,
              listing: Iterable[Tuple[str, object, Tuple[str, ...]]]) -> int:
@@ -74,6 +78,7 @@ class SocialPrefetcher:
                     wanted.append((author, cid, view))
         if not wanted:
             return 0
+        self.requested += len(wanted)
         with self.tracer.span("cache.prefetch", reader=reader,
                               wanted=len(wanted)) as span:
             blobs = self._fetch_many(reader, [cid for _, cid, _ in wanted])

@@ -53,9 +53,14 @@ def _post_cid(author: str, sequence: int, text: str,
                       *(tag.encode() for tag in tags))
 
 
-@dataclass
+@dataclass(slots=True)
 class VerifiedPost:
-    """A post whose cid matches its document and is on the author's chain."""
+    """A post whose cid matches its document and is on the author's chain.
+
+    A shared read-only value: a reader's cache entry, feed items and
+    replayed feeds hold the one object its read opened, and ``slots``
+    spare each of them a ``__dict__``.
+    """
 
     author: str
     sequence: int
@@ -215,22 +220,29 @@ class DosnUser:
         """
         try:
             data = json.loads(document.decode())
-            fields = (data["author"], data["sequence"], data["text"],
-                      tuple(data["tags"]))
-            post = VerifiedPost(*fields, content_id=_post_cid(*fields))
+            claimed, sequence, text, tags = (
+                data["author"], data["sequence"], data["text"],
+                tuple(data["tags"]))
+            cid = _post_cid(claimed, sequence, text, tags)
         except (ValueError, KeyError, TypeError, AttributeError,
                 OverflowError) as exc:
             raise IntegrityError(f"malformed post document: {exc!r}")
-        if expected_cid is not None and post.content_id != expected_cid:
+        if expected_cid is not None and cid != expected_cid:
             raise IntegrityError(
                 "content id mismatch: storage served a different post "
                 "than requested")
         chain = self.views[author].entries if author in self.views else ()
-        listed = post.content_id.encode()
-        if not any(entry.payload == listed for entry in reversed(chain)):
-            raise IntegrityError(f"post {post.content_id} is not on the "
-                                 f"verified timeline of {author!r}")
-        return post
+        listed = cid.encode()
+        for entry in reversed(chain):
+            if entry.payload == listed:
+                # name it with the strings every reader already shares —
+                # the author's name and the chain's own cid — not with
+                # the copies this document decoded to
+                return VerifiedPost(
+                    author if claimed == author else claimed, sequence,
+                    text, tags, content_id=entry.payload_text())
+        raise IntegrityError(f"post {cid} is not on the "
+                             f"verified timeline of {author!r}")
 
     # -- timeline sync (historical integrity) -------------------------------------
 

@@ -81,6 +81,8 @@ class Matryoshka:
             raise SearchError(
                 f"{self.core!r} has no peers at distance {self.depth}; "
                 "reduce the shell depth")
+        #: each entry point's relay path, in :attr:`entry_points` order
+        self._paths = [self._path_from(entry) for entry in self.shells[-1]]
 
     @property
     def entry_points(self) -> List[str]:
@@ -92,18 +94,26 @@ class Matryoshka:
         """Route a request inward from a random entry point.
 
         The requester contacts one outer-shell node; each relay forwards to
-        its trusted parent until the core is reached.
+        its trusted parent until the core is reached.  A requester inside
+        the shells never relays (or serves) its own request: the entry
+        point is drawn among those whose path avoids it, and
+        :class:`SearchError` is raised when none does.
         """
         rng = rng or _DEFAULT_RNG
-        entry = rng.choice(self.entry_points)
+        clear = [path for path in self._paths if requester not in path]
+        if not clear:
+            raise SearchError(
+                f"every path to {self.core!r} relays through the "
+                f"requester {requester!r}")
+        return RoutedRequest(requester=requester, core=self.core,
+                             path=list(rng.choice(clear)))
+
+    def _path_from(self, entry: str) -> List[str]:
+        """The relays from ``entry`` inward to the core, excluding it."""
         path = [entry]
-        node = entry
-        while self.parent.get(node) != self.core:
-            node = self.parent.get(node)
-            if node is None:
-                raise SearchError("broken shell structure")
-            path.append(node)
-        return RoutedRequest(requester=requester, core=self.core, path=path)
+        while self.parent[path[-1]] != self.core:
+            path.append(self.parent[path[-1]])
+        return path
 
     # -- privacy accounting ---------------------------------------------------
 

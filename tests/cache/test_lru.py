@@ -1,5 +1,8 @@
 """LRUMap: the cache tier's deterministic eviction mechanism."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 
 from repro.cache import LRUMap
@@ -60,3 +63,47 @@ class TestLRUMap:
             lru.put(key, key)
         lru.get("a")
         assert list(lru) == ["b", "c", "a"]
+
+    def test_version_moves_on_every_change_of_membership_or_recency(self):
+        lru = LRUMap(2)
+        seen = [lru.version]
+
+        def moved():
+            assert lru.version > seen[-1]
+            seen.append(lru.version)
+
+        lru.put("a", 1)
+        moved()
+        lru.get("a")                 # a hit refreshes recency
+        moved()
+        lru.put("b", 2)
+        moved()
+        lru.put("c", 3)              # a put that evicts
+        moved()
+        lru.remove("b")
+        moved()
+        version = lru.version
+        assert lru.get("ghost") is None and "c" in lru and len(lru) == 1
+        assert list(lru) == ["c"]
+        assert lru.version == version    # a miss, a test, a read: no move
+
+    def test_the_order_matches_an_ordered_dict_under_churn(self):
+        rng = random.Random(7)
+        lru, model = LRUMap(5), OrderedDict()
+        for _ in range(2000):
+            key = rng.randrange(12)
+            op = rng.random()
+            if op < 0.4:
+                got = lru.get(key)
+                assert got == model.get(key)
+                if got is not None:
+                    model.move_to_end(key)
+            elif op < 0.9:
+                model[key] = op
+                model.move_to_end(key)
+                expected = (model.popitem(last=False)
+                            if len(model) > 5 else None)
+                assert lru.put(key, op) == expected
+            else:
+                assert lru.remove(key) == model.pop(key, None)
+            assert list(lru) == list(model)

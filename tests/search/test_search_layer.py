@@ -171,6 +171,51 @@ class TestMatryoshka:
         for relay in request.path[1:]:
             assert knowledge[relay]["knows_requester"] is None
 
+    @pytest.mark.parametrize("shell", [0, 1, 2])
+    def test_a_requester_in_the_shells_never_relays_its_request(self, rng,
+                                                                 shell):
+        shells = Matryoshka(self.GRAPH, "u7", depth=3)
+        for requester in shells.shells[shell]:
+            try:
+                request = shells.route_request(requester, rng)
+            except SearchError:
+                # every entry point's path runs through the requester
+                assert all(requester in shells._path_from(entry)
+                           for entry in shells.entry_points)
+                continue
+            assert requester not in request.path
+            assert shells.parent[request.path[-1]] == "u7"
+
+    def test_an_outer_shell_requester_enters_elsewhere(self):
+        shells = Matryoshka(self.GRAPH, "u7", depth=3)
+        requester = shells.entry_points[0]
+        entries = {shells.route_request(requester, random.Random(i)).path[0]
+                   for i in range(1000)}
+        assert requester not in entries
+        assert entries == set(shells.entry_points) - {requester}
+
+    def test_an_inner_shell_requester_avoids_its_subtree(self):
+        # u0 - u1 - {u2, u3}; u1's own request can relay through no one
+        chain = nx.Graph([("u0", "u1"), ("u1", "u2"), ("u1", "u3"),
+                          ("u0", "u4"), ("u4", "u5")])
+        shells = Matryoshka(chain, "u0", depth=2)
+        assert shells.entry_points == ["u2", "u3", "u5"]
+        for seed in range(20):
+            request = shells.route_request("u1", random.Random(seed))
+            assert request.path == ["u5", "u4"]
+        with pytest.raises(SearchError, match="requester"):
+            Matryoshka(nx.path_graph(["c", "a", "b"]), "c",
+                       depth=2).route_request("a", random.Random(0))
+
+    def test_a_requester_on_no_path_draws_as_before(self):
+        shells = Matryoshka(self.GRAPH, "u7", depth=3)
+        outside = next(n for n in self.GRAPH
+                       if n != "u7" and all(n not in shell
+                                            for shell in shells.shells))
+        ours = shells.route_request(outside, random.Random(9))
+        entry = random.Random(9).choice(shells.entry_points)
+        assert ours.path == shells._path_from(entry)
+
     def test_anonymity_set(self):
         shells = Matryoshka(self.GRAPH, "u7", depth=3)
         population = 150
