@@ -30,9 +30,10 @@ __all__ = ["READ_SOURCES", "ReadResult"]
 READ_SOURCES = ("cache", "quorum", "bare")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class ReadResult:
-    """One read's payload plus its trust provenance."""
+    """One read's payload plus its trust provenance (frozen: every hit
+    on a cache entry serves the entry's one result)."""
 
     post: VerifiedPost
     verified: bool = True

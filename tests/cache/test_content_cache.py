@@ -33,9 +33,14 @@ class FakeView:
         self.entries.append(FakeEntry(cid.encode()))
 
 
+def served(post, author):
+    """What a hit serves here: the entry's author and post."""
+    return author, post
+
+
 @pytest.fixture
 def cache():
-    return VerifiedContentCache(capacity_per_reader=4)
+    return VerifiedContentCache(capacity_per_reader=4, serve=served)
 
 
 def seeded(cache, reader="bob", author="alice", cid="c1", post="POST"):
@@ -50,6 +55,7 @@ class TestLookupValidation:
         view = seeded(cache)
         entry = cache.lookup("bob", "alice", "c1", view)
         assert entry is not None and entry.post == "POST"
+        assert entry.served == ("alice", "POST")
         assert (cache.hits, cache.misses) == (1, 0)
 
     def test_miss_on_unknown_cid(self, cache):
@@ -106,7 +112,7 @@ class TestReaderIsolationAndCapacity:
         assert not cache.contains("carol", "c1")
 
     def test_per_reader_capacity_evicts_oldest(self):
-        cache = VerifiedContentCache(capacity_per_reader=2)
+        cache = VerifiedContentCache(capacity_per_reader=2, serve=served)
         view = FakeView()
         for cid in ("c1", "c2", "c3"):
             view.publish(cid)
@@ -119,7 +125,8 @@ class TestReaderIsolationAndCapacity:
 class TestMetricsMirror:
     def test_counters_mirrored_into_registry(self):
         metrics = MetricsRegistry()
-        cache = VerifiedContentCache(capacity_per_reader=4, metrics=metrics)
+        cache = VerifiedContentCache(capacity_per_reader=4, serve=served,
+                                     metrics=metrics)
         view = seeded(cache)
         cache.lookup("bob", "alice", "c1", view)    # hit
         cache.lookup("bob", "alice", "ghost", view)  # miss
