@@ -188,8 +188,10 @@ def defended_kad_lookup(overlay, start: str, key: str,
     disagreement between paths is counted
     (``lookup.disjoint_agreement`` / ``lookup.poisoned``).  With
     ``find_value`` the settled set is then
-    probed in XOR order for the value (compromised holders withhold it;
-    honest ones serve it), so a single honest live holder suffices.
+    probed in XOR order for the value, one paid ``kad_fetch`` each, and
+    only an ``ok`` reply's holder can serve it (compromised holders
+    withhold it; honest ones serve it), so a single honest live holder
+    suffices.
     """
     from repro.overlay.kademlia import (K, KadLookupResult, kad_id,
                                         xor_distance)
@@ -217,15 +219,13 @@ def defended_kad_lookup(overlay, start: str, key: str,
         rpcs = sum(path.rpcs for path in paths)
         if find_value:
             for name in closest:
-                node = overlay.nodes.get(name)
-                if node is None or not node.online:
-                    continue
                 ok = fabric.call(start, name, "kad_fetch").ok
                 rpcs += 1
                 if not ok or adv.withholds(name, key):
                     continue
-                if key in node.store:
-                    value = node.store[key]
+                store = overlay.nodes[name].store
+                if key in store:
+                    value = store[key]
                     break
         span.set_attr("paths", len(paths) + failed_paths)
         span.set_attr("agreed", len(agreed))

@@ -184,30 +184,29 @@ class DosnUser:
     def unlock(self, author: str, blob: bytes) -> bytes:
         """The ACL half of reading: recover the canonical document.
 
-        Plaintext blobs (unencrypted networks) pass through; otherwise
-        the author's group key must be held.  Raises
+        A no-op on unencrypted networks, as :meth:`protect_document` is;
+        on an encrypted one every blob must open under the author's group
+        key, so a plaintext one is refused like any other.  Raises
         :class:`AccessDeniedError` when we hold no (working) key.  This
         is the stack's read-path :class:`~repro.stack.pipeline.AclLayer`
         hook.
         """
-        try:
-            json.loads(blob.decode())
-            return blob  # plaintext (unencrypted network)
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            cipher = (self.group_cipher if author == self.name
-                      else self.friend_keys.get(author))
-            if cipher is None:
+        if not self.encrypt_content:
+            return blob
+        cipher = (self.group_cipher if author == self.name
+                  else self.friend_keys.get(author))
+        if cipher is None:
+            raise AccessDeniedError(
+                f"{self.name!r} holds no group key of {author!r}")
+        with self.tracer.span("crypto.decrypt", author=author,
+                              nbytes=len(blob)) as span:
+            span.add_cost(len(blob) * _SYM_SECONDS_PER_BYTE)
+            try:
+                return cipher.decrypt(blob)
+            except DecryptionError:
                 raise AccessDeniedError(
-                    f"{self.name!r} holds no group key of {author!r}")
-            with self.tracer.span("crypto.decrypt", author=author,
-                                  nbytes=len(blob)) as span:
-                span.add_cost(len(blob) * _SYM_SECONDS_PER_BYTE)
-                try:
-                    return cipher.decrypt(blob)
-                except DecryptionError:
-                    raise AccessDeniedError(
-                        f"{self.name!r}'s key for {author!r} does not open "
-                        "this blob (revoked or rotated)")
+                    f"{self.name!r}'s key for {author!r} does not open "
+                    "this blob (revoked or rotated)")
 
     def verify_document(self, author: str, document: bytes,
                         expected_cid: Optional[str] = None) -> VerifiedPost:

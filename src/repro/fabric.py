@@ -4,8 +4,8 @@ It bundles the five cross-cutting objects
 
     ``sim`` · ``network`` · ``channel`` · ``tracer`` · ``metrics``
 
-plus a lazily-split ``rng``, and is what you pass to ``ChordRing``,
-``KademliaOverlay``, ``HybridOverlay`` and ``DosnNetwork``::
+and is what you pass to ``ChordRing``, ``KademliaOverlay``,
+``HybridOverlay`` and ``DosnNetwork``::
 
     fab = Fabric.create(seed=7)                      # plain fabric
     fab = Fabric.create(seed=7, tracing=True)        # with a real tracer
@@ -14,8 +14,8 @@ plus a lazily-split ``rng``, and is what you pass to ``ChordRing``,
     ring = ChordRing(fab, replication=3)             # channel wired in
 
 Determinism note: RNGs split in a fixed order (``network`` first, then
-``reliable-channel`` when resilient; the fabric's own ``rng`` lazily on
-first use), so attaching a subsystem moves no experiment's random stream.
+``reliable-channel`` when resilient), so attaching a subsystem moves no
+experiment's random stream.
 
 **The RPC seam.**  Overlays and stores keep routing geometry and storage
 semantics; the RPC path's cross-cutting concerns meet them only here:
@@ -33,7 +33,6 @@ overlays enroll peers and pick their lookup driver as they are built).
 
 from __future__ import annotations
 
-import random as _random
 from typing import Any, FrozenSet, Optional, Sequence, Set
 
 from repro.exceptions import LookupError_, SimulationError
@@ -53,7 +52,6 @@ class Fabric:
 
     def __init__(self, sim: Simulator, network: SimNetwork,
                  channel: Optional[ReliableChannel] = None,
-                 rng: Optional[_random.Random] = None,
                  overload: Optional[OverloadConfig] = None) -> None:
         if network.sim is not sim:
             raise SimulationError(
@@ -105,7 +103,6 @@ class Fabric:
         self.enroll = lambda name, space: None
         if overload is not None:
             self.install_overload(overload)
-        self._rng = rng
 
     @classmethod
     def create(cls, seed: int = 0, latency: Optional[Any] = None,
@@ -213,17 +210,6 @@ class Fabric:
                         "kad": adversary.kad_answer}
         if adversary.quarantine is not None:
             self._liars_last = adversary.quarantine.order_last
-
-    @property
-    def rng(self) -> _random.Random:
-        """A fabric-scoped RNG, split from the seed on first use.
-
-        Lazy so that fabrics which never draw from it leave the
-        simulator's random stream untouched (exact pre-Fabric streams).
-        """
-        if self._rng is None:
-            self._rng = self.sim.split_rng("fabric")
-        return self._rng
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Fabric(nodes={len(self.network.nodes)}, "

@@ -19,7 +19,6 @@ Detection counters (via ``fabric.metrics`` / :mod:`repro.obs`):
 
 from __future__ import annotations
 
-import random as _random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -87,7 +86,8 @@ class ReplicatedStore:
         self._signer = signer_of if signer_of is not None \
             else self._own_signer
         self._local_identities: Dict[str, object] = {}
-        self._rng: Optional[_random.Random] = None
+        #: the store's own stream: identity minting and record sealing
+        self.rng = self.sim.split_rng("storage2")
         #: key -> current replica holders (repair may re-place these)
         self.placements: Dict[str, List[str]] = {}
         #: writer-side chain state: latest version number / record hash
@@ -98,13 +98,6 @@ class ReplicatedStore:
         self._history: Dict[Tuple[str, str], List[bytes]] = {}
 
     # -- plumbing ---------------------------------------------------------------
-
-    @property
-    def rng(self) -> _random.Random:
-        """Store-scoped RNG, split lazily so legacy streams never move."""
-        if self._rng is None:
-            self._rng = self.sim.split_rng("storage2")
-        return self._rng
 
     def _own_signer(self, author: str):
         from repro.dosn.identity import create_identity
@@ -263,10 +256,14 @@ class ReplicatedStore:
     def get_many(self, reader: str, keys) -> Dict[str, object]:
         """The verified quorum read: newest of >= R verified responses wins.
 
-        Each live holder is probed once, healthiest first, for every key
-        it holds (an accounted ``quorum_read`` RPC each; probes after the
-        first count as hedges like the ring's replica reads); responses
-        failing verification are rejected and counted, never returned.
+        Every holder is probed once, healthiest first, for all of its
+        keys (an accounted ``quorum_read`` RPC each; probes after the
+        first count as hedges like the ring's replica reads).  The reply,
+        never a peek at the holder's store, says who is down and what it
+        holds: a failed reply or an ``ok`` one from a holder without the
+        key serves that key nothing, but its probe is still paid for.
+        Responses failing verification are rejected and counted, never
+        returned.
         Each key then settles on its own (:meth:`_settle`): verified
         holders serving an older version get the winner pushed back
         (read-repair), and the key costs the critical path to its R-th
@@ -286,16 +283,13 @@ class ReplicatedStore:
         ctx = self.fabric.op(reader)
         #: key -> (responses, its probes' latencies, the verified ones')
         reads: Dict[str, Tuple[list, list, list]] = {}
-        plan: Dict[str, List[str]] = {}   # holder -> the keys it serves
+        plan: Dict[str, List[str]] = {}   # holder -> the keys asked of it
         for key in keys:
             if key in reads:
                 continue
             reads[key] = ([], [], [])
             for holder in ctx.order(self.holders_of(key)):
-                node = self.ring.nodes.get(holder)
-                # crashed holders lost the key with their state
-                if node is not None and key in node.store:
-                    plan.setdefault(holder, []).append(key)
+                plan.setdefault(holder, []).append(key)
         with self.network.tracer.span("storage2.get", reader=reader,
                                       keys=len(reads),
                                       holders=len(plan)):
@@ -305,7 +299,7 @@ class ReplicatedStore:
             with self.network.tracer.span("storage2.get.fanout",
                                           parallel=True,
                                           holders=len(plan)) as fanout:
-                for probed, (holder, held) in enumerate(plan.items()):
+                for probed, (holder, asked) in enumerate(plan.items()):
                     if ctx.expired("quorum_read"):
                         deadline_hit = True
                         break  # stop issuing probes nobody will wait for
@@ -315,11 +309,12 @@ class ReplicatedStore:
                                      fanout=True)
                     if reply.cause == "overloaded":
                         shed.append(holder)
-                    for key in held:
+                    store = self.ring.nodes[holder].store if reply.ok else {}
+                    for key in asked:
                         responses, probes, verified = reads[key]
                         probes.append(reply.latency)
-                        if not reply.ok:
-                            continue
+                        if key not in store:
+                            continue  # down, or up without it: served nothing
                         record = self._verify_once(
                             key, self.serve(holder, reader, key), seen)
                         if isinstance(record, StoredVersion):

@@ -42,20 +42,6 @@ class TestFabric:
         with pytest.raises(Exception):
             Fabric(Simulator(2), net)
 
-    def test_rng_is_lazy_and_does_not_perturb_network_stream(self):
-        draws = []
-        for touch_rng in (False, True):
-            fab = Fabric.create(seed=9)
-            if touch_rng:
-                fab.rng.random()  # split must not disturb the network rng
-            ring = ChordRing(fab)
-            for i in range(8):
-                ring.add_node(f"p{i}")
-            ring.build()
-            rtt = fab.network.rpc_issue("p0", "p1").latency
-            draws.append(rtt)
-        assert draws[0] == draws[1]
-
     def test_wrong_type_rejected_with_clear_error(self):
         with pytest.raises(TypeError, match="ChordRing"):
             ChordRing(object())

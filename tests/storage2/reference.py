@@ -1,15 +1,17 @@
 """Reference implementation: the quorum read as first written.
 
 ``ReplicatedStore.get`` is now the one-key case of ``get_many``: one
-verified read that probes each live holder once and settles each key
+verified read that probes each holder once and settles each key
 through ``_settle``.  What it replaced lives here, verbatim, as the
 oracle: a per-key probe loop of its own and a ``_settle`` that counts
 rejects apart from the responses, tags the read's span and picks the
-winner in each of its two branches.  ``test_read_oracle.py`` holds the
-new read equal to it: the same ``ReadResult`` or exception type, the same
-network statistics, counters and holder stores after read-repair.  Only
-:meth:`ReferenceStore.get` is the oracle; its ``_settle`` serves that
-``get`` alone.
+winner in each of its two branches.  It also skips, before any RPC, a
+holder whose store lacks the key, which ``get_many`` now asks like any
+other.  ``test_read_oracle.py`` holds the new read equal to it wherever no
+holder lacks a key it is asked for: the same ``ReadResult`` or exception
+type, the same network statistics, counters and holder stores after
+read-repair.  Only :meth:`ReferenceStore.get` is the oracle; its
+``_settle`` serves that ``get`` alone.
 """
 
 from typing import Dict, List, Optional, Tuple

@@ -5,16 +5,23 @@ written: a probe loop of its own and a ``_settle`` that picks the winner
 in each branch.  ``get`` is now the one-key ``get_many``; on the same
 seeded fabric it must do exactly what the oracle did — the same
 ``ReadResult`` or exception type, the same network statistics and
-counters, the same holder stores after read-repair — with Byzantine,
-crashed and offline holders, degraded reads on and off, bare and
-resilient channels, expiring budgets, shedding queues and SWIM attached.
+counters, the same holder stores after read-repair — with Byzantine and
+offline holders, degraded reads on and off, bare and resilient channels,
+expiring budgets, shedding queues and SWIM attached.
 ``get(k)`` and ``get_many([k])[k]`` must agree the same way.
+
+The oracle plans its probes from ``key in node.store``; ``get_many``
+probes every holder and reads only the replies.  The two part only where
+a holder lacks a key it is asked for (a crashed holder, or a key nobody
+wrote), so no scenario here has either: the plain tests at the end and
+``tests/test_reply_rule.py`` cover those reads.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, StorageError
 from repro.fabric import Fabric
 from repro.faults import (CorruptBlob, Equivocate, FaultPlan, OverloadConfig,
                           ServiceConfig, StaleServe)
@@ -42,9 +49,7 @@ SCENARIO = st.fixed_dictionaries({
     "seed": st.integers(0, 2 ** 16),
     "fault": st.sampled_from((None, StaleServe, Equivocate, CorruptBlob)),
     "liars": st.frozensets(st.sampled_from(PEERS), min_size=1, max_size=4),
-    "down": st.lists(st.tuples(st.sampled_from(PEERS),
-                               st.sampled_from(("offline", "crash"))),
-                     max_size=2),
+    "down": st.lists(st.sampled_from(PEERS), max_size=2),
     "laggard": st.sampled_from([None] + PEERS),
     "degraded": st.booleans(),
     "resilient": st.booleans(),
@@ -54,7 +59,7 @@ SCENARIO = st.fixed_dictionaries({
     "swim": st.booleans(),
     "pace": st.booleans(),
     "reads": st.lists(st.tuples(st.sampled_from(PEERS),
-                                st.sampled_from(KEYS + ["ghost"])),
+                                st.sampled_from(KEYS)),
                       min_size=1, max_size=6),
 })
 
@@ -88,11 +93,8 @@ def _world(store_cls, s):
         fabric.sim.run(until=fabric.sim.now + 1.0)
     if s["laggard"]:
         ring.nodes[s["laggard"]].go_online()
-    for name, how in s["down"]:
-        if how == "crash":
-            ring.nodes[name].crash()
-        else:
-            ring.nodes[name].go_offline()
+    for name in s["down"]:
+        ring.nodes[name].go_offline()
     if s["swim"]:  # long enough for SWIM to suspect or confirm the downed
         fabric.sim.run(until=fabric.sim.now + 12.0)
     if OVERLOADS[s["overload"]] is not None:
@@ -137,6 +139,11 @@ def _agree(s, old, new):
     return outcomes
 
 
+BASE = {"seed": 3, "fault": None, "liars": frozenset({"p0"}), "down": [],
+        "laggard": None, "degraded": False, "resilient": False,
+        "overload": "off", "swim": False, "pace": False}
+
+
 ORACLE = settings(max_examples=100, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
 
@@ -157,18 +164,13 @@ def test_the_scenarios_reach_every_outcome():
     """The oracle's pinned scenarios serve, degrade, repair and fail in
     each of the ways a read can."""
     seen = set()
-    base = {"seed": 3, "fault": None, "liars": frozenset({"p0"}), "down": [],
-            "laggard": None, "degraded": False, "resilient": False,
-            "overload": "off", "swim": False, "pace": False,
-            "reads": [(p, k) for p in ("p2", "p7") for k in KEYS]}
+    base = {**BASE, "reads": [(p, k) for p in ("p2", "p7") for k in KEYS]}
     for change in ({}, {"laggard": "p4"}, {"laggard": "p1"},
                    {"fault": CorruptBlob, "liars": frozenset(PEERS)},
                    {"fault": CorruptBlob, "liars": frozenset({"p1", "p4"})},
                    {"fault": StaleServe, "liars": frozenset({"p1", "p4"})},
-                   {"down": [("p1", "crash"), ("p4", "offline"),
-                             ("p6", "offline"), ("p8", "crash")]},
-                   {"down": [("p1", "offline"), ("p4", "offline"),
-                             ("p6", "offline")], "degraded": True,
+                   {"down": ["p1", "p4", "p6", "p8"]},
+                   {"down": ["p1", "p4", "p6"], "degraded": True,
                     "resilient": True, "swim": True},
                    {"overload": "expiring budget"},
                    {"overload": "shedding queues"}):
@@ -184,3 +186,38 @@ def test_the_scenarios_reach_every_outcome():
     assert seen >= {"served", "degraded", "repaired", "rejected",
                     "StorageError", "ReplicaIntegrityError",
                     "DeadlineExceededError", "OverloadedError"}, seen
+
+
+# -- reads the oracle no longer draws: a holder asked for a key it lacks ---
+
+def test_a_key_nobody_wrote_costs_a_probe_per_holder():
+    fabric, _, store = _world(ReplicatedStore, BASE)
+    sent = fabric.network.stats.messages
+    with pytest.raises(StorageError, match="no reachable replica holds it"):
+        store.get("p2", "ghost")
+    # three holders answer ok with nothing: a request and a reply each
+    assert fabric.network.stats.messages - sent == 2 * 3
+    assert fabric.network.stats.hedges == 2
+
+
+@pytest.mark.parametrize("degraded", [False, True])
+def test_crashed_holders_are_probed_and_short_the_quorum(degraded):
+    fabric, ring, store = _world(ReplicatedStore,
+                                 {**BASE, "degraded": degraded})
+    first, second, third = store.holders_of("k0")
+    ring.nodes[first].crash()
+    ring.nodes[second].crash()
+    reader = next(p for p in PEERS if p not in (first, second, third))
+    sent = fabric.network.stats.messages
+    if degraded:
+        result = store.get(reader, "k0")
+        assert (result.degraded, result.holder, result.version) \
+            == (True, third, 3)
+    else:
+        with pytest.raises(StorageError, match="quorum for 'k0' not met"):
+            store.get(reader, "k0")
+    # two requests lost to crashed holders, one answered round trip
+    assert fabric.network.stats.messages - sent == 1 + 1 + 2
+    assert fabric.metrics.get_counter_value(
+        "net.rpc_failures", kind="quorum_read", cause="offline",
+        direction="request") == 2

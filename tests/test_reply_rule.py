@@ -11,6 +11,7 @@ keeps these functions off the ``online`` flag.
 
 import pytest
 
+from repro.adversary import AdversaryConfig, DefenseConfig
 from repro.dosn.storage import DHTBackend
 from repro.exceptions import LookupError_, StorageError
 from repro.fabric import Fabric
@@ -124,6 +125,56 @@ class TestReplyRule:
         assert _probes(fab, "replica_fetch") == [(first, True),
                                                  (second, True)]
         assert fab.network.stats.hedges == 1
+
+    def test_quorum_read_pays_for_a_holder_that_missed_the_write(self):
+        fab, ring = _ring(tracing=True)
+        store = ReplicatedStore(ring, ReplicationConfig(n=3, r=2, w=2))
+        first, second, third = store.holders_of("k")
+        reader = _outsider(ring, "k")
+        ring.nodes[second].go_offline()
+        store.put(reader, "k", b"v")
+        ring.nodes[second].go_online()
+        assert "k" not in ring.nodes[second].store
+        fab.tracer.clear()
+        result = store.get(reader, "k")
+        assert (result.payload, result.verified) == (b"v", 2)
+        assert _probes(fab, "quorum_read") == [(first, True), (second, True),
+                                               (third, True)]
+        assert fab.network.stats.hedges == 2
+
+    def test_quorum_read_takes_nothing_from_a_restarted_crashed_holder(self):
+        fab, ring = _ring(tracing=True)
+        store = ReplicatedStore(ring, ReplicationConfig(n=3, r=2, w=2))
+        store.put("p0", "k", b"v")
+        first, second, third = store.holders_of("k")
+        ring.nodes[first].crash()
+        ring.nodes[first].go_online()
+        fab.tracer.clear()
+        result = store.get(_outsider(ring, "k"), "k")
+        assert (result.verified, result.rejected, result.repaired) \
+            == (2, 0, 0)
+        assert result.holder in (second, third)
+        assert _probes(fab, "quorum_read") == [(first, True), (second, True),
+                                               (third, True)]
+        assert "k" not in ring.nodes[first].store
+
+    def test_defended_kad_read_pays_for_an_offline_closest_holder(self):
+        fab = Fabric.create(seed=5, latency=FixedLatency(0.02),
+                            adversary=AdversaryConfig(
+                                compromised=frozenset(),
+                                defense=DefenseConfig()))
+        kad = KademliaOverlay(fab)
+        names = [f"q{i}" for i in range(24)]
+        for name in names:
+            kad.add_node(name)
+        kad.bootstrap()
+        closest = sorted(names, key=lambda n: kad_id(n) ^ kad_id("k"))[:K]
+        start = next(n for n in names if n not in closest)
+        kad.put(start, "k", b"v")
+        kad.nodes[closest[0]].go_offline()
+        value, result = kad.get(start, "k")
+        assert value == b"v" and result.closest[:2] == closest[:2]
+        assert _failures(fab, "kad_fetch") == 1
 
     def test_superpeer_fetch_pays_for_an_offline_holder(self):
         fab = Fabric.create(seed=3, latency=FixedLatency(0.02))
